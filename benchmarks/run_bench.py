@@ -41,23 +41,14 @@ Plus one observability measurement:
   (``repro.obs.trace``, on by default) on repeated sharded counting:
   traced vs. tracer-disabled-before-fork (target: < 5% overhead).
 
-And the integer-encoding comparison:
-
-* **columnar_core** -- repeated sequential sharded counting on
-  string-element clustered structures at 10^4 / 10^5 / 10^6 tuples,
-  object path vs. the ``array`` (pure python) and ``numpy`` encoded
-  backends (target: >= 3x encoded-vs-object at >= 10^5 tuples), plus a
-  shard-count sweep and per-scenario peak RSS.
-
 And the live-update comparison:
 
 * **live_updates** -- single-tuple ``StructureDelta`` + repeated query
   through ``Engine.apply_delta`` (chained fingerprints, migrated
   contexts and worker pins) vs. full re-registration of the rebuilt
   structure, on clustered graphs whose small label relation takes the
-  update stream, at 10^4 and 10^5 tuples per encoding backend (target:
-  >= 10x for the delta path at 10^5 tuples, counts identical to a
-  from-scratch rebuild on every backend).
+  update stream, at 10^4 and 10^5 tuples (target: >= 10x for the delta
+  path at 10^5 tuples, counts identical to a from-scratch rebuild).
 
 And the policy-routing comparison:
 
@@ -92,7 +83,7 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py            # full run
     PYTHONPATH=src python benchmarks/run_bench.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/run_bench.py --quick \
-        --only columnar_core                                 # one section
+        --only live_updates                                  # one section
 """
 
 from __future__ import annotations
@@ -739,146 +730,6 @@ def bench_tracing_overhead(quick: bool) -> dict:
     }
 
 
-def _string_cluster_graph(
-    clusters: int, cluster_size: int, p: float, seed: int
-):
-    """A clustered graph relabeled to string elements.
-
-    String elements are the realistic (and adversarial-for-the-object-
-    path) case: every object-path join probe hashes and compares
-    strings, while the encoded backends intern them to dense ints once
-    per context.
-    """
-    from repro.structures.structure import Structure
-
-    raw = random_cluster_graph(clusters, cluster_size, p, seed=seed)
-    names = {element: f"v{element}" for element in raw.universe}
-    return Structure(
-        raw.signature,
-        [names[element] for element in raw.universe],
-        {
-            name: {tuple(names[v] for v in row) for row in rows}
-            for name, rows in raw.relations.items()
-        },
-    )
-
-
-def bench_columnar_core(quick: bool) -> dict:
-    """Object path vs. integer-encoded backends on sharded counting.
-
-    The workload is the serving shape the encoding targets: the same
-    quantified 2-path query arrives repeatedly for the same clustered
-    structure and is answered by sequential sharded execution, so every
-    call pays the full per-request cost (context build + per-shard
-    junction-tree DP) on whichever representation the backend picks.
-    Scenarios cover 10^4 / 10^5 / 10^6 tuples (10^4 only under
-    ``--quick``); every backend must return the identical count, and
-    the acceptance bar is >= 3x encoded-vs-object at >= 10^5 tuples.
-    Peak RSS (``ru_maxrss``) is recorded after each backend's runs, and
-    a shard-count sweep on the first scenario shows how the gap scales
-    with shard granularity.
-
-    Scale comes from shard *count*, not shard size: clusters stay at
-    the ~40-node scale where elimination runs through the semijoin /
-    table-DP pipeline. Much larger clusters trip the semijoin blowup
-    guard on every backend, and in that backtracking regime the
-    backends converge instead of separating.
-    """
-    import resource
-
-    from repro.structures.encoding import numpy_available
-
-    backends = ["object", "array"] + (["numpy"] if numpy_available() else [])
-    scenarios = (
-        [("1e4", 60, 16, 0.7, 2)]
-        if quick
-        else [
-            ("1e4", 60, 16, 0.7, 3),
-            ("1e5", 100, 40, 0.65, 2),
-            ("1e6", 1000, 40, 0.65, 1),
-        ]
-    )
-    plan = compile_plan(path_query(2, quantify_interior=True))
-
-    def peak_rss_kb() -> int:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-    rows: list[dict] = []
-    for label, clusters, size, p, repeats in scenarios:
-        structure = _string_cluster_graph(clusters, size, p, seed=7)
-        sharded = shard_structure(structure, clusters)
-        row: dict = {
-            "scenario": label,
-            "clusters": clusters,
-            "cluster_size": size,
-            "tuples": structure.total_tuples,
-            "universe": len(structure.universe),
-            "shard_count": clusters,
-            "repeats": repeats,
-            "backends": {},
-        }
-        counts = set()
-        for backend in backends:
-            seconds, count = _time(
-                lambda: execute_sharded(
-                    plan, sharded, parallel=False, encoding=backend
-                ),
-                repeats=repeats,
-            )
-            counts.add(count)
-            row["backends"][backend] = {
-                "seconds_per_call": seconds,
-                "count": count,
-                "peak_rss_kb": peak_rss_kb(),
-            }
-        assert len(counts) == 1, (label, row["backends"])
-        row["count"] = counts.pop()
-        object_seconds = row["backends"]["object"]["seconds_per_call"]
-        for backend in backends[1:]:
-            encoded_seconds = row["backends"][backend]["seconds_per_call"]
-            row["backends"][backend]["speedup_vs_object"] = (
-                object_seconds / encoded_seconds if encoded_seconds else None
-            )
-        row["best_encoded_speedup"] = max(
-            row["backends"][b]["speedup_vs_object"] or 0.0
-            for b in backends[1:]
-        )
-        rows.append(row)
-
-    # Shard-count sweep on the first scenario: the encoded win must not
-    # be an artifact of one shard granularity.
-    label, clusters, size, p, _ = scenarios[0]
-    structure = _string_cluster_graph(clusters, size, p, seed=7)
-    sweep_backend = backends[-1]  # the best encoded backend available
-    sweep: list[dict] = []
-    for shard_count in sorted({max(1, clusters // 8), clusters // 2, clusters}):
-        sharded = shard_structure(structure, shard_count)
-        entry: dict = {"scenario": label, "shard_count": shard_count}
-        for backend in ("object", sweep_backend):
-            seconds, count = _time(
-                lambda: execute_sharded(
-                    plan, sharded, parallel=False, encoding=backend
-                )
-            )
-            entry[f"{backend}_seconds"] = seconds
-            entry.setdefault("count", count)
-            assert entry["count"] == count
-        entry["speedup"] = (
-            entry["object_seconds"] / entry[f"{sweep_backend}_seconds"]
-            if entry[f"{sweep_backend}_seconds"]
-            else None
-        )
-        sweep.append(entry)
-
-    return {
-        "query": "path2_pairs",
-        "backends": backends,
-        "scenarios": rows,
-        "shard_sweep": {"backend": sweep_backend, "rows": sweep},
-        "best_encoded_speedup": max(r["best_encoded_speedup"] for r in rows),
-    }
-
-
 def _labeled_cluster_graph(clusters: int, cluster_size: int, p: float, seed: int):
     """A string-element clustered graph plus a small unary ``L`` relation.
 
@@ -923,18 +774,16 @@ def bench_live_updates(quick: bool) -> dict:
     the re-registration path constructs its replacement ``Structure``
     from raw universe/relation inputs inside the timed loop.
 
-    Scenarios cover 10^4 and 10^5 tuples (10^4 only under ``--quick``)
-    per encoding backend.  Both paths must produce identical counts
+    Scenarios cover 10^4 and 10^5 tuples (10^4 only under ``--quick``).
+    Both paths must produce identical counts
     after every update, and the final count is checked against an
     engine that counts the rebuilt-from-scratch structure and never saw
     a delta.  The acceptance bar is >= 10x for the delta path at 10^5
     tuples.
     """
     from repro.structures.delta import StructureDelta
-    from repro.structures.encoding import numpy_available
     from repro.structures.structure import Structure
 
-    backends = ["object", "array"] + (["numpy"] if numpy_available() else [])
     scenarios = (
         [("1e4", 60, 16, 0.7, 3)]
         if quick
@@ -972,7 +821,7 @@ def bench_live_updates(quick: bool) -> dict:
             for structure in rebuilt[1:]
         ]
 
-        def warmed_engine(backend: str) -> Engine:
+        def warmed_engine() -> Engine:
             # One worker, warmed until the pinned shard contexts and
             # their memos are resident, so each measured update starts
             # from the steady serving state.  A single worker sees
@@ -980,7 +829,7 @@ def bench_live_updates(quick: bool) -> dict:
             # it also keeps warmth deterministic on small hosts, where
             # a second worker never converges (the warm one drains the
             # job queue first).
-            engine = Engine(processes=1, encoding=backend)
+            engine = Engine(processes=1)
             engine.register_structure(
                 "live", base, pin=True, shard_count=shards
             )
@@ -988,63 +837,51 @@ def bench_live_updates(quick: bool) -> dict:
                 engine.count_sharded(query, "live", parallel=True)
             return engine
 
-        row: dict = {
-            "scenario": label,
-            "tuples": base.total_tuples,
-            "universe": len(base.universe),
-            "shard_count": shards,
-            "updates": updates,
-            "backends": {},
-        }
-        final_counts = set()
-        delta_total = rereg_total = 0.0
-        for backend in backends:
-            engine = warmed_engine(backend)
-            steady_seconds, _ = _time(
-                lambda: engine.count_sharded(query, "live", parallel=True)
+        engine = warmed_engine()
+        steady_seconds, _ = _time(
+            lambda: engine.count_sharded(query, "live", parallel=True)
+        )
+        delta_counts = []
+        before = time.perf_counter()
+        for delta in deltas:
+            engine.apply_delta("live", delta)
+            delta_counts.append(
+                engine.count_sharded(query, "live", parallel=True)
             )
-            delta_counts = []
-            before = time.perf_counter()
-            for delta in deltas:
-                engine.apply_delta("live", delta)
-                delta_counts.append(
-                    engine.count_sharded(query, "live", parallel=True)
-                )
-            delta_seconds = (time.perf_counter() - before) / updates
-            engine.close()
+        delta_seconds = (time.perf_counter() - before) / updates
+        engine.close()
 
-            engine = warmed_engine(backend)
-            rereg_counts = []
-            before = time.perf_counter()
-            for signature, universe, relations in raw_inputs:
-                structure = Structure(signature, universe, relations)
-                engine.register_structure(
-                    "live", structure, pin=True, shard_count=shards
-                )
-                rereg_counts.append(
-                    engine.count_sharded(query, "live", parallel=True)
-                )
-            rereg_seconds = (time.perf_counter() - before) / updates
-            engine.close()
+        engine = warmed_engine()
+        rereg_counts = []
+        before = time.perf_counter()
+        for signature, universe, relations in raw_inputs:
+            structure = Structure(signature, universe, relations)
+            engine.register_structure(
+                "live", structure, pin=True, shard_count=shards
+            )
+            rereg_counts.append(
+                engine.count_sharded(query, "live", parallel=True)
+            )
+        rereg_seconds = (time.perf_counter() - before) / updates
+        engine.close()
 
-            assert delta_counts == rereg_counts, (
-                label, backend, delta_counts, rereg_counts,
-            )
-            # From-scratch check: an engine that never saw a delta must
-            # count the fully rebuilt structure identically.
-            fresh = Engine(processes=1, encoding=backend)
-            scratch = fresh.count_sharded(
-                query, rebuilt[-1], shard_count=shards, parallel=False
-            )
-            fresh.close()
-            assert delta_counts[-1] == scratch, (
-                label, backend, delta_counts[-1], scratch,
-            )
-            final_counts.add(scratch)
+        assert delta_counts == rereg_counts, (label, delta_counts, rereg_counts)
+        # From-scratch check: an engine that never saw a delta must
+        # count the fully rebuilt structure identically.
+        fresh = Engine(processes=1)
+        scratch = fresh.count_sharded(
+            query, rebuilt[-1], shard_count=shards, parallel=False
+        )
+        fresh.close()
+        assert delta_counts[-1] == scratch, (label, delta_counts[-1], scratch)
 
-            delta_total += delta_seconds * updates
-            rereg_total += rereg_seconds * updates
-            row["backends"][backend] = {
+        rows.append(
+            {
+                "scenario": label,
+                "tuples": base.total_tuples,
+                "universe": len(base.universe),
+                "shard_count": shards,
+                "updates": updates,
                 "steady_count_seconds": steady_seconds,
                 "delta_update_seconds": delta_seconds,
                 "rereg_update_seconds": rereg_seconds,
@@ -1052,15 +889,12 @@ def bench_live_updates(quick: bool) -> dict:
                     rereg_seconds / delta_seconds if delta_seconds else None
                 ),
                 "counts": delta_counts,
+                "final_count": scratch,
             }
-        assert len(final_counts) == 1, (label, row["backends"])
-        row["final_count"] = final_counts.pop()
-        row["speedup"] = delta_total and rereg_total / delta_total
-        rows.append(row)
+        )
 
     return {
         "query": "labeled_path2_pairs",
-        "backends": backends,
         "scenarios": rows,
         "speedup_at_largest": rows[-1]["speedup"],
     }
@@ -1480,7 +1314,6 @@ SECTIONS = {
     "serving": bench_serving,
     "registry_serving": bench_registry_serving,
     "tracing_overhead": bench_tracing_overhead,
-    "columnar_core": bench_columnar_core,
     "live_updates": bench_live_updates,
     "routing": bench_routing,
     "cluster": bench_cluster,
@@ -1583,10 +1416,6 @@ def main(argv: list[str] | None = None) -> int:
         summary["tracing_overhead_pct"] = report["tracing_overhead"][
             "overhead_pct"
         ]
-    if "columnar_core" in report:
-        summary["columnar_core_best_encoded_speedup"] = report[
-            "columnar_core"
-        ]["best_encoded_speedup"]
     if "live_updates" in report:
         summary["live_updates_speedup"] = report["live_updates"][
             "speedup_at_largest"
@@ -1685,29 +1514,13 @@ def main(argv: list[str] | None = None) -> int:
             f"untraced p50 {_ms(tracing['untraced_p50_seconds'])} "
             f"({tracing['overhead_pct']:+.1f}%)"
         )
-    if "columnar_core" in report:
-        columnar = report["columnar_core"]
-        for row in columnar["scenarios"]:
-            parts = ", ".join(
-                f"{backend} {row['backends'][backend]['seconds_per_call']:.3f}s"
-                for backend in columnar["backends"]
-            )
-            print(
-                f"columnar core ({row['scenario']}: {row['tuples']} tuples, "
-                f"{row['shard_count']} shards): {parts}; best encoded "
-                f"speedup {row['best_encoded_speedup']:.1f}x"
-            )
     if "live_updates" in report:
         live = report["live_updates"]
         for row in live["scenarios"]:
-            parts = ", ".join(
-                f"{backend} {row['backends'][backend]['speedup']:.1f}x"
-                for backend in live["backends"]
-            )
             print(
                 f"live updates ({row['scenario']}: {row['tuples']} tuples, "
                 f"{row['updates']} updates): delta vs re-registration "
-                f"{row['speedup']:.1f}x ({parts})"
+                f"{row['speedup']:.1f}x"
             )
     if "routing" in report:
         routing = report["routing"]

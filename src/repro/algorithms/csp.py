@@ -390,8 +390,9 @@ def count_solutions_tables(
     all sharing) and contribute a multiplicative ``domain_size`` each,
     exactly like uncovered variables.
 
-    This is the execution core of the encoded pp-plan path; the rows
-    are dense ints there, but nothing here depends on that.
+    This is the execution core of :func:`repro.algorithms.fpt_counting.
+    execute_pp_plan`; the rows are dense ints there, but nothing here
+    depends on that.
     """
     if not variables:
         for scope, rows in tables:

@@ -39,13 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import networkx as nx
 
-from repro.algorithms.csp import (
-    Constraint,
-    CSPInstance,
-    count_solutions,
-    count_solutions_tables,
-    table_from_scope,
-)
+from repro.algorithms.csp import count_solutions_tables, table_from_scope
 from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.treewidth import treewidth
 from repro.logic.pp import PPFormula
@@ -260,15 +254,19 @@ def execute_pp_plan(
 ) -> int:
     """Count the answers of a compiled pp-plan on one data structure.
 
-    This is the data-side half of :func:`count_pp_answers_fpt`: fill the
-    liberal-atom table constraints from the structure, eliminate each
-    ∃-component through the :class:`~repro.engine.context.
-    ExecutionContext` (memoized semijoin reduction when the component is
-    acyclic with a small boundary, backtracking otherwise), and run the
-    junction-tree count over the precomputed decomposition.  ``context``
-    shares the positional index and the boundary-relation memo across
-    plans, terms, and calls; a throwaway context is created when none is
-    given.
+    This is the data-side half of :func:`count_pp_answers_fpt`, over
+    tables of dense-int rows end to end: liberal-atom tables come from
+    the context's columnar relations (repeated scope variables collapse
+    to equality-filtered distinct columns), each ∃-component is
+    eliminated through the :class:`~repro.engine.context.
+    ExecutionContext` (memoized semijoin reduction when the component
+    is acyclic with a small boundary, backtracking otherwise), and the
+    count runs through the join-driven junction-tree DP
+    :func:`count_solutions_tables` over the precomputed decomposition.
+    Because the encoding is a bijection between the universe and
+    ``range(n)``, nothing is ever decoded.  ``context`` shares the
+    encoding and the boundary-relation memo across plans, terms, and
+    calls; a throwaway context is created when none is given.
     """
     if structure.is_empty():
         return 0 if plan.formula.variables else 1
@@ -276,56 +274,17 @@ def execute_pp_plan(
         from repro.engine.context import ExecutionContext
 
         context = ExecutionContext(structure)
-    if context.encoding_active:
-        return _execute_pp_plan_encoded(plan, context)
-
-    constraints: list[Constraint] = []
+    encoded = context.encoded
+    tables: list[tuple[tuple[Variable, ...], frozenset]] = []
     for name, scope in plan.liberal_atom_scopes:
-        # Structure relations are already frozensets, and .relation()
-        # raises SignatureError for unknown names exactly like the
-        # pre-plan code path did.
-        constraints.append(Constraint(scope, structure.relation(name)))
-
-    # Each ∃-component is replaced by the relation over its boundary of
-    # assignments that extend into the component.
+        # relation_rows raises SignatureError for unknown names exactly
+        # like Structure.relation.
+        tables.append(table_from_scope(scope, encoded.relation_rows(name)))
     for component in plan.components:
         boundary = component.boundary_order
         if not boundary:
             # A pp-sentence part: it contributes a factor 1 if satisfiable
             # on the structure and 0 otherwise.
-            if not context.component_satisfiable(component):
-                return 0
-            continue
-        allowed = context.boundary_relation(component)
-        constraints.append(Constraint(boundary, allowed))
-
-    instance = CSPInstance.build(plan.liberal_order, list(context.domain), constraints)
-    return count_solutions(instance, decomposition=plan.decomposition, strategy="auto")
-
-
-def _execute_pp_plan_encoded(plan: PPCountingPlan, context: "ExecutionContext") -> int:
-    """The encoded execution of a pp-plan: tables of dense-int rows
-    end to end, no decoding anywhere.
-
-    Liberal-atom tables come from the context's columnar relations
-    (repeated scope variables collapse to equality-filtered distinct
-    columns), ∃-component boundary tables from
-    :meth:`~repro.engine.context.ExecutionContext.
-    boundary_relation_encoded`, and the final count runs through the
-    join-driven junction-tree DP :func:`count_solutions_tables` over
-    the plan's precomputed decomposition.  Because the encoding is a
-    bijection between the universe and ``range(n)``, the count equals
-    the object-path count exactly.
-    """
-    encoded = context.encoded
-    tables: list[tuple[tuple[Variable, ...], frozenset]] = []
-    for name, scope in plan.liberal_atom_scopes:
-        # relation_rows raises SignatureError for unknown names exactly
-        # like Structure.relation on the object path.
-        tables.append(table_from_scope(scope, encoded.relation_rows(name)))
-    for component in plan.components:
-        boundary = component.boundary_order
-        if not boundary:
             if not context.component_satisfiable(component):
                 return 0
             continue

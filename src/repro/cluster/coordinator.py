@@ -13,9 +13,8 @@ small *synchronous* facade the engine calls from request threads:
 * :meth:`run_units` -- the sharded execution path.  Each job is
   fingerprint-only (the data already lives on its holders); dispatch
   respects per-worker capacity and prefers the least-loaded live
-  holder.  The shipped body carries the shard units, the remaining
-  allowance of the caller's :class:`~repro.budget.CostBudget`, and the
-  per-call encoding backend.
+  holder.  The shipped body carries the shard units and the remaining
+  allowance of the caller's :class:`~repro.budget.CostBudget`.
 
 Failure handling is the tentpole contract: a worker that closes its
 connection *or misses its heartbeat deadline* is declared dead, its
@@ -90,18 +89,16 @@ class _Job:
         "units",
         "fingerprint",
         "budget",
-        "encoding",
         "future",
         "attempts",
         "worker_id",
     )
 
-    def __init__(self, job_id, units, fingerprint, budget, encoding):
+    def __init__(self, job_id, units, fingerprint, budget):
         self.job_id = job_id
         self.units = units
         self.fingerprint = fingerprint
         self.budget = budget
-        self.encoding = encoding
         self.future: concurrent.futures.Future = concurrent.futures.Future()
         self.attempts = 0
         self.worker_id = None
@@ -501,9 +498,7 @@ class ClusterCoordinator:
             self._outbox_put(
                 handle,
                 {"type": "execute", "job_id": job.job_id},
-                proto.pickle_body(
-                    (job.units, job.fingerprint, job.budget, job.encoding)
-                ),
+                proto.pickle_body((job.units, job.fingerprint, job.budget)),
             )
 
     def _complete_job(
@@ -698,7 +693,6 @@ class ClusterCoordinator:
         self,
         jobs,
         budget=None,
-        encoding: str | None = None,
         timeout: float | None = None,
     ) -> list:
         """Run ``(units, fingerprint)`` jobs; returns ``(values, spans)``
@@ -723,13 +717,7 @@ class ClusterCoordinator:
             for units, fingerprint in jobs:
                 self._job_seq += 1
                 job_objs.append(
-                    _Job(
-                        f"j{self._job_seq}",
-                        units,
-                        fingerprint,
-                        budget,
-                        encoding,
-                    )
+                    _Job(f"j{self._job_seq}", units, fingerprint, budget)
                 )
         self._control(self._enqueue, job_objs)
         deadline = time.monotonic() + (

@@ -7,8 +7,8 @@ many shard-unit jobs it executes concurrently), then serves frames:
 * ``place`` / ``unplace`` / ``delta`` maintain the worker's resident
   shard set -- the cluster-wide generalization of the pool's pinned
   contexts.  ``place`` ships structures; execution contexts are built
-  lazily per ``(fingerprint, encoding)`` on first use and kept for the
-  placement's lifetime.  ``delta`` migrates resident structures *and*
+  lazily per fingerprint on first use and kept for the placement's
+  lifetime.  ``delta`` migrates resident structures *and*
   their built contexts in ``O(|delta|)``, exactly like the pool's
   ``apply_delta_task``, so a PATCH advance never costs a rebuild.
 * ``execute`` runs shard units in a thread pool sized to the capacity,
@@ -39,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.budget import budget_scope
 from repro.cluster import proto
 from repro.cluster.faults import FaultInjector, load_fault_plan
+from repro.engine.pool import picklable_exception
 from repro.exceptions import ReproError
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
@@ -52,17 +53,6 @@ DEFAULT_REGISTER_ATTEMPTS = 20
 REGISTER_BACKOFF = 0.05
 
 
-def _wrap_exception(exc: BaseException) -> BaseException:
-    """An exception safe to pickle into a ``result`` frame."""
-    import pickle
-
-    try:
-        pickle.dumps(exc)
-    except Exception:
-        return ReproError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
 class ClusterWorker:
     """One worker endpoint; ``run()`` serves until the connection ends."""
 
@@ -72,26 +62,22 @@ class ClusterWorker:
         port: int,
         capacity: int = 2,
         name: str | None = None,
-        encoding: str | None = None,
         faults: FaultInjector | None = None,
         register_attempts: int = DEFAULT_REGISTER_ATTEMPTS,
     ):
-        from repro.structures.encoding import resolve_backend
-
         if capacity < 1:
             raise ReproError("cluster worker capacity must be >= 1")
         self.host = host
         self.port = port
         self.capacity = capacity
         self.name = name or f"worker-{os.getpid()}"
-        self.encoding = resolve_backend(encoding)
         self.worker_id: str | None = None
         self.heartbeat_interval = 1.0
         self._faults = faults if faults is not None else FaultInjector()
         self._register_attempts = register_attempts
         #: fingerprint -> resident placed Structure.
         self._structures: dict = {}
-        #: (fingerprint, encoding) -> built ExecutionContext.
+        #: fingerprint -> built ExecutionContext.
         self._contexts: dict = {}
         self._executor: ThreadPoolExecutor | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -109,21 +95,13 @@ class ClusterWorker:
     def _unplace(self, fingerprints) -> None:
         for fingerprint in fingerprints:
             self._structures.pop(fingerprint, None)
-            for key in [k for k in self._contexts if k[0] == fingerprint]:
-                self._contexts.pop(key, None)
+            self._contexts.pop(fingerprint, None)
 
     def _apply_delta(self, updates) -> int:
         applied = 0
         for old_fingerprint, delta, new_fingerprint in updates:
             structure = self._structures.pop(old_fingerprint, None)
-            migrated_contexts = {}
-            for key in [k for k in self._contexts if k[0] == old_fingerprint]:
-                context = self._contexts.pop(key)
-                migrated = context.apply_delta(delta)
-                if migrated.structure.fingerprint() == new_fingerprint:
-                    migrated_contexts[
-                        (new_fingerprint, key[1])
-                    ] = migrated
+            context = self._contexts.pop(old_fingerprint, None)
             if structure is None:
                 continue
             new_structure = structure.apply_delta(delta)
@@ -132,30 +110,31 @@ class ClusterWorker:
                 # place frame re-ships the truth.
                 continue
             self._structures[new_fingerprint] = new_structure
-            self._contexts.update(migrated_contexts)
+            if context is not None:
+                self._contexts[new_fingerprint] = context.apply_delta(
+                    delta, new_structure
+                )
             applied += 1
         return applied
 
-    def _context_for(self, fingerprint, encoding: str | None):
+    def _context_for(self, fingerprint):
         """``(context, cache_hit)`` for a placed fingerprint."""
         from repro.engine.context import ExecutionContext
 
-        backend = encoding or self.encoding
-        key = (fingerprint, backend)
-        context = self._contexts.get(key)
+        context = self._contexts.get(fingerprint)
         if context is not None:
             return context, True
         structure = self._structures.get(fingerprint)
         if structure is None:
             raise KeyError(fingerprint)
-        context = ExecutionContext(structure, encoding=backend)
-        self._contexts[key] = context
+        context = ExecutionContext(structure)
+        self._contexts[fingerprint] = context
         return context, False
 
     # ------------------------------------------------------------------
     # Job execution (runs in the thread pool)
     # ------------------------------------------------------------------
-    def _execute_units(self, units, fingerprint, budget, encoding):
+    def _execute_units(self, units, fingerprint, budget):
         delay = self._faults.execute_delay()
         if delay:
             time.sleep(delay)
@@ -163,17 +142,10 @@ class ClusterWorker:
             "cluster.execute", units=len(units), worker=self.name
         )
         with cap:
-            context, hit = self._context_for(fingerprint, encoding)
+            context, hit = self._context_for(fingerprint)
             cap.root.set("context_hit", hit)
-            out: list = []
             with budget_scope(budget):
-                for unit in units:
-                    if unit.kind == "count":
-                        assert unit.plan is not None
-                        out.append(context.count_plan(unit.plan))
-                    else:
-                        assert unit.sentence is not None
-                        out.append(context.sentence_holds(unit.sentence))
+                out = context.run_units(units)
         return out, hit, cap.spans
 
     async def _run_job(self, header: dict, body: bytes) -> None:
@@ -181,7 +153,7 @@ class ClusterWorker:
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
-            units, fingerprint, budget, encoding = proto.unpickle_body(body)
+            units, fingerprint, budget = proto.unpickle_body(body)
             try:
                 values, hit, spans = await loop.run_in_executor(
                     self._executor,
@@ -189,7 +161,6 @@ class ClusterWorker:
                     units,
                     fingerprint,
                     budget,
-                    encoding,
                 )
             except KeyError:
                 await self._send(
@@ -203,7 +174,7 @@ class ClusterWorker:
             except Exception as exc:
                 await self._send(
                     {"type": "result", "job_id": job_id, "status": "error"},
-                    proto.pickle_body((_wrap_exception(exc), None)),
+                    proto.pickle_body((picklable_exception(exc), None)),
                 )
                 return
             self.jobs_executed += 1
@@ -357,12 +328,6 @@ def main(argv=None) -> int:
         help="concurrent shard-unit jobs this worker executes (default 2)",
     )
     parser.add_argument("--name", default=None, help="worker display name")
-    parser.add_argument(
-        "--encoding",
-        default=None,
-        help="default encoding backend for built contexts "
-        "(object|array|numpy|auto; jobs may override per call)",
-    )
     args = parser.parse_args(argv)
     host, separator, port = args.connect.rpartition(":")
     if not separator or not port.isdigit():
@@ -372,7 +337,6 @@ def main(argv=None) -> int:
         int(port),
         capacity=args.capacity,
         name=args.name,
-        encoding=args.encoding,
         faults=FaultInjector(load_fault_plan()),
     )
     try:

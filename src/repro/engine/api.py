@@ -51,7 +51,11 @@ from repro.engine.executor import (
 from repro.engine.persist import PlanStore
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
-from repro.engine.pool import DEFAULT_WORKER_CONTEXT_CAPACITY, WorkerPool
+from repro.engine.pool import (
+    DEFAULT_WORKER_CONTEXT_CAPACITY,
+    WorkerPool,
+    collector_paused,
+)
 from repro.engine.registry import (
     DEFAULT_REGISTRY_MAX_BYTES,
     DEFAULT_REGISTRY_MAX_ENTRIES,
@@ -95,11 +99,9 @@ class EngineStats:
     :class:`~repro.engine.registry.UnknownStructureError`);
     ``registry_registrations`` / ``registry_evictions`` count
     ``register_structure`` calls and capacity evictions.
-    ``encoded_eliminations`` counts ∃-component eliminations served
-    over the dense-int encoding (zero unless ``Engine(encoding=...)``
-    or ``REPRO_ENCODING`` enabled it), and ``encoded_resident_bytes``
-    is the approximate resident size of the encodings held by the
-    parent-side context cache.  ``delta_applies`` counts successful
+    ``encoded_resident_bytes`` is the approximate resident size of the
+    dense-int encodings held by the parent-side context cache.
+    ``delta_applies`` counts successful
     :meth:`Engine.apply_delta` calls, ``memo_evictions`` the memo
     entries dropped by their relation-scoped invalidation, and
     ``context_invalidations`` the whole contexts dropped from the
@@ -139,7 +141,6 @@ class EngineStats:
     registry_misses: int = 0
     registry_registrations: int = 0
     registry_evictions: int = 0
-    encoded_eliminations: int = 0
     encoded_resident_bytes: int = 0
     delta_applies: int = 0
     memo_evictions: int = 0
@@ -201,7 +202,6 @@ class EngineStats:
             "registry_misses": self.registry_misses,
             "registry_registrations": self.registry_registrations,
             "registry_evictions": self.registry_evictions,
-            "encoded_eliminations": self.encoded_eliminations,
             "encoded_resident_bytes": self.encoded_resident_bytes,
             "delta_applies": self.delta_applies,
             "memo_evictions": self.memo_evictions,
@@ -249,17 +249,6 @@ class Engine:
     registry_max_entries / registry_max_bytes:
         Capacity of the engine-created registry (ignored when
         ``registry`` is given).
-    encoding:
-        The execution backend (see
-        :func:`repro.structures.encoding.resolve_backend`):
-        ``"object"`` (default) keeps the object-tuple evaluators;
-        ``"array"`` / ``"numpy"`` / ``"auto"`` intern every served
-        structure's universe to dense ints and run the semijoin
-        pipeline and pp-plan DP over the encoding (bit-for-bit exact).
-        ``None`` consults the ``REPRO_ENCODING`` environment variable.
-        Resolved once here and threaded through the context cache, the
-        worker pool (pinned and LRU-resident worker contexts), and the
-        sequential sharded path.
     policy:
         The engine's default :class:`~repro.engine.policy.
         ExecutionPolicy` (also accepts a mode string or the request
@@ -282,19 +271,13 @@ class Engine:
         registry: StructureRegistry | None = None,
         registry_max_entries: int = DEFAULT_REGISTRY_MAX_ENTRIES,
         registry_max_bytes: int = DEFAULT_REGISTRY_MAX_BYTES,
-        encoding: str | None = None,
         policy: ExecutionPolicy | str | dict | None = None,
     ):
-        from repro.structures.encoding import resolve_backend
-
-        self.encoding = resolve_backend(encoding)
         self.policy = (
             ALLOW if policy is None else ExecutionPolicy.from_request(policy)
         )
         self.plans = PlanCache(plan_cache_size)
-        self.contexts = ExecutionContextCache(
-            context_cache_size, encoding=self.encoding
-        )
+        self.contexts = ExecutionContextCache(context_cache_size)
         self.max_disjuncts = max_disjuncts
         self.store = (
             PlanStore(persistent_cache_dir)
@@ -307,7 +290,6 @@ class Engine:
         self.pool = WorkerPool(
             processes=processes,
             context_capacity=worker_context_cache_size,
-            encoding=self.encoding,
         )
         #: An attached ClusterCoordinator, or None for single-host mode.
         self.cluster = None
@@ -520,8 +502,11 @@ class Engine:
         )
         if resolved_count < 1:
             raise ReproError("shard_count must be at least 1")
-        context = self.contexts.get(structure).materialize()
-        sharded = context.sharded(resolved_count).precompute_fingerprints()
+        with collector_paused():
+            context = self.contexts.get(structure).materialize()
+            sharded = context.sharded(
+                resolved_count
+            ).precompute_fingerprints()
         entry, previous, evicted = self.registry.register(
             name,
             structure,
@@ -908,7 +893,6 @@ class Engine:
                             parallel=parallel,
                             processes=processes,
                             pool=self.pool,
-                            encoding=self.encoding,
                             # Cluster routing needs resident holders;
                             # only a registered ref's shards are placed.
                             cluster=(
@@ -1058,7 +1042,6 @@ class Engine:
                 registry_misses=registry_misses,
                 registry_registrations=registrations,
                 registry_evictions=evictions,
-                encoded_eliminations=context_stats.encoded_eliminations,
                 encoded_resident_bytes=self.contexts.encoded_bytes(),
                 delta_applies=self._delta_applies,
                 memo_evictions=context_stats.memo_evictions,

@@ -336,34 +336,21 @@ class ExecutionContextCache:
     boundary-relation memo, and shard partitions.  All contexts created
     by one cache share a single :class:`~repro.engine.context.
     ContextStats` sink so the engine can report aggregate counters.
-
-    ``encoding`` selects the execution backend every created context
-    uses (see :func:`repro.structures.encoding.resolve_backend`); it is
-    resolved once here so cached contexts are homogeneous.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CONTEXT_CACHE_SIZE,
-        encoding: str | None = None,
-    ):
-        from repro.structures.encoding import resolve_backend
-
+    def __init__(self, capacity: int = DEFAULT_CONTEXT_CACHE_SIZE):
         self._cache: LRUCache[Structure, ExecutionContext] = LRUCache(capacity)
         self.context_stats = ContextStats()
-        self.encoding = resolve_backend(encoding)
 
     def get(self, structure: Structure) -> ExecutionContext:
         return self._cache.get_or_compute(
             structure,
-            lambda: ExecutionContext(
-                structure, stats=self.context_stats, encoding=self.encoding
-            ),
+            lambda: ExecutionContext(structure, stats=self.context_stats),
         )
 
     def encoded_bytes(self) -> int:
         """Total approximate resident bytes of built encodings across
-        the cached contexts (0 with encoding off or nothing built)."""
+        the cached contexts (0 with nothing built)."""
         return sum(
             context.encoded_nbytes for _, context in self._cache.items()
         )

@@ -1,9 +1,10 @@
 """Per-structure execution contexts: the data-side state of the engine.
 
 An :class:`ExecutionContext` bundles everything the executor derives
-from one data structure -- the lazily built
-:class:`~repro.structures.indexes.PositionalIndex`, the sorted domain,
-a memo of per-∃-component boundary relations, and (for the sharded
+from one data structure -- its dense-int columnar encoding
+(:class:`~repro.structures.encoding.EncodedStructure`), the lazily
+built :class:`~repro.structures.indexes.EncodedPositionalIndex` over
+it, a memo of per-∃-component boundary relations, and (for the sharded
 path) cached :class:`~repro.structures.sharding.ShardedStructure`
 partitions -- so that every plan executed against the same structure
 shares the work instead of re-deriving it per call, per term, or per
@@ -13,7 +14,7 @@ Besides caching, the context owns the *semijoin* ∃-component
 elimination: when a component's boundary is small and its atom
 hypergraph is α-acyclic (checked by GYO ear removal), the boundary
 relation of the component is computed by a join-tree sweep of
-semijoin/project steps over the positional index instead of the
+semijoin/project steps over the encoded columns instead of the
 backtracking search of
 :func:`repro.structures.homomorphism.enumerate_extendable_assignments`.
 Both evaluators are exact; the semijoin path is asymptotically better
@@ -35,6 +36,7 @@ from repro.structures.encoding import (
     EncodedStructure,
     NumpyTableOps,
     TableOverflow,
+    numpy_available,
     resolve_backend,
 )
 from repro.structures.homomorphism import (
@@ -42,7 +44,7 @@ from repro.structures.homomorphism import (
     has_homomorphism,
 )
 from repro.obs import trace as _trace
-from repro.structures.indexes import EncodedPositionalIndex, PositionalIndex
+from repro.structures.indexes import EncodedPositionalIndex
 from repro.structures.structure import Element, Structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpt_counting
@@ -52,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpt_counting
     from repro.logic.terms import Variable
     from repro.structures.delta import StructureDelta
     from repro.structures.sharding import ShardedStructure
+
+# Probe the table backend at import: numpy's one-time import cost lands
+# at process start-up (engine, fork-pool parent and cluster worker
+# alike), never inside the first request that builds a context.
+numpy_available()
 
 #: Largest boundary for which the semijoin evaluator is attempted; wider
 #: boundaries fall back to backtracking (their relations are big enough
@@ -72,11 +79,7 @@ class ContextStats:
     structure on the sequential paths).  ``boundary_hits`` /
     ``boundary_misses`` count lookups of memoized ∃-component boundary
     relations; ``semijoin_eliminations`` / ``backtracking_eliminations``
-    count which evaluator served each miss.  ``encoded_eliminations``
-    counts the misses served over the dense-int encoding (every such
-    miss is *also* attributed to semijoin or backtracking, so with
-    encoding on ``encoded == semijoin + backtracking`` and with it off
-    ``encoded == 0``).
+    count which evaluator served each miss.
 
     A sink is shared by every context a cache creates and may be
     updated from many threads at once, so mutation goes through
@@ -90,7 +93,6 @@ class ContextStats:
     boundary_misses: int = 0
     semijoin_eliminations: int = 0
     backtracking_eliminations: int = 0
-    encoded_eliminations: int = 0
     memo_evictions: int = 0
     context_invalidations: int = 0
     _lock: threading.Lock = field(
@@ -111,7 +113,6 @@ class ContextStats:
                 boundary_misses=self.boundary_misses,
                 semijoin_eliminations=self.semijoin_eliminations,
                 backtracking_eliminations=self.backtracking_eliminations,
-                encoded_eliminations=self.encoded_eliminations,
                 memo_evictions=self.memo_evictions,
                 context_invalidations=self.context_invalidations,
             )
@@ -124,7 +125,6 @@ class ContextStats:
             self.boundary_misses = 0
             self.semijoin_eliminations = 0
             self.backtracking_eliminations = 0
-            self.encoded_eliminations = 0
             self.memo_evictions = 0
             self.context_invalidations = 0
 
@@ -135,23 +135,9 @@ class ContextStats:
             "boundary_misses": self.boundary_misses,
             "semijoin_eliminations": self.semijoin_eliminations,
             "backtracking_eliminations": self.backtracking_eliminations,
-            "encoded_eliminations": self.encoded_eliminations,
             "memo_evictions": self.memo_evictions,
             "context_invalidations": self.context_invalidations,
         }
-
-
-class _SemijoinBlowup(Exception):
-    """Internal: an intermediate join table exceeded the row cap."""
-
-
-def _boundary_order(component: "ExistsComponent") -> tuple["Variable", ...]:
-    """The fixed column order of a component's boundary relation.
-
-    Delegates to the cached tuple on the component, so the sort happens
-    once per component rather than once per elimination.
-    """
-    return component.boundary_order
 
 
 def _component_reads(
@@ -198,6 +184,13 @@ def _structure_reads(structure: Structure) -> tuple[frozenset[str], bool]:
 class ExecutionContext:
     """The per-structure execution state shared across plan executions.
 
+    Every evaluator runs over the structure's dense-int encoding
+    (:attr:`encoded`): the semijoin pipeline and the pp-plan DP join
+    int-tuple tables (vectorized when numpy imports, see
+    :func:`repro.structures.encoding.resolve_backend`), backtracking
+    and sentence satisfiability search the isomorphic int structure,
+    and values are decoded only at :meth:`boundary_relation`.
+
     Parameters
     ----------
     structure:
@@ -212,14 +205,6 @@ class ExecutionContext:
         baseline).
     memoize:
         Enable the per-(component, structure) boundary-relation memo.
-    encoding:
-        The execution backend (see
-        :func:`repro.structures.encoding.resolve_backend`): ``"object"``
-        (default) runs the pre-existing object-tuple evaluators;
-        ``"array"``/``"numpy"`` intern the universe to dense ints and
-        run the semijoin pipeline and the pp-plan DP over the encoding,
-        decoding only at result boundaries.  ``None`` consults the
-        ``REPRO_ENCODING`` environment variable.
     """
 
     __slots__ = (
@@ -228,13 +213,9 @@ class ExecutionContext:
         "semijoin",
         "memoize",
         "semijoin_max_boundary",
-        "encoding",
-        "_index",
-        "_domain",
         "_encoded",
         "_encoded_index",
         "_boundary_memo",
-        "_boundary_memo_encoded",
         "_base_table_memo",
         "_satisfiable_memo",
         "_sentence_memo",
@@ -249,20 +230,15 @@ class ExecutionContext:
         semijoin: bool = True,
         memoize: bool = True,
         semijoin_max_boundary: int = SEMIJOIN_MAX_BOUNDARY,
-        encoding: str | None = None,
     ):
         self.structure = structure
         self.stats = stats if stats is not None else ContextStats()
         self.semijoin = semijoin
         self.memoize = memoize
         self.semijoin_max_boundary = semijoin_max_boundary
-        self.encoding = resolve_backend(encoding)
-        self._index: PositionalIndex | None = None
-        self._domain: tuple[Element, ...] | None = None
         self._encoded: EncodedStructure | None = None
         self._encoded_index: EncodedPositionalIndex | None = None
         self._boundary_memo: dict["ExistsComponent", frozenset] = {}
-        self._boundary_memo_encoded: dict["ExistsComponent", frozenset] = {}
         self._base_table_memo: dict[tuple, tuple] = {}
         self._satisfiable_memo: dict["ExistsComponent", bool] = {}
         self._sentence_memo: dict["PPFormula", bool] = {}
@@ -270,34 +246,13 @@ class ExecutionContext:
         self._count_memo: dict["PPFormula", int] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def index(self) -> PositionalIndex:
-        """The positional index of the structure (built on first use)."""
-        if self._index is None:
-            with _trace.span(
-                "context.build", universe=len(self.structure)
-            ):
-                self._index = PositionalIndex(self.structure)
-            self.stats.bump("index_builds")
-        return self._index
-
-    @property
-    def domain(self) -> tuple[Element, ...]:
-        """The universe in the deterministic order the CSP layer uses."""
-        if self._domain is None:
-            if self._encoded is not None:
-                self._domain = self._encoded.decode
-            else:
-                self._domain = tuple(sorted(self.structure.universe, key=repr))
-        return self._domain
-
-    # ------------------------------------------------------------------
     # Dense-int encoding
     # ------------------------------------------------------------------
     @property
     def encoding_active(self) -> bool:
-        """Does this context execute over the dense-int encoding?"""
-        return self.encoding != "object"
+        """Always true: the dense-int encoding is the only data-side
+        representation (kept for callers that still ask)."""
+        return True
 
     @property
     def encoded(self) -> EncodedStructure:
@@ -308,7 +263,7 @@ class ExecutionContext:
                 "context.encode",
                 universe=len(self.structure),
                 tuples=self.structure.total_tuples,
-                backend=self.encoding,
+                backend=resolve_backend(),
             ):
                 self._encoded = EncodedStructure(self.structure)
         return self._encoded
@@ -329,35 +284,32 @@ class ExecutionContext:
         """Approximate resident bytes of the encoding (0 when unbuilt)."""
         return self._encoded.nbytes if self._encoded is not None else 0
 
+    @property
+    def domain(self) -> tuple[Element, ...]:
+        """The universe in code order: ``domain[i]`` decodes code ``i``."""
+        return self.encoded.decode
+
     def _table_ops(self):
-        """The semijoin table backend for the active encoding."""
-        if self.encoding == "numpy":
+        """The semijoin table backend this interpreter runs."""
+        if numpy_available():
             return NumpyTableOps(
-                self.encoded,
-                row_cap=SEMIJOIN_ROW_CAP,
-                memo=self._base_table_memo,
+                self.encoded, SEMIJOIN_ROW_CAP, self._base_table_memo
             )
-        return _PyTableOps(self.encoded_index, memo=self._base_table_memo)
+        return _PyTableOps(self.encoded_index, self._base_table_memo)
 
     def materialize(self) -> "ExecutionContext":
-        """Build the lazy data-derived state (index, domain) eagerly.
+        """Build the lazy data-derived state (encoding, index) eagerly.
 
         The lazy defaults are right for throwaway contexts, but a
         context being *pinned* (worker-resident for a registered
         structure; see :mod:`repro.engine.registry`) should pay its
         materialization at pin time, off the request path, so the first
-        post-pin count is as warm as every later one.  With encoding
-        active this is also where the structure pays its one-time
-        interning (``context.encode`` span), so registered structures
-        encode at registration, not on the request path.  Idempotent;
-        returns ``self`` for chaining.
+        post-pin count is as warm as every later one.  This is where
+        the structure pays its one-time interning (``context.encode``
+        span), so registered structures encode at registration, not on
+        the request path.  Idempotent; returns ``self`` for chaining.
         """
-        if self.encoding_active:
-            self.encoded  # noqa: B018 - property access interns the universe
-            self.encoded_index  # noqa: B018
-        else:
-            self.index  # noqa: B018 - property access builds the index
-        self.domain  # noqa: B018
+        self.encoded_index  # noqa: B018 - property access builds both
         return self
 
     # ------------------------------------------------------------------
@@ -366,39 +318,25 @@ class ExecutionContext:
     def boundary_relation(self, component: "ExistsComponent") -> frozenset:
         """The relation over the component's boundary (sorted by name):
         the boundary assignments that extend to a homomorphism of the
-        component into the structure.  Memoized per component.  Always
-        returns *object* tuples; with encoding active they are decoded
-        from :meth:`boundary_relation_encoded` at this boundary."""
-        if self.memoize and component in self._boundary_memo:
-            self.stats.bump("boundary_hits")
-            return self._boundary_memo[component]
-        if self.encoding_active and not self.structure.is_empty():
-            relation = self.encoded.decode_rows(
-                self.boundary_relation_encoded(component)
-            )
-            if self.memoize:
-                self._boundary_memo[component] = relation
-            return relation
-        self.stats.bump("boundary_misses")
-        relation = self._eliminate(component, _boundary_order(component))
-        if self.memoize:
-            self._boundary_memo[component] = relation
-        return relation
+        component into the structure, as *object* tuples decoded from
+        :meth:`boundary_relation_encoded`."""
+        return self.encoded.decode_rows(
+            self.boundary_relation_encoded(component)
+        )
 
     def boundary_relation_encoded(self, component: "ExistsComponent") -> frozenset:
         """The boundary relation as dense-int tuples (no decoding).
 
-        The encoded pp-plan DP consumes this directly; column order is
-        the same :attr:`ExistsComponent.boundary_order` the object path
-        uses.  Memoized per component like :meth:`boundary_relation`.
+        The pp-plan DP consumes this directly; column order is
+        :attr:`ExistsComponent.boundary_order`.  Memoized per component.
         """
-        if self.memoize and component in self._boundary_memo_encoded:
+        if self.memoize and component in self._boundary_memo:
             self.stats.bump("boundary_hits")
-            return self._boundary_memo_encoded[component]
+            return self._boundary_memo[component]
         self.stats.bump("boundary_misses")
-        relation = self._eliminate_encoded(component, component.boundary_order)
+        relation = self._eliminate(component, component.boundary_order)
         if self.memoize:
-            self._boundary_memo_encoded[component] = relation
+            self._boundary_memo[component] = relation
         return relation
 
     def component_satisfiable(self, component: "ExistsComponent") -> bool:
@@ -407,10 +345,7 @@ class ExecutionContext:
             self.stats.bump("boundary_hits")
             return self._satisfiable_memo[component]
         self.stats.bump("boundary_misses")
-        if self.encoding_active and not self.structure.is_empty():
-            satisfiable = bool(self._eliminate_encoded(component, ()))
-        else:
-            satisfiable = bool(self._eliminate(component, ()))
+        satisfiable = bool(self._eliminate(component, ()))
         if self.memoize:
             self._satisfiable_memo[component] = satisfiable
         return satisfiable
@@ -443,7 +378,7 @@ class ExecutionContext:
             return self._sentence_memo[sentence]
         if self.structure.is_empty():
             holds = not sentence.variables
-        elif self.encoding_active:
+        else:
             # Satisfiability is invariant under the encoding isomorphism;
             # run the search over the int structure and int-keyed index.
             holds = has_homomorphism(
@@ -451,77 +386,35 @@ class ExecutionContext:
                 self.encoded.int_structure(),
                 target_index=self.encoded_index,
             )
-        else:
-            holds = has_homomorphism(
-                sentence.structure, self.structure, target_index=self.index
-            )
         if self.memoize:
             self._sentence_memo[sentence] = holds
         return holds
 
+    def run_units(self, units) -> list:
+        """Evaluate shard units in order: a count unit to its int count,
+        a sat unit to whether its sentence holds on this structure."""
+        out: list = []
+        for unit in units:
+            if unit.kind == "count":
+                out.append(self.count_plan(unit.plan))
+            else:
+                out.append(self.sentence_holds(unit.sentence))
+        return out
+
     def _eliminate(
         self, component: "ExistsComponent", boundary: tuple["Variable", ...]
     ) -> frozenset:
-        """Compute a boundary relation, semijoin-first with fallback."""
-        if self.structure.is_empty():
-            # No assignment of anything exists on the empty structure;
-            # callers short-circuit earlier, this is purely defensive.
-            return frozenset()
-        if (
-            self.semijoin
-            and len(boundary) <= self.semijoin_max_boundary
-            and component.structure.signature.is_subsignature_of(
-                self.structure.signature
-            )
-        ):
-            with _trace.span(
-                "context.semijoin", boundary=len(boundary)
-            ) as attempt:
-                try:
-                    relation = _semijoin_project(
-                        component.structure,
-                        self.index,
-                        boundary,
-                        scopes=component.atom_scopes,
-                        ops=_PyTableOps(self.index, memo=self._base_table_memo),
-                    )
-                except _SemijoinBlowup:
-                    relation = None
-                    attempt.set("outcome", "blowup")
-                else:
-                    attempt.set(
-                        "outcome",
-                        "cyclic" if relation is None else "eliminated",
-                    )
-            if relation is not None:
-                self.stats.bump("semijoin_eliminations")
-                return relation
-        self.stats.bump("backtracking_eliminations")
-        allowed = set()
-        for assignment in enumerate_extendable_assignments(
-            component.structure, self.structure, boundary, self.index
-        ):
-            allowed.add(tuple(assignment[v] for v in boundary))
-        return frozenset(allowed)
+        """Compute a boundary relation as dense-int tuples,
+        semijoin-first with a backtracking fallback.
 
-    def _eliminate_encoded(
-        self, component: "ExistsComponent", boundary: tuple["Variable", ...]
-    ) -> frozenset:
-        """Compute a boundary relation as dense-int tuples.
-
-        Same semijoin-first-with-fallback shape as :meth:`_eliminate`,
-        but every table carries encoded values: base tables come from
-        the columnar relations, joins hash machine ints (or run
-        vectorized under the numpy backend), and the backtracking
-        fallback searches the isomorphic int structure.  Every call is
-        counted in ``encoded_eliminations`` on top of the per-evaluator
-        attribution.
+        Base tables come from the columnar relations, joins hash
+        machine ints (or run vectorized when numpy imports), and the
+        fallback -- cyclic components, wide boundaries, join blowups --
+        searches the isomorphic int structure.
         """
         if self.structure.is_empty():
-            # Callers short-circuit earlier; purely defensive, as in
-            # _eliminate.
+            # No assignment of anything exists on the empty structure.
             return frozenset()
-        self.stats.bump("encoded_eliminations")
         if (
             self.semijoin
             and len(boundary) <= self.semijoin_max_boundary
@@ -532,17 +425,13 @@ class ExecutionContext:
             with _trace.span(
                 "context.semijoin",
                 boundary=len(boundary),
-                backend=self.encoding,
+                backend=resolve_backend(),
             ) as attempt:
                 try:
                     relation = _semijoin_project(
-                        component.structure,
-                        self.encoded_index,
-                        boundary,
-                        scopes=component.atom_scopes,
-                        ops=self._table_ops(),
+                        component.atom_scopes, boundary, self._table_ops()
                     )
-                except (_SemijoinBlowup, TableOverflow):
+                except TableOverflow:
                     relation = None
                     attempt.set("outcome", "blowup")
                 else:
@@ -601,7 +490,7 @@ class ExecutionContext:
         The encoding (when built) migrates incrementally via
         :meth:`EncodedStructure.apply_delta`, and cached shard plans
         migrate via :meth:`ShardedStructure.apply_delta` (dropped on a
-        component merge).  The positional indexes rebuild lazily.  The
+        component merge).  The positional index rebuilds lazily.  The
         pre-delta context is left untouched, so in-flight executions
         against the old version stay coherent; eviction counts land in
         ``stats.memo_evictions``.
@@ -616,7 +505,6 @@ class ExecutionContext:
             semijoin=self.semijoin,
             memoize=self.memoize,
             semijoin_max_boundary=self.semijoin_max_boundary,
-            encoding=self.encoding,
         )
         evicted = 0
         was_empty = self.structure.is_empty()
@@ -628,11 +516,7 @@ class ExecutionContext:
                     evicted += 1
                 else:
                     fresh._base_table_memo[key] = table
-            for name in (
-                "_boundary_memo",
-                "_boundary_memo_encoded",
-                "_satisfiable_memo",
-            ):
+            for name in ("_boundary_memo", "_satisfiable_memo"):
                 source, target = getattr(self, name), getattr(fresh, name)
                 for component, value in source.items():
                     reads, sensitive = _component_reads(component)
@@ -658,7 +542,6 @@ class ExecutionContext:
             evicted += (
                 len(self._base_table_memo)
                 + len(self._boundary_memo)
-                + len(self._boundary_memo_encoded)
                 + len(self._satisfiable_memo)
                 + len(self._sentence_memo)
                 + len(self._count_memo)
@@ -672,7 +555,6 @@ class ExecutionContext:
                 evicted += 1
         if self._encoded is not None:
             fresh._encoded = self._encoded.apply_delta(delta)
-            fresh._domain = fresh._encoded.decode
         if evicted:
             self.stats.bump("memo_evictions", evicted)
         return fresh
@@ -681,7 +563,6 @@ class ExecutionContext:
         """Drop all memoized state (the index and the encoding stay,
         they are immutable)."""
         self._boundary_memo.clear()
-        self._boundary_memo_encoded.clear()
         self._base_table_memo.clear()
         self._satisfiable_memo.clear()
         self._sentence_memo.clear()
@@ -691,7 +572,7 @@ class ExecutionContext:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ExecutionContext(|U|={len(self.structure)}, "
-            f"indexed={self._index is not None}, "
+            f"indexed={self._encoded_index is not None}, "
             f"boundaries={len(self._boundary_memo)})"
         )
 
@@ -730,7 +611,7 @@ def _gyo_join_tree(
 
 
 def _base_table(
-    index: PositionalIndex, name: str, scope: tuple
+    index: EncodedPositionalIndex, name: str, scope: tuple
 ) -> tuple[tuple, set]:
     """Materialize one atom as a (columns, rows) table.
 
@@ -779,7 +660,7 @@ def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set
         for extra in matches:
             out_rows.add(row + extra)
             if len(out_rows) > SEMIJOIN_ROW_CAP:
-                raise _SemijoinBlowup
+                raise TableOverflow
     return out_cols, out_rows
 
 
@@ -790,29 +671,25 @@ def _project(table: tuple[tuple, set], keep: tuple) -> tuple[tuple, set]:
 
 
 class _PyTableOps:
-    """Python set-based tables for the semijoin sweep.
+    """Python set-based int-tuple tables for the semijoin sweep (the
+    backend when numpy does not import).
 
-    Value-agnostic (works over object tuples and encoded int tuples
-    alike); an optional ``memo`` dict caches base tables per
-    ``(relation_name, scope)`` -- the relations are immutable and joins
-    never mutate their inputs, so cached tables are safe to share
-    across components and calls.
+    ``memo`` caches base tables per ``(relation_name, scope)`` -- the
+    relations are immutable and joins never mutate their inputs, so
+    cached tables are safe to share across components and calls.
     """
 
     __slots__ = ("index", "memo")
 
-    def __init__(self, index, memo: dict | None = None):
+    def __init__(self, index: EncodedPositionalIndex, memo: dict):
         self.index = index
         self.memo = memo
 
     def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
         key = (name, scope)
-        if self.memo is not None and key in self.memo:
-            return self.memo[key]
-        table = _base_table(self.index, name, scope)
-        if self.memo is not None:
-            self.memo[key] = table
-        return table
+        if key not in self.memo:
+            self.memo[key] = _base_table(self.index, name, scope)
+        return self.memo[key]
 
     def is_empty(self, table: tuple[tuple, set]) -> bool:
         return not table[1]
@@ -827,15 +704,9 @@ class _PyTableOps:
         return frozenset(_project(table, tuple(boundary))[1])
 
 
-def _semijoin_project(
-    source: Structure,
-    index,
-    boundary: tuple,
-    scopes: tuple | None = None,
-    ops=None,
-) -> frozenset | None:
-    """The projection onto ``boundary`` of the join of ``source``'s atoms
-    against the indexed data, or ``None`` when the atom hypergraph is
+def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> frozenset | None:
+    """The projection onto ``boundary`` of the join of a component's
+    atoms against the data, or ``None`` when the atom hypergraph is
     cyclic (the caller falls back to backtracking).
 
     This is the Yannakakis-style evaluation specialized to small
@@ -844,36 +715,22 @@ def _semijoin_project(
     and projecting onto the boundary columns seen so far plus the
     separator with the parent.  For an α-acyclic hypergraph this yields
     exactly the set of boundary assignments that extend to a
-    homomorphism of ``source`` into the data.  With an empty boundary
-    the result is ``{()}`` or ``{}``: a satisfiability bit.
+    homomorphism of the component into the data.  With an empty
+    boundary the result is ``{()}`` or ``{}``: a satisfiability bit.
 
-    Variables of ``source`` occurring in no atom are unconstrained and
-    do not affect the projection (the data universe is non-empty on
+    Variables of the component occurring in no atom are unconstrained
+    and do not affect the projection (the data universe is non-empty on
     every path that reaches this function), matching the backtracking
     semantics.
 
-    ``scopes`` is the component's atom list in the canonical repr-sorted
-    order; callers holding a compiled component pass its cached
+    ``scopes`` is the component's cached
     :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`
-    so the sort is paid once per component instead of per call.  ``ops``
-    selects the table backend (python sets by default; the encoded
-    paths pass memoizing python ops or vectorized numpy ops).
+    (its atoms in the canonical repr-sorted order); ``ops`` is the
+    table backend (:class:`_PyTableOps` or
+    :class:`~repro.structures.encoding.NumpyTableOps`).
     """
-    if scopes is None:
-        scopes = tuple(
-            sorted(
-                (
-                    (name, t)
-                    for name, tuples in source.relations.items()
-                    for t in tuples
-                ),
-                key=repr,
-            )
-        )
     if not scopes:
         return None
-    if ops is None:
-        ops = _PyTableOps(index)
     hyperedges = [frozenset(t) for _, t in scopes]
     covered = frozenset().union(*hyperedges)
     if not frozenset(boundary) <= covered:

@@ -39,7 +39,7 @@ from repro.algorithms.brute_force import (
     count_ep_answers_by_disjuncts,
 )
 from repro.budget import current_budget
-from repro.algorithms.fpt_counting import PPCountingPlan, execute_pp_plan
+from repro.algorithms.fpt_counting import PPCountingPlan
 from repro.core.ep_to_pp import sentence_holds
 from repro.engine.cache import ExecutionContextCache
 from repro.engine.context import ExecutionContext
@@ -99,8 +99,8 @@ def execute(
 ) -> int:
     """Count the answers of a compiled plan on one structure.
 
-    ``context`` carries the structure's positional index, sorted domain
-    and memoized ∃-component boundary relations; when ``None`` a
+    ``context`` carries the structure's dense-int encoding, positional
+    index and memoized ∃-component boundary relations; when ``None`` a
     throwaway context is created for the plan kinds that use one, so the
     memo is still shared across all inclusion-exclusion terms of a
     single ``ep-plus`` execution.
@@ -150,7 +150,6 @@ def _map_jobs(
     jobs,
     processes: int | None,
     pool: WorkerPool | None,
-    encoding: str | None = None,
 ) -> list:
     """Run ``jobs`` through ``pool``, or a throwaway pool when none given.
 
@@ -160,13 +159,11 @@ def _map_jobs(
     which case the per-call override wins and a throwaway pool of that
     size runs the jobs.  The throwaway pool is sized to the job list
     and torn down afterwards, matching the old per-call behavior.
-    ``encoding`` only shapes a throwaway pool; a caller-supplied pool
-    already carries its owning engine's backend.
     """
     if pool is not None and (processes is None or processes == pool.processes):
         return pool.map(task, jobs)
     workers = max(1, min(processes or default_process_count(), len(jobs)))
-    with WorkerPool(processes=workers, encoding=encoding) as transient:
+    with WorkerPool(processes=workers) as transient:
         return transient.map(task, jobs)
 
 
@@ -384,37 +381,19 @@ def _sentence_pieces(sentence: PPFormula) -> list[Structure]:
     return [sub for sub, _ in component_substructures(sentence.structure, ())]
 
 
-def _run_shard(
-    job: tuple[tuple[_ShardUnit, ...], Structure],
-    encoding: str | None = None,
-) -> list:
-    """Worker: evaluate every unit on one shard through one context."""
-    units, shard = job
-    context = ExecutionContext(shard, encoding=encoding)
-    out: list = []
-    for unit in units:
-        if unit.kind == "count":
-            assert unit.plan is not None
-            out.append(execute_pp_plan(unit.plan, shard, context))
-        else:
-            assert unit.sentence is not None
-            out.append(context.sentence_holds(unit.sentence))
-    return out
-
-
 def _run_shards_sequential(
     jobs: Sequence[tuple[tuple[_ShardUnit, ...], Structure]],
-    encoding: str | None = None,
 ) -> list[list]:
-    """The sequential shard path, with the same spans the pool emits.
+    """The sequential shard path, with the same spans the pool emits:
+    every unit of a shard through one throwaway context.
 
     Parent-side ``shard.execute[i]`` spans keep a trace's shape
     identical whether the shards ran in workers or in-process.
     """
     out: list[list] = []
-    for index, job in enumerate(jobs):
-        with _trace.span(f"shard.execute[{index}]", units=len(job[0])):
-            out.append(_run_shard(job, encoding))
+    for index, (units, shard) in enumerate(jobs):
+        with _trace.span(f"shard.execute[{index}]", units=len(units)):
+            out.append(ExecutionContext(shard).run_units(units))
     return out
 
 
@@ -422,14 +401,13 @@ def _run_shards_cluster(
     program: _ShardedProgram,
     shards: Sequence[Structure],
     cluster,
-    encoding: str | None,
 ) -> list[list]:
     """Route one fingerprint-only job per shard to its cluster holders.
 
     The jobs ship no shard data at all -- placement at registration
     time already made each shard resident on its holders -- just the
-    units, the ambient budget's remaining allowance, and the encoding
-    backend.  Worker-recorded spans come back in each result and are
+    units and the ambient budget's remaining allowance.
+    Worker-recorded spans come back in each result and are
     re-parented into the caller's trace exactly like the local pool's.
     Raises :class:`~repro.cluster.coordinator.ClusterUnavailable` when
     the cluster cannot take the work (the caller degrades to the local
@@ -444,7 +422,7 @@ def _run_shards_cluster(
         units=len(program.units),
         cluster=True,
     ):
-        results = cluster.run_units(jobs, budget=budget, encoding=encoding)
+        results = cluster.run_units(jobs, budget=budget)
         values_by_shard: list[list] = []
         for index, (values, spans) in enumerate(results):
             _trace.attach_foreign(spans, suffix=f"[{index}]")
@@ -469,7 +447,6 @@ def execute_sharded(
     parallel: bool | None = None,
     processes: int | None = None,
     pool: WorkerPool | None = None,
-    encoding: str | None = None,
     cluster=None,
 ) -> int:
     """Count the answers of a compiled plan via sharded execution.
@@ -486,10 +463,7 @@ def execute_sharded(
     engine's long-lived ``pool`` is passed.
 
     The baseline plan kinds (``naive``, ``disjuncts``) gain nothing from
-    sharding and run whole-structure.  ``encoding`` selects the
-    integer-encoding backend for the per-shard contexts built on the
-    sequential path and in throwaway pools; the engine's long-lived
-    pool carries its own backend, set at construction.
+    sharding and run whole-structure.
 
     ``cluster`` (a :class:`~repro.cluster.coordinator.
     ClusterCoordinator`) is tried first when given: each shard's units
@@ -519,9 +493,7 @@ def execute_sharded(
         from repro.cluster.coordinator import ClusterUnavailable
 
         try:
-            values_by_shard = _run_shards_cluster(
-                program, shards, cluster, encoding
-            )
+            values_by_shard = _run_shards_cluster(program, shards, cluster)
         except ClusterUnavailable:
             # The cluster cannot take the work right now; recompute on
             # the local paths below -- exactness over placement.
@@ -548,14 +520,14 @@ def execute_sharded(
                 "shard.fanout", shards=len(jobs), units=len(program.units)
             ):
                 values_by_shard = _map_jobs(
-                    shard_task, pool_jobs, processes, pool, encoding
+                    shard_task, pool_jobs, processes, pool
                 )
         except WorkerTaskError as failure:
             raise failure.original from failure
         except _pool_fallback_errors():
-            values_by_shard = _run_shards_sequential(jobs, encoding)
+            values_by_shard = _run_shards_sequential(jobs)
     else:
-        values_by_shard = _run_shards_sequential(jobs, encoding)
+        values_by_shard = _run_shards_sequential(jobs)
 
     with _trace.span(
         "combine", shards=len(shards), terms=len(program.terms)

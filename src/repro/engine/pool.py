@@ -49,9 +49,11 @@ bugs propagate instead of being masked by the sequential fallback:
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,16 +118,43 @@ class _TaskFailure:
     spans: list | None = None
 
 
-def _wrap_failure(exc: BaseException) -> _TaskFailure:
+def picklable_exception(exc: BaseException) -> BaseException:
+    """``exc`` itself when it can cross a process or wire boundary,
+    else a faithful :class:`ReproError` description of it (so a worker
+    failure never crashes the result channel)."""
     import pickle
 
     try:
         pickle.dumps(exc)
     except Exception:
-        # The exception itself cannot cross the process boundary; ship a
-        # faithful description instead of crashing the result channel.
-        return _TaskFailure(ReproError(f"{type(exc).__name__}: {exc}"))
-    return _TaskFailure(exc)
+        return ReproError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _wrap_failure(exc: BaseException) -> _TaskFailure:
+    return _TaskFailure(picklable_exception(exc))
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector while a burst of resident data is built.
+
+    Encodings, indexes and shard plans are acyclic containers that
+    reference counting reclaims on its own, and building them for one
+    structure allocates its whole size at once.  With the collector
+    armed, whichever build happens to cross the full-collection
+    threshold pays a traversal of the entire heap (about every third
+    registration of a 2.5e4-tuple structure, 20 ms each time), so the
+    same call is fast or slow depending on what ran before it.  A
+    collector the caller had already disabled stays disabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -135,38 +164,31 @@ _worker_contexts: OrderedDict | None = None
 _worker_capacity: int = DEFAULT_WORKER_CONTEXT_CAPACITY
 #: Pinned contexts, outside the LRU: fingerprint -> ExecutionContext.
 _worker_pinned: dict | None = None
-#: The encoding backend every context built in this worker uses.
-_worker_encoding: str | None = None
 
 
-def _init_worker(
-    capacity: int,
-    pinned: tuple[Structure, ...] = (),
-    encoding: str | None = None,
-) -> None:
+def _init_worker(capacity: int, pinned: tuple[Structure, ...] = ()) -> None:
     """Pool initializer: empty LRU plus eagerly built pinned contexts.
 
     ``pinned`` is the parent-side pin set at pool (re)creation time, so
     a pool that was closed and lazily restarted comes back with every
     registered structure's context already materialized -- pinning
-    survives pool restarts, not just individual calls.  ``encoding`` is
-    the owning engine's resolved backend; every context this worker
-    builds (pinned here or lazily in :func:`_resident_context`) uses
-    it, so a pinned structure's one-time materialization cost covers
-    the integer encoding too.
+    survives pool restarts, not just individual calls.
     """
     global _worker_contexts, _worker_capacity, _worker_pinned
-    global _worker_encoding
     from repro.engine.context import ExecutionContext
 
     _worker_contexts = OrderedDict()
     _worker_capacity = max(1, capacity)
     _worker_pinned = {}
-    _worker_encoding = encoding
-    for structure in pinned:
-        context = ExecutionContext(structure, encoding=encoding)
-        context.materialize()
-        _worker_pinned[structure.fingerprint()] = context
+    with collector_paused():
+        for structure in pinned:
+            context = ExecutionContext(structure).materialize()
+            _worker_pinned[structure.fingerprint()] = context
+        # The heap inherited across the fork and the pinned contexts
+        # both live as long as this worker: park them outside the
+        # collector's generations, so no later collection traverses
+        # them or dirties their copy-on-write pages.
+        gc.freeze()
 
 
 def _resident_context(structure: Structure):
@@ -192,7 +214,7 @@ def _resident_context(structure: Structure):
     if context is not None:
         _worker_contexts.move_to_end(key)
         return context, True
-    context = ExecutionContext(structure, encoding=_worker_encoding)
+    context = ExecutionContext(structure)
     _worker_contexts[key] = context
     while len(_worker_contexts) > _worker_capacity:
         _worker_contexts.popitem(last=False)
@@ -249,9 +271,7 @@ def pin_structures_task(job) -> _TaskOk | _TaskFailure:
             if context is None and _worker_contexts is not None:
                 context = _worker_contexts.pop(key, None)
             if context is None:
-                context = ExecutionContext(
-                    structure, encoding=_worker_encoding
-                )
+                context = ExecutionContext(structure)
             context.materialize()
             _worker_pinned[key] = context
             pinned += 1
@@ -400,15 +420,8 @@ def shard_task(job) -> _TaskOk | _TaskFailure:
 
             context, hit = _resident_context(shard)
             cap.root.set("context_hit", hit)
-            out: list = []
             with budget_scope(budget):
-                for unit in units:
-                    if unit.kind == "count":
-                        assert unit.plan is not None
-                        out.append(context.count_plan(unit.plan))
-                    else:
-                        assert unit.sentence is not None
-                        out.append(context.sentence_holds(unit.sentence))
+                out = context.run_units(units)
         return _TaskOk(out, hit, cap.spans)
     except Exception as exc:
         failure = _wrap_failure(exc)
@@ -428,11 +441,6 @@ class WorkerPool:
         Pool size (default: one worker per CPU).
     context_capacity:
         How many execution contexts each worker keeps resident.
-    encoding:
-        Encoding backend for every worker-built execution context
-        (resolved through
-        :func:`repro.structures.encoding.resolve_backend`); the
-        engine passes its own so parent and workers agree.
 
     The underlying :mod:`multiprocessing` pool is created lazily on the
     first :meth:`map`, so constructing a ``WorkerPool`` (an
@@ -453,15 +461,11 @@ class WorkerPool:
         self,
         processes: int | None = None,
         context_capacity: int = DEFAULT_WORKER_CONTEXT_CAPACITY,
-        encoding: str | None = None,
     ):
-        from repro.structures.encoding import resolve_backend
-
         if processes is not None and processes < 1:
             raise ReproError("worker pool needs at least one process")
         self.processes = processes or default_process_count()
         self.context_capacity = context_capacity
-        self.encoding = resolve_backend(encoding)
         self._pool = None
         self._manager = None
         self._lock = threading.Lock()
@@ -490,7 +494,6 @@ class WorkerPool:
                     initargs=(
                         self.context_capacity,
                         tuple(self._pinned.values()),
-                        self.encoding,
                     ),
                 )
             return self._pool

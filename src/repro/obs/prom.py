@@ -46,7 +46,6 @@ ENGINE_COUNTERS = (
     "boundary_memo_misses",
     "semijoin_eliminations",
     "backtracking_eliminations",
-    "encoded_eliminations",
     "worker_context_hits",
     "worker_context_misses",
     "persist_hits",

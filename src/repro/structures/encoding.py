@@ -1,59 +1,39 @@
-"""Dense-integer encoding of structures: columnar relations, backends.
+"""Dense-integer encoding of structures: the data-side representation.
 
-The object-path evaluators (:mod:`repro.engine.context`,
-:mod:`repro.algorithms.fpt_counting`) operate on Python object tuples
-inside ``dict``-of-``frozenset`` relations.  That is flexible but pays
-object hashing and pointer chasing on every join probe.  This module
-interns a structure's universe to the dense integers ``0..n-1`` and
-re-stores every relation column-major as sorted ``array('q')`` columns,
-so the hot evaluators can run over machine integers and -- when numpy
-is importable -- over vectorized ``int64`` arrays.
+Every evaluator on the data side (:mod:`repro.engine.context`,
+:func:`repro.algorithms.fpt_counting.execute_pp_plan`) runs over this
+module's form of a structure: the universe interned to the dense
+integers ``0..n-1`` and every relation stored column-major as
+lexicographically sorted ``array('q')`` columns, so joins hash machine
+integers and -- when numpy is importable -- run vectorized over
+zero-copy ``int64`` views of the same columns.
 
 Exactness is by construction: the decode table is the universe sorted
-by ``repr``, which is *identical* to the order
-:attr:`repro.engine.context.ExecutionContext.domain` uses, so encoding
-is a bijection between the object domain and ``range(n)`` and every
-count computed over encoded values equals the object-path count.
-Decoding happens only at result boundaries (decoded boundary
-relations); counts never need decoding at all.
+by ``repr`` (deltas append new elements at the tail), encoding is a
+bijection between the universe and ``range(n)``, and counting is
+invariant under bijections of the domain.  Decoding happens only at
+result boundaries (decoded boundary relations); counts never need
+decoding at all.
 
-Backend selection
------------------
-``resolve_backend`` maps a requested backend name (or the
-``REPRO_ENCODING`` environment variable when ``None`` is passed) to one
-of the canonical backends:
-
-``"object"``
-    The pre-existing object-tuple path; encoding is off.
-``"array"``
-    Pure-python execution over the integer encoding (``array('q')``
-    columns, int-tuple hash joins).  No third-party dependencies.
-``"numpy"``
-    Vectorized joins/semijoins over zero-copy ``int64`` views of the
-    columns.  Requesting it explicitly without numpy installed raises
-    :class:`~repro.exceptions.ReproError`.
-``"auto"``
-    ``"numpy"`` when numpy imports, ``"array"`` otherwise.
-
-The numpy probe goes through :func:`_import_numpy` so tests can
-monkeypatch the import to simulate a numpy-less interpreter.
+Table backend
+-------------
+The one platform split is *derived*, never chosen:
+:func:`resolve_backend` is ``"numpy"`` when numpy imports
+(:class:`NumpyTableOps`: packed-key vectorized joins) and ``"array"``
+otherwise (the int-tuple hash joins of
+:class:`repro.engine.context._PyTableOps`).  The probe goes through
+:func:`_import_numpy` so tests can monkeypatch the import to simulate a
+numpy-less interpreter.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Iterable, Iterator, Sequence
 
 from repro.budget import current_budget
-from repro.exceptions import ReproError, SignatureError
+from repro.exceptions import SignatureError
 from repro.structures.structure import Element, Structure
-
-#: Environment variable consulted when no backend is requested explicitly.
-ENCODING_ENV_VAR = "REPRO_ENCODING"
-
-#: The canonical backend names ``resolve_backend`` can return.
-BACKENDS = ("object", "array", "numpy")
 
 #: Sentinel meaning "the numpy probe has not run yet".
 _UNPROBED = object()
@@ -87,34 +67,10 @@ def numpy_available() -> bool:
     return get_numpy() is not None
 
 
-def resolve_backend(requested: str | None = None) -> str:
-    """Resolve a requested backend name to a canonical backend.
-
-    ``None`` falls back to the ``REPRO_ENCODING`` environment variable
-    and then to ``"object"``.  ``"off"``/``"none"``/empty are aliases
-    for ``"object"``; ``"auto"`` picks ``"numpy"`` when available and
-    ``"array"`` otherwise; an explicit ``"numpy"`` without numpy raises.
-    """
-    if requested is None:
-        requested = os.environ.get(ENCODING_ENV_VAR) or "object"
-    name = str(requested).strip().lower()
-    if name in ("", "off", "none", "object"):
-        return "object"
-    if name == "auto":
-        return "numpy" if numpy_available() else "array"
-    if name == "array":
-        return "array"
-    if name == "numpy":
-        if not numpy_available():
-            raise ReproError(
-                "encoding backend 'numpy' was requested but numpy is not "
-                "importable; use 'array' (pure python) or 'auto'"
-            )
-        return "numpy"
-    raise ReproError(
-        f"unknown encoding backend {requested!r}; expected one of "
-        "'object', 'array', 'numpy', 'auto' or 'off'"
-    )
+def resolve_backend() -> str:
+    """The table backend this interpreter runs: ``"numpy"`` when numpy
+    imports, ``"array"`` (pure python) otherwise."""
+    return "numpy" if numpy_available() else "array"
 
 
 class TableOverflow(Exception):
@@ -170,9 +126,9 @@ class EncodedRelation:
 class EncodedStructure:
     """A structure interned to the dense integer universe ``0..n-1``.
 
-    ``decode`` is the universe sorted by ``repr`` -- the same order the
-    execution context's ``domain`` uses -- so ``decode[i]`` inverts the
-    encoding and counting over ``range(n)`` is exact by bijection.
+    ``decode`` is the universe sorted by ``repr``, so ``decode[i]``
+    inverts the encoding and counting over ``range(n)`` is exact by
+    bijection.
     Relations are stored as :class:`EncodedRelation` columns; derived
     views (int-tuple frozensets, an all-integer :class:`Structure`,
     numpy column views) are built lazily and excluded from pickling, so
@@ -249,8 +205,8 @@ class EncodedStructure:
         Note the decode table of a delta-applied encoding is no longer
         globally ``repr``-sorted (appended elements sort after the base
         block).  That is safe because the execution context's ``domain``
-        *is* ``decode`` whenever an encoding is active, so the
-        encode/decode bijection and the count semantics are unchanged.
+        *is* ``decode``, so the encode/decode bijection and the count
+        semantics are unchanged.
         """
         from repro.exceptions import DeltaError
 
@@ -400,7 +356,7 @@ class NumpyTableOps:
     loop over rows.  Tables keep rows unique (base tables deduplicate,
     joins of unique inputs on shared columns are unique, projections
     run through ``unique``), so row counts equal set cardinalities and
-    the row cap has the same meaning as on the object path.
+    the row cap has the same meaning as for the python set tables.
     """
 
     __slots__ = ("encoded", "np", "row_cap", "memo")
@@ -409,7 +365,7 @@ class NumpyTableOps:
         self,
         encoded: EncodedStructure,
         row_cap: int,
-        memo: dict | None = None,
+        memo: dict,
     ):
         self.encoded = encoded
         self.np = get_numpy()
@@ -421,7 +377,7 @@ class NumpyTableOps:
         """One atom as a (columns, rows) table; repeated scope variables
         become equality filters, memoized per ``(name, scope)``."""
         key = (name, scope)
-        if self.memo is not None and key in self.memo:
+        if key in self.memo:
             return self.memo[key]
         np = self.np
         raw = self.encoded.np_columns(name)
@@ -446,8 +402,7 @@ class NumpyTableOps:
             # Equality filtering can leave duplicate projected rows.
             rows = self._dedup(rows)
         table = (tuple(columns), rows)
-        if self.memo is not None:
-            self.memo[key] = table
+        self.memo[key] = table
         return table
 
     def is_empty(self, table: tuple[tuple, object]) -> bool:

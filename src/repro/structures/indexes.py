@@ -8,9 +8,11 @@ position``.  Two consumers share it:
   for forward checking: as soon as *some* entries of a source tuple are
   assigned, the index tells whether any target tuple is still compatible,
   pruning dead branches long before the tuple is fully assigned;
-* the counting engine (:mod:`repro.engine.cache`) caches one index per
-  data structure so repeated executions of compiled plans against the
-  same structure skip re-scanning the relations.
+* the counting engine's execution contexts
+  (:mod:`repro.engine.context`) keep one
+  :class:`EncodedPositionalIndex` per data structure -- the same lookup
+  over the dense-int encoding -- so repeated executions of compiled
+  plans against the same structure skip re-scanning the relations.
 
 Building the index is a single pass over the tuples; ``tuples`` and
 ``matching`` are O(1) dictionary accesses returning frozensets, and
@@ -35,8 +37,9 @@ class _PositionalLookup:
     ``_by_position`` (``(relation, position, value)`` to the rows
     carrying ``value`` at ``position``); the lookup methods are
     value-agnostic, so the same code serves object tuples
-    (:class:`PositionalIndex`) and dense-int tuples
-    (:class:`EncodedPositionalIndex`).
+    (:class:`PositionalIndex`, the query-side and reference searches)
+    and dense-int tuples (:class:`EncodedPositionalIndex`, the
+    engine's data side).
     """
 
     __slots__ = ()
@@ -121,8 +124,9 @@ class EncodedPositionalIndex(_PositionalLookup):
 
     Same API as :class:`PositionalIndex` but keyed by the encoded
     integer values, so forward checking
-    (:meth:`_PositionalLookup.has_compatible_tuple`) during encoded
-    eliminations hashes machine ints instead of arbitrary objects.
+    (:meth:`_PositionalLookup.has_compatible_tuple`) during
+    backtracking eliminations hashes machine ints instead of arbitrary
+    objects.
     """
 
     __slots__ = ("_encoded", "_tuples", "_by_position")

@@ -59,3 +59,27 @@ def pytest_runtest_protocol(item, nextitem):
         yield
     finally:
         watchdog.cancel()
+
+
+@pytest.fixture(params=["numpy", "array"])
+def backend(request, monkeypatch):
+    """Run the test once per table backend.
+
+    The backend is derived from whether numpy imports, so ``"array"``
+    is selected by making the probe fail through the
+    ``encoding._import_numpy`` seam (fork-pool workers inherit the
+    patched module; cluster worker subprocesses derive their own).
+    """
+    from repro.structures import encoding
+
+    if request.param == "array":
+
+        def refuse():
+            raise ImportError("numpy disabled for this test")
+
+        monkeypatch.setattr(encoding, "_import_numpy", refuse)
+        monkeypatch.setattr(encoding, "_numpy_module", encoding._UNPROBED)
+    elif not encoding.numpy_available():
+        pytest.skip("numpy not importable in this interpreter")
+    assert encoding.resolve_backend() == request.param
+    return request.param

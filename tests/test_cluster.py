@@ -9,8 +9,10 @@ Three layers of coverage:
   subprocesses (`python -m repro.cluster.worker`);
 * the randomized agreement suite: every generator query counted
   through the local ``WorkerPool``, a single-worker cluster, and a
-  3-worker cluster must be bit-identical across all encoding
-  backends.  The chaos/fault scenarios live in
+  3-worker cluster must be bit-identical under both table backends
+  (the ``backend`` fixture sets the engine process's; the worker
+  subprocesses derive their own, so the ``array`` cells also check
+  agreement *across* backends).  The chaos/fault scenarios live in
   ``test_cluster_chaos.py``.
 """
 
@@ -35,7 +37,6 @@ from repro.cluster import proto
 from repro.cluster.faults import FaultPlan
 from repro.engine import Engine
 from repro.exceptions import ReproError
-from repro.structures.encoding import numpy_available
 from repro.structures.random_gen import random_cluster_graph
 from repro.workloads.generators import (
     cycle_query,
@@ -49,8 +50,6 @@ from repro.workloads.generators import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = str(REPO_ROOT / "src")
-
-BACKENDS = ("object", "array") + (("numpy",) if numpy_available() else ())
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +450,7 @@ AGREEMENT_QUERIES = [
 ]
 
 
-def test_generator_queries_agree_across_all_execution_tiers():
+def test_generator_queries_agree_across_all_execution_tiers(backend):
     graph = random_cluster_graph(5, 5, 0.5, seed=29)
     with ClusterCoordinator(replication=1) as solo, ClusterCoordinator(
         replication=2
@@ -462,37 +461,36 @@ def test_generator_queries_agree_across_all_execution_tiers():
         try:
             solo.wait_for_workers(1, timeout=30)
             trio.wait_for_workers(3, timeout=30)
-            for backend in BACKENDS:
-                with Engine(processes=2, encoding=backend) as engine:
-                    engine.register_structure(
-                        "net", graph, pin=True, shard_count=4
-                    )
-                    expected = [
-                        engine.count(query, graph)
+            with Engine(processes=2) as engine:
+                engine.register_structure(
+                    "net", graph, pin=True, shard_count=4
+                )
+                expected = [
+                    engine.count(query, graph)
+                    for query in AGREEMENT_QUERIES
+                ]
+                local = [
+                    engine.count_sharded(query, "net", parallel=True)
+                    for query in AGREEMENT_QUERIES
+                ]
+                assert local == expected
+                for coordinator in (solo, trio):
+                    before = coordinator.stats_snapshot()[
+                        "jobs_completed"
+                    ]
+                    engine.attach_cluster(coordinator)
+                    clustered = [
+                        engine.count_sharded(query, "net")
                         for query in AGREEMENT_QUERIES
                     ]
-                    local = [
-                        engine.count_sharded(query, "net", parallel=True)
-                        for query in AGREEMENT_QUERIES
+                    engine.detach_cluster()
+                    assert clustered == expected
+                    # The cluster genuinely served shard jobs (the
+                    # agreement is not vacuous local fallback).
+                    after = coordinator.stats_snapshot()[
+                        "jobs_completed"
                     ]
-                    assert local == expected
-                    for coordinator in (solo, trio):
-                        before = coordinator.stats_snapshot()[
-                            "jobs_completed"
-                        ]
-                        engine.attach_cluster(coordinator)
-                        clustered = [
-                            engine.count_sharded(query, "net")
-                            for query in AGREEMENT_QUERIES
-                        ]
-                        engine.detach_cluster()
-                        assert clustered == expected
-                        # The cluster genuinely served shard jobs (the
-                        # agreement is not vacuous local fallback).
-                        after = coordinator.stats_snapshot()[
-                            "jobs_completed"
-                        ]
-                        assert after > before
+                    assert after > before
         finally:
             reap(workers)
 

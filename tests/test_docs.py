@@ -51,3 +51,27 @@ def test_docs_pages_exist_and_crosslink():
     for page in ("docs/architecture.md", "docs/http_api.md",
                  "docs/operations.md", "docs/cluster.md"):
         assert page in readme, f"README does not link {page}"
+
+
+def test_package_version_is_single_sourced():
+    """``repro.__version__`` keys PlanStore directories and bench
+    records; the package metadata must read it, not restate it."""
+    import re
+    import warnings
+
+    import pytest
+
+    import repro
+
+    pyproject = REPO_ROOT / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert not re.search(r"^version\s*=", project, re.M), (
+        "pyproject.toml restates a literal version; keep it dynamic"
+    )
+    assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]', project, re.M)
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools' beta-config notice
+        resolved = config.read_configuration(str(pyproject), expand=True)
+    assert resolved["project"]["version"] == repro.__version__

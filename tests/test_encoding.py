@@ -1,30 +1,28 @@
-"""Integer-encoded execution: exactness, backends, memoization, stats.
+"""The data representation: exactness, backends, memoization, stats.
 
-The encoded evaluators (``array`` and ``numpy`` backends) must be
-bit-for-bit exact against the object path on every workload generator
-and every execution path (plain, batch, sharded sequential, sharded
-parallel); backend resolution must honor ``REPRO_ENCODING`` and degrade
-to the pure-python ``array`` backend when numpy is absent; and the new
-counters (``encoded_eliminations``, ``encoded_resident_bytes``) must
-stay consistent with the semijoin/backtracking attribution.
+Every route to a count (plain, batch, sharded sequential, sharded
+through the fork pool) must equal the definitional brute-force count
+(``algorithms/brute_force.py``) on every workload generator, under both
+table backends the interpreter can derive (``numpy`` when it imports,
+``array`` otherwise -- the ``backend`` fixture); no option selects a
+representation any more; and the attribution counters must stay
+consistent with what ran.
 """
 
+import functools
 import pickle
 
 import pytest
 
+from repro.algorithms.brute_force import count_answers_naive
 from repro.algorithms.fpt_counting import exists_components
 from repro.engine import Engine
-from repro.engine.context import ExecutionContext
-from repro.exceptions import ReproError, SignatureError
-from repro.structures import encoding as encoding_module
-from repro.structures.encoding import (
-    ENCODING_ENV_VAR,
-    EncodedStructure,
-    numpy_available,
-    resolve_backend,
-)
-from repro.structures.random_gen import random_graph
+from repro.engine.context import ExecutionContext, _PyTableOps
+from repro.engine.plan import as_ep
+from repro.exceptions import SignatureError
+from repro.structures.encoding import EncodedStructure, NumpyTableOps
+from repro.structures.homomorphism import enumerate_extendable_assignments
+from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.workloads.generators import (
     cycle_query,
     example_4_1_query,
@@ -39,91 +37,78 @@ from repro.workloads.generators import (
     union_of_paths_query,
 )
 
-#: The encoded backends under test ("numpy" included only when present).
-ENCODED_BACKENDS = ("array", "numpy") if numpy_available() else ("array",)
+#: One query from every generator in ``workloads.generators``.
+GENERATOR_QUERIES = {
+    "cycle": cycle_query(4),
+    "example_4_1": example_4_1_query(),
+    "example_4_2": example_4_2_query(),
+    "example_5_21": example_5_21_query(),
+    "grid": grid_query(2, 3),
+    "hidden_clique": hidden_clique_query(3),
+    "path": path_query(4, quantify_interior=True),
+    "star": star_query(3, quantify_leaves=True),
+    "union_of_paths": union_of_paths_query([2, 3]),
+    **{
+        f"random_cq_{seed}": random_conjunctive_query(
+            5, 4, liberal_count=2, seed=seed
+        )
+        for seed in range(3)
+    },
+    **{
+        f"random_ucq_{seed}": random_ucq(2, 4, 3, liberal_count=2, seed=seed)
+        for seed in range(2)
+    },
+}
+
+#: Two dense clusters, so ``shard_count=2`` really splits the data.
+STRUCTURE = random_cluster_graph(2, 4, 0.7, seed=3)
+
+#: Every route to a count the engine offers on one (query, structure).
+ROUTES = {
+    "count": lambda engine, query: engine.count(query, STRUCTURE),
+    "sharded-sequential": lambda engine, query: engine.count_sharded(
+        query, STRUCTURE, shard_count=2, parallel=False
+    ),
+    "sharded-pool": lambda engine, query: engine.count_sharded(
+        query, STRUCTURE, shard_count=2, parallel=True
+    ),
+}
 
 
-def generator_queries():
-    """One query from every generator in ``workloads.generators``."""
-    yield pytest.param(cycle_query(4), id="cycle")
-    yield pytest.param(example_4_1_query(), id="example_4_1")
-    yield pytest.param(example_4_2_query(), id="example_4_2")
-    yield pytest.param(example_5_21_query(), id="example_5_21")
-    yield pytest.param(grid_query(2, 3), id="grid")
-    yield pytest.param(hidden_clique_query(3), id="hidden_clique")
-    yield pytest.param(path_query(4, quantify_interior=True), id="path")
-    yield pytest.param(star_query(3, quantify_leaves=True), id="star")
-    yield pytest.param(union_of_paths_query([2, 3]), id="union_of_paths")
-    for seed in range(3):
-        yield pytest.param(
-            random_conjunctive_query(5, 4, liberal_count=2, seed=seed),
-            id=f"random_cq_{seed}",
-        )
-    for seed in range(2):
-        yield pytest.param(
-            random_ucq(2, 4, 3, liberal_count=2, seed=seed),
-            id=f"random_ucq_{seed}",
-        )
+@functools.lru_cache(maxsize=None)
+def brute_force(name: str) -> int:
+    """The definitional count of a generator query on ``STRUCTURE``
+    (computed once per query, shared by every cell of the matrix)."""
+    return count_answers_naive(as_ep(GENERATOR_QUERIES[name]), STRUCTURE)
 
 
 # ----------------------------------------------------------------------
-# Backend resolution
+# No selection: the backend is derived, the knob is gone
 # ----------------------------------------------------------------------
-def test_resolve_backend_aliases_and_default():
-    assert resolve_backend("object") == "object"
-    assert resolve_backend("off") == "object"
-    assert resolve_backend("none") == "object"
-    assert resolve_backend("") == "object"
-    assert resolve_backend("array") == "array"
-    assert resolve_backend("Array") == "array"
+def test_backend_is_derived_from_the_numpy_probe(backend):
+    ops = ExecutionContext(STRUCTURE)._table_ops()
+    expected = NumpyTableOps if backend == "numpy" else _PyTableOps
+    assert type(ops) is expected
 
 
-def test_resolve_backend_rejects_unknown_names():
-    with pytest.raises(ReproError):
-        resolve_backend("sparse")
+def test_engine_takes_no_encoding_argument():
+    with pytest.raises(TypeError):
+        Engine(encoding="object")
+    with pytest.raises(TypeError):
+        ExecutionContext(STRUCTURE, encoding="object")
 
 
-def test_resolve_backend_consults_environment(monkeypatch):
-    monkeypatch.delenv(ENCODING_ENV_VAR, raising=False)
-    assert resolve_backend(None) == "object"
-    monkeypatch.setenv(ENCODING_ENV_VAR, "array")
-    assert resolve_backend(None) == "array"
-    # An explicit request always wins over the environment.
-    assert resolve_backend("object") == "object"
-
-
-def test_engine_picks_up_encoding_from_environment(monkeypatch):
-    monkeypatch.setenv(ENCODING_ENV_VAR, "array")
-    engine = Engine(processes=1)
-    try:
-        assert engine.encoding == "array"
-        assert engine.contexts.encoding == "array"
-        assert engine.pool.encoding == "array"
-    finally:
-        engine.close()
-
-
-def _simulate_missing_numpy(monkeypatch):
-    def refuse():
-        raise ImportError("numpy disabled for this test")
-
-    monkeypatch.setattr(encoding_module, "_import_numpy", refuse)
-    monkeypatch.setattr(
-        encoding_module, "_numpy_module", encoding_module._UNPROBED
-    )
-
-
-def test_auto_degrades_to_array_without_numpy(monkeypatch):
-    _simulate_missing_numpy(monkeypatch)
-    assert resolve_backend("auto") == "array"
-    with pytest.raises(ReproError):
-        resolve_backend("numpy")
-
-
-def test_auto_prefers_numpy_when_available():
-    if not numpy_available():
-        pytest.skip("numpy not importable in this interpreter")
-    assert resolve_backend("auto") == "numpy"
+def test_repro_encoding_in_the_environment_changes_nothing(monkeypatch):
+    monkeypatch.setenv("REPRO_ENCODING", "object")
+    query = GENERATOR_QUERIES["path"]
+    with Engine(processes=1) as engine:
+        assert engine.count(query, STRUCTURE) == brute_force("path")
+        stats = engine.stats()
+        # The dense-int columns were built and the semijoin sweep ran
+        # over them: the only path there is.
+        assert stats.encoded_resident_bytes > 0
+        assert stats.semijoin_eliminations > 0
+        assert engine.contexts.get(STRUCTURE).encoding_active
 
 
 # ----------------------------------------------------------------------
@@ -170,166 +155,89 @@ def test_encoded_structure_pickles_compactly_and_round_trips():
 
 
 # ----------------------------------------------------------------------
-# Agreement with the object path, on every generator and every path
+# The agreement matrix: backend x generator query x route, each cell
+# against the brute-force count
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("query", generator_queries())
-@pytest.mark.parametrize("backend", ENCODED_BACKENDS)
-def test_encoded_counts_agree_with_object_path(query, backend):
-    structure = random_graph(12, 0.3, seed=17)
-    reference = Engine(processes=1)
-    encoded = Engine(processes=1, encoding=backend)
-    try:
-        expected = reference.count(query, structure)
-        assert encoded.count(query, structure) == expected
-        assert (
-            encoded.count_sharded(
-                query, structure, shard_count=3, parallel=False
-            )
-            == expected
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", GENERATOR_QUERIES)
+def test_every_route_agrees_with_brute_force(backend, name, route):
+    with Engine(processes=2) as engine:
+        assert ROUTES[route](engine, GENERATOR_QUERIES[name]) == brute_force(name)
+
+
+def test_count_many_grid_agrees_with_brute_force(backend):
+    names = list(GENERATOR_QUERIES)
+    queries = [GENERATOR_QUERIES[name] for name in names]
+    # The same structure twice: the second column is served from the
+    # contexts (and count memos) the first one built.
+    with Engine(processes=1) as engine:
+        grid = engine.count_many(
+            queries, [STRUCTURE, STRUCTURE], parallel=False
         )
-    finally:
-        reference.close()
-        encoded.close()
+    assert grid == [[brute_force(name)] * 2 for name in names]
 
 
-@pytest.mark.parametrize("backend", ENCODED_BACKENDS)
-def test_encoded_count_many_agrees_with_object_path(backend):
-    queries = [
-        path_query(3, quantify_interior=True),
-        star_query(3, quantify_leaves=True),
-        union_of_paths_query([2, 2]),
-    ]
-    structures = [random_graph(10, 0.3, seed=s) for s in (0, 1)]
-    reference = Engine(processes=1)
-    encoded = Engine(processes=1, encoding=backend)
-    try:
-        expected = reference.count_many(queries, structures, parallel=False)
-        assert (
-            encoded.count_many(queries, structures, parallel=False)
-            == expected
-        )
-    finally:
-        reference.close()
-        encoded.close()
-
-
-def test_encoded_parallel_sharded_count_agrees():
-    query = path_query(4, quantify_interior=True)
-    structure = random_graph(14, 0.3, seed=9)
-    reference = Engine(processes=1)
-    encoded = Engine(processes=2, encoding="array")
-    try:
-        expected = reference.count(query, structure)
-        got = encoded.count_sharded(
-            query, structure, shard_count=4, parallel=True
-        )
-        assert got == expected
-    finally:
-        reference.close()
-        encoded.close()
-
-
-@pytest.mark.parametrize("query", generator_queries())
-def test_array_backend_agrees_without_numpy(query, monkeypatch):
-    _simulate_missing_numpy(monkeypatch)
-    structure = random_graph(10, 0.3, seed=23)
-    reference = Engine(processes=1)
-    encoded = Engine(processes=1, encoding="auto")
-    try:
-        assert encoded.encoding == "array"
-        assert encoded.count(query, structure) == reference.count(
-            query, structure
-        )
-    finally:
-        reference.close()
-        encoded.close()
-
-
-def test_boundary_relations_agree_per_component():
+@pytest.mark.parametrize("name", ["path", "star", "hidden_clique"])
+def test_boundary_relations_agree_with_homomorphism_search(backend, name):
     structure = random_graph(9, 0.35, seed=4)
-    queries = [
-        path_query(4, quantify_interior=True),
-        star_query(3, quantify_leaves=True),
-        hidden_clique_query(3),
-    ]
-    for backend in ENCODED_BACKENDS:
-        for query in queries:
-            for component in exists_components(query):
-                plain = ExecutionContext(structure)
-                encoded = ExecutionContext(structure, encoding=backend)
-                assert encoded.boundary_relation(
-                    component
-                ) == plain.boundary_relation(component)
+    context = ExecutionContext(structure)
+    for component in exists_components(GENERATOR_QUERIES[name]):
+        boundary = component.boundary_order
+        reference = frozenset(
+            tuple(assignment[v] for v in boundary)
+            for assignment in enumerate_extendable_assignments(
+                component.structure, structure, boundary
+            )
+        )
+        assert context.boundary_relation(component) == reference
 
 
 # ----------------------------------------------------------------------
 # Stats attribution and resident bytes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ENCODED_BACKENDS)
-def test_encoded_eliminations_attribution(backend):
+def test_eliminations_are_attributed_to_exactly_one_evaluator(backend):
     structure = random_graph(10, 0.35, seed=6)
     queries = [
         path_query(4, quantify_interior=True),
         hidden_clique_query(3),  # cyclic interior: backtracking fallback
     ]
-    engine = Engine(processes=1, encoding=backend)
-    try:
+    with Engine(processes=1) as engine:
         for query in queries:
             engine.count(query, structure)
         stats = engine.stats()
-        assert stats.encoded_eliminations > 0
-        # Every encoded elimination is still attributed to exactly one
-        # of the underlying evaluators.
-        assert stats.encoded_eliminations == (
-            stats.semijoin_eliminations + stats.backtracking_eliminations
-        )
-        assert stats.backtracking_eliminations > 0  # the clique interior
-        assert stats.encoded_resident_bytes > 0
-    finally:
-        engine.close()
-
-
-def test_object_path_reports_no_encoded_eliminations():
-    structure = random_graph(10, 0.35, seed=6)
-    engine = Engine(processes=1)
-    try:
-        engine.count(path_query(4, quantify_interior=True), structure)
-        stats = engine.stats()
-        assert stats.encoded_eliminations == 0
-        assert stats.encoded_resident_bytes == 0
-        assert stats.semijoin_eliminations > 0
-    finally:
-        engine.close()
+    assert stats.semijoin_eliminations > 0
+    assert stats.backtracking_eliminations > 0  # the clique interior
+    assert (
+        stats.semijoin_eliminations + stats.backtracking_eliminations
+        == stats.boundary_memo_misses
+    )
+    assert stats.encoded_resident_bytes > 0
+    # One representation: the counter that equalled the sum is gone.
+    assert "encoded_eliminations" not in stats.as_dict()
 
 
 # ----------------------------------------------------------------------
 # Base-table memoization
 # ----------------------------------------------------------------------
-def test_base_tables_are_memoized_per_relation_and_scope(monkeypatch):
-    from repro.engine import context as context_module
-
-    calls = []
-    original = context_module._base_table
-
-    def counting_base_table(index, name, scope):
-        calls.append((name, scope))
-        return original(index, name, scope)
-
-    monkeypatch.setattr(context_module, "_base_table", counting_base_table)
+def test_base_tables_are_memoized_per_relation_and_scope(backend):
     structure = random_graph(9, 0.4, seed=8)
     query = path_query(4, quantify_interior=True)
     context = ExecutionContext(structure, memoize=False)
     (component,) = exists_components(query)
     context.boundary_relation(component)
-    first = len(calls)
-    assert first > 0
+    first = dict(context._base_table_memo)
+    assert set(first) == set(component.atom_scopes)
     # Even with the boundary-relation memo off, re-eliminating the same
-    # component re-reads its base tables from the per-context memo.
+    # component re-reads its base tables from the per-context memo: the
+    # very same table objects, nothing rebuilt.
     context.boundary_relation(component)
-    assert len(calls) == first
+    assert context.stats.boundary_misses == 2
+    assert set(context._base_table_memo) == set(first)
+    assert all(
+        context._base_table_memo[key] is table for key, table in first.items()
+    )
 
 
-@pytest.mark.parametrize("backend", ("object",) + ENCODED_BACKENDS)
 def test_randomized_deltas_agree_with_full_reregistration(backend):
     """Randomized live-update agreement on every backend: after each
     random delta, counting the registered name (incremental contexts,
@@ -344,8 +252,8 @@ def test_randomized_deltas_agree_with_full_reregistration(backend):
     rng = random_module.Random(20260808)
     for seed in range(3):
         base = random_graph(12, 0.3, seed=seed)
-        live = Engine(processes=1, encoding=backend)
-        fresh = Engine(processes=1, encoding=backend)
+        live = Engine(processes=1)
+        fresh = Engine(processes=1)
         try:
             live.register_structure("g", base, pin=False, shard_count=2)
             current = base

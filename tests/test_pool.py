@@ -83,13 +83,52 @@ def test_engine_pool_is_lazy_until_parallel_call():
         assert not engine.pool.started
 
 
+def test_collector_paused_restores_the_state_it_found():
+    import gc
+
+    from repro.engine.pool import collector_paused
+
+    assert gc.isenabled()
+    with collector_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with collector_paused():
+            pass
+        assert not gc.isenabled()  # the caller's own choice survives
+    finally:
+        gc.enable()
+
+
+def _collector_state_task(job):
+    import gc
+
+    from repro.engine import pool as pool_module
+
+    _, barrier, timeout = job
+    pool_module._await_broadcast_barrier(barrier, timeout)
+    return pool_module._TaskOk((gc.isenabled(), gc.get_freeze_count()))
+
+
+def test_workers_start_collecting_with_the_resident_heap_frozen():
+    with WorkerPool(processes=2) as pool:
+        pool.pin_structures([random_graph(10, 0.5, seed=3)])
+        states = pool.broadcast(_collector_state_task, None)
+        assert len(states) == 2
+        for enabled, frozen in states:
+            assert enabled and frozen > 0
+
+
 # ----------------------------------------------------------------------
 # Worker-resident context caches
 # ----------------------------------------------------------------------
 def test_repeated_count_sharded_hits_worker_contexts():
     structure = random_cluster_graph(6, 4, 0.5, seed=3)
     query = path_query(2, quantify_interior=True)
-    with Engine() as engine:
+    # One worker: with more, which worker takes which shard job is a
+    # race, and a hit needs the same shard on the same worker twice.
+    with Engine(processes=1) as engine:
         first = engine.count_sharded(
             query, structure, shard_count=6, parallel=True
         )
