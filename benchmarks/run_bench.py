@@ -10,18 +10,13 @@ random UCQs) through two paths:
 * **warm** -- one compile, then repeated execution of the cached plan
   (the engine's batch path).
 
-On top of that, three data-side comparisons of the context/shard/pool
-layers:
+On top of that, two data-side comparisons of the context/shard layers:
 
 * **sharded counting** -- a 10^4+-tuple clustered structure counted
   whole in one process vs. sharded over all cores;
 * **memoized semijoin ∃-elimination** -- a repeated-term ``ep-plus``
   plan executed with the context's semijoin evaluator + boundary memo
-  vs. the per-term backtracking the executor used before contexts;
-* **warm workers** -- repeated sharded queries on the 10^4-tuple
-  structure through a throwaway pool per call (fork + context rebuild
-  every time) vs. the engine's long-lived resident pool (fork once,
-  worker-resident contexts keyed by structure fingerprint).
+  vs. the per-term backtracking the executor used before contexts.
 
 And two end-to-end serving measurements:
 
@@ -61,16 +56,10 @@ And the policy-routing comparison:
   ``budget`` abort on the hard query vs. its requested ``max_seconds``
   (target: within 2x).
 
-And the distributed-cluster measurement:
-
-* **cluster** -- ``count_sharded`` by reference through real TCP
-  worker subprocesses, 1 vs. 3 workers on the 10^5-tuple clustered
-  structure (cold routing/wire overhead vs. the local ``WorkerPool``
-  fallback tier; no speedup claim on a 1-CPU runner), plus the
-  worker-kill recovery
-  latency: a 3-worker count timed unperturbed and again while the
-  busiest worker is SIGKILLed mid-count (target: < 2x with >= 1
-  reassignment).
+The worker runtime (resident pool contexts, the TCP cluster, worker
+death) is measured by ``benchmarks/e2e/run.py`` (``cold-cluster-25k``,
+``engine.pool.worker_context_hit_ratio``) and bounded by
+``tests/test_cluster_chaos.py``, not here.
 
 Reports are **appended** to ``BENCH_engine.json`` as keyed entries under
 ``"runs"`` (key = version + mode), never overwriting earlier baselines;
@@ -99,7 +88,6 @@ from repro import BudgetExceeded, Engine, __version__
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute, execute_sharded
 from repro.engine.plan import compile_plan
-from repro.engine.pool import WorkerPool
 from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.sharding import shard_structure
 from repro.workloads.generators import (
@@ -304,63 +292,6 @@ def bench_semijoin_memo(quick: bool) -> dict:
         "semijoin_memo_seconds": memo_seconds,
         "backtracking_seconds": back_seconds,
         "speedup": back_seconds / memo_seconds if memo_seconds else None,
-    }
-
-
-def bench_warm_workers(quick: bool) -> dict:
-    """Repeated sharded queries: throwaway pools vs. the resident pool.
-
-    The serving pattern: the same query arrives again and again for the
-    same 10^4-tuple clustered structure.  The *cold* path is what every
-    call paid before PR 3 -- a fresh pool (fork) per call, every worker
-    rebuilding each shard's execution context (index + boundary memos)
-    from scratch.  The *warm* path is the engine's long-lived
-    :class:`~repro.engine.pool.WorkerPool`: forked once, with the
-    contexts resident in the workers keyed by structure fingerprint, so
-    repeat calls ship fingerprint-matched jobs onto hot state.
-    """
-    clusters, size, p = (8, 10, 0.3) if quick else (60, 16, 0.7)
-    repeats = 2 if quick else 5
-    structure = random_cluster_graph(clusters, size, p, seed=7)
-    plan = compile_plan(path_query(2, quantify_interior=True))
-    sharded = shard_structure(structure, clusters)
-
-    def cold_pool_calls() -> int:
-        total = 0
-        for _ in range(repeats):
-            total += execute_sharded(plan, sharded, parallel=True)
-        return total
-
-    pool = WorkerPool(context_capacity=max(8, clusters))
-    try:
-        warmup = execute_sharded(plan, sharded, parallel=True, pool=pool)
-
-        def resident_pool_calls() -> int:
-            total = 0
-            for _ in range(repeats):
-                total += execute_sharded(plan, sharded, parallel=True, pool=pool)
-            return total
-
-        cold_seconds, cold_total = _time(cold_pool_calls)
-        warm_seconds, warm_total = _time(resident_pool_calls)
-        assert cold_total == warm_total == warmup * repeats
-        hits, misses = pool.worker_context_hits, pool.worker_context_misses
-    finally:
-        pool.close()
-    return {
-        "query": "path2_pairs",
-        "clusters": clusters,
-        "tuples": structure.total_tuples,
-        "universe": len(structure.universe),
-        "repeats": repeats,
-        "count": warmup,
-        "cold_pool_seconds": cold_seconds,
-        "cold_pool_seconds_per_call": cold_seconds / repeats,
-        "resident_pool_seconds": warm_seconds,
-        "resident_pool_seconds_per_call": warm_seconds / repeats,
-        "worker_context_hits": hits,
-        "worker_context_misses": misses,
-        "speedup": cold_seconds / warm_seconds if warm_seconds else None,
     }
 
 
@@ -1090,219 +1021,6 @@ def bench_routing(quick: bool) -> dict:
     }
 
 
-def bench_cluster(quick: bool) -> dict:
-    """Distributed counting: 1 vs. 3 workers, plus kill recovery.
-
-    Two measurements against real ``python -m repro.cluster.worker``
-    subprocesses over TCP:
-
-    * **routing cost** -- ``count_sharded`` by reference on the
-      10^5-tuple clustered structure (10^4 under ``--quick``) through
-      a 1-worker and a 3-worker cluster, vs. the engine's own local
-      ``WorkerPool`` fallback tier.  Cold calls (fresh contexts) bound
-      the placement + wire + pickle overhead of shipping shard units
-      out of process; warm calls show the worker-resident context
-      memo.  On a 1-CPU runner the workers share the core, so this is
-      deliberately *not* a parallel-speedup claim -- the check is that
-      counts stay bit-identical and cold overhead stays small;
-    * **kill recovery** -- the headline number.  A 3-worker cluster
-      with ``delay_execute`` fault-widened jobs is timed unperturbed,
-      then timed again while the busiest worker is SIGKILLed
-      mid-count; in-flight units fail over to surviving replicas
-      (replication=2) and the target is a perturbed/unperturbed ratio
-      under 2x with at least one reassignment.
-    """
-    import os as os_
-    import signal
-    import subprocess
-    import threading
-
-    from repro.cluster import ClusterCoordinator
-
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
-    query = "exists z. (E(x, z) & E(z, y))"
-
-    def worker_env(faults: str | None) -> dict:
-        env = dict(os_.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os_.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        if faults is not None:
-            env["REPRO_FAULTS"] = faults
-        else:
-            env.pop("REPRO_FAULTS", None)
-        return env
-
-    def spawn(coordinator, count: int, faults: str | None = None) -> list:
-        host, port = coordinator.address
-        return [
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.cluster.worker",
-                    "--connect",
-                    f"{host}:{port}",
-                    "--capacity",
-                    "2",
-                    "--name",
-                    f"bench{index}",
-                ],
-                env=worker_env(faults),
-            )
-            for index in range(count)
-        ]
-
-    def reap(processes) -> None:
-        for process in processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
-                process.wait(timeout=15)
-
-    # -- routing cost: local pool vs. 1-worker vs. 3-worker ------------
-    clusters, size, p = (60, 16, 0.7) if quick else (100, 40, 0.65)
-    shard_count = 4 if quick else 8
-    warm_repeats = 1 if quick else 3
-    structure = random_cluster_graph(clusters, size, p, seed=7)
-    rows: dict = {}
-
-    # The baseline tier: the engine's own local WorkerPool fallback,
-    # counting the identical registered, pinned, sharded entry.
-    with Engine(processes=1) as engine:
-        engine.register_structure(
-            "net", structure, pin=True, shard_count=shard_count
-        )
-        local_cold, expected = _time(
-            lambda: engine.count_sharded(query, "net")
-        )
-        local_warm, count = _time(
-            lambda: engine.count_sharded(query, "net"),
-            repeats=warm_repeats,
-        )
-        assert count == expected
-
-    for worker_count in (1, 3):
-        with ClusterCoordinator(
-            replication=min(2, worker_count)
-        ) as coordinator:
-            workers = spawn(coordinator, worker_count)
-            try:
-                coordinator.wait_for_workers(worker_count, timeout=60)
-                with Engine(processes=1) as engine:
-                    engine.attach_cluster(coordinator)
-                    engine.register_structure(
-                        "net", structure, pin=True, shard_count=shard_count
-                    )
-                    cold, count = _time(
-                        lambda: engine.count_sharded(query, "net")
-                    )
-                    assert count == expected, (count, expected)
-                    warm, count = _time(
-                        lambda: engine.count_sharded(query, "net"),
-                        repeats=warm_repeats,
-                    )
-                    assert count == expected
-                    stats = coordinator.stats_snapshot()
-                    rows[f"workers_{worker_count}"] = {
-                        "cold_seconds": cold,
-                        "warm_seconds_per_call": warm,
-                        "cold_overhead_vs_local": (
-                            cold / local_cold if local_cold else None
-                        ),
-                        "jobs_completed": stats["jobs_completed"],
-                        "jobs_failed": stats["jobs_failed"],
-                        "worker_context_hits": stats["worker_context_hits"],
-                    }
-            finally:
-                reap(workers)
-
-    # -- kill recovery: SIGKILL the busiest of three mid-count ---------
-    recovery_graph = random_cluster_graph(8, 4, 0.5, seed=41)
-    delay = 0.3 if quick else 0.5
-    with ClusterCoordinator(
-        heartbeat_interval=0.2, replication=2
-    ) as coordinator:
-        workers = spawn(coordinator, 3, faults=f"delay_execute={delay}")
-        try:
-            coordinator.wait_for_workers(3, timeout=60)
-            with Engine(processes=1) as engine:
-                recovery_expected = engine.count(query, recovery_graph)
-                engine.attach_cluster(coordinator)
-                engine.register_structure(
-                    "recovery", recovery_graph, pin=True, shard_count=8
-                )
-                before = time.perf_counter()
-                assert (
-                    engine.count_sharded(query, "recovery")
-                    == recovery_expected
-                )
-                unperturbed = time.perf_counter() - before
-
-                outcome: dict = {}
-
-                def run_count() -> None:
-                    outcome["value"] = engine.count_sharded(
-                        query, "recovery"
-                    )
-
-                thread = threading.Thread(target=run_count)
-                before = time.perf_counter()
-                thread.start()
-                victim_pid = None
-                deadline = time.perf_counter() + 30
-                while victim_pid is None and time.perf_counter() < deadline:
-                    details = coordinator.status()["worker_details"]
-                    busy = [
-                        detail
-                        for detail in details.values()
-                        if detail["in_flight"] > 0 and detail["pid"]
-                    ]
-                    if busy:
-                        victim_pid = max(
-                            busy, key=lambda d: d["in_flight"]
-                        )["pid"]
-                    else:
-                        time.sleep(0.01)
-                assert victim_pid is not None, "no worker ever held a job"
-                os_.kill(victim_pid, signal.SIGKILL)
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "count wedged after the kill"
-                perturbed = time.perf_counter() - before
-                assert outcome["value"] == recovery_expected
-                stats = coordinator.stats_snapshot()
-                recovery = {
-                    "delay_execute_seconds": delay,
-                    "unperturbed_seconds": unperturbed,
-                    "perturbed_seconds": perturbed,
-                    "ratio": (
-                        perturbed / unperturbed if unperturbed else None
-                    ),
-                    "reassignments": stats["reassignments"],
-                    "worker_failures": stats["worker_failures"],
-                    "jobs_failed": stats["jobs_failed"],
-                }
-                assert recovery["reassignments"] >= 1
-        finally:
-            reap(workers)
-
-    return {
-        "query": query,
-        "tuples": structure.total_tuples,
-        "shard_count": shard_count,
-        "warm_repeats": warm_repeats,
-        "count": expected,
-        "local_cold_seconds": local_cold,
-        "local_warm_seconds_per_call": local_warm,
-        "routing": rows,
-        "kill_recovery": recovery,
-    }
-
-
 #: Every benchmark section, in report order.  ``--only`` picks a subset.
 SECTIONS = {
     "scenarios": bench_scenarios,
@@ -1310,13 +1028,11 @@ SECTIONS = {
     "repeated_query": bench_repeated_query,
     "sharded_counting": bench_sharded_counting,
     "semijoin_memo": bench_semijoin_memo,
-    "warm_workers": bench_warm_workers,
     "serving": bench_serving,
     "registry_serving": bench_registry_serving,
     "tracing_overhead": bench_tracing_overhead,
     "live_updates": bench_live_updates,
     "routing": bench_routing,
-    "cluster": bench_cluster,
 }
 
 
@@ -1399,8 +1115,6 @@ def main(argv: list[str] | None = None) -> int:
         ]
     if "semijoin_memo" in report:
         summary["semijoin_memo_speedup"] = report["semijoin_memo"]["speedup"]
-    if "warm_workers" in report:
-        summary["warm_workers_speedup"] = report["warm_workers"]["speedup"]
     if "serving" in report:
         summary["serving_p99_seconds"] = report["serving"][
             "latency_p99_seconds"
@@ -1428,13 +1142,6 @@ def main(argv: list[str] | None = None) -> int:
             "reject_p99_seconds"
         ]
         summary["routing_abort_ratio"] = report["routing"]["abort_ratio"]
-    if "cluster" in report:
-        summary["cluster_kill_recovery_ratio"] = report["cluster"][
-            "kill_recovery"
-        ]["ratio"]
-        summary["cluster_reassignments"] = report["cluster"][
-            "kill_recovery"
-        ]["reassignments"]
     report["summary"] = summary
 
     store = append_report(output, run_key, report, force=args.force)
@@ -1468,16 +1175,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{semijoin['semijoin_memo_seconds']:.4f}s vs "
             f"{semijoin['backtracking_seconds']:.4f}s, "
             f"speedup {semijoin['speedup']:.1f}x"
-        )
-    if "warm_workers" in report:
-        warm_workers = report["warm_workers"]
-        print(
-            f"warm workers ({warm_workers['tuples']} tuples, "
-            f"{warm_workers['repeats']} repeat calls): "
-            f"cold pool {warm_workers['cold_pool_seconds']:.4f}s, "
-            f"resident pool {warm_workers['resident_pool_seconds']:.4f}s, "
-            f"speedup {warm_workers['speedup']:.1f}x "
-            f"({warm_workers['worker_context_hits']} worker context hits)"
         )
     if "serving" in report:
         serving = report["serving"]

@@ -86,6 +86,7 @@ class _Job:
 
     __slots__ = (
         "job_id",
+        "index",
         "units",
         "fingerprint",
         "budget",
@@ -94,8 +95,9 @@ class _Job:
         "worker_id",
     )
 
-    def __init__(self, job_id, units, fingerprint, budget):
+    def __init__(self, job_id, index, units, fingerprint, budget):
         self.job_id = job_id
+        self.index = index  # position in its run_units fan-out
         self.units = units
         self.fingerprint = fingerprint
         self.budget = budget
@@ -527,8 +529,10 @@ class ClusterCoordinator:
             values, spans = proto.unpickle_body(body)
             job.future.set_result((values, spans))
         elif status == "error":
-            exception, _spans = proto.unpickle_body(body)
-            job.future.set_exception(WorkerTaskError(exception))
+            exception, spans = proto.unpickle_body(body)
+            job.future.set_exception(
+                WorkerTaskError(exception, spans, job.index)
+            )
         else:  # "unplaced": a routing miss, never the query's fault.
             with self._lock:
                 self._placement.remove_holder(
@@ -579,36 +583,38 @@ class ClusterCoordinator:
         so a later :meth:`run_units` on the same connection can never
         observe a missing placement.
         """
-        structures = tuple(structures)
-        for structure in structures:
-            structure.fingerprint()  # computed outside the loop thread
-        sent = self._control(self._do_place, structures)
+        # Fingerprints are computed here, outside the loop thread.
+        by_fingerprint = {s.fingerprint(): s for s in structures}
+        return self._control(self._do_place, by_fingerprint)
+
+    def _send_each(self, kind: str, outgoing: dict) -> int:
+        """Queue one ``kind`` frame per live worker of ``outgoing``
+        (``{worker_id: payload items}``); returns how many (loop
+        thread, the only one that adds or removes workers)."""
+        sent = 0
+        for worker_id, payload in outgoing.items():
+            handle = self._workers.get(worker_id)
+            if handle is not None:
+                self._outbox_put(
+                    handle, {"type": kind}, proto.pickle_body(tuple(payload))
+                )
+                sent += 1
         return sent
 
-    def _do_place(self, structures) -> dict:
+    def _do_place(self, by_fingerprint) -> dict:
         with self._lock:
-            live = list(self._workers)
-            if not live:
+            if not self._workers:
                 raise ClusterUnavailable("no live workers to place on")
-            fingerprints = [s.fingerprint() for s in structures]
-            outgoing = self._placement.assign(fingerprints, live)
-            by_fingerprint = dict(zip(fingerprints, structures))
-            handles = {
-                worker_id: self._workers[worker_id]
-                for worker_id in outgoing
-                if worker_id in self._workers
-            }
-        for worker_id, placed in outgoing.items():
-            handle = handles.get(worker_id)
-            if handle is None:
-                continue
-            self._outbox_put(
-                handle,
-                {"type": "place"},
-                proto.pickle_body(
-                    tuple(by_fingerprint[f] for f in placed)
-                ),
+            outgoing = self._placement.assign(
+                list(by_fingerprint), list(self._workers)
             )
+        self._send_each(
+            "place",
+            {
+                worker_id: [by_fingerprint[f] for f in placed]
+                for worker_id, placed in outgoing.items()
+            },
+        )
         return {worker_id: len(placed) for worker_id, placed in outgoing.items()}
 
     def unplace(self, fingerprints) -> int:
@@ -618,20 +624,7 @@ class ClusterCoordinator:
     def _do_unplace(self, fingerprints) -> int:
         with self._lock:
             outgoing = self._placement.unplace(fingerprints)
-            handles = {
-                worker_id: self._workers[worker_id]
-                for worker_id in outgoing
-                if worker_id in self._workers
-            }
-        for worker_id, dropped in outgoing.items():
-            handle = handles.get(worker_id)
-            if handle is not None:
-                self._outbox_put(
-                    handle,
-                    {"type": "unplace"},
-                    proto.pickle_body(tuple(dropped)),
-                )
-        return len(handles)
+        return self._send_each("unplace", outgoing)
 
     def apply_delta(self, updates) -> int:
         """Fan a delta out to every holder of each touched fingerprint.
@@ -653,28 +646,13 @@ class ClusterCoordinator:
     def _do_apply_delta(self, updates) -> int:
         per_worker: dict[str, list] = {}
         with self._lock:
-            for old_fingerprint, delta, new_fingerprint in updates:
-                holders = self._placement.rekey(
+            for update in updates:
+                old_fingerprint, _, new_fingerprint = update
+                for worker_id in self._placement.rekey(
                     old_fingerprint, new_fingerprint
-                )
-                for worker_id in holders:
-                    if worker_id in self._workers:
-                        per_worker.setdefault(worker_id, []).append(
-                            (old_fingerprint, delta, new_fingerprint)
-                        )
-            handles = {
-                worker_id: self._workers[worker_id]
-                for worker_id in per_worker
-            }
-        sent = 0
-        for worker_id, batch in per_worker.items():
-            self._outbox_put(
-                handles[worker_id],
-                {"type": "delta"},
-                proto.pickle_body(tuple(batch)),
-            )
-            sent += 1
-        return sent
+                ):
+                    per_worker.setdefault(worker_id, []).append(update)
+        return self._send_each("delta", per_worker)
 
     def can_route(self, fingerprints) -> bool:
         """Whether every fingerprint has a live holder right now."""
@@ -703,7 +681,8 @@ class ClusterCoordinator:
         or the overall ``timeout`` expiring) -- the caller's signal to
         recompute on the local pool -- and
         :class:`~repro.engine.pool.WorkerTaskError` when a worker's
-        task genuinely raised.
+        task genuinely raised (carrying that job's worker-recorded
+        spans and its index, for the caller's trace).
         """
         jobs = list(jobs)
         if not jobs:
@@ -714,10 +693,12 @@ class ClusterCoordinator:
             )
         with self._lock:
             job_objs = []
-            for units, fingerprint in jobs:
+            for index, (units, fingerprint) in enumerate(jobs):
                 self._job_seq += 1
                 job_objs.append(
-                    _Job(f"j{self._job_seq}", units, fingerprint, budget)
+                    _Job(
+                        f"j{self._job_seq}", index, units, fingerprint, budget
+                    )
                 )
         self._control(self._enqueue, job_objs)
         deadline = time.monotonic() + (

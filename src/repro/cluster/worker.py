@@ -4,17 +4,18 @@
 worker connects to the coordinator, registers with a *capacity* (how
 many shard-unit jobs it executes concurrently), then serves frames:
 
-* ``place`` / ``unplace`` / ``delta`` maintain the worker's resident
-  shard set -- the cluster-wide generalization of the pool's pinned
-  contexts.  ``place`` ships structures; execution contexts are built
-  lazily per fingerprint on first use and kept for the placement's
-  lifetime.  ``delta`` migrates resident structures *and*
-  their built contexts in ``O(|delta|)``, exactly like the pool's
-  ``apply_delta_task``, so a PATCH advance never costs a rebuild.
-* ``execute`` runs shard units in a thread pool sized to the capacity,
-  under the shipped :class:`~repro.budget.CostBudget` remaining
-  allowance, recording trace spans that travel back in the ``result``
-  frame for parent-side ``attach_foreign`` re-parenting.
+* ``place`` / ``unplace`` / ``delta`` are the ``place`` / ``drop`` /
+  ``apply_delta`` of the worker's one
+  :class:`~repro.engine.resident.ResidentContexts` -- the same store,
+  and the same code, a fork-pool worker keeps its pinned contexts in.
+  ``place`` ships structures; their contexts are built lazily on first
+  use and kept for the placement's lifetime.  ``delta`` migrates them
+  in ``O(|delta|)``, so a PATCH advance never costs a rebuild.
+* ``execute`` runs shard units through that store in a thread pool
+  sized to the capacity, under the shipped
+  :class:`~repro.budget.CostBudget` remaining allowance; the recorded
+  trace spans travel back in the ``result`` frame -- on success *and*
+  on failure -- for parent-side ``attach_foreign`` re-parenting.
 * ``heartbeat`` frames flow worker -> coordinator on the interval the
   ``registered`` reply dictates; the fault seam can delay or drop
   them, which is how the chaos tests exercise the deadline machinery.
@@ -36,12 +37,10 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.budget import budget_scope
 from repro.cluster import proto
 from repro.cluster.faults import FaultInjector, load_fault_plan
-from repro.engine.pool import picklable_exception
+from repro.engine.resident import NotResident, ResidentContexts, TaskOk
 from repro.exceptions import ReproError
-from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 
 _log = get_logger("cluster.worker")
@@ -75,118 +74,54 @@ class ClusterWorker:
         self.heartbeat_interval = 1.0
         self._faults = faults if faults is not None else FaultInjector()
         self._register_attempts = register_attempts
-        #: fingerprint -> resident placed Structure.
-        self._structures: dict = {}
-        #: fingerprint -> built ExecutionContext.
-        self._contexts: dict = {}
+        #: The same store a fork-pool worker owns; frames drive it here.
+        self.resident = ResidentContexts()
         self._executor: ThreadPoolExecutor | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._write_lock = asyncio.Lock()
         self._in_flight = 0
-        self.jobs_executed = 0
 
     # ------------------------------------------------------------------
-    # Resident shard state
-    # ------------------------------------------------------------------
-    def _place(self, structures) -> None:
-        for structure in structures:
-            self._structures[structure.fingerprint()] = structure
-
-    def _unplace(self, fingerprints) -> None:
-        for fingerprint in fingerprints:
-            self._structures.pop(fingerprint, None)
-            self._contexts.pop(fingerprint, None)
-
-    def _apply_delta(self, updates) -> int:
-        applied = 0
-        for old_fingerprint, delta, new_fingerprint in updates:
-            structure = self._structures.pop(old_fingerprint, None)
-            context = self._contexts.pop(old_fingerprint, None)
-            if structure is None:
-                continue
-            new_structure = structure.apply_delta(delta)
-            if new_structure.fingerprint() != new_fingerprint:
-                # Never keep (let alone serve) drifted data; the next
-                # place frame re-ships the truth.
-                continue
-            self._structures[new_fingerprint] = new_structure
-            if context is not None:
-                self._contexts[new_fingerprint] = context.apply_delta(
-                    delta, new_structure
-                )
-            applied += 1
-        return applied
-
-    def _context_for(self, fingerprint):
-        """``(context, cache_hit)`` for a placed fingerprint."""
-        from repro.engine.context import ExecutionContext
-
-        context = self._contexts.get(fingerprint)
-        if context is not None:
-            return context, True
-        structure = self._structures.get(fingerprint)
-        if structure is None:
-            raise KeyError(fingerprint)
-        context = ExecutionContext(structure)
-        self._contexts[fingerprint] = context
-        return context, False
-
-    # ------------------------------------------------------------------
-    # Job execution (runs in the thread pool)
+    # Job execution
     # ------------------------------------------------------------------
     def _execute_units(self, units, fingerprint, budget):
+        """One job, on a thread of the capacity-sized executor."""
         delay = self._faults.execute_delay()
         if delay:
             time.sleep(delay)
-        cap = _trace.capture(
-            "cluster.execute", units=len(units), worker=self.name
+        return self.resident.execute(
+            lambda context: context.run_units(units),
+            fingerprint,
+            budget,
+            "cluster.execute",
+            units=len(units),
+            worker=self.name,
         )
-        with cap:
-            context, hit = self._context_for(fingerprint)
-            cap.root.set("context_hit", hit)
-            with budget_scope(budget):
-                out = context.run_units(units)
-        return out, hit, cap.spans
 
     async def _run_job(self, header: dict, body: bytes) -> None:
-        job_id = header.get("job_id")
+        result = {"type": "result", "job_id": header.get("job_id")}
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
             units, fingerprint, budget = proto.unpickle_body(body)
-            try:
-                values, hit, spans = await loop.run_in_executor(
-                    self._executor,
-                    self._execute_units,
-                    units,
-                    fingerprint,
-                    budget,
-                )
-            except KeyError:
-                await self._send(
-                    {
-                        "type": "result",
-                        "job_id": job_id,
-                        "status": "unplaced",
-                    }
-                )
-                return
-            except Exception as exc:
-                await self._send(
-                    {"type": "result", "job_id": job_id, "status": "error"},
-                    proto.pickle_body((picklable_exception(exc), None)),
-                )
-                return
-            self.jobs_executed += 1
-            await self._send(
-                {
-                    "type": "result",
-                    "job_id": job_id,
-                    "status": "ok",
-                    "context_hit": hit,
-                },
-                proto.pickle_body((values, spans)),
+            outcome = await loop.run_in_executor(
+                self._executor, self._execute_units, units, fingerprint, budget
             )
+            if isinstance(outcome, TaskOk):
+                result.update(status="ok", context_hit=outcome.context_hit)
+                await self._send(
+                    result, proto.pickle_body((outcome.value, outcome.spans))
+                )
+            elif isinstance(outcome.exception, NotResident):
+                # Only the typed miss is a routing miss; any other
+                # exception -- a KeyError out of the units included --
+                # is the job's own error and must reach the caller.
+                await self._send({**result, "status": "unplaced"})
+            else:
+                await self._send(
+                    {**result, "status": "error"},
+                    proto.pickle_body((outcome.exception, outcome.spans)),
+                )
         finally:
             self._in_flight -= 1
 
@@ -288,11 +223,13 @@ class ClusterWorker:
                     jobs.add(task)
                     task.add_done_callback(jobs.discard)
                 elif kind == "place":
-                    self._place(proto.unpickle_body(body))
+                    # Contexts stay unbuilt: this is the event-loop
+                    # thread, and a build would stall the heartbeats.
+                    self.resident.place(proto.unpickle_body(body))
                 elif kind == "unplace":
-                    self._unplace(proto.unpickle_body(body))
+                    self.resident.drop(proto.unpickle_body(body))
                 elif kind == "delta":
-                    self._apply_delta(proto.unpickle_body(body))
+                    self.resident.apply_delta(proto.unpickle_body(body))
                 elif kind == "heartbeat_ack":
                     pass
                 elif kind == "goodbye":

@@ -30,7 +30,7 @@ import atexit
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from repro.budget import budget_scope
@@ -51,11 +51,7 @@ from repro.engine.executor import (
 from repro.engine.persist import PlanStore
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
-from repro.engine.pool import (
-    DEFAULT_WORKER_CONTEXT_CAPACITY,
-    WorkerPool,
-    collector_paused,
-)
+from repro.engine.pool import WorkerPool, collector_paused
 from repro.engine.registry import (
     DEFAULT_REGISTRY_MAX_BYTES,
     DEFAULT_REGISTRY_MAX_ENTRIES,
@@ -163,56 +159,13 @@ class EngineStats:
         total = self.context_hits + self.context_misses
         return self.context_hits / total if total else 0.0
 
-    # Backwards-compatible aliases from the index-cache era.
-    @property
-    def index_hits(self) -> int:
-        return self.context_hits
-
-    @property
-    def index_misses(self) -> int:
-        return self.context_misses
-
-    @property
-    def index_hit_rate(self) -> float:
-        return self.context_hit_rate
-
     def as_dict(self) -> dict:
-        """A JSON-friendly snapshot (used by the benchmark harness)."""
+        """A JSON-friendly snapshot: every field plus the two rates
+        (read by ``/metrics`` and the benchmark harness)."""
         return {
-            "count_calls": self.count_calls,
-            "batch_calls": self.batch_calls,
-            "sharded_calls": self.sharded_calls,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
+            **asdict(self),
             "plan_hit_rate": self.plan_hit_rate,
-            "context_hits": self.context_hits,
-            "context_misses": self.context_misses,
             "context_hit_rate": self.context_hit_rate,
-            "index_builds": self.index_builds,
-            "boundary_memo_hits": self.boundary_memo_hits,
-            "boundary_memo_misses": self.boundary_memo_misses,
-            "semijoin_eliminations": self.semijoin_eliminations,
-            "backtracking_eliminations": self.backtracking_eliminations,
-            "worker_context_hits": self.worker_context_hits,
-            "worker_context_misses": self.worker_context_misses,
-            "persist_hits": self.persist_hits,
-            "persist_misses": self.persist_misses,
-            "persist_stores": self.persist_stores,
-            "registry_hits": self.registry_hits,
-            "registry_misses": self.registry_misses,
-            "registry_registrations": self.registry_registrations,
-            "registry_evictions": self.registry_evictions,
-            "encoded_resident_bytes": self.encoded_resident_bytes,
-            "delta_applies": self.delta_applies,
-            "memo_evictions": self.memo_evictions,
-            "context_invalidations": self.context_invalidations,
-            "classifications": self.classifications,
-            "policy_rejections": self.policy_rejections,
-            "budget_aborts": self.budget_aborts,
-            "compile_seconds": self.compile_seconds,
-            "execute_seconds": self.execute_seconds,
-            "strategies": dict(self.strategies),
-            "verdicts": dict(self.verdicts),
         }
 
 
@@ -236,9 +189,6 @@ class Engine:
         Size of the engine's long-lived worker pool (default: one per
         CPU).  The pool itself starts lazily on the first parallel
         call and then stays resident for the engine's lifetime.
-    worker_context_cache_size:
-        How many execution contexts each pool worker keeps resident
-        (keyed by structure fingerprint).
     registry:
         The :class:`~repro.engine.registry.StructureRegistry` holding
         named resident structures; when omitted the engine creates one
@@ -267,7 +217,6 @@ class Engine:
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
         persistent_cache_dir: str | None = None,
         processes: int | None = None,
-        worker_context_cache_size: int = DEFAULT_WORKER_CONTEXT_CAPACITY,
         registry: StructureRegistry | None = None,
         registry_max_entries: int = DEFAULT_REGISTRY_MAX_ENTRIES,
         registry_max_bytes: int = DEFAULT_REGISTRY_MAX_BYTES,
@@ -287,10 +236,7 @@ class Engine:
         self.registry = registry or StructureRegistry(
             max_entries=registry_max_entries, max_bytes=registry_max_bytes
         )
-        self.pool = WorkerPool(
-            processes=processes,
-            context_capacity=worker_context_cache_size,
-        )
+        self.pool = WorkerPool(processes=processes)
         #: An attached ClusterCoordinator, or None for single-host mode.
         self.cluster = None
         self._lock = threading.Lock()
@@ -427,8 +373,8 @@ class Engine:
             entry = self.registry.peek(name)
             if entry is None or not entry.pinned or entry.sharded is None:
                 continue
-            entry.placements = self._cluster_place(
-                entry.sharded.non_empty_shards()
+            entry.placements = self._fan_out(
+                place=entry.sharded.non_empty_shards()
             )
 
     def detach_cluster(self):
@@ -436,34 +382,44 @@ class Engine:
         cluster, self.cluster = self.cluster, None
         return cluster
 
-    def _cluster_place(self, shards) -> dict:
-        """Best-effort placement; a degraded cluster never fails a call.
+    def _fan_out(self, updates=(), drop=(), pin=(), place=()) -> dict:
+        """Change what the workers hold resident -- the one place the
+        engine talks residency to its two transports.
 
-        Returns ``{worker_id: shards placed}`` (empty when nothing was
-        placed) -- recorded on the registry entry for observability.
+        ``updates`` are ``(old_fingerprint, delta, new_structure)``
+        migrations and ``drop`` fingerprints to forget, for both: the
+        pool applies them in every worker, the cluster on the holders
+        (a no-op for a fingerprint it never placed).  ``pin`` is what
+        every pool worker makes resident (a whole structure and its
+        shards), ``place`` what the cluster spreads over its holders
+        (the shards: cluster jobs are per shard), returning
+        ``{worker_id: shards placed}``.  An unreachable cluster is
+        logged and skipped: counts degrade to the pool, which by then
+        holds the change.
         """
-        if self.cluster is None or not shards:
+        if updates:
+            self.pool.apply_delta(updates)
+        if drop:
+            self.pool.unpin_structures(drop)
+        if pin:
+            self.pool.pin_structures(pin)
+        if self.cluster is None:
             return {}
         from repro.cluster.coordinator import ClusterUnavailable
 
         try:
-            return self.cluster.place_structures(shards)
+            if updates:
+                self.cluster.apply_delta(updates)
+            if drop:
+                self.cluster.unplace(drop)
+            if place:
+                return self.cluster.place_structures(place)
         except ClusterUnavailable as exc:
             _log.warning(
-                "cluster placement skipped",
+                "cluster residency fan-out skipped",
                 extra={"error": str(exc)},
             )
-            return {}
-
-    def _cluster_unplace(self, fingerprints) -> None:
-        if self.cluster is None or not fingerprints:
-            return
-        from repro.cluster.coordinator import ClusterUnavailable
-
-        try:
-            self.cluster.unplace(fingerprints)
-        except ClusterUnavailable:
-            pass  # nothing live to notify; placement state died with it
+        return {}
 
     def register_structure(
         self,
@@ -540,20 +496,13 @@ class Engine:
                 # workers' guarantee (the LRU may still keep it warm).
                 for fingerprint in keep:
                     drop[fingerprint] = True
-        drop = {f: True for f in drop if not (pin and f in keep)}
-        if drop:
-            self.pool.unpin_structures(tuple(drop))
-            self._cluster_unplace(tuple(drop))
-        if pin:
-            self.pool.pin_structures(
-                (structure,) + sharded.non_empty_shards()
-            )
-            # The cluster-wide generalization of the pin broadcast:
-            # each shard becomes resident on `replication` workers, and
-            # count_sharded on this ref routes to those holders.
-            entry.placements = self._cluster_place(
-                sharded.non_empty_shards()
-            )
+        shards = sharded.non_empty_shards() if pin else ()
+        # count_sharded on this ref routes to the holders placed here.
+        entry.placements = self._fan_out(
+            drop=tuple(f for f in drop if not (pin and f in keep)),
+            pin=(structure,) + shards if pin else (),
+            place=shards,
+        )
         return entry
 
     def apply_delta(
@@ -573,9 +522,10 @@ class Engine:
         * the shard plan routes each delta tuple to the shard owning
           its component; a component *merge* falls back to re-sharding
           the post-delta structure;
-        * pinned worker contexts receive an ``O(|delta|)`` fan-out
-          broadcast and migrate in place (index, memos, and encoding
-          kept) instead of being unpinned and rebuilt.
+        * resident worker contexts -- pinned in the pool, placed in an
+          attached cluster -- receive an ``O(|delta|)`` fan-out and
+          migrate in place (memos and encoding kept) instead of being
+          dropped and rebuilt.
 
         ``expect_version`` enables optimistic concurrency: when given
         and not equal to the live entry's version the delta is rejected
@@ -659,16 +609,16 @@ class Engine:
         delta,
         routed,
     ) -> None:
-        """Reconcile the worker pool's resident contexts across a delta.
+        """Reconcile the workers' resident contexts across a delta.
 
         On the routed path the whole structure and every touched
-        non-empty shard migrate via one ``O(|delta|)`` broadcast;
-        shards going from empty to non-empty are pinned fresh (there is
-        nothing resident to migrate).  On the re-shard fallback only
-        the whole structure migrates -- the old partition's shard
-        fingerprints are unpinned and the new partition's shards pinned
-        like a registration.  Universe growth means no shard ever goes
-        back to empty, so the routed path never unpins.
+        non-empty shard migrate in ``O(|delta|)``; shards going from
+        empty to non-empty are placed fresh (there is nothing resident
+        to migrate).  On the re-shard fallback only the whole structure
+        migrates -- the old partition's shard fingerprints are dropped
+        and the new partition's shards placed like a registration.
+        Universe growth means no shard ever goes back to empty, so the
+        routed path never drops.
         """
         updates = [(entry.fingerprint, delta, new_entry.structure)]
         fresh_pins: list[Structure] = []
@@ -689,30 +639,14 @@ class Engine:
                 for shard in entry.sharded.non_empty_shards()
             )
             fresh_pins.extend(new_entry.sharded.non_empty_shards())
-        self.pool.apply_delta(updates)
-        if stale_fingerprints:
-            self.pool.unpin_structures(stale_fingerprints)
-        if entry.pinned and fresh_pins:
-            self.pool.pin_structures(fresh_pins)
-        if self.cluster is not None:
-            from repro.cluster.coordinator import ClusterUnavailable
-
-            # Mirror the fan-out cluster-wide: placed shards migrate in
-            # O(|delta|) (their placements re-key to the post-delta
-            # fingerprints), the re-shard fallback re-places, and fresh
-            # non-empty shards place like a registration.  The whole-
-            # structure update is pool-only -- the cluster holds shards.
-            try:
-                self.cluster.apply_delta(updates[1:])
-                if stale_fingerprints:
-                    self.cluster.unplace(stale_fingerprints)
-                if entry.pinned and fresh_pins:
-                    self.cluster.place_structures(fresh_pins)
-            except ClusterUnavailable as exc:
-                _log.warning(
-                    "cluster delta fan-out skipped",
-                    extra={"error": str(exc)},
-                )
+        if not entry.pinned:
+            fresh_pins = []
+        self._fan_out(
+            updates=updates,
+            drop=stale_fingerprints,
+            pin=fresh_pins,
+            place=fresh_pins,
+        )
 
     def unregister_structure(self, name: str) -> bool:
         """Drop the registered structure ``name``; ``False`` if unknown.
@@ -724,7 +658,8 @@ class Engine:
         entry = self.registry.unregister(name)
         if entry is None:
             return False
-        self._forget_entry(entry)
+        self._fan_out(drop=self._entry_fingerprints(entry))
+        self.contexts.invalidate(entry.structure)
         return True
 
     def resolve_structure(self, structure: StructureRef) -> Structure:
@@ -743,12 +678,6 @@ class Engine:
                 for shard in entry.sharded.non_empty_shards()
             )
         return fingerprints
-
-    def _forget_entry(self, entry: RegistryEntry) -> None:
-        """Invalidate every trace of a retired registry entry."""
-        self.pool.unpin_structures(self._entry_fingerprints(entry))
-        self._cluster_unplace(self._entry_fingerprints(entry))
-        self.contexts.invalidate(entry.structure)
 
     def _context_for(self, plan: CountingPlan, structure: Structure):
         # The baseline kinds never consult a context; don't build (or
@@ -1079,10 +1008,7 @@ class Engine:
         fresh (cold) pool -- which is what lets serving layers release
         process resources without tearing the caches down.
         """
-        if terminate:
-            self.pool.terminate()
-        else:
-            self.pool.close()
+        self.pool.close(terminate)
 
     def __enter__(self) -> "Engine":
         return self

@@ -280,6 +280,13 @@ class ExecutionContext:
         return self._encoded_index
 
     @property
+    def built(self) -> bool:
+        """Whether the encoding exists yet (a materialization or a first
+        execution builds it), i.e. whether reusing this context saves
+        anything."""
+        return self._encoded is not None
+
+    @property
     def encoded_nbytes(self) -> int:
         """Approximate resident bytes of the encoding (0 when unbuilt)."""
         return self._encoded.nbytes if self._encoded is not None else 0

@@ -270,10 +270,7 @@ def _count_many_parallel(
                 # so the resident workers key their caches without
                 # rehashing (a throwaway pool can never hit anyway).
                 structure.fingerprint()
-            if budget is not None:
-                jobs.append((block, structure, use_context, budget))
-            else:
-                jobs.append((block, structure, use_context))
+            jobs.append((block, structure, use_context, budget))
             meta.append((j, start))
     block_results = _map_jobs(count_block_task, jobs, processes, pool)
     out: list[list[int]] = [[0] * len(structures) for _ in plans]
@@ -407,12 +404,13 @@ def _run_shards_cluster(
     The jobs ship no shard data at all -- placement at registration
     time already made each shard resident on its holders -- just the
     units and the ambient budget's remaining allowance.
-    Worker-recorded spans come back in each result and are
+    Worker-recorded spans come back in each result -- a failed job's
+    on its :class:`~repro.engine.pool.WorkerTaskError` -- and are
     re-parented into the caller's trace exactly like the local pool's.
     Raises :class:`~repro.cluster.coordinator.ClusterUnavailable` when
     the cluster cannot take the work (the caller degrades to the local
-    pool) and lets :class:`~repro.engine.pool.WorkerTaskError`
-    propagate for genuine task failures.
+    pool) and lets ``WorkerTaskError`` propagate for genuine task
+    failures.
     """
     budget = current_budget()
     jobs = [(program.units, shard.fingerprint()) for shard in shards]
@@ -422,7 +420,11 @@ def _run_shards_cluster(
         units=len(program.units),
         cluster=True,
     ):
-        results = cluster.run_units(jobs, budget=budget)
+        try:
+            results = cluster.run_units(jobs, budget=budget)
+        except WorkerTaskError as failure:
+            _trace.attach_foreign(failure.spans, suffix=f"[{failure.index}]")
+            raise
         values_by_shard: list[list] = []
         for index, (values, spans) in enumerate(results):
             _trace.attach_foreign(spans, suffix=f"[{index}]")
@@ -512,9 +514,7 @@ def execute_sharded(
         # Ship the ambient budget (remaining allowance) inside each job
         # so a budget- or deadline-exceeded shard aborts in its worker.
         budget = current_budget()
-        pool_jobs = (
-            [job + (budget,) for job in jobs] if budget is not None else jobs
-        )
+        pool_jobs = [job + (budget,) for job in jobs]
         try:
             with _trace.span(
                 "shard.fanout", shards=len(jobs), units=len(program.units)

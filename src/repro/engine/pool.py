@@ -1,50 +1,34 @@
-"""Long-lived worker pools with worker-resident execution-context caches.
+"""The fork-pool transport of the worker runtime.
 
-The parallel paths of :mod:`repro.engine.executor` used to create a
-throwaway :mod:`multiprocessing` pool per call and rebuild every
-:class:`~repro.engine.context.ExecutionContext` (positional index,
-boundary-relation memos) inside every job.  :class:`WorkerPool` replaces
-both halves of that waste:
+The parallel paths of :mod:`repro.engine.executor` run over a
+:class:`WorkerPool`: a :mod:`multiprocessing` pool created **once**
+(lazily, on first use) and kept -- an :class:`~repro.engine.api.Engine`
+holds one for its whole lifetime, so repeated ``count_many`` /
+``count_sharded`` calls pay the fork cost once.  What a worker holds
+between jobs is :class:`~repro.engine.resident.ResidentContexts`, the
+store a cluster worker also owns; the task functions here only carry
+jobs and residency changes to the worker's instance.  Jobs ship the
+(picklable) structure, so a cold worker can build the context itself,
+and report whether the resident context was reused
+(:attr:`WorkerPool.worker_context_hits` / ``worker_context_misses``).
 
-* the pool is created **once** (lazily, on first use) and reused across
-  calls -- an :class:`~repro.engine.api.Engine` keeps one for its whole
-  lifetime, so repeated ``count_many`` / ``count_sharded`` calls pay the
-  fork cost once;
-* every worker process holds a small **resident cache** of execution
-  contexts keyed by the cheap, process-stable
-  :meth:`~repro.structures.structure.Structure.fingerprint`, so a job
-  that lands on a worker that has already served the same data reuses
-  the built index and the memoized ∃-component boundary relations
-  instead of re-deriving them.
-
-Jobs still carry the (picklable) structure so a cold worker can build
-the context itself; the fingerprint is what turns "same data again"
-into a cache hit without relying on object identity across processes.
-Each task result reports whether the worker's context cache hit, which
-the pool aggregates into :attr:`WorkerPool.worker_context_hits` /
-``worker_context_misses`` -- the engine surfaces them as stats.
-
-On top of the incidental LRU residency there is **guaranteed**
-residency: :meth:`WorkerPool.pin_structures` broadcasts a build-and-pin
-task to *every* worker (synchronized through a barrier so no worker can
-serve two broadcast jobs), and pinned contexts live outside the LRU --
-they are never evicted by capacity pressure and survive until
-explicitly unpinned.  The pin set is also recorded parent-side, so a
-pool that is closed and lazily restarted re-pins everything in its
-worker initializer.  This is what makes a registered structure's
-residency a contract instead of a cache heuristic: see
-:mod:`repro.engine.registry`.
+**Guaranteed** residency is a broadcast: ``pin_structures`` /
+``unpin_structures`` / ``apply_delta`` record the change in the
+parent-side pin set, then run :func:`resident_task` once on *every*
+live worker (a barrier keeps any worker from serving two).  A worker
+process that starts later -- a respawn after a death, or a pool closed
+and lazily restarted -- builds the pin set, as it is by then, in its
+initializer.  That is what makes a registered structure's residency a
+contract instead of a cache heuristic: see :mod:`repro.engine.registry`.
 
 Error handling is split in two, which is what lets genuine counting
 bugs propagate instead of being masked by the sequential fallback:
-
-* exceptions raised *inside* a worker task are wrapped in a
-  ``_TaskFailure`` sentinel and re-raised parent-side as
-  :class:`WorkerTaskError` (carrying the original exception);
-* pool-*setup* problems (no subprocess support, unpicklable jobs) raise
-  their native ``ImportError`` / ``OSError`` / pickling errors from
-  ``map`` itself, which the executor treats as "fall back to the
-  sequential path".
+an exception raised *inside* a worker task comes back as a
+:class:`~repro.engine.resident.TaskFailure` value and is re-raised
+parent-side as :class:`WorkerTaskError`; a pool-*setup* problem (no
+subprocess support, unpicklable jobs) raises its native ``ImportError``
+/ ``OSError`` / pickling error from ``map`` itself, which the executor
+treats as "fall back to the sequential path".
 """
 
 from __future__ import annotations
@@ -52,20 +36,21 @@ from __future__ import annotations
 import gc
 import os
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from repro.engine.resident import (
+    ResidentContexts,
+    TaskFailure,
+    TaskOk,
+    picklable_exception,
+)
 from repro.exceptions import ReproError
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 from repro.structures.structure import Structure
 
 _log = get_logger("engine.pool")
-
-#: Default number of execution contexts each worker keeps resident.
-DEFAULT_WORKER_CONTEXT_CAPACITY = 8
 
 
 def default_process_count() -> int:
@@ -74,65 +59,24 @@ def default_process_count() -> int:
 
 
 class WorkerTaskError(ReproError):
-    """An exception escaped a task running inside a pool worker.
+    """An exception escaped a task running inside a worker.
 
     ``original`` is the worker's exception (unpickled parent-side); the
     executor re-raises it to the caller, so a ``ValueError`` raised in a
     worker surfaces as a ``ValueError``, never as a silent sequential
-    re-run.
+    re-run.  ``spans`` are the failed job's worker-recorded spans when
+    the raiser could not attach them to the caller's trace itself (the
+    cluster coordinator, on its loop thread), ``index`` the job's
+    position in the fan-out.
     """
 
-    def __init__(self, original: BaseException):
+    def __init__(self, original: BaseException, spans=None, index: int = 0):
         self.original = original
+        self.spans = spans
+        self.index = index
         super().__init__(
             f"pool worker raised {type(original).__name__}: {original}"
         )
-
-
-@dataclass
-class _TaskOk:
-    """A successful worker result.
-
-    ``context_hit`` is ``True``/``False`` when the task consulted the
-    worker-resident context cache, ``None`` when it needed no context.
-    ``spans`` carries the worker-recorded trace spans (serialized
-    dicts) when tracing was on in the worker, else ``None``; the
-    parent re-parents them into the caller's trace.
-    """
-
-    value: object
-    context_hit: bool | None = None
-    spans: list | None = None
-
-
-@dataclass
-class _TaskFailure:
-    """Sentinel carrying an exception raised inside a worker task.
-
-    ``spans`` still carries the worker's recorded trace up to (and
-    including) the failure, so a worker exception produces a complete,
-    error-annotated trace instead of a truncated one.
-    """
-
-    exception: BaseException
-    spans: list | None = None
-
-
-def picklable_exception(exc: BaseException) -> BaseException:
-    """``exc`` itself when it can cross a process or wire boundary,
-    else a faithful :class:`ReproError` description of it (so a worker
-    failure never crashes the result channel)."""
-    import pickle
-
-    try:
-        pickle.dumps(exc)
-    except Exception:
-        return ReproError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _wrap_failure(exc: BaseException) -> _TaskFailure:
-    return _TaskFailure(picklable_exception(exc))
 
 
 @contextmanager
@@ -160,30 +104,28 @@ def collector_paused():
 # ----------------------------------------------------------------------
 # Worker-side resident state
 # ----------------------------------------------------------------------
-_worker_contexts: OrderedDict | None = None
-_worker_capacity: int = DEFAULT_WORKER_CONTEXT_CAPACITY
-#: Pinned contexts, outside the LRU: fingerprint -> ExecutionContext.
-_worker_pinned: dict | None = None
+#: This process's resident contexts: a fresh store in every pool worker
+#: (:func:`_init_worker`), a cold one for tasks called in-process.
+_resident = ResidentContexts()
 
 
-def _init_worker(capacity: int, pinned: tuple[Structure, ...] = ()) -> None:
-    """Pool initializer: empty LRU plus eagerly built pinned contexts.
+def _pin(structures) -> int:
+    """Place ``structures`` and *materialize* their contexts now, off
+    the request path, so the first count after a pin starts warm."""
+    contexts = _resident.place(structures)
+    for context in contexts:
+        context.materialize()
+    return len(contexts)
 
-    ``pinned`` is the parent-side pin set at pool (re)creation time, so
-    a pool that was closed and lazily restarted comes back with every
-    registered structure's context already materialized -- pinning
-    survives pool restarts, not just individual calls.
-    """
-    global _worker_contexts, _worker_capacity, _worker_pinned
-    from repro.engine.context import ExecutionContext
 
-    _worker_contexts = OrderedDict()
-    _worker_capacity = max(1, capacity)
-    _worker_pinned = {}
+def _init_worker(pinned: Mapping[tuple, Structure]) -> None:
+    """Pool initializer: a fresh store with ``pinned`` -- the parent's
+    pin set as it is when *this* worker starts, see
+    :meth:`WorkerPool._ensure_pool` -- built eagerly."""
+    global _resident
+    _resident = ResidentContexts()
     with collector_paused():
-        for structure in pinned:
-            context = ExecutionContext(structure).materialize()
-            _worker_pinned[structure.fingerprint()] = context
+        _pin(pinned.values())
         # The heap inherited across the fork and the pinned contexts
         # both live as long as this worker: park them outside the
         # collector's generations, so no later collection traverses
@@ -191,38 +133,8 @@ def _init_worker(capacity: int, pinned: tuple[Structure, ...] = ()) -> None:
         gc.freeze()
 
 
-def _resident_context(structure: Structure):
-    """``(context, hit)`` from this worker's fingerprint-keyed caches.
-
-    Pinned contexts are consulted first; they never count against (or
-    get evicted by) the LRU capacity.
-    """
-    global _worker_contexts, _worker_pinned
-    from repro.engine.context import ExecutionContext
-
-    if _worker_contexts is None:
-        # Running without the initializer (e.g. the in-process tests
-        # call the task functions directly): behave as a cold cache.
-        _worker_contexts = OrderedDict()
-    if _worker_pinned is None:
-        _worker_pinned = {}
-    key = structure.fingerprint()
-    context = _worker_pinned.get(key)
-    if context is not None:
-        return context, True
-    context = _worker_contexts.get(key)
-    if context is not None:
-        _worker_contexts.move_to_end(key)
-        return context, True
-    context = ExecutionContext(structure)
-    _worker_contexts[key] = context
-    while len(_worker_contexts) > _worker_capacity:
-        _worker_contexts.popitem(last=False)
-    return context, False
-
-
 # ----------------------------------------------------------------------
-# Broadcast tasks (one execution per worker, barrier-synchronized)
+# The broadcast task (one execution per worker, barrier-synchronized)
 # ----------------------------------------------------------------------
 def _await_broadcast_barrier(barrier, timeout: float) -> None:
     """Hold this worker at the barrier until every worker has a job.
@@ -248,185 +160,70 @@ def _await_broadcast_barrier(barrier, timeout: float) -> None:
         )
 
 
-def pin_structures_task(job) -> _TaskOk | _TaskFailure:
-    """Build and pin the contexts of ``structures`` in this worker.
+def resident_task(job) -> TaskOk | TaskFailure:
+    """Apply one residency change to this worker's store.
 
-    ``job = (structures, barrier, timeout)``.  Pinning is idempotent;
-    an existing LRU entry for the same fingerprint is promoted instead
-    of being rebuilt.  Contexts are *materialized* (positional index
-    built eagerly), so the first post-pin count starts warm.
+    ``job = ((method, args), barrier, timeout)`` names :func:`_pin` or
+    a :class:`~repro.engine.resident.ResidentContexts` method (``drop``,
+    ``apply_delta``, ``placed_fingerprints``); the value is what it
+    returns.
     """
-    structures, barrier, timeout = job
-    try:
-        from repro.engine.context import ExecutionContext
-
-        global _worker_contexts, _worker_pinned
-        if _worker_pinned is None:
-            _worker_pinned = {}
-        _await_broadcast_barrier(barrier, timeout)
-        pinned = 0
-        for structure in structures:
-            key = structure.fingerprint()
-            context = _worker_pinned.get(key)
-            if context is None and _worker_contexts is not None:
-                context = _worker_contexts.pop(key, None)
-            if context is None:
-                context = ExecutionContext(structure)
-            context.materialize()
-            _worker_pinned[key] = context
-            pinned += 1
-        return _TaskOk(pinned)
-    except Exception as exc:
-        return _wrap_failure(exc)
-
-
-def unpin_structures_task(job) -> _TaskOk | _TaskFailure:
-    """Drop pinned *and* LRU contexts for ``fingerprints`` in this worker.
-
-    ``job = (fingerprints, barrier, timeout)``.  Used on unregister and
-    on re-registration under the same name with different data, so a
-    stale context can never serve a fingerprint that no longer matches
-    anything the parent will ship.
-    """
-    fingerprints, barrier, timeout = job
-    try:
-        global _worker_contexts, _worker_pinned
-        _await_broadcast_barrier(barrier, timeout)
-        dropped = 0
-        for key in fingerprints:
-            if _worker_pinned is not None and _worker_pinned.pop(key, None):
-                dropped += 1
-            if _worker_contexts is not None and _worker_contexts.pop(key, None):
-                dropped += 1
-        return _TaskOk(dropped)
-    except Exception as exc:
-        return _wrap_failure(exc)
-
-
-def apply_delta_task(job) -> _TaskOk | _TaskFailure:
-    """Migrate this worker's resident contexts across a structure delta.
-
-    ``job = (updates, barrier, timeout)`` with ``updates`` a tuple of
-    ``(old_fingerprint, delta, new_fingerprint)`` triples -- the whole
-    structure's delta plus one routed sub-delta per touched shard.  A
-    resident context keyed by ``old_fingerprint`` (pinned or LRU) is
-    re-keyed to its :meth:`~repro.engine.context.ExecutionContext.
-    apply_delta` migration, so the worker keeps its warm index, memos,
-    and encoding instead of being unpinned and rebuilt; the shipped
-    bytes are ``O(|delta|)``, never the structure.  A worker without
-    the old fingerprint simply skips the pair (the next job shipping
-    the post-delta structure rebuilds on demand), and a migration whose
-    chained fingerprint does not match the parent's expectation is
-    dropped rather than ever serving drifted data.
-    """
-    updates, barrier, timeout = job
-    try:
-        global _worker_contexts, _worker_pinned
-        _await_broadcast_barrier(barrier, timeout)
-        applied = 0
-        for old_fingerprint, delta, new_fingerprint in updates:
-            context = None
-            pinned = False
-            if _worker_pinned is not None and old_fingerprint in _worker_pinned:
-                context = _worker_pinned.pop(old_fingerprint)
-                pinned = True
-            elif _worker_contexts is not None:
-                context = _worker_contexts.pop(old_fingerprint, None)
-            if context is None:
-                continue
-            migrated = context.apply_delta(delta)
-            if migrated.structure.fingerprint() != new_fingerprint:
-                continue
-            if pinned:
-                _worker_pinned[new_fingerprint] = migrated
-            else:
-                assert _worker_contexts is not None
-                _worker_contexts[new_fingerprint] = migrated
-            applied += 1
-        return _TaskOk(applied)
-    except Exception as exc:
-        return _wrap_failure(exc)
-
-
-def pinned_fingerprints_task(job) -> _TaskOk | _TaskFailure:
-    """Introspection: this worker's pinned fingerprint keys.
-
-    ``job = ((), barrier, timeout)``; used by tests and diagnostics to
-    observe the per-worker pin state.
-    """
-    _, barrier, timeout = job
+    (method, args), barrier, timeout = job
     try:
         _await_broadcast_barrier(barrier, timeout)
-        return _TaskOk(tuple(_worker_pinned or ()))
+        change = _pin if method == "pin" else getattr(_resident, method)
+        return TaskOk(change(*args))
     except Exception as exc:
-        return _wrap_failure(exc)
+        return TaskFailure(picklable_exception(exc))
 
 
 # ----------------------------------------------------------------------
-# The task functions shipped to workers
+# The job tasks shipped to workers
 # ----------------------------------------------------------------------
-def count_block_task(job) -> _TaskOk | _TaskFailure:
+def count_block_task(job) -> TaskOk | TaskFailure:
     """Run a block of plans against one structure.
 
-    ``job = (plans, structure, use_context[, budget])``; with
+    ``job = (plans, structure, use_context, budget)``; with
     ``use_context`` the block shares one resident execution context
     (and the executions run against the resident context's structure,
     so index, memos, and data stay coherent on a fingerprint hit).
     ``budget`` is the caller's remaining :class:`~repro.budget.
-    CostBudget` (shipped by value); it is installed around the block so
-    budget- and deadline-exceeded counts abort *inside* the worker, and
-    the resulting :class:`~repro.exceptions.BudgetExceeded` travels
-    back through the normal failure channel.
+    CostBudget` or ``None``, installed around the block so budget- and
+    deadline-exceeded counts abort *inside* the worker.
     """
-    plans, structure, use_context, *rest = job
-    budget = rest[0] if rest else None
-    cap = _trace.capture("count.block", plans=len(job[0]))
-    try:
-        with cap:
-            from repro.budget import budget_scope
-            from repro.engine.executor import execute
+    plans, structure, use_context, budget = job
 
-            context = None
-            hit: bool | None = None
-            if use_context:
-                context, hit = _resident_context(structure)
-                structure = context.structure
-            cap.root.set("context_hit", hit)
-            with budget_scope(budget):
-                values = [execute(plan, structure, context) for plan in plans]
-        return _TaskOk(values, hit, cap.spans)
-    except Exception as exc:
-        failure = _wrap_failure(exc)
-        failure.spans = cap.spans
-        return failure
+    def run(context):
+        from repro.engine.executor import execute
+
+        target = structure if context is None else context.structure
+        return [execute(plan, target, context) for plan in plans]
+
+    return _resident.execute(
+        run,
+        structure if use_context else None,
+        budget,
+        "count.block",
+        plans=len(plans),
+    )
 
 
-def shard_task(job) -> _TaskOk | _TaskFailure:
+def shard_task(job) -> TaskOk | TaskFailure:
     """Evaluate every shard unit on one shard through one resident context.
 
-    ``job = (units, shard[, budget])``: the sharded executor's per-shard
+    ``job = (units, shard, budget)``: the sharded executor's per-shard
     work, with the context (index + boundary memos) resident across
     calls, so a repeated ``count_sharded`` on the same data re-executes
-    against warm memos instead of rebuilding them.  ``budget`` (the
-    caller's remaining allowance, shipped by value) is installed around
-    the units as in :func:`count_block_task`.
+    against warm memos instead of rebuilding them.
     """
-    units, shard, *rest = job
-    budget = rest[0] if rest else None
-    cap = _trace.capture("shard.execute", units=len(job[0]))
-    try:
-        with cap:
-            from repro.budget import budget_scope
-
-            context, hit = _resident_context(shard)
-            cap.root.set("context_hit", hit)
-            with budget_scope(budget):
-                out = context.run_units(units)
-        return _TaskOk(out, hit, cap.spans)
-    except Exception as exc:
-        failure = _wrap_failure(exc)
-        failure.spans = cap.spans
-        return failure
+    units, shard, budget = job
+    return _resident.execute(
+        lambda context: context.run_units(units),
+        shard,
+        budget,
+        "shard.execute",
+        units=len(units),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -435,14 +232,8 @@ def shard_task(job) -> _TaskOk | _TaskFailure:
 class WorkerPool:
     """A reusable multiprocessing pool with warm worker-side caches.
 
-    Parameters
-    ----------
-    processes:
-        Pool size (default: one worker per CPU).
-    context_capacity:
-        How many execution contexts each worker keeps resident.
-
-    The underlying :mod:`multiprocessing` pool is created lazily on the
+    ``processes`` is the pool size (default: one worker per CPU).  The
+    underlying :mod:`multiprocessing` pool is created lazily on the
     first :meth:`map`, so constructing a ``WorkerPool`` (an
     :class:`~repro.engine.api.Engine` does it eagerly) costs nothing
     until a parallel path actually runs.  Usable as a context manager;
@@ -457,22 +248,16 @@ class WorkerPool:
     #: broadcast is declared wedged (a worker died holding a job).
     BROADCAST_RESULT_GRACE = 15.0
 
-    def __init__(
-        self,
-        processes: int | None = None,
-        context_capacity: int = DEFAULT_WORKER_CONTEXT_CAPACITY,
-    ):
+    def __init__(self, processes: int | None = None):
         if processes is not None and processes < 1:
             raise ReproError("worker pool needs at least one process")
         self.processes = processes or default_process_count()
-        self.context_capacity = context_capacity
         self._pool = None
         self._manager = None
         self._lock = threading.Lock()
-        self._pinned: OrderedDict[tuple, Structure] = OrderedDict()
+        self._pinned: dict[tuple, Structure] = {}
         self.worker_context_hits = 0
         self.worker_context_misses = 0
-        self.pin_broadcasts = 0
         self.broadcast_timeouts = 0
 
     # ------------------------------------------------------------------
@@ -488,13 +273,14 @@ class WorkerPool:
                     mp_context = multiprocessing.get_context("fork")
                 except ValueError:  # pragma: no cover - non-POSIX hosts
                     mp_context = multiprocessing.get_context()
+                # The initializer gets the live pin set itself: the
+                # pool reuses these initargs for every respawn, and a
+                # forked worker reads the dict as it is at that moment
+                # (the non-fork fallback pickles it at process start).
                 self._pool = mp_context.Pool(
                     processes=self.processes,
                     initializer=_init_worker,
-                    initargs=(
-                        self.context_capacity,
-                        tuple(self._pinned.values()),
-                    ),
+                    initargs=(self._pinned,),
                 )
             return self._pool
 
@@ -534,13 +320,16 @@ class WorkerPool:
         the first failure is raised, so an exceptional trace is still
         complete.
         """
-        raw = self._ensure_pool().map(task, list(jobs))
+        return self._unwrap(self._ensure_pool().map(task, list(jobs)))
+
+    def _unwrap(self, raw) -> list:
+        """Task results to values (see :meth:`map`)."""
         values = []
         hits = misses = 0
-        failure: _TaskFailure | None = None
+        failure: TaskFailure | None = None
         for index, item in enumerate(raw):
             _trace.attach_foreign(item.spans, suffix=f"[{index}]")
-            if isinstance(item, _TaskFailure):
+            if isinstance(item, TaskFailure):
                 if failure is None:
                     failure = item
                 continue
@@ -579,10 +368,10 @@ class WorkerPool:
         BROADCAST_RESULT_GRACE``; on timeout it logs which worker pids
         died, bumps :attr:`broadcast_timeouts`, and **restarts the
         pool** (:meth:`terminate`) instead of deadlocking.  Returning
-        ``[]`` (zero confirmations) is sound for every broadcast task:
-        pins, unpins, and delta re-keys are all recorded parent-side
-        first, and the restarted pool's initializer rebuilds exactly
-        that state.
+        ``[]`` (zero confirmations) is sound for every residency
+        change: pins, unpins, and delta re-keys are all recorded
+        parent-side first, and the restarted pool's initializer
+        rebuilds exactly that state.
         """
         import multiprocessing
 
@@ -606,12 +395,7 @@ class WorkerPool:
             )
             self.terminate()
             return []
-        values = []
-        for item in raw:
-            if isinstance(item, _TaskFailure):
-                raise WorkerTaskError(item.exception)
-            values.append(item.value)
-        return values
+        return self._unwrap(raw)
 
     def _worker_pids(self) -> list[int]:
         """Current worker pids (best-effort dead-worker diagnostics)."""
@@ -627,87 +411,65 @@ class WorkerPool:
         except Exception:  # pragma: no cover - interpreter variations
             return []
 
-    def pin_structures(self, structures: Sequence[Structure]) -> int:
-        """Pin ``structures`` resident in every worker (and future ones).
+    def _broadcast_residency(self, method: str, *args) -> list:
+        """Send one residency change, already recorded in the pin set
+        that future workers build from, to every live worker; a pool
+        that has not started gets nothing more (``[]``: the change
+        holds, deferred to start-up)."""
+        if not self.started:
+            return []
+        return self.broadcast(resident_task, (method, args))
 
-        The pin set is recorded parent-side first, so workers forked
-        later (a lazily restarted pool) rebuild it in their
-        initializer; a live pool additionally gets a broadcast that
-        builds and materializes the contexts right now.  Returns the
-        number of live workers that confirmed the pin (0 when the pool
-        has not started -- the pin still holds, deferred to start-up).
-        """
+    def pin_structures(self, structures: Sequence[Structure]) -> int:
+        """Pin ``structures`` resident in every worker (and future
+        ones); live workers build and materialize the contexts right
+        now.  Returns the number of live workers that confirmed."""
         structures = tuple(structures)
         with self._lock:
             for structure in structures:
                 self._pinned[structure.fingerprint()] = structure
-        if not self.started:
-            return 0
-        confirmations = self.broadcast(pin_structures_task, structures)
-        with self._lock:
-            self.pin_broadcasts += 1
-        return len(confirmations)
+        return len(self._broadcast_residency("pin", structures))
 
     def unpin_structures(self, fingerprints: Sequence[tuple]) -> int:
-        """Drop pinned fingerprints parent-side and in every live worker.
-
-        Also evicts matching entries from the workers' LRU caches, so a
-        re-registration under the same name with different data can
-        never be served by a stale context.
-        """
+        """Drop ``fingerprints`` from the pin set and from both tiers
+        of every live worker, so a re-registration under the same name
+        with different data can never be served by a stale context."""
         fingerprints = tuple(fingerprints)
         with self._lock:
             for fingerprint in fingerprints:
                 self._pinned.pop(fingerprint, None)
-        if not self.started:
-            return 0
-        confirmations = self.broadcast(unpin_structures_task, fingerprints)
-        with self._lock:
-            self.pin_broadcasts += 1
-        return len(confirmations)
+        return len(self._broadcast_residency("drop", fingerprints))
 
     def apply_delta(self, updates) -> int:
         """Fan a structure delta out to every worker's resident contexts.
 
         ``updates`` is a sequence of ``(old_fingerprint, delta,
         new_structure)`` triples -- the whole structure plus each
-        touched shard.  The parent-side pin set is re-keyed first (so a
-        lazily restarted pool rebuilds the *post-delta* versions in its
-        initializer), then a broadcast ships the ``O(|delta|)``
-        migration instructions to every live worker; pinned contexts
-        migrate in place of being unpinned and rebuilt.  Returns the
-        total number of worker-side context migrations (0 when the
-        pool has not started -- the re-keyed pin set still holds).
+        touched shard.  The pin set is re-keyed to the *post-delta*
+        versions, and live workers receive only ``(old_fingerprint,
+        delta, new_fingerprint)`` -- ``O(|delta|)`` bytes -- and migrate
+        in place of being unpinned and rebuilt.  Returns the total
+        number of worker-side context migrations.
         """
         updates = tuple(updates)
-        if not updates:
-            return 0
         with self._lock:
             for old_fingerprint, _, new_structure in updates:
-                if old_fingerprint in self._pinned:
-                    self._pinned.pop(old_fingerprint)
+                if self._pinned.pop(old_fingerprint, None) is not None:
                     self._pinned[new_structure.fingerprint()] = new_structure
-        if not self.started:
-            return 0
         payload = tuple(
             (old_fingerprint, delta, new_structure.fingerprint())
             for old_fingerprint, delta, new_structure in updates
         )
-        confirmations = self.broadcast(apply_delta_task, payload)
-        with self._lock:
-            self.pin_broadcasts += 1
-        return sum(confirmations)
+        return sum(self._broadcast_residency("apply_delta", payload))
 
     def pinned_fingerprints(self) -> tuple[tuple, ...]:
-        """The parent-side pin set (what a restarted pool would rebuild)."""
+        """The parent-side pin set (what a new worker would build)."""
         with self._lock:
             return tuple(self._pinned)
 
     def worker_pinned_fingerprints(self) -> list[tuple[tuple, ...]]:
         """Per-worker pinned fingerprints, observed live (diagnostics)."""
-        if not self.started:
-            return []
-        return self.broadcast(pinned_fingerprints_task, ())
+        return self._broadcast_residency("placed_fingerprints")
 
     # ------------------------------------------------------------------
     # Statistics
@@ -730,8 +492,9 @@ class WorkerPool:
             self.worker_context_misses = 0
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the current workers down.
+    def close(self, terminate: bool = False) -> None:
+        """Shut the current workers down (``terminate``: kill them
+        instead of letting queued jobs finish).
 
         The ``WorkerPool`` object stays usable: a later :meth:`map`
         starts a fresh set of workers -- cold caches, but with every
@@ -742,21 +505,17 @@ class WorkerPool:
             pool, self._pool = self._pool, None
             manager, self._manager = self._manager, None
         if pool is not None:
-            pool.close()
+            if terminate:
+                pool.terminate()
+            else:
+                pool.close()
             pool.join()
         if manager is not None:
             manager.shutdown()
 
     def terminate(self) -> None:
         """Kill the workers immediately."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            manager, self._manager = self._manager, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        if manager is not None:
-            manager.shutdown()
+        self.close(terminate=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

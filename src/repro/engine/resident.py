@@ -1,0 +1,216 @@
+"""Worker-resident execution contexts: the one worker runtime.
+
+A shard worker holds an :class:`~repro.engine.context.ExecutionContext`
+per resident structure, migrates it when a delta advances the
+structure, and runs work against it.  :class:`ResidentContexts` is that
+bookkeeping, with no transport in it: a fork-pool worker
+(:mod:`repro.engine.pool`) drives one instance from pool tasks, a
+cluster worker (:mod:`repro.cluster.worker`) drives one from wire
+frames.  Two tiers, both keyed by the process-stable
+:meth:`~repro.structures.structure.Structure.fingerprint`:
+
+* **placed** contexts are a contract -- pinned by a registration or
+  placed by the coordinator, exempt from eviction, gone only when
+  dropped;
+* the **LRU** tier is a heuristic -- a job shipping a structure the
+  worker does not hold builds its context there, so the same data
+  again is a hit, and capacity pressure evicts the coldest.
+"""
+
+from __future__ import annotations
+
+import pickle
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+
+from repro.budget import budget_scope
+from repro.engine.context import ExecutionContext
+from repro.exceptions import ReproError
+from repro.obs import trace as _trace
+from repro.structures.structure import Structure
+
+#: How many contexts the LRU tier keeps (placed contexts do not count).
+LRU_CAPACITY = 8
+
+
+class NotResident(ReproError):
+    """A bare fingerprint was looked up that this worker does not hold:
+    a routing miss, never a counting error."""
+
+
+@dataclass
+class TaskOk:
+    """A successful worker result.
+
+    ``context_hit`` is ``True``/``False`` when the task consulted the
+    resident contexts, ``None`` when it needed no context.  ``spans``
+    carries the worker-recorded trace spans (serialized dicts) when
+    tracing was on in the worker, else ``None``; the parent re-parents
+    them into the caller's trace.
+    """
+
+    value: object
+    context_hit: bool | None = None
+    spans: list | None = None
+
+
+@dataclass
+class TaskFailure:
+    """An exception raised inside a worker task, as a value.
+
+    ``spans`` still carries the worker's recorded trace up to (and
+    including) the failure, so a worker exception produces a complete,
+    error-annotated trace instead of a truncated one.
+    """
+
+    exception: BaseException
+    spans: list | None = None
+
+
+def picklable_exception(exc: BaseException) -> BaseException:
+    """``exc`` itself when it can cross a process or wire boundary,
+    else a faithful :class:`ReproError` description of it (so a worker
+    failure never crashes the result channel)."""
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        return ReproError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+class ResidentContexts:
+    """The placed and LRU tiers of one worker's execution contexts.
+
+    A context carries its structure, so no tier stores structures
+    separately.  The lock is for the cluster worker, whose job threads
+    look contexts up while its event-loop thread places and migrates;
+    the work itself runs outside it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._placed: dict[tuple, ExecutionContext] = {}
+        self._lru: OrderedDict[tuple, ExecutionContext] = OrderedDict()
+
+    def place(self, structures) -> list[ExecutionContext]:
+        """Make ``structures`` resident until dropped; returns their
+        contexts, in order.
+
+        Idempotent, and an LRU entry is promoted with everything it has
+        built.  New contexts are *unbuilt*: a caller that wants the
+        encoding and index paid now (the pool's pin, off the request
+        path) calls ``materialize()`` on what it gets back.
+        """
+        contexts = []
+        with self._lock:
+            for structure in structures:
+                fingerprint = structure.fingerprint()
+                context = self._placed.get(fingerprint)
+                if context is None:
+                    context = self._lru.pop(fingerprint, None)
+                if context is None:
+                    context = ExecutionContext(structure)
+                self._placed[fingerprint] = context
+                contexts.append(context)
+        return contexts
+
+    def drop(self, fingerprints) -> int:
+        """Forget ``fingerprints`` in both tiers (so nothing stale can
+        serve a fingerprint the parent retired); returns how many
+        contexts went."""
+        dropped = 0
+        with self._lock:
+            for fingerprint in fingerprints:
+                for tier in (self._placed, self._lru):
+                    if tier.pop(fingerprint, None) is not None:
+                        dropped += 1
+        return dropped
+
+    def apply_delta(self, updates) -> int:
+        """Migrate resident contexts across a structure delta.
+
+        ``updates`` holds ``(old_fingerprint, delta, new_fingerprint)``
+        triples, ``O(|delta|)`` bytes each.  A context resident under
+        the old fingerprint moves, within its tier, to its
+        :meth:`~repro.engine.context.ExecutionContext.apply_delta`
+        migration (encoding and untouched memos kept); one this worker
+        does not hold is skipped.  A migration whose chained
+        fingerprint is not the expected one is dropped, never served:
+        the next job or place re-ships the truth.  Returns the number
+        of contexts migrated.
+        """
+        applied = 0
+        with self._lock:
+            for old_fingerprint, delta, new_fingerprint in updates:
+                tier = (
+                    self._placed
+                    if old_fingerprint in self._placed
+                    else self._lru
+                )
+                context = tier.pop(old_fingerprint, None)
+                if context is None:
+                    continue
+                migrated = context.apply_delta(delta)
+                if migrated.structure.fingerprint() == new_fingerprint:
+                    tier[new_fingerprint] = migrated
+                    applied += 1
+        return applied
+
+    def lookup(self, key) -> tuple[ExecutionContext, bool]:
+        """``(context, hit)`` for a structure or a bare fingerprint.
+
+        ``hit`` means the job reuses built state: a placed context that
+        nothing has materialized or run against yet is still a miss.  A
+        :class:`~repro.structures.structure.Structure` the worker does
+        not hold gets a fresh context in the LRU tier; a bare
+        fingerprint it does not hold raises :class:`NotResident`.
+        """
+        shipped = isinstance(key, Structure)
+        fingerprint = key.fingerprint() if shipped else key
+        with self._lock:
+            context = self._placed.get(fingerprint)
+            if context is None:
+                context = self._lru.get(fingerprint)
+                if context is not None:
+                    self._lru.move_to_end(fingerprint)
+            if context is not None:
+                return context, context.built
+            if not shipped:
+                raise NotResident(f"{fingerprint!r} is not resident")
+            context = ExecutionContext(key)
+            self._lru[fingerprint] = context
+            while len(self._lru) > LRU_CAPACITY:
+                self._lru.popitem(last=False)
+            return context, False
+
+    def placed_fingerprints(self) -> tuple:
+        """The fingerprints of the placed tier (diagnostics)."""
+        with self._lock:
+            return tuple(self._placed)
+
+    def execute(
+        self, run, key, budget, span_name: str, **attrs
+    ) -> TaskOk | TaskFailure:
+        """One worker job: ``run(context)`` on the context for ``key``.
+
+        Opens a trace capture named ``span_name``, looks the context up
+        (``key=None``: the work needs none and ``run`` gets ``None``),
+        records ``context_hit`` on the span, and runs under ``budget``
+        -- the caller's remaining :class:`~repro.budget.CostBudget`,
+        shipped by value, so exhaustion aborts inside the worker.
+        Whatever is raised comes back as a :class:`TaskFailure`; the
+        recorded spans ride on both outcomes.
+        """
+        capture = _trace.capture(span_name, **attrs)
+        try:
+            with capture:
+                context, hit = (
+                    (None, None) if key is None else self.lookup(key)
+                )
+                capture.root.set("context_hit", hit)
+                with budget_scope(budget):
+                    value = run(context)
+            return TaskOk(value, hit, capture.spans)
+        except Exception as exc:
+            return TaskFailure(picklable_exception(exc), capture.spans)

@@ -115,3 +115,35 @@ def test_engine_stats_track_time_and_calls():
     assert stats.compile_seconds > 0
     assert stats.execute_seconds > 0
     assert stats.strategies == {"auto": 1}
+
+
+#: What ``/metrics`` and ``benchmarks/e2e/layers.py`` read; a key that
+#: goes missing here breaks them silently.
+ENGINE_STATS_KEYS = """
+    count_calls batch_calls sharded_calls plan_hits plan_misses
+    plan_hit_rate context_hits context_misses context_hit_rate
+    index_builds boundary_memo_hits boundary_memo_misses
+    semijoin_eliminations backtracking_eliminations worker_context_hits
+    worker_context_misses persist_hits persist_misses persist_stores
+    registry_hits registry_misses registry_registrations
+    registry_evictions encoded_resident_bytes delta_applies
+    memo_evictions context_invalidations classifications
+    policy_rejections budget_aborts compile_seconds execute_seconds
+    strategies verdicts
+""".split()
+
+
+def test_engine_stats_as_dict_has_exactly_the_published_keys():
+    engine = Engine()
+    structure = random_graph(5, 0.4, seed=4)
+    engine.count("E(x, y)", structure)
+    engine.count("E(x, y)", structure)
+    stats = engine.stats()
+    snapshot = stats.as_dict()
+    assert sorted(snapshot) == sorted(ENGINE_STATS_KEYS)
+    assert snapshot["plan_hit_rate"] == stats.plan_hit_rate == 0.5
+    assert snapshot["context_hit_rate"] == stats.context_hit_rate
+    # A snapshot, not a view: the dict counters are copies.
+    snapshot["strategies"]["auto"] = 99
+    assert stats.strategies == {"auto": 2}
+    assert not hasattr(stats, "index_hits")

@@ -21,7 +21,7 @@ import urllib.request
 import pytest
 
 from repro.engine.api import Engine
-from repro.engine import pool as pool_module
+from repro.engine.resident import ResidentContexts
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.obs.prom import (
@@ -203,12 +203,12 @@ def test_count_sharded_traces_one_worker_span_per_shard():
 
 
 def test_worker_exception_still_produces_error_annotated_trace(monkeypatch):
-    def explode(structure):
+    def explode(self, key):
         raise RuntimeError("worker blew up")
 
     # Patch before the pool forks so the workers inherit the broken
-    # resident-context path.
-    monkeypatch.setattr(pool_module, "_resident_context", explode)
+    # resident-context lookup.
+    monkeypatch.setattr(ResidentContexts, "lookup", explode)
     engine = Engine(processes=2)
     tracer = get_tracer()
     tracer.set_enabled(True)

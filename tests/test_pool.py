@@ -76,6 +76,13 @@ def test_worker_pool_rejects_nonpositive_processes():
         WorkerPool(processes=0)
 
 
+def test_worker_lru_capacity_is_not_an_option():
+    with pytest.raises(TypeError):
+        WorkerPool(context_capacity=8)
+    with pytest.raises(TypeError):
+        Engine(worker_context_cache_size=8)
+
+
 def test_engine_pool_is_lazy_until_parallel_call():
     with Engine() as engine:
         structure = random_graph(4, 0.5, seed=0)
@@ -108,7 +115,7 @@ def _collector_state_task(job):
 
     _, barrier, timeout = job
     pool_module._await_broadcast_barrier(barrier, timeout)
-    return pool_module._TaskOk((gc.isenabled(), gc.get_freeze_count()))
+    return pool_module.TaskOk((gc.isenabled(), gc.get_freeze_count()))
 
 
 def test_workers_start_collecting_with_the_resident_heap_frozen():
@@ -267,13 +274,13 @@ def _die_holding_broadcast_task(job):
     else:
         os.kill(os.getpid(), signal.SIGKILL)
     pool_module._await_broadcast_barrier(barrier, timeout)
-    return pool_module._TaskOk(True)
+    return pool_module.TaskOk(True)
 
 
 def test_broadcast_worker_death_times_out_instead_of_deadlocking(tmp_path):
     import time
 
-    from repro.engine.pool import pin_structures_task, pinned_fingerprints_task
+    from repro.engine.pool import resident_task
 
     graph = random_graph(10, 0.5, seed=3)
     with WorkerPool(processes=2) as pool:
@@ -296,8 +303,49 @@ def test_broadcast_worker_death_times_out_instead_of_deadlocking(tmp_path):
         assert elapsed < 30.0
         # The pool restarted and is fully usable: a fresh broadcast
         # reaches every worker, and the initializer rebuilt the pins.
-        rebuilt = pool.broadcast(pinned_fingerprints_task, None)
+        rebuilt = pool.broadcast(resident_task, ("placed_fingerprints", ()))
         assert len(rebuilt) == 2
         for worker_pins in rebuilt:
             assert graph.fingerprint() in worker_pins
-        assert pool.broadcast(pin_structures_task, (graph,)) == [1, 1]
+        assert pool.broadcast(resident_task, ("pin", ((graph,),))) == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# Pinning survives worker generations, not just pool restarts
+# ----------------------------------------------------------------------
+def _die_task(_):
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_respawned_worker_rebuilds_pins_made_after_the_pool_started():
+    import time
+
+    from repro.engine.pool import shard_task
+
+    graph = random_graph(10, 0.5, seed=3)
+    pool = WorkerPool(processes=2)
+    try:
+        pool.map(shard_task, [])  # fork with an empty pin set
+        pool.pin_structures([graph])  # pinned on the live pool
+        before = set(pool._worker_pids())
+        # Dying inside a job (not while idle) leaves the task queue's
+        # lock free, so the survivor and the respawn keep working.
+        pool._ensure_pool().apply_async(_die_task, (None,))
+        deadline = time.monotonic() + 30
+        while True:
+            now = set(pool._worker_pids())
+            if len(now) == 2 and now != before:
+                break
+            assert time.monotonic() < deadline, "worker was never respawned"
+            time.sleep(0.05)
+        assert graph.fingerprint() in pool.pinned_fingerprints()
+        per_worker = pool.worker_pinned_fingerprints()
+        assert len(per_worker) == 2
+        for pins in per_worker:
+            assert graph.fingerprint() in pins
+    finally:
+        # Not close(): the lost job would keep join() waiting forever.
+        pool.terminate()

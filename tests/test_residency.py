@@ -1,0 +1,423 @@
+"""The worker runtime: one resident-context store, two transports.
+
+Two layers, one conformance matrix each:
+
+* process-free tests of :class:`~repro.engine.resident.ResidentContexts`
+  itself, parametrized over the tier (placed / LRU) a context sits in;
+* the same place -> hit, drop -> miss, delta -> migrated-and-exact
+  sequence driven through both transports that own such a store -- the
+  fork pool's broadcast and a one-worker cluster -- over a set of
+  generator queries, every count checked against
+  ``algorithms/brute_force.py``.
+
+The cluster worker here runs on a thread of the test process (real
+coordinator, real TCP frames), so tests can patch what it executes and
+see its store; the subprocess deployments are ``test_cluster.py``'s.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+
+import pytest
+
+from repro.algorithms.brute_force import count_answers_naive
+from repro.cluster import ClusterCoordinator, ClusterWorker
+from repro.cluster.coordinator import ClusterUnavailable
+from repro.engine import Engine, WorkerPool, compile_plan, execute_sharded
+from repro.engine.plan import as_ep
+from repro.engine.pool import shard_task
+from repro.engine.resident import (
+    LRU_CAPACITY,
+    NotResident,
+    ResidentContexts,
+    TaskFailure,
+    TaskOk,
+)
+from repro.obs.trace import get_tracer
+from repro.structures.delta import StructureDelta
+from repro.structures.random_gen import random_cluster_graph, random_graph
+from repro.structures.sharding import shard_structure
+from repro.structures.structure import Structure
+from repro.workloads.generators import (
+    path_query,
+    star_query,
+    union_of_paths_query,
+)
+
+# ----------------------------------------------------------------------
+# The store itself (no processes, no sockets)
+# ----------------------------------------------------------------------
+TWO_RELATIONS = Structure.from_relations(
+    {"E": [(1, 2), (2, 3)], "R": [(1, 2), (2, 1), (2, 3)]}
+)
+TOUCH_E = StructureDelta(inserts={"E": [(3, 1)]})
+R_PLAN = compile_plan("exists z. (R(x, z) & R(z, y))").pp
+
+
+def resident(store: ResidentContexts, structure: Structure, tier: str):
+    """A context for ``structure`` sitting in the named tier."""
+    if tier == "placed":
+        return store.place([structure])[0]
+    context, hit = store.lookup(structure)
+    assert not hit
+    return context
+
+
+TIERS = pytest.mark.parametrize("tier", ["placed", "lru"])
+
+
+def test_place_is_idempotent_and_promotes_an_lru_entry_without_rebuilding():
+    store = ResidentContexts()
+    context = resident(store, TWO_RELATIONS, "lru").materialize()
+    assert store.placed_fingerprints() == ()
+    assert store.place([TWO_RELATIONS]) == [context]  # promoted as it is
+    assert store.place([TWO_RELATIONS]) == [context]  # and again: same one
+    assert store.placed_fingerprints() == (TWO_RELATIONS.fingerprint(),)
+    assert store.lookup(TWO_RELATIONS) == (context, True)
+    # Promotion moved it: dropping finds exactly one context, not two.
+    assert store.drop([TWO_RELATIONS.fingerprint()]) == 1
+
+
+def test_placed_contexts_start_unbuilt_and_count_as_a_miss_until_used():
+    store = ResidentContexts()
+    (context,) = store.place([TWO_RELATIONS])
+    assert not context.built
+    assert store.lookup(TWO_RELATIONS.fingerprint()) == (context, False)
+    context.count_plan(R_PLAN)
+    assert store.lookup(TWO_RELATIONS.fingerprint()) == (context, True)
+
+
+@TIERS
+def test_drop_clears_the_tier(tier):
+    store = ResidentContexts()
+    resident(store, TWO_RELATIONS, tier)
+    fingerprint = TWO_RELATIONS.fingerprint()
+    assert store.drop([fingerprint, ("never", "held")]) == 1
+    with pytest.raises(NotResident):
+        store.lookup(fingerprint)
+    assert store.drop([fingerprint]) == 0
+
+
+@TIERS
+def test_delta_migration_rekeys_and_keeps_what_was_built(tier):
+    store = ResidentContexts()
+    context = resident(store, TWO_RELATIONS, tier)
+    expected = context.count_plan(R_PLAN)
+    eliminations = context.stats.snapshot().boundary_misses
+    assert eliminations > 0
+    after = TWO_RELATIONS.apply_delta(TOUCH_E)
+    old, new = TWO_RELATIONS.fingerprint(), after.fingerprint()
+    assert store.apply_delta([(old, TOUCH_E, new)]) == 1
+    with pytest.raises(NotResident):
+        store.lookup(old)
+    migrated, hit = store.lookup(new)
+    assert hit and migrated.structure == after  # encoding came along
+    # The delta touched E only: R's memos survived, nothing re-eliminates.
+    assert migrated.count_plan(R_PLAN) == expected
+    assert migrated.stats.snapshot().boundary_misses == eliminations
+    # It stayed in its tier: placed stays exempt, LRU stays evictable.
+    assert (new in store.placed_fingerprints()) == (tier == "placed")
+    # A fingerprint nobody holds is skipped, not an error.
+    assert store.apply_delta([(old, TOUCH_E, new)]) == 0
+
+
+@TIERS
+def test_a_drifted_migration_is_dropped_not_kept(tier):
+    store = ResidentContexts()
+    resident(store, TWO_RELATIONS, tier)
+    old = TWO_RELATIONS.fingerprint()
+    truth = TWO_RELATIONS.apply_delta(TOUCH_E).fingerprint()
+    claimed = ("not", "what", "the delta yields")
+    assert store.apply_delta([(old, TOUCH_E, claimed)]) == 0
+    for fingerprint in (old, truth, claimed):
+        with pytest.raises(NotResident):
+            store.lookup(fingerprint)
+
+
+def test_a_bare_fingerprint_miss_is_typed_not_a_key_error():
+    with pytest.raises(NotResident) as miss:
+        ResidentContexts().lookup(TWO_RELATIONS.fingerprint())
+    assert not isinstance(miss.value, KeyError)
+
+
+def test_lru_evicts_at_capacity_and_never_touches_placed():
+    store = ResidentContexts()
+    (pinned,) = store.place([TWO_RELATIONS])
+    graphs = [random_graph(4, 0.5, seed=s) for s in range(LRU_CAPACITY + 1)]
+    assert len({g.fingerprint() for g in graphs}) == len(graphs)
+    for graph in graphs:
+        store.lookup(graph)
+    # The oldest went, the rest and the placed one are still there.
+    with pytest.raises(NotResident):
+        store.lookup(graphs[0].fingerprint())
+    for graph in graphs[1:]:
+        store.lookup(graph.fingerprint())
+    assert store.lookup(TWO_RELATIONS.fingerprint())[0] is pinned
+
+
+@pytest.fixture
+def tracing():
+    """The process-wide tracer, switched on for one test."""
+    tracer = get_tracer()
+    tracer.set_enabled(True)
+    tracer.clear()
+    yield tracer
+    tracer.set_enabled(None)
+    tracer.clear()
+
+
+def test_execute_returns_the_outcome_and_its_spans_either_way(tracing):
+    store = ResidentContexts()
+    store.place([TWO_RELATIONS])
+    fingerprint = TWO_RELATIONS.fingerprint()
+
+    def lose_a_key(context):
+        raise KeyError("inside the work")
+
+    ok = store.execute(
+        lambda context: context.count_plan(R_PLAN),
+        fingerprint,
+        None,
+        "job",
+        units=1,
+    )
+    failed = store.execute(lose_a_key, fingerprint, None, "job")
+    missed = store.execute(lose_a_key, ("never", "held"), None, "job")
+    contextless = store.execute(lambda context: context, None, None, "job")
+    assert isinstance(ok, TaskOk) and ok.context_hit is False
+    assert ok.value == count_answers_naive(
+        as_ep("exists z. (R(x, z) & R(z, y))"), TWO_RELATIONS
+    )
+    assert ok.spans[0]["name"] == "job" and "error" not in ok.spans[0]
+    assert ok.spans[0]["attributes"] == {"units": 1, "context_hit": False}
+    assert isinstance(failed, TaskFailure)
+    assert isinstance(failed.exception, KeyError)
+    assert failed.spans[0]["error"].startswith("KeyError")
+    assert failed.spans[0]["attributes"]["context_hit"] is True
+    assert isinstance(missed.exception, NotResident) and missed.spans
+    assert contextless == TaskOk(None, None, contextless.spans)
+
+
+# ----------------------------------------------------------------------
+# The two transports
+# ----------------------------------------------------------------------
+class PoolTransport:
+    """Residency through ``WorkerPool`` broadcasts to one forked worker."""
+
+    def __init__(self):
+        self.pool = WorkerPool(processes=1)
+        # Fork now, with an empty pin set, so every change below is a
+        # broadcast to a live worker rather than initializer state.
+        self.pool.map(shard_task, [])
+        self.place = self.pool.pin_structures
+        self.drop = self.pool.unpin_structures
+        self.apply_delta = self.pool.apply_delta
+
+    def count(self, plan, sharded) -> int:
+        return execute_sharded(plan, sharded, parallel=True, pool=self.pool)
+
+    def lookups(self) -> tuple[int, int]:
+        return self.pool.stats_snapshot()
+
+    def close(self) -> None:
+        self.pool.close()
+
+
+class ClusterTransport:
+    """Residency through coordinator frames to one in-process worker."""
+
+    def __init__(self):
+        self.coordinator = ClusterCoordinator().start()
+        host, port = self.coordinator.address
+        self.worker = ClusterWorker(host, port, capacity=1, name="in-process")
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+        self.coordinator.wait_for_workers(1, timeout=30)
+        self.place = self.coordinator.place_structures
+        self.drop = self.coordinator.unplace
+        self.apply_delta = self.coordinator.apply_delta
+
+    def _serve(self) -> None:
+        try:
+            asyncio.run(self.worker.run())
+        except ConnectionError:
+            pass  # the coordinator hung up mid-read: same end as an EOF
+
+    def count(self, plan, sharded) -> int:
+        # A cluster that cannot route degrades to the sequential path.
+        return execute_sharded(
+            plan, sharded, parallel=False, cluster=self.coordinator
+        )
+
+    def lookups(self) -> tuple[int, int]:
+        stats = self.coordinator.stats_snapshot()
+        return stats["worker_context_hits"], stats["worker_context_misses"]
+
+    def close(self) -> None:
+        self.coordinator.stop()  # the closed connection ends worker.run()
+        self.thread.join(15)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture(params=[PoolTransport, ClusterTransport], ids=["pool", "cluster"])
+def transport(request):
+    driver = request.param()
+    try:
+        yield driver
+    finally:
+        driver.close()
+
+
+@pytest.fixture
+def cluster():
+    driver = ClusterTransport()
+    try:
+        yield driver
+    finally:
+        driver.close()
+
+
+GRAPH = random_cluster_graph(4, 4, 0.6, seed=41)
+NEW_EDGE = next(
+    (a, b)
+    for a in range(4)
+    for b in range(4)
+    if a != b and (a, b) not in GRAPH.relation("E")
+)
+QUERIES = {
+    "path": path_query(2, quantify_interior=True),
+    "star": star_query(2),
+    "union_of_paths": union_of_paths_query([1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_place_hits_drop_misses_delta_migrates_and_every_count_is_exact(
+    transport, name
+):
+    plan = compile_plan(QUERIES[name])
+    sharded = shard_structure(
+        GRAPH, 4, strategy="balanced"
+    ).precompute_fingerprints()
+    shards = sharded.non_empty_shards()
+    assert len(shards) == 4
+    expected = count_answers_naive(as_ep(QUERIES[name]), GRAPH)
+
+    def lookups_during(count) -> tuple[int, int]:
+        hits, misses = transport.lookups()
+        count()
+        after_hits, after_misses = transport.lookups()
+        return after_hits - hits, after_misses - misses
+
+    def check(structure_sharded, exact):
+        assert transport.count(plan, structure_sharded) == exact
+
+    # place -> hit: once something ran against the placed contexts,
+    # every shard job reuses them.
+    transport.place(shards)
+    check(sharded, expected)
+    assert lookups_during(lambda: check(sharded, expected)) == (4, 0)
+
+    # drop -> miss: nothing resident serves the count (the pool worker
+    # rebuilds from the shipped shard, the cluster cannot route and the
+    # executor degrades), and it is still exact.
+    transport.drop([shard.fingerprint() for shard in shards])
+    hits, _ = lookups_during(lambda: check(sharded, expected))
+    assert hits == 0
+
+    # delta -> migrated and exact: the touched shard's context moves to
+    # the post-delta fingerprint with its built state (a rebuilt one
+    # would be a miss), the untouched shards do not move at all.
+    transport.place(shards)
+    check(sharded, expected)
+    delta = StructureDelta(inserts={"E": [NEW_EDGE]})
+    advanced = sharded.apply_delta(delta).precompute_fingerprints()
+    updates = [
+        (old.fingerprint(), sub, new)
+        for old, sub, new in zip(
+            sharded.shards, sharded.route_delta(delta), advanced.shards
+        )
+        if sub is not None
+    ]
+    assert len(updates) == 1
+    transport.apply_delta(updates)
+    after = count_answers_naive(as_ep(QUERIES[name]), advanced.structure)
+    assert lookups_during(lambda: check(advanced, after)) == (4, 0)
+
+
+def test_a_fingerprint_lost_behind_the_coordinators_back_is_a_routing_miss(
+    cluster,
+):
+    """Only the store's typed miss maps to ``unplaced``: the coordinator
+    strips the disproved holder, and with no other holder the caller is
+    told to degrade -- never handed an error."""
+    plan = compile_plan(QUERIES["path"])
+    sharded = shard_structure(
+        GRAPH, 4, strategy="balanced"
+    ).precompute_fingerprints()
+    cluster.place(sharded.non_empty_shards())
+    expected = cluster.count(plan, sharded)  # frames are in: all placed
+    lost = sharded.non_empty_shards()[0].fingerprint()
+    assert cluster.worker.resident.drop([lost]) == 1
+    units = ()
+    with pytest.raises(ClusterUnavailable):
+        cluster.coordinator.run_units([(units, lost)])
+    assert not cluster.coordinator.can_route([lost])
+    assert cluster.count(plan, sharded) == expected  # degraded, exact
+
+
+# ----------------------------------------------------------------------
+# Failures inside a cluster job are the job's, with their trace
+# ----------------------------------------------------------------------
+def _registered(engine: Engine, cluster: ClusterTransport):
+    engine.attach_cluster(cluster.coordinator)
+    entry = engine.register_structure("net", GRAPH, pin=True, shard_count=4)
+    fingerprints = [s.fingerprint() for s in entry.sharded.non_empty_shards()]
+    assert sum(entry.placements.values()) == len(fingerprints) > 1
+    return fingerprints
+
+
+def _lose_a_key(plan, structure, context=None):
+    raise KeyError("lost inside the counting code")
+
+
+def test_a_key_error_inside_a_cluster_job_is_not_taken_for_a_routing_miss(
+    cluster, monkeypatch
+):
+    import repro.algorithms.fpt_counting as fpt_module
+
+    with Engine(processes=1) as engine:
+        fingerprints = _registered(engine, cluster)
+        monkeypatch.setattr(fpt_module, "execute_pp_plan", _lose_a_key)
+        with pytest.raises(KeyError, match="lost inside the counting code"):
+            engine.count_sharded(QUERIES["path"], "net")
+        stats = cluster.coordinator.stats_snapshot()
+        assert stats["jobs_failed"] >= 1
+        assert stats["reassignments"] == 0
+        # The holder was right all along, and still is.
+        assert cluster.coordinator.can_route(fingerprints)
+        assert cluster.coordinator.status()["placements"] == len(fingerprints)
+        assert not engine.pool.started  # no local re-run masked anything
+
+
+def test_a_failed_cluster_job_still_produces_an_error_annotated_trace(
+    cluster, monkeypatch, tracing
+):
+    import repro.algorithms.fpt_counting as fpt_module
+
+    with Engine(processes=1) as engine:
+        _registered(engine, cluster)
+        monkeypatch.setattr(fpt_module, "execute_pp_plan", _lose_a_key)
+        with pytest.raises(KeyError):
+            engine.count_sharded(QUERIES["path"], "net")
+    trace = tracing.finished_traces()[0]
+    assert trace.root.name == "engine.count_sharded"
+    assert trace.root.error is not None
+    job_spans = [
+        s for s in trace.spans() if s.name.startswith("cluster.execute[")
+    ]
+    assert job_spans  # the failed worker job shipped its spans back
+    assert all(s.error.startswith("KeyError") for s in job_spans)
+    assert all("context_hit" in s.attributes for s in job_spans)
