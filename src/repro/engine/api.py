@@ -56,6 +56,7 @@ from repro.engine.registry import (
     DEFAULT_REGISTRY_MAX_BYTES,
     DEFAULT_REGISTRY_MAX_ENTRIES,
     RegistryEntry,
+    RegistryFull,
     StructureRegistry,
     UnknownStructureError,
     VersionConflict,
@@ -241,17 +242,8 @@ class Engine:
         self.cluster = None
         self._lock = threading.Lock()
         self._delta_lock = threading.Lock()
-        self._compile_seconds = 0.0
-        self._execute_seconds = 0.0
-        self._count_calls = 0
-        self._batch_calls = 0
-        self._sharded_calls = 0
-        self._delta_applies = 0
-        self._classifications = 0
-        self._policy_rejections = 0
-        self._budget_aborts = 0
-        self._strategies: dict[str, int] = {}
-        self._verdicts: dict[str, int] = {}
+        #: The engine-owned counters; read and written under ``_lock``.
+        self._counters = EngineStats()
 
     # ------------------------------------------------------------------
     def compile(self, query: Query, strategy: str = "auto") -> CountingPlan:
@@ -269,11 +261,12 @@ class Engine:
             )
             span.set("kind", plan.kind)
         with self._lock:
-            self._compile_seconds += time.perf_counter() - before
+            counters = self._counters
+            counters.compile_seconds += time.perf_counter() - before
             if not hit and plan.profile is not None:
-                self._classifications += 1
+                counters.classifications += 1
                 verdict = plan.profile.case.name
-                self._verdicts[verdict] = self._verdicts.get(verdict, 0) + 1
+                counters.verdicts[verdict] = counters.verdicts.get(verdict, 0) + 1
         return plan
 
     def classify(self, query: Query, strategy: str = "auto") -> PlanProfile:
@@ -300,26 +293,67 @@ class Engine:
             return self.policy
         return ExecutionPolicy.from_request(policy)
 
-    def _admit(self, policy: ExecutionPolicy, plan: CountingPlan) -> None:
-        """Plan-time admission; counts and re-raises rejections."""
-        try:
-            policy.admit(plan.profile)
-        except PolicyRejection:
-            with self._lock:
-                self._policy_rejections += 1
-            raise
-
-    def _budget_aborted(
+    def _run_guarded(
         self,
         policy: ExecutionPolicy,
-        exc: BudgetExceeded,
-    ) -> None:
-        """Account a cooperative budget abort (span + counter)."""
+        plans: Sequence[CountingPlan],
+        structures: Sequence[Structure],
+        run,
+        strategy: str,
+        sharded: bool = False,
+        batch: bool = False,
+    ):
+        """The one path every count request takes once it has plans.
+
+        Admits every plan (a ``reject`` policy refuses before anything
+        executes), runs ``run()`` under the policy's budget, and on a
+        budget abort either re-raises or -- for ``degrade`` -- returns
+        the profiles' over-estimates: the whole ``plans x structures``
+        grid for a ``batch`` request, its single cell otherwise.  A
+        completed request counts once per cell, plus one sharded /
+        batch call when flagged.
+        """
+        try:
+            for plan in plans:
+                policy.admit(plan.profile)
+        except PolicyRejection:
+            with self._lock:
+                self._counters.policy_rejections += 1
+            raise
+        budget = policy.make_budget()
+        # budget_scope(None) would *clear* a budget the caller opened
+        # around this call; without one of its own the request stays
+        # charged to the inherited scope.
+        scope = budget_scope(budget) if budget is not None else nullcontext()
+        before = time.perf_counter()
+        try:
+            with scope:
+                result = run()
+        except BudgetExceeded as exc:
+            with self._lock:
+                self._counters.budget_aborts += 1
+            with _trace.span("budget.abort", degraded=policy.degrades) as span:
+                for key, value in exc.progress.items():
+                    span.set(key, value)
+            if not policy.degrades or any(p.profile is None for p in plans):
+                raise
+            result = [
+                [plan.profile.estimate_count(len(s.universe)) for s in structures]
+                for plan in plans
+            ]
+            if not batch:
+                result = result[0][0]
+        cells = len(plans) * len(structures)
         with self._lock:
-            self._budget_aborts += 1
-        with _trace.span("budget.abort", degraded=policy.degrades) as span:
-            for key, value in exc.progress.items():
-                span.set(key, value)
+            counters = self._counters
+            counters.execute_seconds += time.perf_counter() - before
+            counters.count_calls += cells
+            counters.sharded_calls += sharded
+            counters.batch_calls += batch
+            counters.strategies[strategy] = (
+                counters.strategies.get(strategy, 0) + cells
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Warm-start: the persistent plan store
@@ -453,53 +487,39 @@ class Engine:
             raise ReproError(
                 "register_structure() needs a Structure, not a reference"
             )
-        resolved_count = (
-            default_process_count() if shard_count is None else shard_count
-        )
-        if resolved_count < 1:
+        if shard_count is None:
+            shard_count = default_process_count()
+        if shard_count < 1:
             raise ReproError("shard_count must be at least 1")
+        # Refuse what can be refused before paying for any build.
+        resident_bytes = self.registry.admit(name, structure)
+        built_here = structure not in self.contexts
         with collector_paused():
             context = self.contexts.get(structure).materialize()
-            sharded = context.sharded(
-                resolved_count
-            ).precompute_fingerprints()
-        entry, previous, evicted = self.registry.register(
-            name,
-            structure,
-            pin=pin,
-            shard_count=resolved_count,
-            sharded=sharded,
-        )
-        stale = list(evicted)
-        if previous is not None and previous.fingerprint != entry.fingerprint:
-            stale.append(previous)
-        # Collect every fingerprint that must leave the workers into ONE
-        # unpin broadcast -- each broadcast barrier-synchronizes the
-        # whole pool, so K evictions must not cost K stalls.
-        drop: dict = {}  # ordered fingerprint set
-        for retired in stale:
-            for fingerprint in self._entry_fingerprints(retired):
-                drop[fingerprint] = True
+            sharded = context.sharded(shard_count).precompute_fingerprints()
+        try:
+            registration = self.registry.register(
+                name,
+                structure,
+                pin=pin,
+                shard_count=shard_count,
+                sharded=sharded,
+                resident_bytes=resident_bytes,
+            )
+        except RegistryFull:
+            # Nothing names the structure, so nothing may keep the
+            # context this call built for it resident.
+            if built_here:
+                self.contexts.invalidate(structure)
+            raise
+        for retired in registration.stale:
             self.contexts.invalidate(retired.structure)
-        keep = {entry.fingerprint}
-        keep.update(s.fingerprint() for s in sharded.non_empty_shards())
-        if previous is not None and previous.fingerprint == entry.fingerprint:
-            if previous.sharded is not None:
-                # Same data re-registered with a different shard plan:
-                # the old plan's shard contexts would otherwise stay
-                # pinned (and be rebuilt on pool restarts) forever.
-                for fingerprint in self._entry_fingerprints(previous):
-                    if fingerprint not in keep:
-                        drop[fingerprint] = True
-            if previous.pinned and not pin:
-                # Dropping the pin on the same data: release the
-                # workers' guarantee (the LRU may still keep it warm).
-                for fingerprint in keep:
-                    drop[fingerprint] = True
+        entry = registration.entry
         shards = sharded.non_empty_shards() if pin else ()
-        # count_sharded on this ref routes to the holders placed here.
+        # One fan-out, so K retired entries cost one pool barrier, not
+        # K; count_sharded on this ref routes to the holders placed here.
         entry.placements = self._fan_out(
-            drop=tuple(f for f in drop if not (pin and f in keep)),
+            drop=registration.retired,
             pin=(structure,) + shards if pin else (),
             place=shards,
         )
@@ -539,9 +559,7 @@ class Engine:
         :class:`~repro.exceptions.DeltaError` when the delta does not
         apply to the current data.
         """
-        from repro.exceptions import DeltaRoutingError
         from repro.structures.delta import StructureDelta
-        from repro.structures.sharding import ShardedStructure, shard_structure
 
         if not isinstance(delta, StructureDelta):
             raise ReproError("apply_delta() needs a StructureDelta")
@@ -559,34 +577,14 @@ class Engine:
                 tuples=delta.tuple_count,
                 version=entry.version,
             ) as span:
-                routed = None
-                resharded = False
-                if entry.sharded is not None:
-                    try:
-                        routed = entry.sharded.route_delta(delta)
-                    except DeltaRoutingError:
-                        resharded = True
                 new_structure = entry.structure.apply_delta(delta)
                 new_structure.fingerprint()
-                sharded = None
-                if routed is not None:
-                    sharded = ShardedStructure(
-                        new_structure,
-                        tuple(
-                            shard if sub is None else shard.apply_delta(sub)
-                            for shard, sub in zip(entry.sharded.shards, routed)
-                        ),
-                        entry.sharded.strategy,
-                    ).precompute_fingerprints()
-                elif resharded:
-                    # A component merge: the old partition is no longer
-                    # component-aligned, so the exact combine rules need
-                    # a fresh one.
-                    sharded = shard_structure(
-                        new_structure,
-                        len(entry.sharded.shards),
-                        entry.sharded.strategy,
-                    ).precompute_fingerprints()
+                sharded, resharded, updates, fresh, stale = None, False, [], (), ()
+                if entry.sharded is not None:
+                    sharded, resharded, updates, fresh, stale = (
+                        entry.sharded.advance(delta, new_structure)
+                    )
+                    sharded.precompute_fingerprints()
                 span.set("resharded", resharded)
                 new_entry = self.registry.advance(
                     name,
@@ -597,56 +595,21 @@ class Engine:
                     delta=delta,
                 )
                 self.contexts.apply_delta(entry.structure, delta, new_structure)
-                self._fan_out_delta(entry, new_entry, delta, routed)
+                # The whole structure and every touched shard migrate in
+                # O(|delta|) in the workers; only shards with nothing
+                # resident to migrate from are placed like a
+                # registration (and only a pinned entry places any).
+                if not entry.pinned:
+                    fresh = ()
+                self._fan_out(
+                    updates=[(entry.fingerprint, delta, new_structure)] + updates,
+                    drop=stale,
+                    pin=fresh,
+                    place=fresh,
+                )
             with self._lock:
-                self._delta_applies += 1
+                self._counters.delta_applies += 1
         return new_entry
-
-    def _fan_out_delta(
-        self,
-        entry: RegistryEntry,
-        new_entry: RegistryEntry,
-        delta,
-        routed,
-    ) -> None:
-        """Reconcile the workers' resident contexts across a delta.
-
-        On the routed path the whole structure and every touched
-        non-empty shard migrate in ``O(|delta|)``; shards going from
-        empty to non-empty are placed fresh (there is nothing resident
-        to migrate).  On the re-shard fallback only the whole structure
-        migrates -- the old partition's shard fingerprints are dropped
-        and the new partition's shards placed like a registration.
-        Universe growth means no shard ever goes back to empty, so the
-        routed path never drops.
-        """
-        updates = [(entry.fingerprint, delta, new_entry.structure)]
-        fresh_pins: list[Structure] = []
-        stale_fingerprints: list[tuple] = []
-        if routed is not None:
-            for old_shard, sub, new_shard in zip(
-                entry.sharded.shards, routed, new_entry.sharded.shards
-            ):
-                if sub is None:
-                    continue
-                if old_shard.is_empty():
-                    fresh_pins.append(new_shard)
-                else:
-                    updates.append((old_shard.fingerprint(), sub, new_shard))
-        elif new_entry.sharded is not None:
-            stale_fingerprints.extend(
-                shard.fingerprint()
-                for shard in entry.sharded.non_empty_shards()
-            )
-            fresh_pins.extend(new_entry.sharded.non_empty_shards())
-        if not entry.pinned:
-            fresh_pins = []
-        self._fan_out(
-            updates=updates,
-            drop=stale_fingerprints,
-            pin=fresh_pins,
-            place=fresh_pins,
-        )
 
     def unregister_structure(self, name: str) -> bool:
         """Drop the registered structure ``name``; ``False`` if unknown.
@@ -658,7 +621,7 @@ class Engine:
         entry = self.registry.unregister(name)
         if entry is None:
             return False
-        self._fan_out(drop=self._entry_fingerprints(entry))
+        self._fan_out(drop=entry.worker_fingerprints())
         self.contexts.invalidate(entry.structure)
         return True
 
@@ -667,24 +630,6 @@ class Engine:
         if isinstance(structure, str):
             return self.registry.resolve(structure)
         return structure
-
-    @staticmethod
-    def _entry_fingerprints(entry: RegistryEntry) -> list[tuple]:
-        """Every fingerprint a registry entry put into the workers."""
-        fingerprints = [entry.fingerprint]
-        if entry.sharded is not None:
-            fingerprints.extend(
-                shard.fingerprint()
-                for shard in entry.sharded.non_empty_shards()
-            )
-        return fingerprints
-
-    def _context_for(self, plan: CountingPlan, structure: Structure):
-        # The baseline kinds never consult a context; don't build (or
-        # pin in the LRU) one for them.
-        if plan.kind in _CONTEXT_KINDS:
-            return self.contexts.get(structure)
-        return None
 
     def count(
         self,
@@ -713,24 +658,18 @@ class Engine:
         with _trace.span_or_trace("engine.count", strategy=strategy):
             structure = self.resolve_structure(structure)
             plan = self.compile(query, strategy)
-            self._admit(resolved, plan)
-            context = self._context_for(plan, structure)
-            budget = resolved.make_budget()
-            scope = budget_scope(budget) if budget is not None else nullcontext()
-            before = time.perf_counter()
-            try:
-                with scope:
-                    result = execute(plan, structure, context)
-            except BudgetExceeded as exc:
-                self._budget_aborted(resolved, exc)
-                if not resolved.degrades or plan.profile is None:
-                    raise
-                result = plan.profile.estimate_count(len(structure.universe))
-        with self._lock:
-            self._execute_seconds += time.perf_counter() - before
-            self._count_calls += 1
-            self._strategies[strategy] = self._strategies.get(strategy, 0) + 1
-        return result
+
+            def run() -> int:
+                # The baseline kinds never consult a context; don't
+                # build (or pin in the LRU) one for them.
+                context = (
+                    self.contexts.get(structure)
+                    if plan.kind in _CONTEXT_KINDS
+                    else None
+                )
+                return execute(plan, structure, context)
+
+            return self._run_guarded(resolved, [plan], [structure], run, strategy)
 
     def count_sharded(
         self,
@@ -783,12 +722,11 @@ class Engine:
                 if shard_count is None:
                     shard_count = entry.shard_count
             plan = self.compile(query, strategy)
-            self._admit(resolved, plan)
-            budget = resolved.make_budget()
-            scope = budget_scope(budget) if budget is not None else nullcontext()
-            before = time.perf_counter()
             sharded_execution = plan.kind in _CONTEXT_KINDS
-            if sharded_execution:
+
+            def run() -> int:
+                if not sharded_execution:
+                    return execute(plan, structure, None)
                 # Reuse the registration-time plan only after validating
                 # it against the entry's *current* state: the plan must
                 # partition exactly this structure (identity, so any
@@ -806,53 +744,32 @@ class Engine:
                 ):
                     sharded = entry.sharded
                 else:
-                    context = self.contexts.get(structure)
-                    sharded = context.sharded(
+                    sharded = self.contexts.get(structure).sharded(
                         default_process_count()
                         if shard_count is None
                         else shard_count,
                         shard_strategy,
                     )
                 root.set("shards", sharded.shard_count)
-                try:
-                    with scope:
-                        result = execute_sharded(
-                            plan,
-                            sharded,
-                            parallel=parallel,
-                            processes=processes,
-                            pool=self.pool,
-                            # Cluster routing needs resident holders;
-                            # only a registered ref's shards are placed.
-                            cluster=(
-                                self.cluster if entry is not None else None
-                            ),
-                        )
-                except BudgetExceeded as exc:
-                    self._budget_aborted(resolved, exc)
-                    if not resolved.degrades or plan.profile is None:
-                        raise
-                    result = plan.profile.estimate_count(
-                        len(structure.universe)
-                    )
-            else:
-                try:
-                    with scope:
-                        result = execute(plan, structure, None)
-                except BudgetExceeded as exc:
-                    self._budget_aborted(resolved, exc)
-                    if not resolved.degrades or plan.profile is None:
-                        raise
-                    result = plan.profile.estimate_count(
-                        len(structure.universe)
-                    )
-        with self._lock:
-            self._execute_seconds += time.perf_counter() - before
-            self._count_calls += 1
-            if sharded_execution:
-                self._sharded_calls += 1
-            self._strategies[strategy] = self._strategies.get(strategy, 0) + 1
-        return result
+                return execute_sharded(
+                    plan,
+                    sharded,
+                    parallel=parallel,
+                    processes=processes,
+                    pool=self.pool,
+                    # Cluster routing needs resident holders; only a
+                    # registered ref's shards are placed.
+                    cluster=self.cluster if entry is not None else None,
+                )
+
+            return self._run_guarded(
+                resolved,
+                [plan],
+                [structure],
+                run,
+                strategy,
+                sharded=sharded_execution,
+            )
 
     def count_many(
         self,
@@ -887,43 +804,22 @@ class Engine:
         ):
             structures = [self.resolve_structure(s) for s in structures]
             plans = [self.compile(q, strategy) for q in queries]
-            for plan in plans:
-                self._admit(resolved, plan)
-            budget = resolved.make_budget()
-            scope = budget_scope(budget) if budget is not None else nullcontext()
-            before = time.perf_counter()
-            try:
-                with scope:
-                    result = _count_many(
-                        plans,
-                        structures,
-                        strategy=strategy,
-                        parallel=parallel,
-                        processes=processes,
-                        context_cache=self.contexts,
-                        pool=self.pool,
-                    )
-            except BudgetExceeded as exc:
-                self._budget_aborted(resolved, exc)
-                if not resolved.degrades or any(
-                    plan.profile is None for plan in plans
-                ):
-                    raise
-                result = [
-                    [
-                        plan.profile.estimate_count(len(s.universe))
-                        for s in structures
-                    ]
-                    for plan in plans
-                ]
-        with self._lock:
-            self._execute_seconds += time.perf_counter() - before
-            self._batch_calls += 1
-            self._count_calls += len(plans) * len(structures)
-            self._strategies[strategy] = (
-                self._strategies.get(strategy, 0) + len(plans) * len(structures)
+            return self._run_guarded(
+                resolved,
+                plans,
+                structures,
+                lambda: _count_many(
+                    plans,
+                    structures,
+                    strategy=strategy,
+                    parallel=parallel,
+                    processes=processes,
+                    context_cache=self.contexts,
+                    pool=self.pool,
+                ),
+                strategy,
+                batch=True,
             )
-        return result
 
     # ------------------------------------------------------------------
     def stats(self) -> EngineStats:
@@ -937,10 +833,15 @@ class Engine:
         different moment, and never observes a concurrent
         :meth:`reset_stats` halfway through.
         """
+        components = self._component_stats()
+        with self._lock:
+            return EngineStats(**{**asdict(self._counters), **components})
+
+    def _component_stats(self) -> dict:
+        """The :class:`EngineStats` fields a component owns -- the one
+        place they are named -- each component read once, coherently."""
         plan_hits, plan_misses = self.plans.stats_snapshot()
-        context_hits, context_misses, context_stats = (
-            self.contexts.stats_snapshot()
-        )
+        context_hits, context_misses, contexts = self.contexts.stats_snapshot()
         worker_hits, worker_misses = self.pool.stats_snapshot()
         persist_hits, persist_misses, persist_stores = (
             self.store.stats_snapshot() if self.store else (0, 0, 0)
@@ -948,41 +849,29 @@ class Engine:
         registry_hits, registry_misses, registrations, evictions = (
             self.registry.stats_snapshot()
         )
-        with self._lock:
-            return EngineStats(
-                count_calls=self._count_calls,
-                batch_calls=self._batch_calls,
-                sharded_calls=self._sharded_calls,
-                plan_hits=plan_hits,
-                plan_misses=plan_misses,
-                context_hits=context_hits,
-                context_misses=context_misses,
-                index_builds=context_stats.index_builds,
-                boundary_memo_hits=context_stats.boundary_hits,
-                boundary_memo_misses=context_stats.boundary_misses,
-                semijoin_eliminations=context_stats.semijoin_eliminations,
-                backtracking_eliminations=context_stats.backtracking_eliminations,
-                worker_context_hits=worker_hits,
-                worker_context_misses=worker_misses,
-                persist_hits=persist_hits,
-                persist_misses=persist_misses,
-                persist_stores=persist_stores,
-                registry_hits=registry_hits,
-                registry_misses=registry_misses,
-                registry_registrations=registrations,
-                registry_evictions=evictions,
-                encoded_resident_bytes=self.contexts.encoded_bytes(),
-                delta_applies=self._delta_applies,
-                memo_evictions=context_stats.memo_evictions,
-                context_invalidations=context_stats.context_invalidations,
-                classifications=self._classifications,
-                policy_rejections=self._policy_rejections,
-                budget_aborts=self._budget_aborts,
-                compile_seconds=self._compile_seconds,
-                execute_seconds=self._execute_seconds,
-                strategies=dict(self._strategies),
-                verdicts=dict(self._verdicts),
-            )
+        return dict(
+            plan_hits=plan_hits,
+            plan_misses=plan_misses,
+            context_hits=context_hits,
+            context_misses=context_misses,
+            index_builds=contexts.index_builds,
+            boundary_memo_hits=contexts.boundary_hits,
+            boundary_memo_misses=contexts.boundary_misses,
+            semijoin_eliminations=contexts.semijoin_eliminations,
+            backtracking_eliminations=contexts.backtracking_eliminations,
+            memo_evictions=contexts.memo_evictions,
+            context_invalidations=contexts.context_invalidations,
+            encoded_resident_bytes=self.contexts.encoded_bytes(),
+            worker_context_hits=worker_hits,
+            worker_context_misses=worker_misses,
+            persist_hits=persist_hits,
+            persist_misses=persist_misses,
+            persist_stores=persist_stores,
+            registry_hits=registry_hits,
+            registry_misses=registry_misses,
+            registry_registrations=registrations,
+            registry_evictions=evictions,
+        )
 
     def clear_caches(self) -> None:
         """Drop all cached plans and contexts (a "cold" engine again).
@@ -1030,17 +919,7 @@ class Engine:
         if self.store is not None:
             self.store.reset_stats()
         with self._lock:
-            self._compile_seconds = 0.0
-            self._execute_seconds = 0.0
-            self._count_calls = 0
-            self._batch_calls = 0
-            self._sharded_calls = 0
-            self._delta_applies = 0
-            self._classifications = 0
-            self._policy_rejections = 0
-            self._budget_aborts = 0
-            self._strategies = {}
-            self._verdicts = {}
+            self._counters = EngineStats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

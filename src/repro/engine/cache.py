@@ -38,9 +38,6 @@ Value = TypeVar("Value")
 DEFAULT_PLAN_CACHE_SIZE = 256
 #: Default capacity of the execution-context cache.
 DEFAULT_CONTEXT_CACHE_SIZE = 32
-#: Backwards-compatible alias (the context cache subsumed the old
-#: per-structure index cache).
-DEFAULT_INDEX_CACHE_SIZE = DEFAULT_CONTEXT_CACHE_SIZE
 #: Default capacity of the query-text parse cache.
 DEFAULT_PARSE_CACHE_SIZE = 1024
 
@@ -413,6 +410,9 @@ class ExecutionContextCache:
 
     def __len__(self) -> int:
         return len(self._cache)
+
+    def __contains__(self, structure: object) -> bool:
+        return structure in self._cache
 
     def clear(self) -> None:
         self._cache.clear()

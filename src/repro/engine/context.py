@@ -28,7 +28,7 @@ cheap.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.budget import current_budget
@@ -107,37 +107,14 @@ class ContextStats:
     def snapshot(self) -> "ContextStats":
         """A coherent copy of the counters (its own lock, unshared)."""
         with self._lock:
-            return ContextStats(
-                index_builds=self.index_builds,
-                boundary_hits=self.boundary_hits,
-                boundary_misses=self.boundary_misses,
-                semijoin_eliminations=self.semijoin_eliminations,
-                backtracking_eliminations=self.backtracking_eliminations,
-                memo_evictions=self.memo_evictions,
-                context_invalidations=self.context_invalidations,
-            )
+            return replace(self, _lock=threading.Lock())
 
     def reset(self) -> None:
         """Zero every counter, atomically."""
         with self._lock:
-            self.index_builds = 0
-            self.boundary_hits = 0
-            self.boundary_misses = 0
-            self.semijoin_eliminations = 0
-            self.backtracking_eliminations = 0
-            self.memo_evictions = 0
-            self.context_invalidations = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "index_builds": self.index_builds,
-            "boundary_hits": self.boundary_hits,
-            "boundary_misses": self.boundary_misses,
-            "semijoin_eliminations": self.semijoin_eliminations,
-            "backtracking_eliminations": self.backtracking_eliminations,
-            "memo_evictions": self.memo_evictions,
-            "context_invalidations": self.context_invalidations,
-        }
+            for counter in fields(self):
+                if counter.name != "_lock":
+                    setattr(self, counter.name, 0)
 
 
 def _component_reads(

@@ -36,6 +36,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.exceptions import ReproError
 from repro.structures.structure import Structure
@@ -193,6 +194,16 @@ class RegistryEntry:
     #: this entry's shards it holds (empty without an attached cluster).
     placements: dict = field(default_factory=dict)
 
+    def worker_fingerprints(self) -> list[tuple]:
+        """Every fingerprint this entry put into the workers: the whole
+        structure's, then its non-empty shards'."""
+        fingerprints = [self.fingerprint]
+        if self.sharded is not None:
+            fingerprints.extend(
+                shard.fingerprint() for shard in self.sharded.non_empty_shards()
+            )
+        return fingerprints
+
     def as_dict(self) -> dict:
         """A JSON-friendly view (metadata only, never the data itself)."""
         return {
@@ -211,6 +222,51 @@ class RegistryEntry:
             "registered_at": self.registered_at,
             "placements": dict(self.placements),
         }
+
+
+class Registration(NamedTuple):
+    """What one :meth:`StructureRegistry.register` call did.
+
+    Unpacks as ``(entry, previous, evicted)``: the live entry, the
+    replaced same-name entry if any, and the entries evicted to make
+    room.  The two derived views are what the caller has to retire.
+    """
+
+    entry: RegistryEntry
+    previous: RegistryEntry | None
+    evicted: list[RegistryEntry]
+
+    @property
+    def stale(self) -> list[RegistryEntry]:
+        """The entries whose *data* left the registry: the evicted ones
+        and a replaced entry holding different data.  Their parent-side
+        contexts are dead weight."""
+        stale = list(self.evicted)
+        if (
+            self.previous is not None
+            and self.previous.fingerprint != self.entry.fingerprint
+        ):
+            stale.append(self.previous)
+        return stale
+
+    @property
+    def retired(self) -> tuple[tuple, ...]:
+        """The fingerprints the workers must drop, in one batch:
+        everything the evicted and replaced entries put there, minus
+        what the new entry still holds -- which is nothing when it
+        gives up a pin its predecessor had."""
+        entry, previous = self.entry, self.previous
+        old = self.evicted + ([previous] if previous is not None else [])
+        unpinning = previous is not None and previous.pinned and not entry.pinned
+        keep = set() if unpinning else set(entry.worker_fingerprints())
+        return tuple(
+            dict.fromkeys(
+                f
+                for retired in old
+                for f in retired.worker_fingerprints()
+                if f not in keep
+            )
+        )
 
 
 class StructureRegistry:
@@ -249,21 +305,12 @@ class StructureRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        structure: Structure,
-        pin: bool = True,
-        shard_count: int | None = None,
-        sharded: object | None = None,
-    ) -> tuple[RegistryEntry, RegistryEntry | None, list[RegistryEntry]]:
-        """Insert (or replace) the entry for ``name``.
+    def admit(self, name: str, structure: Structure) -> int:
+        """Refuse what no eviction could make fit: a bad name, or a
+        structure that alone exceeds the byte capacity.
 
-        Returns ``(entry, previous, evicted)``: the live entry, the
-        replaced same-name entry if any (its fingerprint tells the
-        caller whether worker-resident state went stale), and the
-        entries evicted to make room.  Raises :class:`RegistryFull`
-        when the capacity cannot be met by evicting unpinned entries.
+        Returns the structure's approximate resident bytes.  Cheap
+        enough to run before a caller builds anything for the entry.
         """
         validate_structure_name(name)
         resident_bytes = approximate_structure_bytes(structure)
@@ -272,6 +319,30 @@ class StructureRegistry:
                 f"structure {name!r} (~{resident_bytes} bytes) exceeds the "
                 f"registry byte capacity ({self.max_bytes})"
             )
+        return resident_bytes
+
+    def register(
+        self,
+        name: str,
+        structure: Structure,
+        pin: bool = True,
+        shard_count: int | None = None,
+        sharded: object | None = None,
+        resident_bytes: int | None = None,
+    ) -> Registration:
+        """Insert (or replace) the entry for ``name``.
+
+        Returns a :class:`Registration` -- ``(entry, previous,
+        evicted)``: the live entry, the replaced same-name entry if
+        any, and the entries evicted to make room -- whose ``stale`` /
+        ``retired`` views say what the replaced and evicted entries
+        leave behind.  ``resident_bytes`` is what an earlier
+        :meth:`admit` of the same name and structure returned; without
+        it the admission runs here.  Raises :class:`RegistryFull` when
+        the capacity cannot be met by evicting unpinned entries.
+        """
+        if resident_bytes is None:
+            resident_bytes = self.admit(name, structure)
         fingerprint = structure.fingerprint()
         with self._lock:
             previous = self._entries.pop(name, None)
@@ -297,7 +368,7 @@ class StructureRegistry:
             self._entries[name] = entry
             self._registrations += 1
             self._evictions += len(evicted)
-        return entry, previous, evicted
+        return Registration(entry, previous, evicted)
 
     def _make_room(self, incoming: RegistryEntry) -> list[RegistryEntry]:
         """Evict LRU unpinned entries until ``incoming`` fits (lock held)."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.exceptions import StructureError
 from repro.structures.structure import Element, Structure
@@ -163,9 +163,76 @@ class ShardedStructure:
         )
         return ShardedStructure(new_structure, new_shards, self.strategy)
 
+    def advance(
+        self, delta: "StructureDelta", new_structure: Structure
+    ) -> "PlanAdvance":
+        """Carry the plan across ``delta`` onto the already-advanced
+        ``new_structure``, re-sharding when the delta merges components.
+
+        Unlike :meth:`apply_delta` this never raises on a merge, and it
+        says what happens to the contexts resident under the old plan's
+        shard fingerprints (see :class:`PlanAdvance`).  Universe growth
+        means no shard ever goes back to empty, so the routed path
+        retires nothing.
+        """
+        from repro.exceptions import DeltaRoutingError
+
+        try:
+            routed = self.route_delta(delta)
+        except DeltaRoutingError:
+            # The old partition is no longer component-aligned, so the
+            # exact combine rules need a fresh one.
+            replan = shard_structure(
+                new_structure, len(self.shards), self.strategy
+            )
+            return PlanAdvance(
+                replan,
+                resharded=True,
+                updates=[],
+                fresh=replan.non_empty_shards(),
+                stale=tuple(s.fingerprint() for s in self.non_empty_shards()),
+            )
+        shards = tuple(
+            shard if sub is None else shard.apply_delta(sub)
+            for shard, sub in zip(self.shards, routed)
+        )
+        updates, placed = [], []
+        for old, sub, new in zip(self.shards, routed, shards):
+            if sub is None:
+                continue
+            if old.is_empty():
+                placed.append(new)
+            else:
+                updates.append((old.fingerprint(), sub, new))
+        return PlanAdvance(
+            ShardedStructure(new_structure, shards, self.strategy),
+            resharded=False,
+            updates=updates,
+            fresh=tuple(placed),
+            stale=(),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = ",".join(str(len(s)) for s in self.shards)
         return f"ShardedStructure({self.structure!r} -> [{sizes}])"
+
+
+class PlanAdvance(NamedTuple):
+    """A shard plan carried across a delta by
+    :meth:`ShardedStructure.advance`, with the fate of every context
+    resident under the old plan's shard fingerprints."""
+
+    #: The post-delta plan.
+    sharded: ShardedStructure
+    #: Whether a component merge forced a fresh partition.
+    resharded: bool
+    #: ``(old fingerprint, sub-delta, new shard)``: migrate in place.
+    updates: list
+    #: New shards with nothing resident to migrate from (they were
+    #: empty before, or belong to a fresh partition).
+    fresh: tuple
+    #: Old shard fingerprints no plan uses any more.
+    stale: tuple
 
 
 def data_components(structure: Structure) -> list[frozenset[Element]]:

@@ -393,6 +393,34 @@ def test_engine_apply_delta_migrates_pinned_worker_contexts():
         assert before + 1 == after
 
 
+def test_deltas_reregistration_and_a_fresh_engine_all_agree():
+    """Three routes to the same data -- incremental deltas, re-registering
+    each rebuilt version, an engine that saw neither -- one count."""
+    versions = [two_paths()]
+    deltas = [
+        StructureDelta(inserts={"E": [(4, 5)]}),
+        StructureDelta(deletes={"E": [(1, 2)]}),
+        StructureDelta(inserts={"E": [(5, 10)]}),  # merges the two paths
+    ]
+    for delta in deltas:
+        versions.append(versions[-1].apply_delta(delta))
+    with Engine(processes=2) as live, Engine(processes=2) as rereg:
+        live.register_structure("g", versions[0], pin=True, shard_count=2)
+        live.count_sharded(PATH_QUERY, "g", parallel=True)
+        for delta, version in zip(deltas, versions[1:]):
+            live.apply_delta("g", delta)
+            rebuilt = Structure.from_relations(
+                {"E": sorted(version.relations["E"])},
+                universe=sorted(version.universe),
+            )
+            rereg.register_structure("g", rebuilt, pin=True, shard_count=2)
+            assert (
+                live.count_sharded(PATH_QUERY, "g", parallel=True)
+                == rereg.count_sharded(PATH_QUERY, "g", parallel=True)
+                == reference_count(version)
+            )
+
+
 # ----------------------------------------------------------------------
 # Stale-shard-plan regression (re-registration with a drifted plan)
 # ----------------------------------------------------------------------

@@ -6,14 +6,32 @@ path; and the rerouted ``count_answers`` must hit the default engine's
 plan cache.
 """
 
+import dataclasses
+
 import pytest
 
+from repro import BudgetExceeded, PolicyRejection
 from repro.core.counting import count_answers
-from repro.engine import Engine, compile_plan, count_many, execute
-from repro.engine.api import default_engine, reset_default_engine, set_default_engine
-from repro.structures.random_gen import random_graph
+from repro.engine import (
+    Engine,
+    UnknownStructureError,
+    compile_plan,
+    count_many,
+    execute,
+)
+from repro.engine.api import (
+    EngineStats,
+    default_engine,
+    reset_default_engine,
+    set_default_engine,
+)
+from repro.obs.prom import ENGINE_COUNTERS
+from repro.structures.delta import StructureDelta
+from repro.structures.random_gen import random_cluster_graph, random_graph
+from repro.workloads import frontier_query_pair
 from repro.workloads.generators import (
     example_5_21_query,
+    hidden_clique_query,
     random_conjunctive_query,
     random_ucq,
 )
@@ -147,3 +165,72 @@ def test_engine_stats_as_dict_has_exactly_the_published_keys():
     snapshot["strategies"]["auto"] = 99
     assert stats.strategies == {"auto": 2}
     assert not hasattr(stats, "index_hits")
+
+
+# ----------------------------------------------------------------------
+# The counter list: every EngineStats field moves, and resets
+# ----------------------------------------------------------------------
+#: State, not history: ``reset_stats()`` leaves it alone and
+#: ``/metrics`` serves it as a gauge, not a ``_total`` counter.
+GAUGES = {"encoded_resident_bytes"}
+
+
+@pytest.fixture(scope="module")
+def moved_then_reset(tmp_path_factory):
+    """``(moved, reset)``: the stats after a workload built to move
+    every field, and after a ``reset_stats()`` on top of it."""
+    path = "exists z. (E(x, z) & E(z, y))"
+    graph = random_cluster_graph(4, 6, 0.4, seed=13)
+    _, hard = frontier_query_pair(4)
+    with Engine(
+        processes=1,
+        registry_max_entries=1,
+        persistent_cache_dir=str(tmp_path_factory.mktemp("plans")),
+    ) as engine:
+        engine.count(path, graph)
+        engine.count("exists z. (E(x, z) & E(z, y)) & E(y, w)", graph)
+        engine.count(hidden_clique_query(3), random_graph(7, 0.6, seed=2))
+        engine.count_many([path], [graph], parallel=False)
+        for _ in range(2):  # a worker-context miss, then a hit
+            engine.count_sharded(path, graph, shard_count=4, parallel=True)
+        engine.plans.clear()
+        engine.compile(path)  # served from the plan store
+        with pytest.raises(PolicyRejection):
+            engine.count(str(hard), graph, policy="reject")
+        with pytest.raises(BudgetExceeded):
+            engine.count(
+                path,
+                random_graph(9, 0.5, seed=3),
+                policy={"mode": "budget", "max_steps": 1},
+            )
+        engine.register_structure("evicted", graph, pin=False)
+        engine.register_structure("net", graph, pin=False, shard_count=2)
+        engine.count(path, "net")
+        with pytest.raises(UnknownStructureError):
+            engine.count(path, "evicted")
+        engine.apply_delta("net", StructureDelta(inserts={"E": [(0, 1000)]}))
+        engine.unregister_structure("net")
+        moved = engine.stats()
+        engine.reset_stats()
+        return moved, engine.stats()
+
+
+@pytest.mark.parametrize(
+    "stat", dataclasses.fields(EngineStats), ids=lambda stat: stat.name
+)
+def test_every_engine_stat_moves_and_resets(moved_then_reset, stat):
+    moved, reset = moved_then_reset
+    assert getattr(moved, stat.name), "the workload never moved it"
+    if stat.name in GAUGES:
+        assert getattr(reset, stat.name) == getattr(moved, stat.name)
+    else:
+        assert getattr(reset, stat.name) == type(getattr(moved, stat.name))()
+
+
+def test_prometheus_exposes_every_integer_engine_counter():
+    integer_fields = {
+        stat.name
+        for stat in dataclasses.fields(EngineStats)
+        if stat.type in ("int", int)
+    }
+    assert set(ENGINE_COUNTERS) == integer_fields - GAUGES

@@ -202,6 +202,20 @@ def test_count_sharded_traces_one_worker_span_per_shard():
     assert any(s.name == "plan.compile" for s in trace.spans())
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["traced", "untraced"])
+def test_tracing_never_changes_a_count(enabled):
+    get_tracer().set_enabled(enabled)
+    with Engine(processes=2) as engine:
+        counts = [
+            engine.count_sharded(
+                PATH_QUERY, triangles(12), shard_count=4, parallel=True
+            )
+            for _ in range(3)  # cold, then warm workers
+        ]
+    assert counts == [12 * 3] * 3
+    assert bool(get_tracer().finished_traces()) is enabled
+
+
 def test_worker_exception_still_produces_error_annotated_trace(monkeypatch):
     def explode(self, key):
         raise RuntimeError("worker blew up")

@@ -28,6 +28,7 @@ from repro import (
     ReproError,
     classify,
 )
+from repro.budget import budget_scope
 from repro.core.classification import Case
 from repro.engine.api import Engine
 from repro.engine.policy import ALLOW, ExecutionPolicy
@@ -196,6 +197,104 @@ def test_budget_validation_is_a_bad_request_not_an_abort():
     with pytest.raises(ReproError) as excinfo:
         CostBudget(max_steps=0)
     assert not isinstance(excinfo.value, BudgetExceeded)
+
+
+# ----------------------------------------------------------------------
+# The single guarded path: every entry point routes the same way
+# ----------------------------------------------------------------------
+#: Entry point -> ``(call(engine, query, graph, **policy), batch)``.  A
+#: fresh engine has ``graph`` registered as "net".  The baseline branch
+#: of ``count_sharded`` uses ``disjuncts``: ``naive``, the other
+#: baseline kind, never charges a budget.
+ENTRY_POINTS = {
+    "count": (lambda e, q, g, **kw: e.count(q, g, **kw), False),
+    "count_sharded-ref": (
+        lambda e, q, g, **kw: e.count_sharded(q, "net", parallel=False, **kw),
+        False,
+    ),
+    "count_sharded-baseline": (
+        lambda e, q, g, **kw: e.count_sharded(
+            q, g, strategy="disjuncts", **kw
+        ),
+        False,
+    ),
+    "count_many": (
+        lambda e, q, g, **kw: e.count_many(
+            [q, "E(x, y)"], [g, "net"], parallel=False, **kw
+        ),
+        True,
+    ),
+}
+
+
+@pytest.fixture(params=ENTRY_POINTS, ids=str)
+def entry_point(request):
+    """``(engine, call, batch)``: a cold engine and one way into it."""
+    call, batch = ENTRY_POINTS[request.param]
+    with Engine(processes=1) as engine:
+        engine.register_structure("net", graph(), shard_count=3)
+        engine.reset_stats()
+        yield engine, call, batch
+
+
+def test_every_entry_point_raises_on_a_tripped_budget(entry_point):
+    engine, call, _ = entry_point
+    with pytest.raises(BudgetExceeded) as excinfo:
+        call(engine, PATH_QUERY, graph(), policy={"mode": "budget", "max_steps": 1})
+    assert excinfo.value.progress["steps"] > 1
+    stats = engine.stats()
+    assert stats.budget_aborts == 1
+    assert stats.count_calls == 0  # an aborted request is not a count
+
+
+def test_an_untripped_budget_changes_no_count(entry_point):
+    engine, call, batch = entry_point
+    armed = {"mode": "budget", "max_steps": 10**12, "max_seconds": 600}
+    budgeted = call(engine, PATH_QUERY, graph(), policy=armed)
+    assert budgeted == call(engine, PATH_QUERY, graph(), policy="allow")
+    with Engine() as cold:  # not an echo of the first call's memos
+        exact = cold.count(PATH_QUERY, graph())
+    assert exact == (budgeted[0][0] if batch else budgeted)
+    assert engine.stats().budget_aborts == 0
+
+
+def test_every_entry_point_degrades_in_its_own_shape(entry_point):
+    engine, call, batch = entry_point
+    degraded = call(
+        engine, PATH_QUERY, graph(), policy={"mode": "degrade", "max_steps": 1}
+    )
+    estimate = len(graph().universe) ** 2  # both queries have arity 2
+    assert degraded == ([[estimate] * 2] * 2 if batch else estimate)
+    stats = engine.stats()
+    assert stats.budget_aborts == 1
+    assert stats.count_calls == (4 if batch else 1)
+
+
+def test_every_entry_point_rejects_before_executing(entry_point):
+    engine, call, _ = entry_point
+    with pytest.raises(PolicyRejection):
+        call(engine, str(HARD), graph(), policy="reject")
+    stats = engine.stats()
+    assert stats.policy_rejections == 1
+    assert stats.count_calls == stats.batch_calls == stats.sharded_calls == 0
+    assert stats.execute_seconds == 0.0
+    assert stats.context_hits == stats.context_misses == 0
+
+
+def test_every_entry_point_charges_an_outer_budget_scope(entry_point):
+    """Under ``allow`` the engine opens no scope of its own, so the
+    caller's ambient budget keeps governing the execution (a
+    ``budget_scope(None)`` here would silently lift it)."""
+    engine, call, _ = entry_point
+    engine.compile(PATH_QUERY)  # compile-time charges stay out of it
+    engine.compile(PATH_QUERY, "disjuncts")
+    engine.compile("E(x, y)")
+    with budget_scope(CostBudget(max_steps=10**9)) as outer:
+        call(engine, PATH_QUERY, graph())
+    assert outer.steps > 0
+    with budget_scope(CostBudget(max_steps=1)), pytest.raises(BudgetExceeded):
+        call(engine, PATH_QUERY, graph(seed=4))
+    assert engine.stats().budget_aborts == 1
 
 
 # ----------------------------------------------------------------------

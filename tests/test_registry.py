@@ -255,6 +255,18 @@ def test_resharding_same_data_unpins_the_old_shard_plan():
             assert graph.fingerprint() in keys
 
 
+def test_reregistering_unpinned_releases_the_pin_everywhere():
+    with Engine(processes=2) as engine:
+        graph = clustered()
+        first = engine.register_structure("net", graph, pin=True, shard_count=4)
+        engine.count_sharded(PATH_QUERY, "net", parallel=True)  # starts the pool
+        engine.register_structure("net", graph, pin=False, shard_count=4)
+        held = set(first.worker_fingerprints())
+        assert not held & set(engine.pool.pinned_fingerprints())
+        for keys in engine.pool.worker_pinned_fingerprints():
+            assert not held & set(keys)
+
+
 def test_unregister_unpins_everywhere():
     with Engine(processes=2) as engine:
         graph = triangle()
@@ -267,6 +279,47 @@ def test_unregister_unpins_everywhere():
             assert graph.fingerprint() not in keys
         with pytest.raises(UnknownStructureError):
             engine.count(PATH_QUERY, "tri")
+
+
+def _refusals():
+    """``(id, engine factory, name, expected error)``: the three ways
+    ``register_structure`` refuses ``clustered()``."""
+    small = approximate_structure_bytes(triangle()) + 16
+
+    def all_pinned() -> Engine:
+        engine = Engine(processes=1, registry_max_entries=1)
+        engine.register_structure("resident", triangle(), pin=True)
+        return engine
+
+    yield pytest.param(
+        lambda: Engine(processes=1), "a/b", ReproError, id="bad-name"
+    )
+    yield pytest.param(
+        lambda: Engine(processes=1, registry_max_bytes=small),
+        "big",
+        RegistryFull,
+        id="over-byte-cap",
+    )
+    yield pytest.param(all_pinned, "extra", RegistryFull, id="all-pinned")
+
+
+@pytest.mark.parametrize("make_engine,name,error", _refusals())
+@pytest.mark.parametrize("cached_before", [False, True], ids=["cold", "cached"])
+def test_refused_registration_leaves_no_context_behind(
+    make_engine, name, error, cached_before
+):
+    graph = clustered()
+    with make_engine() as engine:
+        if cached_before:
+            # A context an earlier count cached is not the refusal's to drop.
+            engine.count(PATH_QUERY, graph)
+        contexts = len(engine.contexts)
+        resident = engine.stats().encoded_resident_bytes
+        with pytest.raises(error):
+            engine.register_structure(name, graph, pin=True)
+        assert len(engine.contexts) == contexts
+        assert engine.stats().encoded_resident_bytes == resident
+        assert name not in engine.registry
 
 
 # ----------------------------------------------------------------------
