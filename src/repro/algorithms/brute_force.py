@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Iterable, Mapping
 
+from repro.budget import current_budget
 from repro.exceptions import FormulaError
 from repro.logic.ep import EPFormula
 from repro.logic.formulas import AtomicFormula, And, Exists, Formula, Or, Truth
@@ -36,7 +37,8 @@ def satisfies(
     ``assignment`` must cover the free variables of ``formula``.  The
     evaluation follows the semantics of existential positive first-order
     logic directly; existential quantifiers are evaluated by trying
-    every universe element.
+    every universe element (one step of the ambient
+    :class:`~repro.budget.CostBudget` per tuple tried).
     """
     if isinstance(formula, Truth):
         return True
@@ -59,7 +61,10 @@ def satisfies(
         variables = formula.variables
         elements = sorted(structure.universe, key=repr)
         base = dict(assignment)
+        budget = current_budget()
         for values in iter_product(elements, repeat=len(variables)):
+            if budget is not None:
+                budget.charge()
             base.update(zip(variables, values))
             if satisfies(structure, base, formula.body):
                 return True
@@ -72,11 +77,16 @@ def enumerate_answers_naive(query: EPFormula, structure: Structure) -> Iterable[
 
     An answer is an assignment of the *liberal* variables; the iteration
     order is deterministic (lexicographic in the sorted variable names
-    and sorted universe elements).
+    and sorted universe elements).  Each candidate assignment charges
+    one step of the ambient :class:`~repro.budget.CostBudget`, so a
+    budget or deadline policy can stop the oracle too.
     """
     variables = sorted(query.liberal, key=lambda v: v.name)
     elements = sorted(structure.universe, key=repr)
+    budget = current_budget()
     for values in iter_product(elements, repeat=len(variables)):
+        if budget is not None:
+            budget.charge()
         assignment = dict(zip(variables, values))
         if satisfies(structure, assignment, query.ast):
             yield assignment

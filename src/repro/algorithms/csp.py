@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import networkx as nx
 
@@ -35,6 +35,7 @@ from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.treewidth import treewidth
 from repro.budget import current_budget
 from repro.exceptions import ReproError
+from repro.structures.encoding import table_ops
 from repro.structures.graphs import primal_graph_of_atoms
 
 VariableName = Hashable
@@ -299,79 +300,98 @@ def count_solutions_decomposition(
     return total * (len(instance.domain) ** len(uncovered))
 
 
-def table_from_scope(
-    scope: tuple[VariableName, ...],
-    rows: frozenset[tuple[Value, ...]],
-) -> tuple[tuple[VariableName, ...], frozenset[tuple[Value, ...]]]:
-    """Collapse repeated scope variables into a distinct-column table.
+class BagStep(NamedTuple):
+    """One bag of a :func:`dp_schedule`, in evaluation order.
 
-    Repeated variables become equality filters (a row survives iff all
-    its entries for the same variable agree); columns are the distinct
-    variables in first-occurrence order, matching the convention of the
-    semijoin pipeline's base tables.  Scopes without repeats pass
-    through untouched.
+    ``local`` indexes the tables whose scope the bag covers,
+    ``children`` the bags whose messages it consumes, ``separator`` the
+    columns (``repr``-sorted) of the message it sends its ``parent``,
+    ``unjoined`` the separator variables no local table or child
+    message mentions (they range over the whole domain and are joined
+    in explicitly), and ``free`` counts the bag variables nothing here
+    constrains: a factor ``domain_size`` each.
     """
-    columns: list[VariableName] = []
-    for variable in scope:
-        if variable not in columns:
-            columns.append(variable)
-    if len(columns) == len(scope):
-        return tuple(scope), rows
-    filtered: set[tuple[Value, ...]] = set()
-    for row in rows:
-        values: dict[VariableName, Value] = {}
-        consistent = True
-        for variable, value in zip(scope, row):
-            if values.setdefault(variable, value) != value:
-                consistent = False
-                break
-        if consistent:
-            filtered.add(tuple(values[c] for c in columns))
-    return tuple(columns), frozenset(filtered)
+
+    bag_id: int
+    parent: int | None
+    local: tuple[int, ...]
+    children: tuple[int, ...]
+    separator: tuple[VariableName, ...]
+    unjoined: tuple[VariableName, ...]
+    free: int
 
 
-def _weighted_join(
-    left_cols: tuple[VariableName, ...],
-    left: dict[tuple[Value, ...], int],
-    right_cols: tuple[VariableName, ...],
-    right: dict[tuple[Value, ...], int],
-) -> tuple[tuple[VariableName, ...], dict[tuple[Value, ...], int]]:
-    """Hash join of two weighted tables on their shared columns.
+def dp_schedule(
+    variables: Sequence[VariableName],
+    scopes: Sequence[tuple[VariableName, ...]],
+    decomposition: TreeDecomposition | None = None,
+) -> tuple[BagStep, ...]:
+    """The data-independent half of :func:`count_solutions_tables`: a
+    tree decomposition lowered to per-bag join instructions, children
+    before parents, for tables with the given (distinct-column)
+    ``scopes``.
 
-    Output weight of a joined row is the product of the input weights;
-    both inputs have unique rows per their column sets, so each output
-    row arises from exactly one (left, right) pair and the accumulation
-    below never actually merges.
+    Validates ``decomposition`` against the scopes' primal graph (one
+    is computed when none is given) and that every scope fits a bag.
+    Nothing here reads data, so a caller running the same tables'
+    shapes against many structures computes it once.
     """
-    shared = [c for c in right_cols if c in left_cols]
-    right_positions = [right_cols.index(c) for c in shared]
-    extra_positions = [i for i, c in enumerate(right_cols) if c not in left_cols]
-    out_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra_positions)
-    buckets: dict[tuple, list[tuple[tuple, int]]] = {}
-    for row, weight in right.items():
-        key = tuple(row[i] for i in right_positions)
-        buckets.setdefault(key, []).append(
-            (tuple(row[i] for i in extra_positions), weight)
+    primal = primal_graph_of_atoms(scopes, vertices=tuple(variables))
+    if decomposition is None:
+        _, decomposition = treewidth(primal)
+    else:
+        decomposition.validate(primal)
+    bags = {bag_id: decomposition.bag(bag_id) for bag_id in decomposition}
+    for scope in scopes:
+        if scope and not any(set(scope) <= bag for bag in bags.values()):
+            raise ReproError(
+                f"no bag covers constraint scope {scope!r}; "
+                "the decomposition does not decompose the primal graph"
+            )
+    children = decomposition.children()
+    separators: dict[int, tuple[VariableName, ...]] = {}
+    steps = []
+    for bag_id, parent in decomposition.rooted_order():
+        bag = bags[bag_id]
+        local = tuple(
+            i for i, scope in enumerate(scopes) if scope and set(scope) <= bag
         )
-    left_positions = [left_cols.index(c) for c in shared]
-    out: dict[tuple[Value, ...], int] = {}
-    budget = current_budget()
-    for row, weight in left.items():
-        key = tuple(row[i] for i in left_positions)
-        matches = buckets.get(key, ())
-        if budget is not None:
-            budget.charge(1 + len(matches))
-        for extra, right_weight in matches:
-            joined = row + extra
-            out[joined] = out.get(joined, 0) + weight * right_weight
-    return out_cols, out
+        separators[bag_id] = separator = (
+            tuple(sorted(bag & bags[parent], key=repr))
+            if parent is not None
+            else ()
+        )
+        joined: set[VariableName] = set()
+        for i in local:
+            joined.update(scopes[i])
+        for child in children[bag_id]:
+            joined.update(separators[child])
+        # Bag variables outside separator and joined columns are
+        # unconstrained here and in every neighbor (any constraint on
+        # them would be local to a bag containing them, and separators
+        # carry all sharing): multiplied out, never expanded.
+        steps.append(
+            BagStep(
+                bag_id,
+                parent,
+                local,
+                tuple(children[bag_id]),
+                separator,
+                tuple(v for v in separator if v not in joined),
+                len(bag - joined - set(separator)),
+            )
+        )
+    return tuple(steps)
 
 
 def count_solutions_tables(
     variables: Sequence[VariableName],
     domain_size: int,
-    tables: Sequence[tuple[tuple[VariableName, ...], frozenset]],
+    tables: Sequence[tuple[tuple[VariableName, ...], object]],
     decomposition: TreeDecomposition | None = None,
+    *,
+    schedule: Sequence[BagStep] | None = None,
+    ops=None,
 ) -> int:
     """Count assignments of ``variables`` into ``range(domain_size)``
     satisfying every distinct-column table constraint, by join-driven
@@ -380,122 +400,58 @@ def count_solutions_tables(
     Semantically identical to building a :class:`CSPInstance` over the
     domain ``0..domain_size-1`` and calling :func:`count_solutions`
     with the decomposition strategy, but the per-bag work is a chain of
-    weighted hash joins of the bag's constraint tables and child
-    messages instead of backtracking over ``domain^|bag|`` candidate
-    assignments -- per bag it costs time proportional to the joined
-    table sizes, not to the domain size raised to the bag width.  Bag
-    variables constrained by no local table and no separator are
-    provably unconstrained within the bag (any constraint mentioning
-    them would be local to a bag containing them, and separators carry
-    all sharing) and contribute a multiplicative ``domain_size`` each,
-    exactly like uncovered variables.
+    weighted joins of the bag's constraint tables and child messages
+    instead of backtracking over ``domain^|bag|`` candidate assignments
+    -- per bag it costs time proportional to the joined table sizes,
+    not to the domain size raised to the bag width.
 
-    This is the execution core of :func:`repro.algorithms.fpt_counting.
-    execute_pp_plan`; the rows are dense ints there, but nothing here
-    depends on that.
+    One loop, two kernels: every table operation goes through ``ops``,
+    the table backend of :mod:`repro.structures.encoding` (vectorized
+    ``int64`` columns under numpy, with python-int fallbacks wherever a
+    weight could pass 63 bits; dict-of-tuple hash joins otherwise), so
+    the result is an exact python int on either.  ``tables`` are
+    ``(columns, rows)`` pairs whose rows are that backend's tables or
+    any iterable of int tuples; ``ops`` defaults to a kernel with no
+    structure behind it.
+
+    ``decomposition`` is validated on every call.  A caller repeating
+    the same table shapes (:func:`repro.algorithms.fpt_counting.
+    execute_pp_plan`, once per structure) passes the ``schedule`` it
+    got from :func:`dp_schedule` instead.
     """
+    if ops is None:
+        ops = table_ops(domain_size)
+    tables = [ops.table(columns, rows) for columns, rows in tables]
+    if any(ops.is_empty(table) for table in tables):
+        return 0
     if not variables:
-        for scope, rows in tables:
-            if not scope and not rows:
-                return 0
         return 1
-    for scope, rows in tables:
-        if scope and not rows:
-            return 0
-        if not scope and not rows:
-            return 0
     if domain_size == 0:
         return 0
-    primal = primal_graph_of_atoms(
-        (scope for scope, _ in tables), vertices=tuple(variables)
-    )
-    if decomposition is None:
-        _, decomposition = treewidth(primal)
-    else:
-        decomposition.validate(primal)
-
-    bags = {bag_id: decomposition.bag(bag_id) for bag_id in decomposition}
-    for scope, _ in tables:
-        if scope and not any(set(scope) <= bag for bag in bags.values()):
-            raise ReproError(
-                f"no bag covers constraint scope {scope!r}; "
-                "the decomposition does not decompose the primal graph"
-            )
-
-    covered = decomposition.vertices()
-    uncovered = [v for v in variables if v not in covered]
-    order = decomposition.rooted_order()
-    children = decomposition.children()
-
-    # messages[bag_id]: (separator columns, projection-row -> weight)
-    messages: dict[int, tuple[tuple, dict[tuple, int]]] = {}
-    total = 0
-    for bag_id, parent in order:
-        bag = bags[bag_id]
-        local = [
-            (scope, rows) for scope, rows in tables if scope and set(scope) <= bag
-        ]
-        incoming = [messages.pop(child) for child in children[bag_id]]
-        separator = (
-            tuple(sorted((v for v in bag & bags[parent]), key=repr))
-            if parent is not None
-            else ()
+    if schedule is None:
+        schedule = dp_schedule(
+            variables, [columns for columns, _ in tables], decomposition
         )
-        needed: set[VariableName] = set(separator)
-        for scope, _ in local:
-            needed.update(scope)
-        for cols, _ in incoming:
-            needed.update(cols)
 
-        table_cols: tuple[VariableName, ...] = ()
-        table_rows: dict[tuple[Value, ...], int] = {(): 1}
-        for scope, rows in local:
-            table_cols, table_rows = _weighted_join(
-                table_cols, table_rows, scope, dict.fromkeys(rows, 1)
-            )
-            if not table_rows:
-                break
-        if table_rows:
-            for cols, weights in incoming:
-                table_cols, table_rows = _weighted_join(
-                    table_cols, table_rows, cols, weights
-                )
-                if not table_rows:
-                    break
-        if not table_rows:
-            # An empty bag table empties every message on the path to
-            # the root, so the total is 0; bail out early.
-            return 0
-
-        # Needed-but-unjoined variables (separator vars no local table
-        # or message mentions) range freely; expand them explicitly so
-        # the projection below sees them.
-        budget = current_budget()
-        for variable in sorted(needed, key=repr):
-            if variable not in table_cols:
-                if budget is not None:
-                    budget.charge(len(table_rows) * domain_size)
-                table_cols = table_cols + (variable,)
-                table_rows = {
-                    row + (value,): weight
-                    for row, weight in table_rows.items()
-                    for value in range(domain_size)
-                }
-        # Bag variables outside `needed` are unconstrained here and in
-        # every neighbor: multiply instead of expanding.
-        free = sum(1 for v in bag if v not in needed)
-        factor = domain_size**free
-        if parent is None:
-            total = sum(table_rows.values()) * factor
+    messages: dict[int, object] = {}
+    total = 0
+    for step in schedule:
+        inputs = [ops.weighted(tables[i]) for i in step.local]
+        inputs += [messages.pop(child) for child in step.children]
+        inputs += [ops.domain(v, domain_size) for v in step.unjoined]
+        table = inputs[0] if inputs else ops.weighted(ops.table((), [()]))
+        for other in inputs[1:]:
+            table = ops.weighted_join(table, other)
+            if ops.is_empty(table):
+                # An empty bag table empties every message on the path
+                # to the root, so the total is 0; bail out early.
+                return 0
+        factor = domain_size**step.free
+        if step.parent is None:
+            total = ops.total(table) * factor
         else:
-            positions = [table_cols.index(v) for v in separator]
-            projected: dict[tuple[Value, ...], int] = {}
-            for row, weight in table_rows.items():
-                key = tuple(row[i] for i in positions)
-                projected[key] = projected.get(key, 0) + weight * factor
-            messages[bag_id] = (separator, projected)
-
-    return total * (domain_size ** len(uncovered))
+            messages[step.bag_id] = ops.marginalize(table, step.separator, factor)
+    return total
 
 
 def count_solutions(

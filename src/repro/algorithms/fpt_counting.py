@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import networkx as nx
 
-from repro.algorithms.csp import count_solutions_tables, table_from_scope
+from repro.algorithms.csp import BagStep, count_solutions_tables, dp_schedule
 from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.treewidth import treewidth
 from repro.logic.pp import PPFormula
@@ -219,6 +219,27 @@ class PPCountingPlan:
     decomposition: TreeDecomposition
     width: int
 
+    @cached_property
+    def dp_schedule(self) -> tuple[BagStep, ...]:
+        """The decomposition, validated and lowered to the per-bag join
+        instructions of :func:`count_solutions_tables` -- once per plan
+        object instead of once per execution.  The table shapes are
+        those :func:`execute_pp_plan` builds: one per liberal atom
+        (distinct scope variables, first occurrence first), then one
+        per ∃-component with a boundary."""
+        scopes = [
+            tuple(dict.fromkeys(scope)) for _, scope in self.liberal_atom_scopes
+        ]
+        scopes += [c.boundary_order for c in self.components if c.boundary_order]
+        return dp_schedule(self.liberal_order, scopes, self.decomposition)
+
+    def __getstate__(self) -> dict:
+        # Derived, and cheap next to a pickle round trip per request:
+        # jobs and the plan store ship the compiled fields only.
+        state = dict(self.__dict__)
+        state.pop("dp_schedule", None)
+        return state
+
 
 def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan:
     """Compile a pp-formula into a reusable :class:`PPCountingPlan`.
@@ -255,18 +276,19 @@ def execute_pp_plan(
     """Count the answers of a compiled pp-plan on one data structure.
 
     This is the data-side half of :func:`count_pp_answers_fpt`, over
-    tables of dense-int rows end to end: liberal-atom tables come from
-    the context's columnar relations (repeated scope variables collapse
+    the context's table backend end to end: liberal-atom tables are the
+    context's memoized base tables (repeated scope variables collapse
     to equality-filtered distinct columns), each ∃-component is
     eliminated through the :class:`~repro.engine.context.
     ExecutionContext` (memoized semijoin reduction when the component
-    is acyclic with a small boundary, backtracking otherwise), and the
-    count runs through the join-driven junction-tree DP
-    :func:`count_solutions_tables` over the precomputed decomposition.
-    Because the encoding is a bijection between the universe and
-    ``range(n)``, nothing is ever decoded.  ``context`` shares the
-    encoding and the boundary-relation memo across plans, terms, and
-    calls; a throwaway context is created when none is given.
+    is acyclic with a small boundary, backtracking otherwise) to a
+    table of the same backend, and the count runs through the
+    join-driven junction-tree DP :func:`count_solutions_tables` over
+    the plan's precomputed schedule.  Because the encoding is a
+    bijection between the universe and ``range(n)``, nothing is ever
+    decoded.  ``context`` shares the encoding and the memos across
+    plans, terms, and calls; a throwaway context is created when none
+    is given.
     """
     if structure.is_empty():
         return 0 if plan.formula.variables else 1
@@ -274,26 +296,24 @@ def execute_pp_plan(
         from repro.engine.context import ExecutionContext
 
         context = ExecutionContext(structure)
-    encoded = context.encoded
-    tables: list[tuple[tuple[Variable, ...], frozenset]] = []
-    for name, scope in plan.liberal_atom_scopes:
-        # relation_rows raises SignatureError for unknown names exactly
-        # like Structure.relation.
-        tables.append(table_from_scope(scope, encoded.relation_rows(name)))
+    ops = context.table_ops()
+    # base_table raises SignatureError for unknown names exactly like
+    # Structure.relation.
+    tables = [ops.base_table(name, scope) for name, scope in plan.liberal_atom_scopes]
     for component in plan.components:
-        boundary = component.boundary_order
-        if not boundary:
+        if not component.boundary_order:
             # A pp-sentence part: it contributes a factor 1 if satisfiable
             # on the structure and 0 otherwise.
             if not context.component_satisfiable(component):
                 return 0
             continue
-        tables.append((boundary, context.boundary_relation_encoded(component)))
+        tables.append(context.boundary_table(component))
     return count_solutions_tables(
         plan.liberal_order,
-        encoded.size,
+        context.encoded.size,
         tables,
-        decomposition=plan.decomposition,
+        schedule=plan.dp_schedule,
+        ops=ops,
     )
 
 

@@ -4,11 +4,11 @@ The service's request deadline used to be advisory: a timed-out count
 kept burning its executor thread (and a pool worker) until it finished
 naturally, surfacing only as an ``abandoned`` gauge.  A
 :class:`CostBudget` makes cancellation real by cooperation: the hot
-loops -- the junction-tree DP in :mod:`repro.algorithms.csp`, the
-backtracking search in :mod:`repro.structures.homomorphism`, and the
-encoded-table joins in :mod:`repro.structures.encoding` /
-:mod:`repro.engine.context` -- charge their iteration counts against
-the ambient budget and raise
+loops -- the table joins of the semijoin sweep and the junction-tree
+DP in :mod:`repro.structures.encoding`, the backtracking searches in
+:mod:`repro.structures.homomorphism` and :mod:`repro.algorithms.csp`,
+and the exhaustive oracle in :mod:`repro.algorithms.brute_force` --
+charge their iteration counts against the ambient budget and raise
 :class:`~repro.exceptions.BudgetExceeded` when it runs out.
 
 The budget is *ambient*, carried in a :class:`contextvars.ContextVar`

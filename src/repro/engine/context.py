@@ -4,11 +4,11 @@ An :class:`ExecutionContext` bundles everything the executor derives
 from one data structure -- its dense-int columnar encoding
 (:class:`~repro.structures.encoding.EncodedStructure`), the lazily
 built :class:`~repro.structures.indexes.EncodedPositionalIndex` over
-it, a memo of per-∃-component boundary relations, and (for the sharded
-path) cached :class:`~repro.structures.sharding.ShardedStructure`
-partitions -- so that every plan executed against the same structure
-shares the work instead of re-deriving it per call, per term, or per
-grid cell.
+it, a memo of per-∃-component boundary relations (tables of the
+derived backend), and (for the sharded path) cached
+:class:`~repro.structures.sharding.ShardedStructure` partitions -- so
+that every plan executed against the same structure shares the work
+instead of re-deriving it per call, per term, or per grid cell.
 
 Besides caching, the context owns the *semijoin* ∃-component
 elimination: when a component's boundary is small and its atom
@@ -31,11 +31,11 @@ import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.budget import current_budget
 from repro.structures.encoding import (
     EncodedStructure,
     NumpyTableOps,
     TableOverflow,
+    _PyTableOps,
     numpy_available,
     resolve_backend,
 )
@@ -65,21 +65,18 @@ numpy_available()
 #: that materializing join tables stops paying off).
 SEMIJOIN_MAX_BOUNDARY = 3
 
-#: Safety valve: if an intermediate join table exceeds this many rows
-#: the semijoin evaluator aborts and the backtracking path takes over.
-SEMIJOIN_ROW_CAP = 500_000
-
 
 @dataclass
 class ContextStats:
     """Counters accumulated by one or more execution contexts.
 
-    ``index_builds`` counts positional-index constructions (the
-    regression target of the context refactor: at most one per distinct
-    structure on the sequential paths).  ``boundary_hits`` /
-    ``boundary_misses`` count lookups of memoized ∃-component boundary
-    relations; ``semijoin_eliminations`` / ``backtracking_eliminations``
-    count which evaluator served each miss.
+    ``index_builds`` counts positional-index constructions (at most one
+    per distinct structure on the sequential paths; under numpy only a
+    backtracking elimination or a sentence check builds one).
+    ``boundary_hits`` / ``boundary_misses`` count lookups of memoized
+    ∃-component boundary relations; ``semijoin_eliminations`` /
+    ``backtracking_eliminations`` count which evaluator served each
+    miss.
 
     A sink is shared by every context a cache creates and may be
     updated from many threads at once, so mutation goes through
@@ -163,10 +160,10 @@ class ExecutionContext:
 
     Every evaluator runs over the structure's dense-int encoding
     (:attr:`encoded`): the semijoin pipeline and the pp-plan DP join
-    int-tuple tables (vectorized when numpy imports, see
-    :func:`repro.structures.encoding.resolve_backend`), backtracking
-    and sentence satisfiability search the isomorphic int structure,
-    and values are decoded only at :meth:`boundary_relation`.
+    tables of the derived backend (:meth:`table_ops`: vectorized
+    columns when numpy imports, int-tuple sets otherwise),
+    backtracking and sentence satisfiability search the isomorphic int
+    structure, and values are decoded only at :meth:`boundary_relation`.
 
     Parameters
     ----------
@@ -215,7 +212,7 @@ class ExecutionContext:
         self.semijoin_max_boundary = semijoin_max_boundary
         self._encoded: EncodedStructure | None = None
         self._encoded_index: EncodedPositionalIndex | None = None
-        self._boundary_memo: dict["ExistsComponent", frozenset] = {}
+        self._boundary_memo: dict["ExistsComponent", tuple] = {}
         self._base_table_memo: dict[tuple, tuple] = {}
         self._satisfiable_memo: dict["ExistsComponent", bool] = {}
         self._sentence_memo: dict["PPFormula", bool] = {}
@@ -273,16 +270,20 @@ class ExecutionContext:
         """The universe in code order: ``domain[i]`` decodes code ``i``."""
         return self.encoded.decode
 
-    def _table_ops(self):
-        """The semijoin table backend this interpreter runs."""
+    def table_ops(self):
+        """The table backend this interpreter runs, over this context's
+        columns and base-table memo."""
         if numpy_available():
             return NumpyTableOps(
-                self.encoded, SEMIJOIN_ROW_CAP, self._base_table_memo
+                self.encoded.size, self.encoded, self._base_table_memo
             )
         return _PyTableOps(self.encoded_index, self._base_table_memo)
 
     def materialize(self) -> "ExecutionContext":
-        """Build the lazy data-derived state (encoding, index) eagerly.
+        """Build eagerly what the derived backend's request path reads:
+        the encoding, plus its zero-copy column views under numpy or
+        the positional index (the row source of the python base
+        tables) otherwise.
 
         The lazy defaults are right for throwaway contexts, but a
         context being *pinned* (worker-resident for a registered
@@ -291,9 +292,16 @@ class ExecutionContext:
         post-pin count is as warm as every later one.  This is where
         the structure pays its one-time interning (``context.encode``
         span), so registered structures encode at registration, not on
-        the request path.  Idempotent; returns ``self`` for chaining.
+        the request path.  Under numpy the index stays lazy, as on
+        every post-delta context: only a backtracking elimination or a
+        sentence check reads it.  Idempotent; returns ``self`` for
+        chaining.
         """
-        self.encoded_index  # noqa: B018 - property access builds both
+        if numpy_available():
+            for name in self.encoded.relations:
+                self.encoded.np_columns(name)
+        else:
+            self.encoded_index  # noqa: B018 - property access builds both
         return self
 
     # ------------------------------------------------------------------
@@ -303,15 +311,17 @@ class ExecutionContext:
         """The relation over the component's boundary (sorted by name):
         the boundary assignments that extend to a homomorphism of the
         component into the structure, as *object* tuples decoded from
-        :meth:`boundary_relation_encoded`."""
+        :meth:`boundary_table`."""
+        ops = self.table_ops()
         return self.encoded.decode_rows(
-            self.boundary_relation_encoded(component)
+            ops.iter_rows(self.boundary_table(component))
         )
 
-    def boundary_relation_encoded(self, component: "ExistsComponent") -> frozenset:
-        """The boundary relation as dense-int tuples (no decoding).
+    def boundary_table(self, component: "ExistsComponent") -> tuple:
+        """The boundary relation as a ``(columns, rows)`` table of the
+        derived backend, over dense ints (no decoding).
 
-        The pp-plan DP consumes this directly; column order is
+        The pp-plan DP consumes this directly; ``columns`` is
         :attr:`ExistsComponent.boundary_order`.  Memoized per component.
         """
         if self.memoize and component in self._boundary_memo:
@@ -329,7 +339,8 @@ class ExecutionContext:
             self.stats.bump("boundary_hits")
             return self._satisfiable_memo[component]
         self.stats.bump("boundary_misses")
-        satisfiable = bool(self._eliminate(component, ()))
+        # A zero-column table: one row () iff the component maps in.
+        satisfiable = len(self._eliminate(component, ())[1]) > 0
         if self.memoize:
             self._satisfiable_memo[component] = satisfiable
         return satisfiable
@@ -387,18 +398,20 @@ class ExecutionContext:
 
     def _eliminate(
         self, component: "ExistsComponent", boundary: tuple["Variable", ...]
-    ) -> frozenset:
-        """Compute a boundary relation as dense-int tuples,
-        semijoin-first with a backtracking fallback.
+    ) -> tuple:
+        """Compute a boundary relation as a ``(boundary, rows)`` table
+        of the derived backend, semijoin-first with a backtracking
+        fallback.
 
         Base tables come from the columnar relations, joins hash
         machine ints (or run vectorized when numpy imports), and the
         fallback -- cyclic components, wide boundaries, join blowups --
         searches the isomorphic int structure.
         """
+        ops = self.table_ops()
         if self.structure.is_empty():
             # No assignment of anything exists on the empty structure.
-            return frozenset()
+            return ops.table(boundary, ())
         if (
             self.semijoin
             and len(boundary) <= self.semijoin_max_boundary
@@ -413,7 +426,7 @@ class ExecutionContext:
             ) as attempt:
                 try:
                     relation = _semijoin_project(
-                        component.atom_scopes, boundary, self._table_ops()
+                        component.atom_scopes, boundary, ops
                     )
                 except TableOverflow:
                     relation = None
@@ -435,7 +448,7 @@ class ExecutionContext:
             self.encoded_index,
         ):
             allowed.add(tuple(assignment[v] for v in boundary))
-        return frozenset(allowed)
+        return ops.table(boundary, allowed)
 
     # ------------------------------------------------------------------
     # Sharding
@@ -594,104 +607,11 @@ def _gyo_join_tree(
     return removed
 
 
-def _base_table(
-    index: EncodedPositionalIndex, name: str, scope: tuple
-) -> tuple[tuple, set]:
-    """Materialize one atom as a (columns, rows) table.
-
-    Repeated variables in the scope become equality filters; columns are
-    the distinct variables in first-occurrence order.
-    """
-    columns: list = []
-    for variable in scope:
-        if variable not in columns:
-            columns.append(variable)
-    rows: set[tuple] = set()
-    for t in index.tuples(name):
-        values: dict = {}
-        consistent = True
-        for variable, value in zip(scope, t):
-            if values.setdefault(variable, value) != value:
-                consistent = False
-                break
-        if consistent:
-            rows.add(tuple(values[c] for c in columns))
-    return tuple(columns), rows
-
-
-def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set]:
-    """Hash join of two tables on their shared columns."""
-    left_cols, left_rows = left
-    right_cols, right_rows = right
-    shared = [c for c in right_cols if c in left_cols]
-    left_positions = [left_cols.index(c) for c in shared]
-    right_positions = [right_cols.index(c) for c in shared]
-    extra_positions = [
-        i for i, c in enumerate(right_cols) if c not in left_cols
-    ]
-    out_cols = left_cols + tuple(right_cols[i] for i in extra_positions)
-    buckets: dict[tuple, list[tuple]] = {}
-    for row in right_rows:
-        key = tuple(row[i] for i in right_positions)
-        buckets.setdefault(key, []).append(tuple(row[i] for i in extra_positions))
-    out_rows: set[tuple] = set()
-    budget = current_budget()
-    for row in left_rows:
-        key = tuple(row[i] for i in left_positions)
-        matches = buckets.get(key, ())
-        if budget is not None:
-            budget.charge(1 + len(matches))
-        for extra in matches:
-            out_rows.add(row + extra)
-            if len(out_rows) > SEMIJOIN_ROW_CAP:
-                raise TableOverflow
-    return out_cols, out_rows
-
-
-def _project(table: tuple[tuple, set], keep: tuple) -> tuple[tuple, set]:
-    columns, rows = table
-    positions = [columns.index(c) for c in keep]
-    return keep, {tuple(row[i] for i in positions) for row in rows}
-
-
-class _PyTableOps:
-    """Python set-based int-tuple tables for the semijoin sweep (the
-    backend when numpy does not import).
-
-    ``memo`` caches base tables per ``(relation_name, scope)`` -- the
-    relations are immutable and joins never mutate their inputs, so
-    cached tables are safe to share across components and calls.
-    """
-
-    __slots__ = ("index", "memo")
-
-    def __init__(self, index: EncodedPositionalIndex, memo: dict):
-        self.index = index
-        self.memo = memo
-
-    def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
-        key = (name, scope)
-        if key not in self.memo:
-            self.memo[key] = _base_table(self.index, name, scope)
-        return self.memo[key]
-
-    def is_empty(self, table: tuple[tuple, set]) -> bool:
-        return not table[1]
-
-    def join(self, left, right):
-        return _join(left, right)
-
-    def project(self, table, keep):
-        return _project(table, keep)
-
-    def finalize(self, table, boundary) -> frozenset:
-        return frozenset(_project(table, tuple(boundary))[1])
-
-
-def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> frozenset | None:
+def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> tuple | None:
     """The projection onto ``boundary`` of the join of a component's
-    atoms against the data, or ``None`` when the atom hypergraph is
-    cyclic (the caller falls back to backtracking).
+    atoms against the data, as a ``(boundary, rows)`` table of ``ops``,
+    or ``None`` when the atom hypergraph is cyclic (the caller falls
+    back to backtracking).
 
     This is the Yannakakis-style evaluation specialized to small
     projections: process the GYO join tree leaves-first, at each node
@@ -700,7 +620,8 @@ def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> frozenset | None:
     separator with the parent.  For an α-acyclic hypergraph this yields
     exactly the set of boundary assignments that extend to a
     homomorphism of the component into the data.  With an empty
-    boundary the result is ``{()}`` or ``{}``: a satisfiability bit.
+    boundary the result has the one row ``()`` or none: a
+    satisfiability bit.
 
     Variables of the component occurring in no atom are unconstrained
     and do not affect the projection (the data universe is non-empty on
@@ -710,7 +631,7 @@ def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> frozenset | None:
     ``scopes`` is the component's cached
     :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`
     (its atoms in the canonical repr-sorted order); ``ops`` is the
-    table backend (:class:`_PyTableOps` or
+    table backend (:class:`~repro.structures.encoding._PyTableOps` or
     :class:`~repro.structures.encoding.NumpyTableOps`).
     """
     if not scopes:
@@ -744,9 +665,9 @@ def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> frozenset | None:
         )
         reduced = ops.project(table, keep)
         if ops.is_empty(reduced):
-            return frozenset()
+            return ops.table(boundary, ())
         pending.setdefault(parent, []).append(reduced)
     table = tables.pop(root)
     for child in pending.pop(root, ()):
         table = ops.join(table, child)
-    return ops.finalize(table, boundary)
+    return ops.project(table, boundary)

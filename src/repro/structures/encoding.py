@@ -20,19 +20,36 @@ Table backend
 The one platform split is *derived*, never chosen:
 :func:`resolve_backend` is ``"numpy"`` when numpy imports
 (:class:`NumpyTableOps`: packed-key vectorized joins) and ``"array"``
-otherwise (the int-tuple hash joins of
-:class:`repro.engine.context._PyTableOps`).  The probe goes through
-:func:`_import_numpy` so tests can monkeypatch the import to simulate a
-numpy-less interpreter.
+otherwise (the int-tuple hash joins of :class:`_PyTableOps`).  Both
+kernels live here and serve both data-side evaluators: the plain
+``(columns, rows)`` tables of the semijoin sweep
+(:mod:`repro.engine.context`) and the weighted tables of the
+junction-tree DP (:func:`repro.algorithms.csp.count_solutions_tables`).
+The probe goes through :func:`_import_numpy` so tests can monkeypatch
+the import to simulate a numpy-less interpreter.
+
+Two rules hold for every weighted operation of the numpy kernel:
+
+* **Exact integers.**  A weighted table carries a python-int upper
+  bound on its weights (product of the input bounds at a join; group
+  size x bound x factor at a marginalization; rows x bound at the final
+  sum).  A step whose bound would reach ``2**63`` -- like a join or
+  group key too wide to pack -- runs on :class:`_PyTableOps` (python
+  ints) instead, so no ``int64`` ever wraps.
+* **Charge before allocate.**  A join counts its matches first, charges
+  the ambient :class:`~repro.budget.CostBudget` with that count, and
+  only then expands them, at most :data:`SEMIJOIN_ROW_CAP` rows at a
+  time -- a step or deadline budget interrupts a blow-up before its
+  memory is spent.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.budget import current_budget
-from repro.exceptions import SignatureError
+from repro.exceptions import ReproError, SignatureError
 from repro.structures.structure import Element, Structure
 
 #: Sentinel meaning "the numpy probe has not run yet".
@@ -71,6 +88,15 @@ def resolve_backend() -> str:
     """The table backend this interpreter runs: ``"numpy"`` when numpy
     imports, ``"array"`` (pure python) otherwise."""
     return "numpy" if numpy_available() else "array"
+
+
+#: Most rows a join step materializes at once.  The semijoin sweep
+#: aborts past it (:class:`TableOverflow`; backtracking takes over), the
+#: DP's weighted joins expand in pieces of at most this many rows.
+SEMIJOIN_ROW_CAP = 500_000
+
+#: Weights stay in ``int64`` arrays only while their bound is below this.
+_INT64_LIMIT = 2**63
 
 
 class TableOverflow(Exception):
@@ -295,6 +321,17 @@ class EncodedStructure:
             )
         return self._int_structure
 
+    def check_atom(self, name: str, scope: tuple) -> None:
+        """Raise :class:`SignatureError` unless ``name(scope)`` is an
+        atom over this structure's signature."""
+        if name not in self.relations:
+            raise SignatureError(f"unknown relation {name!r}")
+        arity = self.relations[name].arity
+        if len(scope) != arity:
+            raise SignatureError(
+                f"relation {name!r} has arity {arity}, not {len(scope)}"
+            )
+
     def np_columns(self, name: str) -> tuple:
         """Zero-copy ``int64`` numpy views of a relation's columns."""
         if name not in self._np_columns:
@@ -343,34 +380,228 @@ class EncodedStructure:
 
 
 # ----------------------------------------------------------------------
+# Python table operations (array backend, and the exact kernel)
+# ----------------------------------------------------------------------
+def _base_table(index, name: str, scope: tuple) -> tuple[tuple, set]:
+    """Materialize one atom as a (columns, rows) table.
+
+    Repeated variables in the scope become equality filters; columns are
+    the distinct variables in first-occurrence order.
+    """
+    columns: list = []
+    for variable in scope:
+        if variable not in columns:
+            columns.append(variable)
+    rows: set[tuple] = set()
+    for t in index.tuples(name):
+        values: dict = {}
+        consistent = True
+        for variable, value in zip(scope, t):
+            if values.setdefault(variable, value) != value:
+                consistent = False
+                break
+        if consistent:
+            rows.add(tuple(values[c] for c in columns))
+    return tuple(columns), rows
+
+
+def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set]:
+    """Hash join of two tables on their shared columns."""
+    left_cols, left_rows = left
+    right_cols, right_rows = right
+    shared = [c for c in right_cols if c in left_cols]
+    left_positions = [left_cols.index(c) for c in shared]
+    right_positions = [right_cols.index(c) for c in shared]
+    extra_positions = [
+        i for i, c in enumerate(right_cols) if c not in left_cols
+    ]
+    out_cols = left_cols + tuple(right_cols[i] for i in extra_positions)
+    buckets: dict[tuple, list[tuple]] = {}
+    for row in right_rows:
+        key = tuple(row[i] for i in right_positions)
+        buckets.setdefault(key, []).append(tuple(row[i] for i in extra_positions))
+    out_rows: set[tuple] = set()
+    budget = current_budget()
+    for row in left_rows:
+        key = tuple(row[i] for i in left_positions)
+        matches = buckets.get(key, ())
+        if budget is not None:
+            budget.charge(1 + len(matches))
+        for extra in matches:
+            out_rows.add(row + extra)
+            if len(out_rows) > SEMIJOIN_ROW_CAP:
+                raise TableOverflow
+    return out_cols, out_rows
+
+
+def _project(table: tuple[tuple, set], keep: tuple) -> tuple[tuple, set]:
+    columns, rows = table
+    positions = [columns.index(c) for c in keep]
+    return tuple(keep), {tuple(row[i] for i in positions) for row in rows}
+
+
+def _weighted_join(
+    left: tuple[tuple, dict], right: tuple[tuple, dict]
+) -> tuple[tuple, dict]:
+    """Hash join of two weighted tables on their shared columns.
+
+    Output weight of a joined row is the product of the input weights;
+    both inputs have unique rows per their column sets, so each output
+    row arises from exactly one (left, right) pair and the accumulation
+    below never actually merges.
+    """
+    left_cols, left_rows = left
+    right_cols, right_rows = right
+    shared = [c for c in right_cols if c in left_cols]
+    right_positions = [right_cols.index(c) for c in shared]
+    extra_positions = [i for i, c in enumerate(right_cols) if c not in left_cols]
+    out_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra_positions)
+    buckets: dict[tuple, list[tuple[tuple, int]]] = {}
+    for row, weight in right_rows.items():
+        key = tuple(row[i] for i in right_positions)
+        buckets.setdefault(key, []).append(
+            (tuple(row[i] for i in extra_positions), weight)
+        )
+    left_positions = [left_cols.index(c) for c in shared]
+    out: dict[tuple, int] = {}
+    budget = current_budget()
+    for row, weight in left_rows.items():
+        key = tuple(row[i] for i in left_positions)
+        matches = buckets.get(key, ())
+        if budget is not None:
+            budget.charge(1 + len(matches))
+        for extra, right_weight in matches:
+            joined = row + extra
+            out[joined] = out.get(joined, 0) + weight * right_weight
+    return out_cols, out
+
+
+class _PyTableOps:
+    """Python int-tuple tables: the backend when numpy does not import,
+    and the exact kernel the numpy backend hands overflowing steps to.
+
+    A plain table is ``(columns, set of rows)``, a weighted one
+    ``(columns, {row: weight})`` with python-int weights.  ``memo``
+    caches base tables per ``(relation_name, scope)`` -- the relations
+    are immutable and joins never mutate their inputs, so cached tables
+    are safe to share across components and calls.  ``index`` is the
+    row source of :meth:`base_table`; a kernel over hand-made tables
+    (:func:`table_ops`) has none.
+    """
+
+    __slots__ = ("index", "memo")
+
+    def __init__(self, index=None, memo: dict | None = None):
+        self.index = index
+        self.memo = {} if memo is None else memo
+
+    # -- plain tables (the semijoin sweep) --------------------------------
+    def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
+        key = (name, scope)
+        if key not in self.memo:
+            self.index.encoded.check_atom(name, scope)
+            self.memo[key] = _base_table(self.index, name, scope)
+        return self.memo[key]
+
+    @staticmethod
+    def table(columns: tuple, rows) -> tuple[tuple, set]:
+        """A table from hand-made rows (any iterable of int tuples)."""
+        if not isinstance(rows, (set, frozenset)):
+            rows = set(rows)
+        return tuple(columns), rows
+
+    @staticmethod
+    def is_empty(table) -> bool:
+        return not table[1]
+
+    @staticmethod
+    def iter_rows(table) -> Iterable[tuple[int, ...]]:
+        return table[1]
+
+    join = staticmethod(_join)
+    project = staticmethod(_project)
+
+    # -- weighted tables (the junction-tree DP) ---------------------------
+    @staticmethod
+    def weighted(table: tuple[tuple, set]) -> tuple[tuple, dict]:
+        columns, rows = table
+        return columns, dict.fromkeys(rows, 1)
+
+    @staticmethod
+    def domain(variable, size: int) -> tuple[tuple, dict]:
+        """The weighted one-column table of every value of ``variable``."""
+        return (variable,), {(value,): 1 for value in range(size)}
+
+    weighted_join = staticmethod(_weighted_join)
+
+    @staticmethod
+    def marginalize(
+        table: tuple[tuple, dict], keep: tuple, factor: int
+    ) -> tuple[tuple, dict]:
+        """Sum the weights of the rows agreeing on ``keep``, times
+        ``factor``."""
+        columns, rows = table
+        positions = [columns.index(c) for c in keep]
+        out: dict[tuple, int] = {}
+        for row, weight in rows.items():
+            key = tuple(row[i] for i in positions)
+            out[key] = out.get(key, 0) + weight * factor
+        return tuple(keep), out
+
+    @staticmethod
+    def total(table: tuple[tuple, dict]) -> int:
+        return sum(table[1].values())
+
+
+# ----------------------------------------------------------------------
 # Vectorized table operations (numpy backend)
 # ----------------------------------------------------------------------
+class WeightedRows(NamedTuple):
+    """A weighted table of the numpy kernel: unique ``int64`` rows, one
+    ``int64`` weight per row, and a python-int upper bound on every
+    weight (the exactness guard, see the module docstring)."""
+
+    columns: tuple
+    rows: object
+    weights: object
+    bound: int
+
+
 class NumpyTableOps:
-    """Vectorized ``(columns, int64 row matrix)`` tables for the
-    semijoin sweep.
+    """Vectorized ``(columns, int64 row matrix)`` tables.
 
     Joins pack the shared-column values of each side into a single
-    mixed-radix ``int64`` key (radix ``n``; falls back to python tuple
-    keys when ``n**k`` would overflow 63 bits), sort one side, and
+    mixed-radix ``int64`` key (radix ``size``), sort one side, and
     expand matches with ``searchsorted`` + ``repeat`` -- no python-level
     loop over rows.  Tables keep rows unique (base tables deduplicate,
     joins of unique inputs on shared columns are unique, projections
     run through ``unique``), so row counts equal set cardinalities and
     the row cap has the same meaning as for the python set tables.
+
+    The weighted operations of the junction-tree DP run over
+    :class:`WeightedRows` the same way (weights multiply through the
+    gathered indices, group sums are ``add.reduceat`` over sorted keys);
+    any table may instead be in :class:`_PyTableOps` weighted form,
+    which is what a step that fails the exactness guard produces and
+    every later step accepts.
+
+    ``size`` bounds the values (and is the packing radix); ``encoded``
+    is the column source of :meth:`base_table` -- a kernel over
+    hand-made tables (:func:`table_ops`) has none.
     """
 
-    __slots__ = ("encoded", "np", "row_cap", "memo")
+    __slots__ = ("size", "encoded", "np", "memo")
 
     def __init__(
         self,
-        encoded: EncodedStructure,
-        row_cap: int,
-        memo: dict,
+        size: int,
+        encoded: EncodedStructure | None = None,
+        memo: dict | None = None,
     ):
+        self.size = size
         self.encoded = encoded
         self.np = get_numpy()
-        self.row_cap = row_cap
-        self.memo = memo
+        self.memo = {} if memo is None else memo
 
     # -- table constructors ---------------------------------------------
     def base_table(self, name: str, scope: tuple) -> tuple[tuple, object]:
@@ -380,6 +611,7 @@ class NumpyTableOps:
         if key in self.memo:
             return self.memo[key]
         np = self.np
+        self.encoded.check_atom(name, scope)
         raw = self.encoded.np_columns(name)
         columns: list = []
         first_pos: list[int] = []
@@ -405,59 +637,48 @@ class NumpyTableOps:
         self.memo[key] = table
         return table
 
-    def is_empty(self, table: tuple[tuple, object]) -> bool:
-        return table[1].shape[0] == 0
+    def table(self, columns: tuple, rows) -> tuple[tuple, object]:
+        """A table from hand-made rows (any iterable of int tuples over
+        ``range(size)``); a row matrix passes through."""
+        np = self.np
+        if not isinstance(rows, np.ndarray):
+            unique = list(set(rows))
+            rows = np.array(unique, dtype=np.int64).reshape(
+                len(unique), len(columns)
+            )
+            if rows.size and (rows.min() < 0 or rows.max() >= self.size):
+                raise ReproError(
+                    f"table over {columns!r} has values outside "
+                    f"range({self.size})"
+                )
+        return tuple(columns), rows
 
-    # -- core operations -------------------------------------------------
+    @staticmethod
+    def is_empty(table) -> bool:
+        return len(table[1]) == 0
+
+    @staticmethod
+    def iter_rows(table: tuple[tuple, object]) -> Iterable[list[int]]:
+        return table[1].tolist()
+
+    # -- plain tables (the semijoin sweep) --------------------------------
     def join(
         self, left: tuple[tuple, object], right: tuple[tuple, object]
     ) -> tuple[tuple, object]:
         np = self.np
         left_cols, left_rows = left
         right_cols, right_rows = right
-        shared = [c for c in right_cols if c in left_cols]
         extra = [i for i, c in enumerate(right_cols) if c not in left_cols]
         out_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra)
-        left_n = left_rows.shape[0]
-        right_n = right_rows.shape[0]
-        if left_n == 0 or right_n == 0:
+        if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
             return out_cols, np.empty((0, len(out_cols)), dtype=np.int64)
-        budget = current_budget()
-        if not shared:
-            if left_n * right_n > self.row_cap:
-                raise TableOverflow
-            if budget is not None:
-                budget.charge(left_n * right_n)
-            left_idx = np.repeat(np.arange(left_n), right_n)
-            right_idx = np.tile(np.arange(right_n), left_n)
-        else:
-            left_key = self._pack(left_rows, [left_cols.index(c) for c in shared])
-            right_key = self._pack(right_rows, [right_cols.index(c) for c in shared])
-            if left_key is None or right_key is None:
-                return self._join_tuples(left, right, shared, extra, out_cols)
-            order = np.argsort(right_key, kind="stable")
-            right_sorted = right_key[order]
-            lo = np.searchsorted(right_sorted, left_key, side="left")
-            hi = np.searchsorted(right_sorted, left_key, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total > self.row_cap:
-                raise TableOverflow
-            if budget is not None:
-                budget.charge(left_n + right_n + total)
-            left_idx = np.repeat(np.arange(left_n), counts)
-            starts = np.repeat(lo, counts)
-            offsets = np.arange(total) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            right_idx = order[starts + offsets]
-        if extra:
-            out = np.concatenate(
-                [left_rows[left_idx], right_rows[right_idx][:, extra]], axis=1
-            )
-        else:
-            out = left_rows[left_idx]
-        return out_cols, out
+        matches = self._match(left_cols, left_rows, right_cols, right_rows)
+        if matches is None:
+            return self._join_tuples(left, right, extra, out_cols)
+        if matches[-1] > SEMIJOIN_ROW_CAP:
+            raise TableOverflow
+        ((left_idx, right_idx),) = self._pairs(*matches)
+        return out_cols, self._gather(left_rows, left_idx, right_rows, right_idx, extra)
 
     def project(
         self, table: tuple[tuple, object], keep: tuple
@@ -469,12 +690,154 @@ class NumpyTableOps:
             return tuple(keep), rows[:0, :0] if rows.shape[0] == 0 else rows[:1, :0]
         return tuple(keep), self._dedup(rows[:, positions])
 
-    def finalize(self, table: tuple[tuple, object], boundary: tuple) -> frozenset:
-        """Decode-free exit: project and freeze into int tuples."""
-        _, rows = self.project(table, tuple(boundary))
-        return frozenset(map(tuple, rows.tolist()))
+    # -- weighted tables (the junction-tree DP) ---------------------------
+    def weighted(self, table: tuple[tuple, object]) -> WeightedRows:
+        columns, rows = table
+        return WeightedRows(
+            columns, rows, self.np.ones(rows.shape[0], dtype=self.np.int64), 1
+        )
+
+    def domain(self, variable, size: int) -> WeightedRows:
+        """The weighted one-column table of every value of ``variable``."""
+        return self.weighted(
+            ((variable,), self.np.arange(size, dtype=self.np.int64)[:, None])
+        )
+
+    def weighted_join(self, left, right):
+        """Join on the shared columns; a joined row weighs the product
+        of its two sources."""
+        np = self.np
+        if (
+            isinstance(left, WeightedRows)
+            and isinstance(right, WeightedRows)
+            and left.bound * right.bound < _INT64_LIMIT
+        ):
+            matches = self._match(left.columns, left.rows, right.columns, right.rows)
+            if matches is not None:
+                extra = [
+                    i for i, c in enumerate(right.columns) if c not in left.columns
+                ]
+                rows, weights = [], []
+                for left_idx, right_idx in self._pairs(*matches):
+                    rows.append(
+                        self._gather(left.rows, left_idx, right.rows, right_idx, extra)
+                    )
+                    weights.append(left.weights[left_idx] * right.weights[right_idx])
+                if len(rows) > 1:  # only a join past the row cap comes in pieces
+                    rows, weights = [np.concatenate(rows)], [np.concatenate(weights)]
+                return WeightedRows(
+                    left.columns + tuple(right.columns[i] for i in extra),
+                    rows[0],
+                    weights[0],
+                    left.bound * right.bound,
+                )
+        return _weighted_join(self._exact(left), self._exact(right))
+
+    def marginalize(self, table, keep: tuple, factor: int):
+        """Sum the weights of the rows agreeing on ``keep``, times
+        ``factor`` (``table`` is non-empty)."""
+        np = self.np
+        if isinstance(table, WeightedRows):
+            columns, rows, weights, bound = table
+            positions = [columns.index(c) for c in keep]
+            key = self._pack(rows, positions)
+            if key is not None:
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                starts = np.concatenate(
+                    ([0], np.flatnonzero(key[1:] != key[:-1]) + 1)
+                )
+                largest = int(np.diff(starts, append=key.shape[0]).max())
+                out_bound = largest * bound * factor
+                if out_bound < _INT64_LIMIT:
+                    # Never bincount(weights=): it accumulates in floats.
+                    sums = np.add.reduceat(weights[order], starts)
+                    if factor != 1:
+                        sums *= factor
+                    return WeightedRows(
+                        tuple(keep), rows[order[starts]][:, positions], sums, out_bound
+                    )
+        return _PyTableOps.marginalize(self._exact(table), keep, factor)
+
+    def total(self, table) -> int:
+        if isinstance(table, WeightedRows):
+            if table.rows.shape[0] * table.bound < _INT64_LIMIT:
+                return int(table.weights.sum())
+            return sum(table.weights.tolist())
+        return _PyTableOps.total(table)
 
     # -- helpers ---------------------------------------------------------
+    def _exact(self, table) -> tuple[tuple, dict]:
+        """``table`` in :class:`_PyTableOps` weighted form."""
+        if isinstance(table, WeightedRows):
+            return table.columns, dict(
+                zip(map(tuple, table.rows.tolist()), table.weights.tolist())
+            )
+        return table
+
+    def _match(self, left_cols, left_rows, right_cols, right_rows):
+        """Count the matches of a join on the shared columns without
+        expanding them.
+
+        Returns ``(lo, counts, order, total)`` -- left row ``i`` matches
+        the right rows ``order[lo[i] : lo[i] + counts[i]]`` -- or
+        ``None`` when the shared columns are too wide to pack into one
+        key.
+        """
+        np = self.np
+        left_n, right_n = left_rows.shape[0], right_rows.shape[0]
+        shared = [c for c in right_cols if c in left_cols]
+        if not shared:
+            return (
+                np.zeros(left_n, dtype=np.int64),
+                np.full(left_n, right_n, dtype=np.int64),
+                np.arange(right_n),
+                left_n * right_n,
+            )
+        left_key = self._pack(left_rows, [left_cols.index(c) for c in shared])
+        right_key = self._pack(right_rows, [right_cols.index(c) for c in shared])
+        if left_key is None:
+            return None
+        order = np.argsort(right_key, kind="stable")
+        right_key = right_key[order]
+        lo = np.searchsorted(right_key, left_key, side="left")
+        counts = np.searchsorted(right_key, left_key, side="right") - lo
+        return lo, counts, order, int(counts.sum())
+
+    def _pairs(self, lo, counts, order, total):
+        """Expand counted matches into ``(left_idx, right_idx)`` index
+        arrays, in pieces of at most :data:`SEMIJOIN_ROW_CAP` pairs.
+
+        The ambient budget is charged with the sizes read and the
+        ``total`` about to be written before anything is allocated,
+        and its deadline re-checked between pieces.
+        """
+        np = self.np
+        budget = current_budget()
+        if budget is not None:
+            budget.charge(counts.shape[0] + order.shape[0] + total)
+        ends = np.cumsum(counts)
+        # Pair p, of left row i, sits at sorted-right position
+        # lo[i] + (p - first pair of i) = shift[i] + p.
+        shift = lo - ends + counts
+        if total <= SEMIJOIN_ROW_CAP:
+            left_idx = np.repeat(np.arange(counts.shape[0]), counts)
+            yield left_idx, order[shift[left_idx] + np.arange(total)]
+            return
+        for start in range(0, total, SEMIJOIN_ROW_CAP):
+            if budget is not None:
+                budget.check()
+            pair = np.arange(start, min(start + SEMIJOIN_ROW_CAP, total))
+            left_idx = np.searchsorted(ends, pair, side="right")
+            yield left_idx, order[shift[left_idx] + pair]
+
+    def _gather(self, left_rows, left_idx, right_rows, right_idx, extra):
+        if not extra:
+            return left_rows[left_idx]
+        return self.np.concatenate(
+            [left_rows[left_idx], right_rows[right_idx][:, extra]], axis=1
+        )
+
     def _dedup(self, rows):
         np = self.np
         if rows.shape[0] <= 1:
@@ -489,20 +852,23 @@ class NumpyTableOps:
         """Mixed-radix int64 key over ``positions``; ``None`` when the
         packed width would overflow 63 bits."""
         np = self.np
-        radix = max(self.encoded.size, 1)
-        if radix ** len(positions) >= 2**63:
+        radix = max(self.size, 1)
+        if radix ** len(positions) >= _INT64_LIMIT:
             return None
+        if not positions:
+            return np.zeros(rows.shape[0], dtype=np.int64)
         key = rows[:, positions[0]].astype(np.int64, copy=True)
         for position in positions[1:]:
             key *= radix
             key += rows[:, position]
         return key
 
-    def _join_tuples(self, left, right, shared, extra, out_cols):
+    def _join_tuples(self, left, right, extra, out_cols):
         """Python-tuple fallback join for unpackable key widths."""
         np = self.np
         left_cols, left_rows = left
         right_cols, right_rows = right
+        shared = [c for c in right_cols if c in left_cols]
         left_pos = [left_cols.index(c) for c in shared]
         right_pos = [right_cols.index(c) for c in shared]
         budget = current_budget()
@@ -517,8 +883,18 @@ class NumpyTableOps:
                 budget.charge(1)
             for extras in buckets.get(key, ()):
                 out.append(row + extras)
-                if len(out) > self.row_cap:
+                if len(out) > SEMIJOIN_ROW_CAP:
                     raise TableOverflow
         if not out:
             return out_cols, np.empty((0, len(out_cols)), dtype=np.int64)
         return out_cols, np.array(out, dtype=np.int64)
+
+
+def table_ops(size: int):
+    """This interpreter's table kernel over ``range(size)`` with no
+    structure behind it: every operation but ``base_table`` works.
+    For hand-made tables; a context builds its own
+    (:meth:`repro.engine.context.ExecutionContext.table_ops`)."""
+    if numpy_available():
+        return NumpyTableOps(size)
+    return _PyTableOps()

@@ -174,6 +174,28 @@ def test_count_many_builds_one_index_per_distinct_structure(backend, monkeypatch
     assert engine.stats().index_builds == 2
 
 
+def test_materialize_builds_what_the_backend_reads(backend):
+    structure = random_graph(7, 0.4, seed=2)
+    context = ExecutionContext(structure).materialize()
+    assert context.built
+    # The python base tables read the positional index; the numpy ones
+    # read column views, and the index waits for a reader.
+    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
+    acyclic = compile_plan("exists z. (E(x, z) & E(z, y))")
+    execute(acyclic, structure, context)
+    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
+    # Its two readers: a backtracking elimination (cyclic interior)...
+    cyclic = compile_plan("exists z w. (E(x, z) & E(z, w) & E(w, x))")
+    execute(cyclic, structure, context)
+    assert context.stats.backtracking_eliminations == 1
+    assert context.stats.index_builds == 1
+    # ...and a sentence check, on a fresh context.
+    other = ExecutionContext(structure).materialize()
+    other.sentence_holds(compile_plan("exists x y. E(x, y)").pp.formula)
+    other.sentence_holds(compile_plan("exists x. E(x, x)").pp.formula)
+    assert other.stats.index_builds == 1
+
+
 # ----------------------------------------------------------------------
 # Context-aware count_answers and the decomposition-override fix
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ consistent with what ran.
 
 import functools
 import pickle
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.engine import Engine
 from repro.engine.context import ExecutionContext, _PyTableOps
 from repro.engine.plan import as_ep
 from repro.exceptions import SignatureError
+from repro.logic.ep import EPFormula
 from repro.structures.encoding import EncodedStructure, NumpyTableOps
 from repro.structures.homomorphism import enumerate_extendable_assignments
 from repro.structures.random_gen import random_cluster_graph, random_graph
@@ -86,7 +88,7 @@ def brute_force(name: str) -> int:
 # No selection: the backend is derived, the knob is gone
 # ----------------------------------------------------------------------
 def test_backend_is_derived_from_the_numpy_probe(backend):
-    ops = ExecutionContext(STRUCTURE)._table_ops()
+    ops = ExecutionContext(STRUCTURE).table_ops()
     expected = NumpyTableOps if backend == "numpy" else _PyTableOps
     assert type(ops) is expected
 
@@ -140,6 +142,14 @@ def test_encoded_structure_unknown_relation_matches_structure_error():
         encoded.relation_rows("missing")
 
 
+@pytest.mark.parametrize("query", ["F(x, y)", "E(x, y, z)", "E(x)"])
+def test_an_atom_outside_the_signature_is_a_signature_error(backend, query):
+    # Liberal atoms reach the data as base tables: unknown names and
+    # wrong arities are refused there, the same way on both backends.
+    with pytest.raises(SignatureError):
+        Engine().count(query, STRUCTURE)
+
+
 def test_encoded_structure_pickles_compactly_and_round_trips():
     structure = random_graph(10, 0.4, seed=3)
     encoded = EncodedStructure(structure)
@@ -163,6 +173,34 @@ def test_encoded_structure_pickles_compactly_and_round_trips():
 def test_every_route_agrees_with_brute_force(backend, name, route):
     with Engine(processes=2) as engine:
         assert ROUTES[route](engine, GENERATOR_QUERIES[name]) == brute_force(name)
+
+
+def alpha_renamed(query, renaming: str) -> EPFormula:
+    """``query`` with every variable renamed: ``"reversed"`` makes the
+    new names sort (by ``repr`` and by name) in the opposite order of
+    the old ones, a seed shuffles them.  Column positions, separators
+    and packed-key layouts all follow variable order; counts must not.
+    """
+    disjuncts = as_ep(query).disjuncts()
+    old = sorted({v for d in disjuncts for v in d.variables}, key=repr)
+    new = [f"n{i:03d}" for i in range(len(old))]
+    if renaming == "reversed":
+        new.reverse()
+    else:
+        random.Random(renaming).shuffle(new)
+    mapping = dict(zip(old, new))
+    return EPFormula.from_disjuncts(
+        [d.rename({v: mapping[v] for v in d.variables}) for d in disjuncts]
+    )
+
+
+@pytest.mark.parametrize("renaming", ["reversed", "shuffle-1", "shuffle-2"])
+@pytest.mark.parametrize("name", GENERATOR_QUERIES)
+def test_counts_are_invariant_under_alpha_renaming(backend, name, renaming):
+    renamed = alpha_renamed(GENERATOR_QUERIES[name], renaming)
+    with Engine(processes=1) as engine:
+        assert engine.count(renamed, STRUCTURE) == brute_force(name)
+        assert engine.count(GENERATOR_QUERIES[name], STRUCTURE) == brute_force(name)
 
 
 def test_count_many_grid_agrees_with_brute_force(backend):
