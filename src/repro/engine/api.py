@@ -541,7 +541,10 @@ class Engine:
           (:meth:`~repro.engine.context.ExecutionContext.apply_delta`);
         * the shard plan routes each delta tuple to the shard owning
           its component; a component *merge* falls back to re-sharding
-          the post-delta structure;
+          the post-delta structure.  The plan advances once: the
+          migrated parent context ends up holding the very
+          :class:`~repro.structures.sharding.ShardedStructure` the new
+          registry entry holds;
         * resident worker contexts -- pinned in the pool, placed in an
           attached cluster -- receive an ``O(|delta|)`` fan-out and
           migrate in place (memos and encoding kept) instead of being

@@ -486,8 +486,10 @@ class ExecutionContext:
 
         The encoding (when built) migrates incrementally via
         :meth:`EncodedStructure.apply_delta`, and cached shard plans
-        migrate via :meth:`ShardedStructure.apply_delta` (dropped on a
-        component merge).  The positional index rebuilds lazily.  The
+        via :meth:`ShardedStructure.advance` -- which routes a delta
+        once per plan, so a plan the caller already carried onto
+        ``new_structure`` is shared, not advanced again (a component
+        merge re-shards).  The positional index rebuilds lazily.  The
         pre-delta context is left untouched, so in-flight executions
         against the old version stay coherent; eviction counts land in
         ``stats.memo_evictions``.
@@ -543,13 +545,10 @@ class ExecutionContext:
                 + len(self._sentence_memo)
                 + len(self._count_memo)
             )
-        from repro.exceptions import DeltaRoutingError
-
         for key, sharded in self._sharded_memo.items():
-            try:
-                fresh._sharded_memo[key] = sharded.apply_delta(delta)
-            except DeltaRoutingError:
-                evicted += 1
+            fresh._sharded_memo[key] = sharded.advance(
+                delta, new_structure
+            ).sharded
         if self._encoded is not None:
             fresh._encoded = self._encoded.apply_delta(delta)
         if evicted:

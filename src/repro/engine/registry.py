@@ -136,27 +136,27 @@ def approximate_delta_bytes(
 ) -> int:
     """Carry a resident-bytes estimate across a delta incrementally.
 
-    :func:`approximate_structure_bytes` is a sum of independent
-    per-container terms, so only the terms the delta can have changed
-    need re-measuring: the universe container plus any brand-new
-    elements (the universe only grows under a delta), and the touched
-    relations' containers and tuples.  A one-tuple delta costs
-    O(touched relation) instead of a full sweep over the structure,
-    and the result agrees exactly with a fresh
+    :func:`approximate_structure_bytes` is a sum of independent terms,
+    one per container and one per element or tuple, so only the terms
+    the delta names move: the universe and touched-relation containers
+    by the difference of their ``getsizeof``, plus one term per new
+    element and inserted tuple, minus one per deleted tuple (a tuple's
+    size depends on its length alone, so the delta's own tuples stand in
+    for the stored ones).  That is ``O(|delta|)`` whatever the relation
+    holds, and the result agrees exactly with a fresh
     ``approximate_structure_bytes(new)``.
     """
     total = parent_bytes
-    total -= sys.getsizeof(old.universe)
-    total += sys.getsizeof(new.universe)
-    for element in set(delta.inserted_elements()):
+    total += sys.getsizeof(new.universe) - sys.getsizeof(old.universe)
+    for element in delta.inserted_elements():
         if element not in old.universe:
             total += sys.getsizeof(element)
+    for sign, batches in ((1, delta.inserts), (-1, delta.deletes)):
+        for tuples in batches.values():
+            total += sign * sum(map(sys.getsizeof, tuples))
     for name in delta.relations:
-        for tuples, sign in ((old.relations[name], -1), (new.relations[name], 1)):
-            term = sys.getsizeof(tuples)
-            for t in tuples:
-                term += sys.getsizeof(t)
-            total += sign * term
+        total += sys.getsizeof(new.relation(name))
+        total -= sys.getsizeof(old.relation(name))
     return total
 
 
@@ -418,10 +418,11 @@ class StructureRegistry:
         cumulative statistics; ``version`` advances by one and
         ``resident_bytes`` is updated for the post-delta data --
         incrementally via :func:`approximate_delta_bytes` when the
-        caller passes the ``delta``, so a one-tuple update never pays a
-        full sweep over the structure.  Capacity is *not* re-enforced
-        here: deltas are incremental writes to already-admitted data,
-        and admission control stays at :meth:`register` time.
+        caller passes the ``delta``, so a one-tuple update costs
+        ``O(|delta|)``, not a sweep over the structure.  Capacity is
+        *not* re-enforced here: deltas are incremental writes to
+        already-admitted data, and admission control stays at
+        :meth:`register` time.
         """
         if delta is not None:
             resident_bytes = approximate_delta_bytes(

@@ -137,8 +137,10 @@ class ResidentContexts:
         migration (encoding and untouched memos kept); one this worker
         does not hold is skipped.  A migration whose chained
         fingerprint is not the expected one is dropped, never served:
-        the next job or place re-ships the truth.  Returns the number
-        of contexts migrated.
+        the next job or place re-ships the truth.  A delta that does
+        not apply raises (:class:`~repro.exceptions.DeltaError`) with
+        its context still resident under the old fingerprint.  Returns
+        the number of contexts migrated.
         """
         applied = 0
         with self._lock:
@@ -148,10 +150,11 @@ class ResidentContexts:
                     if old_fingerprint in self._placed
                     else self._lru
                 )
-                context = tier.pop(old_fingerprint, None)
+                context = tier.get(old_fingerprint)
                 if context is None:
                     continue
                 migrated = context.apply_delta(delta)
+                del tier[old_fingerprint]
                 if migrated.structure.fingerprint() == new_fingerprint:
                     tier[new_fingerprint] = migrated
                     applied += 1

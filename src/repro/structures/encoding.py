@@ -46,10 +46,11 @@ Two rules hold for every weighted operation of the numpy kernel:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.budget import current_budget
-from repro.exceptions import ReproError, SignatureError
+from repro.exceptions import DeltaError, ReproError, SignatureError
 from repro.structures.structure import Element, Structure
 
 #: Sentinel meaning "the numpy probe has not run yet".
@@ -144,6 +145,70 @@ class EncodedRelation:
             return iter(() for _ in range(self.row_count))
         return zip(*self.columns)
 
+    def splice(
+        self,
+        inserts: Sequence[tuple[int, ...]],
+        deletes: Sequence[tuple[int, ...]],
+    ) -> "EncodedRelation":
+        """A new relation with the rows ``inserts`` added and ``deletes``
+        removed, its columns still sorted; ``self`` is left as it is.
+
+        Each row is binary-searched to its lexicographic position
+        (``O(log n)`` row probes), which is also the strictness check: a
+        deleted row must be present, an inserted one absent, neither
+        named twice (:class:`~repro.exceptions.DeltaError` otherwise).
+        The new columns are slice copies of the old ones around those
+        positions, so beyond the probes the cost is a ``memcpy``.
+        """
+        columns, count = self.columns, self.row_count
+
+        def row_at(position: int) -> tuple[int, ...]:
+            return tuple(column[position] for column in columns)
+
+        # (position, 0: insert before it | 1: skip it, row); sorted, the
+        # inserts sharing a position come out in row order, ahead of a
+        # delete of the row they precede.
+        edits = []
+        for skip, rows in ((1, deletes), (0, inserts)):
+            for row in rows:
+                if len(row) != self.arity:
+                    raise DeltaError(
+                        f"delta tuple of arity {len(row)} for relation "
+                        f"{self.name!r} of arity {self.arity}"
+                    )
+                position = bisect_left(range(count), row, key=row_at)
+                present = position < count and row_at(position) == row
+                if present != bool(skip):
+                    problem = (
+                        "deletes a tuple absent from"
+                        if skip
+                        else "inserts a tuple already present in"
+                    )
+                    raise DeltaError(f"delta {problem} relation {self.name!r}")
+                edits.append((position, skip, row))
+        edits.sort()
+        if any(edit == following for edit, following in zip(edits, edits[1:])):
+            raise DeltaError(
+                f"delta names a tuple of relation {self.name!r} twice"
+            )
+        spliced = []
+        for i, column in enumerate(columns):
+            out = array("q")
+            cursor = 0
+            for position, skip, row in edits:
+                out.extend(column[cursor:position])
+                if not skip:
+                    out.append(row[i])
+                cursor = position + skip
+            out.extend(column[cursor:])
+            spliced.append(out)
+        return EncodedRelation(
+            self.name,
+            self.arity,
+            tuple(spliced),
+            count + len(inserts) - len(deletes),
+        )
+
     @property
     def nbytes(self) -> int:
         return sum(col.itemsize * len(col) for col in self.columns)
@@ -222,11 +287,21 @@ class EncodedStructure:
           existing code -- and with it every untouched column, memoized
           base table, and boundary relation expressed in codes -- stays
           valid;
-        * **merges into the sorted columns**: each touched relation's
-          columns are rebuilt by a single merge pass over its sorted
-          rows (deletes tombstoned out, sorted encoded inserts merged
-          in), costing ``O(|relation| + |delta|)``;
-        * **reuses untouched relations' columns** by reference.
+        * **splices into the sorted columns**: each delta row is
+          binary-searched to its lexicographic position in the touched
+          relation (``O(log |relation|)`` row probes), and the new
+          columns are slice copies of the old ones with the inserted
+          values in place and the deleted positions skipped -- so the
+          python work is ``O(|delta| log |relation|)`` and the rest is
+          a ``memcpy`` of the touched columns;
+        * **reuses untouched relations' columns** by reference, and the
+          ``encode`` / ``decode`` tables too when the delta brings no
+          new element.
+
+        The delta is strict here as everywhere: a delete must hit a
+        present row and an insert an absent one
+        (:class:`~repro.exceptions.DeltaError` otherwise; ``self`` is
+        never mutated).
 
         Note the decode table of a delta-applied encoding is no longer
         globally ``repr``-sorted (appended elements sort after the base
@@ -234,66 +309,35 @@ class EncodedStructure:
         *is* ``decode``, so the encode/decode bijection and the count
         semantics are unchanged.
         """
-        from repro.exceptions import DeltaError
-
         if delta.is_empty:
             return self
-        encode = dict(self.encode)
-        decode = list(self.decode)
-        for element in sorted(
+        encode, decode = self.encode, self.decode
+        fresh = sorted(
             (e for e in delta.inserted_elements() if e not in encode), key=repr
-        ):
-            encode[element] = len(decode)
-            decode.append(element)
+        )
+        if fresh:
+            encode = dict(encode)
+            for code, element in enumerate(fresh, len(decode)):
+                encode[element] = code
+            decode = decode + tuple(fresh)
+        inserts, deletes = delta.inserts, delta.deletes
         relations = dict(self.relations)
         for name in delta.relations:
             if name not in relations:
                 raise SignatureError(f"unknown relation {name!r}")
-            rel = relations[name]
             try:
-                removed = {
-                    tuple(encode[v] for v in t)
-                    for t in delta.deletes.get(name, ())
-                }
-                added = sorted(
-                    tuple(encode[v] for v in t)
-                    for t in delta.inserts.get(name, ())
-                )
+                removed = [
+                    tuple(encode[v] for v in t) for t in deletes.get(name, ())
+                ]
             except KeyError as error:
                 raise DeltaError(
                     f"delta deletes a tuple of relation {name!r} mentioning "
                     f"unknown element {error.args[0]!r}"
                 ) from None
-            survivors: Iterable[tuple[int, ...]] = rel.iter_rows()
-            if removed:
-                survivors = (row for row in survivors if row not in removed)
-            if added:
-                import heapq
-
-                merged = heapq.merge(survivors, added)
-            else:
-                merged = survivors
-            columns = tuple(array("q") for _ in range(rel.arity))
-            row_count = 0
-            previous: tuple[int, ...] | None = None
-            for row in merged:
-                if row == previous:
-                    raise DeltaError(
-                        f"delta inserts a tuple already present in relation "
-                        f"{name!r}"
-                    )
-                previous = row
-                for i, value in enumerate(row):
-                    columns[i].append(value)
-                row_count += 1
-            if row_count != rel.row_count - len(removed) + len(added):
-                raise DeltaError(
-                    f"delta does not apply to relation {name!r}: deletes "
-                    "must name present rows and inserts absent ones"
-                )
-            relations[name] = EncodedRelation(name, rel.arity, columns, row_count)
+            added = [tuple(encode[v] for v in t) for t in inserts.get(name, ())]
+            relations[name] = relations[name].splice(added, removed)
         new = object.__new__(EncodedStructure)
-        new._init_from_parts(self.signature, tuple(decode), relations)
+        new._init_from_parts(self.signature, decode, relations)
         new._encode = encode
         return new
 

@@ -35,7 +35,7 @@ component sizes are skewed).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from repro.exceptions import StructureError
@@ -57,6 +57,14 @@ class ShardedStructure:
     structure: Structure
     shards: tuple[Structure, ...]
     strategy: str
+    #: Caches of :meth:`placement` and :meth:`advance`, not part of the
+    #: plan's value.
+    _placement: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _advanced: "PlanAdvance | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def shard_count(self) -> int:
@@ -85,6 +93,27 @@ class ShardedStructure:
             shard.fingerprint()
         return self
 
+    def placement(self) -> dict[Element, int]:
+        """Element -> index of the shard owning it.
+
+        Built once per plan and then only read: :meth:`route_delta`
+        looks owners up in it, and the plan a delta advances to shares
+        it (copied and extended only when the delta brings new
+        elements), so routing a delta costs ``O(|delta|)``, not a pass
+        over the universe.
+        """
+        if self._placement is None:
+            object.__setattr__(
+                self,
+                "_placement",
+                {
+                    element: index
+                    for index, shard in enumerate(self.shards)
+                    for element in shard.universe
+                },
+            )
+        return self._placement
+
     def route_delta(
         self, delta: "StructureDelta"
     ) -> tuple["StructureDelta | None", ...]:
@@ -107,25 +136,28 @@ class ShardedStructure:
         from repro.exceptions import DeltaRoutingError
         from repro.structures.delta import StructureDelta
 
-        placement: dict[Element, int] = {}
-        for index, shard in enumerate(self.shards):
-            for element in shard.universe:
-                placement[element] = index
+        placement = self.placement()
+        # Where this delta's brand-new elements go; the plan's own
+        # placement is never written (in-flight counts and the next
+        # delta read it).
+        adopted: dict[Element, int] = {}
 
         inserts: list[dict[str, list[tuple]]] = [{} for _ in self.shards]
         deletes: list[dict[str, list[tuple]]] = [{} for _ in self.shards]
         touched = [False] * len(self.shards)
-        for name in sorted(delta.deletes):
-            for t in sorted(delta.deletes[name], key=repr):
+        for name, batch in sorted(delta.deletes.items()):
+            for t in sorted(batch, key=repr):
                 owner = placement.get(t[0])
                 if owner is None:
                     # Absent tuple; let Structure.apply_delta report it.
                     owner = 0
                 deletes[owner].setdefault(name, []).append(t)
                 touched[owner] = True
-        for name in sorted(delta.inserts):
-            for t in sorted(delta.inserts[name], key=repr):
-                owners = {placement[e] for e in t if e in placement}
+        for name, batch in sorted(delta.inserts.items()):
+            for t in sorted(batch, key=repr):
+                owners = {
+                    placement.get(e, adopted.get(e)) for e in t
+                } - {None}
                 if len(owners) > 1:
                     raise DeltaRoutingError(
                         f"inserted tuple {t!r} of relation {name!r} connects "
@@ -137,13 +169,38 @@ class ShardedStructure:
                 else:
                     owner = _stable_hash(frozenset(t)) % len(self.shards)
                 for element in t:
-                    placement.setdefault(element, owner)
+                    if element not in placement:
+                        adopted[element] = owner
                 inserts[owner].setdefault(name, []).append(t)
                 touched[owner] = True
         return tuple(
             StructureDelta(inserts[s], deletes[s]) if touched[s] else None
             for s in range(len(self.shards))
         )
+
+    def _routed(
+        self, routed: Sequence["StructureDelta | None"], new_structure: Structure
+    ) -> "ShardedStructure":
+        """The plan over ``new_structure`` whose shards took their
+        :meth:`route_delta` sub-deltas; untouched shards and, without
+        new elements, the placement are shared with this plan."""
+        shards = tuple(
+            shard if sub is None else shard.apply_delta(sub)
+            for shard, sub in zip(self.shards, routed)
+        )
+        plan = ShardedStructure(new_structure, shards, self.strategy)
+        placement = self.placement()
+        adopted = {
+            element: index
+            for index, sub in enumerate(routed)
+            if sub is not None
+            for element in sub.inserted_elements()
+            if element not in placement
+        }
+        if adopted:
+            placement = {**placement, **adopted}
+        object.__setattr__(plan, "_placement", placement)
+        return plan
 
     def apply_delta(self, delta: "StructureDelta") -> "ShardedStructure":
         """A new sharded structure with ``delta`` applied through the plan.
@@ -156,12 +213,7 @@ class ShardedStructure:
         :func:`shard_structure` on the post-delta structure.
         """
         routed = self.route_delta(delta)
-        new_structure = self.structure.apply_delta(delta)
-        new_shards = tuple(
-            shard if sub is None else shard.apply_delta(sub)
-            for shard, sub in zip(self.shards, routed)
-        )
-        return ShardedStructure(new_structure, new_shards, self.strategy)
+        return self._routed(routed, self.structure.apply_delta(delta))
 
     def advance(
         self, delta: "StructureDelta", new_structure: Structure
@@ -174,7 +226,22 @@ class ShardedStructure:
         shard fingerprints (see :class:`PlanAdvance`).  Universe growth
         means no shard ever goes back to empty, so the routed path
         retires nothing.
+
+        The plan remembers its successor: every holder of this plan (a
+        registry entry, the parent context's memo) that carries it onto
+        the same ``new_structure`` gets the one :class:`PlanAdvance`
+        back, so a delta routes once and all of them end up holding the
+        same post-delta plan.
         """
+        known = self._advanced
+        if known is None or known.sharded.structure is not new_structure:
+            known = self._advance(delta, new_structure)
+            object.__setattr__(self, "_advanced", known)
+        return known
+
+    def _advance(
+        self, delta: "StructureDelta", new_structure: Structure
+    ) -> "PlanAdvance":
         from repro.exceptions import DeltaRoutingError
 
         try:
@@ -192,12 +259,9 @@ class ShardedStructure:
                 fresh=replan.non_empty_shards(),
                 stale=tuple(s.fingerprint() for s in self.non_empty_shards()),
             )
-        shards = tuple(
-            shard if sub is None else shard.apply_delta(sub)
-            for shard, sub in zip(self.shards, routed)
-        )
+        plan = self._routed(routed, new_structure)
         updates, placed = [], []
-        for old, sub, new in zip(self.shards, routed, shards):
+        for old, sub, new in zip(self.shards, routed, plan.shards):
             if sub is None:
                 continue
             if old.is_empty():
@@ -205,7 +269,7 @@ class ShardedStructure:
             else:
                 updates.append((old.fingerprint(), sub, new))
         return PlanAdvance(
-            ShardedStructure(new_structure, shards, self.strategy),
+            plan,
             resharded=False,
             updates=updates,
             fresh=tuple(placed),

@@ -311,8 +311,16 @@ class Structure:
                     f"delta inserts tuples already present in relation "
                     f"{name!r}: {sorted(map(repr, present))}"
                 )
-            relations[name] = (current - removed) | added
-        universe = self._universe | delta.inserted_elements()
+            # One copy of the relation per non-empty side of the delta.
+            if removed:
+                current = current - removed
+            if added:
+                current = current | added
+            relations[name] = current
+        # The universe only grows; without a new element it is shared.
+        universe, mentioned = self._universe, delta.inserted_elements()
+        if not mentioned <= universe:
+            universe = universe | mentioned
 
         # Invariants were checked above, so bypass __init__'s full
         # O(|structure|) revalidation and seed the chained fingerprint.

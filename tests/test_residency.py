@@ -35,6 +35,7 @@ from repro.engine.resident import (
     TaskFailure,
     TaskOk,
 )
+from repro.exceptions import DeltaError
 from repro.obs.trace import get_tracer
 from repro.structures.delta import StructureDelta
 from repro.structures.random_gen import random_cluster_graph, random_graph
@@ -134,6 +135,36 @@ def test_a_drifted_migration_is_dropped_not_kept(tier):
     for fingerprint in (old, truth, claimed):
         with pytest.raises(NotResident):
             store.lookup(fingerprint)
+
+
+@TIERS
+def test_a_delta_that_does_not_apply_leaves_its_context_resident(tier):
+    store = ResidentContexts()
+    context = resident(store, TWO_RELATIONS, tier)
+    expected = context.count_plan(R_PLAN)
+    old = TWO_RELATIONS.fingerprint()
+    after = TWO_RELATIONS.apply_delta(TOUCH_E)
+    absent = StructureDelta(deletes={"E": [(3, 1)]})
+    # The second update raises after the first one migrated.
+    other = Structure.from_relations({"E": [(7, 8)]})
+    resident(store, other, tier)
+    with pytest.raises(DeltaError):
+        store.apply_delta(
+            [
+                (old, TOUCH_E, after.fingerprint()),
+                (other.fingerprint(), absent, ("never", "reached")),
+            ]
+        )
+    # Nothing was lost and the lock was released: both answer.
+    assert store.lookup(other.fingerprint())[0].structure is other
+    assert store.lookup(after.fingerprint())[0].count_plan(R_PLAN) == expected
+    with pytest.raises(NotResident):
+        store.lookup(old)
+    # The refused context is still in its tier, not orphaned.
+    assert store.drop([other.fingerprint()]) == 1
+    assert (after.fingerprint() in store.placed_fingerprints()) == (
+        tier == "placed"
+    )
 
 
 def test_a_bare_fingerprint_miss_is_typed_not_a_key_error():
