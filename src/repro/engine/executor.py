@@ -145,26 +145,43 @@ def _sentence_holds(sentence, structure: Structure, context) -> bool:
     return context.sentence_holds(sentence)
 
 
+def _resident_pool(
+    pool: WorkerPool | None, processes: int | None
+) -> WorkerPool | None:
+    """``pool`` (the engine's long-lived one, resident contexts warm
+    across calls) when the call runs on it; ``None`` when there is none
+    or ``processes`` asks for another size, so a throwaway pool runs."""
+    if pool is not None and processes in (None, pool.processes):
+        return pool
+    return None
+
+
 def _map_jobs(
     task,
     jobs,
+    structures: Sequence[Structure],
     processes: int | None,
-    pool: WorkerPool | None,
-) -> list:
-    """Run ``jobs`` through ``pool``, or a throwaway pool when none given.
+    resident: WorkerPool | None,
+) -> tuple[list, int]:
+    """Run ``jobs`` through the ``resident`` pool, or a throwaway one
+    sized to the job list and torn down afterwards.
 
-    A caller-supplied pool (the engine's long-lived one) is used as-is
-    so its worker-resident context caches stay warm across calls --
-    unless ``processes`` explicitly asks for a different pool size, in
-    which case the per-call override wins and a throwaway pool of that
-    size runs the jobs.  The throwaway pool is sized to the job list
-    and torn down afterwards, matching the old per-call behavior.
+    ``jobs[i][1]`` is ``structures[i]`` or, on the resident pool only,
+    its :meth:`~repro.engine.pool.WorkerPool.job_key`; a job whose
+    worker does not hold the named context is re-run carrying the
+    structure.  Returns the values and how many jobs were re-run.
     """
-    if pool is not None and (processes is None or processes == pool.processes):
-        return pool.map(task, jobs)
-    workers = max(1, min(processes or default_process_count(), len(jobs)))
-    with WorkerPool(processes=workers) as transient:
-        return transient.map(task, jobs)
+    if resident is None:
+        workers = max(1, min(processes or default_process_count(), len(jobs)))
+        with WorkerPool(processes=workers) as transient:
+            return transient.map(task, jobs), 0
+    resent: list[int] = []
+
+    def by_value(index: int) -> tuple:
+        resent.append(index)
+        return jobs[index][:1] + (structures[index],) + jobs[index][2:]
+
+    return resident.map(task, jobs, by_value), len(resent)
 
 
 # ----------------------------------------------------------------------
@@ -259,20 +276,31 @@ def _count_many_parallel(
     # The ambient budget ships by value with every job (pickling sends
     # the *remaining* allowance) so exhaustion aborts inside the worker.
     budget = current_budget()
+    resident = _resident_pool(pool, processes)
     jobs: list[tuple] = []
     meta: list[tuple[int, int]] = []  # (structure index, first plan index)
     for j, structure in enumerate(structures):
         for start in range(0, len(plans), chunk):
             block = tuple(plans[start : start + chunk])
             use_context = any(plan.kind in _CONTEXT_KINDS for plan in block)
-            if use_context and pool is not None:
-                # Ship the cached fingerprint with the pickled structure
-                # so the resident workers key their caches without
-                # rehashing (a throwaway pool can never hit anyway).
-                structure.fingerprint()
-            jobs.append((block, structure, use_context, budget))
+            # A pinned structure is named by its fingerprint (an
+            # unpinned one ships with the fingerprint cached, so the
+            # workers key their caches without rehashing); baseline
+            # plans read the structure itself.
+            key = (
+                resident.job_key(structure)
+                if use_context and resident is not None
+                else structure
+            )
+            jobs.append((block, key, use_context, budget))
             meta.append((j, start))
-    block_results = _map_jobs(count_block_task, jobs, processes, pool)
+    block_results, _ = _map_jobs(
+        count_block_task,
+        jobs,
+        [structures[j] for j, _ in meta],
+        processes,
+        resident,
+    )
     out: list[list[int]] = [[0] * len(structures) for _ in plans]
     for (j, start), counts in zip(meta, block_results):
         for offset, value in enumerate(counts):
@@ -505,23 +533,32 @@ def execute_sharded(
     if values_by_shard is not None:
         pass
     elif parallel and len(jobs) > 1 and program.units:
-        if pool is not None:
-            # Computed parent-side so the cached fingerprint ships
-            # inside the pickled shard and keys the worker-resident
-            # context cache without being re-derived per job.
-            for shard in shards:
-                shard.fingerprint()
+        resident = _resident_pool(pool, processes)
+        # A shard every worker holds pinned is named by its
+        # fingerprint; any other ships by value (fingerprint cached
+        # inside the pickle, so the workers need not re-derive it).
+        keys = (
+            shards
+            if resident is None
+            else [resident.job_key(shard) for shard in shards]
+        )
         # Ship the ambient budget (remaining allowance) inside each job
         # so a budget- or deadline-exceeded shard aborts in its worker.
         budget = current_budget()
-        pool_jobs = [job + (budget,) for job in jobs]
+        pool_jobs = [(program.units, key, budget) for key in keys]
         try:
             with _trace.span(
-                "shard.fanout", shards=len(jobs), units=len(program.units)
-            ):
-                values_by_shard = _map_jobs(
-                    shard_task, pool_jobs, processes, pool
+                "shard.fanout",
+                shards=len(jobs),
+                units=len(program.units),
+                by_ref=sum(
+                    key is not shard for key, shard in zip(keys, shards)
+                ),
+            ) as fanout:
+                values_by_shard, resent = _map_jobs(
+                    shard_task, pool_jobs, shards, processes, resident
                 )
+                fanout.set("resent", resent)
         except WorkerTaskError as failure:
             raise failure.original from failure
         except _pool_fallback_errors():

@@ -7,19 +7,26 @@ holds one for its whole lifetime, so repeated ``count_many`` /
 ``count_sharded`` calls pay the fork cost once.  What a worker holds
 between jobs is :class:`~repro.engine.resident.ResidentContexts`, the
 store a cluster worker also owns; the task functions here only carry
-jobs and residency changes to the worker's instance.  Jobs ship the
-(picklable) structure, so a cold worker can build the context itself,
-and report whether the resident context was reused
+jobs and residency changes to the worker's instance.  A job *names*
+data every worker holds pinned -- its structure slot carries the
+fingerprint (:meth:`WorkerPool.job_key`), ``O(1)`` bytes at any size --
+and ships the (picklable) structure only when it is not pinned, so a
+cold worker can build the context itself.  A named context a worker
+turns out not to hold (a count racing a residency change) comes back
+as :class:`~repro.engine.resident.NotResident` and
+:meth:`WorkerPool.map` re-runs that job by value.  Every job reports
+whether the resident context was reused
 (:attr:`WorkerPool.worker_context_hits` / ``worker_context_misses``).
 
 **Guaranteed** residency is a broadcast: ``pin_structures`` /
 ``unpin_structures`` / ``apply_delta`` record the change in the
 parent-side pin set, then run :func:`resident_task` once on *every*
-live worker (a barrier keeps any worker from serving two).  A worker
-process that starts later -- a respawn after a death, or a pool closed
-and lazily restarted -- builds the pin set, as it is by then, in its
-initializer.  That is what makes a registered structure's residency a
-contract instead of a cache heuristic: see :mod:`repro.engine.registry`.
+live worker (a barrier the workers inherited when they started keeps
+any worker from serving two).  A worker process that starts later -- a
+respawn after a death, or a pool closed and lazily restarted -- builds
+the pin set, as it is by then, in its initializer.  That is what makes
+a registered structure's residency a contract instead of a cache
+heuristic: see :mod:`repro.engine.registry`.
 
 Error handling is split in two, which is what lets genuine counting
 bugs propagate instead of being masked by the sequential fallback:
@@ -40,6 +47,7 @@ from contextlib import contextmanager
 from typing import Mapping, Sequence
 
 from repro.engine.resident import (
+    NotResident,
     ResidentContexts,
     TaskFailure,
     TaskOk,
@@ -108,6 +116,10 @@ def collector_paused():
 #: (:func:`_init_worker`), a cold one for tasks called in-process.
 _resident = ResidentContexts()
 
+#: The barrier this worker shares with its pool generation's other
+#: workers (:meth:`WorkerPool._ensure_pool`); ``None`` outside a worker.
+_broadcast_barrier = None
+
 
 def _pin(structures) -> int:
     """Place ``structures`` and *materialize* their contexts now, off
@@ -118,12 +130,14 @@ def _pin(structures) -> int:
     return len(contexts)
 
 
-def _init_worker(pinned: Mapping[tuple, Structure]) -> None:
+def _init_worker(pinned: Mapping[tuple, Structure], barrier) -> None:
     """Pool initializer: a fresh store with ``pinned`` -- the parent's
     pin set as it is when *this* worker starts, see
-    :meth:`WorkerPool._ensure_pool` -- built eagerly."""
-    global _resident
+    :meth:`WorkerPool._ensure_pool` -- built eagerly, and the pool
+    generation's broadcast ``barrier``."""
+    global _resident, _broadcast_barrier
     _resident = ResidentContexts()
+    _broadcast_barrier = barrier
     with collector_paused():
         _pin(pinned.values())
         # The heap inherited across the fork and the pinned contexts
@@ -139,19 +153,23 @@ def _init_worker(pinned: Mapping[tuple, Structure]) -> None:
 def _await_broadcast_barrier(barrier, timeout: float) -> None:
     """Hold this worker at the barrier until every worker has a job.
 
-    The barrier is what turns ``pool.map`` into a broadcast: with
-    exactly ``processes`` jobs queued and every job blocking until all
-    of them are running, no worker can serve two.  A broken barrier
-    (a worker stuck in a long count past ``timeout``) degrades
-    gracefully: the remaining jobs still run -- possibly unevenly
-    distributed -- and the parent-side pin set plus the per-job LRU
-    keep correctness unaffected.
+    ``barrier`` is a flag (``None``: do not wait); the barrier itself
+    is the one this worker inherited at start-up, shared with exactly
+    the workers of its pool generation.  It is what turns ``pool.map``
+    into a broadcast: with exactly ``processes`` jobs queued and every
+    job blocking until all of them are running, no worker can serve
+    two.  A broken barrier (a worker stuck in a long count past
+    ``timeout``) degrades gracefully: the remaining jobs still run --
+    possibly unevenly distributed -- and the parent-side pin set plus
+    the by-value re-run of a job whose context is missing keep
+    correctness unaffected.  The parent resets it once the broadcast's
+    results are in.
     """
-    if barrier is None:
+    if barrier is None or _broadcast_barrier is None:
         return
     try:
-        barrier.wait(timeout)
-    except Exception as exc:  # threading.BrokenBarrierError, proxy errors
+        _broadcast_barrier.wait(timeout)
+    except threading.BrokenBarrierError as exc:
         # Degrading to best-effort distribution is deliberate, but the
         # dropped error must at least be visible at debug level.
         _log.debug(
@@ -253,8 +271,11 @@ class WorkerPool:
             raise ReproError("worker pool needs at least one process")
         self.processes = processes or default_process_count()
         self._pool = None
-        self._manager = None
+        self._barrier = None
         self._lock = threading.Lock()
+        # Broadcasts share their generation's one cyclic barrier, so
+        # they run one at a time.
+        self._broadcast_lock = threading.Lock()
         self._pinned: dict[tuple, Structure] = {}
         self.worker_context_hits = 0
         self.worker_context_misses = 0
@@ -277,36 +298,31 @@ class WorkerPool:
                 # pool reuses these initargs for every respawn, and a
                 # forked worker reads the dict as it is at that moment
                 # (the non-fork fallback pickles it at process start).
+                # The broadcast barrier travels the same way (it can
+                # only be inherited, never shipped through the task
+                # queue): one per pool generation, respawns included.
+                self._barrier = mp_context.Barrier(self.processes)
                 self._pool = mp_context.Pool(
                     processes=self.processes,
                     initializer=_init_worker,
-                    initargs=(self._pinned,),
+                    initargs=(self._pinned, self._barrier),
                 )
             return self._pool
-
-    def _ensure_manager(self):
-        """The SyncManager whose barrier proxies coordinate broadcasts.
-
-        Plain ``multiprocessing`` synchronization primitives can only be
-        *inherited* by workers, not shipped through the pool's task
-        queue; manager proxies are picklable, which is what lets a
-        barrier reach workers forked long before the broadcast.  Created
-        lazily (one extra helper process) on the first broadcast against
-        a live pool and shut down with the pool.
-        """
-        with self._lock:
-            if self._manager is None:
-                import multiprocessing
-
-                self._manager = multiprocessing.Manager()
-            return self._manager
 
     @property
     def started(self) -> bool:
         """Whether the underlying process pool has been created."""
         return self._pool is not None
 
-    def map(self, task, jobs) -> list:
+    def job_key(self, structure: Structure):
+        """What a job's structure slot carries for ``structure``: its
+        fingerprint when it is in the pin set -- every worker of this
+        pool holds it, or builds it before serving a job -- else the
+        structure itself."""
+        fingerprint = structure.fingerprint()
+        return fingerprint if fingerprint in self._pinned else structure
+
+    def map(self, task, jobs, by_value=None) -> list:
         """Run ``task`` over ``jobs`` in the pool and unwrap the results.
 
         Raises :class:`WorkerTaskError` when a task failed inside a
@@ -314,13 +330,41 @@ class WorkerPool:
         pickling errors, ...) propagate as themselves, which is the
         signal the executor's sequential fallback keys on.
 
+        A caller whose jobs name pinned data by fingerprint
+        (:meth:`job_key`) passes ``by_value``, mapping a job's index to
+        the same job carrying the data.  A worker can be behind or
+        ahead of the parent's pin set while a residency broadcast is in
+        flight, and such a job comes back as
+        :class:`~repro.engine.resident.NotResident`.  Exactly those
+        jobs are re-run from ``by_value``, once: a job that carries its
+        data cannot miss, so the caller never sees the routing miss.
+
         Worker-recorded trace spans riding on each result are
         re-parented into the caller's ambient trace (suffixed with the
         job index, e.g. ``shard.execute[3]``) -- for *every* job before
         the first failure is raised, so an exceptional trace is still
         complete.
         """
-        return self._unwrap(self._ensure_pool().map(task, list(jobs)))
+        pool = self._ensure_pool()
+        raw = pool.map(task, list(jobs))
+        missed = [
+            index
+            for index, item in enumerate(raw)
+            if isinstance(item, TaskFailure)
+            and isinstance(item.exception, NotResident)
+        ]
+        if missed and by_value is not None:
+            _log.debug(
+                "jobs named contexts their workers do not hold; "
+                "re-running them by value",
+                extra={"jobs": len(missed), "of": len(raw)},
+            )
+            resent = pool.map(task, [by_value(index) for index in missed])
+            for index, item in zip(missed, resent):
+                # The miss stays in the trace, ahead of its re-run.
+                _trace.attach_foreign(raw[index].spans, suffix=f"[{index}]")
+                raw[index] = item
+        return self._unwrap(raw)
 
     def _unwrap(self, raw) -> list:
         """Task results to values (see :meth:`map`)."""
@@ -352,8 +396,12 @@ class WorkerPool:
         """Run ``task((payload, barrier, timeout))`` once on every worker.
 
         Queues exactly ``processes`` single-job chunks, each holding at
-        a shared barrier until all of them are running, so every worker
-        serves exactly one.  Requires a started pool; callers that only
+        the barrier the workers inherited until all of them are
+        running, so every worker serves exactly one (the job's
+        ``barrier`` slot only says "wait").  Broadcasts of one pool run
+        one at a time, because they share that barrier; one a busy
+        worker broke by staying away past the timeout is reset once
+        every result is in.  Requires a started pool; callers that only
         want the *recorded* effect (the pin set) when the pool is cold
         check :attr:`started` first.  Returns the per-worker values;
         worker-side failures raise :class:`WorkerTaskError` exactly
@@ -375,26 +423,33 @@ class WorkerPool:
         """
         import multiprocessing
 
-        pool = self._ensure_pool()
-        alive_before = self._worker_pids()
-        barrier = self._ensure_manager().Barrier(self.processes)
-        job = (payload, barrier, self.BROADCAST_BARRIER_TIMEOUT)
-        pending = pool.map_async(task, [job] * self.processes, chunksize=1)
-        try:
-            raw = pending.get(
-                self.BROADCAST_BARRIER_TIMEOUT + self.BROADCAST_RESULT_GRACE
+        with self._broadcast_lock:
+            pool = self._ensure_pool()
+            barrier = self._barrier
+            alive_before = self._worker_pids()
+            job = (payload, True, self.BROADCAST_BARRIER_TIMEOUT)
+            pending = pool.map_async(
+                task, [job] * self.processes, chunksize=1
             )
-        except multiprocessing.TimeoutError:
-            dead = sorted(set(alive_before) - set(self._worker_pids()))
-            with self._lock:
-                self.broadcast_timeouts += 1
-            _log.warning(
-                "broadcast wedged (worker died holding a job); "
-                "restarting the pool",
-                extra={"dead_worker_pids": dead or "undetected"},
-            )
-            self.terminate()
-            return []
+            try:
+                raw = pending.get(
+                    self.BROADCAST_BARRIER_TIMEOUT
+                    + self.BROADCAST_RESULT_GRACE
+                )
+            except multiprocessing.TimeoutError:
+                dead = sorted(set(alive_before) - set(self._worker_pids()))
+                with self._lock:
+                    self.broadcast_timeouts += 1
+                _log.warning(
+                    "broadcast wedged (worker died holding a job); "
+                    "restarting the pool",
+                    extra={"dead_worker_pids": dead or "undetected"},
+                )
+                self.terminate()
+                return []
+            if barrier.broken:
+                # Every job has returned, so no worker is waiting.
+                barrier.reset()
         return self._unwrap(raw)
 
     def _worker_pids(self) -> list[int]:
@@ -503,15 +558,12 @@ class WorkerPool:
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            manager, self._manager = self._manager, None
         if pool is not None:
             if terminate:
                 pool.terminate()
             else:
                 pool.close()
             pool.join()
-        if manager is not None:
-            manager.shutdown()
 
     def terminate(self) -> None:
         """Kill the workers immediately."""

@@ -2,9 +2,10 @@
 
 Boots a :class:`~repro.serve.httpd.CountingServer` and serves until
 interrupted.  ``--smoke`` instead runs the CI smoke check: bind an
-ephemeral port, serve one ``/count`` and the introspection endpoints
-over a real socket, shut down gracefully, and verify that no worker
-child processes survive.
+ephemeral port, serve ``/count``, a registered structure counted by
+reference through the worker pool before and after a delta, and the
+introspection endpoints over a real socket, shut down gracefully, and
+verify that exactly the pool's workers ran and none survive.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def _build_server(args: argparse.Namespace) -> CountingServer:
 
 
 def _smoke(args: argparse.Namespace) -> int:
-    """Boot, count inline and by reference, shut down clean, no children."""
+    """Boot, count inline and by reference (through the pool, across a
+    delta), shut down clean: the pool's workers and no other child
+    while serving, none after."""
     import multiprocessing
 
     args.port = 0
@@ -97,6 +100,44 @@ def _smoke(args: argparse.Namespace) -> int:
         if by_ref != 3:
             print(f"smoke FAILED: /count by ref returned {by_ref}, expected 3")
             return 1
+        # The same reference through the worker pool: two components,
+        # one shard each, so the count fans out as jobs that name the
+        # pinned shards; then a one-tuple delta (a residency broadcast
+        # to the live workers) and the count again.
+        triangles = {
+            "relations": {
+                "E": triangle["relations"]["E"] + [[4, 5], [5, 6], [6, 4]]
+            }
+        }
+        call(
+            "PUT",
+            "/structures/smoke",
+            {"structure": triangles, "shard_count": 2},
+        )
+        sharded = {
+            "query": query,
+            "structure": {"ref": "smoke"},
+            "parallel": True,
+        }
+        before = call("POST", "/count_sharded", sharded)["count"]
+        call("PATCH", "/structures/smoke", {"delete": {"E": [[6, 4]]}})
+        after = call("POST", "/count_sharded", sharded)["count"]
+        # Two triangles hold 6 two-step walks; the path 4 -> 5 -> 6
+        # left of the second one holds 1.
+        if (before, after) != (6, 4):
+            print(
+                f"smoke FAILED: /count_sharded by ref returned {before}, "
+                f"then {after} after the delta; expected 6, then 4"
+            )
+            return 1
+        pool_size = server.service.engine.pool.processes
+        children = multiprocessing.active_children()
+        if len(children) != pool_size:
+            print(
+                f"smoke FAILED: {len(children)} live children while "
+                f"serving, expected the pool's {pool_size}: {children}"
+            )
+            return 1
         health = call("GET", "/healthz")
         metrics = call("GET", "/metrics")
         if health["status"] != "ok" or health["registry_entries"] != 1:
@@ -137,8 +178,9 @@ def _smoke(args: argparse.Namespace) -> int:
         print(f"smoke FAILED: live children after shutdown: {children}")
         return 1
     print(
-        "serve smoke OK: /count == 3 inline and by ref, "
-        "graceful shutdown, zero children"
+        "serve smoke OK: /count == 3 inline and by ref, /count_sharded "
+        "by ref through the pool across a delta, graceful shutdown, "
+        "zero children"
     )
     return 0
 

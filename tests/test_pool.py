@@ -10,6 +10,7 @@ as unpicklable jobs.
 
 import pytest
 
+from repro.engine import pool as pool_module
 from repro.engine import (
     Engine,
     WorkerPool,
@@ -349,3 +350,109 @@ def test_respawned_worker_rebuilds_pins_made_after_the_pool_started():
     finally:
         # Not close(): the lost job would keep join() waiting forever.
         pool.terminate()
+
+
+# ----------------------------------------------------------------------
+# The inherited broadcast barrier
+# ----------------------------------------------------------------------
+def test_concurrent_broadcasts_each_reach_every_worker():
+    import threading
+
+    graph = random_graph(10, 0.5, seed=3)
+    confirmations: list[int] = []
+    errors: list[BaseException] = []
+
+    def broadcast_many():
+        try:
+            for _ in range(100):
+                confirmations.append(len(pool.worker_pinned_fingerprints()))
+        except BaseException as exc:
+            errors.append(exc)
+
+    with WorkerPool(processes=2) as pool:
+        pool.pin_structures([graph])
+        pool.map(pool_module.shard_task, [])  # start the workers
+        threads = [threading.Thread(target=broadcast_many) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(90)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        # One cyclic barrier, one broadcast at a time: none of the 300
+        # saw another's jobs at the barrier.
+        assert confirmations == [2] * 300
+        assert pool.broadcast_timeouts == 0
+
+
+def _sleep_task(seconds):
+    import time
+
+    time.sleep(seconds)
+
+
+def _pid_broadcast_task(job):
+    import os
+
+    _, barrier, timeout = job
+    pool_module._await_broadcast_barrier(barrier, timeout)
+    return pool_module.TaskOk(os.getpid())
+
+
+def test_a_barrier_broken_by_a_busy_worker_does_not_poison_the_next_broadcast():
+    import time
+
+    with WorkerPool(processes=2) as pool:
+        pool.BROADCAST_BARRIER_TIMEOUT = 0.3
+        pool.map(pool_module.shard_task, [])  # start the workers
+        busy = pool._ensure_pool().apply_async(_sleep_task, (1.5,))
+        time.sleep(0.1)  # let a worker take the sleeping job
+        # Best-effort, exactly as before: the free worker gives up on
+        # the barrier and serves both jobs.
+        degraded = pool.broadcast(_pid_broadcast_task, None)
+        assert len(degraded) == 2 and len(set(degraded)) == 1
+        assert pool.broadcast_timeouts == 0  # degraded, not wedged
+        assert not pool._barrier.broken  # reset once the results were in
+        busy.get(30)
+        started = time.monotonic()
+        reached = pool.broadcast(_pid_broadcast_task, None)
+        assert time.monotonic() - started < pool.BROADCAST_BARRIER_TIMEOUT
+        assert sorted(reached) == sorted(pool._worker_pids())
+        assert pool.broadcast_timeouts == 0
+
+
+def test_a_wedged_broadcast_restarts_the_pool_with_a_new_barrier(tmp_path):
+    with WorkerPool(processes=2) as pool:
+        pool.BROADCAST_BARRIER_TIMEOUT = 1.0
+        pool.BROADCAST_RESULT_GRACE = 1.0
+        pool.map(pool_module.shard_task, [])
+        first_generation = pool._barrier
+        assert pool.broadcast(
+            _die_holding_broadcast_task, str(tmp_path / "sentinel")
+        ) == []
+        assert pool.broadcast_timeouts == 1
+        assert len(pool.broadcast(_pid_broadcast_task, None)) == 2
+        assert pool._barrier is not first_generation
+        assert not pool._barrier.broken
+
+
+def test_a_started_pool_has_no_helper_process():
+    import multiprocessing
+
+    from repro.structures.delta import StructureDelta
+
+    graph = random_cluster_graph(4, 4, 0.6, seed=41)
+    edge = sorted(graph.relation("E"))[0]
+    before = set(multiprocessing.active_children())
+    with Engine(processes=2) as engine:
+        engine.register_structure("net", graph, shard_count=4)
+        engine.count_sharded(path_query(2), "net", parallel=True)
+        engine.apply_delta("net", StructureDelta(deletes={"E": [edge]}))
+        engine.register_structure("other", random_graph(8, 0.5, seed=2))
+        assert engine.pool.worker_pinned_fingerprints()[0]
+        children = set(multiprocessing.active_children()) - before
+        assert len(children) == engine.pool.processes == 2
+        assert {child.pid for child in children} == set(
+            engine.pool._worker_pids()
+        )
+    assert not set(multiprocessing.active_children()) - before

@@ -18,6 +18,7 @@ see its store; the subprocess deployments are ``test_cluster.py``'s.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 
 import pytest
@@ -27,7 +28,7 @@ from repro.cluster import ClusterCoordinator, ClusterWorker
 from repro.cluster.coordinator import ClusterUnavailable
 from repro.engine import Engine, WorkerPool, compile_plan, execute_sharded
 from repro.engine.plan import as_ep
-from repro.engine.pool import shard_task
+from repro.engine.pool import resident_task, shard_task
 from repro.engine.resident import (
     LRU_CAPACITY,
     NotResident,
@@ -452,3 +453,279 @@ def test_a_failed_cluster_job_still_produces_an_error_annotated_trace(
     assert job_spans  # the failed worker job shipped its spans back
     assert all(s.error.startswith("KeyError") for s in job_spans)
     assert all("context_hit" in s.attributes for s in job_spans)
+
+
+# ----------------------------------------------------------------------
+# The local pool ships references: pinned data is named, not carried
+# ----------------------------------------------------------------------
+MUTUAL = "E(x, y) & E(y, x)"
+
+
+def _clusters(cluster_size: int) -> Structure:
+    """20 components whatever the size, so the shard plan has the same
+    shape at 2x10^3 (12) and 2x10^4 (38) tuples."""
+    return random_cluster_graph(20, cluster_size, 0.7, seed=7)
+
+
+#: Ten components of four: small enough for the naive oracle of a
+#: quantified query, still several non-empty shards.
+SMALL = random_cluster_graph(10, 4, 0.7, seed=7)
+
+
+@pytest.fixture
+def shipped(monkeypatch):
+    """Every job list handed to ``WorkerPool.map``, engine pool or
+    throwaway, in call order."""
+    calls: list[list] = []
+    original = WorkerPool.map
+
+    def recording(self, task, jobs, *args, **kwargs):
+        jobs = list(jobs)
+        calls.append(jobs)
+        return original(self, task, jobs, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "map", recording)
+    return calls
+
+
+def _holds_a_structure(job) -> bool:
+    return any(isinstance(slot, Structure) for slot in job)
+
+
+def test_jobs_for_a_pinned_ref_do_not_grow_with_the_data(shipped):
+    import pickle
+
+    tuples, job_bytes = [], []
+    for cluster_size in (12, 38):
+        graph = _clusters(cluster_size)
+        with Engine(processes=2) as engine:
+            engine.register_structure("net", graph, shard_count=10)
+            shipped.clear()
+            count = engine.count_sharded(MUTUAL, "net", parallel=True)
+        assert count == count_answers_naive(as_ep(MUTUAL), graph)
+        (jobs,) = shipped
+        assert len(jobs) == 10
+        assert not any(_holds_a_structure(job) for job in jobs)
+        tuples.append(len(graph.relation("E")))
+        job_bytes.append(len(pickle.dumps(jobs)))
+    assert tuples[1] > 10 * tuples[0]
+    # A fingerprint's integers (universe size, tuple count) pickle a
+    # few bytes wider as they grow; the data never rides along.
+    assert job_bytes[1] <= job_bytes[0] + 8 * 10
+
+
+@pytest.mark.parametrize("cell", ["unpinned ref", "ad-hoc", "processes="])
+def test_everything_not_pinned_in_the_pool_it_runs_on_ships_by_value(
+    shipped, cell
+):
+    graph = _clusters(12)
+    with Engine(processes=2) as engine:
+        engine.register_structure(
+            "net", graph, pin=cell != "unpinned ref", shard_count=10
+        )
+        if cell == "ad-hoc":
+            # Not the registered data: equal shards would be pinned ones.
+            graph = random_cluster_graph(20, 12, 0.7, seed=8)
+        shipped.clear()
+        count = engine.count_sharded(
+            MUTUAL,
+            graph if cell == "ad-hoc" else "net",
+            shard_count=10,
+            parallel=True,
+            processes=1 if cell == "processes=" else None,
+        )
+    assert count == count_answers_naive(as_ep(MUTUAL), graph)
+    (jobs,) = shipped
+    assert len(jobs) == 10
+    assert all(_holds_a_structure(job) for job in jobs)
+
+
+class _Records(logging.Handler):
+    """What one logger emitted, whatever ``repro``'s propagation is."""
+
+    def __init__(self, name: str):
+        super().__init__(logging.DEBUG)
+        self.records: list[logging.LogRecord] = []
+        self.logger = logging.getLogger(name)
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+    def __enter__(self) -> "_Records":
+        self.level_before = self.logger.level
+        self.logger.setLevel(logging.DEBUG)
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level_before)
+
+
+def _fanout(tracer):
+    (span,) = [
+        span
+        for trace in tracer.finished_traces()
+        for span in trace.spans()
+        if span.name == "shard.fanout"
+    ]
+    return span
+
+
+def test_a_context_dropped_behind_the_parents_back_is_re_run_by_value(
+    tracing,
+):
+    query = QUERIES["path"]
+    graph = SMALL
+    expected = count_answers_naive(as_ep(query), graph)
+    with Engine(processes=2) as engine:
+        entry = engine.register_structure("net", graph, shard_count=10)
+        lost = tuple(
+            shard.fingerprint() for shard in entry.sharded.non_empty_shards()
+        )
+        assert engine.count_sharded(query, "net", parallel=True) == expected
+        tracing.clear()
+        assert engine.count_sharded(query, "net", parallel=True) == expected
+        warm = _fanout(tracing).attributes
+        assert (warm["by_ref"], warm["resent"]) == (len(lost), 0)
+
+        # The parent's pin set still lists what the workers now lose.
+        assert engine.pool.broadcast(resident_task, ("drop", (lost,))) == [
+            len(lost)
+        ] * 2
+        misses = engine.stats().worker_context_misses
+        tracing.clear()
+        with _Records("repro.engine.pool") as log:
+            assert engine.count_sharded(query, "net", parallel=True) == expected
+        assert engine.stats().worker_context_misses > misses
+        fanout = _fanout(tracing)
+        assert fanout.error is None
+        assert fanout.attributes["by_ref"] == len(lost)
+        assert fanout.attributes["resent"] == len(lost)
+        retries = [r for r in log.records if "by value" in r.getMessage()]
+        assert len(retries) == 1 and retries[0].levelno == logging.DEBUG
+        assert retries[0].jobs == len(lost)
+        # The miss and its re-run are both in the trace, under the
+        # job's own index.
+        first = [
+            span
+            for span in tracing.finished_traces()[-1].spans()
+            if span.name == "shard.execute[0]"
+        ]
+        assert [span.error is None for span in first] == [False, True]
+        assert first[0].error.startswith("NotResident")
+
+
+def test_any_other_failure_of_a_by_ref_job_still_propagates_as_itself(
+    monkeypatch,
+):
+    import repro.algorithms.fpt_counting as fpt_module
+
+    with Engine(processes=2) as engine:
+        engine.register_structure("net", SMALL, shard_count=10)
+        # Workers fork on the first parallel call: they inherit the patch.
+        monkeypatch.setattr(fpt_module, "execute_pp_plan", _lose_a_key)
+        with pytest.raises(KeyError, match="lost inside the counting code"):
+            engine.count_sharded(QUERIES["path"], "net", parallel=True)
+
+
+def _die_in_a_job(_):
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
+    import time
+
+    query = QUERIES["path"]
+    graph = SMALL
+    engine = Engine(processes=2)
+    try:
+        engine.register_structure("net", graph, shard_count=10)
+        expected = count_answers_naive(as_ep(query), graph)
+        assert engine.count_sharded(query, "net", parallel=True) == expected
+        before = set(engine.pool._worker_pids())
+        # Dying inside a job (not while idle) leaves the task queue's
+        # lock free, so the survivor and the respawn keep working.
+        engine.pool._ensure_pool().apply_async(_die_in_a_job, (None,))
+        deadline = time.monotonic() + 30
+        while True:
+            now = set(engine.pool._worker_pids())
+            if len(now) == 2 and now != before:
+                break
+            assert time.monotonic() < deadline, "worker was never respawned"
+            time.sleep(0.05)
+        tracing.clear()
+        for _ in range(5):  # enough for the respawn to serve some jobs
+            assert engine.count_sharded(query, "net", parallel=True) == expected
+        # The respawn built the pin set in its initializer: every job
+        # named its shard and none had to be re-run by value.
+        fanouts = [
+            span.attributes
+            for trace in tracing.finished_traces()
+            for span in trace.spans()
+            if span.name == "shard.fanout"
+        ]
+        assert len(fanouts) == 5
+        for attributes in fanouts:
+            assert attributes["by_ref"] == attributes["shards"] > 1
+            assert attributes["resent"] == 0
+    finally:
+        # Not close(): the lost job would keep join() waiting forever.
+        engine.close(terminate=True)
+
+
+def test_by_ref_readers_racing_a_writer_only_ever_see_an_oracle_count():
+    import sys
+
+    query = path_query(2)  # every walk is an answer: any edge counts
+    graph = SMALL
+    edge = min(graph.relation("E"))
+    delete = StructureDelta(deletes={"E": [edge]})
+    insert = StructureDelta(inserts={"E": [edge]})
+    oracle = {
+        count_answers_naive(as_ep(query), graph),
+        count_answers_naive(as_ep(query), graph.apply_delta(delete)),
+    }
+    assert len(oracle) == 2
+    seen: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def write():
+        try:
+            for _ in range(20):
+                engine.apply_delta("net", delete)
+                engine.apply_delta("net", insert)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def read():
+        try:
+            while not done.is_set():
+                seen.append(engine.count_sharded(query, "net", parallel=True))
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with Engine(processes=2) as engine:
+            engine.register_structure("net", graph, shard_count=10)
+            engine.count_sharded(query, "net", parallel=True)
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert seen and set(seen) <= oracle
