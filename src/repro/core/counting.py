@@ -100,7 +100,7 @@ def count_answers(
         built for ``structure``.  When given, the compiled plan is
         executed against that context (sharing its index and memoized
         boundary relations with the caller) instead of the engine's
-        context cache; plans still come from the engine's plan cache
+        context store; plans still come from the engine's plan cache
         when an engine is in play.
     """
     if strategy not in STRATEGIES:

@@ -14,7 +14,7 @@ once, cached, and run many times over many structures:
   memoized semijoin ∃-component boundary relations, cached shard
   partitions);
 * :mod:`repro.engine.cache` -- LRU plan cache keyed by canonical query
-  form, plus the per-structure execution-context cache;
+  form (contexts live in :mod:`repro.engine.resident`'s store);
 * :mod:`repro.engine.executor` -- :func:`execute`, the batch
   :func:`count_many` with a multiprocessing path, and the sharded
   :func:`execute_sharded` scale-out path;
@@ -44,7 +44,6 @@ from repro.engine.api import (
     set_default_engine,
 )
 from repro.engine.cache import (
-    ExecutionContextCache,
     LRUCache,
     PlanCache,
     canonical_query_form,
@@ -86,7 +85,6 @@ __all__ = [
     "set_default_engine",
     "LRUCache",
     "PlanCache",
-    "ExecutionContextCache",
     "ContextStats",
     "ExecutionContext",
     "canonical_query_form",

@@ -2,11 +2,13 @@
 
 :class:`Engine` ties the pieces together: it compiles queries into
 :class:`~repro.engine.plan.CountingPlan` objects through an LRU plan
-cache, serves data structures through an LRU cache of
-:class:`~repro.engine.context.ExecutionContext` objects (positional
-index + sorted domain + memoized ∃-component boundary relations + shard
-partitions), executes plans sequentially, over a process pool, or
-sharded, and keeps hit-rate and timing statistics.
+cache, serves data structures through a
+:class:`~repro.engine.resident.ResidentContexts` store of
+:class:`~repro.engine.context.ExecutionContext` objects (dense-int
+columns + memoized ∃-component boundary relations + shard partitions;
+registered pinned data placed, everything else LRU), executes plans
+sequentially, over a process pool, or sharded, and keeps hit-rate and
+timing statistics.
 
 A module-level default engine backs
 :func:`repro.core.counting.count_answers`, so every existing caller of
@@ -35,12 +37,7 @@ from typing import Sequence
 
 from repro.budget import budget_scope
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
-from repro.engine.cache import (
-    DEFAULT_CONTEXT_CACHE_SIZE,
-    DEFAULT_PLAN_CACHE_SIZE,
-    ExecutionContextCache,
-    PlanCache,
-)
+from repro.engine.cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from repro.engine.executor import _CONTEXT_KINDS
 from repro.engine.executor import count_many as _count_many
 from repro.engine.executor import (
@@ -52,6 +49,7 @@ from repro.engine.persist import PlanStore
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.engine.pool import WorkerPool, collector_paused
+from repro.engine.resident import ResidentContexts
 from repro.engine.registry import (
     DEFAULT_REGISTRY_MAX_BYTES,
     DEFAULT_REGISTRY_MAX_ENTRIES,
@@ -79,14 +77,15 @@ class EngineStats:
     """Counters and timings accumulated by an :class:`Engine`.
 
     ``plan_hits`` / ``plan_misses`` count plan-cache lookups (a miss
-    compiles); ``context_hits`` / ``context_misses`` count
-    execution-context lookups (a miss creates a context; its positional
-    index is still built lazily, counted by ``index_builds``).
+    compiles); ``context_hits`` / ``context_misses`` count lookups of
+    the engine's context store (a hit reuses built state, as a worker
+    context hit does; a miss builds lazily, the positional index
+    counted by ``index_builds``).
     ``boundary_memo_hits`` / ``boundary_memo_misses`` count memoized
     ∃-component boundary-relation lookups, and ``semijoin_eliminations``
     / ``backtracking_eliminations`` say which evaluator served each
     miss.  ``worker_context_hits`` / ``worker_context_misses`` count
-    lookups of the worker-resident context caches inside the engine's
+    lookups of the worker-resident context stores inside the engine's
     long-lived pool (a hit means a pool job reused a built index and
     boundary memo instead of rebuilding).  ``persist_hits`` /
     ``persist_misses`` / ``persist_stores`` count on-disk plan-store
@@ -97,12 +96,13 @@ class EngineStats:
     ``registry_registrations`` / ``registry_evictions`` count
     ``register_structure`` calls and capacity evictions.
     ``encoded_resident_bytes`` is the approximate resident size of the
-    dense-int encodings held by the parent-side context cache.
+    dense-int encodings held by the engine's context store.
     ``delta_applies`` counts successful
     :meth:`Engine.apply_delta` calls, ``memo_evictions`` the memo
     entries dropped by their relation-scoped invalidation, and
-    ``context_invalidations`` the whole contexts dropped from the
-    parent cache (unregister, re-registration with different data).
+    ``context_invalidations`` the whole and shard contexts the store
+    dropped (unregister, re-registration, eviction, a refused
+    registration).
     ``compile_seconds`` is time spent compiling plans,
     ``execute_seconds`` time spent executing them.
 
@@ -171,14 +171,12 @@ class EngineStats:
 
 
 class Engine:
-    """A compiled-plan counting engine with plan and context caches.
+    """A compiled-plan counting engine with a plan cache and a context store.
 
     Parameters
     ----------
     plan_cache_size:
         Capacity of the LRU cache of compiled plans.
-    context_cache_size:
-        Capacity of the LRU cache of per-structure execution contexts.
     max_disjuncts:
         Safety limit forwarded to the inclusion-exclusion expansion.
     persistent_cache_dir:
@@ -214,7 +212,6 @@ class Engine:
     def __init__(
         self,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        context_cache_size: int = DEFAULT_CONTEXT_CACHE_SIZE,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
         persistent_cache_dir: str | None = None,
         processes: int | None = None,
@@ -227,7 +224,8 @@ class Engine:
             ALLOW if policy is None else ExecutionPolicy.from_request(policy)
         )
         self.plans = PlanCache(plan_cache_size)
-        self.contexts = ExecutionContextCache(context_cache_size)
+        #: Execution contexts; the placed tier mirrors the pool's pin set.
+        self.contexts = ResidentContexts()
         self.max_disjuncts = max_disjuncts
         self.store = (
             PlanStore(persistent_cache_dir)
@@ -417,25 +415,29 @@ class Engine:
         return cluster
 
     def _fan_out(self, updates=(), drop=(), pin=(), place=()) -> dict:
-        """Change what the workers hold resident -- the one place the
-        engine talks residency to its two transports.
+        """Change what is held resident -- the one place the engine
+        talks residency to its own store and its two transports.
 
         ``updates`` are ``(old_fingerprint, delta, new_structure)``
-        migrations and ``drop`` fingerprints to forget, for both: the
-        pool applies them in every worker, the cluster on the holders
-        (a no-op for a fingerprint it never placed).  ``pin`` is what
-        every pool worker makes resident (a whole structure and its
-        shards), ``place`` what the cluster spreads over its holders
-        (the shards: cluster jobs are per shard), returning
+        migrations and ``drop`` fingerprints to forget, for all three:
+        the engine's store, every pool worker, the cluster's holders (a
+        no-op for a fingerprint it never placed).  ``pin`` is what the
+        store places and every pool worker makes resident (a whole
+        structure and its shards), so the store's placed tier is the
+        pool's pin set; ``place`` is what the cluster spreads over its
+        holders (the shards: cluster jobs are per shard), returning
         ``{worker_id: shards placed}``.  An unreachable cluster is
         logged and skipped: counts degrade to the pool, which by then
         holds the change.
         """
         if updates:
+            self.contexts.apply_delta(updates)
             self.pool.apply_delta(updates)
         if drop:
+            self.contexts.drop(drop)
             self.pool.unpin_structures(drop)
         if pin:
+            self.contexts.place(pin)
             self.pool.pin_structures(pin)
         if self.cluster is None:
             return {}
@@ -465,23 +467,23 @@ class Engine:
         """Make ``structure`` resident under ``name``.
 
         Registration is where the one-time costs are paid, off the
-        request path: the parent-side execution context is built and
-        materialized, the shard plan is computed (``shard_count``
-        defaults to one shard per CPU) with every fingerprint
-        precomputed, and -- with ``pin=True`` -- the structure *and its
-        shards* are broadcast into every pool worker's pinned context
-        cache, where they are exempt from LRU eviction and survive pool
-        restarts.  Later calls may pass ``name`` wherever a structure
-        is accepted; ``count_sharded`` on the name reuses the
-        registration-time shard plan instead of re-partitioning.
+        request path: the engine's execution context for the structure
+        is built and materialized, the shard plan is computed
+        (``shard_count`` defaults to one shard per CPU) with every
+        fingerprint precomputed, and -- with ``pin=True`` -- the
+        structure *and its shards* are placed in the engine's context
+        store and broadcast into every pool worker's, where they are
+        exempt from LRU eviction and survive pool restarts.  Later
+        calls may pass ``name`` wherever a structure is accepted;
+        ``count_sharded`` on the name reuses the registration-time
+        shard plan instead of re-partitioning.
 
         Re-registering an existing name with *different* data
         invalidates the retired structure's derived state everywhere:
-        the parent context cache drops it and the workers unpin (and
-        LRU-evict) its fingerprints.  Entries evicted under capacity
-        pressure are cleaned up the same way.  Raises
-        :class:`~repro.engine.registry.RegistryFull` when the capacity
-        cannot be met by evicting unpinned entries.
+        the engine's store and every worker drop its fingerprints.
+        Entries evicted under capacity pressure are cleaned up the same
+        way.  Raises :class:`~repro.engine.registry.RegistryFull` when
+        the capacity cannot be met by evicting unpinned entries.
         """
         if not isinstance(structure, Structure):
             raise ReproError(
@@ -493,9 +495,10 @@ class Engine:
             raise ReproError("shard_count must be at least 1")
         # Refuse what can be refused before paying for any build.
         resident_bytes = self.registry.admit(name, structure)
-        built_here = structure not in self.contexts
         with collector_paused():
-            context = self.contexts.get(structure).materialize()
+            fingerprint = structure.fingerprint()
+            held = fingerprint in self.contexts
+            context = self.contexts.lookup(structure)[0].materialize()
             sharded = context.sharded(shard_count).precompute_fingerprints()
         try:
             registration = self.registry.register(
@@ -509,11 +512,9 @@ class Engine:
         except RegistryFull:
             # Nothing names the structure, so nothing may keep the
             # context this call built for it resident.
-            if built_here:
-                self.contexts.invalidate(structure)
+            if not held:
+                self.contexts.drop((fingerprint,))
             raise
-        for retired in registration.stale:
-            self.contexts.invalidate(retired.structure)
         entry = registration.entry
         shards = sharded.non_empty_shards() if pin else ()
         # One fan-out, so K retired entries cost one pool barrier, not
@@ -536,19 +537,19 @@ class Engine:
         with a chained fingerprint, and every caching layer migrates
         incrementally instead of being dropped --
 
-        * the parent-side execution context keeps each memo whose
-          read-set the delta cannot have touched
-          (:meth:`~repro.engine.context.ExecutionContext.apply_delta`);
         * the shard plan routes each delta tuple to the shard owning
           its component; a component *merge* falls back to re-sharding
-          the post-delta structure.  The plan advances once: the
-          migrated parent context ends up holding the very
-          :class:`~repro.structures.sharding.ShardedStructure` the new
-          registry entry holds;
-        * resident worker contexts -- pinned in the pool, placed in an
-          attached cluster -- receive an ``O(|delta|)`` fan-out and
-          migrate in place (memos and encoding kept) instead of being
-          dropped and rebuilt.
+          the post-delta structure;
+        * resident contexts -- in the engine's store, pinned in the
+          pool, placed in an attached cluster -- receive one
+          ``O(|delta|)`` fan-out and migrate in place, keeping each
+          memo whose read-set the delta cannot have touched
+          (:meth:`~repro.engine.context.ExecutionContext.apply_delta`)
+          instead of being dropped and rebuilt.  The plan advances
+          once: the engine's migrated context holds the new registry
+          entry's structure and the very
+          :class:`~repro.structures.sharding.ShardedStructure` the
+          entry holds.
 
         ``expect_version`` enables optimistic concurrency: when given
         and not equal to the live entry's version the delta is rejected
@@ -597,9 +598,8 @@ class Engine:
                     expect_version=expect_version,
                     delta=delta,
                 )
-                self.contexts.apply_delta(entry.structure, delta, new_structure)
                 # The whole structure and every touched shard migrate in
-                # O(|delta|) in the workers; only shards with nothing
+                # O(|delta|) in every store; only shards with nothing
                 # resident to migrate from are placed like a
                 # registration (and only a pinned entry places any).
                 if not entry.pinned:
@@ -617,15 +617,14 @@ class Engine:
     def unregister_structure(self, name: str) -> bool:
         """Drop the registered structure ``name``; ``False`` if unknown.
 
-        Unpins its fingerprints (whole structure and shards) from every
-        worker and invalidates the parent-side context, so nothing
-        keeps the retired data resident.
+        Drops its fingerprints (whole structure and shards) from the
+        engine's store and every worker, so nothing keeps the retired
+        data resident.
         """
         entry = self.registry.unregister(name)
         if entry is None:
             return False
         self._fan_out(drop=entry.worker_fingerprints())
-        self.contexts.invalidate(entry.structure)
         return True
 
     def resolve_structure(self, structure: StructureRef) -> Structure:
@@ -664,9 +663,9 @@ class Engine:
 
             def run() -> int:
                 # The baseline kinds never consult a context; don't
-                # build (or pin in the LRU) one for them.
+                # build (or keep in the LRU) one for them.
                 context = (
-                    self.contexts.get(structure)
+                    self.contexts.lookup(structure)[0]
                     if plan.kind in _CONTEXT_KINDS
                     else None
                 )
@@ -747,7 +746,7 @@ class Engine:
                 ):
                     sharded = entry.sharded
                 else:
-                    sharded = self.contexts.get(structure).sharded(
+                    sharded = self.contexts.lookup(structure)[0].sharded(
                         default_process_count()
                         if shard_count is None
                         else shard_count,
@@ -763,6 +762,7 @@ class Engine:
                     # Cluster routing needs resident holders; only a
                     # registered ref's shards are placed.
                     cluster=self.cluster if entry is not None else None,
+                    contexts=self.contexts,
                 )
 
             return self._run_guarded(
@@ -817,7 +817,7 @@ class Engine:
                     strategy=strategy,
                     parallel=parallel,
                     processes=processes,
-                    context_cache=self.contexts,
+                    contexts=self.contexts,
                     pool=self.pool,
                 ),
                 strategy,
@@ -829,7 +829,7 @@ class Engine:
         """A snapshot of the engine's counters.
 
         Every component is snapshotted under its own lock (the plan
-        cache, the context cache and its shared
+        cache, the context store's shared
         :class:`~repro.engine.context.ContextStats` sink, the worker
         pool, the plan store), so a snapshot taken while other threads
         count never pairs a hit count with a miss count from a
@@ -844,7 +844,7 @@ class Engine:
         """The :class:`EngineStats` fields a component owns -- the one
         place they are named -- each component read once, coherently."""
         plan_hits, plan_misses = self.plans.stats_snapshot()
-        context_hits, context_misses, contexts = self.contexts.stats_snapshot()
+        contexts = self.contexts.stats.snapshot()
         worker_hits, worker_misses = self.pool.stats_snapshot()
         persist_hits, persist_misses, persist_stores = (
             self.store.stats_snapshot() if self.store else (0, 0, 0)
@@ -855,8 +855,8 @@ class Engine:
         return dict(
             plan_hits=plan_hits,
             plan_misses=plan_misses,
-            context_hits=context_hits,
-            context_misses=context_misses,
+            context_hits=contexts.context_hits,
+            context_misses=contexts.context_misses,
             index_builds=contexts.index_builds,
             boundary_memo_hits=contexts.boundary_hits,
             boundary_memo_misses=contexts.boundary_misses,
@@ -877,15 +877,16 @@ class Engine:
         )
 
     def clear_caches(self) -> None:
-        """Drop all cached plans and contexts (a "cold" engine again).
+        """Drop all cached plans and LRU contexts (a "cold" engine again).
 
         The persistent plan store (if any) is left untouched; use
         ``engine.store.clear()`` to wipe it too.  The structure
         registry also survives: registered entries are *state*, not
-        cache -- their names keep resolving, their pinned worker
-        contexts stay resident, and their shard plans remain on the
-        entries (only the parent-side contexts are rebuilt lazily).
-        Use :meth:`unregister_structure` to actually drop one.
+        cache -- their names keep resolving, their pinned contexts stay
+        placed in the engine's store and every worker, and their shard
+        plans remain on the entries (only an unpinned entry's context
+        is rebuilt lazily).  Use :meth:`unregister_structure` to
+        actually drop one.
         """
         self.plans.clear()
         self.contexts.clear()
@@ -916,7 +917,8 @@ class Engine:
         lock was released -- never a torn read or a lost later update.
         """
         self.plans.reset_stats()
-        self.contexts.reset_stats()
+        # Zero in place: every context of the store holds this sink.
+        self.contexts.stats.reset()
         self.pool.reset_stats()
         self.registry.reset_stats()
         if self.store is not None:

@@ -1,20 +1,14 @@
-"""Caches backing the counting engine.
+"""The query-side cache of the counting engine.
 
-Two caches make plan reuse pay off:
-
-* :class:`PlanCache` -- an LRU of compiled :class:`~repro.engine.plan.
-  CountingPlan` objects keyed by a canonical form of the query plus the
-  requested strategy.  Query texts are additionally memoized through a
-  parse cache so serving the same SQL-ish string twice never re-parses.
-* :class:`ExecutionContextCache` -- an LRU of
-  :class:`~repro.engine.context.ExecutionContext` objects, one per data
-  structure.  This generalizes the original per-structure
-  positional-index cache: a context carries the index *and* the sorted
-  domain, the memoized ∃-component boundary relations, and cached shard
-  partitions, so everything data-derived is shared between executions.
-
+:class:`PlanCache` is an LRU of compiled :class:`~repro.engine.plan.
+CountingPlan` objects keyed by a canonical form of the query plus the
+requested strategy.  Query texts are additionally memoized through a
+parse cache so serving the same SQL-ish string twice never re-parses.
 Both are thin wrappers over :class:`LRUCache`, which tracks hit/miss
 statistics the :class:`~repro.engine.api.Engine` surfaces.
+
+The data side is not cached here: every process keeps its execution
+contexts in one :class:`~repro.engine.resident.ResidentContexts` store.
 """
 
 from __future__ import annotations
@@ -24,20 +18,16 @@ from collections import OrderedDict
 from typing import Callable, Generic, Hashable, TypeVar
 
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
-from repro.engine.context import ContextStats, ExecutionContext
 from repro.engine.plan import CountingPlan, Query, as_ep, compile_plan
 from repro.exceptions import ReproError
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
-from repro.structures.structure import Structure
 
 Key = TypeVar("Key", bound=Hashable)
 Value = TypeVar("Value")
 
 #: Default capacity of the plan cache.
 DEFAULT_PLAN_CACHE_SIZE = 256
-#: Default capacity of the execution-context cache.
-DEFAULT_CONTEXT_CACHE_SIZE = 32
 #: Default capacity of the query-text parse cache.
 DEFAULT_PARSE_CACHE_SIZE = 1024
 
@@ -114,16 +104,6 @@ class LRUCache(Generic[Key, Value]):
             self._inflight.pop(key, None)
         flight.event.set()
         return value
-
-    def pop(self, key: Key) -> Value | None:
-        """Remove and return the entry for ``key`` (``None`` if absent).
-
-        Statistics are untouched: an invalidation is neither a hit nor
-        a miss.  Used when derived state goes stale -- above all when a
-        registered structure is replaced under the same name.
-        """
-        with self._lock:
-            return self._data.pop(key, None)
 
     def put(self, key: Key, value: Value) -> None:
         """Insert ``value`` directly (used when warming from disk)."""
@@ -322,102 +302,3 @@ class PlanCache:
     def reset_stats(self) -> None:
         self._cache.reset_stats()
         self._parse_cache.reset_stats()
-
-
-class ExecutionContextCache:
-    """An LRU cache of execution contexts, one per data structure.
-
-    Keyed by the structure itself (structures are immutable and
-    hashable); the first lookup creates the context, every later
-    execution against the same structure shares its positional index,
-    boundary-relation memo, and shard partitions.  All contexts created
-    by one cache share a single :class:`~repro.engine.context.
-    ContextStats` sink so the engine can report aggregate counters.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CONTEXT_CACHE_SIZE):
-        self._cache: LRUCache[Structure, ExecutionContext] = LRUCache(capacity)
-        self.context_stats = ContextStats()
-
-    def get(self, structure: Structure) -> ExecutionContext:
-        return self._cache.get_or_compute(
-            structure,
-            lambda: ExecutionContext(structure, stats=self.context_stats),
-        )
-
-    def encoded_bytes(self) -> int:
-        """Total approximate resident bytes of built encodings across
-        the cached contexts (0 with nothing built)."""
-        return sum(
-            context.encoded_nbytes for _, context in self._cache.items()
-        )
-
-    def invalidate(self, structure: Structure) -> bool:
-        """Drop the cached context for ``structure``, if any.
-
-        The registry calls this when a name is unregistered or
-        re-registered with different data, so the parent-side context
-        (index, boundary memos, cached shard partitions) of the retired
-        structure stops occupying cache capacity.  Every actual drop is
-        counted in the shared sink's ``context_invalidations``.
-        """
-        dropped = self._cache.pop(structure) is not None
-        if dropped:
-            self.context_stats.bump("context_invalidations")
-        return dropped
-
-    def apply_delta(
-        self, old_structure: Structure, delta, new_structure: Structure
-    ) -> ExecutionContext:
-        """Migrate the cached context across a delta instead of dropping it.
-
-        Pops the context keyed by the pre-delta structure and re-keys its
-        :meth:`~repro.engine.context.ExecutionContext.apply_delta`
-        migration (surviving memos, incrementally updated encoding)
-        under the post-delta structure.  When no pre-delta context was
-        cached this degrades to a plain :meth:`get` of the new version.
-        Returns the post-delta context either way.
-        """
-        old = self._cache.pop(old_structure)
-        if old is None:
-            return self.get(new_structure)
-        migrated = old.apply_delta(delta, new_structure)
-        self._cache.put(new_structure, migrated)
-        return migrated
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self._cache.hit_rate
-
-    def stats_snapshot(self) -> tuple[int, int, ContextStats]:
-        """``(hits, misses, context_stats)`` read coherently.
-
-        The hit/miss pair comes from one acquisition of the cache lock
-        and the context counters from one acquisition of the shared
-        sink's lock, so a concurrent ``reset_stats`` never yields a
-        half-zeroed view of either.
-        """
-        hits, misses = self._cache.stats_snapshot()
-        return hits, misses, self.context_stats.snapshot()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __contains__(self, structure: object) -> bool:
-        return structure in self._cache
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def reset_stats(self) -> None:
-        self._cache.reset_stats()
-        # Zero in place: cached contexts hold a reference to this sink.
-        self.context_stats.reset()

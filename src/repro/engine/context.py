@@ -76,9 +76,12 @@ class ContextStats:
     ``boundary_hits`` / ``boundary_misses`` count lookups of memoized
     ∃-component boundary relations; ``semijoin_eliminations`` /
     ``backtracking_eliminations`` count which evaluator served each
-    miss.
+    miss.  ``context_hits`` / ``context_misses`` count the lookups of
+    a :class:`~repro.engine.resident.ResidentContexts` store (a hit
+    reuses built state) and ``context_invalidations`` the contexts it
+    dropped.
 
-    A sink is shared by every context a cache creates and may be
+    A sink is shared by every context a store creates and may be
     updated from many threads at once, so mutation goes through
     :meth:`bump` (a locked read-modify-write; a bare ``+=`` can lose
     updates under preemption) and readers take :meth:`snapshot` for a
@@ -91,6 +94,8 @@ class ContextStats:
     semijoin_eliminations: int = 0
     backtracking_eliminations: int = 0
     memo_evictions: int = 0
+    context_hits: int = 0
+    context_misses: int = 0
     context_invalidations: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -170,9 +175,9 @@ class ExecutionContext:
     structure:
         The data structure this context serves.
     stats:
-        Counter sink; contexts created by an
-        :class:`~repro.engine.cache.ExecutionContextCache` share one so
-        the engine can surface aggregate numbers.
+        Counter sink; the contexts of one
+        :class:`~repro.engine.resident.ResidentContexts` store share
+        its sink, so the engine can surface aggregate numbers.
     semijoin:
         Enable the semijoin ∃-component evaluator (on by default; the
         benchmark harness disables it to measure the backtracking
@@ -509,27 +514,29 @@ class ExecutionContext:
         was_empty = self.structure.is_empty()
         touched = delta.relations
         grew = len(new_structure.universe) > len(self.structure.universe)
+        # Every memo is read through a snapshot: counts still running
+        # against this pre-delta context may be adding entries.
         if not was_empty:
-            for key, table in self._base_table_memo.items():
+            for key, table in tuple(self._base_table_memo.items()):
                 if key[0] in touched:
                     evicted += 1
                 else:
                     fresh._base_table_memo[key] = table
             for name in ("_boundary_memo", "_satisfiable_memo"):
                 source, target = getattr(self, name), getattr(fresh, name)
-                for component, value in source.items():
+                for component, value in tuple(source.items()):
                     reads, sensitive = _component_reads(component)
                     if reads & touched or (grew and sensitive):
                         evicted += 1
                     else:
                         target[component] = value
-            for formula, holds in self._sentence_memo.items():
+            for formula, holds in tuple(self._sentence_memo.items()):
                 reads, sensitive = _structure_reads(formula.structure)
                 if reads & touched or (grew and sensitive):
                     evicted += 1
                 else:
                     fresh._sentence_memo[formula] = holds
-            for base, count in self._count_memo.items():
+            for base, count in tuple(self._count_memo.items()):
                 reads, _ = _structure_reads(base.structure)
                 # Counts scale with the domain through unconstrained
                 # liberal variables, so any universe growth evicts.
@@ -545,7 +552,7 @@ class ExecutionContext:
                 + len(self._sentence_memo)
                 + len(self._count_memo)
             )
-        for key, sharded in self._sharded_memo.items():
+        for key, sharded in tuple(self._sharded_memo.items()):
             fresh._sharded_memo[key] = sharded.advance(
                 delta, new_structure
             ).sharded

@@ -41,7 +41,6 @@ from repro.algorithms.brute_force import (
 from repro.budget import current_budget
 from repro.algorithms.fpt_counting import PPCountingPlan
 from repro.core.ep_to_pp import sentence_holds
-from repro.engine.cache import ExecutionContextCache
 from repro.engine.context import ExecutionContext
 from repro.engine.plan import (
     CountingPlan,
@@ -56,6 +55,7 @@ from repro.engine.pool import (
     default_process_count,
     shard_task,
 )
+from repro.engine.resident import ResidentContexts
 from repro.exceptions import ReproError
 from repro.logic.pp import PPFormula
 from repro.obs import trace as _trace
@@ -107,8 +107,8 @@ def execute(
 
     Counting runs through :meth:`ExecutionContext.count_plan`, whose
     per-(plan, structure) memo makes a *repeated* identical execution
-    against a long-lived context (the engine's context cache, and above
-    all the worker-resident contexts of pinned registered structures) a
+    against a long-lived context (the engine's context store, and above
+    all the resident contexts of pinned registered structures) a
     dictionary lookup -- the same warm-start the shard path has had
     since the worker pool, now on the plain path too.  ``ep-plus``
     plans memoize per *term*, so terms shared between plans reuse each
@@ -193,7 +193,7 @@ def count_many(
     strategy: str = "auto",
     parallel: bool | None = None,
     processes: int | None = None,
-    context_cache: ExecutionContextCache | None = None,
+    contexts: ResidentContexts | None = None,
     pool: WorkerPool | None = None,
 ) -> list[list[int]]:
     """Count every query on every structure: ``result[i][j] = |q_i(B_j)|``.
@@ -204,7 +204,8 @@ def count_many(
     one CPU and the grid is large enough to amortize pool start-up;
     ``parallel=True`` forces it, ``parallel=False`` forces the
     sequential path.  Both paths share one execution context per
-    distinct structure (per worker, on the parallel path): the jobs
+    distinct structure (from ``contexts``, the engine's store, on the
+    sequential path; per worker on the parallel one): the jobs
     shipped to the pool are structure-major blocks of plans, not
     individual grid cells, so a structure's positional index is built
     once per block instead of once per cell.  Passing the engine's
@@ -231,22 +232,22 @@ def count_many(
             # No subprocess support (restricted hosts) or unpicklable
             # plans/structures -- fall through to the sequential path.
             pass
-    return _count_many_sequential(plans, structures, context_cache)
+    return _count_many_sequential(plans, structures, contexts)
 
 
 def _count_many_sequential(
     plans: Sequence[CountingPlan],
     structures: Sequence[Structure],
-    context_cache: ExecutionContextCache | None,
+    contexts: ResidentContexts | None,
 ) -> list[list[int]]:
-    if context_cache is None:
-        context_cache = ExecutionContextCache(capacity=max(1, len(structures)))
+    if contexts is None:
+        contexts = ResidentContexts()
     any_contextual = any(plan.kind in _CONTEXT_KINDS for plan in plans)
     out: list[list[int]] = [[0] * len(structures) for _ in plans]
     # Iterate structure-major so each context (index, boundary memo) is
     # built once and stays hot while every plan runs against it.
     for j, structure in enumerate(structures):
-        context = context_cache.get(structure) if any_contextual else None
+        context = contexts.lookup(structure)[0] if any_contextual else None
         for i, plan in enumerate(plans):
             out[i][j] = execute(plan, structure, context)
     return out
@@ -408,17 +409,23 @@ def _sentence_pieces(sentence: PPFormula) -> list[Structure]:
 
 def _run_shards_sequential(
     jobs: Sequence[tuple[tuple[_ShardUnit, ...], Structure]],
+    contexts: ResidentContexts | None,
 ) -> list[list]:
     """The sequential shard path, with the same spans the pool emits:
-    every unit of a shard through one throwaway context.
+    every unit of a shard through one context of ``contexts`` -- the
+    resident one of a placed shard, else a throwaway the store does not
+    keep (the pool's by-reference / by-value rule for its jobs).
 
     Parent-side ``shard.execute[i]`` spans keep a trace's shape
     identical whether the shards ran in workers or in-process.
     """
+    if contexts is None:
+        contexts = ResidentContexts()
     out: list[list] = []
     for index, (units, shard) in enumerate(jobs):
         with _trace.span(f"shard.execute[{index}]", units=len(units)):
-            out.append(ExecutionContext(shard).run_units(units))
+            context, _ = contexts.lookup(shard, keep=False)
+            out.append(context.run_units(units))
     return out
 
 
@@ -478,6 +485,7 @@ def execute_sharded(
     processes: int | None = None,
     pool: WorkerPool | None = None,
     cluster=None,
+    contexts: ResidentContexts | None = None,
 ) -> int:
     """Count the answers of a compiled plan via sharded execution.
 
@@ -490,7 +498,8 @@ def execute_sharded(
     per non-empty shard, fanned over the worker pool when ``parallel``
     allows, with all units of a shard sharing one execution context
     (index + boundary-relation memo) -- resident across calls when the
-    engine's long-lived ``pool`` is passed.
+    engine's long-lived ``pool`` is passed, and on the sequential path
+    when a shard is placed in the engine's ``contexts`` store.
 
     The baseline plan kinds (``naive``, ``disjuncts``) gain nothing from
     sharding and run whole-structure.
@@ -562,9 +571,9 @@ def execute_sharded(
         except WorkerTaskError as failure:
             raise failure.original from failure
         except _pool_fallback_errors():
-            values_by_shard = _run_shards_sequential(jobs)
+            values_by_shard = _run_shards_sequential(jobs, contexts)
     else:
-        values_by_shard = _run_shards_sequential(jobs)
+        values_by_shard = _run_shards_sequential(jobs, contexts)
 
     with _trace.span(
         "combine", shards=len(shards), terms=len(program.terms)

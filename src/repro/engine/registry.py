@@ -22,10 +22,10 @@ never a silent eviction.
 
 The registry itself is engine-agnostic bookkeeping; the interesting
 wiring lives in :class:`~repro.engine.api.Engine.register_structure`,
-which additionally precomputes the shard plan and broadcasts the
-structure (and its shards) into every pool worker's pinned context
-cache, and in :mod:`repro.serve.httpd`, which exposes the whole thing
-as ``PUT/GET/DELETE /structures/<name>`` plus the
+which additionally precomputes the shard plan and places the
+structure (and its shards) in the engine's context store and every
+pool worker's, and in :mod:`repro.serve.httpd`, which exposes the
+whole thing as ``PUT/GET/DELETE /structures/<name>`` plus the
 ``{"structure": {"ref": "<name>"}}`` request form.
 """
 
@@ -229,7 +229,7 @@ class Registration(NamedTuple):
 
     Unpacks as ``(entry, previous, evicted)``: the live entry, the
     replaced same-name entry if any, and the entries evicted to make
-    room.  The two derived views are what the caller has to retire.
+    room.  :attr:`retired` is what the caller has to drop.
     """
 
     entry: RegistryEntry
@@ -237,21 +237,8 @@ class Registration(NamedTuple):
     evicted: list[RegistryEntry]
 
     @property
-    def stale(self) -> list[RegistryEntry]:
-        """The entries whose *data* left the registry: the evicted ones
-        and a replaced entry holding different data.  Their parent-side
-        contexts are dead weight."""
-        stale = list(self.evicted)
-        if (
-            self.previous is not None
-            and self.previous.fingerprint != self.entry.fingerprint
-        ):
-            stale.append(self.previous)
-        return stale
-
-    @property
     def retired(self) -> tuple[tuple, ...]:
-        """The fingerprints the workers must drop, in one batch:
+        """The fingerprints every context store must drop, in one batch:
         everything the evicted and replaced entries put there, minus
         what the new entry still holds -- which is nothing when it
         gives up a pin its predecessor had."""
@@ -334,11 +321,11 @@ class StructureRegistry:
 
         Returns a :class:`Registration` -- ``(entry, previous,
         evicted)``: the live entry, the replaced same-name entry if
-        any, and the entries evicted to make room -- whose ``stale`` /
-        ``retired`` views say what the replaced and evicted entries
-        leave behind.  ``resident_bytes`` is what an earlier
-        :meth:`admit` of the same name and structure returned; without
-        it the admission runs here.  Raises :class:`RegistryFull` when
+        any, and the entries evicted to make room -- whose ``retired``
+        view says what the replaced and evicted entries leave behind.
+        ``resident_bytes`` is what an earlier :meth:`admit` of the same
+        name and structure returned; without it the admission runs
+        here.  Raises :class:`RegistryFull` when
         the capacity cannot be met by evicting unpinned entries.
         """
         if resident_bytes is None:

@@ -1,20 +1,21 @@
-"""Worker-resident execution contexts: the one worker runtime.
+"""Resident execution contexts: the one context store of every process.
 
-A shard worker holds an :class:`~repro.engine.context.ExecutionContext`
-per resident structure, migrates it when a delta advances the
-structure, and runs work against it.  :class:`ResidentContexts` is that
-bookkeeping, with no transport in it: a fork-pool worker
-(:mod:`repro.engine.pool`) drives one instance from pool tasks, a
-cluster worker (:mod:`repro.cluster.worker`) drives one from wire
-frames.  Two tiers, both keyed by the process-stable
+A process that counts holds an
+:class:`~repro.engine.context.ExecutionContext` per resident structure,
+migrates it when a delta advances the structure, and runs work against
+it.  :class:`ResidentContexts` is that bookkeeping, with no transport
+in it: the :class:`~repro.engine.api.Engine` keeps its contexts in one
+instance, a fork-pool worker (:mod:`repro.engine.pool`) drives one from
+pool tasks, a cluster worker (:mod:`repro.cluster.worker`) drives one
+from wire frames.  Two tiers, both keyed by the process-stable
 :meth:`~repro.structures.structure.Structure.fingerprint`:
 
 * **placed** contexts are a contract -- pinned by a registration or
   placed by the coordinator, exempt from eviction, gone only when
   dropped;
-* the **LRU** tier is a heuristic -- a job shipping a structure the
-  worker does not hold builds its context there, so the same data
-  again is a hit, and capacity pressure evicts the coldest.
+* the **LRU** tier is a heuristic -- a lookup of a structure the store
+  does not hold builds its context there, so the same data again is a
+  hit, and capacity pressure evicts the coldest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.budget import budget_scope
-from repro.engine.context import ExecutionContext
+from repro.engine.context import ContextStats, ExecutionContext
 from repro.exceptions import ReproError
 from repro.obs import trace as _trace
 from repro.structures.structure import Structure
@@ -80,18 +81,22 @@ def picklable_exception(exc: BaseException) -> BaseException:
 
 
 class ResidentContexts:
-    """The placed and LRU tiers of one worker's execution contexts.
+    """The placed and LRU tiers of one process's execution contexts.
 
     A context carries its structure, so no tier stores structures
-    separately.  The lock is for the cluster worker, whose job threads
-    look contexts up while its event-loop thread places and migrates;
-    the work itself runs outside it.
+    separately.  Every context the store creates shares its one
+    :class:`~repro.engine.context.ContextStats` sink, :attr:`stats`,
+    which also counts the store's own lookups and drops.  The lock is
+    for the threads that look contexts up while another places and
+    migrates (the engine's callers, a cluster worker's job threads
+    beside its event loop); the work itself runs outside it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._placed: dict[tuple, ExecutionContext] = {}
         self._lru: OrderedDict[tuple, ExecutionContext] = OrderedDict()
+        self.stats = ContextStats()
 
     def place(self, structures) -> list[ExecutionContext]:
         """Make ``structures`` resident until dropped; returns their
@@ -110,7 +115,7 @@ class ResidentContexts:
                 if context is None:
                     context = self._lru.pop(fingerprint, None)
                 if context is None:
-                    context = ExecutionContext(structure)
+                    context = ExecutionContext(structure, stats=self.stats)
                 self._placed[fingerprint] = context
                 contexts.append(context)
         return contexts
@@ -118,23 +123,30 @@ class ResidentContexts:
     def drop(self, fingerprints) -> int:
         """Forget ``fingerprints`` in both tiers (so nothing stale can
         serve a fingerprint the parent retired); returns how many
-        contexts went."""
+        contexts went, which ``stats.context_invalidations`` counts."""
         dropped = 0
         with self._lock:
             for fingerprint in fingerprints:
                 for tier in (self._placed, self._lru):
                     if tier.pop(fingerprint, None) is not None:
                         dropped += 1
+        if dropped:
+            self.stats.bump("context_invalidations", dropped)
         return dropped
 
     def apply_delta(self, updates) -> int:
         """Migrate resident contexts across a structure delta.
 
-        ``updates`` holds ``(old_fingerprint, delta, new_fingerprint)``
-        triples, ``O(|delta|)`` bytes each.  A context resident under
-        the old fingerprint moves, within its tier, to its
+        ``updates`` holds ``(old_fingerprint, delta, new)`` triples,
+        where ``new`` is the post-delta fingerprint -- ``O(|delta|)``
+        bytes a triple, what a worker receives -- or the post-delta
+        :class:`~repro.structures.structure.Structure` itself, which
+        the migrated context then holds (the engine passes its registry
+        entry's, so the context shares the shard plan the entry already
+        advanced).  A context resident under the old fingerprint moves,
+        within its tier, to its
         :meth:`~repro.engine.context.ExecutionContext.apply_delta`
-        migration (encoding and untouched memos kept); one this worker
+        migration (encoding and untouched memos kept); one this store
         does not hold is skipped.  A migration whose chained
         fingerprint is not the expected one is dropped, never served:
         the next job or place re-ships the truth.  A delta that does
@@ -144,7 +156,7 @@ class ResidentContexts:
         """
         applied = 0
         with self._lock:
-            for old_fingerprint, delta, new_fingerprint in updates:
+            for old_fingerprint, delta, new in updates:
                 tier = (
                     self._placed
                     if old_fingerprint in self._placed
@@ -153,21 +165,29 @@ class ResidentContexts:
                 context = tier.get(old_fingerprint)
                 if context is None:
                     continue
-                migrated = context.apply_delta(delta)
+                if isinstance(new, Structure):
+                    migrated = context.apply_delta(delta, new)
+                    new = new.fingerprint()
+                else:
+                    migrated = context.apply_delta(delta)
                 del tier[old_fingerprint]
-                if migrated.structure.fingerprint() == new_fingerprint:
-                    tier[new_fingerprint] = migrated
+                if migrated.structure.fingerprint() == new:
+                    tier[new] = migrated
                     applied += 1
         return applied
 
-    def lookup(self, key) -> tuple[ExecutionContext, bool]:
+    def lookup(self, key, keep: bool = True) -> tuple[ExecutionContext, bool]:
         """``(context, hit)`` for a structure or a bare fingerprint.
 
-        ``hit`` means the job reuses built state: a placed context that
-        nothing has materialized or run against yet is still a miss.  A
-        :class:`~repro.structures.structure.Structure` the worker does
-        not hold gets a fresh context in the LRU tier; a bare
+        ``hit`` means the caller reuses built state: a placed context
+        that nothing has materialized or run against yet is still a
+        miss.  A :class:`~repro.structures.structure.Structure` the
+        store does not hold gets a fresh context, kept in the LRU tier
+        -- or, with ``keep=False``, handed out without being kept (a
+        throwaway, so a burst of one-off data evicts nothing); a bare
         fingerprint it does not hold raises :class:`NotResident`.
+        Every returned context counts one ``stats.context_hits`` or
+        ``context_misses``.
         """
         shipped = isinstance(key, Structure)
         fingerprint = key.fingerprint() if shipped else key
@@ -177,20 +197,42 @@ class ResidentContexts:
                 context = self._lru.get(fingerprint)
                 if context is not None:
                     self._lru.move_to_end(fingerprint)
-            if context is not None:
-                return context, context.built
-            if not shipped:
-                raise NotResident(f"{fingerprint!r} is not resident")
-            context = ExecutionContext(key)
-            self._lru[fingerprint] = context
-            while len(self._lru) > LRU_CAPACITY:
-                self._lru.popitem(last=False)
-            return context, False
+            if context is None:
+                if not shipped:
+                    raise NotResident(f"{fingerprint!r} is not resident")
+                context = ExecutionContext(key, stats=self.stats)
+                if keep:
+                    self._lru[fingerprint] = context
+                    while len(self._lru) > LRU_CAPACITY:
+                        self._lru.popitem(last=False)
+            hit = context.built
+        self.stats.bump("context_hits" if hit else "context_misses")
+        return context, hit
 
     def placed_fingerprints(self) -> tuple:
         """The fingerprints of the placed tier (diagnostics)."""
         with self._lock:
             return tuple(self._placed)
+
+    def clear(self) -> None:
+        """Empty the LRU tier; placed contexts stay until dropped."""
+        with self._lock:
+            self._lru.clear()
+
+    def encoded_bytes(self) -> int:
+        """Approximate resident bytes of the built encodings in both
+        tiers (0 with nothing built)."""
+        with self._lock:
+            contexts = [*self._placed.values(), *self._lru.values()]
+        return sum(context.encoded_nbytes for context in contexts)
+
+    def __contains__(self, fingerprint: object) -> bool:
+        with self._lock:
+            return fingerprint in self._placed or fingerprint in self._lru
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._placed) + len(self._lru)
 
     def execute(
         self, run, key, budget, span_name: str, **attrs

@@ -122,7 +122,7 @@ _GAUGES = (
      "registry", "pinned_entries"),
     ("repro_engine_encoded_resident_bytes",
      "Approximate bytes of integer-encoded structures resident in the "
-     "engine's context cache.",
+     "engine's context store.",
      "engine", "encoded_resident_bytes"),
     ("repro_pool_processes", "Configured worker-pool size.",
      "pool", "processes"),

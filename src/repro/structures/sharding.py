@@ -228,7 +228,7 @@ class ShardedStructure:
         retires nothing.
 
         The plan remembers its successor: every holder of this plan (a
-        registry entry, the parent context's memo) that carries it onto
+        registry entry, the engine context's memo) that carries it onto
         the same ``new_structure`` gets the one :class:`PlanAdvance`
         back, so a delta routes once and all of them end up holding the
         same post-delta plan.

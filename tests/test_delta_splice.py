@@ -297,7 +297,7 @@ def test_a_delta_routes_once_and_entry_and_context_share_the_plan(monkeypatch):
         assert routed == [delta]
         assert entry.sharded is engine.registry.peek("g").sharded
         assert entry.sharded is (
-            engine.contexts.get(entry.structure).sharded(SHARDS)
+            engine.contexts.lookup(entry.structure)[0].sharded(SHARDS)
         )
         assert entry.sharded.structure is entry.structure
         # The old plan still reads what it read; the new one knows more.

@@ -42,6 +42,23 @@ def test_checker_detects_missing_and_stale_frame_types(tmp_path):
     assert any("'execute'" in p for p in problems)  # undocumented type
 
 
+def test_operations_knob_table_matches_engine_options():
+    problems = check_docs_freshness.check_knobs()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_missing_and_stale_knobs(tmp_path):
+    stale = tmp_path / "operations.md"
+    stale.write_text(
+        "## Engine tuning knobs\n\n| Knob | Default |\n|---|---|\n"
+        "| `processes` (`--processes`) | 1 |\n| `bygone_size` | 32 |\n"
+    )
+    problems = check_docs_freshness.check_knobs(stale)
+    assert any("'bygone_size'" in p for p in problems)  # stale row
+    assert any("'policy'" in p for p in problems)  # undocumented option
+    assert not any("'processes'" in p for p in problems)
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",

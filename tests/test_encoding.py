@@ -110,7 +110,7 @@ def test_repro_encoding_in_the_environment_changes_nothing(monkeypatch):
         # over them: the only path there is.
         assert stats.encoded_resident_bytes > 0
         assert stats.semijoin_eliminations > 0
-        assert engine.contexts.get(STRUCTURE).encoding_active
+        assert engine.contexts.lookup(STRUCTURE)[0].encoding_active
 
 
 # ----------------------------------------------------------------------

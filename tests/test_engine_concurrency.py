@@ -10,7 +10,10 @@ engine must not leak the previous engine's worker processes.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
+
+import pytest
 
 from repro.core.counting import count_answers, count_answers_sharded
 from repro.engine.api import (
@@ -21,6 +24,7 @@ from repro.engine.api import (
 )
 from repro.engine.context import ContextStats
 from repro.engine.pool import WorkerPool
+from repro.structures.delta import StructureDelta
 from repro.structures.random_gen import random_graph
 from repro.structures.structure import Structure
 
@@ -184,18 +188,18 @@ def test_transient_sharded_engine_leaves_no_children():
     assert not set(multiprocessing.active_children()) - children_before
 
 
-def test_counts_racing_deltas_observe_whole_versions_only():
+@pytest.mark.parametrize("pin", [False, True], ids=["lru", "placed"])
+def test_counts_racing_deltas_observe_whole_versions_only(pin):
     """Readers hammering a registered name while a writer applies
     deltas: every observed count must belong to exactly one version
-    (pre- or post-delta), never a torn mix.
+    (pre- or post-delta), never a torn mix -- also when the sequential
+    shard counts share the engine's placed shard contexts.
 
     The workload is built so whole versions have even counts (each
     delta deletes one edge and inserts three disjoint new ones, a net
     +2 to "x has an out-edge") -- any partially-applied state would
     surface as an odd count.
     """
-    from repro.structures.delta import StructureDelta
-
     out_query = "exists y. E(x, y)"
     edges = [(i, i + 1) for i in range(0, 40, 2)]  # 20 disjoint edges
     base = Structure.from_relations({"E": edges})
@@ -205,7 +209,7 @@ def test_counts_racing_deltas_observe_whole_versions_only():
     done = threading.Event()
 
     with Engine() as engine:
-        engine.register_structure("live", base, pin=False, shard_count=2)
+        engine.register_structure("live", base, pin=pin, shard_count=2)
 
         def read() -> None:
             try:
@@ -242,3 +246,64 @@ def test_counts_racing_deltas_observe_whole_versions_only():
         assert not errors, errors
         final = engine.count(out_query, "live")
         assert final == 20 + 2 * rounds
+
+
+def test_deltas_migrate_contexts_that_concurrent_counts_still_fill():
+    """A delta migrates the engine's contexts -- the whole structure's
+    and its placed shards' -- while counts against the pre-delta version
+    are still adding memo entries to them.  With a tiny switch interval
+    a migration that iterates live memo dicts dies with "dictionary
+    changed size during iteration"; every count must stay exact."""
+    queries = [
+        "exists y. E(x, y)",
+        PATH_QUERY,
+        "exists z. exists w. (E(x, z) & E(z, w) & E(w, y))",
+        "E(x, y) & E(y, x)",
+        "exists z. (E(z, x) & E(z, y))",
+    ]
+    base = Structure.from_relations({"E": [(i, i + 1) for i in range(0, 400, 2)]})
+    errors: list[BaseException] = []
+    done = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Engine(processes=1) as engine:
+            engine.register_structure("live", base, shard_count=4)
+
+            def read(sharded: bool) -> None:
+                try:
+                    while not done.is_set():
+                        for query in queries:
+                            if sharded:
+                                engine.count_sharded(query, "live", parallel=False)
+                            else:
+                                engine.count(query, "live")
+                except BaseException as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            readers = [
+                threading.Thread(target=read, args=(index % 2 == 0,))
+                for index in range(4)
+            ]
+            for thread in readers:
+                thread.start()
+            try:
+                for k in range(300):
+                    if errors:
+                        break
+                    engine.apply_delta(
+                        "live", StructureDelta(inserts={"E": [(1000 + k, 5000 + k)]})
+                    )
+            finally:
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in readers)
+            assert not errors, errors
+            final = engine.registry.peek("live").structure
+            for query in queries:
+                expected = count_answers(query, final, engine=None)
+                assert engine.count(query, "live") == expected
+                assert engine.count_sharded(query, "live", parallel=False) == expected
+    finally:
+        sys.setswitchinterval(interval)

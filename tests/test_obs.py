@@ -20,6 +20,7 @@ import urllib.request
 
 import pytest
 
+from repro.engine import pool as pool_module
 from repro.engine.api import Engine
 from repro.engine.resident import ResidentContexts
 from repro.obs import log as obs_log
@@ -217,12 +218,14 @@ def test_tracing_never_changes_a_count(enabled):
 
 
 def test_worker_exception_still_produces_error_annotated_trace(monkeypatch):
-    def explode(self, key):
-        raise RuntimeError("worker blew up")
+    class Exploding(ResidentContexts):
+        def lookup(self, key, keep=True):
+            raise RuntimeError("worker blew up")
 
-    # Patch before the pool forks so the workers inherit the broken
-    # resident-context lookup.
-    monkeypatch.setattr(ResidentContexts, "lookup", explode)
+    # Patch before the pool forks so the workers build their stores
+    # with the broken resident-context lookup (the engine's own store,
+    # built in this process, stays intact).
+    monkeypatch.setattr(pool_module, "ResidentContexts", Exploding)
     engine = Engine(processes=2)
     tracer = get_tracer()
     tracer.set_enabled(True)

@@ -297,6 +297,9 @@ def test_every_entry_point_charges_an_outer_budget_scope(entry_point):
     with budget_scope(CostBudget(max_steps=10**9)) as outer:
         call(engine, PATH_QUERY, graph())
     assert outer.steps > 0
+    # Fresh data for the second call: the first one warmed every memo
+    # it touched, the resident contexts of "net"'s shards included.
+    engine.register_structure("net", graph(seed=4), shard_count=3)
     with budget_scope(CostBudget(max_steps=1)), pytest.raises(BudgetExceeded):
         call(engine, PATH_QUERY, graph(seed=4))
     assert engine.stats().budget_aborts == 1

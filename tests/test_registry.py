@@ -16,14 +16,17 @@ import urllib.request
 
 import pytest
 
+from repro.algorithms.brute_force import count_answers_naive
 from repro.engine import (
     Engine,
     RegistryFull,
     StructureRegistry,
     UnknownStructureError,
 )
+from repro.engine.plan import as_ep
 from repro.engine.registry import approximate_structure_bytes
 from repro.exceptions import ReproError
+from repro.obs.trace import get_tracer
 from repro.serve import (
     BackgroundServer,
     BadRequest,
@@ -31,7 +34,8 @@ from repro.serve import (
     CountingService,
     structure_or_ref_from_json,
 )
-from repro.structures.random_gen import random_cluster_graph
+from repro.structures.delta import StructureDelta
+from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.structure import Structure
 
 TRIANGLE = {"E": [(1, 2), (2, 3), (3, 1)]}
@@ -44,6 +48,10 @@ def triangle() -> Structure:
 
 def clustered(seed: int = 13) -> Structure:
     return random_cluster_graph(4, 6, 0.4, seed=seed)
+
+
+def brute_force(structure: Structure) -> int:
+    return count_answers_naive(as_ep(PATH_QUERY), structure)
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +328,121 @@ def test_refused_registration_leaves_no_context_behind(
         assert len(engine.contexts) == contexts
         assert engine.stats().encoded_resident_bytes == resident
         assert name not in engine.registry
+
+
+# ----------------------------------------------------------------------
+# One context store: the engine's placed tier is the pool's pin set
+# ----------------------------------------------------------------------
+def test_ad_hoc_traffic_never_evicts_a_pinned_refs_context():
+    graph = clustered()
+    with Engine(processes=1) as engine:
+        engine.register_structure("net", graph, pin=True, shard_count=2)
+        assert engine.count(PATH_QUERY, "net") == brute_force(graph)
+        ad_hoc = [random_graph(8, 0.5, seed=seed) for seed in range(40)]
+        assert len({g.fingerprint() for g in ad_hoc}) == 40
+        for other in ad_hoc:
+            engine.count(PATH_QUERY, other)
+        before = engine.stats()
+        assert engine.count(PATH_QUERY, "net") == brute_force(graph)
+        after = engine.stats()
+        assert after.context_misses == before.context_misses
+        assert after.boundary_memo_misses == before.boundary_memo_misses
+
+
+def test_a_warm_sequential_sharded_count_runs_on_resident_shard_contexts():
+    graph = clustered()
+    expected = brute_force(graph)
+    tracer = get_tracer()
+    tracer.set_enabled(True)
+    try:
+        with Engine(processes=1) as engine:
+            engine.register_structure("net", graph, pin=True, shard_count=4)
+            before = engine.stats()
+            encodes = []
+            for _ in range(2):
+                tracer.clear()
+                assert engine.count_sharded(
+                    PATH_QUERY, "net", parallel=False
+                ) == expected
+                (trace,) = tracer.finished_traces()
+                encodes.append(
+                    sum(s.name == "context.encode" for s in trace.spans())
+                )
+            # The first call built the unbuilt placed shards, through
+            # the engine's stats sink; the second re-encoded nothing.
+            assert encodes[0] > 0 and encodes[1] == 0
+            first = engine.stats()
+            assert first.boundary_memo_misses > before.boundary_memo_misses
+            assert first.context_hits > before.context_hits
+
+        # An unregistered structure's shards are throwaways: what the
+        # count leaves in the LRU tier is the whole structure's context.
+        with Engine(processes=1) as engine:
+            assert engine.count_sharded(
+                PATH_QUERY, graph, shard_count=4, parallel=False
+            ) == expected
+            assert engine.contexts.placed_fingerprints() == ()
+            assert len(engine.contexts) == 1
+            assert graph.fingerprint() in engine.contexts
+    finally:
+        tracer.set_enabled(None)
+        tracer.clear()
+
+
+def test_the_engines_placed_contexts_mirror_the_pool_pin_set():
+    live, a, b = clustered(15), clustered(13), clustered(14)
+    big = random_cluster_graph(8, 6, 0.4, seed=16)
+    # Room for live (give or take its deltas) beside a or b, never
+    # beside big, which alone fits.
+    size = approximate_structure_bytes
+    max_bytes = size(live) + size(big) - size(a) // 2
+    assert size(live) + max(size(a), size(b)) < max_bytes
+
+    with Engine(processes=1, registry_max_bytes=max_bytes) as engine:
+
+        def check(step: str) -> None:
+            placed = set(engine.contexts.placed_fingerprints())
+            assert placed == set(engine.pool.pinned_fingerprints()), step
+            for name in engine.registry.names():
+                expected = brute_force(engine.registry.peek(name).structure)
+                assert engine.count(PATH_QUERY, name) == expected, step
+                assert engine.count_sharded(
+                    PATH_QUERY, name, parallel=False
+                ) == expected, step
+
+        engine.register_structure("live", live, shard_count=4)
+        engine.register_structure("net", a, shard_count=4)
+        check("register")
+        engine.register_structure("net", a, shard_count=2)
+        check("same data, another shard_count")
+        engine.register_structure("net", b, shard_count=2)
+        check("different data")
+        engine.register_structure("net", b, pin=False, shard_count=2)
+        check("pinned -> unpinned")
+        placement = engine.registry.peek("live").sharded.placement()
+        u = min(placement)
+        engine.apply_delta("live", StructureDelta(inserts={"E": [(u, 1000)]}))
+        check("routed delta")
+        placement = engine.registry.peek("live").sharded.placement()
+        v = min(e for e, shard in placement.items() if shard != placement[u])
+        shards = set(engine.registry.peek("live").worker_fingerprints())
+        engine.apply_delta("live", StructureDelta(inserts={"E": [(u, v)]}))
+        resharded = set(engine.registry.peek("live").worker_fingerprints())
+        assert len(shards & resharded) == 0  # the merge re-sharded
+        check("re-sharding delta")
+        with pytest.raises(RegistryFull):
+            engine.register_structure("big", big, shard_count=4)
+        assert big.fingerprint() not in engine.contexts
+        check("RegistryFull refusal")
+        engine.unregister_structure("live")
+        engine.unregister_structure("net")
+        check("unregister")
+        assert engine.contexts.placed_fingerprints() == ()
+
+
+def test_the_context_cache_size_option_is_gone():
+    with pytest.raises(TypeError):
+        Engine(context_cache_size=32)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Three checks, each asserting set equality in *both* directions:
+Four checks, each asserting set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -11,11 +11,14 @@ Three checks, each asserting set equality in *both* directions:
   emits (each family mentioned by name somewhere in the page);
 - ``docs/cluster.md`` vs. the cluster wire protocol's frame-type
   registry :data:`repro.cluster.proto.MESSAGE_TYPES` (each frame type
-  documented as a ``### `type``` heading).
+  documented as a ``### `type``` heading);
+- the "Engine tuning knobs" table of ``docs/operations.md`` vs. the
+  parameters of ``repro.engine.Engine.__init__`` (each knob named in
+  backticks in its row's first cell).
 
-A route, metric, or frame type added to the code without
-documentation, or documentation for one the code no longer has, fails
-CI.
+A route, metric, frame type, or engine option added to the code
+without documentation, or documentation for one the code no longer
+has, fails CI.
 
 Usage (repo root)::
 
@@ -24,6 +27,7 @@ Usage (repo root)::
 
 from __future__ import annotations
 
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -32,6 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO_ROOT / "docs" / "http_api.md"
 OBS_DOC_PATH = REPO_ROOT / "docs" / "observability.md"
 CLUSTER_DOC_PATH = REPO_ROOT / "docs" / "cluster.md"
+OPS_DOC_PATH = REPO_ROOT / "docs" / "operations.md"
 
 #: The heading form the API reference uses for each endpoint.
 _HEADING = re.compile(
@@ -47,6 +52,12 @@ _HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
 
 #: The heading form docs/cluster.md uses for each wire frame type.
 _FRAME_HEADING = re.compile(r"^#{2,4}\s+`([a-z_]+)`\s*$", re.MULTILINE)
+
+#: The heading of the operations guide's engine-option table.
+_KNOB_SECTION = "## Engine tuning knobs"
+
+#: A backticked parameter name (``--flags`` do not match).
+_KNOB_NAME = re.compile(r"`([a-z_][a-z0-9_]*)`")
 
 
 def documented_routes(text: str) -> set[tuple[str, str]]:
@@ -170,11 +181,50 @@ def check_cluster(doc_path: Path = CLUSTER_DOC_PATH) -> list[str]:
     return problems
 
 
+def documented_knobs(text: str) -> set[str]:
+    """The names in the first cell of every row of the knob table."""
+    if _KNOB_SECTION not in text:
+        return set()
+    section = text.split(_KNOB_SECTION, 1)[1].split("\n#", 1)[0]
+    return {
+        name
+        for line in section.splitlines()
+        if line.startswith("|")
+        for name in _KNOB_NAME.findall(line.split("|")[1])
+    }
+
+
+def engine_knobs() -> set[str]:
+    """The constructor parameters of :class:`repro.engine.Engine`."""
+    from repro.engine import Engine
+
+    return set(inspect.signature(Engine.__init__).parameters) - {"self"}
+
+
+def check_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
+    """Drift between the documented knobs and the engine's options."""
+    if not doc_path.exists():
+        return [f"{doc_path} does not exist"]
+    documented = documented_knobs(doc_path.read_text(encoding="utf-8"))
+    if not documented:
+        return [f"{doc_path.name} has no knob table under {_KNOB_SECTION!r}"]
+    options = engine_knobs()
+    return [
+        f"Engine option {name!r} has no row in {doc_path.name}'s knob table"
+        for name in sorted(options - documented)
+    ] + [
+        f"{doc_path.name} documents knob {name!r}, which Engine.__init__ "
+        "does not take (stale documentation)"
+        for name in sorted(documented - options)
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = check()
     metric_problems = check_metrics()
     cluster_problems = check_cluster()
+    knob_problems = check_knobs()
     if problems:
         print("docs/http_api.md is out of sync with the HTTP route table:")
         for problem in problems:
@@ -193,15 +243,20 @@ def main() -> int:
         )
         for problem in cluster_problems:
             print(f"  - {problem}")
-    if problems or metric_problems or cluster_problems:
+    if knob_problems:
+        print("docs/operations.md is out of sync with the Engine options:")
+        for problem in knob_problems:
+            print(f"  - {problem}")
+    if problems or metric_problems or cluster_problems or knob_problems:
         return 1
     routes = len(registered_routes())
     metrics = len(emitted_metrics())
     frames = len(wire_frame_types())
+    knobs = len(engine_knobs())
     print(
         f"docs freshness OK: all {routes} HTTP routes, {metrics} "
-        f"Prometheus metric families, and {frames} cluster frame types "
-        "documented, none stale"
+        f"Prometheus metric families, {frames} cluster frame types and "
+        f"{knobs} Engine options documented, none stale"
     )
     return 0
 
