@@ -56,7 +56,6 @@ from repro.core import (
     classify_pp_class,
     classify_query,
     count_answers,
-    count_answers_all_strategies,
     count_answers_sharded,
     counting_equivalent,
     plus_set,
@@ -80,7 +79,7 @@ from repro.engine import (
     execute_sharded,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ReproError",
@@ -115,7 +114,6 @@ __all__ = [
     "classify_pp_class",
     "classify_query",
     "count_answers",
-    "count_answers_all_strategies",
     "count_answers_sharded",
     "counting_equivalent",
     "plus_set",

@@ -1,12 +1,6 @@
 """The paper's core contribution: equivalence, reductions, classification."""
 
-from repro.core.counting import (
-    STRATEGIES,
-    count_answers,
-    count_answers_all_strategies,
-    count_answers_sharded,
-    make_counter,
-)
+from repro.core.counting import count_answers, count_answers_sharded
 from repro.core.equivalence import (
     counting_equivalent,
     counting_equivalent_on,
@@ -62,11 +56,8 @@ from repro.core.classification import (
 )
 
 __all__ = [
-    "STRATEGIES",
     "count_answers",
-    "count_answers_all_strategies",
     "count_answers_sharded",
-    "make_counter",
     "counting_equivalent",
     "counting_equivalent_on",
     "group_by_counting_equivalence",

@@ -144,9 +144,9 @@ class Database:
             return query.to_ep()
         raise DatabaseError(f"cannot interpret {query!r} as a query")
 
-    def count_query(self, query, strategy: str = "auto") -> int:
+    def count_query(self, query) -> int:
         """Count the answers of a query on this database."""
-        return count_answers(self._as_ep(query), self.to_structure(), strategy=strategy)
+        return count_answers(self._as_ep(query), self.to_structure())
 
     def answers(self, query) -> list[dict]:
         """Materialize the answers of a query (assignments of liberal variables).

@@ -83,10 +83,9 @@ class ConjunctiveQuery:
         """The query as an EP formula."""
         return EPFormula.from_pp(self.to_pp())
 
-    def count(self, database: "Structure | object", strategy: str = "auto") -> int:
+    def count(self, database: "Structure | object") -> int:
         """Count the answers of the query on a database or structure."""
-        structure = _as_structure(database)
-        return count_answers(self.to_pp(), structure, strategy=strategy)
+        return count_answers(self.to_pp(), _as_structure(database))
 
     def __str__(self) -> str:
         head = ", ".join(v.name for v in self.head)
@@ -132,10 +131,9 @@ class UnionOfConjunctiveQueries:
         """The UCQ as an EP formula (liberal variables = head)."""
         return EPFormula.from_disjuncts([q.to_pp() for q in self._disjuncts])
 
-    def count(self, database: "Structure | object", strategy: str = "auto") -> int:
+    def count(self, database: "Structure | object") -> int:
         """Count the answers of the UCQ on a database or structure."""
-        structure = _as_structure(database)
-        return count_answers(self.to_ep(), structure, strategy=strategy)
+        return count_answers(self.to_ep(), _as_structure(database))
 
     def __len__(self) -> int:
         return len(self._disjuncts)

@@ -38,7 +38,6 @@ from typing import Sequence
 from repro.budget import budget_scope
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
 from repro.engine.cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
-from repro.engine.executor import _CONTEXT_KINDS
 from repro.engine.executor import count_many as _count_many
 from repro.engine.executor import (
     default_process_count,
@@ -147,7 +146,6 @@ class EngineStats:
     budget_aborts: int = 0
     compile_seconds: float = 0.0
     execute_seconds: float = 0.0
-    strategies: dict[str, int] = field(default_factory=dict)
     verdicts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -223,10 +221,9 @@ class Engine:
         self.policy = (
             ALLOW if policy is None else ExecutionPolicy.from_request(policy)
         )
-        self.plans = PlanCache(plan_cache_size)
+        self.plans = PlanCache(plan_cache_size, max_disjuncts)
         #: Execution contexts; the placed tier mirrors the pool's pin set.
         self.contexts = ResidentContexts()
-        self.max_disjuncts = max_disjuncts
         self.store = (
             PlanStore(persistent_cache_dir)
             if persistent_cache_dir is not None
@@ -244,19 +241,17 @@ class Engine:
         self._counters = EngineStats()
 
     # ------------------------------------------------------------------
-    def compile(self, query: Query, strategy: str = "auto") -> CountingPlan:
+    def compile(self, query: Query) -> CountingPlan:
         """The compiled plan for ``query`` (cached, persisted if configured)."""
         before = time.perf_counter()
         # Probe before the real lookup (pure, touches no counters): the
         # span wants hit/miss, and classification accounting must run
         # once per miss -- a cache hit reuses the memoized profile.
-        hit = self.plans.contains(query, strategy, self.max_disjuncts)
-        with _trace.span("plan.compile", strategy=strategy) as span:
+        hit = query in self.plans
+        with _trace.span("plan.compile") as span:
             if span is not NOOP_SPAN:
                 span.set("cache", "hit" if hit else "miss")
-            plan = self.plans.get(
-                query, strategy, self.max_disjuncts, store=self.store
-            )
+            plan = self.plans.get(query, store=self.store)
             span.set("kind", plan.kind)
         with self._lock:
             counters = self._counters
@@ -267,7 +262,7 @@ class Engine:
                 counters.verdicts[verdict] = counters.verdicts.get(verdict, 0) + 1
         return plan
 
-    def classify(self, query: Query, strategy: str = "auto") -> PlanProfile:
+    def classify(self, query: Query) -> PlanProfile:
         """The memoized complexity profile of ``query``'s compiled plan.
 
         The dry-run half of policy routing: compiles (through the plan
@@ -276,7 +271,7 @@ class Engine:
         executing anything.  The HTTP layer's ``POST /classify`` is a
         thin wrapper over this.
         """
-        plan = self.compile(query, strategy)
+        plan = self.compile(query)
         if plan.profile is not None:
             return plan.profile
         # Legacy plan-store entries predate profiling; profile in place.
@@ -297,7 +292,6 @@ class Engine:
         plans: Sequence[CountingPlan],
         structures: Sequence[Structure],
         run,
-        strategy: str,
         sharded: bool = False,
         batch: bool = False,
     ):
@@ -348,9 +342,6 @@ class Engine:
             counters.count_calls += cells
             counters.sharded_calls += sharded
             counters.batch_calls += batch
-            counters.strategies[strategy] = (
-                counters.strategies.get(strategy, 0) + cells
-            )
         return result
 
     # ------------------------------------------------------------------
@@ -637,7 +628,7 @@ class Engine:
         self,
         query: Query,
         structure: StructureRef,
-        strategy: str = "auto",
+        *,
         policy: ExecutionPolicy | str | dict | None = None,
     ) -> int:
         """Count ``|query(structure)|`` through the plan cache.
@@ -657,28 +648,21 @@ class Engine:
         ``universe_size ** arity``) when it runs out.
         """
         resolved = self._resolve_policy(policy)
-        with _trace.span_or_trace("engine.count", strategy=strategy):
+        with _trace.span_or_trace("engine.count"):
             structure = self.resolve_structure(structure)
-            plan = self.compile(query, strategy)
+            plan = self.compile(query)
 
             def run() -> int:
-                # The baseline kinds never consult a context; don't
-                # build (or keep in the LRU) one for them.
-                context = (
-                    self.contexts.lookup(structure)[0]
-                    if plan.kind in _CONTEXT_KINDS
-                    else None
-                )
-                return execute(plan, structure, context)
+                return execute(plan, structure, self.contexts.lookup(structure)[0])
 
-            return self._run_guarded(resolved, [plan], [structure], run, strategy)
+            return self._run_guarded(resolved, [plan], [structure], run)
 
     def count_sharded(
         self,
         query: Query,
         structure: StructureRef,
+        *,
         shard_count: int | None = None,
-        strategy: str = "auto",
         shard_strategy: str = "hash",
         parallel: bool | None = None,
         processes: int | None = None,
@@ -703,9 +687,7 @@ class Engine:
         resident in every worker, too).
 
         ``shard_count`` below one is an error (it used to silently fall
-        back to the CPU default), and ``sharded_calls`` counts only
-        genuinely sharded executions: the baseline plan kinds run
-        whole-structure and are plain ``count_calls``.
+        back to the CPU default).
 
         ``policy`` routes exactly as in :meth:`count`; a budget ships
         by value into every shard job, so aborts happen inside the
@@ -714,21 +696,16 @@ class Engine:
         if shard_count is not None and shard_count < 1:
             raise ReproError("shard_count must be at least 1")
         resolved = self._resolve_policy(policy)
-        with _trace.span_or_trace(
-            "engine.count_sharded", strategy=strategy
-        ) as root:
+        with _trace.span_or_trace("engine.count_sharded") as root:
             entry = None
             if isinstance(structure, str):
                 entry = self.registry.entry(structure)
                 structure = entry.structure
                 if shard_count is None:
                     shard_count = entry.shard_count
-            plan = self.compile(query, strategy)
-            sharded_execution = plan.kind in _CONTEXT_KINDS
+            plan = self.compile(query)
 
             def run() -> int:
-                if not sharded_execution:
-                    return execute(plan, structure, None)
                 # Reuse the registration-time plan only after validating
                 # it against the entry's *current* state: the plan must
                 # partition exactly this structure (identity, so any
@@ -766,19 +743,14 @@ class Engine:
                 )
 
             return self._run_guarded(
-                resolved,
-                [plan],
-                [structure],
-                run,
-                strategy,
-                sharded=sharded_execution,
+                resolved, [plan], [structure], run, sharded=True
             )
 
     def count_many(
         self,
         queries: Sequence[Query],
         structures: Sequence[StructureRef],
-        strategy: str = "auto",
+        *,
         parallel: bool | None = None,
         processes: int | None = None,
         policy: ExecutionPolicy | str | dict | None = None,
@@ -801,12 +773,11 @@ class Engine:
         resolved = self._resolve_policy(policy)
         with _trace.span_or_trace(
             "engine.count_many",
-            strategy=strategy,
             queries=len(queries),
             structures=len(structures),
         ):
             structures = [self.resolve_structure(s) for s in structures]
-            plans = [self.compile(q, strategy) for q in queries]
+            plans = [self.compile(q) for q in queries]
             return self._run_guarded(
                 resolved,
                 plans,
@@ -814,13 +785,11 @@ class Engine:
                 lambda: _count_many(
                     plans,
                     structures,
-                    strategy=strategy,
                     parallel=parallel,
                     processes=processes,
                     contexts=self.contexts,
                     pool=self.pool,
                 ),
-                strategy,
                 batch=True,
             )
 

@@ -2,10 +2,10 @@
 
 :class:`PlanCache` is an LRU of compiled :class:`~repro.engine.plan.
 CountingPlan` objects keyed by a canonical form of the query plus the
-requested strategy.  Query texts are additionally memoized through a
-parse cache so serving the same SQL-ish string twice never re-parses.
-Both are thin wrappers over :class:`LRUCache`, which tracks hit/miss
-statistics the :class:`~repro.engine.api.Engine` surfaces.
+inclusion-exclusion limit.  Query texts are additionally memoized
+through a parse cache so serving the same SQL-ish string twice never
+re-parses.  Both are thin wrappers over :class:`LRUCache`, which tracks
+hit/miss statistics the :class:`~repro.engine.api.Engine` surfaces.
 
 The data side is not cached here: every process keeps its execution
 contexts in one :class:`~repro.engine.resident.ResidentContexts` store.
@@ -157,7 +157,7 @@ class LRUCache(Generic[Key, Value]):
 # ----------------------------------------------------------------------
 # Canonical query keys
 # ----------------------------------------------------------------------
-PlanKey = tuple  # (canonical query form, strategy, max_disjuncts)
+PlanKey = tuple  # (canonical query form, max_disjuncts)
 
 
 #: Reserved prefix for canonically renamed quantified variables; no
@@ -200,15 +200,25 @@ def canonical_query_form(query: Query) -> Hashable:
     return ("ep", tuple(_canonical_pp_form(d) for d in ep.disjuncts()), ep.liberal)
 
 
-def plan_key(query: Query, strategy: str, max_disjuncts: int) -> PlanKey:
+def plan_key(query: Query, max_disjuncts: int) -> PlanKey:
     """The full plan-cache key."""
-    return (canonical_query_form(query), strategy, max_disjuncts)
+    return (canonical_query_form(query), max_disjuncts)
 
 
 class PlanCache:
-    """An LRU cache of compiled plans keyed by canonical query form."""
+    """An LRU cache of compiled plans keyed by canonical query form.
 
-    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
+    ``max_disjuncts`` is the inclusion-exclusion limit every plan of
+    this cache compiles under; it is part of each key, so plan-store
+    files of engines with different limits stay apart.
+    """
+
+    def __init__(
+        self,
+        capacity: int = DEFAULT_PLAN_CACHE_SIZE,
+        max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
+    ):
+        self.max_disjuncts = max_disjuncts
         self._cache: LRUCache[PlanKey, CountingPlan] = LRUCache(capacity)
         self._parse_cache: LRUCache[str, EPFormula] = LRUCache(DEFAULT_PARSE_CACHE_SIZE)
 
@@ -218,9 +228,7 @@ class PlanCache:
             return self._parse_cache.get_or_compute(query, lambda: as_ep(query))
         return query
 
-    def get(
-        self, query: Query, strategy: str, max_disjuncts: int, store=None
-    ) -> CountingPlan:
+    def get(self, query: Query, store=None) -> CountingPlan:
         """The compiled plan for the query, compiling at most once.
 
         With a :class:`~repro.engine.persist.PlanStore`, an in-memory
@@ -229,14 +237,14 @@ class PlanCache:
         to disk, so later processes start warm.
         """
         resolved = self.resolve(query)
-        key = plan_key(resolved, strategy, max_disjuncts)
+        key = plan_key(resolved, self.max_disjuncts)
 
         def compute() -> CountingPlan:
             if store is not None:
                 persisted = store.load(key)
                 if persisted is not None:
                     return persisted
-            plan = compile_plan(resolved, strategy, max_disjuncts)
+            plan = compile_plan(resolved, self.max_disjuncts)
             if store is not None:
                 store.save(key, plan)
             return plan
@@ -271,26 +279,12 @@ class PlanCache:
         return len(self._cache)
 
     def __contains__(self, query: object) -> bool:
-        """Membership by query (over all strategies is *not* checked).
-
-        ``query in cache`` answers "is the auto-strategy plan cached?",
-        the common case the tests and examples care about.
-        """
+        """Whether the plan for ``query`` is cached.  A pure probe: no
+        plan-cache statistics are touched and nothing is compiled --
+        the tracing layer uses it to annotate ``plan.compile`` spans
+        with hit/miss before the real lookup."""
         try:
-            key = plan_key(query, "auto", DEFAULT_MAX_DISJUNCTS)  # type: ignore[arg-type]
-        except ReproError:
-            return False
-        return key in self._cache
-
-    def contains(
-        self, query: Query, strategy: str, max_disjuncts: int
-    ) -> bool:
-        """Whether the exact ``(query, strategy, max_disjuncts)`` plan
-        is cached.  A pure probe: no statistics are touched and nothing
-        is compiled -- the tracing layer uses it to annotate
-        ``plan.compile`` spans with hit/miss before the real lookup."""
-        try:
-            key = plan_key(self.resolve(query), strategy, max_disjuncts)
+            key = plan_key(self.resolve(query), self.max_disjuncts)  # type: ignore[arg-type]
         except ReproError:
             return False
         return key in self._cache

@@ -34,13 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.algorithms.brute_force import (
-    count_answers_naive,
-    count_ep_answers_by_disjuncts,
-)
 from repro.budget import current_budget
 from repro.algorithms.fpt_counting import PPCountingPlan
-from repro.core.ep_to_pp import sentence_holds
 from repro.engine.context import ExecutionContext
 from repro.engine.plan import (
     CountingPlan,
@@ -65,10 +60,6 @@ from repro.structures.sharding import (
     shard_structure,
 )
 from repro.structures.structure import Structure
-
-#: Plan kinds whose execution consults an execution context (the
-#: baselines re-derive everything per call by design).
-_CONTEXT_KINDS = ("pp-fpt", "ep-plus")
 
 
 def _pool_fallback_errors() -> tuple[type[BaseException], ...]:
@@ -101,9 +92,8 @@ def execute(
 
     ``context`` carries the structure's dense-int encoding, positional
     index and memoized ∃-component boundary relations; when ``None`` a
-    throwaway context is created for the plan kinds that use one, so the
-    memo is still shared across all inclusion-exclusion terms of a
-    single ``ep-plus`` execution.
+    throwaway context is created, so the memo is still shared across
+    all inclusion-exclusion terms of a single ``ep-plus`` execution.
 
     Counting runs through :meth:`ExecutionContext.count_plan`, whose
     per-(plan, structure) memo makes a *repeated* identical execution
@@ -114,10 +104,6 @@ def execute(
     plans memoize per *term*, so terms shared between plans reuse each
     other's counts.
     """
-    if plan.kind == "naive":
-        return count_answers_naive(plan.query, structure)
-    if plan.kind == "disjuncts":
-        return count_ep_answers_by_disjuncts(plan.query, structure)
     if context is None:
         context = ExecutionContext(structure)
     elif context.structure is not structure and context.structure != structure:
@@ -125,24 +111,16 @@ def execute(
     if plan.kind == "pp-fpt":
         assert plan.pp is not None
         return context.count_plan(plan.pp)
-    if plan.kind == "ep-plus":
-        # The forward direction of Theorem 3.1, on precompiled parts:
-        # a true sentence disjunct short-circuits to |B| ** |V|; otherwise
-        # the cancelled combination of the phi-_af terms is evaluated.
-        for sentence in plan.sentence_disjuncts:
-            if _sentence_holds(sentence, structure, context):
-                return len(structure.universe) ** plan.liberal_count
-        total = 0
-        for term in plan.terms:
-            total += term.coefficient * context.count_plan(term.plan)
-        return total
-    raise ReproError(f"unknown plan kind {plan.kind!r}")
-
-
-def _sentence_holds(sentence, structure: Structure, context) -> bool:
-    if context is None:
-        return sentence_holds(sentence, structure)
-    return context.sentence_holds(sentence)
+    # ``ep-plus``: the forward direction of Theorem 3.1, on precompiled
+    # parts.  A true sentence disjunct short-circuits to |B| ** |V|;
+    # otherwise the cancelled combination of the phi-_af terms is
+    # evaluated.
+    for sentence in plan.sentence_disjuncts:
+        if context.sentence_holds(sentence):
+            return len(structure.universe) ** plan.liberal_count
+    return sum(
+        term.coefficient * context.count_plan(term.plan) for term in plan.terms
+    )
 
 
 def _resident_pool(
@@ -190,7 +168,6 @@ def _map_jobs(
 def count_many(
     queries: Sequence[Query | CountingPlan],
     structures: Sequence[Structure],
-    strategy: str = "auto",
     parallel: bool | None = None,
     processes: int | None = None,
     contexts: ResidentContexts | None = None,
@@ -213,7 +190,7 @@ def count_many(
     *across* calls, keyed by structure fingerprint.
     """
     plans = [
-        q if isinstance(q, CountingPlan) else compile_plan(q, strategy)
+        q if isinstance(q, CountingPlan) else compile_plan(q)
         for q in queries
     ]
     cells = len(plans) * len(structures)
@@ -242,12 +219,11 @@ def _count_many_sequential(
 ) -> list[list[int]]:
     if contexts is None:
         contexts = ResidentContexts()
-    any_contextual = any(plan.kind in _CONTEXT_KINDS for plan in plans)
     out: list[list[int]] = [[0] * len(structures) for _ in plans]
     # Iterate structure-major so each context (index, boundary memo) is
     # built once and stays hot while every plan runs against it.
     for j, structure in enumerate(structures):
-        context = contexts.lookup(structure)[0] if any_contextual else None
+        context = contexts.lookup(structure)[0]
         for i, plan in enumerate(plans):
             out[i][j] = execute(plan, structure, context)
     return out
@@ -283,17 +259,11 @@ def _count_many_parallel(
     for j, structure in enumerate(structures):
         for start in range(0, len(plans), chunk):
             block = tuple(plans[start : start + chunk])
-            use_context = any(plan.kind in _CONTEXT_KINDS for plan in block)
             # A pinned structure is named by its fingerprint (an
             # unpinned one ships with the fingerprint cached, so the
-            # workers key their caches without rehashing); baseline
-            # plans read the structure itself.
-            key = (
-                resident.job_key(structure)
-                if use_context and resident is not None
-                else structure
-            )
-            jobs.append((block, key, use_context, budget))
+            # workers key their caches without rehashing).
+            key = structure if resident is None else resident.job_key(structure)
+            jobs.append((block, key, budget))
             meta.append((j, start))
     block_results, _ = _map_jobs(
         count_block_task,
@@ -501,9 +471,6 @@ def execute_sharded(
     engine's long-lived ``pool`` is passed, and on the sequential path
     when a shard is placed in the engine's ``contexts`` store.
 
-    The baseline plan kinds (``naive``, ``disjuncts``) gain nothing from
-    sharding and run whole-structure.
-
     ``cluster`` (a :class:`~repro.cluster.coordinator.
     ClusterCoordinator`) is tried first when given: each shard's units
     are routed to a worker *holding* that shard.  A cluster that
@@ -519,9 +486,6 @@ def execute_sharded(
             sharded,
             default_process_count() if shard_count is None else shard_count,
         )
-    if plan.kind not in _CONTEXT_KINDS:
-        return execute(plan, sharded.structure)
-
     program = _lower_plan(plan)
     shards = sharded.non_empty_shards()
     values_by_shard: list[list] | None = None

@@ -15,7 +15,7 @@ Design points, all load-bearing for serving:
   invalidates every persisted plan at once (stale plan shapes are never
   unpickled into new code).  Pass ``version=`` to override.
 * **Stable filenames** -- the plan-cache key (canonical query form +
-  strategy + max_disjuncts) is digested through a *canonical* byte
+  max_disjuncts) is digested through a *canonical* byte
   encoding that sorts set-typed containers, because ``repr`` of a
   ``frozenset`` (and ``pickle`` of one) depends on the per-process
   string-hash salt.  The digest is therefore identical across

@@ -1,17 +1,18 @@
 """Compiling queries into reusable, structure-independent counting plans.
 
 A :class:`CountingPlan` captures *everything* the paper's pipeline
-derives from the query alone: the resolved strategy, the computed cores,
-the eliminated ∃-components with their tree-decomposition schedules
+derives from the query alone: the computed cores, the eliminated
+∃-components with their tree-decomposition schedules
 (:class:`~repro.algorithms.fpt_counting.PPCountingPlan` per pp-formula),
 the sentence disjuncts, and the cancelled inclusion-exclusion terms with
 their coefficients.  Compiling is the expensive half of a
 ``count_answers`` call; executing a compiled plan against a structure
 (:mod:`repro.engine.executor`) touches only the data-dependent half.
 
-The strategy resolution mirrors :func:`repro.core.counting.count_answers`
-exactly, so a plan executed on any structure returns the same count the
-one-shot API would.
+There is one pipeline, and the query's shape picks its branch: a
+primitive positive query compiles to one Theorem 2.11 plan
+(``pp-fpt``), any other EP query to the Section 5.4 ``phi+`` reduction
+of Theorem 3.1 (``ep-plus``).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.logic.pp import PPFormula
 
 Query = Union[EPFormula, PPFormula, str]
 
-#: The kinds of compiled plans (the *resolved* strategy).
-PLAN_KINDS = ("pp-fpt", "ep-plus", "naive", "disjuncts")
+#: The kinds of compiled plans, one per branch of the pipeline.
+PLAN_KINDS = ("pp-fpt", "ep-plus")
 
 #: Vertex-count cutoff above which plan profiling uses the greedy
 #: elimination-ordering treewidth upper bound instead of the exact
@@ -64,11 +65,10 @@ class PlanProfile:
         The largest contract-graph / core treewidth among the measured
         pp-formulas.  Upper bounds when ``exact`` is false.
     component_count:
-        The largest number of ∃-components among the compiled pp-plans
-        (0 for baseline plans, which compile no pp-plans).
+        The largest number of ∃-components among the compiled pp-plans.
     pp_formula_count:
-        How many pp-formulas were measured (disjuncts for baselines,
-        the surviving inclusion-exclusion terms for ``ep-plus``).
+        How many pp-formulas were measured (one for ``pp-fpt``, the
+        surviving inclusion-exclusion terms for ``ep-plus``).
     arity:
         The number of liberal variables -- the answer arity.
     exact:
@@ -176,16 +176,12 @@ class CountingPlan:
     ----------
     query:
         The query as an EP formula (exactly as the caller posed it).
-    strategy:
-        The *requested* strategy (``"auto"``, ``"fpt"``, ...).
     kind:
-        The *resolved* execution kind, one of :data:`PLAN_KINDS`:
+        The execution kind, one of :data:`PLAN_KINDS`:
 
         * ``"pp-fpt"`` -- a single compiled Theorem 2.11 plan;
         * ``"ep-plus"`` -- sentence checks plus the cancelled
-          inclusion-exclusion combination of compiled pp-plans;
-        * ``"naive"`` / ``"disjuncts"`` -- the baselines (no query-side
-          work to cache beyond normal parsing).
+          inclusion-exclusion combination of compiled pp-plans.
     pp:
         The compiled pp-plan (``kind == "pp-fpt"``).
     decomposition:
@@ -207,7 +203,6 @@ class CountingPlan:
     """
 
     query: EPFormula
-    strategy: str
     kind: str
     pp: PPCountingPlan | None = None
     decomposition: PlusDecomposition | None = None
@@ -229,13 +224,11 @@ class CountingPlan:
         """A short human-readable summary of the plan."""
         if self.kind == "pp-fpt":
             detail = f"width={self.pp.width}" if self.pp else ""
-        elif self.kind == "ep-plus":
+        else:
             detail = (
                 f"{len(self.sentence_disjuncts)} sentences, "
                 f"{len(self.terms)} terms, max width={self.max_width}"
             )
-        else:
-            detail = "baseline"
         return f"CountingPlan(kind={self.kind}, {detail})"
 
 
@@ -274,79 +267,49 @@ def component_pp_plans(
 
 def compile_plan(
     query: Query,
-    strategy: str = "auto",
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
 ) -> CountingPlan:
     """Compile ``query`` into a :class:`CountingPlan`.
 
-    Raises the same errors :func:`repro.core.counting.count_answers`
-    would raise for the same inputs (unknown strategy, ``"fpt"`` on a
-    union, ...), so rerouting the one-shot API through plans is
-    transparent to callers.
+    The query's shape picks the kind: a primitive positive query becomes
+    one Theorem 2.11 plan (``pp-fpt``), anything else the Section 5.4
+    construction (``ep-plus``), whose inclusion-exclusion expansion
+    ``max_disjuncts`` bounds.
     """
-    from repro.core.counting import STRATEGIES
-
-    if strategy not in STRATEGIES:
-        raise ReproError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
     started = time.perf_counter()
     ep = as_ep(query)
-    liberal_count = len(ep.liberal)
+    if isinstance(query, PPFormula):
+        pp = query
+    elif ep.is_primitive_positive():
+        pp = ep.to_pp()
+    else:
+        pp = None
 
-    if strategy == "naive":
+    if pp is not None:
         plan = CountingPlan(
             query=ep,
-            strategy=strategy,
-            kind="naive",
-            liberal_count=liberal_count,
-        )
-    elif strategy == "disjuncts":
-        plan = CountingPlan(
-            query=ep,
-            strategy=strategy,
-            kind="disjuncts",
-            liberal_count=liberal_count,
+            kind="pp-fpt",
+            pp=compile_pp_plan(pp),
+            liberal_count=len(ep.liberal),
         )
     else:
-        if strategy == "fpt" and not ep.is_primitive_positive():
-            raise ReproError(
-                "strategy 'fpt' applies to primitive positive queries only; "
-                "use 'auto' or 'inclusion-exclusion' for unions"
-            )
-
-        if isinstance(query, PPFormula):
-            pp = query
-        elif ep.is_primitive_positive():
-            pp = ep.to_pp()
-        else:
-            pp = None
-
-        if pp is not None:
-            plan = CountingPlan(
-                query=ep,
-                strategy=strategy,
-                kind="pp-fpt",
-                pp=compile_pp_plan(pp),
-                liberal_count=liberal_count,
-            )
-        else:
-            # General EP query: the Section 5.4 construction, with every
-            # surviving term compiled down to a Theorem 2.11 plan.
-            decomposition = plus_decomposition(ep, max_disjuncts=max_disjuncts)
-            minus = set(decomposition.minus)
-            terms = tuple(
-                WeightedPPPlan(term.coefficient, compile_pp_plan(term.formula))
-                for term in decomposition.star.terms
-                if term.formula in minus
-            )
-            plan = CountingPlan(
-                query=ep,
-                strategy=strategy,
-                kind="ep-plus",
-                decomposition=decomposition,
-                sentence_disjuncts=decomposition.sentence_disjuncts,
-                terms=terms,
-                liberal_count=len(decomposition.query.liberal),
-            )
+        # General EP query: the Section 5.4 construction, with every
+        # surviving term compiled down to a Theorem 2.11 plan.
+        decomposition = plus_decomposition(ep, max_disjuncts=max_disjuncts)
+        minus = set(decomposition.minus)
+        terms = tuple(
+            WeightedPPPlan(term.coefficient, compile_pp_plan(term.formula))
+            for term in decomposition.star.terms
+            if term.formula in minus
+        )
+        plan = CountingPlan(
+            query=ep,
+            kind="ep-plus",
+            decomposition=decomposition,
+            sentence_disjuncts=decomposition.sentence_disjuncts,
+            terms=terms,
+            liberal_count=len(decomposition.query.liberal),
+        )
 
     profile = profile_plan(plan)
     return replace(
@@ -364,23 +327,21 @@ def profile_plan(
     """Compute the :class:`PlanProfile` of a compiled plan.
 
     The measured pp-formulas are the ones the plan will actually
-    execute: the single pp-formula of a ``pp-fpt`` plan, the surviving
-    inclusion-exclusion terms of an ``ep-plus`` plan, and the query's
-    disjuncts for the baseline kinds.  Graphs with more than
-    ``exact_threshold`` vertices are measured with the greedy
-    elimination-ordering upper bound instead of the exact exponential
-    algorithm, so profiling stays cheap on adversarially large queries.
+    execute: the single pp-formula of a ``pp-fpt`` plan and the
+    surviving inclusion-exclusion terms of an ``ep-plus`` plan.  Graphs
+    with more than ``exact_threshold`` vertices are measured with the
+    greedy elimination-ordering upper bound instead of the exact
+    exponential algorithm, so profiling stays cheap on adversarially
+    large queries.
     """
     from repro.core.classification import Case, measure_pp_class
 
     started = time.perf_counter()
     with _trace.span("plan.classify", kind=plan.kind) as span:
-        if plan.kind == "pp-fpt" and plan.pp is not None:
+        if plan.pp is not None:
             formulas = [plan.pp.formula]
-        elif plan.kind == "ep-plus":
-            formulas = [t.plan.formula for t in plan.terms]
         else:
-            formulas = list(plan.query.disjuncts())
+            formulas = [t.plan.formula for t in plan.terms]
 
         component_counts = [len(t.plan.components) for t in plan.terms]
         if plan.pp is not None:

@@ -201,28 +201,23 @@ def resident_task(job) -> TaskOk | TaskFailure:
 def count_block_task(job) -> TaskOk | TaskFailure:
     """Run a block of plans against one structure.
 
-    ``job = (plans, structure, use_context, budget)``; with
-    ``use_context`` the block shares one resident execution context
-    (and the executions run against the resident context's structure,
-    so index, memos, and data stay coherent on a fingerprint hit).
-    ``budget`` is the caller's remaining :class:`~repro.budget.
-    CostBudget` or ``None``, installed around the block so budget- and
-    deadline-exceeded counts abort *inside* the worker.
+    ``job = (plans, structure, budget)``: the block shares one resident
+    execution context (and the executions run against the resident
+    context's structure, so index, memos, and data stay coherent on a
+    fingerprint hit).  ``budget`` is the caller's remaining
+    :class:`~repro.budget.CostBudget` or ``None``, installed around the
+    block so budget- and deadline-exceeded counts abort *inside* the
+    worker.
     """
-    plans, structure, use_context, budget = job
+    plans, structure, budget = job
 
     def run(context):
         from repro.engine.executor import execute
 
-        target = structure if context is None else context.structure
-        return [execute(plan, target, context) for plan in plans]
+        return [execute(plan, context.structure, context) for plan in plans]
 
     return _resident.execute(
-        run,
-        structure if use_context else None,
-        budget,
-        "count.block",
-        plans=len(plans),
+        run, structure, budget, "count.block", plans=len(plans)
     )
 
 

@@ -276,13 +276,6 @@ def render_prometheus(metrics: Mapping) -> str:
         )
         family.add(engine.get(f"{phase}_seconds", 0.0))
         families.append(family)
-    strategies = _Family(
-        "repro_engine_strategy_calls_total", "counter",
-        "Counting calls by requested strategy.",
-    )
-    for strategy, calls in sorted(engine.get("strategies", {}).items()):
-        strategies.add(calls, {"strategy": strategy})
-    families.append(strategies)
     verdicts = _Family(
         "repro_plan_verdicts_total", "counter",
         "Plans classified at compile time, by trichotomy verdict.",
@@ -318,7 +311,6 @@ def family_names() -> set[str]:
         "repro_requests_total",
         "repro_request_outcomes_total",
         "repro_request_latency_seconds",
-        "repro_engine_strategy_calls_total",
         "repro_plan_verdicts_total",
     }
     names.update(f"repro_engine_{c}_total" for c in ENGINE_COUNTERS)

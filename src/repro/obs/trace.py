@@ -20,7 +20,7 @@ their attributes in ``docs/observability.md``):
     waiting for an execution slot in the serving layer;
 ``plan.compile``
     plan-cache lookup + compilation (attrs: ``cache`` hit/miss,
-    ``kind``, ``strategy``);
+    ``kind``);
 ``context.build``
     positional-index construction for one structure;
 ``context.encode``

@@ -7,16 +7,15 @@ all a counting service needs and keeps the dependency set empty.
 Endpoints
 ---------
 ``POST /count``
-    ``{"query": "...", "structure": {...}, "strategy"?: "auto"}`` ->
-    ``{"count": N}``.
+    ``{"query": "...", "structure": {...}}`` -> ``{"count": N}``.
 ``POST /count_many``
-    ``{"queries": [...], "structures": [...], "strategy"?}`` ->
+    ``{"queries": [...], "structures": [...]}`` ->
     ``{"counts": [[...], ...]}`` with ``counts[i][j] = |q_i(B_j)|``.
 ``POST /count_sharded``
-    ``{"query", "structure", "shard_count"?, "strategy"?,``
-    ``"shard_strategy"?, "parallel"?}`` -> ``{"count": N}``.
+    ``{"query", "structure", "shard_count"?, "shard_strategy"?,``
+    ``"parallel"?}`` -> ``{"count": N}``.
 ``POST /classify``
-    ``{"query": "...", "strategy"?, "policy"?}`` -> the query's
+    ``{"query": "...", "policy"?}`` -> the query's
     trichotomy verdict, its structural measures, and whether the
     (resolved) execution policy would admit it -- a dry run of the
     routing decision that never touches a structure.
@@ -682,6 +681,11 @@ class CountingServer:
             payload = json.loads(body.decode("utf-8")) if body else None
             if not isinstance(payload, Mapping):
                 raise BadRequest("request body must be a JSON object")
+            if "strategy" in payload:
+                raise BadRequest(
+                    "the 'strategy' field was removed in 1.11.0; every "
+                    "count runs the paper's pipeline"
+                )
             handler = self._handlers[(method, pattern)]
             assert handler is not None
             return 200, await handler(payload, **params), {}
@@ -748,7 +752,7 @@ class CountingServer:
             return 500, {"error": str(exc)}, {}
         except ReproError as exc:
             # Engine-level rejection of well-formed JSON that names an
-            # unparsable query, unknown strategy, bad shard count, ...
+            # unparsable query, bad shard count, ...
             return 400, {"error": str(exc)}, {}
         except Exception as exc:  # pragma: no cover - defensive
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
@@ -757,7 +761,6 @@ class CountingServer:
         count = await self.service.count(
             _query_from_json(_require(payload, "query")),
             structure_or_ref_from_json(_require(payload, "structure")),
-            strategy=str(payload.get("strategy", "auto")),
             policy=_policy_from_json(payload),
         )
         return {"count": count}
@@ -765,7 +768,6 @@ class CountingServer:
     async def _route_classify(self, payload: Mapping) -> dict:
         return await self.service.classify(
             _query_from_json(_require(payload, "query")),
-            strategy=str(payload.get("strategy", "auto")),
             policy=_policy_from_json(payload),
         )
 
@@ -779,7 +781,6 @@ class CountingServer:
         counts = await self.service.count_many(
             [_query_from_json(q) for q in queries],
             [structure_or_ref_from_json(s) for s in structures],
-            strategy=str(payload.get("strategy", "auto")),
             parallel=payload.get("parallel"),
             policy=_policy_from_json(payload),
         )
@@ -791,7 +792,6 @@ class CountingServer:
             _query_from_json(_require(payload, "query")),
             structure_or_ref_from_json(_require(payload, "structure")),
             shard_count=shard_count,
-            strategy=str(payload.get("strategy", "auto")),
             shard_strategy=str(payload.get("shard_strategy", "hash")),
             parallel=payload.get("parallel"),
             policy=_policy_from_json(payload),

@@ -336,25 +336,19 @@ class CountingService:
             return _replace(resolved, max_seconds=timeout)
         return resolved
 
-    async def count(
-        self,
-        query,
-        structure,
-        strategy: str = "auto",
-        policy=None,
-    ) -> int:
+    async def count(self, query, structure, *, policy=None) -> int:
         """``Engine.count`` under admission control and the deadline."""
         policy = self._effective_policy(policy)
         return await self._submit(
             "count",
-            lambda: self.engine.count(query, structure, strategy, policy=policy),
+            lambda: self.engine.count(query, structure, policy=policy),
         )
 
     async def count_many(
         self,
         queries: Sequence,
         structures: Sequence,
-        strategy: str = "auto",
+        *,
         parallel: bool | None = None,
         policy=None,
     ) -> list[list[int]]:
@@ -365,7 +359,6 @@ class CountingService:
             lambda: self.engine.count_many(
                 queries,
                 structures,
-                strategy=strategy,
                 parallel=parallel,
                 policy=policy,
             ),
@@ -375,8 +368,8 @@ class CountingService:
         self,
         query,
         structure,
+        *,
         shard_count: int | None = None,
-        strategy: str = "auto",
         shard_strategy: str = "hash",
         parallel: bool | None = None,
         policy=None,
@@ -389,19 +382,13 @@ class CountingService:
                 query,
                 structure,
                 shard_count=shard_count,
-                strategy=strategy,
                 shard_strategy=shard_strategy,
                 parallel=parallel,
                 policy=policy,
             ),
         )
 
-    async def classify(
-        self,
-        query,
-        strategy: str = "auto",
-        policy=None,
-    ) -> dict:
+    async def classify(self, query, *, policy=None) -> dict:
         """Dry-run complexity classification: no execution happens.
 
         Compiles ``query`` through the plan cache (so a later ``count``
@@ -411,11 +398,11 @@ class CountingService:
         """
         return await self._submit(
             "classify",
-            lambda: self._classify_blocking(query, strategy, policy),
+            lambda: self._classify_blocking(query, policy),
         )
 
-    def _classify_blocking(self, query, strategy, policy) -> dict:
-        profile = self.engine.classify(query, strategy)
+    def _classify_blocking(self, query, policy) -> dict:
+        profile = self.engine.classify(query)
         resolved = (
             self.engine.policy
             if policy is None

@@ -8,6 +8,7 @@ paths must build at most one positional index per distinct structure.
 
 import pytest
 
+from repro.algorithms.brute_force import count_pp_answers_brute_force
 from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.fpt_counting import (
     compile_pp_plan,
@@ -254,7 +255,7 @@ def test_count_answers_rejects_a_mismatched_context():
 def test_count_pp_answers_fpt_decomposition_override_uses_replace():
     formula = path_query(3)  # all-liberal path: contract graph is the path
     structure = random_graph(5, 0.4, seed=3)
-    expected = count_answers(formula, structure, strategy="naive", engine=None)
+    expected = count_pp_answers_brute_force(formula, structure)
     # A valid single-bag decomposition of different width than the
     # compiled plan's: the override (and its width) must be honored.
     override = TreeDecomposition({0: list(formula.liberal)})

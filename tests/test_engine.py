@@ -1,9 +1,8 @@
 """Engine-vs-seed equivalence and engine API behavior.
 
-Warm-cache engine counts must be bit-identical to the baseline
-strategies; the batch and parallel paths must agree with the scalar
-path; and the rerouted ``count_answers`` must hit the default engine's
-plan cache.
+Warm-cache engine counts must be bit-identical to the brute-force
+baseline; the batch and parallel paths must agree with the scalar
+path; and ``count_answers`` must hit the default engine's plan cache.
 """
 
 import dataclasses
@@ -11,6 +10,7 @@ import dataclasses
 import pytest
 
 from repro import BudgetExceeded, PolicyRejection
+from repro.algorithms.brute_force import count_answers_naive
 from repro.core.counting import count_answers
 from repro.engine import (
     Engine,
@@ -25,6 +25,7 @@ from repro.engine.api import (
     reset_default_engine,
     set_default_engine,
 )
+from repro.engine.plan import as_ep
 from repro.obs.prom import ENGINE_COUNTERS
 from repro.structures.delta import StructureDelta
 from repro.structures.random_gen import random_cluster_graph, random_graph
@@ -54,7 +55,7 @@ def test_warm_engine_matches_naive_on_scenarios(query, structure):
     engine = Engine()
     cold = engine.count(query, structure)
     warm = engine.count(query, structure)
-    naive = count_answers(query, structure, strategy="naive", engine=None)
+    naive = count_answers_naive(query, structure)
     assert cold == warm == naive
     assert engine.stats().plan_hits >= 1
 
@@ -69,7 +70,7 @@ def test_warm_engine_matches_naive_on_random_queries(seed):
     ):
         engine.count(query, structure)  # compile
         warm = engine.count(query, structure)
-        assert warm == count_answers(query, structure, strategy="naive", engine=None)
+        assert warm == count_answers_naive(as_ep(query), structure)
 
 
 def test_count_many_matches_scalar_counts():
@@ -98,8 +99,8 @@ def test_compiled_plan_is_reusable_across_structures():
     plan = compile_plan(example_5_21_query())
     for seed in range(4):
         structure = random_graph(6, 0.35, seed=seed)
-        assert execute(plan, structure) == count_answers(
-            example_5_21_query(), structure, strategy="naive", engine=None
+        assert execute(plan, structure) == count_answers_naive(
+            example_5_21_query(), structure
         )
 
 
@@ -132,7 +133,6 @@ def test_engine_stats_track_time_and_calls():
     assert stats.count_calls == 1
     assert stats.compile_seconds > 0
     assert stats.execute_seconds > 0
-    assert stats.strategies == {"auto": 1}
 
 
 #: What ``/metrics`` and ``benchmarks/e2e/layers.py`` read; a key that
@@ -147,7 +147,7 @@ ENGINE_STATS_KEYS = """
     registry_evictions encoded_resident_bytes delta_applies
     memo_evictions context_invalidations classifications
     policy_rejections budget_aborts compile_seconds execute_seconds
-    strategies verdicts
+    verdicts
 """.split()
 
 
@@ -162,8 +162,8 @@ def test_engine_stats_as_dict_has_exactly_the_published_keys():
     assert snapshot["plan_hit_rate"] == stats.plan_hit_rate == 0.5
     assert snapshot["context_hit_rate"] == stats.context_hit_rate
     # A snapshot, not a view: the dict counters are copies.
-    snapshot["strategies"]["auto"] = 99
-    assert stats.strategies == {"auto": 2}
+    snapshot["verdicts"]["FPT"] = 99
+    assert stats.verdicts == {"FPT": 1}
     assert not hasattr(stats, "index_hits")
 
 

@@ -15,7 +15,8 @@ import threading
 
 import pytest
 
-from repro.core.counting import count_answers, count_answers_sharded
+from repro.algorithms.brute_force import count_answers_naive
+from repro.core.counting import count_answers_sharded
 from repro.engine.api import (
     Engine,
     default_engine,
@@ -23,6 +24,7 @@ from repro.engine.api import (
     set_default_engine,
 )
 from repro.engine.context import ContextStats
+from repro.engine.plan import as_ep
 from repro.engine.pool import WorkerPool
 from repro.structures.delta import StructureDelta
 from repro.structures.random_gen import random_graph
@@ -48,7 +50,7 @@ def test_concurrent_counts_while_stats_and_resets_run():
     engine = Engine()
     structures = [random_graph(5, 0.4, seed=seed) for seed in range(3)]
     expected = [
-        count_answers(PATH_QUERY, structure, engine=None)
+        count_answers_naive(as_ep(PATH_QUERY), structure)
         for structure in structures
     ]
     errors: list[BaseException] = []
@@ -176,18 +178,6 @@ def test_reset_default_engine_close_false_keeps_pool():
     assert not engine.pool.started
 
 
-def test_transient_sharded_engine_leaves_no_children():
-    """``count_answers_sharded(engine=None)`` builds a throwaway engine;
-    its pool must be torn down before the call returns."""
-    children_before = set(multiprocessing.active_children())
-    graph = two_component_graph()
-    result = count_answers_sharded(
-        PATH_QUERY, graph, shard_count=2, parallel=True, engine=None
-    )
-    assert result == count_answers(PATH_QUERY, graph, engine=None)
-    assert not set(multiprocessing.active_children()) - children_before
-
-
 @pytest.mark.parametrize("pin", [False, True], ids=["lru", "placed"])
 def test_counts_racing_deltas_observe_whole_versions_only(pin):
     """Readers hammering a registered name while a writer applies
@@ -302,7 +292,9 @@ def test_deltas_migrate_contexts_that_concurrent_counts_still_fill():
             assert not errors, errors
             final = engine.registry.peek("live").structure
             for query in queries:
-                expected = count_answers(query, final, engine=None)
+                # Brute force is too slow on ~1000 elements; a fresh
+                # engine shares none of the migrated state under test.
+                expected = Engine().count(query, final)
                 assert engine.count(query, "live") == expected
                 assert engine.count_sharded(query, "live", parallel=False) == expected
     finally:

@@ -24,7 +24,7 @@ QUERY = "exists z. (E(x, z) & E(z, y))"
 def test_store_round_trips_a_plan(tmp_path):
     store = PlanStore(tmp_path)
     plan = compile_plan(QUERY)
-    key = plan_key(plan.query, "auto", 40)
+    key = plan_key(plan.query, 40)
     assert store.load(key) is None  # cold miss
     store.save(key, plan)
     reloaded = PlanStore(tmp_path).load(key)
@@ -76,7 +76,7 @@ def test_warm_and_flush_require_a_store():
 
 def test_version_bump_is_a_clean_miss(tmp_path):
     plan = compile_plan(QUERY)
-    key = plan_key(plan.query, "auto", 40)
+    key = plan_key(plan.query, 40)
     PlanStore(tmp_path, version="1.0.0").save(key, plan)
     bumped = PlanStore(tmp_path, version="2.0.0")
     assert bumped.load(key) is None
@@ -87,7 +87,7 @@ def test_version_bump_is_a_clean_miss(tmp_path):
 def test_corrupted_file_is_a_clean_miss(tmp_path):
     store = PlanStore(tmp_path)
     plan = compile_plan(QUERY)
-    key = plan_key(plan.query, "auto", 40)
+    key = plan_key(plan.query, 40)
     store.save(key, plan)
     (path,) = list(store._version_dir.glob(f"*{PLAN_FILE_SUFFIX}"))
 
@@ -107,8 +107,8 @@ def test_key_mismatch_is_a_miss(tmp_path):
     # a different key.  The stored key is verified, so this is a miss.
     store = PlanStore(tmp_path)
     plan = compile_plan(QUERY)
-    key = plan_key(plan.query, "auto", 40)
-    other_key = plan_key(compile_plan("E(x, y)").query, "auto", 40)
+    key = plan_key(plan.query, 40)
+    other_key = plan_key(compile_plan("E(x, y)").query, 40)
     store.save(key, plan)
     os.replace(store._path(key), store._path(other_key))
     assert PlanStore(tmp_path).load(other_key) is None
@@ -117,7 +117,7 @@ def test_key_mismatch_is_a_miss(tmp_path):
 def test_writes_leave_no_temp_debris(tmp_path):
     store = PlanStore(tmp_path)
     plan = compile_plan(example_5_21_query())
-    store.save(plan_key(plan.query, "auto", 40), plan)
+    store.save(plan_key(plan.query, 40), plan)
     leftovers = [
         name
         for name in os.listdir(store._version_dir)
@@ -127,19 +127,19 @@ def test_writes_leave_no_temp_debris(tmp_path):
 
 
 def test_key_digest_is_stable_and_distinct():
-    key_a = plan_key(compile_plan(QUERY).query, "auto", 40)
-    key_b = plan_key(compile_plan("E(x, y)").query, "auto", 40)
+    key_a = plan_key(compile_plan(QUERY).query, 40)
+    key_b = plan_key(compile_plan("E(x, y)").query, 40)
     assert key_digest(key_a) == key_digest(key_a)
     assert key_digest(key_a) != key_digest(key_b)
-    # Strategy and disjunct limit are part of the identity.
+    # The disjunct limit is part of the identity.
     assert key_digest(key_a) != key_digest(
-        plan_key(compile_plan(QUERY).query, "naive", 40)
+        plan_key(compile_plan(QUERY).query, 16)
     )
 
 
 def test_clear_removes_only_this_version(tmp_path):
     plan = compile_plan(QUERY)
-    key = plan_key(plan.query, "auto", 40)
+    key = plan_key(plan.query, 40)
     old = PlanStore(tmp_path, version="1.0.0")
     new = PlanStore(tmp_path, version="2.0.0")
     old.save(key, plan)

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.engine import Engine
-from repro.engine.cache import LRUCache, PlanCache, canonical_query_form
+from repro.engine.cache import LRUCache, PlanCache, canonical_query_form, plan_key
 from repro.exceptions import ReproError
 from repro.logic.ep import EPFormula
 from repro.logic.parser import parse_query
@@ -94,20 +94,41 @@ def test_canonical_form_unifies_call_styles():
 
 
 def test_plan_cache_hits_across_call_styles():
-    cache = PlanCache(capacity=8)
+    cache = PlanCache(capacity=8, max_disjuncts=16)
     pp = path_query(2, quantify_interior=True)
-    cache.get(pp, "auto", 16)
-    cache.get(EPFormula.from_pp(pp), "auto", 16)
+    cache.get(pp)
+    cache.get(EPFormula.from_pp(pp))
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_distinct_strategies_compile_distinct_plans():
-    cache = PlanCache(capacity=8)
-    plan_auto = cache.get("E(x, y)", "auto", 16)
-    plan_naive = cache.get("E(x, y)", "naive", 16)
-    assert plan_auto.kind == "pp-fpt"
-    assert plan_naive.kind == "naive"
+def test_the_query_shape_picks_the_plan_kind():
+    cache = PlanCache(capacity=8, max_disjuncts=16)
+    assert cache.get("E(x, y)").kind == "pp-fpt"
+    assert cache.get("E(x, y) | E(y, x)").kind == "ep-plus"
     assert cache.misses == 2
+
+
+@pytest.mark.parametrize("max_disjuncts", [None, 8], ids=["default", "eight"])
+def test_membership_sees_a_compiled_plan_under_the_engines_limit(max_disjuncts):
+    """``query in engine.plans`` probes under the engine's own
+    ``max_disjuncts`` (and through the parse cache), touching no plan
+    statistics."""
+    engine = Engine() if max_disjuncts is None else Engine(max_disjuncts=max_disjuncts)
+    query = "exists z. (E(x, z) & E(z, y))"
+    assert query not in engine.plans
+    engine.compile(query)
+    assert query in engine.plans
+    assert parse_query(query) in engine.plans
+    assert "E(y, x)" not in engine.plans
+    assert engine.stats().plan_misses == 1 and engine.stats().plan_hits == 0
+
+
+def test_plan_keys_separate_disjunct_limits():
+    query = "E(x, y) | E(y, x)"
+    assert plan_key(query, 8) != plan_key(query, 16)
+    small, large = PlanCache(max_disjuncts=8), PlanCache(max_disjuncts=16)
+    small.get(query)
+    assert query in small and query not in large
 
 
 def test_plan_cache_eviction_recompiles():

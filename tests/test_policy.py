@@ -203,22 +203,17 @@ def test_budget_validation_is_a_bad_request_not_an_abort():
 # The single guarded path: every entry point routes the same way
 # ----------------------------------------------------------------------
 #: Entry point -> ``(call(engine, query, graph, **policy), batch)``.  A
-#: fresh engine has ``graph`` registered as "net".  Both baseline kinds
-#: are in: ``naive`` through ``count``, ``disjuncts`` through the
-#: baseline branch of ``count_sharded``.
+#: fresh engine has ``graph`` registered as "net"; ``count_sharded``
+#: runs both on that ref and on unregistered data.
 ENTRY_POINTS = {
     "count": (lambda e, q, g, **kw: e.count(q, g, **kw), False),
-    "count-naive": (
-        lambda e, q, g, **kw: e.count(q, g, strategy="naive", **kw),
-        False,
-    ),
     "count_sharded-ref": (
         lambda e, q, g, **kw: e.count_sharded(q, "net", parallel=False, **kw),
         False,
     ),
-    "count_sharded-baseline": (
+    "count_sharded-adhoc": (
         lambda e, q, g, **kw: e.count_sharded(
-            q, g, strategy="disjuncts", **kw
+            q, g, shard_count=3, parallel=False, **kw
         ),
         False,
     ),
@@ -291,8 +286,6 @@ def test_every_entry_point_charges_an_outer_budget_scope(entry_point):
     ``budget_scope(None)`` here would silently lift it)."""
     engine, call, _ = entry_point
     engine.compile(PATH_QUERY)  # compile-time charges stay out of it
-    engine.compile(PATH_QUERY, "naive")
-    engine.compile(PATH_QUERY, "disjuncts")
     engine.compile("E(x, y)")
     with budget_scope(CostBudget(max_steps=10**9)) as outer:
         call(engine, PATH_QUERY, graph())

@@ -20,8 +20,9 @@ import urllib.request
 
 import pytest
 
-from repro.core.counting import count_answers
+from repro.algorithms.brute_force import count_answers_naive
 from repro.engine.api import Engine
+from repro.engine.plan import as_ep
 from repro.serve import (
     BackgroundServer,
     CountingServer,
@@ -49,9 +50,9 @@ class SlowEngine(Engine):
         super().__init__(**kwargs)
         self.delay = delay
 
-    def count(self, query, structure, strategy="auto", policy=None):
+    def count(self, query, structure, *, policy=None):
         time.sleep(self.delay)
-        return super().count(query, structure, strategy, policy=policy)
+        return super().count(query, structure, policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +72,7 @@ def test_service_counts_match_engine():
             return count, sharded, grid
 
     count, sharded, grid = asyncio.run(scenario())
-    expected = count_answers(PATH_QUERY, triangle(), engine=None)
+    expected = count_answers_naive(as_ep(PATH_QUERY), triangle())
     assert count == sharded == expected
     assert grid == [[expected], [3]]
 
@@ -224,7 +225,7 @@ def test_http_server_end_to_end():
 
         assert _get(base, "/healthz")["status"] == "ok"
 
-        expected = count_answers(PATH_QUERY, triangle(), engine=None)
+        expected = count_answers_naive(as_ep(PATH_QUERY), triangle())
         structure_json = {"relations": {"E": [[1, 2], [2, 3], [3, 1]]}}
         assert (
             _post(base, "/count", {"query": PATH_QUERY, "structure": structure_json})[
@@ -271,16 +272,28 @@ def test_http_server_end_to_end():
             ("/nope", {}, 404),
             ("/count", {"query": PATH_QUERY}, 400),  # missing structure
             ("/count", {"query": "E(x", "structure": structure_json}, 400),
-            (
-                "/count",
-                {"query": PATH_QUERY, "structure": structure_json,
-                 "strategy": "bogus"},
-                400,
-            ),
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(base, path, payload)
             assert excinfo.value.code == status
+        # A body still carrying the removed field is refused on every
+        # route that once read it, with the same message.
+        for path, payload in (
+            ("/count", {"query": PATH_QUERY, "structure": structure_json}),
+            (
+                "/count_many",
+                {"queries": [PATH_QUERY], "structures": [structure_json]},
+            ),
+            ("/count_sharded", {"query": PATH_QUERY, "structure": structure_json}),
+            ("/classify", {"query": PATH_QUERY}),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, path, {**payload, "strategy": "auto"})
+            assert excinfo.value.code == 400, path
+            assert json.load(excinfo.value) == {
+                "error": "the 'strategy' field was removed in 1.11.0; every "
+                "count runs the paper's pipeline"
+            }
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base, "/count")  # GET on a POST route
         assert excinfo.value.code == 405

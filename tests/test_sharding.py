@@ -237,18 +237,13 @@ def test_parallel_sharded_matches_sequential():
         assert sequential == parallel == execute(plan, structure)
 
 
-def test_engine_count_sharded_and_baseline_kinds():
+def test_engine_count_sharded_matches_count():
     engine = Engine()
     structure = random_cluster_graph(4, 4, 0.5, seed=9)
     query = "exists z. (E(x, z) & E(z, y))"
     assert engine.count_sharded(query, structure, shard_count=3, parallel=False) == engine.count(
         query, structure
     )
-    # Baseline kinds fall back to whole-structure execution -- and do
-    # not count as sharded executions.
-    assert engine.count_sharded(
-        query, structure, shard_count=3, strategy="naive", parallel=False
-    ) == engine.count(query, structure, strategy="naive")
     assert engine.stats().sharded_calls == 1
 
 

@@ -1,15 +1,24 @@
-"""Cross-strategy agreement on randomized workloads.
+"""The paper's pipeline against the brute-force baselines, cell by cell.
 
-Every counting strategy implements the same semantics; on any input they
-must agree.  The naive enumerator is the ground truth (it follows the
-definition directly), so agreement across seeds is the library's main
-correctness net.
+One seeded matrix: every cell is a query and a structure, and every
+independent way to count its answers must agree -- the naive
+enumerator (which follows the definition directly), the union of the
+disjuncts' answer sets, the brute-force and Theorem 2.11 pp-counters
+(pp queries) or the Section 5.4 ``phi+`` reduction (unions), and a
+fresh :class:`~repro.engine.Engine`.  A failure names its cell.
 """
 
 import pytest
 
-from repro.core.counting import count_answers, count_answers_all_strategies
-from repro.exceptions import ReproError
+from repro.algorithms.brute_force import (
+    count_answers_naive,
+    count_ep_answers_by_disjuncts,
+    count_pp_answers_brute_force,
+)
+from repro.algorithms.fpt_counting import count_pp_answers_fpt
+from repro.core.ep_to_pp import count_ep_answers_via_plus
+from repro.engine import Engine
+from repro.engine.plan import as_ep
 from repro.structures.random_gen import random_graph
 from repro.structures.structure import Structure
 from repro.workloads.generators import (
@@ -23,59 +32,89 @@ from repro.workloads.generators import (
     union_of_paths_query,
 )
 
+NAMED_FAMILIES = {
+    "path": path_query(3, quantify_interior=True),
+    "star": star_query(3, quantify_leaves=True),
+    "union-paths": union_of_paths_query([1, 2, 3]),
+    "ex-4.2": example_4_2_query(),
+    "ex-5.21": example_5_21_query(),
+    "hidden-clique": hidden_clique_query(3),
+}
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_conjunctive_queries_agree(seed):
-    query = random_conjunctive_query(4, 3, liberal_count=2, seed=seed)
-    structure = random_graph(5, 0.4, seed=seed + 100)
-    results = count_answers_all_strategies(query, structure)
-    assert len(set(results.values())) == 1, results
+
+def _cells():
+    """``pytest.param(query, structure, expected, id=...)`` per cell;
+    ``expected`` is ``None`` where only agreement is asserted."""
+    for seed in range(8):
+        yield pytest.param(
+            random_conjunctive_query(4, 3, liberal_count=2, seed=seed),
+            random_graph(5, 0.4, seed=seed + 100),
+            None,
+            id=f"random-cq-{seed}",
+        )
+    for seed in range(6):
+        yield pytest.param(
+            random_ucq(3, 4, 3, liberal_count=2, seed=seed),
+            random_graph(5, 0.4, seed=seed + 200),
+            None,
+            id=f"random-ucq-{seed}",
+        )
+    for name, query in NAMED_FAMILIES.items():
+        for seed in (0, 1):
+            yield pytest.param(
+                query, random_graph(6, 0.35, seed=seed), None, id=f"{name}-{seed}"
+            )
+    empty = Structure.from_relations({}, universe=[])
+    for name, query in (
+        ("pp", path_query(2, quantify_interior=True)),
+        ("ucq", random_ucq(2, 3, 2, seed=0)),
+    ):
+        yield pytest.param(
+            query, empty.with_signature(query.signature), 0, id=f"empty-{name}"
+        )
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_ucqs_agree(seed):
-    query = random_ucq(3, 4, 3, liberal_count=2, seed=seed)
-    structure = random_graph(5, 0.4, seed=seed + 200)
-    results = count_answers_all_strategies(query, structure)
-    assert len(set(results.values())) == 1, results
+def counts_by_route(query, structure) -> dict[str, int]:
+    """The count of every independent route on one cell."""
+    ep = as_ep(query)
+    counts = {
+        "naive": count_answers_naive(ep, structure),
+        "disjuncts": count_ep_answers_by_disjuncts(ep, structure),
+        "engine": Engine().count(query, structure),
+    }
+    if ep.is_primitive_positive():
+        pp = ep.to_pp()
+        counts["pp-brute-force"] = count_pp_answers_brute_force(pp, structure)
+        counts["pp-fpt"] = count_pp_answers_fpt(pp, structure)
+    else:
+        counts["ep-plus"] = count_ep_answers_via_plus(
+            ep, structure, counter=count_pp_answers_fpt
+        )
+    return counts
+
+
+@pytest.mark.parametrize("query,structure,expected", _cells())
+def test_every_route_agrees(query, structure, expected):
+    counts = counts_by_route(query, structure)
+    assert len(set(counts.values())) == 1, counts
+    if expected is not None:
+        assert counts["naive"] == expected, counts
 
 
 @pytest.mark.parametrize(
-    "query",
+    "call",
     [
-        path_query(3, quantify_interior=True),
-        star_query(3, quantify_leaves=True),
-        union_of_paths_query([1, 2, 3]),
-        example_4_2_query(),
-        example_5_21_query(),
-        hidden_clique_query(3),
+        pytest.param(lambda e, g: e.count("E(x, y)", g, "auto"), id="count"),
+        pytest.param(
+            lambda e, g: e.count_sharded("E(x, y)", g, 2), id="count_sharded"
+        ),
+        pytest.param(
+            lambda e, g: e.count_many(["E(x, y)"], [g], "auto"), id="count_many"
+        ),
     ],
-    ids=["path", "star", "union-paths", "ex-4.2", "ex-5.21", "hidden-clique"],
 )
-@pytest.mark.parametrize("seed", [0, 1])
-def test_named_families_agree(query, seed):
-    structure = random_graph(6, 0.35, seed=seed)
-    results = count_answers_all_strategies(query, structure)
-    assert len(set(results.values())) == 1, results
-
-
-def test_empty_structure():
-    empty = Structure.from_relations({}, universe=[])
-    query = path_query(2, quantify_interior=True)
-    ep_query = random_ucq(2, 3, 2, seed=0)
-    for q in (query, ep_query):
-        results = count_answers_all_strategies(q, empty.with_signature(q.signature))
-        assert set(results.values()) == {0}, results
-
-
-def test_unknown_strategy_raises():
-    structure = random_graph(3, 0.5, seed=0)
-    with pytest.raises(ReproError):
-        count_answers("E(x, y)", structure, strategy="bogus")
-
-
-def test_fpt_strategy_rejects_unions():
-    structure = random_graph(3, 0.5, seed=0)
-    union = random_ucq(2, 3, 2, seed=1)
-    with pytest.raises(ReproError):
-        count_answers(union, structure, strategy="fpt")
+def test_a_positional_argument_after_the_structure_fails_loudly(call):
+    """A stale caller still passing a strategy (or anything else) by
+    position gets a ``TypeError``, never a silently misread option."""
+    with pytest.raises(TypeError):
+        call(Engine(), random_graph(3, 0.5, seed=0))
