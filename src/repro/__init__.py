@@ -79,7 +79,7 @@ from repro.engine import (
     execute_sharded,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ReproError",

@@ -85,17 +85,23 @@ def has_clique(graph: Structure, k: int, relation: str = "E") -> bool:
 def clique_query(k: int, relation: str = "E", liberal: bool = True) -> PPFormula:
     """The ``k``-clique query as a pp-formula.
 
-    Variables ``x1, ..., xk``; atoms ``E(xi, xj)`` for every ordered pair
-    ``i != j`` (so it matches cliques of directed graphs with edges in
-    both directions, and of symmetric structures).  With
+    Variables ``x0, ..., x{k-1}``; atoms ``E(xi, xj)`` for every ordered
+    pair ``i != j`` (so it matches cliques of directed graphs with edges
+    in both directions, and of symmetric structures).  With
     ``liberal=True`` (default) all variables are liberal, so the answer
     count on a graph with a symmetric edge relation is ``k! *``
     (number of k-cliques).  With ``liberal=False`` the query is a
     sentence (pure clique existence).
+
+    With every variable liberal the contract graph *is* the query
+    graph, so both the contract and the core have treewidth ``k - 1``:
+    for ``k >= bound + 2`` the query fails both halves of the
+    tractability condition and classifies as p-#Clique-hard -- the
+    canonical witness on the intractable side of the frontier.
     """
     if k < 1:
         raise WorkloadError("k must be at least 1")
-    variables = [f"x{i}" for i in range(1, k + 1)]
+    variables = [f"x{i}" for i in range(k)]
     specs = [
         (relation, (variables[i], variables[j]))
         for i in range(k)
@@ -105,8 +111,7 @@ def clique_query(k: int, relation: str = "E", liberal: bool = True) -> PPFormula
     if k == 1:
         # A single vertex: no edge atoms; use a self-loop-free convention
         # by constraining nothing (every vertex is a 1-clique).
-        formula = PPFormula.from_atoms([], liberal=variables if liberal else [])
-        return formula if liberal else formula
+        return PPFormula.from_atoms([], liberal=variables if liberal else [])
     if liberal:
         return pp_from_atom_specs(specs, liberal=variables)
     return pp_from_atom_specs(specs, quantified=variables).with_liberal([])

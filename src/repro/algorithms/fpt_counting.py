@@ -235,7 +235,7 @@ class PPCountingPlan:
 
     def __getstate__(self) -> dict:
         # Derived, and cheap next to a pickle round trip per request:
-        # jobs and the plan store ship the compiled fields only.
+        # pool and cluster jobs ship the compiled fields only.
         state = dict(self.__dict__)
         state.pop("dp_schedule", None)
         return state

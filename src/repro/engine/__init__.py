@@ -13,16 +13,15 @@ once, cached, and run many times over many structures:
   per-structure execution state (lazy positional index, sorted domain,
   memoized semijoin ∃-component boundary relations, cached shard
   partitions);
-* :mod:`repro.engine.cache` -- LRU plan cache keyed by canonical query
-  form (contexts live in :mod:`repro.engine.resident`'s store);
+* :mod:`repro.engine.cache` -- the in-memory LRU plan cache keyed by
+  canonical query form, the only compile cache (contexts live in
+  :mod:`repro.engine.resident`'s store);
 * :mod:`repro.engine.executor` -- :func:`execute`, the batch
   :func:`count_many` with a multiprocessing path, and the sharded
   :func:`execute_sharded` scale-out path;
 * :mod:`repro.engine.pool` -- :class:`WorkerPool`, the long-lived
   process pool whose workers keep execution contexts resident across
   calls, keyed by structure fingerprint;
-* :mod:`repro.engine.persist` -- :class:`PlanStore`, the versioned
-  on-disk plan store that lets fresh processes start warm;
 * :mod:`repro.engine.registry` -- :class:`StructureRegistry`, named
   resident structures with pinning and LRU eviction, so requests can
   count against a *reference* instead of shipping data;
@@ -43,15 +42,9 @@ from repro.engine.api import (
     reset_default_engine,
     set_default_engine,
 )
-from repro.engine.cache import (
-    LRUCache,
-    PlanCache,
-    canonical_query_form,
-    plan_key,
-)
+from repro.engine.cache import LRUCache, PlanCache, canonical_query_form
 from repro.engine.context import ContextStats, ExecutionContext
 from repro.engine.executor import count_many, execute, execute_sharded
-from repro.engine.persist import PlanStore
 from repro.engine.pool import WorkerPool, WorkerTaskError, default_process_count
 from repro.engine.registry import (
     RegistryEntry,
@@ -88,11 +81,9 @@ __all__ = [
     "ContextStats",
     "ExecutionContext",
     "canonical_query_form",
-    "plan_key",
     "count_many",
     "execute",
     "execute_sharded",
-    "PlanStore",
     "WorkerPool",
     "WorkerTaskError",
     "default_process_count",

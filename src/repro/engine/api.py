@@ -44,7 +44,6 @@ from repro.engine.executor import (
     execute,
     execute_sharded,
 )
-from repro.engine.persist import PlanStore
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.engine.pool import WorkerPool, collector_paused
@@ -75,20 +74,18 @@ StructureRef = Structure | str
 class EngineStats:
     """Counters and timings accumulated by an :class:`Engine`.
 
-    ``plan_hits`` / ``plan_misses`` count plan-cache lookups (a miss
-    compiles); ``context_hits`` / ``context_misses`` count lookups of
-    the engine's context store (a hit reuses built state, as a worker
-    context hit does; a miss builds lazily, the positional index
-    counted by ``index_builds``).
+    ``plan_hits`` / ``plan_misses`` count lookups of the in-memory plan
+    cache (a miss compiles); ``context_hits`` / ``context_misses``
+    count lookups of the engine's context store (a hit reuses built
+    state, as a worker context hit does; a miss builds lazily, the
+    positional index counted by ``index_builds``).
     ``boundary_memo_hits`` / ``boundary_memo_misses`` count memoized
     ∃-component boundary-relation lookups, and ``semijoin_eliminations``
     / ``backtracking_eliminations`` say which evaluator served each
     miss.  ``worker_context_hits`` / ``worker_context_misses`` count
     lookups of the worker-resident context stores inside the engine's
     long-lived pool (a hit means a pool job reused a built index and
-    boundary memo instead of rebuilding).  ``persist_hits`` /
-    ``persist_misses`` / ``persist_stores`` count on-disk plan-store
-    traffic when ``persistent_cache_dir`` is configured.
+    boundary memo instead of rebuilding).
     ``registry_hits`` / ``registry_misses`` count name resolutions
     against the structure registry (a miss raised
     :class:`~repro.engine.registry.UnknownStructureError`);
@@ -130,9 +127,6 @@ class EngineStats:
     backtracking_eliminations: int = 0
     worker_context_hits: int = 0
     worker_context_misses: int = 0
-    persist_hits: int = 0
-    persist_misses: int = 0
-    persist_stores: int = 0
     registry_hits: int = 0
     registry_misses: int = 0
     registry_registrations: int = 0
@@ -177,11 +171,6 @@ class Engine:
         Capacity of the LRU cache of compiled plans.
     max_disjuncts:
         Safety limit forwarded to the inclusion-exclusion expansion.
-    persistent_cache_dir:
-        When given, compiled plans are written through to (and misses
-        first consult) a :class:`~repro.engine.persist.PlanStore`
-        under this directory, keyed by library version -- fresh
-        processes pointed at the same directory start warm.
     processes:
         Size of the engine's long-lived worker pool (default: one per
         CPU).  The pool itself starts lazily on the first parallel
@@ -211,7 +200,6 @@ class Engine:
         self,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-        persistent_cache_dir: str | None = None,
         processes: int | None = None,
         registry: StructureRegistry | None = None,
         registry_max_entries: int = DEFAULT_REGISTRY_MAX_ENTRIES,
@@ -224,11 +212,6 @@ class Engine:
         self.plans = PlanCache(plan_cache_size, max_disjuncts)
         #: Execution contexts; the placed tier mirrors the pool's pin set.
         self.contexts = ResidentContexts()
-        self.store = (
-            PlanStore(persistent_cache_dir)
-            if persistent_cache_dir is not None
-            else None
-        )
         self.registry = registry or StructureRegistry(
             max_entries=registry_max_entries, max_bytes=registry_max_bytes
         )
@@ -242,7 +225,7 @@ class Engine:
 
     # ------------------------------------------------------------------
     def compile(self, query: Query) -> CountingPlan:
-        """The compiled plan for ``query`` (cached, persisted if configured)."""
+        """The compiled plan for ``query``, through the plan cache."""
         before = time.perf_counter()
         # Probe before the real lookup (pure, touches no counters): the
         # span wants hit/miss, and classification accounting must run
@@ -251,12 +234,12 @@ class Engine:
         with _trace.span("plan.compile") as span:
             if span is not NOOP_SPAN:
                 span.set("cache", "hit" if hit else "miss")
-            plan = self.plans.get(query, store=self.store)
+            plan = self.plans.get(query)
             span.set("kind", plan.kind)
         with self._lock:
             counters = self._counters
             counters.compile_seconds += time.perf_counter() - before
-            if not hit and plan.profile is not None:
+            if not hit:
                 counters.classifications += 1
                 verdict = plan.profile.case.name
                 counters.verdicts[verdict] = counters.verdicts.get(verdict, 0) + 1
@@ -271,13 +254,7 @@ class Engine:
         executing anything.  The HTTP layer's ``POST /classify`` is a
         thin wrapper over this.
         """
-        plan = self.compile(query)
-        if plan.profile is not None:
-            return plan.profile
-        # Legacy plan-store entries predate profiling; profile in place.
-        from repro.engine.plan import profile_plan
-
-        return profile_plan(plan)
+        return self.compile(query).profile
 
     # -- policy plumbing ------------------------------------------------
     def _resolve_policy(self, policy) -> ExecutionPolicy:
@@ -327,7 +304,7 @@ class Engine:
             with _trace.span("budget.abort", degraded=policy.degrades) as span:
                 for key, value in exc.progress.items():
                     span.set(key, value)
-            if not policy.degrades or any(p.profile is None for p in plans):
+            if not policy.degrades:
                 raise
             result = [
                 [plan.profile.estimate_count(len(s.universe)) for s in structures]
@@ -343,38 +320,6 @@ class Engine:
             counters.sharded_calls += sharded
             counters.batch_calls += batch
         return result
-
-    # ------------------------------------------------------------------
-    # Warm-start: the persistent plan store
-    # ------------------------------------------------------------------
-    def warm_from_disk(self) -> int:
-        """Load every persisted plan into the in-memory plan cache.
-
-        Returns the number of plans loaded.  Requires
-        ``persistent_cache_dir``; corrupt files are skipped (they are
-        misses, never errors).
-        """
-        if self.store is None:
-            raise ReproError(
-                "warm_from_disk() needs Engine(persistent_cache_dir=...)"
-            )
-        loaded = 0
-        for key, plan in self.store.load_all():
-            self.plans.seed(key, plan)
-            loaded += 1
-        return loaded
-
-    def flush_to_disk(self) -> int:
-        """Persist every cached plan; returns the number written."""
-        if self.store is None:
-            raise ReproError(
-                "flush_to_disk() needs Engine(persistent_cache_dir=...)"
-            )
-        written = 0
-        for key, plan in self.plans.items():
-            self.store.save(key, plan)
-            written += 1
-        return written
 
     # ------------------------------------------------------------------
     # Named resident structures: the registry
@@ -800,7 +745,7 @@ class Engine:
         Every component is snapshotted under its own lock (the plan
         cache, the context store's shared
         :class:`~repro.engine.context.ContextStats` sink, the worker
-        pool, the plan store), so a snapshot taken while other threads
+        pool, the registry), so a snapshot taken while other threads
         count never pairs a hit count with a miss count from a
         different moment, and never observes a concurrent
         :meth:`reset_stats` halfway through.
@@ -815,9 +760,6 @@ class Engine:
         plan_hits, plan_misses = self.plans.stats_snapshot()
         contexts = self.contexts.stats.snapshot()
         worker_hits, worker_misses = self.pool.stats_snapshot()
-        persist_hits, persist_misses, persist_stores = (
-            self.store.stats_snapshot() if self.store else (0, 0, 0)
-        )
         registry_hits, registry_misses, registrations, evictions = (
             self.registry.stats_snapshot()
         )
@@ -836,9 +778,6 @@ class Engine:
             encoded_resident_bytes=self.contexts.encoded_bytes(),
             worker_context_hits=worker_hits,
             worker_context_misses=worker_misses,
-            persist_hits=persist_hits,
-            persist_misses=persist_misses,
-            persist_stores=persist_stores,
             registry_hits=registry_hits,
             registry_misses=registry_misses,
             registry_registrations=registrations,
@@ -848,9 +787,8 @@ class Engine:
     def clear_caches(self) -> None:
         """Drop all cached plans and LRU contexts (a "cold" engine again).
 
-        The persistent plan store (if any) is left untouched; use
-        ``engine.store.clear()`` to wipe it too.  The structure
-        registry also survives: registered entries are *state*, not
+        The next compile of any query recompiles it.  The structure
+        registry survives: registered entries are *state*, not
         cache -- their names keep resolving, their pinned contexts stay
         placed in the engine's store and every worker, and their shard
         plans remain on the entries (only an unpinned entry's context
@@ -890,8 +828,6 @@ class Engine:
         self.contexts.stats.reset()
         self.pool.reset_stats()
         self.registry.reset_stats()
-        if self.store is not None:
-            self.store.reset_stats()
         with self._lock:
             self._counters = EngineStats()
 

@@ -1,8 +1,9 @@
 """The query-side cache of the counting engine.
 
 :class:`PlanCache` is an LRU of compiled :class:`~repro.engine.plan.
-CountingPlan` objects keyed by a canonical form of the query plus the
-inclusion-exclusion limit.  Query texts are additionally memoized
+CountingPlan` objects keyed by a canonical form of the query; a plan
+depends on the query alone, so this in-memory cache is all the compile
+caching an engine keeps.  Query texts are additionally memoized
 through a parse cache so serving the same SQL-ish string twice never
 re-parses.  Both are thin wrappers over :class:`LRUCache`, which tracks
 hit/miss statistics the :class:`~repro.engine.api.Engine` surfaces.
@@ -105,19 +106,6 @@ class LRUCache(Generic[Key, Value]):
         flight.event.set()
         return value
 
-    def put(self, key: Key, value: Value) -> None:
-        """Insert ``value`` directly (used when warming from disk)."""
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def items(self) -> list[tuple[Key, Value]]:
-        """A snapshot of the cached entries, least recent first."""
-        with self._lock:
-            return list(self._data.items())
-
     def __contains__(self, key: object) -> bool:
         with self._lock:
             return key in self._data
@@ -157,9 +145,6 @@ class LRUCache(Generic[Key, Value]):
 # ----------------------------------------------------------------------
 # Canonical query keys
 # ----------------------------------------------------------------------
-PlanKey = tuple  # (canonical query form, max_disjuncts)
-
-
 #: Reserved prefix for canonically renamed quantified variables; no
 #: parsed query can contain a NUL byte in a variable name.
 _CANONICAL_PREFIX = "\x00q"
@@ -200,17 +185,12 @@ def canonical_query_form(query: Query) -> Hashable:
     return ("ep", tuple(_canonical_pp_form(d) for d in ep.disjuncts()), ep.liberal)
 
 
-def plan_key(query: Query, max_disjuncts: int) -> PlanKey:
-    """The full plan-cache key."""
-    return (canonical_query_form(query), max_disjuncts)
-
-
 class PlanCache:
     """An LRU cache of compiled plans keyed by canonical query form.
 
     ``max_disjuncts`` is the inclusion-exclusion limit every plan of
-    this cache compiles under; it is part of each key, so plan-store
-    files of engines with different limits stay apart.
+    this cache compiles under.  One cache holds one limit, so the key is
+    the query's :func:`canonical_query_form` alone.
     """
 
     def __init__(
@@ -219,7 +199,7 @@ class PlanCache:
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     ):
         self.max_disjuncts = max_disjuncts
-        self._cache: LRUCache[PlanKey, CountingPlan] = LRUCache(capacity)
+        self._cache: LRUCache[Hashable, CountingPlan] = LRUCache(capacity)
         self._parse_cache: LRUCache[str, EPFormula] = LRUCache(DEFAULT_PARSE_CACHE_SIZE)
 
     def resolve(self, query: Query) -> EPFormula | PPFormula:
@@ -228,36 +208,13 @@ class PlanCache:
             return self._parse_cache.get_or_compute(query, lambda: as_ep(query))
         return query
 
-    def get(self, query: Query, store=None) -> CountingPlan:
-        """The compiled plan for the query, compiling at most once.
-
-        With a :class:`~repro.engine.persist.PlanStore`, an in-memory
-        miss first consults the store (a persisted plan skips
-        compilation entirely) and a fresh compilation is written through
-        to disk, so later processes start warm.
-        """
+    def get(self, query: Query) -> CountingPlan:
+        """The compiled plan for the query, compiling at most once."""
         resolved = self.resolve(query)
-        key = plan_key(resolved, self.max_disjuncts)
-
-        def compute() -> CountingPlan:
-            if store is not None:
-                persisted = store.load(key)
-                if persisted is not None:
-                    return persisted
-            plan = compile_plan(resolved, self.max_disjuncts)
-            if store is not None:
-                store.save(key, plan)
-            return plan
-
-        return self._cache.get_or_compute(key, compute)
-
-    def seed(self, key: PlanKey, plan: CountingPlan) -> None:
-        """Insert an already-compiled plan (warming from disk)."""
-        self._cache.put(key, plan)
-
-    def items(self) -> list[tuple[PlanKey, CountingPlan]]:
-        """A snapshot of the cached ``(key, plan)`` entries."""
-        return self._cache.items()
+        return self._cache.get_or_compute(
+            canonical_query_form(resolved),
+            lambda: compile_plan(resolved, self.max_disjuncts),
+        )
 
     @property
     def hits(self) -> int:
@@ -284,7 +241,7 @@ class PlanCache:
         the tracing layer uses it to annotate ``plan.compile`` spans
         with hit/miss before the real lookup."""
         try:
-            key = plan_key(self.resolve(query), self.max_disjuncts)  # type: ignore[arg-type]
+            key = canonical_query_form(self.resolve(query))  # type: ignore[arg-type]
         except ReproError:
             return False
         return key in self._cache

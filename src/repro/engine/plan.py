@@ -50,9 +50,9 @@ DEFAULT_TREEWIDTH_BOUND = 2
 class PlanProfile:
     """The complexity profile of a compiled plan.
 
-    Computed once per cached plan at compile time (the plan cache and
-    on-disk plan store round-trip it with the plan), so routing a
-    request by its verdict is a field read, never a classification.
+    Computed once per compiled plan and cached with it in the plan
+    cache, so routing a request by its verdict is a field read, never a
+    classification.
 
     Attributes
     ----------
@@ -196,8 +196,9 @@ class CountingPlan:
         ``|V|``: the exponent of the ``|B| ** |V|`` shortcut.
     profile:
         The memoized :class:`PlanProfile` -- trichotomy verdict,
-        structural measures, cost estimate -- attached at compile time
-        and round-tripped by the plan cache and plan store.
+        structural measures, cost estimate.  :func:`compile_plan`
+        always attaches it; only the bare plan :func:`profile_plan`
+        measures has none.
     compile_seconds:
         Wall-clock time spent compiling the plan (profiling included).
     """

@@ -152,10 +152,9 @@ class ExecutionPolicy:
 
         Only the ``reject`` mode refuses; the other modes admit every
         plan (``budget``/``degrade`` interfere at execution time
-        instead).  Plans with no profile (legacy plan-store entries)
-        are admitted -- rejection requires a verdict to cite.
+        instead).
         """
-        if self.mode != "reject" or profile is None:
+        if self.mode != "reject":
             return
         case = profile.case_for(self.treewidth_bound)
         if case.name in self.reject_cases:

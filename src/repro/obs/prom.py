@@ -48,9 +48,6 @@ ENGINE_COUNTERS = (
     "backtracking_eliminations",
     "worker_context_hits",
     "worker_context_misses",
-    "persist_hits",
-    "persist_misses",
-    "persist_stores",
     "registry_hits",
     "registry_misses",
     "registry_registrations",

@@ -1,7 +1,7 @@
 """Workload generators: query families, random queries and domain scenarios."""
 
+from repro.algorithms.clique import clique_query
 from repro.workloads.generators import (
-    clique_query,
     cycle_query,
     example_4_1_query,
     example_4_2_query,

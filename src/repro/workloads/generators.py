@@ -6,8 +6,9 @@ number of quantified variables) grow in a controlled way, so that the
 measured scaling can be compared against the case the trichotomy assigns
 to the family.  This module provides:
 
-* deterministic families -- path, star, cycle, grid and clique queries,
-  and their quantified variants;
+* deterministic families -- path, star, cycle, grid and hidden-clique
+  queries, their quantified variants, and frontier pairs built on
+  :func:`repro.algorithms.clique.clique_query`;
 * random conjunctive queries and UCQs with tunable size parameters.
 
 All functions return :class:`~repro.logic.pp.PPFormula` or
@@ -20,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from repro.algorithms.clique import clique_query
 from repro.exceptions import WorkloadError
 from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
@@ -112,27 +114,6 @@ def hidden_clique_query(k: int, relation: str = "E") -> PPFormula:
     ]
     specs += [(relation, ("x", quantified[0])), (relation, (quantified[-1], "y"))]
     return pp_from_atom_specs(specs, liberal=["x", "y"])
-
-
-def clique_query(k: int, relation: str = "E") -> PPFormula:
-    """The k-clique query with every variable liberal.
-
-    With no quantified variables the contract graph *is* the query
-    graph, so both the contract and the core have treewidth ``k - 1``:
-    for ``k >= bound + 2`` the family fails both halves of the
-    tractability condition and classifies as p-#Clique-hard -- the
-    canonical witness on the intractable side of the frontier.
-    """
-    if k < 2:
-        raise WorkloadError("k must be at least 2")
-    variables = [f"x{i}" for i in range(k)]
-    specs = [
-        (relation, (variables[i], variables[j]))
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    ]
-    return pp_from_atom_specs(specs, liberal=variables)
 
 
 def frontier_query_pair(

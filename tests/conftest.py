@@ -43,8 +43,8 @@ def pytest_collection_finish(session):
     Collection builds a large, permanent heap (every parametrized
     structure and query).  Left in the young generations it makes the
     first full collection after it a 30-50 ms pause that lands inside
-    whichever test happens to cross the threshold -- enough to tip the
-    chaos suite's 2x recovery-latency assertion, whose margin is ~10 ms.
+    whichever test happens to cross the threshold, so any test that
+    times a short window inherits a pause it did not cause.
     """
     gc.collect()
     gc.freeze()

@@ -59,6 +59,32 @@ def test_checker_detects_missing_and_stale_knobs(tmp_path):
     assert not any("'processes'" in p for p in problems)
 
 
+def test_operations_stats_glossary_matches_engine_stats():
+    problems = check_docs_freshness.check_stats()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_missing_and_stale_stats_fields(tmp_path):
+    stale = tmp_path / "operations.md"
+    stale.write_text(
+        "## Stats glossary (`/metrics`)\n\n| Field | Meaning |\n|---|---|\n"
+        "| `plan_hits` / `plan_misses` | lookups |\n"
+        "| `bygone_hits` | gone |\n\n## Next section\n\n| `verdicts` | x |\n"
+    )
+    problems = check_docs_freshness.check_stats(stale)
+    assert any("'bygone_hits'" in p for p in problems)  # stale row
+    assert any("'plan_hit_rate'" in p for p in problems)  # undocumented key
+    assert any("'verdicts'" in p for p in problems)  # outside the table
+    assert not any("'plan_misses'" in p for p in problems)
+
+
+def test_checker_reports_a_missing_stats_glossary(tmp_path):
+    bare = tmp_path / "operations.md"
+    bare.write_text("## Engine tuning knobs\n\n| `processes` | 1 |\n")
+    problems = check_docs_freshness.check_stats(bare)
+    assert len(problems) == 1 and "has no table" in problems[0], problems
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",
@@ -71,8 +97,8 @@ def test_docs_pages_exist_and_crosslink():
 
 
 def test_package_version_is_single_sourced():
-    """``repro.__version__`` keys PlanStore directories and bench
-    records; the package metadata must read it, not restate it."""
+    """``repro.__version__`` is the library's one version string; the
+    package metadata must read it, not restate it."""
     import re
     import warnings
 

@@ -125,6 +125,13 @@ def test_reset_default_engine_creates_a_fresh_one():
     assert second is not first
 
 
+def test_plans_have_no_on_disk_store_option():
+    """The in-memory plan cache is the only compile cache: the engine
+    refuses a plan-store directory instead of ignoring it."""
+    with pytest.raises(TypeError):
+        Engine(persistent_cache_dir="plans")
+
+
 def test_engine_stats_track_time_and_calls():
     engine = Engine()
     structure = random_graph(5, 0.4, seed=4)
@@ -142,8 +149,8 @@ ENGINE_STATS_KEYS = """
     plan_hit_rate context_hits context_misses context_hit_rate
     index_builds boundary_memo_hits boundary_memo_misses
     semijoin_eliminations backtracking_eliminations worker_context_hits
-    worker_context_misses persist_hits persist_misses persist_stores
-    registry_hits registry_misses registry_registrations
+    worker_context_misses registry_hits registry_misses
+    registry_registrations
     registry_evictions encoded_resident_bytes delta_applies
     memo_evictions context_invalidations classifications
     policy_rejections budget_aborts compile_seconds execute_seconds
@@ -176,25 +183,19 @@ GAUGES = {"encoded_resident_bytes"}
 
 
 @pytest.fixture(scope="module")
-def moved_then_reset(tmp_path_factory):
+def moved_then_reset():
     """``(moved, reset)``: the stats after a workload built to move
     every field, and after a ``reset_stats()`` on top of it."""
     path = "exists z. (E(x, z) & E(z, y))"
     graph = random_cluster_graph(4, 6, 0.4, seed=13)
     _, hard = frontier_query_pair(4)
-    with Engine(
-        processes=1,
-        registry_max_entries=1,
-        persistent_cache_dir=str(tmp_path_factory.mktemp("plans")),
-    ) as engine:
+    with Engine(processes=1, registry_max_entries=1) as engine:
         engine.count(path, graph)
         engine.count("exists z. (E(x, z) & E(z, y)) & E(y, w)", graph)
         engine.count(hidden_clique_query(3), random_graph(7, 0.6, seed=2))
         engine.count_many([path], [graph], parallel=False)
         for _ in range(2):  # a worker-context miss, then a hit
             engine.count_sharded(path, graph, shard_count=4, parallel=True)
-        engine.plans.clear()
-        engine.compile(path)  # served from the plan store
         with pytest.raises(PolicyRejection):
             engine.count(str(hard), graph, policy="reject")
         with pytest.raises(BudgetExceeded):

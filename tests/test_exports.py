@@ -6,7 +6,9 @@ import importlib
 
 import pytest
 
-PACKAGES = ("repro", "repro.core", "repro.engine", "repro.algorithms")
+PACKAGES = (
+    "repro", "repro.core", "repro.engine", "repro.algorithms", "repro.workloads"
+)
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -23,3 +25,37 @@ def test_the_deleted_counting_entry_points_are_gone():
     for name in ("STRATEGIES", "make_counter", "count_answers_all_strategies"):
         assert not hasattr(repro.core, name), name
         assert name not in repro.core.__all__
+
+
+def test_the_deleted_plan_store_names_are_gone():
+    import repro.engine
+
+    for name in ("PlanStore", "plan_key"):
+        assert not hasattr(repro.engine, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.engine.persist")
+
+
+#: ``Owner.member`` names that existed only to fill or drain the
+#: on-disk plan store.
+DELETED_PLAN_STORE_MEMBERS = (
+    "Engine.store",
+    "Engine.warm_from_disk",
+    "Engine.flush_to_disk",
+    "PlanCache.seed",
+    "PlanCache.items",
+    "LRUCache.put",
+    "LRUCache.items",
+)
+
+
+@pytest.mark.parametrize("member", DELETED_PLAN_STORE_MEMBERS)
+def test_the_deleted_plan_store_members_are_gone(member):
+    from repro.engine import Engine
+    from repro.engine.cache import LRUCache, PlanCache
+
+    # Instances, not classes: ``Engine.store`` was set in ``__init__``.
+    owners = {"Engine": Engine, "PlanCache": PlanCache, "LRUCache": LRUCache}
+    owner, name = member.split(".")
+    instance = owners[owner](1) if owner == "LRUCache" else owners[owner]()
+    assert not hasattr(instance, name), member

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.engine import Engine
-from repro.engine.cache import LRUCache, PlanCache, canonical_query_form, plan_key
+from repro.engine.cache import LRUCache, PlanCache, canonical_query_form
 from repro.exceptions import ReproError
 from repro.logic.ep import EPFormula
 from repro.logic.parser import parse_query
@@ -125,10 +125,33 @@ def test_membership_sees_a_compiled_plan_under_the_engines_limit(max_disjuncts):
 
 def test_plan_keys_separate_disjunct_limits():
     query = "E(x, y) | E(y, x)"
-    assert plan_key(query, 8) != plan_key(query, 16)
     small, large = PlanCache(max_disjuncts=8), PlanCache(max_disjuncts=16)
     small.get(query)
     assert query in small and query not in large
+
+
+def test_a_plan_cache_compiles_under_its_own_limit():
+    query = "E(x, y) | E(y, x)"
+    tight = PlanCache(max_disjuncts=1)
+    with pytest.raises(ReproError):
+        tight.get(query)  # two disjuncts exceed the cache's limit
+    assert query not in tight and len(tight) == 0
+    assert PlanCache(max_disjuncts=2).get(query).kind == "ep-plus"
+
+
+def test_alpha_equivalent_texts_share_one_plan():
+    """The key is the canonical form alone: renaming a quantified
+    variable is a hit on the same compiled plan."""
+    cache = PlanCache(capacity=8)
+    first = cache.get("exists z. (E(x, z) & E(z, y))")
+    second = cache.get("exists w. (E(x, w) & E(w, y))")
+    assert second is first
+    assert cache.hits == 1 and cache.misses == 1
+
+
+def test_plan_cache_get_takes_only_the_query():
+    with pytest.raises(TypeError):
+        PlanCache().get("E(x, y)", store=None)
 
 
 def test_plan_cache_eviction_recompiles():

@@ -31,6 +31,7 @@ from repro import (
 from repro.budget import budget_scope
 from repro.core.classification import Case
 from repro.engine.api import Engine
+from repro.engine.plan import compile_plan, profile_plan
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.exceptions import WorkloadError
 from repro.serve import (
@@ -69,17 +70,47 @@ def test_classification_once_per_cached_plan():
     assert engine.stats().classifications == 1
 
 
-def test_profile_round_trips_through_plan_store(tmp_path):
-    warm = Engine(persistent_cache_dir=str(tmp_path))
-    original = warm.compile(str(TRACTABLE)).profile
-    assert original is not None
+#: Query shape -> ``(query, plan kind, verdict)``.
+PROFILED = {
+    "path": (PATH_QUERY, "pp-fpt", Case.FPT),
+    "union": ("E(x, y) | E(y, x)", "ep-plus", Case.FPT),
+    "sentence-disjunct": ("E(x, y) | exists u. E(u, u)", "ep-plus", Case.FPT),
+    "clique": (clique_query(4), "pp-fpt", Case.SHARP_CLIQUE_HARD),
+}
 
-    cold = Engine(persistent_cache_dir=str(tmp_path))
-    loaded = cold.compile(str(TRACTABLE)).profile
-    assert cold.stats().persist_hits == 1
-    # classify_seconds is compare=False, so equality means the verdict
-    # and every measure survived the disk round trip.
-    assert loaded == original
+
+@pytest.mark.parametrize("shape", PROFILED)
+def test_compile_plan_always_attaches_its_profile(shape):
+    query, kind, case = PROFILED[shape]
+    plan = compile_plan(query)
+    assert plan.kind == kind
+    assert plan.profile is not None and plan.profile.case is case
+    # The attached profile is the plan's own measurement, and it travels
+    # with the plan (classify_seconds is compare=False).
+    assert plan.profile == profile_plan(plan)
+    assert pickle.loads(pickle.dumps(plan)).profile == plan.profile
+
+
+def test_a_cache_hit_reuses_the_profile_and_a_clear_remeasures():
+    engine = Engine()
+    first = engine.classify(PATH_QUERY)
+    assert engine.classify(PATH_QUERY) is first
+    engine.plans.clear()
+    # No second tier to reload from: a cleared cache recompiles.
+    assert engine.classify(PATH_QUERY) == first
+    stats = engine.stats()
+    assert stats.classifications == 2 and stats.plan_misses == 2
+
+
+def test_workloads_reexport_the_one_clique_query():
+    from repro.algorithms import clique
+    from repro.workloads import generators
+
+    assert clique_query is clique.clique_query is generators.clique_query
+    for k in (2, 3, 4):
+        names = {f"x{i}" for i in range(k)}
+        assert {v.name for v in clique_query(k).liberal} == names
+        assert not clique_query(k, liberal=False).liberal
 
 
 def test_frontier_pairs_straddle_the_trichotomy():

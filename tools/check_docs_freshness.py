@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Four checks, each asserting set equality in *both* directions:
+Five checks, each asserting set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -14,11 +14,13 @@ Four checks, each asserting set equality in *both* directions:
   documented as a ``### `type``` heading);
 - the "Engine tuning knobs" table of ``docs/operations.md`` vs. the
   parameters of ``repro.engine.Engine.__init__`` (each knob named in
-  backticks in its row's first cell).
+  backticks in its row's first cell);
+- the "Stats glossary" table of ``docs/operations.md`` vs. the keys of
+  ``repro.engine.EngineStats().as_dict()`` (the same row form).
 
-A route, metric, frame type, or engine option added to the code
-without documentation, or documentation for one the code no longer
-has, fails CI.
+A route, metric, frame type, engine option or stats field added to the
+code without documentation, or documentation for one the code no
+longer has, fails CI.
 
 Usage (repo root)::
 
@@ -56,8 +58,11 @@ _FRAME_HEADING = re.compile(r"^#{2,4}\s+`([a-z_]+)`\s*$", re.MULTILINE)
 #: The heading of the operations guide's engine-option table.
 _KNOB_SECTION = "## Engine tuning knobs"
 
-#: A backticked parameter name (``--flags`` do not match).
-_KNOB_NAME = re.compile(r"`([a-z_][a-z0-9_]*)`")
+#: The heading of the operations guide's ``EngineStats`` table.
+_STATS_SECTION = "## Stats glossary"
+
+#: A backticked option or field name (``--flags`` do not match).
+_CELL_NAME = re.compile(r"`([a-z_][a-z0-9_]*)`")
 
 
 def documented_routes(text: str) -> set[tuple[str, str]]:
@@ -181,16 +186,17 @@ def check_cluster(doc_path: Path = CLUSTER_DOC_PATH) -> list[str]:
     return problems
 
 
-def documented_knobs(text: str) -> set[str]:
-    """The names in the first cell of every row of the knob table."""
-    if _KNOB_SECTION not in text:
+def documented_names(text: str, section: str) -> set[str]:
+    """The names in the first cell of every row of the table under
+    the ``section`` heading."""
+    if section not in text:
         return set()
-    section = text.split(_KNOB_SECTION, 1)[1].split("\n#", 1)[0]
+    body = text.split(section, 1)[1].split("\n#", 1)[0]
     return {
         name
-        for line in section.splitlines()
+        for line in body.splitlines()
         if line.startswith("|")
-        for name in _KNOB_NAME.findall(line.split("|")[1])
+        for name in _CELL_NAME.findall(line.split("|")[1])
     }
 
 
@@ -201,62 +207,75 @@ def engine_knobs() -> set[str]:
     return set(inspect.signature(Engine.__init__).parameters) - {"self"}
 
 
-def check_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
-    """Drift between the documented knobs and the engine's options."""
+def engine_stats_keys() -> set[str]:
+    """The keys of an :class:`repro.engine.EngineStats` snapshot."""
+    from repro.engine import EngineStats
+
+    return set(EngineStats().as_dict())
+
+
+def _check_table(
+    doc_path: Path, section: str, what: str, actual: set[str], owner: str
+) -> list[str]:
+    """Drift between the names a table documents and ``actual``."""
     if not doc_path.exists():
         return [f"{doc_path} does not exist"]
-    documented = documented_knobs(doc_path.read_text(encoding="utf-8"))
+    documented = documented_names(doc_path.read_text(encoding="utf-8"), section)
     if not documented:
-        return [f"{doc_path.name} has no knob table under {_KNOB_SECTION!r}"]
-    options = engine_knobs()
+        return [f"{doc_path.name} has no table under {section!r}"]
     return [
-        f"Engine option {name!r} has no row in {doc_path.name}'s knob table"
-        for name in sorted(options - documented)
+        f"{what} {name!r} has no row in {doc_path.name}'s {section!r} table"
+        for name in sorted(actual - documented)
     ] + [
-        f"{doc_path.name} documents knob {name!r}, which Engine.__init__ "
-        "does not take (stale documentation)"
-        for name in sorted(documented - options)
+        f"{doc_path.name} documents {what} {name!r}, which {owner} does "
+        "not have (stale documentation)"
+        for name in sorted(documented - actual)
     ]
+
+
+def check_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
+    """Drift between the documented knobs and the engine's options."""
+    return _check_table(
+        doc_path, _KNOB_SECTION, "Engine option", engine_knobs(),
+        "Engine.__init__",
+    )
+
+
+def check_stats(doc_path: Path = OPS_DOC_PATH) -> list[str]:
+    """Drift between the stats glossary and the ``EngineStats`` keys."""
+    return _check_table(
+        doc_path, _STATS_SECTION, "stats field", engine_stats_keys(),
+        "EngineStats().as_dict()",
+    )
 
 
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    problems = check()
-    metric_problems = check_metrics()
-    cluster_problems = check_cluster()
-    knob_problems = check_knobs()
-    if problems:
-        print("docs/http_api.md is out of sync with the HTTP route table:")
-        for problem in problems:
-            print(f"  - {problem}")
-    if metric_problems:
-        print(
-            "docs/observability.md is out of sync with the Prometheus "
-            "metric families:"
-        )
-        for problem in metric_problems:
-            print(f"  - {problem}")
-    if cluster_problems:
-        print(
-            "docs/cluster.md is out of sync with the cluster wire "
-            "protocol:"
-        )
-        for problem in cluster_problems:
-            print(f"  - {problem}")
-    if knob_problems:
-        print("docs/operations.md is out of sync with the Engine options:")
-        for problem in knob_problems:
-            print(f"  - {problem}")
-    if problems or metric_problems or cluster_problems or knob_problems:
+    checks = (
+        ("docs/http_api.md", "the HTTP route table", check()),
+        ("docs/observability.md", "the Prometheus metric families",
+         check_metrics()),
+        ("docs/cluster.md", "the cluster wire protocol", check_cluster()),
+        ("docs/operations.md", "the Engine options", check_knobs()),
+        ("docs/operations.md", "the EngineStats fields", check_stats()),
+    )
+    for page, source, problems in checks:
+        if problems:
+            print(f"{page} is out of sync with {source}:")
+            for problem in problems:
+                print(f"  - {problem}")
+    if any(problems for _, _, problems in checks):
         return 1
     routes = len(registered_routes())
     metrics = len(emitted_metrics())
     frames = len(wire_frame_types())
     knobs = len(engine_knobs())
+    stats = len(engine_stats_keys())
     print(
         f"docs freshness OK: all {routes} HTTP routes, {metrics} "
-        f"Prometheus metric families, {frames} cluster frame types and "
-        f"{knobs} Engine options documented, none stale"
+        f"Prometheus metric families, {frames} cluster frame types, "
+        f"{knobs} Engine options and {stats} stats fields documented, "
+        "none stale"
     )
     return 0
 
