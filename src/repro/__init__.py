@@ -56,7 +56,6 @@ from repro.core import (
     classify_pp_class,
     classify_query,
     count_answers,
-    count_answers_sharded,
     counting_equivalent,
     plus_set,
     semi_counting_equivalent,
@@ -114,7 +113,6 @@ __all__ = [
     "classify_pp_class",
     "classify_query",
     "count_answers",
-    "count_answers_sharded",
     "counting_equivalent",
     "plus_set",
     "semi_counting_equivalent",

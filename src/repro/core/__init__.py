@@ -1,6 +1,6 @@
 """The paper's core contribution: equivalence, reductions, classification."""
 
-from repro.core.counting import count_answers, count_answers_sharded
+from repro.core.counting import count_answers
 from repro.core.equivalence import (
     counting_equivalent,
     counting_equivalent_on,
@@ -57,7 +57,6 @@ from repro.core.classification import (
 
 __all__ = [
     "count_answers",
-    "count_answers_sharded",
     "counting_equivalent",
     "counting_equivalent_on",
     "group_by_counting_equivalence",

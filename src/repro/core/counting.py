@@ -13,8 +13,9 @@ branch:
   cancelled inclusion-exclusion combination of ``phi*`` is evaluated,
   with each pp-count computed by the Theorem 2.11 algorithm.
 
-Both entry points route through a :class:`~repro.engine.Engine` (the
-process-wide default one unless another is passed): the query-side
+It routes through a :class:`~repro.engine.Engine` (the process-wide
+default one unless another is passed; sharded and batch counts are
+:class:`~repro.engine.Engine` methods): the query-side
 pipeline work is compiled once into a cached plan, so repeated calls
 with the same query only pay the per-structure execution cost.  The
 independent baselines the test-suite checks the pipeline against live
@@ -67,35 +68,3 @@ def count_answers(
     if context is None:
         return engine.count(query, structure)
     return execute(engine.compile(query), structure, context)
-
-
-def count_answers_sharded(
-    query: Query,
-    structure: Structure,
-    shard_count: int | None = None,
-    *,
-    engine=None,
-    parallel: bool | None = None,
-    processes: int | None = None,
-) -> int:
-    """Count ``|query(structure)|`` by sharded data-side execution.
-
-    Convenience wrapper over :meth:`repro.engine.Engine.count_sharded`
-    (on the default engine unless ``engine`` is given): the structure is
-    partitioned into component-aligned shards (default: one per CPU),
-    each connected query component is counted per shard -- over the
-    process pool where that pays off -- and the exact count is
-    recombined (shard counts sum, query components multiply, sentence
-    components OR).
-    """
-    from repro.engine.api import default_engine
-
-    if engine is None:
-        engine = default_engine()
-    return engine.count_sharded(
-        query,
-        structure,
-        shard_count=shard_count,
-        parallel=parallel,
-        processes=processes,
-    )

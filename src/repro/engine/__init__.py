@@ -17,11 +17,13 @@ once, cached, and run many times over many structures:
   canonical query form, the only compile cache (contexts live in
   :mod:`repro.engine.resident`'s store);
 * :mod:`repro.engine.executor` -- :func:`execute`, the batch
-  :func:`count_many` with a multiprocessing path, and the sharded
-  :func:`execute_sharded` scale-out path;
+  :func:`count_many` and the sharded :func:`execute_sharded` scale-out
+  path; both fan out only over the :class:`WorkerPool` they are handed
+  and run sequentially without one;
 * :mod:`repro.engine.pool` -- :class:`WorkerPool`, the long-lived
   process pool whose workers keep execution contexts resident across
-  calls, keyed by structure fingerprint;
+  calls, keyed by structure fingerprint; each :class:`Engine` owns
+  exactly one;
 * :mod:`repro.engine.registry` -- :class:`StructureRegistry`, named
   resident structures with pinning and LRU eviction, so requests can
   count against a *reference* instead of shipping data;

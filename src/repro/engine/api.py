@@ -39,14 +39,14 @@ from repro.budget import budget_scope
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
 from repro.engine.cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from repro.engine.executor import count_many as _count_many
-from repro.engine.executor import (
-    default_process_count,
-    execute,
-    execute_sharded,
-)
+from repro.engine.executor import execute, execute_sharded
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
-from repro.engine.pool import WorkerPool, collector_paused
+from repro.engine.pool import (
+    WorkerPool,
+    collector_paused,
+    default_process_count,
+)
 from repro.engine.resident import ResidentContexts
 from repro.engine.registry import (
     DEFAULT_REGISTRY_MAX_BYTES,
@@ -173,8 +173,9 @@ class Engine:
         Safety limit forwarded to the inclusion-exclusion expansion.
     processes:
         Size of the engine's long-lived worker pool (default: one per
-        CPU).  The pool itself starts lazily on the first parallel
-        call and then stays resident for the engine's lifetime.
+        CPU), the only pool its calls fan out over.  The pool itself
+        starts lazily on the first parallel call and then stays
+        resident for the engine's lifetime.
     registry:
         The :class:`~repro.engine.registry.StructureRegistry` holding
         named resident structures; when omitted the engine creates one
@@ -262,6 +263,14 @@ class Engine:
         if policy is None:
             return self.policy
         return ExecutionPolicy.from_request(policy)
+
+    def _pool_for(self, parallel: bool | None, auto: bool) -> WorkerPool | None:
+        """The pool a call fans out over: the engine's own when
+        ``parallel`` is true -- or ``None`` and ``auto`` holds on a
+        multi-CPU host -- else ``None``, the sequential path."""
+        if parallel is None:
+            parallel = auto and default_process_count() > 1
+        return self.pool if parallel else None
 
     def _run_guarded(
         self,
@@ -610,7 +619,6 @@ class Engine:
         shard_count: int | None = None,
         shard_strategy: str = "hash",
         parallel: bool | None = None,
-        processes: int | None = None,
         policy: ExecutionPolicy | str | dict | None = None,
     ) -> int:
         """Count ``|query(structure)|`` by sharded data-side execution.
@@ -619,10 +627,10 @@ class Engine:
         disjoint-universe shards (default: one per CPU; the partition is
         cached on the structure's execution context), every connected
         query component runs against every shard -- over the engine's
-        long-lived worker pool when ``parallel`` allows, whose workers
-        keep per-shard contexts resident across calls -- and the
-        per-shard results are combined exactly.  Returns precisely what
-        :meth:`count` returns.
+        long-lived worker pool when ``parallel`` is true (``None``: when
+        the host has more than one CPU), whose workers keep per-shard
+        contexts resident across calls -- and the per-shard results are
+        combined exactly.  Returns precisely what :meth:`count` returns.
 
         ``structure`` may be a registered structure's *name*: the call
         then ships no data, defaults ``shard_count`` to the
@@ -641,6 +649,7 @@ class Engine:
         if shard_count is not None and shard_count < 1:
             raise ReproError("shard_count must be at least 1")
         resolved = self._resolve_policy(policy)
+        pool = self._pool_for(parallel, auto=True)
         with _trace.span_or_trace("engine.count_sharded") as root:
             entry = None
             if isinstance(structure, str):
@@ -678,9 +687,7 @@ class Engine:
                 return execute_sharded(
                     plan,
                     sharded,
-                    parallel=parallel,
-                    processes=processes,
-                    pool=self.pool,
+                    pool=pool,
                     # Cluster routing needs resident holders; only a
                     # registered ref's shards are placed.
                     cluster=self.cluster if entry is not None else None,
@@ -697,16 +704,17 @@ class Engine:
         structures: Sequence[StructureRef],
         *,
         parallel: bool | None = None,
-        processes: int | None = None,
         policy: ExecutionPolicy | str | dict | None = None,
     ) -> list[list[int]]:
         """Count every query on every structure: ``result[i][j] = |q_i(B_j)|``.
 
         Plans come from (and warm) the engine's plan cache; the parallel
-        path ships the compiled plans to a process pool in
+        path ships the compiled plans to the engine's worker pool in
         structure-major blocks, the sequential path shares the engine's
-        execution contexts.  Any item of ``structures`` may be the name
-        of a registered structure.
+        execution contexts.  ``parallel=None`` takes the pool when the
+        host has more than one CPU and the grid has at least 8 cells,
+        enough to amortize pool start-up.  Any item of ``structures``
+        may be the name of a registered structure.
 
         ``policy`` routes as in :meth:`count`, applied to the whole
         grid: a ``reject`` policy refuses the batch if *any* plan's
@@ -723,17 +731,15 @@ class Engine:
         ):
             structures = [self.resolve_structure(s) for s in structures]
             plans = [self.compile(q) for q in queries]
+            pool = self._pool_for(
+                parallel, auto=len(plans) * len(structures) >= 8
+            )
             return self._run_guarded(
                 resolved,
                 plans,
                 structures,
                 lambda: _count_many(
-                    plans,
-                    structures,
-                    parallel=parallel,
-                    processes=processes,
-                    contexts=self.contexts,
-                    pool=self.pool,
+                    plans, structures, pool=pool, contexts=self.contexts
                 ),
                 batch=True,
             )

@@ -7,26 +7,28 @@ none of the query-side machinery (parsing, cores, tree decompositions,
 inclusion-exclusion) the plan already contains.
 
 :func:`count_many` is the batch API: every query is compiled once and
-executed against every structure.  When ``parallel`` is enabled the
-(plan, structure) grid is fanned out over a
-:class:`~repro.engine.pool.WorkerPool` as structure-major blocks, so
-each worker serves **one** execution context per structure it touches
-(resident across calls when the pool is long-lived) instead of one
-index per grid cell.  Failure handling is two-sided: failing to *set
-up* the pool (no subprocess support, unpicklable jobs) falls back to
+executed against every structure.  :func:`execute_sharded` is the
+scale-out path: it splits the plan along the query's connected
+components (:func:`~repro.engine.plan.component_pp_plans`), runs every
+component against every shard of a component-aligned
+:class:`~repro.structures.sharding.ShardedStructure` partition (all
+components of a shard sharing one context and its boundary-relation
+memo), and combines with
+:func:`~repro.structures.sharding.combine_shard_counts`: shard counts
+sum, query components multiply, sentence components OR.
+
+The only parallelism input of both is the
+:class:`~repro.engine.pool.WorkerPool` they are handed -- an
+:class:`~repro.engine.api.Engine` hands its one long-lived pool, whose
+workers keep contexts resident across calls -- and ``pool=None`` runs
+sequentially.  Neither creates a pool nor partitions a structure.  A
+handed pool fans out when there is more than one job: structure-major
+blocks of plans for the batch grid, one job per non-empty shard for
+the sharded path.  Failure handling is two-sided: failing to *submit*
+to the pool (no subprocess support, unpicklable jobs) falls back to
 the sequential path, while an exception raised *inside* a worker task
 propagates to the caller -- a genuine counting bug is never masked by
 a silent sequential re-run.
-
-:func:`execute_sharded` is the scale-out path: it splits the plan along
-the query's connected components
-(:func:`~repro.engine.plan.component_pp_plans`), runs every component
-against every shard of a component-aligned
-:class:`~repro.structures.sharding.ShardedStructure` partition (one
-pool job per shard, all components of a shard sharing one context and
-its boundary-relation memo), and combines with
-:func:`~repro.structures.sharding.combine_shard_counts`: shard counts
-sum, query components multiply, sentence components OR.
 """
 
 from __future__ import annotations
@@ -47,18 +49,13 @@ from repro.engine.pool import (
     WorkerPool,
     WorkerTaskError,
     count_block_task,
-    default_process_count,
     shard_task,
 )
 from repro.engine.resident import ResidentContexts
 from repro.exceptions import ReproError
 from repro.logic.pp import PPFormula
 from repro.obs import trace as _trace
-from repro.structures.sharding import (
-    ShardedStructure,
-    combine_shard_counts,
-    shard_structure,
-)
+from repro.structures.sharding import ShardedStructure, combine_shard_counts
 from repro.structures.structure import Structure
 
 
@@ -123,43 +120,23 @@ def execute(
     )
 
 
-def _resident_pool(
-    pool: WorkerPool | None, processes: int | None
-) -> WorkerPool | None:
-    """``pool`` (the engine's long-lived one, resident contexts warm
-    across calls) when the call runs on it; ``None`` when there is none
-    or ``processes`` asks for another size, so a throwaway pool runs."""
-    if pool is not None and processes in (None, pool.processes):
-        return pool
-    return None
-
-
 def _map_jobs(
-    task,
-    jobs,
-    structures: Sequence[Structure],
-    processes: int | None,
-    resident: WorkerPool | None,
+    pool: WorkerPool, task, jobs, structures: Sequence[Structure]
 ) -> tuple[list, int]:
-    """Run ``jobs`` through the ``resident`` pool, or a throwaway one
-    sized to the job list and torn down afterwards.
+    """``pool.map`` with the by-value re-run.
 
-    ``jobs[i][1]`` is ``structures[i]`` or, on the resident pool only,
-    its :meth:`~repro.engine.pool.WorkerPool.job_key`; a job whose
-    worker does not hold the named context is re-run carrying the
-    structure.  Returns the values and how many jobs were re-run.
+    ``jobs[i][1]`` is the :meth:`~repro.engine.pool.WorkerPool.job_key`
+    of ``structures[i]``; a job whose worker does not hold the named
+    context is re-run carrying the structure.  Returns the values and
+    how many jobs were re-run.
     """
-    if resident is None:
-        workers = max(1, min(processes or default_process_count(), len(jobs)))
-        with WorkerPool(processes=workers) as transient:
-            return transient.map(task, jobs), 0
     resent: list[int] = []
 
     def by_value(index: int) -> tuple:
         resent.append(index)
         return jobs[index][:1] + (structures[index],) + jobs[index][2:]
 
-    return resident.map(task, jobs, by_value), len(resent)
+    return pool.map(task, jobs, by_value), len(resent)
 
 
 # ----------------------------------------------------------------------
@@ -168,38 +145,29 @@ def _map_jobs(
 def count_many(
     queries: Sequence[Query | CountingPlan],
     structures: Sequence[Structure],
-    parallel: bool | None = None,
-    processes: int | None = None,
-    contexts: ResidentContexts | None = None,
+    *,
     pool: WorkerPool | None = None,
+    contexts: ResidentContexts | None = None,
 ) -> list[list[int]]:
     """Count every query on every structure: ``result[i][j] = |q_i(B_j)|``.
 
     Queries are compiled once each (items that are already
-    :class:`CountingPlan` objects are used as-is).  ``parallel=None``
-    (the default) picks the parallel path when the machine has more than
-    one CPU and the grid is large enough to amortize pool start-up;
-    ``parallel=True`` forces it, ``parallel=False`` forces the
-    sequential path.  Both paths share one execution context per
-    distinct structure (from ``contexts``, the engine's store, on the
-    sequential path; per worker on the parallel one): the jobs
-    shipped to the pool are structure-major blocks of plans, not
-    individual grid cells, so a structure's positional index is built
-    once per block instead of once per cell.  Passing the engine's
-    long-lived ``pool`` additionally keeps those contexts resident
-    *across* calls, keyed by structure fingerprint.
+    :class:`CountingPlan` objects are used as-is).  With a ``pool`` and
+    more than one cell the grid fans out over it; otherwise it runs
+    sequentially.  Both paths share one execution context per distinct
+    structure (from ``contexts``, the engine's store, on the sequential
+    path; per worker, resident across calls and keyed by fingerprint,
+    on the pool): the jobs shipped to the pool are structure-major
+    blocks of plans, not individual grid cells, so a structure's
+    positional index is built once per block instead of once per cell.
     """
     plans = [
         q if isinstance(q, CountingPlan) else compile_plan(q)
         for q in queries
     ]
-    cells = len(plans) * len(structures)
-    if parallel is None:
-        parallel = default_process_count() > 1 and cells >= 8
-
-    if parallel and cells > 1:
+    if pool is not None and len(plans) * len(structures) > 1:
         try:
-            return _count_many_parallel(plans, structures, processes, pool)
+            return _count_many_parallel(plans, structures, pool)
         except WorkerTaskError as failure:
             # A counting error inside a worker is a real error of this
             # grid; surface the original exception to the caller rather
@@ -232,16 +200,9 @@ def _count_many_sequential(
 def _count_many_parallel(
     plans: Sequence[CountingPlan],
     structures: Sequence[Structure],
-    processes: int | None,
-    pool: WorkerPool | None,
+    pool: WorkerPool,
 ) -> list[list[int]]:
-    if processes is not None:
-        workers = processes
-    elif pool is not None:
-        workers = pool.processes
-    else:
-        workers = default_process_count()
-    workers = max(1, min(workers, len(plans) * len(structures)))
+    workers = max(1, min(pool.processes, len(plans) * len(structures)))
     # Structure-major blocks: when there are fewer structures than
     # workers, each structure's plan list is split into several blocks
     # so the pool still saturates; otherwise one block per structure
@@ -253,7 +214,6 @@ def _count_many_parallel(
     # The ambient budget ships by value with every job (pickling sends
     # the *remaining* allowance) so exhaustion aborts inside the worker.
     budget = current_budget()
-    resident = _resident_pool(pool, processes)
     jobs: list[tuple] = []
     meta: list[tuple[int, int]] = []  # (structure index, first plan index)
     for j, structure in enumerate(structures):
@@ -262,15 +222,10 @@ def _count_many_parallel(
             # A pinned structure is named by its fingerprint (an
             # unpinned one ships with the fingerprint cached, so the
             # workers key their caches without rehashing).
-            key = structure if resident is None else resident.job_key(structure)
-            jobs.append((block, key, budget))
+            jobs.append((block, pool.job_key(structure), budget))
             meta.append((j, start))
     block_results, _ = _map_jobs(
-        count_block_task,
-        jobs,
-        [structures[j] for j, _ in meta],
-        processes,
-        resident,
+        pool, count_block_task, jobs, [structures[j] for j, _ in meta]
     )
     out: list[list[int]] = [[0] * len(structures) for _ in plans]
     for (j, start), counts in zip(meta, block_results):
@@ -378,7 +333,8 @@ def _sentence_pieces(sentence: PPFormula) -> list[Structure]:
 
 
 def _run_shards_sequential(
-    jobs: Sequence[tuple[tuple[_ShardUnit, ...], Structure]],
+    units: tuple[_ShardUnit, ...],
+    shards: Sequence[Structure],
     contexts: ResidentContexts | None,
 ) -> list[list]:
     """The sequential shard path, with the same spans the pool emits:
@@ -392,11 +348,38 @@ def _run_shards_sequential(
     if contexts is None:
         contexts = ResidentContexts()
     out: list[list] = []
-    for index, (units, shard) in enumerate(jobs):
+    for index, shard in enumerate(shards):
         with _trace.span(f"shard.execute[{index}]", units=len(units)):
             context, _ = contexts.lookup(shard, keep=False)
             out.append(context.run_units(units))
     return out
+
+
+def _run_shards_pool(
+    program: _ShardedProgram,
+    shards: Sequence[Structure],
+    pool: WorkerPool,
+) -> list[list]:
+    """One job per shard on ``pool``.
+
+    A shard every worker holds pinned is named by its fingerprint; any
+    other ships by value (fingerprint cached inside the pickle, so the
+    workers need not re-derive it).  The ambient budget (remaining
+    allowance) ships inside each job, so a budget- or deadline-exceeded
+    shard aborts in its worker.
+    """
+    keys = [pool.job_key(shard) for shard in shards]
+    budget = current_budget()
+    jobs = [(program.units, key, budget) for key in keys]
+    with _trace.span(
+        "shard.fanout",
+        shards=len(jobs),
+        units=len(program.units),
+        by_ref=sum(key is not shard for key, shard in zip(keys, shards)),
+    ) as fanout:
+        values_by_shard, resent = _map_jobs(pool, shard_task, jobs, shards)
+        fanout.set("resent", resent)
+    return values_by_shard
 
 
 def _run_shards_cluster(
@@ -449,27 +432,21 @@ def _combine_term(
 
 def execute_sharded(
     plan: CountingPlan,
-    sharded: ShardedStructure | Structure,
-    shard_count: int | None = None,
-    parallel: bool | None = None,
-    processes: int | None = None,
+    sharded: ShardedStructure,
+    *,
     pool: WorkerPool | None = None,
     cluster=None,
     contexts: ResidentContexts | None = None,
 ) -> int:
     """Count the answers of a compiled plan via sharded execution.
 
-    ``sharded`` is either a prebuilt
-    :class:`~repro.structures.sharding.ShardedStructure` or a plain
-    structure, which is then partitioned into ``shard_count`` shards
-    (default: the machine's process count; ``shard_count`` below one is
-    an error, never a silent fallback).  Returns exactly the count
-    :func:`execute` returns on the whole structure; the work is one job
-    per non-empty shard, fanned over the worker pool when ``parallel``
-    allows, with all units of a shard sharing one execution context
-    (index + boundary-relation memo) -- resident across calls when the
-    engine's long-lived ``pool`` is passed, and on the sequential path
-    when a shard is placed in the engine's ``contexts`` store.
+    Returns exactly the count :func:`execute` returns on the structure
+    ``sharded`` partitions.  The work is one job per non-empty shard,
+    all units of a shard sharing one execution context (index +
+    boundary-relation memo): fanned over ``pool`` when there is more
+    than one job, resident in its workers across calls; otherwise run
+    sequentially, on the shard's context when it is placed in
+    ``contexts`` (the engine's store).
 
     ``cluster`` (a :class:`~repro.cluster.coordinator.
     ClusterCoordinator`) is tried first when given: each shard's units
@@ -479,20 +456,10 @@ def execute_sharded(
     below and the count is recomputed exactly; only a genuine task
     exception propagates.
     """
-    if isinstance(sharded, Structure):
-        if shard_count is not None and shard_count < 1:
-            raise ReproError("shard_count must be at least 1")
-        sharded = shard_structure(
-            sharded,
-            default_process_count() if shard_count is None else shard_count,
-        )
     program = _lower_plan(plan)
     shards = sharded.non_empty_shards()
     values_by_shard: list[list] | None = None
-    if parallel is None:
-        parallel = default_process_count() > 1 and len(shards) > 1
-    jobs = [(program.units, shard) for shard in shards]
-    if cluster is not None and jobs and program.units:
+    if cluster is not None and shards and program.units:
         from repro.cluster.coordinator import ClusterUnavailable
 
         try:
@@ -500,44 +467,25 @@ def execute_sharded(
         except ClusterUnavailable:
             # The cluster cannot take the work right now; recompute on
             # the local paths below -- exactness over placement.
-            values_by_shard = None
+            pass
         except WorkerTaskError as failure:
             raise failure.original from failure
-    if values_by_shard is not None:
-        pass
-    elif parallel and len(jobs) > 1 and program.units:
-        resident = _resident_pool(pool, processes)
-        # A shard every worker holds pinned is named by its
-        # fingerprint; any other ships by value (fingerprint cached
-        # inside the pickle, so the workers need not re-derive it).
-        keys = (
-            shards
-            if resident is None
-            else [resident.job_key(shard) for shard in shards]
-        )
-        # Ship the ambient budget (remaining allowance) inside each job
-        # so a budget- or deadline-exceeded shard aborts in its worker.
-        budget = current_budget()
-        pool_jobs = [(program.units, key, budget) for key in keys]
+    if (
+        values_by_shard is None
+        and pool is not None
+        and len(shards) > 1
+        and program.units
+    ):
         try:
-            with _trace.span(
-                "shard.fanout",
-                shards=len(jobs),
-                units=len(program.units),
-                by_ref=sum(
-                    key is not shard for key, shard in zip(keys, shards)
-                ),
-            ) as fanout:
-                values_by_shard, resent = _map_jobs(
-                    shard_task, pool_jobs, shards, processes, resident
-                )
-                fanout.set("resent", resent)
+            values_by_shard = _run_shards_pool(program, shards, pool)
         except WorkerTaskError as failure:
             raise failure.original from failure
         except _pool_fallback_errors():
-            values_by_shard = _run_shards_sequential(jobs, contexts)
-    else:
-        values_by_shard = _run_shards_sequential(jobs, contexts)
+            pass  # the jobs never reached a worker: run them here
+    if values_by_shard is None:
+        values_by_shard = _run_shards_sequential(
+            program.units, shards, contexts
+        )
 
     with _trace.span(
         "combine", shards=len(shards), terms=len(program.terms)

@@ -300,6 +300,15 @@ def _optional_int(payload: Mapping, field: str) -> int | None:
     return value
 
 
+def _optional_bool(payload: Mapping, field: str) -> bool | None:
+    """An optional boolean field (``"false"``, ``0`` or ``[]`` are not
+    booleans: a truthiness test would read ``"false"`` as true)."""
+    value = payload.get(field)
+    if value is None or isinstance(value, bool):
+        return value
+    raise BadRequest(f"{field} must be a boolean")
+
+
 # ----------------------------------------------------------------------
 # The server
 # ----------------------------------------------------------------------
@@ -781,7 +790,7 @@ class CountingServer:
         counts = await self.service.count_many(
             [_query_from_json(q) for q in queries],
             [structure_or_ref_from_json(s) for s in structures],
-            parallel=payload.get("parallel"),
+            parallel=_optional_bool(payload, "parallel"),
             policy=_policy_from_json(payload),
         )
         return {"counts": counts}
@@ -793,7 +802,7 @@ class CountingServer:
             structure_or_ref_from_json(_require(payload, "structure")),
             shard_count=shard_count,
             shard_strategy=str(payload.get("shard_strategy", "hash")),
-            parallel=payload.get("parallel"),
+            parallel=_optional_bool(payload, "parallel"),
             policy=_policy_from_json(payload),
         )
         return {"count": count}
@@ -810,12 +819,13 @@ class CountingServer:
         except ReproError as exc:
             raise BadRequest(str(exc)) from exc
         structure = structure_from_json(_require(payload, "structure"))
-        pin = payload.get("pin", True)
-        if not isinstance(pin, bool):
-            raise BadRequest("pin must be a boolean")
+        pin = _optional_bool(payload, "pin")
         shard_count = _optional_int(payload, "shard_count")
         return await self.service.register_structure(
-            name, structure, pin=pin, shard_count=shard_count
+            name,
+            structure,
+            pin=True if pin is None else pin,
+            shard_count=shard_count,
         )
 
     async def _route_apply_delta(self, payload: Mapping, name: str) -> dict:

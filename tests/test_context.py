@@ -161,9 +161,7 @@ def test_count_many_builds_one_index_per_distinct_structure(backend, monkeypatch
         "exists z w. (E(x, z) & E(z, w) & E(w, x))",
         "E(x, y)",
     ]
-    grid = count_many(
-        [compile_plan(q) for q in queries], structures, parallel=False
-    )
+    grid = count_many([compile_plan(q) for q in queries], structures)
     assert len(builds) == 2
     assert {e.decode_rows(e.relation_rows("E")) for e in builds} == {
         first.relation("E"),

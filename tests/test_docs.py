@@ -59,6 +59,27 @@ def test_checker_detects_missing_and_stale_knobs(tmp_path):
     assert not any("'processes'" in p for p in problems)
 
 
+def test_operations_call_args_table_matches_engine_methods():
+    problems = check_docs_freshness.check_call_args()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_missing_and_stale_call_args(tmp_path):
+    stale = tmp_path / "operations.md"
+    stale.write_text(
+        "## Per-call arguments\n\n| Argument | Taken by |\n|---|---|\n"
+        "| `policy` | `count_sharded`, `count_many` |\n"
+        "| `parallel` | `count_sharded`, `count_many` |\n"
+        "| `shard_count` / `shard_strategy` | `count_sharded` |\n"
+        "| `processes` | `count_sharded`, `count_many` |\n"
+    )
+    problems = check_docs_freshness.check_call_args(stale)
+    assert any("'count_sharded.processes'" in p for p in problems)  # stale
+    assert any("'count_many.processes'" in p for p in problems)  # stale
+    assert any("'count.policy'" in p for p in problems)  # undocumented
+    assert len(problems) == 3, problems
+
+
 def test_operations_stats_glossary_matches_engine_stats():
     problems = check_docs_freshness.check_stats()
     assert not problems, "\n".join(problems)

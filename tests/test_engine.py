@@ -15,6 +15,7 @@ from repro.core.counting import count_answers
 from repro.engine import (
     Engine,
     UnknownStructureError,
+    WorkerPool,
     compile_plan,
     count_many,
     execute,
@@ -90,8 +91,10 @@ def test_count_many_matches_scalar_counts():
 def test_count_many_parallel_matches_sequential():
     queries = ["E(x, y)", "exists z. (E(x, z) & E(z, y))"]
     structures = [random_graph(5, 0.4, seed=s) for s in range(3)]
-    sequential = count_many(queries, structures, parallel=False)
-    parallel = count_many(queries, structures, parallel=True)
+    sequential = count_many(queries, structures)
+    with WorkerPool(processes=2) as pool:
+        parallel = count_many(queries, structures, pool=pool)
+        assert pool.started
     assert sequential == parallel
 
 

@@ -16,7 +16,6 @@ import threading
 import pytest
 
 from repro.algorithms.brute_force import count_answers_naive
-from repro.core.counting import count_answers_sharded
 from repro.engine.api import (
     Engine,
     default_engine,
@@ -147,7 +146,9 @@ def test_swapping_default_engine_leaves_no_children():
     set_default_engine(first)
     try:
         # Start the first engine's pool for real (two shard jobs).
-        count_answers_sharded(PATH_QUERY, graph, shard_count=2, parallel=True)
+        default_engine().count_sharded(
+            PATH_QUERY, graph, shard_count=2, parallel=True
+        )
         assert first.pool.started
 
         second = Engine(processes=2)

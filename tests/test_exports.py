@@ -27,6 +27,14 @@ def test_the_deleted_counting_entry_points_are_gone():
         assert name not in repro.core.__all__
 
 
+@pytest.mark.parametrize("module", ["repro", "repro.core", "repro.core.counting"])
+def test_the_sharded_pass_through_is_gone(module):
+    # ``Engine.count_sharded`` is the one sharded entry point.
+    module = importlib.import_module(module)
+    assert not hasattr(module, "count_answers_sharded")
+    assert "count_answers_sharded" not in getattr(module, "__all__", ())
+
+
 def test_the_deleted_plan_store_names_are_gone():
     import repro.engine
 

@@ -3,9 +3,9 @@
 The long-lived :class:`~repro.engine.pool.WorkerPool` must (a) keep
 execution contexts resident across calls, keyed by structure
 fingerprint, (b) propagate exceptions raised inside workers to the
-caller (never mask them with a silent sequential re-run), and (c) leave
+caller (never mask them with a silent sequential re-run), (c) leave
 the sequential fallback in place for genuine pool-*setup* failures such
-as unpicklable jobs.
+as unpicklable jobs, and (d) be the only pool an engine ever creates.
 """
 
 import pytest
@@ -160,29 +160,71 @@ def test_repeated_parallel_count_many_hits_worker_contexts():
         assert engine.stats().as_dict()["worker_context_hits"] > 0
 
 
-def test_explicit_processes_overrides_the_resident_pool():
-    # A per-call processes= override must be honored (it runs a
-    # throwaway pool of that size), not silently ignored in favor of
-    # the engine's resident pool.
+def test_a_per_call_pool_size_is_a_type_error():
+    # The pool size is the engine's deployment setting, not a per-call
+    # one: there is no second pool a call could ask for.
     structure = random_cluster_graph(4, 4, 0.5, seed=6)
     query = path_query(2, quantify_interior=True)
     with Engine(processes=2) as engine:
-        expected = engine.count(query, structure)
-        overridden = engine.count_sharded(
-            query, structure, shard_count=4, parallel=True, processes=1
+        with pytest.raises(TypeError, match="processes"):
+            engine.count_sharded(
+                query, structure, shard_count=4, parallel=True, processes=1
+            )
+        with pytest.raises(TypeError, match="processes"):
+            engine.count_many([query], [structure], parallel=True, processes=1)
+        assert not engine.pool.started
+
+
+def test_every_parallel_call_runs_on_the_engines_one_pool(monkeypatch):
+    import multiprocessing
+
+    pools: list = []  # every WorkerPool constructed, in order
+    original = WorkerPool.__init__
+
+    def recording(self, *args, **kwargs):
+        pools.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "__init__", recording)
+    children_before = set(multiprocessing.active_children())
+    graph = random_cluster_graph(4, 4, 0.5, seed=6)
+    query = path_query(2, quantify_interior=True)
+    with Engine(processes=2) as engine:
+        engine.register_structure("pinned", graph, shard_count=4)
+        engine.register_structure(
+            "unpinned",
+            random_cluster_graph(4, 4, 0.5, seed=7),
+            pin=False,
+            shard_count=4,
         )
-        assert overridden == expected
-        assert not engine.pool.started  # the override bypassed it
+        ad_hoc = random_cluster_graph(5, 4, 0.5, seed=8)
+        for ref in ("pinned", "unpinned", ad_hoc):
+            expected = execute(
+                compile_plan(query), engine.resolve_structure(ref)
+            )
+            assert (
+                engine.count_sharded(query, ref, shard_count=4, parallel=True)
+                == expected
+            )
+            assert engine.count_many(
+                [query, "E(x, y)"], [ref, graph], parallel=True
+            )[0] == [expected, execute(compile_plan(query), graph)]
+        assert engine.pool.started
+        assert pools == [engine.pool]
+    assert pools == [engine.pool]
+    assert not set(multiprocessing.active_children()) - children_before
 
 
-def test_transient_pools_still_agree_with_sequential():
+def test_an_explicit_pool_agrees_with_sequential():
     structure = random_cluster_graph(5, 4, 0.4, seed=8)
     query = path_query(2, quantify_interior=True)
     plan = compile_plan(query)
     sharded = shard_structure(structure, 5)
-    assert execute_sharded(plan, sharded, parallel=True) == execute_sharded(
-        plan, sharded, parallel=False
-    )
+    with WorkerPool(processes=2) as pool:
+        assert execute_sharded(plan, sharded, pool=pool) == execute_sharded(
+            plan, sharded
+        )
+        assert pool.started
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +244,10 @@ def test_worker_value_error_propagates_from_count_many(monkeypatch):
 
     monkeypatch.setattr(executor_module, "execute", explode)
     structures = [random_graph(4, 0.5, seed=s) for s in range(3)]
-    with pytest.raises(ValueError, match="boom inside worker"):
-        count_many(["E(x, y)"], structures, parallel=True)
+    with WorkerPool(processes=2) as pool:
+        with pytest.raises(ValueError, match="boom inside worker"):
+            count_many(["E(x, y)"], structures, pool=pool)
+        assert pool.started  # raised by a worker, not the parent
 
 
 def test_worker_error_propagates_from_execute_sharded(monkeypatch):
@@ -215,8 +259,10 @@ def test_worker_error_propagates_from_execute_sharded(monkeypatch):
     monkeypatch.setattr(fpt_module, "execute_pp_plan", explode)
     structure = random_cluster_graph(4, 3, 0.6, seed=2)
     plan = compile_plan(path_query(2, quantify_interior=True))
-    with pytest.raises(ValueError, match="shard worker boom"):
-        execute_sharded(plan, shard_structure(structure, 4), parallel=True)
+    with WorkerPool(processes=2) as pool:
+        with pytest.raises(ValueError, match="shard worker boom"):
+            execute_sharded(plan, shard_structure(structure, 4), pool=pool)
+        assert pool.started
 
 
 def test_worker_task_error_carries_original():
@@ -237,9 +283,10 @@ def _unpicklable_structure() -> Structure:
 
 def test_unpicklable_structure_falls_back_to_sequential():
     bad = _unpicklable_structure()
-    grid = count_many(
-        ["E(x, y)", "exists z. (E(x, z) & E(z, y))"], [bad], parallel=True
-    )
+    with WorkerPool(processes=2) as pool:
+        grid = count_many(
+            ["E(x, y)", "exists z. (E(x, z) & E(z, y))"], [bad], pool=pool
+        )
     assert grid == [[2], [0]]
 
 
@@ -248,9 +295,10 @@ def test_unpicklable_shards_fall_back_to_sequential():
     plan = compile_plan("E(x, y)")
     sharded = shard_structure(bad, 2, strategy="balanced")
     assert len(sharded.non_empty_shards()) == 2
-    # Force the parallel path; submission fails to pickle the shard
-    # jobs and the sequential fallback must still produce the count.
-    assert execute_sharded(plan, sharded, parallel=True) == execute(plan, bad)
+    # Hand over a pool; submission fails to pickle the shard jobs and
+    # the sequential fallback must still produce the count.
+    with WorkerPool(processes=2) as pool:
+        assert execute_sharded(plan, sharded, pool=pool) == execute(plan, bad)
 
 
 # ----------------------------------------------------------------------

@@ -248,7 +248,7 @@ class PoolTransport:
         self.apply_delta = self.pool.apply_delta
 
     def count(self, plan, sharded) -> int:
-        return execute_sharded(plan, sharded, parallel=True, pool=self.pool)
+        return execute_sharded(plan, sharded, pool=self.pool)
 
     def lookups(self) -> tuple[int, int]:
         return self.pool.stats_snapshot()
@@ -279,9 +279,7 @@ class ClusterTransport:
 
     def count(self, plan, sharded) -> int:
         # A cluster that cannot route degrades to the sequential path.
-        return execute_sharded(
-            plan, sharded, parallel=False, cluster=self.coordinator
-        )
+        return execute_sharded(plan, sharded, cluster=self.coordinator)
 
     def lookups(self) -> tuple[int, int]:
         stats = self.coordinator.stats_snapshot()
@@ -514,7 +512,7 @@ def test_jobs_for_a_pinned_ref_do_not_grow_with_the_data(shipped):
     assert job_bytes[1] <= job_bytes[0] + 8 * 10
 
 
-@pytest.mark.parametrize("cell", ["unpinned ref", "ad-hoc", "processes="])
+@pytest.mark.parametrize("cell", ["unpinned ref", "ad-hoc"])
 def test_everything_not_pinned_in_the_pool_it_runs_on_ships_by_value(
     shipped, cell
 ):
@@ -532,12 +530,26 @@ def test_everything_not_pinned_in_the_pool_it_runs_on_ships_by_value(
             graph if cell == "ad-hoc" else "net",
             shard_count=10,
             parallel=True,
-            processes=1 if cell == "processes=" else None,
         )
     assert count == count_answers_naive(as_ep(MUTUAL), graph)
     (jobs,) = shipped
     assert len(jobs) == 10
     assert all(_holds_a_structure(job) for job in jobs)
+
+
+@pytest.mark.parametrize("method", ["count_sharded", "count_many"])
+def test_no_call_can_ask_for_a_pool_other_than_the_engines(shipped, method):
+    # A pool of another size would hold no pinned context, so every
+    # job on it would ship its shard by value: no call may ask for one.
+    with Engine(processes=2) as engine:
+        engine.register_structure("net", _clusters(12), shard_count=10)
+        count = getattr(engine, method)
+        query = MUTUAL if method == "count_sharded" else [MUTUAL]
+        ref = "net" if method == "count_sharded" else ["net"]
+        with pytest.raises(TypeError, match="processes"):
+            count(query, ref, parallel=True, processes=1)
+        assert not engine.pool.started
+    assert not shipped
 
 
 class _Records(logging.Handler):

@@ -304,6 +304,37 @@ def test_http_server_end_to_end():
     assert not lingering
 
 
+@pytest.mark.parametrize("value", ["false", 1, []], ids=["string", "int", "list"])
+@pytest.mark.parametrize("path", ["/count_many", "/count_sharded"])
+def test_http_parallel_must_be_a_boolean(path, value):
+    # ``"false"`` is truthy: passed through unchecked, it would fork the
+    # worker pool the client asked not to use.
+    edges = {"relations": {"E": [[i, i + 1] for i in range(0, 40, 2)]}}
+    payload = (
+        {"queries": [PATH_QUERY, "E(x, y)"], "structures": [edges]}
+        if path == "/count_many"
+        else {"query": PATH_QUERY, "structure": edges, "shard_count": 4}
+    )
+    engine = Engine(processes=2)
+    server = CountingServer(
+        service=CountingService(engine=engine, owns_engine=True), port=0
+    )
+    with BackgroundServer(server) as background:
+        host, port = background.server.address
+        base = f"http://{host}:{port}"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, path, {**payload, "parallel": value})
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value) == {
+            "error": "parallel must be a boolean"
+        }
+        assert not engine.pool.started
+        _post(base, path, {**payload, "parallel": False})
+        assert not engine.pool.started
+        _post(base, path, {**payload, "parallel": True})
+        assert engine.pool.started
+
+
 def test_http_server_saturation_returns_429():
     config = ServiceConfig(max_in_flight=1, max_queue=0, request_timeout_seconds=10)
     server = CountingServer(

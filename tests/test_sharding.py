@@ -10,7 +10,13 @@ components, and a ``10^4``-tuple generated structure.
 
 import pytest
 
-from repro.engine import Engine, compile_plan, execute, execute_sharded
+from repro.engine import (
+    Engine,
+    WorkerPool,
+    compile_plan,
+    execute,
+    execute_sharded,
+)
 from repro.exceptions import StructureError
 from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.sharding import (
@@ -105,9 +111,7 @@ def scenario_cases():
 def test_scenarios_sharded_agreement(query, structure, shard_count):
     plan = compile_plan(query)
     whole = execute(plan, structure)
-    sharded = execute_sharded(
-        plan, shard_structure(structure, shard_count), parallel=False
-    )
+    sharded = execute_sharded(plan, shard_structure(structure, shard_count))
     assert sharded == whole
 
 
@@ -124,9 +128,7 @@ def test_random_queries_on_clustered_data_agree(seed, shard_count):
     for query in queries:
         plan = compile_plan(query)
         whole = execute(plan, structure)
-        sharded = execute_sharded(
-            plan, shard_structure(structure, shard_count), parallel=False
-        )
+        sharded = execute_sharded(plan, shard_structure(structure, shard_count))
         assert sharded == whole, f"query {query}"
 
 
@@ -139,9 +141,7 @@ def test_sentence_disjuncts_sharded_agreement(shard_count):
     for seed, p in ((0, 0.05), (1, 0.3), (2, 0.0)):
         structure = random_cluster_graph(3, 4, p, seed=seed)
         whole = execute(plan, structure)
-        sharded = execute_sharded(
-            plan, shard_structure(structure, shard_count), parallel=False
-        )
+        sharded = execute_sharded(plan, shard_structure(structure, shard_count))
         assert sharded == whole
 
 
@@ -160,9 +160,7 @@ def test_pp_sentence_component_sharded_agreement(shard_count):
     some_edges = random_cluster_graph(3, 3, 0.4, seed=1)
     for structure in (empty_edges, some_edges):
         whole = execute(plan, structure)
-        sharded = execute_sharded(
-            plan, shard_structure(structure, shard_count), parallel=False
-        )
+        sharded = execute_sharded(plan, shard_structure(structure, shard_count))
         assert sharded == whole
 
 
@@ -174,9 +172,7 @@ def test_ten_thousand_tuple_generator_agreement(shard_count):
     query = star_query(2, quantify_leaves=True)
     plan = compile_plan(query)
     whole = execute(plan, structure)
-    sharded = execute_sharded(
-        plan, shard_structure(structure, shard_count), parallel=False
-    )
+    sharded = execute_sharded(plan, shard_structure(structure, shard_count))
     assert sharded == whole
 
 
@@ -199,9 +195,7 @@ def test_sharded_empty_structure_has_zero_nonempty_shards():
         example_5_21_query(),  # sentence disjuncts
     ):
         plan = compile_plan(query)
-        assert execute_sharded(plan, sharded, parallel=False) == execute(
-            plan, empty
-        )
+        assert execute_sharded(plan, sharded) == execute(plan, empty)
 
 
 def test_sharded_all_components_in_one_shard():
@@ -210,31 +204,33 @@ def test_sharded_all_components_in_one_shard():
     structure = random_cluster_graph(1, 6, 0.8, seed=4)
     sharded = shard_structure(structure, 5)
     assert len(sharded.non_empty_shards()) == 1
-    for query in (
-        path_query(2, quantify_interior=True),
-        union_of_paths_query([1, 2]),
-        example_5_21_query(),
-    ):
-        plan = compile_plan(query)
-        assert execute_sharded(plan, sharded, parallel=False) == execute(
-            plan, structure
-        )
-        # The parallel path degenerates to the sequential one (a single
-        # job never fans out) and must agree too.
-        assert execute_sharded(plan, sharded, parallel=True) == execute(
-            plan, structure
-        )
+    with WorkerPool(processes=2) as pool:
+        for query in (
+            path_query(2, quantify_interior=True),
+            union_of_paths_query([1, 2]),
+            example_5_21_query(),
+        ):
+            plan = compile_plan(query)
+            assert execute_sharded(plan, sharded) == execute(plan, structure)
+            # The parallel path degenerates to the sequential one (a
+            # single job never fans out) and must agree too.
+            assert execute_sharded(plan, sharded, pool=pool) == execute(
+                plan, structure
+            )
+        assert not pool.started
 
 
 def test_parallel_sharded_matches_sequential():
     structure = random_cluster_graph(6, 5, 0.4, seed=3)
     queries = [path_query(2, quantify_interior=True), union_of_paths_query([1, 2])]
-    for query in queries:
-        plan = compile_plan(query)
-        sharded = shard_structure(structure, 4)
-        sequential = execute_sharded(plan, sharded, parallel=False)
-        parallel = execute_sharded(plan, sharded, parallel=True, processes=2)
-        assert sequential == parallel == execute(plan, structure)
+    with WorkerPool(processes=2) as pool:
+        for query in queries:
+            plan = compile_plan(query)
+            sharded = shard_structure(structure, 4)
+            sequential = execute_sharded(plan, sharded)
+            parallel = execute_sharded(plan, sharded, pool=pool)
+            assert sequential == parallel == execute(plan, structure)
+        assert pool.started
 
 
 def test_engine_count_sharded_matches_count():
@@ -256,8 +252,9 @@ def test_count_sharded_rejects_zero_shard_count():
     for bad in (0, -2):
         with pytest.raises(ReproError):
             engine.count_sharded(query, structure, shard_count=bad)
-        with pytest.raises(ReproError):
-            execute_sharded(compile_plan(query), structure, shard_count=bad)
+    # The executor partitions nothing: the shard count is the engine's.
+    with pytest.raises(TypeError):
+        execute_sharded(compile_plan(query), structure, shard_count=2)
     # shard_count=None still means "the CPU default", not an error.
     assert engine.count_sharded(query, structure, parallel=False) == engine.count(
         query, structure

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Five checks, each asserting set equality in *both* directions:
+Six checks, each asserting set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -15,12 +15,16 @@ Five checks, each asserting set equality in *both* directions:
 - the "Engine tuning knobs" table of ``docs/operations.md`` vs. the
   parameters of ``repro.engine.Engine.__init__`` (each knob named in
   backticks in its row's first cell);
+- the "Per-call arguments" table of ``docs/operations.md`` vs. the
+  keyword-only parameters of ``Engine.count`` / ``count_sharded`` /
+  ``count_many`` (the argument in backticks in a row's first cell, the
+  methods taking it in backticks in its second);
 - the "Stats glossary" table of ``docs/operations.md`` vs. the keys of
-  ``repro.engine.EngineStats().as_dict()`` (the same row form).
+  ``repro.engine.EngineStats().as_dict()`` (the knob table's row form).
 
-A route, metric, frame type, engine option or stats field added to the
-code without documentation, or documentation for one the code no
-longer has, fails CI.
+A route, metric, frame type, engine option, per-call argument or stats
+field added to the code without documentation, or documentation for
+one the code no longer has, fails CI.
 
 Usage (repo root)::
 
@@ -57,6 +61,12 @@ _FRAME_HEADING = re.compile(r"^#{2,4}\s+`([a-z_]+)`\s*$", re.MULTILINE)
 
 #: The heading of the operations guide's engine-option table.
 _KNOB_SECTION = "## Engine tuning knobs"
+
+#: The heading of the operations guide's per-call argument table.
+_CALL_SECTION = "## Per-call arguments"
+
+#: The ``Engine`` methods whose keyword-only arguments that table lists.
+_CALL_METHODS = ("count", "count_sharded", "count_many")
 
 #: The heading of the operations guide's ``EngineStats`` table.
 _STATS_SECTION = "## Stats glossary"
@@ -186,17 +196,36 @@ def check_cluster(doc_path: Path = CLUSTER_DOC_PATH) -> list[str]:
     return problems
 
 
+def _table_rows(text: str, section: str) -> list[list[str]]:
+    """The cells of every row of the table under the ``section``
+    heading (up to the next heading)."""
+    if section not in text:
+        return []
+    body = text.split(section, 1)[1].split("\n#", 1)[0]
+    return [
+        line.split("|")[1:] for line in body.splitlines() if line.startswith("|")
+    ]
+
+
 def documented_names(text: str, section: str) -> set[str]:
     """The names in the first cell of every row of the table under
     the ``section`` heading."""
-    if section not in text:
-        return set()
-    body = text.split(section, 1)[1].split("\n#", 1)[0]
     return {
         name
-        for line in body.splitlines()
-        if line.startswith("|")
-        for name in _CELL_NAME.findall(line.split("|")[1])
+        for cells in _table_rows(text, section)
+        for name in _CELL_NAME.findall(cells[0])
+    }
+
+
+def documented_call_args(text: str, section: str) -> set[str]:
+    """``method.argument`` for every argument in a row's first cell and
+    every method in its second."""
+    return {
+        f"{method}.{argument}"
+        for cells in _table_rows(text, section)
+        if len(cells) > 1
+        for argument in _CELL_NAME.findall(cells[0])
+        for method in _CELL_NAME.findall(cells[1])
     }
 
 
@@ -207,6 +236,21 @@ def engine_knobs() -> set[str]:
     return set(inspect.signature(Engine.__init__).parameters) - {"self"}
 
 
+def engine_call_args() -> set[str]:
+    """``method.argument`` for every keyword-only parameter of the
+    engine's counting methods."""
+    from repro.engine import Engine
+
+    return {
+        f"{method}.{name}"
+        for method in _CALL_METHODS
+        for name, parameter in inspect.signature(
+            getattr(Engine, method)
+        ).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+
+
 def engine_stats_keys() -> set[str]:
     """The keys of an :class:`repro.engine.EngineStats` snapshot."""
     from repro.engine import EngineStats
@@ -215,12 +259,18 @@ def engine_stats_keys() -> set[str]:
 
 
 def _check_table(
-    doc_path: Path, section: str, what: str, actual: set[str], owner: str
+    doc_path: Path,
+    section: str,
+    what: str,
+    actual: set[str],
+    owner: str,
+    read=documented_names,
 ) -> list[str]:
-    """Drift between the names a table documents and ``actual``."""
+    """Drift between the names a table documents (``read`` from the
+    page) and ``actual``."""
     if not doc_path.exists():
         return [f"{doc_path} does not exist"]
-    documented = documented_names(doc_path.read_text(encoding="utf-8"), section)
+    documented = read(doc_path.read_text(encoding="utf-8"), section)
     if not documented:
         return [f"{doc_path.name} has no table under {section!r}"]
     return [
@@ -241,6 +291,15 @@ def check_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
     )
 
 
+def check_call_args(doc_path: Path = OPS_DOC_PATH) -> list[str]:
+    """Drift between the per-call argument table and the keyword-only
+    parameters of the engine's counting methods."""
+    return _check_table(
+        doc_path, _CALL_SECTION, "per-call argument", engine_call_args(),
+        "Engine", read=documented_call_args,
+    )
+
+
 def check_stats(doc_path: Path = OPS_DOC_PATH) -> list[str]:
     """Drift between the stats glossary and the ``EngineStats`` keys."""
     return _check_table(
@@ -257,6 +316,7 @@ def main() -> int:
          check_metrics()),
         ("docs/cluster.md", "the cluster wire protocol", check_cluster()),
         ("docs/operations.md", "the Engine options", check_knobs()),
+        ("docs/operations.md", "the per-call arguments", check_call_args()),
         ("docs/operations.md", "the EngineStats fields", check_stats()),
     )
     for page, source, problems in checks:
@@ -270,12 +330,13 @@ def main() -> int:
     metrics = len(emitted_metrics())
     frames = len(wire_frame_types())
     knobs = len(engine_knobs())
+    call_args = len(engine_call_args())
     stats = len(engine_stats_keys())
     print(
         f"docs freshness OK: all {routes} HTTP routes, {metrics} "
         f"Prometheus metric families, {frames} cluster frame types, "
-        f"{knobs} Engine options and {stats} stats fields documented, "
-        "none stale"
+        f"{knobs} Engine options, {call_args} per-call arguments and "
+        f"{stats} stats fields documented, none stale"
     )
     return 0
 
