@@ -19,16 +19,16 @@ from repro.workloads.scenarios import social_network, tenant_network
 
 def main() -> None:
     scenario = social_network(people=20, seed=0)
-    structure = scenario.structure()
+    structure = scenario.structure
     engine = Engine()
 
     print("== compiled plans ==")
     for name, query in scenario.queries.items():
-        plan = engine.compile(query.to_ep())
+        plan = engine.compile(query)
         print(f"{name:28s} {plan.describe()}  ({plan.compile_seconds * 1e3:.1f} ms)")
 
     print("\n== the compile cost the plan cache removes ==")
-    query = scenario.queries["reachable_in_two_or_one"].to_ep()
+    query = scenario.queries["reachable_in_two_or_one"]
     before = time.perf_counter()
     compile_plan(query)  # what every pre-engine call re-paid
     per_call_compile = time.perf_counter() - before
@@ -44,15 +44,15 @@ def main() -> None:
     structures = [random_graph(12, 0.2, seed=s, relation="Follows") for s in range(6)]
     structures = [s.with_signature(structure.signature) for s in structures]
     grid = engine.count_many(
-        [q.to_ep() for q in scenario.queries.values()], structures, parallel=False
+        list(scenario.queries.values()), structures, parallel=False
     )
     for name, row in zip(scenario.queries, grid):
         print(f"{name:28s} {row}")
 
     print("\n== sharded counting over a multi-tenant structure ==")
     tenants = tenant_network(tenants=10, people_per_tenant=8, seed=1)
-    tenant_structure = tenants.structure()
-    query = tenants.queries["followers_of_followers"].to_ep()
+    tenant_structure = tenants.structure
+    query = tenants.queries["followers_of_followers"]
     whole = engine.count(query, tenant_structure)
     sharded = engine.count_sharded(
         query, tenant_structure, shard_count=4, parallel=False

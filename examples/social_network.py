@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import time
 
-from repro import count_answers
+from repro import count_answers, parse_query
 from repro.algorithms import count_answers_naive
 from repro.workloads import social_network
 
 
 def report_counts() -> None:
     scenario = social_network(people=40, follow_probability=0.06, seed=7)
-    structure = scenario.structure()
-    print(f"Database: {scenario.database!r}")
-    print(f"Universe size: {structure.size}, total rows: {scenario.database.total_rows()}")
+    structure = scenario.structure
+    print(f"Structure: {structure!r}")
+    print(f"Universe size: {structure.size}, total rows: {structure.total_tuples}")
     print()
     print(f"{'query':>28} | {'answers':>9}")
     print("-" * 42)
     for name, query in scenario.queries.items():
-        count = query.count(structure)
+        count = count_answers(query, structure)
         print(f"{name:>28} | {count:>9}")
     print()
 
@@ -41,17 +41,16 @@ def scaling_comparison() -> None:
     counts along a treewidth-1 decomposition; the gap widens rapidly
     with the number of people.
     """
-    from repro.db import parse_ucq
-
-    chain = parse_ucq(
-        "Chain(x, y, z, w) :- Follows(x, y), Follows(y, z), Follows(z, w)."
-    ).to_ep()
+    chain = parse_query(
+        "Chain(x, y, z, w) = Follows(x, y) & Follows(y, z) & Follows(z, w)"
+    )
     print("Scaling: paper pipeline vs naive enumeration on a 4-variable chain query")
     print(f"{'people':>7} | {'paper (s)':>9} | {'naive (s)':>10} | {'answers':>9}")
     print("-" * 46)
     for people in (8, 12, 16, 20):
-        scenario = social_network(people=people, follow_probability=0.15, seed=11)
-        structure = scenario.structure()
+        structure = social_network(
+            people=people, follow_probability=0.15, seed=11
+        ).structure
 
         start = time.perf_counter()
         fast = count_answers(chain, structure)

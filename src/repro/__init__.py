@@ -24,25 +24,16 @@ Quickstart
 from repro.budget import CostBudget
 from repro.exceptions import BudgetExceeded, PolicyRejection, ReproError
 from repro.logic import (
-    Atom,
     EPFormula,
-    PPFormula,
-    QueryBuilder,
     RelationSymbol,
     Signature,
-    UnionQueryBuilder,
-    Variable,
-    parse_formula,
     parse_query,
     pp_from_atom_specs,
 )
 from repro.structures import (
     Structure,
     ShardedStructure,
-    StructureBuilder,
     StructureDelta,
-    direct_product,
-    disjoint_union,
     random_cluster_graph,
     random_graph,
     random_structure,
@@ -57,11 +48,8 @@ from repro.core import (
     classify_query,
     count_answers,
     counting_equivalent,
-    plus_set,
-    semi_counting_equivalent,
     star_decomposition,
 )
-from repro.db import ConjunctiveQuery, Database, Relation, UnionOfConjunctiveQueries
 from repro.engine import (
     CountingPlan,
     Engine,
@@ -78,30 +66,21 @@ from repro.engine import (
     execute_sharded,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "ReproError",
     "BudgetExceeded",
     "PolicyRejection",
     "CostBudget",
-    "Atom",
     "EPFormula",
-    "PPFormula",
-    "QueryBuilder",
     "RelationSymbol",
     "Signature",
-    "UnionQueryBuilder",
-    "Variable",
-    "parse_formula",
     "parse_query",
     "pp_from_atom_specs",
     "Structure",
     "ShardedStructure",
-    "StructureBuilder",
     "StructureDelta",
-    "direct_product",
-    "disjoint_union",
     "random_cluster_graph",
     "random_graph",
     "random_structure",
@@ -114,13 +93,7 @@ __all__ = [
     "classify_query",
     "count_answers",
     "counting_equivalent",
-    "plus_set",
-    "semi_counting_equivalent",
     "star_decomposition",
-    "ConjunctiveQuery",
-    "Database",
-    "Relation",
-    "UnionOfConjunctiveQueries",
     "CountingPlan",
     "Engine",
     "EngineStats",

@@ -16,9 +16,7 @@ from repro.algorithms.treewidth import (
 from repro.algorithms.csp import (
     Constraint,
     CSPInstance,
-    count_solutions,
     count_solutions_backtracking,
-    count_solutions_decomposition,
 )
 from repro.algorithms.brute_force import (
     count_answers_naive,
@@ -26,10 +24,6 @@ from repro.algorithms.brute_force import (
     count_pp_answers_brute_force,
     enumerate_answers_naive,
     satisfies,
-)
-from repro.algorithms.homomorphism_counting import (
-    count_extensions,
-    count_homomorphisms_decomposed,
 )
 from repro.algorithms.fpt_counting import (
     ExistsComponent,
@@ -60,16 +54,12 @@ __all__ = [
     "width_of_ordering",
     "Constraint",
     "CSPInstance",
-    "count_solutions",
     "count_solutions_backtracking",
-    "count_solutions_decomposition",
     "count_answers_naive",
     "count_ep_answers_by_disjuncts",
     "count_pp_answers_brute_force",
     "enumerate_answers_naive",
     "satisfies",
-    "count_extensions",
-    "count_homomorphisms_decomposed",
     "ExistsComponent",
     "StructuralReport",
     "contract_graph",

@@ -7,29 +7,20 @@ homomorphisms, counting answers to quantifier-free pp-formulas and the
 final stage of the FPT algorithm for tractable query classes are all
 instances.
 
-Two strategies are provided:
-
-* :func:`count_solutions_backtracking` -- exhaustive backtracking with
-  forward pruning; always correct, exponential in the number of
-  variables.  Used as the reference implementation and for tiny
-  instances.
-* :func:`count_solutions_decomposition` -- dynamic programming over a
-  tree decomposition of the constraint network's primal graph (the
-  classic junction-tree counting algorithm).  Runs in time
-  ``O(poly * |domain|^(width+1))``, which is polynomial for classes of
-  networks of bounded treewidth -- exactly the guarantee Theorem 2.11
-  of the paper needs.
-
-:func:`count_solutions` picks a strategy automatically.
+* :func:`count_solutions_tables` -- the one junction-tree DP: weighted
+  joins over a tree decomposition of the constraint network's primal
+  graph, polynomial for classes of networks of bounded treewidth --
+  exactly the guarantee Theorem 2.11 of the paper needs.
+  :func:`dp_schedule` is its data-independent half.
+* :func:`count_solutions_backtracking` -- exhaustive backtracking over
+  a :class:`CSPInstance`; always correct, exponential in the number of
+  variables.  The reference the DP is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
-
-import networkx as nx
 
 from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.treewidth import treewidth
@@ -83,12 +74,6 @@ class CSPInstance:
     ) -> "CSPInstance":
         return cls(tuple(variables), tuple(domain), tuple(constraints))
 
-    def primal_graph(self) -> nx.Graph:
-        """The primal graph: variables as vertices, co-occurring scopes as cliques."""
-        return primal_graph_of_atoms(
-            (c.scope for c in self.constraints), vertices=self.variables
-        )
-
 
 # ----------------------------------------------------------------------
 # Backtracking counter (reference implementation)
@@ -138,166 +123,6 @@ def count_solutions_backtracking(instance: CSPInstance) -> int:
 
     base = backtrack(0)
     return base * (len(instance.domain) ** len(unconstrained))
-
-
-# ----------------------------------------------------------------------
-# Junction-tree counter
-# ----------------------------------------------------------------------
-def _enumerate_bag_assignments(
-    bag: Sequence[VariableName],
-    domain: Sequence[Value],
-    constraints: Sequence[Constraint],
-) -> list[tuple[Value, ...]]:
-    """Enumerate the assignments of a bag that satisfy the given constraints.
-
-    Only constraints whose scope lies entirely within the bag are used
-    (others cannot be evaluated); they serve as filters, so passing the
-    same constraint for several bags is harmless.
-    """
-    bag_list = list(bag)
-    bag_set = set(bag_list)
-    local = [c for c in constraints if set(c.scope) <= bag_set]
-    results: list[tuple[Value, ...]] = []
-    assignment: PartialAssignment = {}
-
-    # Order variables so that constraint scopes close early, enabling pruning.
-    remaining = list(bag_list)
-    ordered: list[VariableName] = []
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (
-                -sum(1 for c in local if v in c.scope and all(u in ordered or u == v for u in c.scope)),
-                repr(v),
-            ),
-        )
-        ordered.append(best)
-        remaining.remove(best)
-
-    def consistent(variable: VariableName) -> bool:
-        for constraint in local:
-            if variable in constraint.scope and constraint.is_fully_assigned(assignment):
-                if not constraint.satisfied_by(assignment):
-                    return False
-        return True
-
-    budget = current_budget()
-
-    def backtrack(index: int) -> None:
-        if index == len(ordered):
-            results.append(tuple(assignment[v] for v in bag_list))
-            return
-        variable = ordered[index]
-        if budget is not None:
-            budget.charge(len(domain))
-        for value in domain:
-            assignment[variable] = value
-            if consistent(variable):
-                backtrack(index + 1)
-            del assignment[variable]
-
-    backtrack(0)
-    return results
-
-
-def count_solutions_decomposition(
-    instance: CSPInstance,
-    decomposition: TreeDecomposition | None = None,
-) -> int:
-    """Count satisfying assignments by DP over a tree decomposition.
-
-    If no decomposition is given, one is computed for the primal graph
-    (exact for small graphs, heuristic otherwise); the algorithm is
-    correct for any valid decomposition, only its running time depends
-    on the width.
-    """
-    if not instance.variables:
-        # Only the empty assignment; it satisfies everything unless some
-        # constraint has an empty allowed set over an empty scope.
-        for constraint in instance.constraints:
-            if not constraint.scope and not constraint.allowed:
-                return 0
-        return 1
-    primal = instance.primal_graph()
-    if decomposition is None:
-        _, decomposition = treewidth(primal)
-    else:
-        decomposition.validate(primal)
-
-    covered = decomposition.vertices()
-    uncovered = [v for v in instance.variables if v not in covered]
-
-    order = decomposition.rooted_order()
-    children = decomposition.children()
-    root = order[-1][0]
-
-    # Assign every constraint to one bag containing its scope (for counting
-    # semantics the assignment does not matter; constraints act as filters
-    # in every bag anyway, and filtering twice is idempotent).
-    bag_of: dict[int, list[Constraint]] = {bag_id: [] for bag_id in decomposition}
-    for constraint in instance.constraints:
-        scope = set(constraint.scope)
-        home = None
-        for bag_id in decomposition:
-            if scope <= decomposition.bag(bag_id):
-                home = bag_id
-                break
-        if home is None:
-            raise ReproError(
-                f"no bag covers constraint scope {constraint.scope!r}; "
-                "the decomposition does not decompose the primal graph"
-            )
-        bag_of[home].append(constraint)
-
-    # tables[bag_id]: dict assignment-of-bag (tuple ordered by sorted bag) -> count
-    tables: dict[int, dict[tuple[Value, ...], int]] = {}
-    bag_order: dict[int, list[VariableName]] = {
-        bag_id: sorted(decomposition.bag(bag_id), key=repr) for bag_id in decomposition
-    }
-
-    budget = current_budget()
-    for bag_id, parent in order:
-        bag_vars = bag_order[bag_id]
-        local_constraints = [
-            c for c in instance.constraints if set(c.scope) <= set(bag_vars)
-        ]
-        table: dict[tuple[Value, ...], int] = {}
-        child_ids = children[bag_id]
-        # Pre-compute, for each child, a map from the projection onto the
-        # separator (bag ∩ child bag) to the summed child count.
-        child_projections: list[tuple[list[int], dict[tuple[Value, ...], int]]] = []
-        for child in child_ids:
-            child_vars = bag_order[child]
-            separator = [v for v in child_vars if v in set(bag_vars)]
-            child_sep_positions = [child_vars.index(v) for v in separator]
-            projected: dict[tuple[Value, ...], int] = {}
-            if budget is not None:
-                budget.charge(len(tables[child]))
-            for child_assignment, count in tables[child].items():
-                key = tuple(child_assignment[i] for i in child_sep_positions)
-                projected[key] = projected.get(key, 0) + count
-            parent_sep_positions = [bag_vars.index(v) for v in separator]
-            child_projections.append((parent_sep_positions, projected))
-            del tables[child]
-
-        for values in _enumerate_bag_assignments(bag_vars, instance.domain, local_constraints):
-            count = 1
-            for positions, projected in child_projections:
-                key = tuple(values[i] for i in positions)
-                count *= projected.get(key, 0)
-                if count == 0:
-                    break
-            if count:
-                table[values] = count
-        tables[bag_id] = table
-
-    total = sum(tables[root].values())
-    # Each variable that is not constrained by the decomposition at all
-    # (not covered by any bag) ranges freely over the domain.  We also
-    # need to correct for variables counted in several bags: the DP above
-    # already handles that correctly because bags overlap only on
-    # separators, which are projected consistently.
-    return total * (len(instance.domain) ** len(uncovered))
 
 
 class BagStep(NamedTuple):
@@ -398,12 +223,13 @@ def count_solutions_tables(
     DP over a tree decomposition.
 
     Semantically identical to building a :class:`CSPInstance` over the
-    domain ``0..domain_size-1`` and calling :func:`count_solutions`
-    with the decomposition strategy, but the per-bag work is a chain of
-    weighted joins of the bag's constraint tables and child messages
-    instead of backtracking over ``domain^|bag|`` candidate assignments
-    -- per bag it costs time proportional to the joined table sizes,
-    not to the domain size raised to the bag width.
+    domain ``0..domain_size-1`` and calling
+    :func:`count_solutions_backtracking` (the reference the tests hold
+    it to), but the per-bag work is a chain of weighted joins of the
+    bag's constraint tables and child messages instead of a search over
+    ``domain^|bag|`` candidate assignments -- per bag it costs time
+    proportional to the joined table sizes, not to the domain size
+    raised to the bag width.
 
     One loop, two kernels: every table operation goes through ``ops``,
     the table backend of :mod:`repro.structures.encoding` (vectorized
@@ -453,24 +279,3 @@ def count_solutions_tables(
             messages[step.bag_id] = ops.marginalize(table, step.separator, factor)
     return total
 
-
-def count_solutions(
-    instance: CSPInstance,
-    decomposition: TreeDecomposition | None = None,
-    strategy: str = "auto",
-) -> int:
-    """Count satisfying assignments of a constraint network.
-
-    ``strategy`` is ``"auto"`` (default), ``"backtracking"`` or
-    ``"decomposition"``.  ``auto`` uses the decomposition-based counter
-    whenever the instance has more than a couple of variables.
-    """
-    if strategy == "backtracking":
-        return count_solutions_backtracking(instance)
-    if strategy == "decomposition":
-        return count_solutions_decomposition(instance, decomposition)
-    if strategy != "auto":
-        raise ReproError(f"unknown strategy {strategy!r}")
-    if len(instance.variables) <= 3 or not instance.constraints:
-        return count_solutions_backtracking(instance)
-    return count_solutions_decomposition(instance, decomposition)

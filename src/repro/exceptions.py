@@ -136,7 +136,3 @@ class BudgetExceeded(ReproError):
 
 class WorkloadError(ReproError):
     """A workload generator received invalid parameters."""
-
-
-class DatabaseError(ReproError):
-    """The relational-database facade was used incorrectly."""

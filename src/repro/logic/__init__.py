@@ -18,7 +18,7 @@ from repro.logic.formulas import (
 from repro.logic.pp import PPFormula, conjoin_all
 from repro.logic.ep import EPFormula
 from repro.logic.parser import parse_formula, parse_query
-from repro.logic.builder import QueryBuilder, UnionQueryBuilder, pp_from_atom_specs
+from repro.logic.builder import pp_from_atom_specs
 
 __all__ = [
     "RelationSymbol",
@@ -43,7 +43,5 @@ __all__ = [
     "EPFormula",
     "parse_formula",
     "parse_query",
-    "QueryBuilder",
-    "UnionQueryBuilder",
     "pp_from_atom_specs",
 ]

@@ -1,124 +1,16 @@
-"""A fluent builder for conjunctive and existential positive queries.
+"""A compact constructor for pp-formulas from ``(relation, variables)`` pairs.
 
 The parser in :mod:`repro.logic.parser` is convenient for literal
-queries; the builder is convenient when queries are constructed
-programmatically (e.g. by the workload generators).
-
-Example
--------
->>> from repro.logic.builder import QueryBuilder
->>> query = (
-...     QueryBuilder(liberal=["x", "y"])
-...     .atom("E", "x", "z")
-...     .atom("E", "z", "y")
-...     .exists("z")
-...     .build_pp()
-... )
->>> sorted(v.name for v in query.liberal)
-['x', 'y']
+queries; :func:`pp_from_atom_specs` is convenient when queries are
+constructed programmatically (e.g. by the workload generators).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.exceptions import FormulaError
-from repro.logic.ep import EPFormula
-from repro.logic.formulas import AtomicFormula, Exists, Formula, Or, conjunction
 from repro.logic.pp import PPFormula
-from repro.logic.terms import Atom, Variable, VariableLike, as_variables
-
-
-class QueryBuilder:
-    """Accumulates atoms and quantifiers for a single conjunctive query.
-
-    Call :meth:`atom` repeatedly, mark quantified variables with
-    :meth:`exists`, then :meth:`build_pp` (a prenex pp-formula) or
-    :meth:`build_ep` (the same query wrapped as an EP formula).
-    """
-
-    def __init__(self, liberal: Iterable[VariableLike] | None = None):
-        self._atoms: list[Atom] = []
-        self._quantified: list[Variable] = []
-        self._liberal: tuple[Variable, ...] | None = (
-            as_variables(liberal) if liberal is not None else None
-        )
-
-    def atom(self, relation: str, *arguments: VariableLike) -> "QueryBuilder":
-        """Add an atom ``relation(arguments...)`` to the conjunction."""
-        self._atoms.append(Atom(relation, arguments))
-        return self
-
-    def exists(self, *variables: VariableLike) -> "QueryBuilder":
-        """Mark variables as existentially quantified."""
-        for variable in as_variables(variables):
-            if variable not in self._quantified:
-                self._quantified.append(variable)
-        return self
-
-    def liberal(self, *variables: VariableLike) -> "QueryBuilder":
-        """Declare the liberal variables explicitly (overrides the default)."""
-        self._liberal = as_variables(variables)
-        return self
-
-    def build_pp(self) -> PPFormula:
-        """Build the accumulated query as a prenex pp-formula."""
-        quantified = frozenset(self._quantified)
-        if self._liberal is not None:
-            clash = set(self._liberal) & quantified
-            if clash:
-                raise FormulaError(
-                    f"variables {sorted(v.name for v in clash)} are both liberal and quantified"
-                )
-            formula = PPFormula.from_atoms(self._atoms, quantified=quantified)
-            return formula.with_liberal(set(self._liberal) | formula.free_variables)
-        return PPFormula.from_atoms(self._atoms, quantified=quantified)
-
-    def build_ep(self) -> EPFormula:
-        """Build the accumulated query as an EP formula."""
-        return EPFormula.from_pp(self.build_pp())
-
-
-class UnionQueryBuilder:
-    """Builds a union of conjunctive queries disjunct by disjunct.
-
-    Example
-    -------
-    >>> union = (
-    ...     UnionQueryBuilder(liberal=["x", "y"])
-    ...     .disjunct(lambda q: q.atom("E", "x", "y"))
-    ...     .disjunct(lambda q: q.atom("E", "y", "x"))
-    ...     .build()
-    ... )
-    >>> len(union.disjuncts())
-    2
-    """
-
-    def __init__(self, liberal: Iterable[VariableLike]):
-        self._liberal = as_variables(liberal)
-        self._disjuncts: list[PPFormula] = []
-
-    def disjunct(self, configure) -> "UnionQueryBuilder":
-        """Add one conjunctive disjunct via a configuration callback.
-
-        The callback receives a fresh :class:`QueryBuilder` whose liberal
-        variables are the union query's liberal variables.
-        """
-        builder = QueryBuilder(liberal=self._liberal)
-        configure(builder)
-        self._disjuncts.append(builder.build_pp())
-        return self
-
-    def add_pp(self, formula: PPFormula) -> "UnionQueryBuilder":
-        """Add an existing pp-formula as a disjunct (re-liberalized)."""
-        self._disjuncts.append(formula.with_liberal(set(self._liberal) | formula.free_variables))
-        return self
-
-    def build(self) -> EPFormula:
-        """Build the union of conjunctive queries as an EP formula."""
-        if not self._disjuncts:
-            raise FormulaError("a union query needs at least one disjunct")
-        return EPFormula.from_disjuncts(self._disjuncts)
+from repro.logic.terms import Atom
 
 
 def pp_from_atom_specs(

@@ -14,9 +14,10 @@ transformations the paper relies on:
   (those with at least one free variable), used by the general
   construction of Section 5.4.
 
-An EP formula is semantically a union of conjunctive queries; the
-:mod:`repro.db` package offers a database-flavored wrapper on top of
-this class.
+An EP formula is semantically a union of conjunctive queries, and it is
+the library's one query type: :func:`repro.logic.parser.parse_query`
+reads the text syntax (a ``Q(x, y) = ...`` header names the liberal
+variables) into it.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ The canonical route list is :data:`ROUTES` (CI asserts that
 
 Structures travel as ``{"relations": {name: [[elem, ...], ...]},``
 ``"universe"?: [...]}`` (or bare relation mappings) or as
-``{"ref": "<registered name>"}``; elements are JSON scalars.
+``{"ref": "<registered name>"}``; elements are JSON ints or strings.
 Saturation maps to ``429`` (with ``Retry-After``), deadline misses to
 ``504``, shutdown to ``503``, malformed input to ``400``, an unknown
 path or structure reference to ``404`` (with ``known_paths`` /
@@ -165,12 +165,38 @@ class _TextPayload:
 # ----------------------------------------------------------------------
 # JSON <-> domain objects
 # ----------------------------------------------------------------------
+#: The JSON types an element may have.  ``bool`` is an ``int``
+#: subclass but not this type, so ``true`` is refused instead of
+#: merging with ``1`` (and ``false`` with ``0``).
+_ELEMENT_TYPES = frozenset({int, str})
+
+
+def _decode_rows(tuples, where: str) -> list[tuple]:
+    """Decode one relation's JSON tuple list, checking every element in
+    the same pass that builds the tuples."""
+    if not isinstance(tuples, list):
+        raise BadRequest(f"{where} must be a list of tuples")
+    rows = []
+    for row in tuples:
+        if not isinstance(row, list):
+            raise BadRequest(f"{where} contains a non-tuple row")
+        if not _ELEMENT_TYPES.issuperset(map(type, row)):
+            bad = next(e for e in row if type(e) not in _ELEMENT_TYPES)
+            raise BadRequest(
+                f"{where} contains the element {json.dumps(bad)}; "
+                "elements must be ints or strings"
+            )
+        rows.append(tuple(row))
+    return rows
+
+
 def structure_from_json(payload) -> Structure:
     """Decode the wire form of a structure.
 
     Accepts ``{"relations": {...}, "universe": [...]}`` or a bare
     ``{name: [[...], ...]}`` relation mapping.  Tuples arrive as JSON
-    arrays; elements are scalars (ints, strings).
+    arrays; elements are ints or strings, and anything else (``true``,
+    ``1.5``, ``null``, arrays, objects) is a :class:`BadRequest`.
     """
     if not isinstance(payload, Mapping):
         raise BadRequest("structure must be a JSON object")
@@ -181,16 +207,14 @@ def structure_from_json(payload) -> Structure:
         relations, universe = payload, None
     if not isinstance(relations, Mapping):
         raise BadRequest("structure relations must be an object")
-    decoded = {}
-    for name, tuples in relations.items():
-        if not isinstance(tuples, list):
-            raise BadRequest(f"relation {name!r} must be a list of tuples")
-        rows = []
-        for row in tuples:
-            if not isinstance(row, list):
-                raise BadRequest(f"relation {name!r} contains a non-tuple row")
-            rows.append(tuple(row))
-        decoded[str(name)] = rows
+    if universe is not None and not (
+        isinstance(universe, list) and _ELEMENT_TYPES.issuperset(map(type, universe))
+    ):
+        raise BadRequest("structure universe must be a list of ints or strings")
+    decoded = {
+        str(name): _decode_rows(tuples, f"relation {name!r}")
+        for name, tuples in relations.items()
+    }
     try:
         return Structure.from_relations(decoded, universe=universe)
     except (ReproError, TypeError) as exc:
@@ -225,27 +249,18 @@ def _delta_batches(payload: Mapping, field: str) -> dict:
         return {}
     if not isinstance(batches, Mapping):
         raise BadRequest(f"{field} must map relation names to tuple lists")
-    decoded = {}
-    for name, tuples in batches.items():
-        if not isinstance(tuples, list):
-            raise BadRequest(f"{field}[{name!r}] must be a list of tuples")
-        rows = []
-        for row in tuples:
-            if not isinstance(row, list):
-                raise BadRequest(
-                    f"{field}[{name!r}] contains a non-tuple row"
-                )
-            rows.append(tuple(row))
-        decoded[str(name)] = rows
-    return decoded
+    return {
+        str(name): _decode_rows(tuples, f"{field}[{name!r}]")
+        for name, tuples in batches.items()
+    }
 
 
 def delta_from_json(payload) -> StructureDelta:
     """Decode the wire form of a structure delta.
 
     ``{"insert"?: {rel: [[...], ...]}, "delete"?: {...}}``; at least
-    one side must be present and non-empty, and elements are JSON
-    scalars exactly as in :func:`structure_from_json`.
+    one side must be present and non-empty, and elements are ints or
+    strings exactly as in :func:`structure_from_json`.
     """
     if not isinstance(payload, Mapping):
         raise BadRequest("delta must be a JSON object")

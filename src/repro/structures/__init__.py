@@ -2,7 +2,6 @@
 
 from repro.structures.structure import (
     Structure,
-    StructureBuilder,
     complete_structure,
     single_loop_structure,
 )
@@ -62,7 +61,6 @@ from repro.structures.sharding import (
 
 __all__ = [
     "Structure",
-    "StructureBuilder",
     "StructureDelta",
     "complete_structure",
     "single_loop_structure",

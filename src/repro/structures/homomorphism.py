@@ -238,8 +238,8 @@ def count_homomorphisms(
 ) -> int:
     """Count the homomorphisms from ``source`` to ``target``.
 
-    This is a brute-force count; for the treewidth-aware algorithm see
-    :mod:`repro.algorithms.homomorphism_counting`.
+    This is a brute-force count, a reference for the treewidth-aware
+    junction-tree DP :func:`repro.algorithms.csp.count_solutions_tables`.
     """
     return sum(1 for _ in enumerate_homomorphisms(source, target, fixed, target_index))
 

@@ -6,10 +6,10 @@ universe ``B`` and, for each relation symbol ``R`` in ``tau``, a relation
 "databases" of the paper: a query is evaluated on a structure, and the
 library counts the satisfying assignments.
 
-The :class:`Structure` class is immutable once built; use
-:class:`StructureBuilder` (or :meth:`Structure.from_relations`) to build
-structures incrementally.  Immutability lets structures be hashed,
-cached and shared safely by the counting algorithms.
+The :class:`Structure` class is immutable once built
+(:meth:`Structure.from_relations` infers the signature from the
+tuples).  Immutability lets structures be hashed, cached and shared
+safely by the counting algorithms.
 """
 
 from __future__ import annotations
@@ -418,72 +418,6 @@ class Structure:
             tuples = sorted(self._relations[name], key=repr)
             lines.append(f"{name} ({len(tuples)}): {tuples}")
         return "\n".join(lines)
-
-
-class StructureBuilder:
-    """A mutable builder for :class:`Structure`.
-
-    Example
-    -------
-    >>> builder = StructureBuilder()
-    >>> builder.add_edge("E", 1, 2).add_edge("E", 2, 3)  # doctest: +ELLIPSIS
-    <repro.structures.structure.StructureBuilder object at ...>
-    >>> structure = builder.build()
-    >>> structure.size
-    3
-    """
-
-    def __init__(self, signature: Signature | None = None):
-        self._signature = signature
-        self._universe: set[Element] = set()
-        self._relations: dict[str, set[tuple[Element, ...]]] = {}
-        self._arities: dict[str, int] = {}
-        if signature is not None:
-            for symbol in signature:
-                self._arities[symbol.name] = symbol.arity
-                self._relations[symbol.name] = set()
-
-    def add_element(self, *elements: Element) -> "StructureBuilder":
-        """Add one or more isolated elements to the universe."""
-        self._universe.update(elements)
-        return self
-
-    def add_tuple(self, relation: str, values: Iterable[Element]) -> "StructureBuilder":
-        """Add a tuple to a relation, creating the relation if needed."""
-        t = tuple(values)
-        if not t:
-            raise StructureError("cannot add an empty tuple")
-        known_arity = self._arities.get(relation)
-        if known_arity is None:
-            if self._signature is not None:
-                raise SignatureError(
-                    f"relation {relation!r} is not in the builder's signature"
-                )
-            self._arities[relation] = len(t)
-            self._relations[relation] = set()
-        elif known_arity != len(t):
-            raise StructureError(
-                f"tuple {t!r} has arity {len(t)}, but relation {relation!r} "
-                f"has arity {known_arity}"
-            )
-        self._relations[relation].add(t)
-        self._universe.update(t)
-        return self
-
-    def add_edge(self, relation: str, source: Element, target: Element) -> "StructureBuilder":
-        """Convenience wrapper for adding a binary tuple."""
-        return self.add_tuple(relation, (source, target))
-
-    def add_fact(self, relation: str, *values: Element) -> "StructureBuilder":
-        """Convenience wrapper: ``add_fact("R", a, b, c)``."""
-        return self.add_tuple(relation, values)
-
-    def build(self) -> Structure:
-        """Construct the immutable :class:`Structure`."""
-        signature = self._signature or Signature(
-            RelationSymbol(name, arity) for name, arity in self._arities.items()
-        )
-        return Structure(signature, self._universe, self._relations)
 
 
 def complete_structure(signature: Signature, domain: Iterable[Element]) -> Structure:

@@ -9,32 +9,35 @@ realistic stand-ins used by the examples and benchmarks:
   (publications, authorship, citations),
 * a **movie database** (movies, actors, casting, genres).
 
-Each scenario returns a :class:`~repro.db.database.Database` plus a
-dictionary of named queries (a mix of conjunctive queries and UCQs) so
-that callers can iterate over realistic query shapes.
+Each scenario returns a :class:`~repro.structures.structure.Structure`
+plus a dictionary of named queries (a mix of conjunctive queries and
+UCQs, in :func:`~repro.logic.parser.parse_query` syntax with a header
+naming the liberal variables) so that callers can iterate over
+realistic query shapes.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.db.database import Database
-from repro.db.query import UnionOfConjunctiveQueries
-from repro.db.sql_like import parse_ucq
+from repro.logic.ep import EPFormula
+from repro.logic.parser import parse_query
+from repro.structures.structure import Structure
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generated database together with a dictionary of named queries."""
+    """A generated structure together with a dictionary of named queries."""
 
     name: str
-    database: Database
-    queries: dict[str, UnionOfConjunctiveQueries]
+    structure: Structure
+    queries: dict[str, EPFormula]
 
-    def structure(self):
-        """The database as a relational structure."""
-        return self.database.to_structure()
+
+def _queries(**texts: str) -> dict[str, EPFormula]:
+    return {name: parse_query(text) for name, text in texts.items()}
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
@@ -54,39 +57,33 @@ def social_network(
     Relations: ``Follows(person, person)``, ``Member(person, community)``.
     """
     rng = _rng(seed)
-    db = Database()
+    rows: dict[str, list[tuple]] = defaultdict(list)
     names = [f"p{i}" for i in range(people)]
     groups = [f"c{i}" for i in range(communities)]
     for source in names:
         for target in names:
             if source != target and rng.random() < follow_probability:
-                db.add_row("Follows", source, target)
+                rows["Follows"].append((source, target))
     for person in names:
-        db.add_row("Member", person, rng.choice(groups))
+        rows["Member"].append((person, rng.choice(groups)))
         if rng.random() < 0.3:
-            db.add_row("Member", person, rng.choice(groups))
-    queries = {
-        "followers_of_followers": parse_ucq(
-            "FoF(x, y) :- Follows(x, z), Follows(z, y)."
+            rows["Member"].append((person, rng.choice(groups)))
+    queries = _queries(
+        followers_of_followers="FoF(x, y) = exists z. (Follows(x, z) & Follows(z, y))",
+        mutual_follow="Mutual(x, y) = Follows(x, y) & Follows(y, x)",
+        reachable_in_two_or_one=(
+            "Reach(x, y) = Follows(x, y)"
+            " | exists z. (Follows(x, z) & Follows(z, y))"
         ),
-        "mutual_follow": parse_ucq("Mutual(x, y) :- Follows(x, y), Follows(y, x)."),
-        "reachable_in_two_or_one": parse_ucq(
-            """
-            Reach(x, y) :- Follows(x, y).
-            Reach(x, y) :- Follows(x, z), Follows(z, y).
-            """
+        same_community_follow=(
+            "SameCom(x, y) = exists c. (Follows(x, y) & Member(x, c) & Member(y, c))"
         ),
-        "same_community_follow": parse_ucq(
-            "SameCom(x, y) :- Follows(x, y), Member(x, c), Member(y, c)."
+        influencer_pairs=(
+            "Inf(x, y) = exists z. (Follows(z, x) & Follows(z, y) & Follows(x, y))"
+            " | exists z. (Follows(z, x) & Follows(z, y) & Follows(y, x))"
         ),
-        "influencer_pairs": parse_ucq(
-            """
-            Inf(x, y) :- Follows(z, x), Follows(z, y), Follows(x, y).
-            Inf(x, y) :- Follows(z, x), Follows(z, y), Follows(y, x).
-            """
-        ),
-    }
-    return Scenario("social_network", db, queries)
+    )
+    return Scenario("social_network", Structure.from_relations(rows), queries)
 
 
 def triple_store(
@@ -101,34 +98,29 @@ def triple_store(
     ``InVenue(paper, venue)``.
     """
     rng = _rng(seed)
-    db = Database()
+    rows: dict[str, list[tuple]] = defaultdict(list)
     paper_ids = [f"paper{i}" for i in range(papers)]
     author_ids = [f"author{i}" for i in range(authors)]
     venues = ["pods", "icdt", "sigmod", "vldb"]
     for paper in paper_ids:
         for author in rng.sample(author_ids, rng.randint(1, 3)):
-            db.add_row("Wrote", author, paper)
-        db.add_row("InVenue", paper, rng.choice(venues))
+            rows["Wrote"].append((author, paper))
+        rows["InVenue"].append((paper, rng.choice(venues)))
     for citing in paper_ids:
         for cited in paper_ids:
             if citing != cited and rng.random() < citation_probability:
-                db.add_row("Cites", citing, cited)
-    queries = {
-        "coauthors": parse_ucq("Coauthor(a, b) :- Wrote(a, p), Wrote(b, p)."),
-        "self_citation_authors": parse_ucq(
-            "SelfCite(a) :- Wrote(a, p), Wrote(a, q), Cites(p, q)."
+                rows["Cites"].append((citing, cited))
+    queries = _queries(
+        coauthors="Coauthor(a, b) = exists p. (Wrote(a, p) & Wrote(b, p))",
+        self_citation_authors=(
+            "SelfCite(a) = exists p q. (Wrote(a, p) & Wrote(a, q) & Cites(p, q))"
         ),
-        "cited_or_citing": parse_ucq(
-            """
-            Related(p, q) :- Cites(p, q).
-            Related(p, q) :- Cites(q, p).
-            """
+        cited_or_citing="Related(p, q) = Cites(p, q) | Cites(q, p)",
+        venue_citation_pairs=(
+            "VenuePair(p, q) = exists v. (Cites(p, q) & InVenue(p, v) & InVenue(q, v))"
         ),
-        "venue_citation_pairs": parse_ucq(
-            "VenuePair(p, q) :- Cites(p, q), InVenue(p, v), InVenue(q, v)."
-        ),
-    }
-    return Scenario("triple_store", db, queries)
+    )
+    return Scenario("triple_store", Structure.from_relations(rows), queries)
 
 
 def movie_database(
@@ -143,32 +135,30 @@ def movie_database(
     ``Directed(director, movie)``.
     """
     rng = _rng(seed)
-    db = Database()
+    rows: dict[str, list[tuple]] = defaultdict(list)
     movie_ids = [f"m{i}" for i in range(movies)]
     actor_ids = [f"a{i}" for i in range(actors)]
     directors = [f"d{i}" for i in range(max(3, movies // 4))]
     genres = ["drama", "comedy", "thriller", "scifi"]
     for movie in movie_ids:
-        db.add_row("HasGenre", movie, rng.choice(genres))
-        db.add_row("Directed", rng.choice(directors), movie)
+        rows["HasGenre"].append((movie, rng.choice(genres)))
+        rows["Directed"].append((rng.choice(directors), movie))
         for actor in actor_ids:
             if rng.random() < casting_probability:
-                db.add_row("ActsIn", actor, movie)
-    queries = {
-        "costars": parse_ucq("Costar(a, b) :- ActsIn(a, m), ActsIn(b, m)."),
-        "actor_director_pairs": parse_ucq(
-            "Worked(a, d) :- ActsIn(a, m), Directed(d, m)."
+                rows["ActsIn"].append((actor, movie))
+    queries = _queries(
+        costars="Costar(a, b) = exists m. (ActsIn(a, m) & ActsIn(b, m))",
+        actor_director_pairs="Worked(a, d) = exists m. (ActsIn(a, m) & Directed(d, m))",
+        same_genre_costars=(
+            "GenrePair(a, b) = exists m n g."
+            " (ActsIn(a, m) & ActsIn(b, n) & HasGenre(m, g) & HasGenre(n, g))"
         ),
-        "same_genre_costars": parse_ucq(
-            "GenrePair(a, b) :- ActsIn(a, m), ActsIn(b, n), HasGenre(m, g), HasGenre(n, g)."
+        versatile_actors=(
+            "Versatile(a) = exists m g n h."
+            " (ActsIn(a, m) & HasGenre(m, g) & ActsIn(a, n) & HasGenre(n, h))"
         ),
-        "versatile_actors": parse_ucq(
-            """
-            Versatile(a) :- ActsIn(a, m), HasGenre(m, g), ActsIn(a, n), HasGenre(n, h).
-            """
-        ),
-    }
-    return Scenario("movie_database", db, queries)
+    )
+    return Scenario("movie_database", Structure.from_relations(rows), queries)
 
 
 def tenant_network(
@@ -187,32 +177,28 @@ def tenant_network(
     query counts sum exactly.
     """
     rng = _rng(seed)
-    db = Database()
+    rows: dict[str, list[tuple]] = defaultdict(list)
     for tenant in range(tenants):
         names = [f"t{tenant}_p{i}" for i in range(people_per_tenant)]
         groups = [f"t{tenant}_g{i}" for i in range(max(1, people_per_tenant // 4))]
         for source in names:
             for target in names:
                 if source != target and rng.random() < follow_probability:
-                    db.add_row("Follows", source, target)
+                    rows["Follows"].append((source, target))
         for person in names:
-            db.add_row("Member", person, rng.choice(groups))
-    queries = {
-        "followers_of_followers": parse_ucq(
-            "FoF(x, y) :- Follows(x, z), Follows(z, y)."
+            rows["Member"].append((person, rng.choice(groups)))
+    queries = _queries(
+        followers_of_followers="FoF(x, y) = exists z. (Follows(x, z) & Follows(z, y))",
+        mutual_follow="Mutual(x, y) = Follows(x, y) & Follows(y, x)",
+        reachable_in_two_or_one=(
+            "Reach(x, y) = Follows(x, y)"
+            " | exists z. (Follows(x, z) & Follows(z, y))"
         ),
-        "mutual_follow": parse_ucq("Mutual(x, y) :- Follows(x, y), Follows(y, x)."),
-        "reachable_in_two_or_one": parse_ucq(
-            """
-            Reach(x, y) :- Follows(x, y).
-            Reach(x, y) :- Follows(x, z), Follows(z, y).
-            """
+        same_group_follow=(
+            "SameGroup(x, y) = exists g. (Follows(x, y) & Member(x, g) & Member(y, g))"
         ),
-        "same_group_follow": parse_ucq(
-            "SameGroup(x, y) :- Follows(x, y), Member(x, g), Member(y, g)."
-        ),
-    }
-    return Scenario("tenant_network", db, queries)
+    )
+    return Scenario("tenant_network", Structure.from_relations(rows), queries)
 
 
 def all_scenarios(seed: int = 0) -> list[Scenario]:

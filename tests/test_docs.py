@@ -106,6 +106,31 @@ def test_checker_reports_a_missing_stats_glossary(tmp_path):
     assert len(problems) == 1 and "has no table" in problems[0], problems
 
 
+def test_readme_layout_matches_the_package_tree():
+    problems = check_docs_freshness.check_layout()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_missing_and_stale_layout_entries(tmp_path):
+    root = tmp_path / "repro"
+    for package in ("logic", "fresh"):
+        (root / package).mkdir(parents=True)
+        (root / package / "__init__.py").write_text("")
+    (root / "data").mkdir()  # not a package
+    for module in ("__init__.py", "__main__.py", "budget.py", "tool.py"):
+        (root / module).write_text("")
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "## Layout\n\n- `src/repro/logic`, `src/repro/budget.py` — x\n"
+        "- `src/repro/bygone` — gone\n\n## Next\n\n- `src/repro/tool.py`\n"
+    )
+    problems = check_docs_freshness.check_layout(readme, root)
+    assert any("'bygone'" in p and "stale" in p for p in problems)
+    assert any("'fresh'" in p for p in problems)  # undocumented package
+    assert any("'tool.py'" in p for p in problems)  # outside the section
+    assert len(problems) == 3, problems
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",

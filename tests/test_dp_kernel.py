@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.csp import (
     Constraint,
     CSPInstance,
-    count_solutions,
+    count_solutions_backtracking,
     count_solutions_tables,
 )
 from repro.algorithms.decomposition import TreeDecomposition
@@ -89,7 +89,7 @@ def _reference(variables, atoms, encoded) -> int:
         range(encoded.size),
         [Constraint(tuple(scope), encoded.relation_rows(name)) for name, scope in atoms],
     )
-    return count_solutions(instance, strategy="backtracking")
+    return count_solutions_backtracking(instance)
 
 
 @pytest.mark.parametrize("seed", range(4))

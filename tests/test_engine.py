@@ -46,9 +46,10 @@ def scenario_cases():
         triple_store(papers=8, authors=6, seed=1),
         movie_database(movies=6, actors=8, seed=2),
     ):
-        structure = scenario.structure()
         for name, query in scenario.queries.items():
-            yield pytest.param(query.to_ep(), structure, id=f"{scenario.name}:{name}")
+            yield pytest.param(
+                query, scenario.structure, id=f"{scenario.name}:{name}"
+            )
 
 
 @pytest.mark.parametrize("query,structure", scenario_cases())

@@ -7,7 +7,13 @@ import importlib
 import pytest
 
 PACKAGES = (
-    "repro", "repro.core", "repro.engine", "repro.algorithms", "repro.workloads"
+    "repro",
+    "repro.core",
+    "repro.engine",
+    "repro.algorithms",
+    "repro.workloads",
+    "repro.logic",
+    "repro.structures",
 )
 
 
@@ -67,3 +73,67 @@ def test_the_deleted_plan_store_members_are_gone(member):
     owner, name = member.split(".")
     instance = owners[owner](1) if owner == "LRUCache" else owners[owner]()
     assert not hasattr(instance, name), member
+
+
+#: Modules deleted with the second query front end and the second DP.
+DELETED_MODULES = ("repro.db", "repro.algorithms.homomorphism_counting")
+
+
+@pytest.mark.parametrize("module", DELETED_MODULES)
+def test_the_deleted_modules_do_not_import(module):
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+
+
+#: ``module.name`` for every deleted function, class and exception.
+DELETED_NAMES = (
+    "repro.algorithms.count_solutions",
+    "repro.algorithms.count_solutions_decomposition",
+    "repro.algorithms.csp.count_solutions",
+    "repro.algorithms.csp.count_solutions_decomposition",
+    "repro.algorithms.csp._enumerate_bag_assignments",
+    "repro.logic.QueryBuilder",
+    "repro.logic.UnionQueryBuilder",
+    "repro.logic.builder.QueryBuilder",
+    "repro.logic.builder.UnionQueryBuilder",
+    "repro.structures.StructureBuilder",
+    "repro.structures.structure.StructureBuilder",
+    "repro.exceptions.DatabaseError",
+)
+
+
+@pytest.mark.parametrize("qualified", DELETED_NAMES)
+def test_the_deleted_names_are_gone(qualified):
+    module_name, name = qualified.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    assert not hasattr(module, name), qualified
+    assert name not in getattr(module, "__all__", ())
+
+
+#: Root exports no test, example, doc or benchmark used.  Those whose
+#: code stays are still importable from their subpackage.
+DROPPED_ROOT_EXPORTS = (
+    "Atom",
+    "PPFormula",
+    "QueryBuilder",
+    "UnionQueryBuilder",
+    "Variable",
+    "parse_formula",
+    "StructureBuilder",
+    "direct_product",
+    "disjoint_union",
+    "plus_set",
+    "semi_counting_equivalent",
+    "ConjunctiveQuery",
+    "Database",
+    "Relation",
+    "UnionOfConjunctiveQueries",
+)
+
+
+@pytest.mark.parametrize("name", DROPPED_ROOT_EXPORTS)
+def test_the_dropped_root_exports_are_gone(name):
+    import repro
+
+    assert name not in repro.__all__
+    assert not hasattr(repro, name), name

@@ -304,6 +304,86 @@ def test_http_server_end_to_end():
     assert not lingering
 
 
+def _send(base: str, method: str, path: str, payload: dict) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        f"{base}{path}",
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method=method,
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as error:
+        return error.code, json.load(error)
+
+
+@pytest.fixture(scope="module")
+def served_triangle():
+    """A live server with the triangle registered as ``tri``."""
+    server = CountingServer(
+        service=CountingService(engine=Engine(processes=1), owns_engine=True),
+        port=0,
+    )
+    with BackgroundServer(server) as background:
+        host, port = background.server.address
+        base = f"http://{host}:{port}"
+        status, _ = _send(base, "PUT", "/structures/tri", {"structure": TRIANGLE})
+        assert status == 200
+        yield base
+
+
+@pytest.mark.parametrize(
+    "method,path,payload",
+    [
+        # ``true`` == 1 and ``false`` == 0 in Python: decoded as they
+        # were, these two rows became one loop-free pair over {0, True}
+        # on which E(x, x) counted 2.
+        pytest.param(
+            "POST", "/count",
+            {"query": "E(x, x)", "structure": {"E": [[True, 1], [0, False]]}},
+            id="bool",
+        ),
+        pytest.param(
+            "POST", "/count",
+            {"query": "E(x, y)", "structure": {"E": [[1.5, 2]]}},
+            id="float",
+        ),
+        pytest.param(
+            "POST", "/count",
+            {"query": "E(x, y)", "structure": {"E": [[None, 2]]}},
+            id="null",
+        ),
+        pytest.param(
+            "POST", "/count",
+            {"query": "E(x, y)", "structure": {"E": [[[1], 2]]}},
+            id="nested",
+        ),
+        pytest.param(
+            "PUT", "/structures/letters",
+            {"structure": {"relations": {"E": [[1, 2]]}, "universe": "abc"}},
+            id="string-universe",
+        ),
+        pytest.param(
+            "PATCH", "/structures/tri", {"insert": {"E": [[True, 5]]}},
+            id="delta-insert",
+        ),
+    ],
+)
+def test_http_elements_must_be_ints_or_strings(
+    served_triangle, method, path, payload
+):
+    status, body = _send(served_triangle, method, path, payload)
+    assert status == 400, body
+    assert "ints or strings" in body["error"]
+    # Nothing was registered or changed on the way to the 400.
+    status, view = _send(
+        served_triangle, "POST", "/count",
+        {"query": "E(x, y)", "structure": {"ref": "tri"}},
+    )
+    assert (status, view) == (200, {"count": 3})
+
+
 @pytest.mark.parametrize("value", ["false", 1, []], ids=["string", "int", "list"])
 @pytest.mark.parametrize("path", ["/count_many", "/count_sharded"])
 def test_http_parallel_must_be_a_boolean(path, value):

@@ -99,10 +99,9 @@ def test_combine_shard_counts_rules():
 # ----------------------------------------------------------------------
 def scenario_cases():
     for scenario in all_scenarios():
-        structure = scenario.structure()
         for name, query in scenario.queries.items():
             yield pytest.param(
-                query.to_ep(), structure, id=f"{scenario.name}:{name}"
+                query, scenario.structure, id=f"{scenario.name}:{name}"
             )
 
 

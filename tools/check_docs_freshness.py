@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Six checks, each asserting set equality in *both* directions:
+Seven checks, each asserting set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -20,11 +20,14 @@ Six checks, each asserting set equality in *both* directions:
   ``count_many`` (the argument in backticks in a row's first cell, the
   methods taking it in backticks in its second);
 - the "Stats glossary" table of ``docs/operations.md`` vs. the keys of
-  ``repro.engine.EngineStats().as_dict()`` (the knob table's row form).
+  ``repro.engine.EngineStats().as_dict()`` (the knob table's row form);
+- the "Layout" section of ``README.md`` vs. the packages and public
+  modules directly under ``src/repro`` (each named ``src/repro/<name>``
+  in backticks, modules with their ``.py``).
 
-A route, metric, frame type, engine option, per-call argument or stats
-field added to the code without documentation, or documentation for
-one the code no longer has, fails CI.
+A route, metric, frame type, engine option, per-call argument, stats
+field or package added to the code without documentation, or
+documentation for one the code no longer has, fails CI.
 
 Usage (repo root)::
 
@@ -43,6 +46,8 @@ DOC_PATH = REPO_ROOT / "docs" / "http_api.md"
 OBS_DOC_PATH = REPO_ROOT / "docs" / "observability.md"
 CLUSTER_DOC_PATH = REPO_ROOT / "docs" / "cluster.md"
 OPS_DOC_PATH = REPO_ROOT / "docs" / "operations.md"
+README_PATH = REPO_ROOT / "README.md"
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The heading form the API reference uses for each endpoint.
 _HEADING = re.compile(
@@ -73,6 +78,12 @@ _STATS_SECTION = "## Stats glossary"
 
 #: A backticked option or field name (``--flags`` do not match).
 _CELL_NAME = re.compile(r"`([a-z_][a-z0-9_]*)`")
+
+#: The heading of the README's package map.
+_LAYOUT_SECTION = "## Layout"
+
+#: A package or module entry of that map.
+_LAYOUT_ENTRY = re.compile(r"`src/repro/([A-Za-z_][A-Za-z0-9_]*(?:\.py)?)/?`")
 
 
 def documented_routes(text: str) -> set[tuple[str, str]]:
@@ -196,14 +207,20 @@ def check_cluster(doc_path: Path = CLUSTER_DOC_PATH) -> list[str]:
     return problems
 
 
+def _section_body(text: str, section: str) -> str:
+    """The text under the ``section`` heading, up to the next heading."""
+    if section not in text:
+        return ""
+    return text.split(section, 1)[1].split("\n#", 1)[0]
+
+
 def _table_rows(text: str, section: str) -> list[list[str]]:
     """The cells of every row of the table under the ``section``
     heading (up to the next heading)."""
-    if section not in text:
-        return []
-    body = text.split(section, 1)[1].split("\n#", 1)[0]
     return [
-        line.split("|")[1:] for line in body.splitlines() if line.startswith("|")
+        line.split("|")[1:]
+        for line in _section_body(text, section).splitlines()
+        if line.startswith("|")
     ]
 
 
@@ -308,6 +325,31 @@ def check_stats(doc_path: Path = OPS_DOC_PATH) -> list[str]:
     )
 
 
+def documented_layout(text: str, section: str) -> set[str]:
+    """The ``src/repro/<name>`` entries of the README's layout section."""
+    return set(_LAYOUT_ENTRY.findall(_section_body(text, section)))
+
+
+def package_layout(root: Path = PACKAGE_ROOT) -> set[str]:
+    """The packages and public modules directly under ``root``."""
+    return {
+        path.name
+        for path in root.iterdir()
+        if (path.is_dir() and (path / "__init__.py").exists())
+        or (path.suffix == ".py" and not path.name.startswith("_"))
+    }
+
+
+def check_layout(
+    readme_path: Path = README_PATH, root: Path = PACKAGE_ROOT
+) -> list[str]:
+    """Drift between the README's layout section and the package tree."""
+    return _check_table(
+        readme_path, _LAYOUT_SECTION, "src/repro entry", package_layout(root),
+        "src/repro", read=documented_layout,
+    )
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     checks = (
@@ -318,6 +360,7 @@ def main() -> int:
         ("docs/operations.md", "the Engine options", check_knobs()),
         ("docs/operations.md", "the per-call arguments", check_call_args()),
         ("docs/operations.md", "the EngineStats fields", check_stats()),
+        ("README.md", "the src/repro package tree", check_layout()),
     )
     for page, source, problems in checks:
         if problems:
@@ -332,11 +375,13 @@ def main() -> int:
     knobs = len(engine_knobs())
     call_args = len(engine_call_args())
     stats = len(engine_stats_keys())
+    packages = len(package_layout())
     print(
         f"docs freshness OK: all {routes} HTTP routes, {metrics} "
         f"Prometheus metric families, {frames} cluster frame types, "
-        f"{knobs} Engine options, {call_args} per-call arguments and "
-        f"{stats} stats fields documented, none stale"
+        f"{knobs} Engine options, {call_args} per-call arguments, "
+        f"{stats} stats fields and {packages} src/repro packages and "
+        "modules documented, none stale"
     )
     return 0
 
