@@ -130,6 +130,19 @@ class Classification:
         )
 
 
+def trichotomy_case(
+    core_treewidth: int, contract_treewidth: int, treewidth_bound: int
+) -> Case:
+    """The Theorem 3.2 verdict from a class's largest core and contract
+    treewidths against ``treewidth_bound``: the one place the three
+    cases are decided."""
+    if contract_treewidth > treewidth_bound:
+        return Case.SHARP_CLIQUE_HARD
+    if core_treewidth > treewidth_bound:
+        return Case.CLIQUE_EQUIVALENT
+    return Case.FPT
+
+
 def check_bounded_arity(formulas: Iterable[PPFormula], bound: int) -> None:
     """Raise :class:`ArityBoundError` unless every relation arity is <= bound."""
     for formula in formulas:
@@ -168,14 +181,8 @@ def classify_pp_class(
     measures = measure_pp_class(formulas)
     max_core = max(m.core_treewidth for m in measures)
     max_contract = max(m.contract_treewidth for m in measures)
-    if max_contract <= treewidth_bound and max_core <= treewidth_bound:
-        case = Case.FPT
-    elif max_contract <= treewidth_bound:
-        case = Case.CLIQUE_EQUIVALENT
-    else:
-        case = Case.SHARP_CLIQUE_HARD
     return Classification(
-        case=case,
+        case=trichotomy_case(max_core, max_contract, treewidth_bound),
         treewidth_bound=treewidth_bound,
         max_core_treewidth=max_core,
         max_contract_treewidth=max_contract,

@@ -39,7 +39,7 @@ from repro.budget import budget_scope
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
 from repro.engine.cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from repro.engine.executor import count_many as _count_many
-from repro.engine.executor import execute, execute_sharded
+from repro.engine.executor import execute_sharded
 from repro.engine.plan import CountingPlan, PlanProfile, Query
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.engine.pool import (
@@ -176,16 +176,13 @@ class Engine:
         CPU), the only pool its calls fan out over.  The pool itself
         starts lazily on the first parallel call and then stays
         resident for the engine's lifetime.
-    registry:
-        The :class:`~repro.engine.registry.StructureRegistry` holding
-        named resident structures; when omitted the engine creates one
-        with the two capacity knobs below.  Structures registered
-        through :meth:`register_structure` can then be *named* -- a
-        ``str`` -- anywhere ``count`` / ``count_many`` /
-        ``count_sharded`` accept a structure.
     registry_max_entries / registry_max_bytes:
-        Capacity of the engine-created registry (ignored when
-        ``registry`` is given).
+        Capacity of the engine's
+        :class:`~repro.engine.registry.StructureRegistry` of named
+        resident structures.  Structures registered through
+        :meth:`register_structure` can be *named* -- a ``str`` --
+        anywhere ``count`` / ``count_many`` / ``count_sharded`` accept
+        a structure.
     policy:
         The engine's default :class:`~repro.engine.policy.
         ExecutionPolicy` (also accepts a mode string or the request
@@ -202,7 +199,6 @@ class Engine:
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
         processes: int | None = None,
-        registry: StructureRegistry | None = None,
         registry_max_entries: int = DEFAULT_REGISTRY_MAX_ENTRIES,
         registry_max_bytes: int = DEFAULT_REGISTRY_MAX_BYTES,
         policy: ExecutionPolicy | str | dict | None = None,
@@ -213,7 +209,7 @@ class Engine:
         self.plans = PlanCache(plan_cache_size, max_disjuncts)
         #: Execution contexts; the placed tier mirrors the pool's pin set.
         self.contexts = ResidentContexts()
-        self.registry = registry or StructureRegistry(
+        self.registry = StructureRegistry(
             max_entries=registry_max_entries, max_bytes=registry_max_bytes
         )
         self.pool = WorkerPool(processes=processes)
@@ -258,8 +254,9 @@ class Engine:
         return self.compile(query).profile
 
     # -- policy plumbing ------------------------------------------------
-    def _resolve_policy(self, policy) -> ExecutionPolicy:
-        """The engine default, or a validated per-call override."""
+    def resolve_policy(self, policy) -> ExecutionPolicy:
+        """The engine default, or a validated per-call override (the
+        serving layer resolves a request's policy through here too)."""
         if policy is None:
             return self.policy
         return ExecutionPolicy.from_request(policy)
@@ -601,13 +598,15 @@ class Engine:
         returning the profile's documented sound over-estimate
         ``universe_size ** arity``) when it runs out.
         """
-        resolved = self._resolve_policy(policy)
+        resolved = self.resolve_policy(policy)
         with _trace.span_or_trace("engine.count"):
             structure = self.resolve_structure(structure)
             plan = self.compile(query)
 
             def run() -> int:
-                return execute(plan, structure, self.contexts.lookup(structure)[0])
+                # The one-cell batch: one program, one runner.
+                grid = _count_many([plan], [structure], contexts=self.contexts)
+                return grid[0][0]
 
             return self._run_guarded(resolved, [plan], [structure], run)
 
@@ -648,7 +647,7 @@ class Engine:
         """
         if shard_count is not None and shard_count < 1:
             raise ReproError("shard_count must be at least 1")
-        resolved = self._resolve_policy(policy)
+        resolved = self.resolve_policy(policy)
         pool = self._pool_for(parallel, auto=True)
         with _trace.span_or_trace("engine.count_sharded") as root:
             entry = None
@@ -708,12 +707,13 @@ class Engine:
     ) -> list[list[int]]:
         """Count every query on every structure: ``result[i][j] = |q_i(B_j)|``.
 
-        Plans come from (and warm) the engine's plan cache; the parallel
-        path ships the compiled plans to the engine's worker pool in
-        structure-major blocks, the sequential path shares the engine's
-        execution contexts.  ``parallel=None`` takes the pool when the
-        host has more than one CPU and the grid has at least 8 cells,
-        enough to amortize pool start-up.  Any item of ``structures``
+        Plans come from (and warm) the engine's plan cache and run as
+        one program: the parallel path ships blocks of each
+        structure's evaluation units to the engine's worker pool, the
+        sequential path shares the engine's execution contexts.
+        ``parallel=None`` takes the pool when the host has more than
+        one CPU and the grid has at least 8 cells, enough to amortize
+        pool start-up.  Any item of ``structures``
         may be the name of a registered structure.
 
         ``policy`` routes as in :meth:`count`, applied to the whole
@@ -723,7 +723,7 @@ class Engine:
         ``degrade`` fallback fills the whole grid with the profiles'
         documented over-estimates.
         """
-        resolved = self._resolve_policy(policy)
+        resolved = self.resolve_policy(policy)
         with _trace.span_or_trace(
             "engine.count_many",
             queries=len(queries),

@@ -97,15 +97,11 @@ class PlanProfile:
         The stored measures make this a pair of comparisons, so a
         per-request policy with its own bound never re-classifies.
         """
-        from repro.core.classification import Case
+        from repro.core.classification import trichotomy_case
 
-        if treewidth_bound == self.treewidth_bound:
-            return self.case
-        if self.contract_treewidth <= treewidth_bound:
-            if self.core_treewidth <= treewidth_bound:
-                return Case.FPT
-            return Case.CLIQUE_EQUIVALENT
-        return Case.SHARP_CLIQUE_HARD
+        return trichotomy_case(
+            self.core_treewidth, self.contract_treewidth, treewidth_bound
+        )
 
     def estimated_cost(self, universe_size: int) -> float:
         """A structure-size-parameterized cost estimate.
@@ -335,7 +331,11 @@ def profile_plan(
     exponential algorithm, so profiling stays cheap on adversarially
     large queries.
     """
-    from repro.core.classification import Case, measure_pp_class
+    from repro.core.classification import (
+        Case,
+        measure_pp_class,
+        trichotomy_case,
+    )
 
     started = time.perf_counter()
     with _trace.span("plan.classify", kind=plan.kind) as span:
@@ -367,12 +367,7 @@ def profile_plan(
         measures = measure_pp_class(formulas, exact_threshold=exact_threshold)
         max_core = max(m.core_treewidth for m in measures)
         max_contract = max(m.contract_treewidth for m in measures)
-        if max_contract <= treewidth_bound and max_core <= treewidth_bound:
-            case = Case.FPT
-        elif max_contract <= treewidth_bound:
-            case = Case.CLIQUE_EQUIVALENT
-        else:
-            case = Case.SHARP_CLIQUE_HARD
+        case = trichotomy_case(max_core, max_contract, treewidth_bound)
         exact = all(
             len(formula.variables) <= exact_threshold for formula in formulas
         )

@@ -196,38 +196,19 @@ def resident_task(job) -> TaskOk | TaskFailure:
 
 
 # ----------------------------------------------------------------------
-# The job tasks shipped to workers
+# The one job task shipped to workers
 # ----------------------------------------------------------------------
-def count_block_task(job) -> TaskOk | TaskFailure:
-    """Run a block of plans against one structure.
-
-    ``job = (plans, structure, budget)``: the block shares one resident
-    execution context (and the executions run against the resident
-    context's structure, so index, memos, and data stay coherent on a
-    fingerprint hit).  ``budget`` is the caller's remaining
-    :class:`~repro.budget.CostBudget` or ``None``, installed around the
-    block so budget- and deadline-exceeded counts abort *inside* the
-    worker.
-    """
-    plans, structure, budget = job
-
-    def run(context):
-        from repro.engine.executor import execute
-
-        return [execute(plan, context.structure, context) for plan in plans]
-
-    return _resident.execute(
-        run, structure, budget, "count.block", plans=len(plans)
-    )
-
-
 def shard_task(job) -> TaskOk | TaskFailure:
-    """Evaluate every shard unit on one shard through one resident context.
+    """Evaluate units on one structure through one resident context.
 
-    ``job = (units, shard, budget)``: the sharded executor's per-shard
-    work, with the context (index + boundary memos) resident across
-    calls, so a repeated ``count_sharded`` on the same data re-executes
-    against warm memos instead of rebuilding them.
+    ``job = (units, structure, budget)``: the executor's per-structure
+    work -- a shard's units, or a block of a batch structure's -- with
+    the context (index + boundary memos) resident across calls, so a
+    repeated count on the same data re-executes against warm memos
+    instead of rebuilding them.  ``budget`` is the caller's remaining
+    :class:`~repro.budget.CostBudget` or ``None``, installed around the
+    units so budget- and deadline-exceeded counts abort *inside* the
+    worker.
     """
     units, shard, budget = job
     return _resident.execute(

@@ -29,14 +29,14 @@ their attributes in ``docs/observability.md``):
 ``context.semijoin``
     one semijoin ∃-component elimination attempt;
 ``shard.fanout``
-    shipping shard jobs to the pool and collecting results;
+    shipping a ``count_sharded`` or ``count_many`` call's jobs to the
+    pool and collecting results;
 ``shard.execute[i]``
-    one shard's evaluation, recorded *inside* the worker that ran it
-    (``[i]`` is the shard index, suffixed at re-parenting time);
-``count.block[i]``
-    one ``count_many`` block, likewise worker-recorded;
+    one job's units on one shard or batch structure, recorded *inside*
+    the worker that ran it (``[i]`` is the job index, suffixed at
+    re-parenting time) or in-process for sequential work;
 ``combine``
-    exact recombination of the per-shard results.
+    exact recombination of the unit values into counts.
 
 Tracing is **on by default**; ``REPRO_TRACE=off`` (or ``0`` / ``false``
 / ``no``) disables it process-wide, and forked pool workers inherit the

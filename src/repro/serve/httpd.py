@@ -324,6 +324,15 @@ def _optional_bool(payload: Mapping, field: str) -> bool | None:
     raise BadRequest(f"{field} must be a boolean")
 
 
+def _optional_str(payload: Mapping, field: str) -> str | None:
+    """An optional string field (``null`` is absent, like every other
+    optional field; a number is not a name)."""
+    value = payload.get(field)
+    if value is None or isinstance(value, str):
+        return value
+    raise BadRequest(f"{field} must be a string")
+
+
 # ----------------------------------------------------------------------
 # The server
 # ----------------------------------------------------------------------
@@ -812,11 +821,12 @@ class CountingServer:
 
     async def _route_count_sharded(self, payload: Mapping) -> dict:
         shard_count = _optional_int(payload, "shard_count")
+        shard_strategy = _optional_str(payload, "shard_strategy")
         count = await self.service.count_sharded(
             _query_from_json(_require(payload, "query")),
             structure_or_ref_from_json(_require(payload, "structure")),
             shard_count=shard_count,
-            shard_strategy=str(payload.get("shard_strategy", "hash")),
+            shard_strategy="hash" if shard_strategy is None else shard_strategy,
             parallel=_optional_bool(payload, "parallel"),
             policy=_policy_from_json(payload),
         )

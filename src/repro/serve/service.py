@@ -41,8 +41,7 @@ from typing import Callable, Sequence
 from dataclasses import replace as _replace
 
 from repro.engine.api import Engine
-from repro.engine.policy import ExecutionPolicy
-from repro.exceptions import ReproError
+from repro.exceptions import PolicyRejection, ReproError
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 
@@ -101,7 +100,6 @@ class ServiceConfig:
     max_queue: int = 16
     request_timeout_seconds: float = 30.0
     drain_timeout_seconds: float = 10.0
-    latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
     slow_request_seconds: float | None = 1.0
 
     def __post_init__(self) -> None:
@@ -111,8 +109,6 @@ class ServiceConfig:
             raise ReproError("max_queue must be non-negative")
         if self.request_timeout_seconds <= 0:
             raise ReproError("request_timeout_seconds must be positive")
-        if tuple(self.latency_buckets) != tuple(sorted(self.latency_buckets)):
-            raise ReproError("latency_buckets must be sorted ascending")
 
 
 class LatencyHistogram:
@@ -324,11 +320,7 @@ class CountingService:
         growing).  ``None`` with a non-budget engine default passes
         through unchanged (the engine applies its own default).
         """
-        resolved = (
-            self.engine.policy
-            if policy is None
-            else ExecutionPolicy.from_request(policy)
-        )
+        resolved = self.engine.resolve_policy(policy)
         if resolved.mode not in ("budget", "degrade"):
             return policy
         timeout = self.config.request_timeout_seconds
@@ -403,17 +395,14 @@ class CountingService:
 
     def _classify_blocking(self, query, policy) -> dict:
         profile = self.engine.classify(query)
-        resolved = (
-            self.engine.policy
-            if policy is None
-            else ExecutionPolicy.from_request(policy)
-        )
-        case = profile.case_for(resolved.treewidth_bound)
-        admitted = not (
-            resolved.mode == "reject" and case.name in resolved.reject_cases
-        )
+        resolved = self.engine.resolve_policy(policy)
+        try:
+            resolved.admit(profile)
+            admitted = True
+        except PolicyRejection:
+            admitted = False
         return {
-            "verdict": case.name,
+            "verdict": profile.case_for(resolved.treewidth_bound).name,
             "admitted": admitted,
             "profile": profile.as_dict(),
             "policy": resolved.as_dict(),

@@ -59,6 +59,24 @@ def test_checker_detects_missing_and_stale_knobs(tmp_path):
     assert not any("'processes'" in p for p in problems)
 
 
+def test_operations_serving_knob_table_matches_service_config():
+    problems = check_docs_freshness.check_serving_knobs()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_missing_and_stale_serving_knobs(tmp_path):
+    stale = tmp_path / "operations.md"
+    stale.write_text(
+        "## Serving knobs\n\n| Knob | Default |\n|---|---|\n"
+        "| `max_in_flight` (`--max-in-flight`) | 4 |\n"
+        "| `latency_buckets` | 16 bounds |\n"
+    )
+    problems = check_docs_freshness.check_serving_knobs(stale)
+    assert any("'latency_buckets'" in p for p in problems)  # stale row
+    assert any("'max_queue'" in p for p in problems)  # undocumented field
+    assert not any("'max_in_flight'" in p for p in problems)
+
+
 def test_operations_call_args_table_matches_engine_methods():
     problems = check_docs_freshness.check_call_args()
     assert not problems, "\n".join(problems)

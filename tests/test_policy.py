@@ -31,7 +31,7 @@ from repro import (
 from repro.budget import budget_scope
 from repro.core.classification import Case
 from repro.engine.api import Engine
-from repro.engine.plan import compile_plan, profile_plan
+from repro.engine.plan import as_ep, compile_plan, profile_plan
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.exceptions import WorkloadError
 from repro.serve import (
@@ -111,6 +111,25 @@ def test_workloads_reexport_the_one_clique_query():
         names = {f"x{i}" for i in range(k)}
         assert {v.name for v in clique_query(k).liberal} == names
         assert not clique_query(k, liberal=False).liberal
+
+
+def _generator_pp_queries():
+    from test_encoding import GENERATOR_QUERIES
+
+    for name, query in GENERATOR_QUERIES.items():
+        ep = as_ep(query)
+        if ep.is_primitive_positive() and len(ep.to_pp().variables) <= 10:
+            yield pytest.param(query, id=name)
+
+
+@pytest.mark.parametrize("query", _generator_pp_queries())
+def test_a_profile_re_derives_the_classifiers_verdict_at_every_bound(query):
+    # Both sides measure exactly at <= 10 variables, so the memoized
+    # measures must reproduce the classifier's verdict at any bound.
+    profile = compile_plan(query).profile
+    assert profile.exact
+    for bound in range(4):
+        assert profile.case_for(bound) is classify(query, bound).case
 
 
 def test_frontier_pairs_straddle_the_trichotomy():
@@ -437,6 +456,43 @@ def test_http_classify_and_policy_routing():
         ).read().decode()
         assert 'repro_plan_verdicts_total{verdict="SHARP_CLIQUE_HARD"}' in scrape
         assert "repro_engine_policy_rejections_total" in scrape
+
+
+CLASSIFY_POLICIES = [
+    "allow",
+    "reject",
+    "budget",
+    {"mode": "reject", "treewidth_bound": 3},
+    {"mode": "reject", "treewidth_bound": 1},
+    {"mode": "reject", "reject_cases": ["CLIQUE_EQUIVALENT"]},
+]
+
+
+def test_classify_admits_exactly_what_count_does_not_reject():
+    from repro.workloads.generators import hidden_clique_query
+
+    queries = [PATH_QUERY, str(TRACTABLE), str(HARD), hidden_clique_query(3)]
+    g = graph(6, 0.5, seed=2)
+    engine = Engine()  # counts run in this thread: no pool is forked
+    server = CountingServer(service=CountingService(engine=engine), port=0)
+    with BackgroundServer(server) as background:
+        host, port = background.server.address
+        base = f"http://{host}:{port}"
+        verdicts = set()
+        for query in queries:
+            for policy in CLASSIFY_POLICIES:
+                answer = _post(
+                    base, "/classify", {"query": str(query), "policy": policy}
+                )
+                verdicts.add(answer["verdict"])
+                try:
+                    engine.count(query, g, policy=policy)
+                    rejected = False
+                except PolicyRejection:
+                    rejected = True
+                assert answer["admitted"] is not rejected, (query, policy)
+    assert not engine.pool.started
+    assert verdicts == {"FPT", "CLIQUE_EQUIVALENT", "SHARP_CLIQUE_HARD"}
 
 
 def test_deadline_budget_stops_worker_and_drains_abandoned():

@@ -215,6 +215,35 @@ def test_every_parallel_call_runs_on_the_engines_one_pool(monkeypatch):
     assert not set(multiprocessing.active_children()) - children_before
 
 
+def test_count_many_on_one_structure_fans_its_units_out(monkeypatch):
+    from repro.algorithms.brute_force import count_answers_naive
+    from repro.engine.plan import as_ep
+
+    graph = random_cluster_graph(4, 4, 0.5, seed=9)
+    queries = [path_query(k, quantify_interior=True) for k in range(1, 5)]
+    queries += [union_of_paths_query([1, k]) for k in range(2, 4)]
+    expected = [[count_answers_naive(as_ep(q), graph)] for q in queries]
+    with Engine(processes=2) as engine:
+        assert len(queries) >= 2 * engine.pool.processes
+        shipped: list[list] = []
+        real_map = engine.pool.map
+
+        def recording(task, jobs, by_value=None):
+            shipped.append(list(jobs))
+            return real_map(task, jobs, by_value)
+
+        monkeypatch.setattr(engine.pool, "map", recording)
+        assert engine.count_many(queries, [graph], parallel=True) == expected
+        engine.register_structure("net", graph, shard_count=2)
+        assert engine.count_many(queries, ["net"], parallel=True) == expected
+        ad_hoc, by_ref = shipped
+        # One structure, many plans: still more than one job, and every
+        # job of the pinned ref names it instead of carrying it.
+        assert len(ad_hoc) > 1 and len(by_ref) > 1
+        assert all(isinstance(job[1], Structure) for job in ad_hoc)
+        assert all(job[1] == graph.fingerprint() for job in by_ref)
+
+
 def test_an_explicit_pool_agrees_with_sequential():
     structure = random_cluster_graph(5, 4, 0.4, seed=8)
     query = path_query(2, quantify_interior=True)
@@ -234,15 +263,15 @@ def test_worker_value_error_propagates_from_count_many(monkeypatch):
     """A counting bug inside a pool worker must reach the caller.
 
     The patch lands before the pool forks, so the workers inherit the
-    exploding ``execute``; the sequential path would raise the same
-    way, and the parallel path must not silently demote to it.
+    exploding ``execute_pp_plan``; the sequential path would raise the
+    same way, and the parallel path must not silently demote to it.
     """
-    import repro.engine.executor as executor_module
+    import repro.algorithms.fpt_counting as fpt_module
 
     def explode(plan, structure, context=None):
         raise ValueError("boom inside worker")
 
-    monkeypatch.setattr(executor_module, "execute", explode)
+    monkeypatch.setattr(fpt_module, "execute_pp_plan", explode)
     structures = [random_graph(4, 0.5, seed=s) for s in range(3)]
     with WorkerPool(processes=2) as pool:
         with pytest.raises(ValueError, match="boom inside worker"):

@@ -415,6 +415,39 @@ def test_http_parallel_must_be_a_boolean(path, value):
         assert engine.pool.started
 
 
+def test_service_config_has_no_latency_buckets():
+    # The histogram bounds were never configurable: every endpoint
+    # always built the 16 default buckets.
+    with pytest.raises(TypeError, match="latency_buckets"):
+        ServiceConfig(latency_buckets=(0.1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "value, status",
+    [
+        pytest.param(None, 200, id="null"),
+        pytest.param("hash", 200, id="hash"),
+        pytest.param(1, 400, id="int"),
+        pytest.param(["hash"], 400, id="list"),
+    ],
+)
+def test_http_shard_strategy_is_a_string_or_null(served_triangle, value, status):
+    status_code, body = _send(
+        served_triangle, "POST", "/count_sharded",
+        {
+            "query": PATH_QUERY,
+            "structure": {"ref": "tri"},
+            "shard_strategy": value,
+            "parallel": False,
+        },
+    )
+    assert status_code == status, body
+    if status == 200:
+        assert body == {"count": 3}
+    else:
+        assert body == {"error": "shard_strategy must be a string"}
+
+
 def test_http_server_saturation_returns_429():
     config = ServiceConfig(max_in_flight=1, max_queue=0, request_timeout_seconds=10)
     server = CountingServer(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Seven checks, each asserting set equality in *both* directions:
+Eight checks, each asserting set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -15,6 +15,8 @@ Seven checks, each asserting set equality in *both* directions:
 - the "Engine tuning knobs" table of ``docs/operations.md`` vs. the
   parameters of ``repro.engine.Engine.__init__`` (each knob named in
   backticks in its row's first cell);
+- the "Serving knobs" table of ``docs/operations.md`` vs. the fields of
+  ``repro.serve.ServiceConfig`` (the same row form);
 - the "Per-call arguments" table of ``docs/operations.md`` vs. the
   keyword-only parameters of ``Engine.count`` / ``count_sharded`` /
   ``count_many`` (the argument in backticks in a row's first cell, the
@@ -25,8 +27,8 @@ Seven checks, each asserting set equality in *both* directions:
   modules directly under ``src/repro`` (each named ``src/repro/<name>``
   in backticks, modules with their ``.py``).
 
-A route, metric, frame type, engine option, per-call argument, stats
-field or package added to the code without documentation, or
+A route, metric, frame type, engine option, serving knob, per-call
+argument, stats field or package added to the code without documentation, or
 documentation for one the code no longer has, fails CI.
 
 Usage (repo root)::
@@ -66,6 +68,9 @@ _FRAME_HEADING = re.compile(r"^#{2,4}\s+`([a-z_]+)`\s*$", re.MULTILINE)
 
 #: The heading of the operations guide's engine-option table.
 _KNOB_SECTION = "## Engine tuning knobs"
+
+#: The heading of the operations guide's ``ServiceConfig`` table.
+_SERVING_SECTION = "## Serving knobs"
 
 #: The heading of the operations guide's per-call argument table.
 _CALL_SECTION = "## Per-call arguments"
@@ -253,6 +258,15 @@ def engine_knobs() -> set[str]:
     return set(inspect.signature(Engine.__init__).parameters) - {"self"}
 
 
+def serving_knobs() -> set[str]:
+    """The fields of :class:`repro.serve.ServiceConfig`."""
+    import dataclasses
+
+    from repro.serve import ServiceConfig
+
+    return {field.name for field in dataclasses.fields(ServiceConfig)}
+
+
 def engine_call_args() -> set[str]:
     """``method.argument`` for every keyword-only parameter of the
     engine's counting methods."""
@@ -308,6 +322,15 @@ def check_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
     )
 
 
+def check_serving_knobs(doc_path: Path = OPS_DOC_PATH) -> list[str]:
+    """Drift between the documented serving knobs and the fields of
+    ``ServiceConfig``."""
+    return _check_table(
+        doc_path, _SERVING_SECTION, "ServiceConfig field", serving_knobs(),
+        "ServiceConfig",
+    )
+
+
 def check_call_args(doc_path: Path = OPS_DOC_PATH) -> list[str]:
     """Drift between the per-call argument table and the keyword-only
     parameters of the engine's counting methods."""
@@ -358,6 +381,8 @@ def main() -> int:
          check_metrics()),
         ("docs/cluster.md", "the cluster wire protocol", check_cluster()),
         ("docs/operations.md", "the Engine options", check_knobs()),
+        ("docs/operations.md", "the ServiceConfig fields",
+         check_serving_knobs()),
         ("docs/operations.md", "the per-call arguments", check_call_args()),
         ("docs/operations.md", "the EngineStats fields", check_stats()),
         ("README.md", "the src/repro package tree", check_layout()),
@@ -373,13 +398,15 @@ def main() -> int:
     metrics = len(emitted_metrics())
     frames = len(wire_frame_types())
     knobs = len(engine_knobs())
+    serving = len(serving_knobs())
     call_args = len(engine_call_args())
     stats = len(engine_stats_keys())
     packages = len(package_layout())
     print(
         f"docs freshness OK: all {routes} HTTP routes, {metrics} "
         f"Prometheus metric families, {frames} cluster frame types, "
-        f"{knobs} Engine options, {call_args} per-call arguments, "
+        f"{knobs} Engine options, {serving} serving knobs, "
+        f"{call_args} per-call arguments, "
         f"{stats} stats fields and {packages} src/repro packages and "
         "modules documented, none stale"
     )
