@@ -358,8 +358,8 @@ class ExecutionContext:
         context -- above all the worker-resident ones of
         :mod:`repro.engine.pool` -- a repeated (plan, shard) evaluation
         is a dictionary lookup instead of a junction-tree run.  The
-        memo follows the context's lifetime: it is dropped by
-        :meth:`clear` and bounded by the worker cache's LRU eviction.
+        memo lives until the context is dropped or migrated (a delta
+        keeps the entries it cannot have changed), or :meth:`clear`.
         """
         from repro.algorithms.fpt_counting import execute_pp_plan
 
@@ -400,6 +400,25 @@ class ExecutionContext:
             else:
                 out.append(self.sentence_holds(unit.sentence))
         return out
+
+    def recall(self, units) -> list:
+        """:meth:`run_units` from the memos alone (``None``: a miss)."""
+        return [
+            self._count_memo.get(unit.plan.base)
+            if unit.kind == "count"
+            else self._sentence_memo.get(unit.sentence)
+            for unit in units
+        ]
+
+    def remember(self, units, values) -> None:
+        """Memoize unit values a worker computed; builds nothing."""
+        if not self.memoize:
+            return
+        for unit, value in zip(units, values):
+            if unit.kind == "count":
+                self._count_memo[unit.plan.base] = value
+            else:
+                self._sentence_memo[unit.sentence] = value
 
     def _eliminate(
         self, component: "ExistsComponent", boundary: tuple["Variable", ...]

@@ -22,17 +22,19 @@ recipes turn the values into counts:
 
 :func:`execute` is the one-structure reference over a given context.
 
-The runner's only parallelism inputs are the
-:class:`~repro.engine.pool.WorkerPool` and cluster it is handed -- an
-:class:`~repro.engine.api.Engine` hands its one long-lived pool, whose
-workers keep contexts resident across calls -- and with neither it runs
-sequentially.  A handed pool fans out when there is more than one job:
-one per shard, or for the batch grid enough blocks of each structure's
-units to give every worker work.  Failure handling is two-sided:
-failing to *submit* to the pool (no subprocess support, unpicklable
-jobs) falls back to the sequential path, while an exception raised
-*inside* a worker task propagates to the caller -- a genuine counting
-bug is never masked by a silent sequential re-run.
+The runner first *recalls*: a structure whose units are all memoized in
+the context the engine's store holds for it is answered there, so a warm
+count dispatches nothing.  It *ships only the misses* -- each structure
+with just its missing units -- over the cluster and
+:class:`~repro.engine.pool.WorkerPool` it is handed (the engine's one
+long-lived pool), else sequentially, and *remembers* what workers return
+in the held contexts.  A handed pool fans out when there is more than
+one job: one per shard, or for the batch grid enough blocks of each
+structure's units to give every worker work.  Failure handling is
+two-sided: failing to *submit* to the pool (no subprocess support,
+unpicklable jobs) falls back to the sequential path, while an exception
+raised *inside* a worker task propagates to the caller -- a genuine
+counting bug is never masked by a silent sequential re-run.
 """
 
 from __future__ import annotations
@@ -214,64 +216,88 @@ def _run_units(
     contexts: ResidentContexts | None = None,
     keep: bool = True,
     saturate: bool = False,
-) -> list[list]:
+) -> tuple[list[list], int]:
     """Evaluate ``units`` on every structure: ``values[j][i]`` is unit
-    ``i`` on ``structures[j]``.
+    ``i`` on ``structures[j]``; returns ``(values, answered)``.
 
-    ``cluster`` (a :class:`~repro.cluster.coordinator.
-    ClusterCoordinator`, for shards it placed) is tried first: each
-    structure's units are routed to a worker *holding* it.  A cluster
-    that cannot take the work -- no live workers, an unplaced shard, a
-    mid-count loss of every holder -- degrades to ``pool`` and the
-    values are recomputed exactly.  The pool runs one job per structure
-    -- or, with ``saturate`` (the batch grid), enough blocks of each
-    structure's units to give every worker work -- when that is more
-    than one job; otherwise, and when the jobs cannot be submitted, the
-    units run here, through the context ``contexts`` holds or builds
-    (``keep=False``: a context the store has not placed is a throwaway,
-    so one-off shards evict nothing).  Only a genuine task exception
-    propagates.
+    A structure whose units are all memoized in the context ``contexts``
+    holds for it is ``answered`` there (one ``context_hits``); the rest
+    are routed with only their missing units, and what comes back is
+    remembered in the context held before dispatch (so a shard migrated
+    meanwhile never gets late values).  ``cluster`` (a
+    :class:`~repro.cluster.coordinator.ClusterCoordinator`, for shards
+    it placed) is tried first: each structure's units are routed to a
+    worker *holding* it.  A cluster that cannot take the work -- no live
+    workers, an unplaced shard, a mid-count loss of every holder --
+    degrades to ``pool`` and the values are recomputed exactly.  The
+    pool runs one job per structure -- or, with ``saturate`` (the batch
+    grid), enough blocks of each structure's units to give every worker
+    work -- when that is more than one job; otherwise, and when the jobs
+    cannot be submitted, the units run here, through the context
+    ``contexts`` holds or builds (``keep=False``: a context the store
+    has not placed is a throwaway, so one-off shards evict nothing).
+    Only a genuine task exception propagates.
     """
-    if cluster is not None and structures and units:
-        from repro.cluster.coordinator import ClusterUnavailable
+    if contexts is None:
+        contexts = ResidentContexts()
+    held = [contexts.held(structure) for structure in structures]
+    values = [
+        [None] * len(units) if context is None else context.recall(units)
+        for context in held
+    ]
+    misses = [j for j, row in enumerate(values) if None in row]
+    answered = len(structures) - len(misses)
+    contexts.stats.bump("context_hits", answered)
+    if not misses:
+        return values, answered
+    units_by = [
+        tuple(u for u, v in zip(units, values[j]) if v is None) for j in misses
+    ]
+    missed = [structures[j] for j in misses]
+    computed = None
+    try:
+        if cluster is not None:
+            from repro.cluster.coordinator import ClusterUnavailable
 
-        try:
-            return _run_cluster(units, structures, cluster)
-        except ClusterUnavailable:
-            # The cluster cannot take the work right now; recompute on
-            # the local paths below -- exactness over placement.
-            pass
-        except WorkerTaskError as failure:
-            raise failure.original from failure
-    if pool is not None and units and structures:
-        blocks = 1
-        if saturate:
-            wanted = -(-pool.processes * 2 // len(structures))
-            blocks = max(1, min(len(units), wanted))
-        if len(structures) * blocks > 1:
-            chunk = -(-len(units) // blocks)
             try:
-                return _run_pool(units, structures, pool, chunk)
-            except WorkerTaskError as failure:
-                raise failure.original from failure
-            except _POOL_FALLBACK_ERRORS:
-                pass  # the jobs never reached a worker: run them here
-    return _run_sequential(units, structures, contexts, keep)
+                computed = _run_cluster(units_by, missed, cluster)
+            except ClusterUnavailable:
+                # The cluster cannot take the work right now; recompute
+                # on the local paths below -- exactness over placement.
+                pass
+        if computed is None and pool is not None:
+            blocks = 1
+            if saturate:
+                wanted = -(-pool.processes * 2 // len(missed))
+                blocks = min(max(map(len, units_by)), wanted)
+            if len(missed) * blocks > 1:
+                try:
+                    computed = _run_pool(units_by, missed, pool, blocks)
+                except _POOL_FALLBACK_ERRORS:
+                    pass  # the jobs never reached a worker: run them here
+    except WorkerTaskError as failure:
+        raise failure.original from failure
+    if computed is None:
+        computed = _run_sequential(units_by, missed, contexts, keep)
+    for j, asked, got in zip(misses, units_by, computed):
+        if held[j] is not None:
+            held[j].remember(asked, got)
+        fill = iter(got)
+        values[j] = [next(fill) if v is None else v for v in values[j]]
+    return values, answered
 
 
 def _run_sequential(
-    units: tuple[_ShardUnit, ...],
+    units_by: list[tuple[_ShardUnit, ...]],
     structures: Sequence[Structure],
-    contexts: ResidentContexts | None,
+    contexts: ResidentContexts,
     keep: bool,
 ) -> list[list]:
     """Every unit of a structure through one context of ``contexts``,
     under the ``shard.execute[i]`` span a pool job records, so a trace
     has the same shape whether the work ran in workers or in-process."""
-    if contexts is None:
-        contexts = ResidentContexts()
     out: list[list] = []
-    for index, structure in enumerate(structures):
+    for index, (units, structure) in enumerate(zip(units_by, structures)):
         with _trace.span(f"shard.execute[{index}]", units=len(units)):
             context, _ = contexts.lookup(structure, keep=keep)
             out.append(context.run_units(units))
@@ -279,12 +305,12 @@ def _run_sequential(
 
 
 def _run_pool(
-    units: tuple[_ShardUnit, ...],
+    units_by: list[tuple[_ShardUnit, ...]],
     structures: Sequence[Structure],
     pool: WorkerPool,
-    chunk: int,
+    blocks: int,
 ) -> list[list]:
-    """One job per ``chunk`` units of each structure on ``pool``.
+    """Each structure's units in ``blocks`` jobs (at most) on ``pool``.
 
     A structure every worker holds pinned is named by its fingerprint;
     any other ships by value (fingerprint cached inside the pickle, so
@@ -297,7 +323,8 @@ def _run_pool(
     budget = current_budget()
     jobs: list[tuple] = []
     owners: list[int] = []  # the structure index of each job
-    for j, key in enumerate(keys):
+    for j, (units, key) in enumerate(zip(units_by, keys)):
+        chunk = -(-len(units) // blocks)
         for start in range(0, len(units), chunk):
             jobs.append((units[start : start + chunk], key, budget))
             owners.append(j)
@@ -310,7 +337,7 @@ def _run_pool(
     with _trace.span(
         "shard.fanout",
         shards=len(jobs),
-        units=len(units),
+        units=sum(map(len, units_by)),
         by_ref=sum(keys[j] is not structures[j] for j in owners),
     ) as fanout:
         values = pool.map(shard_task, jobs, by_value)
@@ -322,7 +349,7 @@ def _run_pool(
 
 
 def _run_cluster(
-    units: tuple[_ShardUnit, ...],
+    units_by: list[tuple[_ShardUnit, ...]],
     structures: Sequence[Structure],
     cluster,
 ) -> list[list]:
@@ -339,11 +366,11 @@ def _run_cluster(
     for genuine task failures.
     """
     budget = current_budget()
-    jobs = [(units, structure.fingerprint()) for structure in structures]
+    jobs = [(u, s.fingerprint()) for u, s in zip(units_by, structures)]
     with _trace.span(
         "shard.fanout",
         shards=len(jobs),
-        units=len(units),
+        units=sum(map(len, units_by)),
         cluster=True,
     ):
         try:
@@ -408,11 +435,13 @@ def count_many(
         for q in queries
     ]
     program = _lower_plan(plans, split=False)
-    values = _run_units(
+    values, answered = _run_units(
         program.units, structures, pool=pool, contexts=contexts, saturate=True
     )
     terms = sum(len(recipe.terms) for recipe in program.recipes)
-    with _trace.span("combine", shards=len(structures), terms=terms):
+    with _trace.span(
+        "combine", shards=len(structures), terms=terms, answered=answered
+    ):
         columns = [
             program.combine([row], len(structure.universe))
             for row, structure in zip(values, structures)
@@ -441,7 +470,7 @@ def execute_sharded(
     """
     program = _lower_plan([plan], split=True)
     shards = sharded.non_empty_shards()
-    values_by_shard = _run_units(
+    values_by_shard, answered = _run_units(
         program.units,
         shards,
         pool=pool,
@@ -449,6 +478,8 @@ def execute_sharded(
         contexts=contexts,
         keep=False,
     )
-    (recipe,) = program.recipes
-    with _trace.span("combine", shards=len(shards), terms=len(recipe.terms)):
+    terms = len(program.recipes[0].terms)
+    with _trace.span(
+        "combine", shards=len(shards), terms=terms, answered=answered
+    ):
         return program.combine(values_by_shard, sharded.universe_size)[0]

@@ -209,6 +209,16 @@ class ResidentContexts:
         self.stats.bump("context_hits" if hit else "context_misses")
         return context, hit
 
+    def held(self, structure: Structure) -> ExecutionContext | None:
+        """The context either tier holds for ``structure`` (an LRU one
+        becomes the most recent), else ``None``; creates nothing,
+        builds nothing, counts nothing."""
+        fingerprint = structure.fingerprint()
+        with self._lock:
+            if fingerprint in self._lru:
+                self._lru.move_to_end(fingerprint)
+            return self._placed.get(fingerprint) or self._lru.get(fingerprint)
+
     def placed_fingerprints(self) -> tuple:
         """The fingerprints of the placed tier (diagnostics)."""
         with self._lock:

@@ -100,10 +100,10 @@ def _smoke(args: argparse.Namespace) -> int:
         if by_ref != 3:
             print(f"smoke FAILED: /count by ref returned {by_ref}, expected 3")
             return 1
-        # The same reference through the worker pool: two components,
-        # one shard each, so the count fans out as jobs that name the
-        # pinned shards; then a one-tuple delta (a residency broadcast
-        # to the live workers) and the count again.
+        # The same reference through the worker pool, for a query the
+        # engine has not memoized: two components, one shard each, so
+        # the count fans out as jobs that name the pinned shards; then
+        # a one-tuple delta (a residency broadcast) and the count again.
         triangles = {
             "relations": {
                 "E": triangle["relations"]["E"] + [[4, 5], [5, 6], [6, 4]]
@@ -115,19 +115,19 @@ def _smoke(args: argparse.Namespace) -> int:
             {"structure": triangles, "shard_count": 2},
         )
         sharded = {
-            "query": query,
+            "query": "exists z. (E(z, x) & E(z, y))",
             "structure": {"ref": "smoke"},
             "parallel": True,
         }
         before = call("POST", "/count_sharded", sharded)["count"]
         call("PATCH", "/structures/smoke", {"delete": {"E": [[6, 4]]}})
         after = call("POST", "/count_sharded", sharded)["count"]
-        # Two triangles hold 6 two-step walks; the path 4 -> 5 -> 6
-        # left of the second one holds 1.
-        if (before, after) != (6, 4):
+        # A triangle vertex has one out-neighbour v, giving (v, v): 3 a
+        # triangle; the path 4 -> 5 -> 6 left of the second one gives 2.
+        if (before, after) != (6, 5):
             print(
                 f"smoke FAILED: /count_sharded by ref returned {before}, "
-                f"then {after} after the delta; expected 6, then 4"
+                f"then {after} after the delta; expected 6, then 5"
             )
             return 1
         pool_size = server.service.engine.pool.processes

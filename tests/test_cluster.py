@@ -321,6 +321,7 @@ def test_wait_for_workers_times_out_cleanly():
 
 
 QUERY = "exists z. (E(x, z) & E(z, y))"
+FORK_QUERY = "exists z. (E(z, x) & E(z, y))"
 
 
 def test_cluster_counts_place_route_and_recover_membership():
@@ -331,6 +332,7 @@ def test_cluster_counts_place_route_and_recover_membership():
             coordinator.wait_for_workers(2, timeout=30)
             with Engine(processes=2) as engine:
                 expected = engine.count(QUERY, graph)
+                expected_fork = engine.count(FORK_QUERY, graph)
                 engine.attach_cluster(coordinator)
                 entry = engine.register_structure(
                     "net", graph, pin=True, shard_count=4
@@ -343,8 +345,10 @@ def test_cluster_counts_place_route_and_recover_membership():
                 assert stats["jobs_dispatched"] >= 1
                 assert stats["jobs_completed"] >= 1
                 assert stats["jobs_failed"] == 0
-                # Worker-resident contexts are reused across calls.
-                assert engine.count_sharded(QUERY, "net") == expected
+                # Worker-resident contexts are reused across calls; a
+                # repeated query would be answered from the parent's
+                # memos, so the second call asks a new one.
+                assert engine.count_sharded(FORK_QUERY, "net") == expected_fork
                 assert coordinator.stats_snapshot()["worker_context_hits"] >= 1
                 # Unregistering unplaces.
                 engine.unregister_structure("net")
@@ -474,11 +478,17 @@ def test_generator_queries_agree_across_all_execution_tiers(backend):
                     for query in AGREEMENT_QUERIES
                 ]
                 assert local == expected
-                for coordinator in (solo, trio):
+                # Each tier counts on a shard plan of its own: the
+                # parent answers a repeated (query, shard) from its
+                # memos, which would leave the cluster idle.
+                for coordinator, shard_count in ((solo, 3), (trio, 5)):
                     before = coordinator.stats_snapshot()[
                         "jobs_completed"
                     ]
                     engine.attach_cluster(coordinator)
+                    engine.register_structure(
+                        "net", graph, pin=True, shard_count=shard_count
+                    )
                     clustered = [
                         engine.count_sharded(query, "net")
                         for query in AGREEMENT_QUERIES

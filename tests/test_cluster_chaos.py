@@ -27,6 +27,10 @@ from repro.structures.random_gen import random_cluster_graph
 from test_cluster import reap, spawn_workers
 
 QUERY = "exists z. (E(x, z) & E(z, y))"
+# The parent answers a repeated (query, shard) from its own memos, so
+# every count that must reach the cluster asks a query of its own.
+FORK_QUERY = "exists z. (E(z, x) & E(z, y))"
+JOIN_QUERY = "exists z. (E(x, z) & E(y, z))"
 
 
 def _delta(after: dict, before: dict) -> dict:
@@ -56,6 +60,8 @@ def test_sigkill_one_of_three_mid_count_stays_exact_and_fast():
             coordinator.wait_for_workers(3, timeout=30)
             with Engine(processes=1) as engine:
                 expected = engine.count(QUERY, graph)
+                expected_fork = engine.count(FORK_QUERY, graph)
+                expected_join = engine.count(JOIN_QUERY, graph)
                 engine.attach_cluster(coordinator)
                 engine.register_structure(
                     "net", graph, pin=True, shard_count=8
@@ -69,7 +75,7 @@ def test_sigkill_one_of_three_mid_count_stays_exact_and_fast():
                 outcome: dict = {}
 
                 def count() -> None:
-                    outcome["value"] = engine.count_sharded(QUERY, "net")
+                    outcome["value"] = engine.count_sharded(FORK_QUERY, "net")
 
                 thread = threading.Thread(target=count)
                 before = coordinator.stats_snapshot()
@@ -96,7 +102,7 @@ def test_sigkill_one_of_three_mid_count_stays_exact_and_fast():
                 perturbed = _delta(coordinator.stats_snapshot(), before)
 
                 # Exactness survives the kill...
-                assert outcome["value"] == expected
+                assert outcome["value"] == expected_fork
                 # ...because in-flight units were genuinely reassigned.
                 assert perturbed["reassignments"] >= 1
                 assert perturbed["worker_failures"] >= 1
@@ -113,7 +119,10 @@ def test_sigkill_one_of_three_mid_count_stays_exact_and_fast():
                     <= 2 * unperturbed["jobs_dispatched"]
                 ), (perturbed, unperturbed)
                 # The cluster keeps serving exactly with 2 workers.
-                assert engine.count_sharded(QUERY, "net") == expected
+                before = coordinator.stats_snapshot()
+                assert engine.count_sharded(JOIN_QUERY, "net") == expected_join
+                served = _delta(coordinator.stats_snapshot(), before)
+                assert served["jobs_completed"] == unperturbed["jobs_completed"]
         finally:
             reap(workers)
 

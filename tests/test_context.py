@@ -230,6 +230,29 @@ def test_count_plan_memoizes_per_base_formula(monkeypatch):
     assert len(calls) == 4
 
 
+def test_remembered_unit_values_are_recalled_without_building_anything():
+    from repro.engine.executor import _lower_plan
+
+    structure = random_graph(6, 0.4, seed=5)
+    plans = [compile_plan(path_query(2, quantify_interior=True))]
+    plans.append(compile_plan("exists x. exists y. E(x, y)"))
+    units = _lower_plan(plans, split=True).units
+    assert {unit.kind for unit in units} == {"count", "sat"}
+    values = ExecutionContext(structure).run_units(units)
+
+    context = ExecutionContext(structure)
+    assert context.recall(units) == [None] * len(units)
+    context.remember(units, values)
+    assert context.recall(units) == values
+    assert not context.built  # no encoding, so no index either
+    assert context.run_units(units) == values and not context.built
+
+    # A context that memoizes nothing remembers nothing.
+    bare = ExecutionContext(structure, memoize=False)
+    bare.remember(units, values)
+    assert bare.recall(units) == [None] * len(units)
+
+
 def test_count_answers_accepts_an_explicit_context():
     structure = random_graph(6, 0.35, seed=8)
     context = ExecutionContext(structure)

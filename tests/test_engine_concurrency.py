@@ -300,3 +300,72 @@ def test_deltas_migrate_contexts_that_concurrent_counts_still_fill():
                 assert engine.count_sharded(query, "live", parallel=False) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_parallel_counts_racing_deltas_are_recalled_from_whole_versions_only():
+    """Readers repeating parallel sharded counts of a pinned ref -- each
+    answered from the parent's memos or shipped and remembered there --
+    while a writer alternates inserting and deleting one edge: every
+    count is the pre- or the post-delta oracle, and the final state
+    counts what a fresh engine counts."""
+    edges = [(i, i + 1) for i in range(0, 40, 2)]
+    edges += [(i, i + 2) for i in range(0, 40, 4)]
+    base = Structure.from_relations({"E": edges})
+    edge = (1, 2)  # inside one component: a routed delta
+    insert = StructureDelta(inserts={"E": [edge]})
+    delete = StructureDelta(deletes={"E": [edge]})
+    grown = base.apply_delta(insert)
+    before = count_answers_naive(as_ep(PATH_QUERY), base)
+    oracle = {before, count_answers_naive(as_ep(PATH_QUERY), grown)}
+    assert len(oracle) == 2
+    seen: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with Engine(processes=2) as engine:
+            engine.register_structure("live", base, shard_count=4)
+            # Warm: every shard's count is memoized in the parent first.
+            assert (
+                engine.count_sharded(PATH_QUERY, "live", parallel=True)
+                == before
+            )
+
+            def read() -> None:
+                try:
+                    while not done.is_set():
+                        seen.append(
+                            engine.count_sharded(
+                                PATH_QUERY, "live", parallel=True
+                            )
+                        )
+                except BaseException as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            readers = [threading.Thread(target=read) for _ in range(3)]
+            for thread in readers:
+                thread.start()
+            try:
+                # An odd number of deltas: a count memo kept stale
+                # across them would still read the base count at the end.
+                for k in range(31):
+                    engine.apply_delta("live", insert if k % 2 == 0 else delete)
+            finally:
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in readers)
+            assert not errors, errors
+            assert seen and set(seen) <= oracle
+            final = engine.registry.peek("live").structure
+            assert final == grown
+            with Engine(processes=1) as fresh:
+                expected = fresh.count(PATH_QUERY, final)
+            for _ in range(2):
+                assert (
+                    engine.count_sharded(PATH_QUERY, "live", parallel=True)
+                    == expected
+                )
+    finally:
+        sys.setswitchinterval(interval)

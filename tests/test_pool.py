@@ -10,6 +10,7 @@ as unpicklable jobs, and (d) be the only pool an engine ever creates.
 
 import pytest
 
+from repro.engine import executor
 from repro.engine import pool as pool_module
 from repro.engine import (
     Engine,
@@ -158,6 +159,101 @@ def test_repeated_parallel_count_many_hits_worker_contexts():
         assert first == second
         assert engine.stats().worker_context_hits > 0
         assert engine.stats().as_dict()["worker_context_hits"] > 0
+
+
+def _trace_of(call):
+    """The one finished trace of ``call()`` and its result."""
+    from repro.obs.trace import get_tracer
+
+    tracer = get_tracer()
+    tracer.set_enabled(True)
+    tracer.clear()
+    try:
+        result = call()
+        (trace,) = tracer.finished_traces()
+        return result, trace
+    finally:
+        tracer.set_enabled(None)
+        tracer.clear()
+
+
+def test_a_warm_parallel_count_on_a_pinned_ref_never_reaches_the_pool():
+    from repro.algorithms.brute_force import count_answers_naive
+    from repro.engine.plan import as_ep
+
+    graph = random_cluster_graph(6, 4, 0.5, seed=3)
+    query = path_query(2, quantify_interior=True)
+    expected = count_answers_naive(as_ep(query), graph)
+    with Engine(processes=2) as engine:
+        entry = engine.register_structure("net", graph, shard_count=6)
+        shards = len(entry.sharded.non_empty_shards())
+        assert shards > 1
+        assert engine.count_sharded(query, "net", parallel=True) == expected
+        # A fresh pool: only a dispatch could start it again.
+        engine.pool.close()
+        hits = engine.stats().context_hits
+        count, trace = _trace_of(
+            lambda: engine.count_sharded(query, "net", parallel=True)
+        )
+        assert count == expected
+        assert not engine.pool.started
+        names = [span.name for span in trace.spans()]
+        assert "shard.fanout" not in names
+        assert not any(name.startswith("shard.execute[") for name in names)
+        (combine,) = [span for span in trace.spans() if span.name == "combine"]
+        assert combine.attributes["answered"] == shards
+        # One context hit per shard answered from the parent's memos.
+        assert engine.stats().context_hits == hits + shards
+
+
+def test_a_warm_parallel_count_many_ships_only_the_missing_units(monkeypatch):
+    graph = random_cluster_graph(4, 4, 0.5, seed=9)
+    other = random_cluster_graph(4, 4, 0.5, seed=10)
+    old = [path_query(k, quantify_interior=True) for k in range(1, 4)]
+    new = [union_of_paths_query([1, 2])]
+
+    def expected(queries):
+        return [
+            [execute(compile_plan(q), graph), execute(compile_plan(q), other)]
+            for q in queries
+        ]
+
+    def keys(units):
+        return {u.plan.base if u.kind == "count" else u.sentence for u in units}
+
+    with Engine(processes=2) as engine:
+        engine.register_structure("net", graph, shard_count=2)
+        assert engine.count_many(old, ["net", other], parallel=True) == (
+            expected(old)
+        )
+        shipped: list[list] = []
+        real_map = engine.pool.map
+
+        def recording(task, jobs, by_value=None):
+            shipped.append(list(jobs))
+            return real_map(task, jobs, by_value)
+
+        monkeypatch.setattr(engine.pool, "map", recording)
+        # The pinned ref is answered from the parent's context; the
+        # unregistered structure was never held there, so it ships.
+        again, trace = _trace_of(
+            lambda: engine.count_many(old, ["net", other], parallel=True)
+        )
+        assert again == expected(old)
+        (jobs,) = shipped
+        assert jobs and all(job[1] is other for job in jobs)
+        (combine,) = [span for span in trace.spans() if span.name == "combine"]
+        assert combine.attributes["answered"] == 1
+        # New queries ship only the units the parent has not memoized.
+        shipped.clear()
+        both = engine.count_many(old + new, ["net"], parallel=True)
+        assert both == [[row[0]] for row in expected(old + new)]
+        (jobs,) = shipped
+        sent = keys(unit for job in jobs for unit in job[0])
+        program = executor._lower_plan(
+            [compile_plan(q) for q in old], split=False
+        )
+        assert sent and not sent & keys(program.units)
 
 
 def test_a_per_call_pool_size_is_a_type_error():

@@ -409,6 +409,12 @@ def test_the_engines_placed_contexts_mirror_the_pool_pin_set():
                 assert engine.count_sharded(
                     PATH_QUERY, name, parallel=False
                 ) == expected, step
+                # Twice: the first may dispatch, the second is answered
+                # from the parent's memos -- stale ones would show here.
+                for _ in range(2):
+                    assert engine.count_sharded(
+                        PATH_QUERY, name, parallel=True
+                    ) == expected, step
 
         engine.register_structure("live", live, shard_count=4)
         engine.register_structure("net", a, shard_count=4)
@@ -438,6 +444,43 @@ def test_the_engines_placed_contexts_mirror_the_pool_pin_set():
         engine.unregister_structure("net")
         check("unregister")
         assert engine.contexts.placed_fingerprints() == ()
+
+
+def test_after_a_routed_delta_only_the_owner_shard_is_dispatched(monkeypatch):
+    from repro.engine import executor
+
+    graph = clustered()
+    dispatched: list[list] = []
+    for route in ("_run_cluster", "_run_pool", "_run_sequential"):
+
+        def spy(units_by, structures, *args, _route=getattr(executor, route)):
+            dispatched.append([shard.fingerprint() for shard in structures])
+            return _route(units_by, structures, *args)
+
+        monkeypatch.setattr(executor, route, spy)
+    with Engine(processes=2) as engine:
+        entry = engine.register_structure("net", graph, shard_count=4)
+        shards = len(entry.sharded.non_empty_shards())
+        assert engine.count_sharded(PATH_QUERY, "net", parallel=True) == (
+            brute_force(graph)
+        )
+        assert len(dispatched[-1]) == shards > 1
+        placement = entry.sharded.placement()
+        u = min(placement)
+        edited = engine.apply_delta(
+            "net", StructureDelta(inserts={"E": [(u, 1000)]})
+        )
+        owner = edited.sharded.shards[placement[u]]
+        dispatched.clear()
+        assert engine.count_sharded(PATH_QUERY, "net", parallel=True) == (
+            brute_force(edited.structure)
+        )
+        assert dispatched == [[owner.fingerprint()]]
+        dispatched.clear()
+        assert engine.count_sharded(PATH_QUERY, "net", parallel=True) == (
+            brute_force(edited.structure)
+        )
+        assert dispatched == []
 
 
 def test_the_context_cache_size_option_is_gone():

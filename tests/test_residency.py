@@ -26,7 +26,13 @@ import pytest
 from repro.algorithms.brute_force import count_answers_naive
 from repro.cluster import ClusterCoordinator, ClusterWorker
 from repro.cluster.coordinator import ClusterUnavailable
-from repro.engine import Engine, WorkerPool, compile_plan, execute_sharded
+from repro.engine import (
+    Engine,
+    WorkerPool,
+    compile_plan,
+    execute,
+    execute_sharded,
+)
 from repro.engine.plan import as_ep
 from repro.engine.pool import resident_task, shard_task
 from repro.engine.resident import (
@@ -187,6 +193,25 @@ def test_lru_evicts_at_capacity_and_never_touches_placed():
     for graph in graphs[1:]:
         store.lookup(graph.fingerprint())
     assert store.lookup(TWO_RELATIONS.fingerprint())[0] is pinned
+
+
+def test_held_finds_either_tier_and_creates_builds_and_counts_nothing():
+    store = ResidentContexts()
+    graphs = [random_graph(4, 0.5, seed=s) for s in range(LRU_CAPACITY + 1)]
+    assert store.held(TWO_RELATIONS) is None and len(store) == 0
+    (pinned,) = store.place([TWO_RELATIONS])
+    kept, _ = store.lookup(graphs[0])
+    before = store.stats.snapshot()
+    assert store.held(TWO_RELATIONS) is pinned and not pinned.built
+    assert store.held(graphs[0]) is kept and not kept.built
+    assert store.held(graphs[1]) is None and len(store) == 2
+    assert store.stats.snapshot() == before
+    # A recall is a use: the LRU context it finds becomes the newest.
+    for graph in graphs[1:LRU_CAPACITY]:
+        store.lookup(graph)
+    assert store.held(graphs[0]) is kept
+    store.lookup(graphs[LRU_CAPACITY])
+    assert store.held(graphs[0]) is kept and store.held(graphs[1]) is None
 
 
 @pytest.fixture
@@ -587,7 +612,9 @@ def _fanout(tracer):
 def test_a_context_dropped_behind_the_parents_back_is_re_run_by_value(
     tracing,
 ):
-    query = QUERIES["path"]
+    # Three queries: the parent answers a repeated one from its own
+    # memos, and each count here must reach the workers.
+    first, warm_query, query = (QUERIES[name] for name in sorted(QUERIES))
     graph = SMALL
     expected = count_answers_naive(as_ep(query), graph)
     with Engine(processes=2) as engine:
@@ -595,9 +622,13 @@ def test_a_context_dropped_behind_the_parents_back_is_re_run_by_value(
         lost = tuple(
             shard.fingerprint() for shard in entry.sharded.non_empty_shards()
         )
-        assert engine.count_sharded(query, "net", parallel=True) == expected
+        assert engine.count_sharded(first, "net", parallel=True) == (
+            count_answers_naive(as_ep(first), graph)
+        )
         tracing.clear()
-        assert engine.count_sharded(query, "net", parallel=True) == expected
+        assert engine.count_sharded(warm_query, "net", parallel=True) == (
+            count_answers_naive(as_ep(warm_query), graph)
+        )
         warm = _fanout(tracing).attributes
         assert (warm["by_ref"], warm["resent"]) == (len(lost), 0)
 
@@ -651,7 +682,11 @@ def _die_in_a_job(_):
 def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
     import time
 
-    query = QUERIES["path"]
+    # Six path lengths: the parent answers a repeated query from its
+    # own memos, and each count after the kill must reach the workers.
+    query, *later = [
+        path_query(k, quantify_interior=True) for k in range(1, 7)
+    ]
     graph = SMALL
     engine = Engine(processes=2)
     try:
@@ -670,8 +705,10 @@ def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
             assert time.monotonic() < deadline, "worker was never respawned"
             time.sleep(0.05)
         tracing.clear()
-        for _ in range(5):  # enough for the respawn to serve some jobs
-            assert engine.count_sharded(query, "net", parallel=True) == expected
+        for query in later:  # enough for the respawn to serve some jobs
+            assert engine.count_sharded(query, "net", parallel=True) == (
+                execute(compile_plan(query), graph)
+            )
         # The respawn built the pin set in its initializer: every job
         # named its shard and none had to be re-run by value.
         fanouts = [

@@ -389,12 +389,12 @@ def test_http_elements_must_be_ints_or_strings(
 def test_http_parallel_must_be_a_boolean(path, value):
     # ``"false"`` is truthy: passed through unchecked, it would fork the
     # worker pool the client asked not to use.
-    edges = {"relations": {"E": [[i, i + 1] for i in range(0, 40, 2)]}}
-    payload = (
-        {"queries": [PATH_QUERY, "E(x, y)"], "structures": [edges]}
-        if path == "/count_many"
-        else {"query": PATH_QUERY, "structure": edges, "shard_count": 4}
-    )
+    def payload(start: int) -> dict:
+        edges = {"relations": {"E": [[i, i + 1] for i in range(start, 40, 2)]}}
+        if path == "/count_many":
+            return {"queries": [PATH_QUERY, "E(x, y)"], "structures": [edges]}
+        return {"query": PATH_QUERY, "structure": edges, "shard_count": 4}
+
     engine = Engine(processes=2)
     server = CountingServer(
         service=CountingService(engine=engine, owns_engine=True), port=0
@@ -403,15 +403,17 @@ def test_http_parallel_must_be_a_boolean(path, value):
         host, port = background.server.address
         base = f"http://{host}:{port}"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(base, path, {**payload, "parallel": value})
+            _post(base, path, {**payload(0), "parallel": value})
         assert excinfo.value.code == 400
         assert json.load(excinfo.value) == {
             "error": "parallel must be a boolean"
         }
         assert not engine.pool.started
-        _post(base, path, {**payload, "parallel": False})
+        _post(base, path, {**payload(0), "parallel": False})
         assert not engine.pool.started
-        _post(base, path, {**payload, "parallel": True})
+        # Other data: the engine answers counts it already holds
+        # without the pool.
+        _post(base, path, {**payload(1), "parallel": True})
         assert engine.pool.started
 
 
