@@ -15,8 +15,8 @@ do not share a parent*: a TCP coordinator/worker protocol over stdlib
   seam (dropped frames, delayed heartbeats, refused registrations)
   the chaos suite drives;
 * :mod:`repro.cluster.placement` -- the shard-to-worker placement map
-  (replication factor >= 1) that generalizes the registry's worker-pool
-  pin broadcast to cluster-wide residency;
+  (replication factor >= 1) that generalizes the registry's pinning,
+  which every worker-pool generation forks, to cluster-wide residency;
 * :mod:`repro.cluster.worker` -- the worker process
   (``python -m repro.cluster.worker``): registers with a capacity,
   heartbeats, keeps placed shards resident, executes shard units;

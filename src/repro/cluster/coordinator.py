@@ -5,8 +5,8 @@
 small *synchronous* facade the engine calls from request threads:
 
 * :meth:`place_structures` / :meth:`unplace` / :meth:`apply_delta` --
-  cluster-wide residency, the generalization of the worker pool's pin
-  broadcast.  Placement chooses ``replication`` holders per shard
+  cluster-wide residency, the generalization of the worker pool's
+  forked pin set.  Placement chooses ``replication`` holders per shard
   fingerprint (:class:`~repro.cluster.placement.PlacementMap`); frames
   go out through one FIFO outbox per worker, so a ``place`` always
   reaches a worker before any ``execute`` that depends on it.

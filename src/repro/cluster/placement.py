@@ -1,8 +1,8 @@
-"""Shard-to-worker placement: the cluster's generalized pin broadcast.
+"""Shard-to-worker placement: the cluster's generalized pinning.
 
-The worker pool pins a registered structure's shards into *every*
-worker; a cluster cannot afford that (residency is the whole point of
-scaling out), so placement assigns each shard fingerprint to
+Every worker of the pool forks a registered structure's shards from
+the engine's store; a cluster cannot afford that (residency is the
+whole point of scaling out), so placement assigns each shard fingerprint to
 ``replication`` distinct workers chosen least-loaded-first.  The map is
 pure bookkeeping -- no I/O -- so the coordinator owns the wire traffic
 and this class owns the invariants:

@@ -21,9 +21,9 @@ once, cached, and run many times over many structures:
   path; both fan out only over the :class:`WorkerPool` they are handed
   and run sequentially without one;
 * :mod:`repro.engine.pool` -- :class:`WorkerPool`, the long-lived
-  process pool whose workers keep execution contexts resident across
-  calls, keyed by structure fingerprint; each :class:`Engine` owns
-  exactly one;
+  process pool whose workers fork the engine's context store and keep
+  execution contexts resident across calls, keyed by structure
+  fingerprint; each :class:`Engine` owns exactly one;
 * :mod:`repro.engine.registry` -- :class:`StructureRegistry`, named
   resident structures with pinning and LRU eviction, so requests can
   count against a *reference* instead of shipping data;

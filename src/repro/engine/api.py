@@ -207,12 +207,12 @@ class Engine:
             ALLOW if policy is None else ExecutionPolicy.from_request(policy)
         )
         self.plans = PlanCache(plan_cache_size, max_disjuncts)
-        #: Execution contexts; the placed tier mirrors the pool's pin set.
+        #: Execution contexts; every pool generation forks this store.
         self.contexts = ResidentContexts()
         self.registry = StructureRegistry(
             max_entries=registry_max_entries, max_bytes=registry_max_bytes
         )
-        self.pool = WorkerPool(processes=processes)
+        self.pool = WorkerPool(processes=processes, contexts=self.contexts)
         #: An attached ClusterCoordinator, or None for single-host mode.
         self.cluster = None
         self._lock = threading.Lock()
@@ -361,26 +361,23 @@ class Engine:
         talks residency to its own store and its two transports.
 
         ``updates`` are ``(old_fingerprint, delta, new_structure)``
-        migrations and ``drop`` fingerprints to forget, for all three:
-        the engine's store, every pool worker, the cluster's holders (a
-        no-op for a fingerprint it never placed).  ``pin`` is what the
-        store places and every pool worker makes resident (a whole
-        structure and its shards), so the store's placed tier is the
-        pool's pin set; ``place`` is what the cluster spreads over its
-        holders (the shards: cluster jobs are per shard), returning
-        ``{worker_id: shards placed}``.  An unreachable cluster is
-        logged and skipped: counts degrade to the pool, which by then
-        holds the change.
+        migrations and ``drop`` fingerprints to forget, for both: the
+        engine's store and the cluster's holders (a no-op for a
+        fingerprint it never placed).  ``pin`` is what the store places
+        (a whole structure and its shards); the pool's next dispatch
+        forks the changed store, so pool workers never hear of it.
+        ``place`` is what the cluster spreads over its holders (the
+        shards: cluster jobs are per shard), returning ``{worker_id:
+        shards placed}``.  An unreachable cluster is logged and
+        skipped: counts degrade to the pool, which by then holds the
+        change.
         """
         if updates:
             self.contexts.apply_delta(updates)
-            self.pool.apply_delta(updates)
         if drop:
             self.contexts.drop(drop)
-            self.pool.unpin_structures(drop)
         if pin:
             self.contexts.place(pin)
-            self.pool.pin_structures(pin)
         if self.cluster is None:
             return {}
         from repro.cluster.coordinator import ClusterUnavailable
@@ -414,18 +411,19 @@ class Engine:
         (``shard_count`` defaults to one shard per CPU) with every
         fingerprint precomputed, and -- with ``pin=True`` -- the
         structure *and its shards* are placed in the engine's context
-        store and broadcast into every pool worker's, where they are
-        exempt from LRU eviction and survive pool restarts.  Later
+        store, exempt from LRU eviction, and every pool generation
+        forked from then on inherits them.  Later
         calls may pass ``name`` wherever a structure is accepted;
         ``count_sharded`` on the name reuses the registration-time
         shard plan instead of re-partitioning.
 
         Re-registering an existing name with *different* data
         invalidates the retired structure's derived state everywhere:
-        the engine's store and every worker drop its fingerprints.
-        Entries evicted under capacity pressure are cleaned up the same
-        way.  Raises :class:`~repro.engine.registry.RegistryFull` when
-        the capacity cannot be met by evicting unpinned entries.
+        the engine's store drops its fingerprints, and the pool's next
+        dispatch forks without them.  Entries evicted under capacity
+        pressure are cleaned up the same way.  Raises
+        :class:`~repro.engine.registry.RegistryFull` when the capacity
+        cannot be met by evicting unpinned entries.
         """
         if not isinstance(structure, Structure):
             raise ReproError(
@@ -459,8 +457,8 @@ class Engine:
             raise
         entry = registration.entry
         shards = sharded.non_empty_shards() if pin else ()
-        # One fan-out, so K retired entries cost one pool barrier, not
-        # K; count_sharded on this ref routes to the holders placed here.
+        # One fan-out: count_sharded on this ref routes to the holders
+        # placed here.
         entry.placements = self._fan_out(
             drop=registration.retired,
             pin=(structure,) + shards if pin else (),
@@ -482,14 +480,15 @@ class Engine:
         * the shard plan routes each delta tuple to the shard owning
           its component; a component *merge* falls back to re-sharding
           the post-delta structure;
-        * resident contexts -- in the engine's store, pinned in the
-          pool, placed in an attached cluster -- receive one
-          ``O(|delta|)`` fan-out and migrate in place, keeping each
-          memo whose read-set the delta cannot have touched
+        * resident contexts -- in the engine's store and placed in an
+          attached cluster -- receive one ``O(|delta|)`` fan-out and
+          migrate in place, keeping each memo whose read-set the delta
+          cannot have touched
           (:meth:`~repro.engine.context.ExecutionContext.apply_delta`)
-          instead of being dropped and rebuilt.  The plan advances
-          once: the engine's migrated context holds the new registry
-          entry's structure and the very
+          instead of being dropped and rebuilt; the pool's next
+          dispatch forks the migrated store.  The plan advances once:
+          the engine's migrated context holds the new registry entry's
+          structure and the very
           :class:`~repro.structures.sharding.ShardedStructure` the
           entry holds.
 
@@ -560,8 +559,8 @@ class Engine:
         """Drop the registered structure ``name``; ``False`` if unknown.
 
         Drops its fingerprints (whole structure and shards) from the
-        engine's store and every worker, so nothing keeps the retired
-        data resident.
+        engine's store and the cluster, so nothing keeps the retired
+        data resident (the pool's next dispatch forks without them).
         """
         entry = self.registry.unregister(name)
         if entry is None:
@@ -636,7 +635,7 @@ class Engine:
         registration-time value, and reuses the shard plan computed at
         registration -- no partitioning happens on the request path at
         all (for pinned entries the per-shard contexts are already
-        resident in every worker, too).
+        built, and every pool worker inherits them at its fork).
 
         ``shard_count`` below one is an error (it used to silently fall
         back to the CPU default).
@@ -796,10 +795,10 @@ class Engine:
         The next compile of any query recompiles it.  The structure
         registry survives: registered entries are *state*, not
         cache -- their names keep resolving, their pinned contexts stay
-        placed in the engine's store and every worker, and their shard
-        plans remain on the entries (only an unpinned entry's context
-        is rebuilt lazily).  Use :meth:`unregister_structure` to
-        actually drop one.
+        placed in the engine's store (which pool workers fork), and
+        their shard plans remain on the entries (only an unpinned
+        entry's context is rebuilt lazily).  Use
+        :meth:`unregister_structure` to actually drop one.
         """
         self.plans.clear()
         self.contexts.clear()

@@ -291,10 +291,11 @@ class ExecutionContext:
         tables) otherwise.
 
         The lazy defaults are right for throwaway contexts, but a
-        context being *pinned* (worker-resident for a registered
-        structure; see :mod:`repro.engine.registry`) should pay its
-        materialization at pin time, off the request path, so the first
-        post-pin count is as warm as every later one.  This is where
+        context being *pinned* (placed for a registered structure; see
+        :mod:`repro.engine.registry`) should pay its materialization
+        off the request path -- at registration, or once in the parent
+        before the pool forks -- so the first post-pin count is as warm
+        as every later one.  This is where
         the structure pays its one-time interning (``context.encode``
         span), so registered structures encode at registration, not on
         the request path.  Under numpy the index stays lazy, as on

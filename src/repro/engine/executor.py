@@ -312,7 +312,8 @@ def _run_pool(
 ) -> list[list]:
     """Each structure's units in ``blocks`` jobs (at most) on ``pool``.
 
-    A structure every worker holds pinned is named by its fingerprint;
+    A structure the engine's store has placed is named by its
+    fingerprint (every generation of the pool forks the store);
     any other ships by value (fingerprint cached inside the pickle, so
     the workers need not re-derive it).  A job whose worker does not
     hold the named context is re-run carrying the structure.  The

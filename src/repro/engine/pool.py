@@ -1,57 +1,44 @@
 """The fork-pool transport of the worker runtime.
 
 The parallel paths of :mod:`repro.engine.executor` run over a
-:class:`WorkerPool`: a :mod:`multiprocessing` pool created **once**
-(lazily, on first use) and kept -- an :class:`~repro.engine.api.Engine`
-holds one for its whole lifetime, so repeated ``count_many`` /
-``count_sharded`` calls pay the fork cost once.  What a worker holds
-between jobs is :class:`~repro.engine.resident.ResidentContexts`, the
-store a cluster worker also owns; the task functions here only carry
-jobs and residency changes to the worker's instance.  A job *names*
-data every worker holds pinned -- its structure slot carries the
-fingerprint (:meth:`WorkerPool.job_key`), ``O(1)`` bytes at any size --
-and ships the (picklable) structure only when it is not pinned, so a
-cold worker can build the context itself.  A named context a worker
-turns out not to hold (a count racing a residency change) comes back
-as :class:`~repro.engine.resident.NotResident` and
-:meth:`WorkerPool.map` re-runs that job by value.  Every job reports
-whether the resident context was reused
-(:attr:`WorkerPool.worker_context_hits` / ``worker_context_misses``).
+:class:`WorkerPool`, created lazily on first use and kept for an
+:class:`~repro.engine.api.Engine`'s lifetime.  A worker holds a
+:class:`~repro.engine.resident.ResidentContexts` between jobs, the
+store a cluster worker also owns; :func:`shard_task` runs jobs on it.
 
-**Guaranteed** residency is a broadcast: ``pin_structures`` /
-``unpin_structures`` / ``apply_delta`` record the change in the
-parent-side pin set, then run :func:`resident_task` once on *every*
-live worker (a barrier the workers inherited when they started keeps
-any worker from serving two).  A worker process that starts later -- a
-respawn after a death, or a pool closed and lazily restarted -- builds
-the pin set, as it is by then, in its initializer.  That is what makes
-a registered structure's residency a contract instead of a cache
-heuristic: see :mod:`repro.engine.registry`.
+**A pool generation is a fork of the engine's store.**  The pool
+materializes every placed context in the parent, then forks; each
+worker adopts those contexts as it inherited them, shared
+copy-on-write.  Residency is never sent to a worker: a placement, drop
+or delta bumps the store's ``version``, and the next dispatch first
+swaps in a fresh fork.  So a job names placed data by fingerprint
+(:meth:`WorkerPool.job_key`, ``O(1)`` bytes at any size) and carries
+any other structure by value; a named context a worker lacks (a count
+racing a change) comes back as
+:class:`~repro.engine.resident.NotResident` and is re-run by value.
 
-Error handling is split in two, which is what lets genuine counting
-bugs propagate instead of being masked by the sequential fallback:
-an exception raised *inside* a worker task comes back as a
-:class:`~repro.engine.resident.TaskFailure` value and is re-raised
-parent-side as :class:`WorkerTaskError`; a pool-*setup* problem (no
-subprocess support, unpicklable jobs) raises its native ``ImportError``
-/ ``OSError`` / pickling error from ``map`` itself, which the executor
-treats as "fall back to the sequential path".
+An exception raised *inside* a worker task comes back as a
+:class:`~repro.engine.resident.TaskFailure` and is re-raised as
+:class:`WorkerTaskError`, so counting bugs propagate; a pool-*setup*
+problem (no subprocess support, unpicklable jobs) raises its native
+error from ``map``, which the executor answers with the sequential
+path.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
+import sys
 import threading
 from contextlib import contextmanager
-from typing import Mapping, Sequence
 
 from repro.engine.resident import (
     NotResident,
     ResidentContexts,
     TaskFailure,
     TaskOk,
-    picklable_exception,
 )
 from repro.exceptions import ReproError
 from repro.obs import trace as _trace
@@ -112,87 +99,66 @@ def collector_paused():
 # ----------------------------------------------------------------------
 # Worker-side resident state
 # ----------------------------------------------------------------------
-#: This process's resident contexts: a fresh store in every pool worker
-#: (:func:`_init_worker`), a cold one for tasks called in-process.
+#: This process's resident contexts: in a pool worker, the placed
+#: contexts of the store it forked from (:func:`_init_worker`); a cold
+#: store for tasks called in-process.
 _resident = ResidentContexts()
 
-#: The barrier this worker shares with its pool generation's other
-#: workers (:meth:`WorkerPool._ensure_pool`); ``None`` outside a worker.
-_broadcast_barrier = None
+
+#: ``(len(sys.modules), descriptors)``: every ``functools.cached_property``
+#: of the classes loaded when it was last refreshed (see
+#: :func:`_find_cached_properties`).
+_cached_properties: tuple[int, tuple] = (0, ())
 
 
-def _pin(structures) -> int:
-    """Place ``structures`` and *materialize* their contexts now, off
-    the request path, so the first count after a pin starts warm."""
-    contexts = _resident.place(structures)
-    for context in contexts:
-        context.materialize()
-    return len(contexts)
+def _find_cached_properties() -> None:
+    """Refresh :data:`_cached_properties` before a fork, unless no module
+    was imported since the last refresh.
+
+    Before Python 3.12 such a descriptor takes one lock, shared by all
+    its instances, while it computes a value: a worker forked while a
+    parent thread computed one (networkx's ``Graph.edges`` in a plan
+    compile, say) would wait on that lock forever, so each worker gives
+    every one a fresh lock.  Found here, in the parent: walking every
+    class in a freshly forked worker costs it tens of milliseconds of
+    copy-on-write faults.
+    """
+    global _cached_properties
+    modules = len(sys.modules)
+    if sys.version_info >= (3, 12) or _cached_properties[0] == modules:
+        return
+    found, seen, stack = [], set(), [object]
+    while stack:
+        for cls in type.__subclasses__(stack.pop()):
+            if id(cls) not in seen:  # a metaclass may make cls unhashable
+                seen.add(id(cls))
+                stack.append(cls)
+                found += [
+                    attr
+                    for attr in tuple(vars(cls).values())
+                    if type(attr) is functools.cached_property
+                ]
+    _cached_properties = (modules, tuple(found))
 
 
-def _init_worker(pinned: Mapping[tuple, Structure], barrier) -> None:
-    """Pool initializer: a fresh store with ``pinned`` -- the parent's
-    pin set as it is when *this* worker starts, see
-    :meth:`WorkerPool._ensure_pool` -- built eagerly, and the pool
-    generation's broadcast ``barrier``."""
-    global _resident, _broadcast_barrier
+def _init_worker(store: ResidentContexts | None) -> None:
+    """Pool initializer: a fresh store (its own lock and stats sink)
+    holding the placed contexts of ``store``, the parent's store as it
+    was at the fork -- built there, so materializing is a no-op unless
+    a non-fork start method shipped only its structures."""
+    global _resident
+    for prop in _cached_properties[1]:
+        prop.lock = threading.RLock()
     _resident = ResidentContexts()
-    _broadcast_barrier = barrier
+    if store is not None:
+        _resident.adopt(store)
     with collector_paused():
-        _pin(pinned.values())
-        # The heap inherited across the fork and the pinned contexts
+        _resident.materialize()
+        # The heap inherited across the fork and the placed contexts
         # both live as long as this worker: park them outside the
         # collector's generations, so no later collection traverses
         # them or dirties their copy-on-write pages.
         gc.freeze()
-
-
-# ----------------------------------------------------------------------
-# The broadcast task (one execution per worker, barrier-synchronized)
-# ----------------------------------------------------------------------
-def _await_broadcast_barrier(barrier, timeout: float) -> None:
-    """Hold this worker at the barrier until every worker has a job.
-
-    ``barrier`` is a flag (``None``: do not wait); the barrier itself
-    is the one this worker inherited at start-up, shared with exactly
-    the workers of its pool generation.  It is what turns ``pool.map``
-    into a broadcast: with exactly ``processes`` jobs queued and every
-    job blocking until all of them are running, no worker can serve
-    two.  A broken barrier (a worker stuck in a long count past
-    ``timeout``) degrades gracefully: the remaining jobs still run --
-    possibly unevenly distributed -- and the parent-side pin set plus
-    the by-value re-run of a job whose context is missing keep
-    correctness unaffected.  The parent resets it once the broadcast's
-    results are in.
-    """
-    if barrier is None or _broadcast_barrier is None:
-        return
-    try:
-        _broadcast_barrier.wait(timeout)
-    except threading.BrokenBarrierError as exc:
-        # Degrading to best-effort distribution is deliberate, but the
-        # dropped error must at least be visible at debug level.
-        _log.debug(
-            "broadcast barrier wait failed; continuing best-effort",
-            extra={"error": f"{type(exc).__name__}: {exc}"},
-        )
-
-
-def resident_task(job) -> TaskOk | TaskFailure:
-    """Apply one residency change to this worker's store.
-
-    ``job = ((method, args), barrier, timeout)`` names :func:`_pin` or
-    a :class:`~repro.engine.resident.ResidentContexts` method (``drop``,
-    ``apply_delta``, ``placed_fingerprints``); the value is what it
-    returns.
-    """
-    (method, args), barrier, timeout = job
-    try:
-        _await_broadcast_barrier(barrier, timeout)
-        change = _pin if method == "pin" else getattr(_resident, method)
-        return TaskOk(change(*args))
-    except Exception as exc:
-        return TaskFailure(picklable_exception(exc))
 
 
 # ----------------------------------------------------------------------
@@ -223,80 +189,176 @@ def shard_task(job) -> TaskOk | TaskFailure:
 # ----------------------------------------------------------------------
 # The parent-side pool
 # ----------------------------------------------------------------------
-class WorkerPool:
-    """A reusable multiprocessing pool with warm worker-side caches.
+class _Generation:
+    """One fork of the store: its process pool, the store version it
+    forked at, the worker processes it started with, and the
+    dispatches still waiting on it."""
 
-    ``processes`` is the pool size (default: one worker per CPU).  The
-    underlying :mod:`multiprocessing` pool is created lazily on the
-    first :meth:`map`, so constructing a ``WorkerPool`` (an
-    :class:`~repro.engine.api.Engine` does it eagerly) costs nothing
-    until a parallel path actually runs.  Usable as a context manager;
-    :meth:`close` shuts the workers down.
+    __slots__ = ("pool", "version", "workers", "jobs")
+
+    def __init__(self, pool, version: int | None):
+        self.pool = pool
+        self.version = version
+        self.workers = tuple(pool._pool)  # noqa: SLF001 - no public API
+        self.jobs = 0
+
+    def lost_a_worker(self) -> bool:
+        """Whether a worker it forked died (exiting cleanly is what the
+        workers of a closed pool do)."""
+        return any(worker.exitcode not in (None, 0) for worker in self.workers)
+
+    def shut(self, terminate: bool = False) -> None:
+        """Close the pool and join it once its jobs are done, or
+        terminate it (``terminate``, or a worker was lost).
+
+        A killed worker can die holding the lock it shares with this
+        process's pool threads: the task queue's read lock (killed
+        idle) or the result queue's write lock (killed just as it sent
+        a result).  Its respawns, a close-and-join and ``terminate()``
+        would all wait on it forever, so a generation that lost a
+        worker is terminated with fresh locks of its own in their place.
+        """
+        pool = self.pool
+        if self.lost_a_worker():
+            pool._inqueue._rlock = threading.Lock()  # noqa: SLF001
+            pool._outqueue._wlock = threading.Lock()  # noqa: SLF001
+            terminate = True
+        if terminate:
+            pool.terminate()
+        else:
+            pool.close()
+        pool.join()
+
+
+class WorkerPool:
+    """A reusable multiprocessing pool that forks the engine's store.
+
+    ``processes`` is the pool size (default: one worker per CPU).
+    ``contexts`` is the store each generation forks from (the engine's
+    own); with none, nothing is placed and every job carries its
+    structure.  The underlying :mod:`multiprocessing` pool is created
+    lazily on the first :meth:`map`, so constructing a ``WorkerPool``
+    (an :class:`~repro.engine.api.Engine` does it eagerly) costs
+    nothing until a parallel path actually runs.  Usable as a context
+    manager; :meth:`close` shuts the workers down.
     """
 
-    #: How long a broadcast waits for every worker to pick up its job
-    #: before degrading to best-effort distribution.
-    BROADCAST_BARRIER_TIMEOUT = 60.0
-
-    #: Extra parent-side slack past the barrier timeout before a
-    #: broadcast is declared wedged (a worker died holding a job).
-    BROADCAST_RESULT_GRACE = 15.0
-
-    def __init__(self, processes: int | None = None):
+    def __init__(
+        self,
+        processes: int | None = None,
+        contexts: ResidentContexts | None = None,
+    ):
         if processes is not None and processes < 1:
             raise ReproError("worker pool needs at least one process")
         self.processes = processes or default_process_count()
-        self._pool = None
-        self._barrier = None
+        self.contexts = contexts
+        self._generation: _Generation | None = None
+        #: Swapped-out generations, closed, that dispatches still wait on.
+        self._retired: list[_Generation] = []
         self._lock = threading.Lock()
-        # Broadcasts share their generation's one cyclic barrier, so
-        # they run one at a time.
-        self._broadcast_lock = threading.Lock()
-        self._pinned: dict[tuple, Structure] = {}
         self.worker_context_hits = 0
         self.worker_context_misses = 0
-        self.broadcast_timeouts = 0
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        with self._lock:
-            if self._pool is None:
-                import multiprocessing
+    def _fork(self) -> _Generation:
+        import multiprocessing
 
-                # fork shares the already-imported library with the
-                # workers; fall back to the default start method where
-                # fork is unavailable.
-                try:
-                    mp_context = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-POSIX hosts
-                    mp_context = multiprocessing.get_context()
-                # The initializer gets the live pin set itself: the
-                # pool reuses these initargs for every respawn, and a
-                # forked worker reads the dict as it is at that moment
-                # (the non-fork fallback pickles it at process start).
-                # The broadcast barrier travels the same way (it can
-                # only be inherited, never shipped through the task
-                # queue): one per pool generation, respawns included.
-                self._barrier = mp_context.Barrier(self.processes)
-                self._pool = mp_context.Pool(
-                    processes=self.processes,
-                    initializer=_init_worker,
-                    initargs=(self._pinned, self._barrier),
+        # fork shares the already-imported library and the store with
+        # the workers; fall back to the default start method (which
+        # pickles the store as its placed structures) where fork is
+        # unavailable.
+        try:
+            mp_context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX hosts
+            mp_context = multiprocessing.get_context()
+        store = self.contexts
+        version = None
+        if store is not None:
+            # Read before materializing: a change landing meanwhile
+            # leaves this generation stale, never wrongly current.
+            version = store.version
+            with collector_paused():
+                store.materialize()
+        _find_cached_properties()
+        pool = mp_context.Pool(
+            processes=self.processes,
+            initializer=_init_worker,
+            initargs=(store,),
+        )
+        return _Generation(pool, version)
+
+    def _current(self) -> _Generation:
+        """The generation to submit to.  Call under ``_lock``.
+
+        A generation that lost a worker is terminated; one forked
+        before the store's latest change is closed, and joined now if
+        no dispatch waits on it, else by the last one that does; either
+        way a fresh fork replaces it.
+        """
+        generation = self._generation
+        if generation is not None:
+            if generation.lost_a_worker():
+                _log.warning(
+                    "pool generation lost a worker; forking a fresh one",
+                    extra={"worker_pids": [w.pid for w in generation.workers]},
                 )
-            return self._pool
+                generation.shut(terminate=True)
+                generation = None
+            elif (
+                self.contexts is not None
+                and generation.version != self.contexts.version
+            ):
+                if generation.jobs:
+                    generation.pool.close()
+                    self._retired.append(generation)
+                else:
+                    generation.shut()
+                generation = None
+        if generation is None:
+            generation = self._generation = self._fork()
+        return generation
+
+    def _ensure_pool(self):
+        """The current generation's process pool (forked if needed)."""
+        with self._lock:
+            return self._current().pool
 
     @property
     def started(self) -> bool:
         """Whether the underlying process pool has been created."""
-        return self._pool is not None
+        return self._generation is not None
 
     def job_key(self, structure: Structure):
         """What a job's structure slot carries for ``structure``: its
-        fingerprint when it is in the pin set -- every worker of this
-        pool holds it, or builds it before serving a job -- else the
-        structure itself."""
+        fingerprint when the store has it placed -- every generation
+        forked since holds it -- else the structure itself."""
         fingerprint = structure.fingerprint()
-        return fingerprint if fingerprint in self._pinned else structure
+        store = self.contexts
+        if store is not None and store.is_placed(fingerprint):
+            return fingerprint
+        return structure
+
+    def _dispatch(self, task, jobs: list) -> list:
+        """Submit ``jobs`` to the current generation and wait for them.
+
+        Submission holds the lock that covers a swap, so a job always
+        finishes on the generation it was submitted to; the last
+        dispatch out of a retired generation joins it.
+        """
+        with self._lock:
+            generation = self._current()
+            pending = generation.pool.map_async(task, jobs)
+            generation.jobs += 1
+        try:
+            return pending.get()
+        finally:
+            with self._lock:
+                generation.jobs -= 1
+                done = not generation.jobs and generation in self._retired
+                if done:
+                    self._retired.remove(generation)
+            if done:
+                generation.shut()
 
     def map(self, task, jobs, by_value=None) -> list:
         """Run ``task`` over ``jobs`` in the pool and unwrap the results.
@@ -306,14 +368,14 @@ class WorkerPool:
         pickling errors, ...) propagate as themselves, which is the
         signal the executor's sequential fallback keys on.
 
-        A caller whose jobs name pinned data by fingerprint
+        A caller whose jobs name placed data by fingerprint
         (:meth:`job_key`) passes ``by_value``, mapping a job's index to
-        the same job carrying the data.  A worker can be behind or
-        ahead of the parent's pin set while a residency broadcast is in
-        flight, and such a job comes back as
-        :class:`~repro.engine.resident.NotResident`.  Exactly those
-        jobs are re-run from ``by_value``, once: a job that carries its
-        data cannot miss, so the caller never sees the routing miss.
+        the same job carrying the data.  A fingerprint dropped or
+        migrated between naming it and the fork the job lands on comes
+        back as :class:`~repro.engine.resident.NotResident`.  Exactly
+        those jobs are re-run from ``by_value``, once: a job that
+        carries its data cannot miss, so the caller never sees the
+        routing miss.
 
         Worker-recorded trace spans riding on each result are
         re-parented into the caller's ambient trace (suffixed with the
@@ -321,8 +383,7 @@ class WorkerPool:
         the first failure is raised, so an exceptional trace is still
         complete.
         """
-        pool = self._ensure_pool()
-        raw = pool.map(task, list(jobs))
+        raw = self._dispatch(task, list(jobs))
         missed = [
             index
             for index, item in enumerate(raw)
@@ -335,7 +396,7 @@ class WorkerPool:
                 "re-running them by value",
                 extra={"jobs": len(missed), "of": len(raw)},
             )
-            resent = pool.map(task, [by_value(index) for index in missed])
+            resent = self._dispatch(task, [by_value(i) for i in missed])
             for index, item in zip(missed, resent):
                 # The miss stays in the trace, ahead of its re-run.
                 _trace.attach_foreign(raw[index].spans, suffix=f"[{index}]")
@@ -365,142 +426,13 @@ class WorkerPool:
             raise WorkerTaskError(failure.exception)
         return values
 
-    # ------------------------------------------------------------------
-    # Broadcasts: structure pinning
-    # ------------------------------------------------------------------
-    def broadcast(self, task, payload) -> list:
-        """Run ``task((payload, barrier, timeout))`` once on every worker.
-
-        Queues exactly ``processes`` single-job chunks, each holding at
-        the barrier the workers inherited until all of them are
-        running, so every worker serves exactly one (the job's
-        ``barrier`` slot only says "wait").  Broadcasts of one pool run
-        one at a time, because they share that barrier; one a busy
-        worker broke by staying away past the timeout is reset once
-        every result is in.  Requires a started pool; callers that only
-        want the *recorded* effect (the pin set) when the pool is cold
-        check :attr:`started` first.  Returns the per-worker values;
-        worker-side failures raise :class:`WorkerTaskError` exactly
-        like :meth:`map`.
-
-        A worker that dies *between picking up its broadcast job and
-        reaching the barrier* loses the job forever -- the pool
-        respawns the process but never re-queues taken work, so a
-        plain ``map`` would block for good while every other worker
-        times out of the barrier and returns.  The parent therefore
-        waits at most ``BROADCAST_BARRIER_TIMEOUT +
-        BROADCAST_RESULT_GRACE``; on timeout it logs which worker pids
-        died, bumps :attr:`broadcast_timeouts`, and **restarts the
-        pool** (:meth:`terminate`) instead of deadlocking.  Returning
-        ``[]`` (zero confirmations) is sound for every residency
-        change: pins, unpins, and delta re-keys are all recorded
-        parent-side first, and the restarted pool's initializer
-        rebuilds exactly that state.
-        """
-        import multiprocessing
-
-        with self._broadcast_lock:
-            pool = self._ensure_pool()
-            barrier = self._barrier
-            alive_before = self._worker_pids()
-            job = (payload, True, self.BROADCAST_BARRIER_TIMEOUT)
-            pending = pool.map_async(
-                task, [job] * self.processes, chunksize=1
-            )
-            try:
-                raw = pending.get(
-                    self.BROADCAST_BARRIER_TIMEOUT
-                    + self.BROADCAST_RESULT_GRACE
-                )
-            except multiprocessing.TimeoutError:
-                dead = sorted(set(alive_before) - set(self._worker_pids()))
-                with self._lock:
-                    self.broadcast_timeouts += 1
-                _log.warning(
-                    "broadcast wedged (worker died holding a job); "
-                    "restarting the pool",
-                    extra={"dead_worker_pids": dead or "undetected"},
-                )
-                self.terminate()
-                return []
-            if barrier.broken:
-                # Every job has returned, so no worker is waiting.
-                barrier.reset()
-        return self._unwrap(raw)
-
     def _worker_pids(self) -> list[int]:
-        """Current worker pids (best-effort dead-worker diagnostics)."""
-        pool = self._pool
-        if pool is None:
+        """The current generation's live worker pids, respawns included."""
+        generation = self._generation
+        if generation is None:
             return []
-        try:
-            return [
-                process.pid
-                for process in pool._pool  # noqa: SLF001 - no public API
-                if process.is_alive()
-            ]
-        except Exception:  # pragma: no cover - interpreter variations
-            return []
-
-    def _broadcast_residency(self, method: str, *args) -> list:
-        """Send one residency change, already recorded in the pin set
-        that future workers build from, to every live worker; a pool
-        that has not started gets nothing more (``[]``: the change
-        holds, deferred to start-up)."""
-        if not self.started:
-            return []
-        return self.broadcast(resident_task, (method, args))
-
-    def pin_structures(self, structures: Sequence[Structure]) -> int:
-        """Pin ``structures`` resident in every worker (and future
-        ones); live workers build and materialize the contexts right
-        now.  Returns the number of live workers that confirmed."""
-        structures = tuple(structures)
-        with self._lock:
-            for structure in structures:
-                self._pinned[structure.fingerprint()] = structure
-        return len(self._broadcast_residency("pin", structures))
-
-    def unpin_structures(self, fingerprints: Sequence[tuple]) -> int:
-        """Drop ``fingerprints`` from the pin set and from both tiers
-        of every live worker, so a re-registration under the same name
-        with different data can never be served by a stale context."""
-        fingerprints = tuple(fingerprints)
-        with self._lock:
-            for fingerprint in fingerprints:
-                self._pinned.pop(fingerprint, None)
-        return len(self._broadcast_residency("drop", fingerprints))
-
-    def apply_delta(self, updates) -> int:
-        """Fan a structure delta out to every worker's resident contexts.
-
-        ``updates`` is a sequence of ``(old_fingerprint, delta,
-        new_structure)`` triples -- the whole structure plus each
-        touched shard.  The pin set is re-keyed to the *post-delta*
-        versions, and live workers receive only ``(old_fingerprint,
-        delta, new_fingerprint)`` -- ``O(|delta|)`` bytes -- and migrate
-        in place of being unpinned and rebuilt.  Returns the total
-        number of worker-side context migrations.
-        """
-        updates = tuple(updates)
-        with self._lock:
-            for old_fingerprint, _, new_structure in updates:
-                if self._pinned.pop(old_fingerprint, None) is not None:
-                    self._pinned[new_structure.fingerprint()] = new_structure
-        payload = tuple(
-            (old_fingerprint, delta, new_structure.fingerprint())
-            for old_fingerprint, delta, new_structure in updates
-        )
-        return sum(self._broadcast_residency("apply_delta", payload))
-
-    def pinned_fingerprints(self) -> tuple[tuple, ...]:
-        """The parent-side pin set (what a new worker would build)."""
-        with self._lock:
-            return tuple(self._pinned)
-
-    def worker_pinned_fingerprints(self) -> list[tuple[tuple, ...]]:
-        """Per-worker pinned fingerprints, observed live (diagnostics)."""
-        return self._broadcast_residency("placed_fingerprints")
+        workers = tuple(generation.pool._pool)  # noqa: SLF001 - no public API
+        return [worker.pid for worker in workers if worker.is_alive()]
 
     # ------------------------------------------------------------------
     # Statistics
@@ -524,22 +456,19 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self, terminate: bool = False) -> None:
-        """Shut the current workers down (``terminate``: kill them
-        instead of letting queued jobs finish).
+        """Shut every generation down (``terminate``: kill the workers
+        instead of letting submitted jobs finish).
 
         The ``WorkerPool`` object stays usable: a later :meth:`map`
-        starts a fresh set of workers -- cold caches, but with every
-        pinned structure rebuilt by the initializer, so pinning is a
-        property of the pool, not of one generation of workers.
+        forks a fresh generation of the store as it is by then.
         """
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            if terminate:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
+            generations = self._retired
+            if self._generation is not None:
+                generations.append(self._generation)
+            self._generation, self._retired = None, []
+        for generation in generations:
+            generation.shut(terminate)
 
     def terminate(self) -> None:
         """Kill the workers immediately."""
@@ -564,10 +493,3 @@ class WorkerPool:
                 )
             except Exception:
                 pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "started" if self.started else "idle"
-        return (
-            f"WorkerPool(processes={self.processes}, {state}, "
-            f"context_hits={self.worker_context_hits})"
-        )

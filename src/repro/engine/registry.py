@@ -23,8 +23,8 @@ never a silent eviction.
 The registry itself is engine-agnostic bookkeeping; the interesting
 wiring lives in :class:`~repro.engine.api.Engine.register_structure`,
 which additionally precomputes the shard plan and places the
-structure (and its shards) in the engine's context store and every
-pool worker's, and in :mod:`repro.serve.httpd`, which exposes the
+structure (and its shards) in the engine's context store, which every
+pool generation forks, and in :mod:`repro.serve.httpd`, which exposes the
 whole thing as ``PUT/GET/DELETE /structures/<name>`` plus the
 ``{"structure": {"ref": "<name>"}}`` request form.
 """

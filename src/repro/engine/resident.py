@@ -5,14 +5,15 @@ A process that counts holds an
 migrates it when a delta advances the structure, and runs work against
 it.  :class:`ResidentContexts` is that bookkeeping, with no transport
 in it: the :class:`~repro.engine.api.Engine` keeps its contexts in one
-instance, a fork-pool worker (:mod:`repro.engine.pool`) drives one from
-pool tasks, a cluster worker (:mod:`repro.cluster.worker`) drives one
-from wire frames.  Two tiers, both keyed by the process-stable
+instance, a fork-pool worker (:mod:`repro.engine.pool`) adopts the
+engine's placed contexts when it forks, a cluster worker
+(:mod:`repro.cluster.worker`) drives one from wire frames.  Two tiers,
+both keyed by the process-stable
 :meth:`~repro.structures.structure.Structure.fingerprint`:
 
 * **placed** contexts are a contract -- pinned by a registration or
   placed by the coordinator, exempt from eviction, gone only when
-  dropped;
+  dropped; every change to this tier bumps :attr:`ResidentContexts.version`;
 * the **LRU** tier is a heuristic -- a lookup of a structure the store
   does not hold builds its context there, so the same data again is a
   hit, and capacity pressure evicts the coldest.
@@ -97,6 +98,39 @@ class ResidentContexts:
         self._placed: dict[tuple, ExecutionContext] = {}
         self._lru: OrderedDict[tuple, ExecutionContext] = OrderedDict()
         self.stats = ContextStats()
+        #: Bumped by every change to the placed tier: a pool generation
+        #: forked at an older version is stale.
+        self.version = 0
+
+    def __getstate__(self) -> tuple:
+        """A store pickles as its placed structures (the pool's non-fork
+        start methods ship it to each worker this way)."""
+        with self._lock:
+            return tuple(c.structure for c in self._placed.values())
+
+    def __setstate__(self, structures: tuple) -> None:
+        self.__init__()
+        self.place(structures)
+
+    def adopt(self, other: "ResidentContexts") -> None:
+        """Place ``other``'s placed contexts here as they are -- built
+        state and memos included -- counting into this store's sink.
+
+        Takes no lock of ``other``: a forked pool worker adopts the
+        store it inherited, whose lock a parent thread may have held at
+        the fork.
+        """
+        for fingerprint, context in tuple(other._placed.items()):
+            context.stats = self.stats
+            self._placed[fingerprint] = context
+
+    def materialize(self) -> None:
+        """Build every placed context now (see
+        :meth:`~repro.engine.context.ExecutionContext.materialize`)."""
+        with self._lock:
+            contexts = tuple(self._placed.values())
+        for context in contexts:
+            context.materialize()
 
     def place(self, structures) -> list[ExecutionContext]:
         """Make ``structures`` resident until dropped; returns their
@@ -104,8 +138,9 @@ class ResidentContexts:
 
         Idempotent, and an LRU entry is promoted with everything it has
         built.  New contexts are *unbuilt*: a caller that wants the
-        encoding and index paid now (the pool's pin, off the request
-        path) calls ``materialize()`` on what it gets back.
+        encoding and index paid now calls ``materialize()`` on what it
+        gets back (the pool materializes every placed context before it
+        forks).
         """
         contexts = []
         with self._lock:
@@ -114,9 +149,10 @@ class ResidentContexts:
                 context = self._placed.get(fingerprint)
                 if context is None:
                     context = self._lru.pop(fingerprint, None)
-                if context is None:
-                    context = ExecutionContext(structure, stats=self.stats)
-                self._placed[fingerprint] = context
+                    if context is None:
+                        context = ExecutionContext(structure, stats=self.stats)
+                    self._placed[fingerprint] = context
+                    self.version += 1
                 contexts.append(context)
         return contexts
 
@@ -127,9 +163,11 @@ class ResidentContexts:
         dropped = 0
         with self._lock:
             for fingerprint in fingerprints:
-                for tier in (self._placed, self._lru):
-                    if tier.pop(fingerprint, None) is not None:
-                        dropped += 1
+                if self._placed.pop(fingerprint, None) is not None:
+                    dropped += 1
+                    self.version += 1
+                if self._lru.pop(fingerprint, None) is not None:
+                    dropped += 1
         if dropped:
             self.stats.bump("context_invalidations", dropped)
         return dropped
@@ -174,6 +212,8 @@ class ResidentContexts:
                 if migrated.structure.fingerprint() == new:
                     tier[new] = migrated
                     applied += 1
+                if tier is self._placed:
+                    self.version += 1
         return applied
 
     def lookup(self, key, keep: bool = True) -> tuple[ExecutionContext, bool]:
@@ -224,6 +264,11 @@ class ResidentContexts:
         with self._lock:
             return tuple(self._placed)
 
+    def is_placed(self, fingerprint: tuple) -> bool:
+        """Whether the placed tier holds ``fingerprint``."""
+        with self._lock:
+            return fingerprint in self._placed
+
     def clear(self) -> None:
         """Empty the LRU tier; placed contexts stay until dropped."""
         with self._lock:
@@ -249,8 +294,7 @@ class ResidentContexts:
     ) -> TaskOk | TaskFailure:
         """One worker job: ``run(context)`` on the context for ``key``.
 
-        Opens a trace capture named ``span_name``, looks the context up
-        (``key=None``: the work needs none and ``run`` gets ``None``),
+        Opens a trace capture named ``span_name``, looks the context up,
         records ``context_hit`` on the span, and runs under ``budget``
         -- the caller's remaining :class:`~repro.budget.CostBudget`,
         shipped by value, so exhaustion aborts inside the worker.
@@ -260,9 +304,7 @@ class ResidentContexts:
         capture = _trace.capture(span_name, **attrs)
         try:
             with capture:
-                context, hit = (
-                    (None, None) if key is None else self.lookup(key)
-                )
+                context, hit = self.lookup(key)
                 capture.root.set("context_hit", hit)
                 with budget_scope(budget):
                     value = run(context)

@@ -126,7 +126,8 @@ _GAUGES = (
     ("repro_pool_started", "1 when the worker pool has live processes.",
      "pool", "started"),
     ("repro_pool_pinned_structures",
-     "Structure fingerprints pinned in every worker.",
+     "Structure fingerprints placed in the engine's store, which every "
+     "pool worker forks.",
      "pool", "pinned_structures"),
     ("repro_tracing_enabled", "1 when span tracing is on.",
      "obs", "tracing_enabled"),

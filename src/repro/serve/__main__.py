@@ -103,7 +103,8 @@ def _smoke(args: argparse.Namespace) -> int:
         # The same reference through the worker pool, for a query the
         # engine has not memoized: two components, one shard each, so
         # the count fans out as jobs that name the pinned shards; then
-        # a one-tuple delta (a residency broadcast) and the count again.
+        # a one-tuple delta and another query not memoized yet, whose
+        # jobs run on a fork of the changed store.
         triangles = {
             "relations": {
                 "E": triangle["relations"]["E"] + [[4, 5], [5, 6], [6, 4]]
@@ -121,9 +122,11 @@ def _smoke(args: argparse.Namespace) -> int:
         }
         before = call("POST", "/count_sharded", sharded)["count"]
         call("PATCH", "/structures/smoke", {"delete": {"E": [[6, 4]]}})
+        sharded["query"] = "exists z. (E(x, z) & E(y, z))"
         after = call("POST", "/count_sharded", sharded)["count"]
-        # A triangle vertex has one out-neighbour v, giving (v, v): 3 a
-        # triangle; the path 4 -> 5 -> 6 left of the second one gives 2.
+        # Every vertex has one out-neighbour v, giving (v, v): 6; then
+        # every vertex with an out-edge pairs with itself only (their
+        # out-neighbours differ), and 6 lost its one: 5.
         if (before, after) != (6, 5):
             print(
                 f"smoke FAILED: /count_sharded by ref returned {before}, "

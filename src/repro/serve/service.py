@@ -423,9 +423,8 @@ class CountingService:
         Management operations bypass the admission-controlled request
         slots (they are rare and must not compete with traffic for the
         bounded worker budget) but still run off the event loop: a
-        registration materializes contexts, computes the shard plan,
-        and may broadcast pins into the worker pool -- all blocking
-        work.
+        registration materializes contexts and computes the shard plan
+        -- blocking work.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")
@@ -447,8 +446,8 @@ class CountingService:
         """Apply a delta to a registered structure; returns the new entry view.
 
         A management operation like registration (same executor, same
-        shutdown gate): applying a delta rebuilds encoded columns,
-        migrates contexts, and may broadcast into the worker pool.  A
+        shutdown gate): applying a delta rebuilds encoded columns and
+        migrates contexts.  A
         stale ``expect_version`` surfaces as
         :class:`~repro.engine.registry.VersionConflict` (HTTP 409).
         """
@@ -640,7 +639,9 @@ class CountingService:
             "pool": {
                 "processes": self.engine.pool.processes,
                 "started": self.engine.pool.started,
-                "pinned_structures": len(self.engine.pool.pinned_fingerprints()),
+                "pinned_structures": len(
+                    self.engine.contexts.placed_fingerprints()
+                ),
             },
             "obs": {
                 "tracing_enabled": _trace.get_tracer().enabled,

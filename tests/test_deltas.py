@@ -365,6 +365,12 @@ def test_engine_apply_delta_reshards_on_cross_shard_merge():
         assert engine.count_sharded(PATH_QUERY, "g", parallel=False) == expected
 
 
+def _placed_in_worker(_):
+    from repro.engine import pool as pool_module
+
+    return pool_module.TaskOk(pool_module._resident.placed_fingerprints())
+
+
 def test_engine_apply_delta_migrates_pinned_worker_contexts():
     # Disjoint edges: "x has an out-edge" changes with every inserted
     # edge, so pre- and post-delta counts must differ.
@@ -378,7 +384,7 @@ def test_engine_apply_delta_migrates_pinned_worker_contexts():
         new_entry = engine.apply_delta(
             "g", StructureDelta(inserts={"E": [(100, 101)]})
         )
-        for pinned in engine.pool.worker_pinned_fingerprints():
+        for pinned in engine.pool.map(_placed_in_worker, [None, None]):
             assert new_entry.fingerprint in pinned
             assert entry.fingerprint not in pinned
         after = engine.count_sharded(out_query, "g", parallel=True)

@@ -149,6 +149,26 @@ def test_checker_detects_missing_and_stale_layout_entries(tmp_path):
     assert len(problems) == 3, problems
 
 
+def test_every_class_attribute_the_docs_name_resolves():
+    problems = check_docs_freshness.check_attributes()
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_a_stale_class_attribute(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Jobs go through `WorkerPool.map(task, jobs)` and\n"
+        "`repro.engine.WorkerPool.pin_structures(...)` (gone), named as\n"
+        "`Engine.count`, `EngineStats.context_hits`, `ResidentContexts.held`;\n"
+        "`MyEngine.nothing`, `engine.pool` and WorkerPool.broadcast outside\n"
+        "a code span are not mentions.\n"
+    )
+    problems = check_docs_freshness.check_attributes([page])
+    assert len(problems) == 1, problems
+    assert "`WorkerPool.pin_structures`" in problems[0]
+    assert "stale" in problems[0]
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",

@@ -25,6 +25,7 @@ from repro.engine.api import (
 from repro.engine.context import ContextStats
 from repro.engine.plan import as_ep
 from repro.engine.pool import WorkerPool
+from repro.obs.trace import get_tracer
 from repro.structures.delta import StructureDelta
 from repro.structures.random_gen import random_graph
 from repro.structures.structure import Structure
@@ -367,5 +368,133 @@ def test_parallel_counts_racing_deltas_are_recalled_from_whole_versions_only():
                     engine.count_sharded(PATH_QUERY, "live", parallel=True)
                     == expected
                 )
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: Sixteen queries with sixteen plans: a reader never repeats one, so
+#: no count is answered from the parent's memos and each one dispatches.
+NEVER_REPEATED = (
+    "E(x, y)",
+    "E(y, x)",
+    "exists z. (E(x, z) & E(z, y))",
+    "exists z. (E(z, x) & E(z, y))",
+    "exists z. (E(x, z) & E(y, z))",
+    "exists z. (E(z, x) & E(y, z))",
+    "exists z w. (E(x, z) & E(z, w) & E(w, y))",
+    "exists z w. (E(z, x) & E(z, w) & E(w, y))",
+    "exists z w. (E(x, z) & E(w, z) & E(w, y))",
+    "exists z. (E(x, z) & E(z, y) & E(x, y))",
+    "exists z. (E(z, x) & E(z, y) & E(x, y))",
+    "E(x, y) | E(y, x)",
+    "E(x, y) | exists z. (E(x, z) & E(z, y))",
+    "exists z. (E(x, z)) & exists w. (E(w, y))",
+    "exists z. (E(x, z) & E(x, y))",
+    "exists z. (E(z, y) & E(x, y))",
+)
+
+
+def test_parallel_counts_racing_re_forks_run_on_whole_versions():
+    """Readers counting never-repeated queries on a pinned ref through
+    the pool while a writer re-registers it (alternating shard plans)
+    and applies alternating deltas: every change makes the next
+    dispatch fork a fresh generation while jobs still run on the old
+    one.  Each count is an oracle count of one whole version, none
+    fails, and at quiescence the pool runs exactly its own workers,
+    every one holding the placed shards."""
+    edges = [(i, i + 1) for i in range(0, 16, 2)]
+    edges += [(i, i + 2) for i in range(0, 16, 4)]
+    base = Structure.from_relations({"E": edges})  # four components
+    insert = StructureDelta(inserts={"E": [(1, 2)]})
+    delete = StructureDelta(deletes={"E": [(1, 2)]})
+    grown = base.apply_delta(insert)
+    oracle = {
+        query: {
+            count_answers_naive(as_ep(query), base),
+            count_answers_naive(as_ep(query), grown),
+        }
+        for query in NEVER_REPEATED
+    }
+    queries = iter(NEVER_REPEATED)
+    take = threading.Lock()
+    seen: list[tuple[str, int]] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+    children_before = set(multiprocessing.active_children())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with Engine(processes=2) as engine:
+            engine.register_structure("live", base, shard_count=4)
+            engine.count_sharded("E(x, x)", "live", parallel=True)
+
+            def read() -> None:
+                try:
+                    while True:
+                        with take:
+                            query = next(queries, None)
+                        if query is None:
+                            return
+                        count = engine.count_sharded(
+                            query, "live", parallel=True
+                        )
+                        seen.append((query, count))
+                except BaseException as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            def write() -> None:
+                try:
+                    step = 0
+                    while not done.is_set():
+                        engine.register_structure(
+                            "live", base, shard_count=4 if step % 2 else 2
+                        )
+                        engine.apply_delta("live", insert)
+                        engine.apply_delta("live", delete)
+                        engine.apply_delta("live", insert)
+                        step += 1
+                except BaseException as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            writer = threading.Thread(target=write)
+            readers = [threading.Thread(target=read) for _ in range(3)]
+            writer.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+            done.set()
+            writer.join(timeout=60)
+            assert not any(t.is_alive() for t in readers + [writer])
+            assert not errors, errors
+            assert len(seen) == len(NEVER_REPEATED)
+            for query, count in seen:
+                assert count in oracle[query], query
+            # Quiescent, on a shard plan no job has carried: only the
+            # fork the next dispatch makes can hold it, and then every
+            # job names a shard its worker holds, so none is resent.
+            final = engine.register_structure("live", grown, shard_count=3)
+            query = "exists z. (E(z, x) & E(x, y))"
+            tracer = get_tracer()
+            tracer.set_enabled(True)
+            tracer.clear()
+            try:
+                count = engine.count_sharded(query, "live", parallel=True)
+                (fanout,) = [
+                    span
+                    for trace in tracer.finished_traces()
+                    for span in trace.spans()
+                    if span.name == "shard.fanout"
+                ]
+            finally:
+                tracer.set_enabled(None)
+                tracer.clear()
+            assert count == count_answers_naive(as_ep(query), final.structure)
+            shards = len(final.sharded.non_empty_shards())
+            assert fanout.attributes["shards"] == shards
+            assert fanout.attributes["by_ref"] == shards
+            assert fanout.attributes["resent"] == 0
+            children = set(multiprocessing.active_children()) - children_before
+            assert len(children) == engine.pool.processes
     finally:
         sys.setswitchinterval(interval)

@@ -8,10 +8,13 @@ the sequential fallback in place for genuine pool-*setup* failures such
 as unpicklable jobs, and (d) be the only pool an engine ever creates.
 """
 
+import functools
+import os
+import threading
+
 import pytest
 
 from repro.engine import executor
-from repro.engine import pool as pool_module
 from repro.engine import (
     Engine,
     WorkerPool,
@@ -21,6 +24,8 @@ from repro.engine import (
     execute,
     execute_sharded,
 )
+from repro.engine.pool import shard_task
+from repro.engine.resident import ResidentContexts
 from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.sharding import shard_structure
 from repro.structures.structure import Structure
@@ -110,23 +115,30 @@ def test_collector_paused_restores_the_state_it_found():
         gc.enable()
 
 
-def _collector_state_task(job):
+def _collector_state_task(_):
     import gc
 
     from repro.engine import pool as pool_module
 
-    _, barrier, timeout = job
-    pool_module._await_broadcast_barrier(barrier, timeout)
-    return pool_module.TaskOk((gc.isenabled(), gc.get_freeze_count()))
+    return pool_module.TaskOk(
+        (
+            gc.isenabled(),
+            gc.get_freeze_count(),
+            pool_module._resident.placed_fingerprints(),
+        )
+    )
 
 
 def test_workers_start_collecting_with_the_resident_heap_frozen():
-    with WorkerPool(processes=2) as pool:
-        pool.pin_structures([random_graph(10, 0.5, seed=3)])
-        states = pool.broadcast(_collector_state_task, None)
+    graph = random_graph(10, 0.5, seed=3)
+    store = ResidentContexts()
+    store.place([graph])
+    with WorkerPool(processes=2, contexts=store) as pool:
+        states = pool.map(_collector_state_task, [None, None])
         assert len(states) == 2
-        for enabled, frozen in states:
+        for enabled, frozen, placed in states:
             assert enabled and frozen > 0
+            assert placed == (graph.fingerprint(),)
 
 
 # ----------------------------------------------------------------------
@@ -427,64 +439,6 @@ def test_unpicklable_shards_fall_back_to_sequential():
 
 
 # ----------------------------------------------------------------------
-# Broadcast deadlock regression: a worker dying mid-broadcast
-# ----------------------------------------------------------------------
-def _die_holding_broadcast_task(job):
-    """Whichever worker wins the sentinel mkdir SIGKILLs itself *after*
-    taking its broadcast job but *before* reaching the barrier -- the
-    exact window where ``multiprocessing.Pool`` respawns the process
-    but never re-queues the taken job, so an untimed parent-side wait
-    would hang forever."""
-    import os
-    import signal
-
-    from repro.engine import pool as pool_module
-
-    sentinel, barrier, timeout = job
-    try:
-        os.mkdir(sentinel)
-    except FileExistsError:
-        pass
-    else:
-        os.kill(os.getpid(), signal.SIGKILL)
-    pool_module._await_broadcast_barrier(barrier, timeout)
-    return pool_module.TaskOk(True)
-
-
-def test_broadcast_worker_death_times_out_instead_of_deadlocking(tmp_path):
-    import time
-
-    from repro.engine.pool import resident_task
-
-    graph = random_graph(10, 0.5, seed=3)
-    with WorkerPool(processes=2) as pool:
-        # Instance-level overrides: keep the regression fast without
-        # touching the class defaults other tests rely on.
-        pool.BROADCAST_BARRIER_TIMEOUT = 3.0
-        pool.BROADCAST_RESULT_GRACE = 2.0
-        # Recorded parent-side while the pool is cold; the restarted
-        # pool's initializer must rebuild exactly this pin set.
-        pool.pin_structures([graph])
-        started = time.monotonic()
-        confirmations = pool.broadcast(
-            _die_holding_broadcast_task, str(tmp_path / "suicide-sentinel")
-        )
-        elapsed = time.monotonic() - started
-        # The wedged broadcast degrades (zero confirmations) instead of
-        # blocking forever; well under the watchdog's 120s budget.
-        assert confirmations == []
-        assert pool.broadcast_timeouts == 1
-        assert elapsed < 30.0
-        # The pool restarted and is fully usable: a fresh broadcast
-        # reaches every worker, and the initializer rebuilt the pins.
-        rebuilt = pool.broadcast(resident_task, ("placed_fingerprints", ()))
-        assert len(rebuilt) == 2
-        for worker_pins in rebuilt:
-            assert graph.fingerprint() in worker_pins
-        assert pool.broadcast(resident_task, ("pin", ((graph,),))) == [1, 1]
-
-
-# ----------------------------------------------------------------------
 # Pinning survives worker generations, not just pool restarts
 # ----------------------------------------------------------------------
 def _die_task(_):
@@ -494,19 +448,21 @@ def _die_task(_):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _placed_in_worker(_):
+    from repro.engine import pool as pool_module
+
+    return pool_module.TaskOk(pool_module._resident.placed_fingerprints())
+
+
 def test_respawned_worker_rebuilds_pins_made_after_the_pool_started():
     import time
 
-    from repro.engine.pool import shard_task
-
     graph = random_graph(10, 0.5, seed=3)
-    pool = WorkerPool(processes=2)
+    store = ResidentContexts()
+    pool = WorkerPool(processes=2, contexts=store)
     try:
-        pool.map(shard_task, [])  # fork with an empty pin set
-        pool.pin_structures([graph])  # pinned on the live pool
+        pool.map(shard_task, [])  # fork with nothing placed
         before = set(pool._worker_pids())
-        # Dying inside a job (not while idle) leaves the task queue's
-        # lock free, so the survivor and the respawn keep working.
         pool._ensure_pool().apply_async(_die_task, (None,))
         deadline = time.monotonic() + 30
         while True:
@@ -515,100 +471,138 @@ def test_respawned_worker_rebuilds_pins_made_after_the_pool_started():
                 break
             assert time.monotonic() < deadline, "worker was never respawned"
             time.sleep(0.05)
-        assert graph.fingerprint() in pool.pinned_fingerprints()
-        per_worker = pool.worker_pinned_fingerprints()
+        store.place([graph])  # placed after the pool started
+        per_worker = pool.map(_placed_in_worker, [None, None])
         assert len(per_worker) == 2
         for pins in per_worker:
             assert graph.fingerprint() in pins
+        # The generation that lost a worker was terminated, respawn
+        # included: the jobs ran on a fresh fork.
+        assert not set(pool._worker_pids()) & now
     finally:
-        # Not close(): the lost job would keep join() waiting forever.
-        pool.terminate()
+        # The lost job died with its terminated generation.
+        pool.close()
 
 
-# ----------------------------------------------------------------------
-# The inherited broadcast barrier
-# ----------------------------------------------------------------------
-def test_concurrent_broadcasts_each_reach_every_worker():
-    import threading
+_PARENT_PID = os.getpid()
 
-    graph = random_graph(10, 0.5, seed=3)
-    confirmations: list[int] = []
-    errors: list[BaseException] = []
 
-    def broadcast_many():
+class _SlowProperty:
+    """A cached property that, in the test process, holds its lock until
+    released; in a worker it returns at once."""
+
+    computing = threading.Event()
+    release = threading.Event()
+
+    @functools.cached_property
+    def value(self) -> int:
+        if os.getpid() == _PARENT_PID:
+            _SlowProperty.computing.set()
+            _SlowProperty.release.wait(30)
+        return os.getpid()
+
+
+def _cached_property_task(_):
+    from repro.engine import pool as pool_module
+
+    return pool_module.TaskOk(_SlowProperty().value)
+
+
+def test_a_fork_during_a_cached_property_computation_leaves_workers_free():
+    import multiprocessing
+
+    holder = threading.Thread(target=lambda: _SlowProperty().value)
+    holder.start()
+    try:
+        assert _SlowProperty.computing.wait(10)
+        pool = WorkerPool(processes=1)
         try:
-            for _ in range(100):
-                confirmations.append(len(pool.worker_pinned_fingerprints()))
-        except BaseException as exc:
-            errors.append(exc)
-
-    with WorkerPool(processes=2) as pool:
-        pool.pin_structures([graph])
-        pool.map(pool_module.shard_task, [])  # start the workers
-        threads = [threading.Thread(target=broadcast_many) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(90)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        # One cyclic barrier, one broadcast at a time: none of the 300
-        # saw another's jobs at the barrier.
-        assert confirmations == [2] * 300
-        assert pool.broadcast_timeouts == 0
+            # Forked while this process holds the property's lock.
+            pending = pool._ensure_pool().apply_async(
+                _cached_property_task, (None,)
+            )
+            try:
+                (value,) = pool._unwrap([pending.get(timeout=20)])
+            except multiprocessing.TimeoutError:
+                pytest.fail("the worker waited on a lock held at the fork")
+            assert value != _PARENT_PID
+        finally:
+            pool.terminate()
+    finally:
+        _SlowProperty.release.set()
+        holder.join(10)
 
 
-def _sleep_task(seconds):
-    import time
+_LOSE_THE_IDLE_WORKERS = """
+import os, signal, time
+from repro.engine import Engine, compile_plan, execute
+from repro.engine.pool import shard_task
+from repro.structures.random_gen import random_cluster_graph
+from repro.workloads.generators import path_query
 
-    time.sleep(seconds)
+graph = random_cluster_graph(6, 4, 0.5, seed=3)
+query = path_query(2, quantify_interior=True)
 
 
-def _pid_broadcast_task(job):
+def lose_the_idle_workers(engine):
+    engine.pool.map(shard_task, [])  # start the workers; both idle
+    victims = set(engine.pool._worker_pids())
+    for pid in victims:
+        os.kill(pid, signal.SIGKILL)
+    while set(engine.pool._worker_pids()) & victims:
+        time.sleep(0.01)
+    return victims
+
+
+engine = Engine(processes=2)
+victims = lose_the_idle_workers(engine)
+count = engine.count_sharded(query, graph, shard_count=6, parallel=True)
+workers = set(engine.pool._worker_pids())
+lose_the_idle_workers(engine)
+engine.close()  # straight after the loss, no dispatch in between
+print(count == execute(compile_plan(query), graph), len(workers),
+      bool(workers & victims))
+"""
+
+
+def test_a_pool_that_lost_its_idle_workers_counts_and_closes():
+    """A worker killed while idle can take the task queue's read lock
+    with it, which wedged the respawns and ``close()`` for good; the
+    next dispatch must terminate that generation and fork a fresh one,
+    and ``close()`` must terminate it too.
+    Run in a process group of its own, so a hang fails this test
+    instead of stalling the suite's exit on the wedged pool."""
     import os
+    import signal
+    import subprocess
+    import sys
 
-    _, barrier, timeout = job
-    pool_module._await_broadcast_barrier(barrier, timeout)
-    return pool_module.TaskOk(os.getpid())
-
-
-def test_a_barrier_broken_by_a_busy_worker_does_not_poison_the_next_broadcast():
-    import time
-
-    with WorkerPool(processes=2) as pool:
-        pool.BROADCAST_BARRIER_TIMEOUT = 0.3
-        pool.map(pool_module.shard_task, [])  # start the workers
-        busy = pool._ensure_pool().apply_async(_sleep_task, (1.5,))
-        time.sleep(0.1)  # let a worker take the sleeping job
-        # Best-effort, exactly as before: the free worker gives up on
-        # the barrier and serves both jobs.
-        degraded = pool.broadcast(_pid_broadcast_task, None)
-        assert len(degraded) == 2 and len(set(degraded)) == 1
-        assert pool.broadcast_timeouts == 0  # degraded, not wedged
-        assert not pool._barrier.broken  # reset once the results were in
-        busy.get(30)
-        started = time.monotonic()
-        reached = pool.broadcast(_pid_broadcast_task, None)
-        assert time.monotonic() - started < pool.BROADCAST_BARRIER_TIMEOUT
-        assert sorted(reached) == sorted(pool._worker_pids())
-        assert pool.broadcast_timeouts == 0
-
-
-def test_a_wedged_broadcast_restarts_the_pool_with_a_new_barrier(tmp_path):
-    with WorkerPool(processes=2) as pool:
-        pool.BROADCAST_BARRIER_TIMEOUT = 1.0
-        pool.BROADCAST_RESULT_GRACE = 1.0
-        pool.map(pool_module.shard_task, [])
-        first_generation = pool._barrier
-        assert pool.broadcast(
-            _die_holding_broadcast_task, str(tmp_path / "sentinel")
-        ) == []
-        assert pool.broadcast_timeouts == 1
-        assert len(pool.broadcast(_pid_broadcast_task, None)) == 2
-        assert pool._barrier is not first_generation
-        assert not pool._barrier.broken
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LOSE_THE_IDLE_WORKERS],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("counting or closing after losing idle workers hung")
+    assert child.returncode == 0, err
+    assert out.split() == ["True", "2", "False"]
 
 
+# ----------------------------------------------------------------------
+# Generations: a fork per store version, none left behind
+# ----------------------------------------------------------------------
 def test_a_started_pool_has_no_helper_process():
     import multiprocessing
 
@@ -622,7 +616,10 @@ def test_a_started_pool_has_no_helper_process():
         engine.count_sharded(path_query(2), "net", parallel=True)
         engine.apply_delta("net", StructureDelta(deletes={"E": [edge]}))
         engine.register_structure("other", random_graph(8, 0.5, seed=2))
-        assert engine.pool.worker_pinned_fingerprints()[0]
+        # A query the parent has not memoized: the shards miss and the
+        # jobs land on a fork of the changed store, and the generation
+        # it replaced is gone.
+        engine.count_sharded(path_query(3), "net", parallel=True)
         children = set(multiprocessing.active_children()) - before
         assert len(children) == engine.pool.processes == 2
         assert {child.pid for child in children} == set(

@@ -50,6 +50,19 @@ def clustered(seed: int = 13) -> Structure:
     return random_cluster_graph(4, 6, 0.4, seed=seed)
 
 
+def _placed_in_worker(_):
+    from repro.engine import pool as pool_module
+
+    return pool_module.TaskOk(pool_module._resident.placed_fingerprints())
+
+
+def worker_placed(pool) -> list[tuple]:
+    """What the workers a dispatch would run on now hold placed: one
+    answer per job, from a generation forked since the store's last
+    change (its workers share one fork, so any answer is all of them)."""
+    return pool.map(_placed_in_worker, [None] * pool.processes)
+
+
 def brute_force(structure: Structure) -> int:
     return count_answers_naive(as_ep(PATH_QUERY), structure)
 
@@ -200,20 +213,20 @@ def test_pinned_entries_survive_clear_caches():
         # the pin set is untouched.
         assert engine.count(PATH_QUERY, "tri") == expected
         assert engine.registry.peek("tri").pinned
-        assert graph.fingerprint() in engine.pool.pinned_fingerprints()
+        assert graph.fingerprint() in engine.contexts.placed_fingerprints()
 
 
 def test_pinning_broadcasts_into_live_workers():
     with Engine(processes=2) as engine:
         graph = clustered()
         # Start the pool cold on unrelated work first, so the pin below
-        # must reach already-forked workers by broadcast.
+        # must reach workers forked after it, not the first generation.
         engine.count_sharded(
             PATH_QUERY, clustered(seed=5), shard_count=4, parallel=True
         )
         assert engine.pool.started
         engine.register_structure("net", graph, pin=True, shard_count=4)
-        per_worker = engine.pool.worker_pinned_fingerprints()
+        per_worker = worker_placed(engine.pool)
         assert len(per_worker) == 2
         assert all(graph.fingerprint() in keys for keys in per_worker)
         # The first sharded call by reference runs fully on pinned
@@ -233,10 +246,10 @@ def test_reregistration_with_different_data_invalidates_workers():
         engine.count_sharded(PATH_QUERY, "net", parallel=True)  # starts the pool
         engine.register_structure("net", new, pin=True, shard_count=4)
         assert engine.registry.peek("net").structure == new
-        parent_pins = engine.pool.pinned_fingerprints()
+        parent_pins = engine.contexts.placed_fingerprints()
         assert old.fingerprint() not in parent_pins
         assert new.fingerprint() in parent_pins
-        for keys in engine.pool.worker_pinned_fingerprints():
+        for keys in worker_placed(engine.pool):
             assert old.fingerprint() not in keys
             assert new.fingerprint() in keys
 
@@ -255,10 +268,10 @@ def test_resharding_same_data_unpins_the_old_shard_plan():
         }
         retired = old_shard_prints - new_shard_prints
         assert retired  # the plans genuinely differ
-        parent_pins = set(engine.pool.pinned_fingerprints())
+        parent_pins = set(engine.contexts.placed_fingerprints())
         assert not retired & parent_pins
         assert graph.fingerprint() in parent_pins
-        for keys in engine.pool.worker_pinned_fingerprints():
+        for keys in worker_placed(engine.pool):
             assert not retired & set(keys)
             assert graph.fingerprint() in keys
 
@@ -270,8 +283,8 @@ def test_reregistering_unpinned_releases_the_pin_everywhere():
         engine.count_sharded(PATH_QUERY, "net", parallel=True)  # starts the pool
         engine.register_structure("net", graph, pin=False, shard_count=4)
         held = set(first.worker_fingerprints())
-        assert not held & set(engine.pool.pinned_fingerprints())
-        for keys in engine.pool.worker_pinned_fingerprints():
+        assert not held & set(engine.contexts.placed_fingerprints())
+        for keys in worker_placed(engine.pool):
             assert not held & set(keys)
 
 
@@ -282,8 +295,8 @@ def test_unregister_unpins_everywhere():
         engine.count_sharded(PATH_QUERY, "tri", parallel=True)
         assert engine.unregister_structure("tri")
         assert not engine.unregister_structure("tri")  # idempotent: gone
-        assert graph.fingerprint() not in engine.pool.pinned_fingerprints()
-        for keys in engine.pool.worker_pinned_fingerprints():
+        assert graph.fingerprint() not in engine.contexts.placed_fingerprints()
+        for keys in worker_placed(engine.pool):
             assert graph.fingerprint() not in keys
         with pytest.raises(UnknownStructureError):
             engine.count(PATH_QUERY, "tri")
@@ -402,7 +415,8 @@ def test_the_engines_placed_contexts_mirror_the_pool_pin_set():
 
         def check(step: str) -> None:
             placed = set(engine.contexts.placed_fingerprints())
-            assert placed == set(engine.pool.pinned_fingerprints()), step
+            for held in worker_placed(engine.pool):
+                assert set(held) == placed, step
             for name in engine.registry.names():
                 expected = brute_force(engine.registry.peek(name).structure)
                 assert engine.count(PATH_QUERY, name) == expected, step

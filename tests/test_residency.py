@@ -6,7 +6,7 @@ Two layers, one conformance matrix each:
   itself, parametrized over the tier (placed / LRU) a context sits in;
 * the same place -> hit, drop -> miss, delta -> migrated-and-exact
   sequence driven through both transports that own such a store -- the
-  fork pool's broadcast and a one-worker cluster -- over a set of
+  fork pool's generations and a one-worker cluster -- over a set of
   generator queries, every count checked against
   ``algorithms/brute_force.py``.
 
@@ -34,7 +34,8 @@ from repro.engine import (
     execute_sharded,
 )
 from repro.engine.plan import as_ep
-from repro.engine.pool import resident_task, shard_task
+from repro.engine import pool as pool_module
+from repro.engine.pool import shard_task
 from repro.engine.resident import (
     LRU_CAPACITY,
     NotResident,
@@ -61,6 +62,7 @@ TWO_RELATIONS = Structure.from_relations(
     {"E": [(1, 2), (2, 3)], "R": [(1, 2), (2, 1), (2, 3)]}
 )
 TOUCH_E = StructureDelta(inserts={"E": [(3, 1)]})
+GRAPH_OF_TWO = Structure.from_relations({"E": [(1, 2), (2, 1)]})
 R_PLAN = compile_plan("exists z. (R(x, z) & R(z, y))").pp
 
 
@@ -86,6 +88,42 @@ def test_place_is_idempotent_and_promotes_an_lru_entry_without_rebuilding():
     assert store.lookup(TWO_RELATIONS) == (context, True)
     # Promotion moved it: dropping finds exactly one context, not two.
     assert store.drop([TWO_RELATIONS.fingerprint()]) == 1
+
+
+def test_only_placed_tier_changes_bump_the_version():
+    store = ResidentContexts()
+    fingerprint = TWO_RELATIONS.fingerprint()
+    resident(store, TWO_RELATIONS, "lru")
+    store.drop([("never", "held")])
+    assert store.version == 0  # LRU traffic and no-op drops leave it
+    store.place([TWO_RELATIONS])  # a promotion is a placement
+    store.place([TWO_RELATIONS])  # idempotent
+    assert store.version == 1
+    after = TWO_RELATIONS.apply_delta(TOUCH_E)
+    migration = (fingerprint, TOUCH_E, after.fingerprint())
+    assert store.apply_delta([migration]) == 1
+    assert store.version == 2
+    assert store.drop([after.fingerprint()]) == 1
+    assert store.version == 3
+
+
+def test_a_store_pickles_as_its_placed_structures_and_adopts_built_ones():
+    import pickle
+
+    store = ResidentContexts()
+    (placed,) = store.place([TWO_RELATIONS])
+    resident(store, GRAPH_OF_TWO, "lru")
+    expected = placed.count_plan(R_PLAN)
+    shipped = pickle.loads(pickle.dumps(store))
+    assert shipped.placed_fingerprints() == (TWO_RELATIONS.fingerprint(),)
+    assert len(shipped) == 1 and not shipped.lookup(TWO_RELATIONS)[1]
+    adopted = ResidentContexts()
+    adopted.adopt(store)
+    context, hit = adopted.lookup(TWO_RELATIONS.fingerprint())
+    assert (context, hit) == (placed, True)
+    assert context.stats is adopted.stats  # counts into its new sink
+    assert context.count_plan(R_PLAN) == expected
+    assert GRAPH_OF_TWO.fingerprint() not in adopted  # placed tier only
 
 
 def test_placed_contexts_start_unbuilt_and_count_as_a_miss_until_used():
@@ -242,7 +280,6 @@ def test_execute_returns_the_outcome_and_its_spans_either_way(tracing):
     )
     failed = store.execute(lose_a_key, fingerprint, None, "job")
     missed = store.execute(lose_a_key, ("never", "held"), None, "job")
-    contextless = store.execute(lambda context: context, None, None, "job")
     assert isinstance(ok, TaskOk) and ok.context_hit is False
     assert ok.value == count_answers_naive(
         as_ep("exists z. (R(x, z) & R(z, y))"), TWO_RELATIONS
@@ -254,23 +291,23 @@ def test_execute_returns_the_outcome_and_its_spans_either_way(tracing):
     assert failed.spans[0]["error"].startswith("KeyError")
     assert failed.spans[0]["attributes"]["context_hit"] is True
     assert isinstance(missed.exception, NotResident) and missed.spans
-    assert contextless == TaskOk(None, None, contextless.spans)
 
 
 # ----------------------------------------------------------------------
 # The two transports
 # ----------------------------------------------------------------------
 class PoolTransport:
-    """Residency through ``WorkerPool`` broadcasts to one forked worker."""
+    """Residency through the store a one-worker ``WorkerPool`` forks."""
 
     def __init__(self):
-        self.pool = WorkerPool(processes=1)
-        # Fork now, with an empty pin set, so every change below is a
-        # broadcast to a live worker rather than initializer state.
+        self.store = ResidentContexts()
+        self.pool = WorkerPool(processes=1, contexts=self.store)
+        # Fork now, with nothing placed, so every change below reaches
+        # the worker through a later generation, not the first one.
         self.pool.map(shard_task, [])
-        self.place = self.pool.pin_structures
-        self.drop = self.pool.unpin_structures
-        self.apply_delta = self.pool.apply_delta
+        self.place = self.store.place
+        self.drop = self.store.drop
+        self.apply_delta = self.store.apply_delta
 
     def count(self, plan, sharded) -> int:
         return execute_sharded(plan, sharded, pool=self.pool)
@@ -610,7 +647,7 @@ def _fanout(tracer):
 
 
 def test_a_context_dropped_behind_the_parents_back_is_re_run_by_value(
-    tracing,
+    tracing, monkeypatch
 ):
     # Three queries: the parent answers a repeated one from its own
     # memos, and each count here must reach the workers.
@@ -632,10 +669,15 @@ def test_a_context_dropped_behind_the_parents_back_is_re_run_by_value(
         warm = _fanout(tracing).attributes
         assert (warm["by_ref"], warm["resent"]) == (len(lost), 0)
 
-        # The parent's pin set still lists what the workers now lose.
-        assert engine.pool.broadcast(resident_task, ("drop", (lost,))) == [
-            len(lost)
-        ] * 2
+        # The parent's store still places what the next generation's
+        # workers lose right after adopting it.
+        class Forgetful(ResidentContexts):
+            def adopt(self, other):
+                super().adopt(other)
+                self.drop(lost)
+
+        monkeypatch.setattr(pool_module, "ResidentContexts", Forgetful)
+        engine.pool.close()
         misses = engine.stats().worker_context_misses
         tracing.clear()
         with _Records("repro.engine.pool") as log:
@@ -694,8 +736,6 @@ def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
         expected = count_answers_naive(as_ep(query), graph)
         assert engine.count_sharded(query, "net", parallel=True) == expected
         before = set(engine.pool._worker_pids())
-        # Dying inside a job (not while idle) leaves the task queue's
-        # lock free, so the survivor and the respawn keep working.
         engine.pool._ensure_pool().apply_async(_die_in_a_job, (None,))
         deadline = time.monotonic() + 30
         while True:
@@ -709,8 +749,9 @@ def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
             assert engine.count_sharded(query, "net", parallel=True) == (
                 execute(compile_plan(query), graph)
             )
-        # The respawn built the pin set in its initializer: every job
-        # named its shard and none had to be re-run by value.
+        # The generation that lost a worker was replaced by a fresh fork
+        # of the store: every job named its shard and none had to be
+        # re-run by value.
         fanouts = [
             span.attributes
             for trace in tracing.finished_traces()
@@ -722,8 +763,7 @@ def test_a_by_ref_count_after_a_worker_was_killed_is_exact(tracing):
             assert attributes["by_ref"] == attributes["shards"] > 1
             assert attributes["resent"] == 0
     finally:
-        # Not close(): the lost job would keep join() waiting forever.
-        engine.close(terminate=True)
+        engine.close()
 
 
 def test_by_ref_readers_racing_a_writer_only_ever_see_an_oracle_count():

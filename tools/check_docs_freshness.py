@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail when the docs drift from the code's canonical tables.
 
-Eight checks, each asserting set equality in *both* directions:
+Nine checks; the first eight assert set equality in *both* directions:
 
 - ``docs/http_api.md`` vs. the HTTP server's canonical route list
   :data:`repro.serve.httpd.ROUTES` (each route documented as a heading
@@ -27,9 +27,14 @@ Eight checks, each asserting set equality in *both* directions:
   modules directly under ``src/repro`` (each named ``src/repro/<name>``
   in backticks, modules with their ``.py``).
 
+The ninth reads one direction: every backticked ``Class.attr`` in
+``docs/*.md`` and ``README.md`` naming one of :data:`_ATTR_OWNERS` must
+resolve (``hasattr`` on the class or a fresh instance).
+
 A route, metric, frame type, engine option, serving knob, per-call
 argument, stats field or package added to the code without documentation, or
-documentation for one the code no longer has, fails CI.
+documentation for one the code no longer has -- a method or attribute
+included -- fails CI.
 
 Usage (repo root)::
 
@@ -89,6 +94,26 @@ _LAYOUT_SECTION = "## Layout"
 
 #: A package or module entry of that map.
 _LAYOUT_ENTRY = re.compile(r"`src/repro/([A-Za-z_][A-Za-z0-9_]*(?:\.py)?)/?`")
+
+
+#: The classes whose ``Class.attr`` mentions are checked, by module.
+_ATTR_OWNERS = {
+    "Engine": "repro.engine.api",
+    "EngineStats": "repro.engine.api",
+    "WorkerPool": "repro.engine.pool",
+    "ResidentContexts": "repro.engine.resident",
+    "ExecutionContext": "repro.engine.context",
+    "StructureRegistry": "repro.engine.registry",
+    "ClusterCoordinator": "repro.cluster.coordinator",
+}
+
+#: An inline code span, and a ``Class.attr`` mention inside one.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_ATTR_MENTION = re.compile(
+    r"(?<!\w)("
+    + "|".join(sorted(_ATTR_OWNERS, key=len, reverse=True))
+    + r")\.([A-Za-z_]\w*)"
+)
 
 
 def documented_routes(text: str) -> set[tuple[str, str]]:
@@ -373,6 +398,50 @@ def check_layout(
     )
 
 
+def documented_attributes(text: str) -> set[tuple[str, str]]:
+    """The ``(class, attribute)`` pairs named in ``text``'s code spans."""
+    return {
+        mention
+        for span in _CODE_SPAN.findall(text)
+        for mention in _ATTR_MENTION.findall(span)
+    }
+
+
+def _owner_instance(name: str):
+    """A fresh, unstarted instance of the owner class ``name``."""
+    import importlib
+
+    cls = getattr(importlib.import_module(_ATTR_OWNERS[name]), name)
+    if name == "ExecutionContext":
+        from repro.structures.structure import Structure
+
+        return cls(Structure.from_relations({"E": [(1, 2)]}))
+    return cls()
+
+
+def check_attributes(paths=None) -> list[str]:
+    """Backticked ``Class.attr`` mentions the code does not resolve."""
+    if paths is None:
+        paths = [README_PATH, *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    problems, instances = [], {}
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for owner, attr in sorted(documented_attributes(text)):
+            if owner not in instances:
+                instances[owner] = _owner_instance(owner)
+            instance = instances[owner]
+            if not (hasattr(type(instance), attr) or hasattr(instance, attr)):
+                problems.append(
+                    f"{path.name} names `{owner}.{attr}`, which {owner} "
+                    "does not have (stale documentation)"
+                )
+    for instance in instances.values():
+        close = getattr(instance, "close", None)
+        if callable(close):
+            close()
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     checks = (
@@ -386,6 +455,8 @@ def main() -> int:
         ("docs/operations.md", "the per-call arguments", check_call_args()),
         ("docs/operations.md", "the EngineStats fields", check_stats()),
         ("README.md", "the src/repro package tree", check_layout()),
+        ("docs/*.md and README.md", "the engine classes' attributes",
+         check_attributes()),
     )
     for page, source, problems in checks:
         if problems:
@@ -408,7 +479,7 @@ def main() -> int:
         f"{knobs} Engine options, {serving} serving knobs, "
         f"{call_args} per-call arguments, "
         f"{stats} stats fields and {packages} src/repro packages and "
-        "modules documented, none stale"
+        "modules documented, none stale; every Class.attr named resolves"
     )
     return 0
 
