@@ -17,7 +17,7 @@ grouping formulas into counting-equivalence classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.logic.pp import PPFormula
 from repro.structures.homomorphism import find_surjective_renaming
@@ -83,6 +83,33 @@ def counting_equivalent_on(
     )
 
 
+def core_invariant(core: PPFormula) -> Hashable:
+    """A cheap isomorphism invariant of a liberal-pinned core.
+
+    The liberal count, the variable count, the non-zero per-relation
+    atom counts and the sorted multiset of ``(is liberal, Gaifman
+    degree)`` pairs.  Renaming-equivalent formulas have cores that are
+    isomorphic by a map sending liberal variables onto liberal
+    variables (the witnesses of Definition 5.3, restricted to the cores,
+    are mutually inverse up to an automorphism), so they always share
+    the invariant; formulas with different invariants are never
+    counting equivalent.
+    """
+    graph = core.graph()
+    atom_counts = sorted(
+        (name, len(tuples))
+        for name, tuples in core.structure.relations.items()
+        if tuples
+    )
+    degrees = sorted((v in core.liberal, degree) for v, degree in graph.degree)
+    return (
+        len(core.liberal),
+        graph.number_of_nodes(),
+        tuple(atom_counts),
+        tuple(degrees),
+    )
+
+
 def group_by_counting_equivalence(
     formulas: Sequence[PPFormula],
 ) -> list[list[PPFormula]]:
@@ -91,28 +118,25 @@ def group_by_counting_equivalence(
     The result is a list of groups; within each group all formulas are
     pairwise counting equivalent, and formulas in different groups are
     not.  Group order follows first appearance.
+
+    Each formula's core is filed under its :func:`core_invariant`, and
+    the exact :func:`renaming_equivalent` search runs only against the
+    group cores of the same bucket.  A formula and its core are
+    renaming equivalent (each maps into the other fixing the liberal
+    variables), so comparing cores decides the same relation as
+    comparing the formulas, on smaller structures.
     """
     groups: list[list[PPFormula]] = []
+    buckets: dict[Hashable, list[tuple[PPFormula, list[PPFormula]]]] = {}
     for formula in formulas:
-        for group in groups:
-            if counting_equivalent(formula, group[0]):
+        core = formula.core()
+        bucket = buckets.setdefault(core_invariant(core), [])
+        for group_core, group in bucket:
+            if renaming_equivalent(core, group_core):
                 group.append(formula)
                 break
         else:
-            groups.append([formula])
+            group = [formula]
+            groups.append(group)
+            bucket.append((core, group))
     return groups
-
-
-def counting_equivalence_representative(
-    formulas: Sequence[PPFormula],
-) -> dict[PPFormula, PPFormula]:
-    """Map every formula to the representative of its equivalence class.
-
-    The representative is the first formula of the class in input order.
-    """
-    representative: dict[PPFormula, PPFormula] = {}
-    for group in group_by_counting_equivalence(formulas):
-        head = group[0]
-        for formula in group:
-            representative[formula] = head
-    return representative

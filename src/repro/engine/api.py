@@ -224,14 +224,14 @@ class Engine:
     def compile(self, query: Query) -> CountingPlan:
         """The compiled plan for ``query``, through the plan cache."""
         before = time.perf_counter()
-        # Probe before the real lookup (pure, touches no counters): the
-        # span wants hit/miss, and classification accounting must run
-        # once per miss -- a cache hit reuses the memoized profile.
-        hit = query in self.plans
         with _trace.span("plan.compile") as span:
+            # One key computation answers both the plan and whether it
+            # was cached: the span wants hit/miss, and classification
+            # accounting runs once per miss -- a hit reuses the
+            # memoized profile.
+            plan, hit = self.plans.lookup(query)
             if span is not NOOP_SPAN:
                 span.set("cache", "hit" if hit else "miss")
-            plan = self.plans.get(query)
             span.set("kind", plan.kind)
         with self._lock:
             counters = self._counters

@@ -66,11 +66,16 @@ class LRUCache(Generic[Key, Value]):
 
     def get_or_compute(self, key: Key, compute: Callable[[], Value]) -> Value:
         """Return the cached value for ``key``, computing and storing on miss."""
+        return self.lookup(key, compute)[0]
+
+    def lookup(self, key: Key, compute: Callable[[], Value]) -> tuple[Value, bool]:
+        """``(value, hit)``: :meth:`get_or_compute` plus whether this call
+        counted as a hit (``compute`` ran in another call, or never)."""
         with self._lock:
             if key in self._data:
                 self.hits += 1
                 self._data.move_to_end(key)
-                return self._data[key]
+                return self._data[key], True
             flight = self._inflight.get(key)
             if flight is None:
                 flight = self._inflight[key] = _InFlight()
@@ -87,7 +92,7 @@ class LRUCache(Generic[Key, Value]):
                 raise flight.error
             with self._lock:
                 self.hits += 1
-            return flight.value  # type: ignore[return-value]
+            return flight.value, True  # type: ignore[return-value]
         try:
             value = compute()
         except BaseException as exc:
@@ -104,7 +109,7 @@ class LRUCache(Generic[Key, Value]):
                 self._data.popitem(last=False)
             self._inflight.pop(key, None)
         flight.event.set()
-        return value
+        return value, False
 
     def __contains__(self, key: object) -> bool:
         with self._lock:
@@ -210,8 +215,13 @@ class PlanCache:
 
     def get(self, query: Query) -> CountingPlan:
         """The compiled plan for the query, compiling at most once."""
+        return self.lookup(query)[0]
+
+    def lookup(self, query: Query) -> tuple[CountingPlan, bool]:
+        """``(plan, hit)`` for the query, from one key computation:
+        ``hit`` is false exactly when this call compiled the plan."""
         resolved = self.resolve(query)
-        return self._cache.get_or_compute(
+        return self._cache.lookup(
             canonical_query_form(resolved),
             lambda: compile_plan(resolved, self.max_disjuncts),
         )
@@ -237,9 +247,7 @@ class PlanCache:
 
     def __contains__(self, query: object) -> bool:
         """Whether the plan for ``query`` is cached.  A pure probe: no
-        plan-cache statistics are touched and nothing is compiled --
-        the tracing layer uses it to annotate ``plan.compile`` spans
-        with hit/miss before the real lookup."""
+        plan-cache statistics are touched and nothing is compiled."""
         try:
             key = canonical_query_form(self.resolve(query))  # type: ignore[arg-type]
         except ReproError:

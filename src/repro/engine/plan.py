@@ -22,7 +22,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
-from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan
+from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan, contract_graph
+from repro.algorithms.treewidth import (
+    DEFAULT_EXACT_THRESHOLD,
+    _exact_treewidth_value,
+    treewidth,
+)
 from repro.obs import trace as _trace
 from repro.core.ep_to_pp import PlusDecomposition, plus_decomposition
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
@@ -316,6 +321,30 @@ def compile_plan(
     )
 
 
+def _pp_plan_measures(pp: PPCountingPlan, exact_threshold: int) -> tuple[int, int]:
+    """``(core treewidth, contract treewidth)`` of a compiled pp-plan's
+    formula, as :func:`~repro.core.classification.FormulaMeasures.of`
+    measures it under ``exact_threshold``.
+
+    The plan's base is the formula's core and its width the contract
+    graph's treewidth under the default threshold, so only the core
+    treewidth is computed (by value: no decomposition is recovered).
+    The contract graph, whose vertices are the liberal variables, is
+    measured again only when the two thresholds pick different
+    algorithms for it.
+    """
+    core_graph = pp.base.graph()
+    if core_graph.number_of_nodes() <= exact_threshold:
+        core_width = _exact_treewidth_value(core_graph)
+    else:
+        core_width, _ = treewidth(core_graph, exact_threshold)
+    liberal = len(pp.base.liberal)
+    if (liberal <= exact_threshold) == (liberal <= DEFAULT_EXACT_THRESHOLD):
+        return core_width, pp.width
+    contract_width, _ = treewidth(contract_graph(pp.base, use_core=False), exact_threshold)
+    return core_width, contract_width
+
+
 def profile_plan(
     plan: CountingPlan,
     treewidth_bound: int = DEFAULT_TREEWIDTH_BOUND,
@@ -329,24 +358,19 @@ def profile_plan(
     with more than ``exact_threshold`` vertices are measured with the
     greedy elimination-ordering upper bound instead of the exact
     exponential algorithm, so profiling stays cheap on adversarially
-    large queries.
+    large queries.  The measures equal those of
+    :func:`~repro.core.classification.measure_pp_class` on the same
+    formulas; they are read from the compiled pp-plans
+    (:func:`_pp_plan_measures`), which already hold each core and its
+    contract width.
     """
-    from repro.core.classification import (
-        Case,
-        measure_pp_class,
-        trichotomy_case,
-    )
+    from repro.core.classification import Case, trichotomy_case
 
     started = time.perf_counter()
     with _trace.span("plan.classify", kind=plan.kind) as span:
-        if plan.pp is not None:
-            formulas = [plan.pp.formula]
-        else:
-            formulas = [t.plan.formula for t in plan.terms]
-
-        component_counts = [len(t.plan.components) for t in plan.terms]
-        if plan.pp is not None:
-            component_counts.append(len(plan.pp.components))
+        pp_plans = [plan.pp] if plan.pp is not None else [t.plan for t in plan.terms]
+        formulas = [pp.formula for pp in pp_plans]
+        component_counts = [len(pp.components) for pp in pp_plans]
 
         if not formulas:
             # Degenerate (e.g. every term cancelled): trivially FPT.
@@ -364,9 +388,9 @@ def profile_plan(
             span.set("verdict", profile.case.name)
             return profile
 
-        measures = measure_pp_class(formulas, exact_threshold=exact_threshold)
-        max_core = max(m.core_treewidth for m in measures)
-        max_contract = max(m.contract_treewidth for m in measures)
+        measures = [_pp_plan_measures(pp, exact_threshold) for pp in pp_plans]
+        max_core = max(core for core, _ in measures)
+        max_contract = max(contract for _, contract in measures)
         case = trichotomy_case(max_core, max_contract, treewidth_bound)
         exact = all(
             len(formula.variables) <= exact_threshold for formula in formulas

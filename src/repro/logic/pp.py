@@ -61,7 +61,7 @@ class PPFormula:
       same liberal set (syntactic equality up to atom ordering).
     """
 
-    __slots__ = ("_structure", "_liberal", "_hash")
+    __slots__ = ("_structure", "_liberal", "_hash", "_core")
 
     def __init__(self, structure: Structure, liberal: Iterable[VariableLike]):
         liberal_set = frozenset(as_variables(liberal))
@@ -80,6 +80,7 @@ class PPFormula:
         self._structure = structure
         self._liberal = liberal_set
         self._hash: int | None = None
+        self._core: PPFormula | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -373,10 +374,19 @@ class PPFormula:
         Computes the core of the augmented structure (so liberal
         variables are never collapsed) and strips the augmentation.  The
         result is a logically equivalent formula with a minimal set of
-        quantified variables.
+        quantified variables.  Memoized on the formula: a compile cores
+        each inclusion-exclusion term once, for cancellation, and the
+        pp-plan and the profile reuse it.  A core is its own core.
         """
-        cored = strip_augmentation(core(self.augmented()))
-        return PPFormula(cored, self._liberal)
+        if self._core is None:
+            if self.quantified_variables:
+                cored = PPFormula(strip_augmentation(core(self.augmented())), self._liberal)
+                cored._core = cored
+            else:
+                # Augmentation pins every variable, so nothing retracts.
+                cored = self
+            self._core = cored
+        return self._core
 
     def entails(self, other: "PPFormula") -> bool:
         """Logical entailment between pp-formulas with equal liberal sets.
@@ -422,6 +432,16 @@ class PPFormula:
         if self._hash is None:
             self._hash = hash((self._structure, self._liberal))
         return self._hash
+
+    def __getstate__(self) -> tuple:
+        # Neither the hash (salted per process) nor the memoized core
+        # travels: a job carries the formula alone.
+        return self._structure, self._liberal
+
+    def __setstate__(self, state: tuple) -> None:
+        self._structure, self._liberal = state
+        self._hash = None
+        self._core = None
 
     def __str__(self) -> str:
         liberal = ", ".join(sorted(v.name for v in self._liberal))

@@ -407,6 +407,15 @@ class Structure:
             )
         return self._hash
 
+    def __getstate__(self) -> tuple:
+        # The hash is salted per process and is not carried; the
+        # fingerprint is a content digest and is.
+        return self._signature, self._universe, self._relations, self._fingerprint
+
+    def __setstate__(self, state: tuple) -> None:
+        self._signature, self._universe, self._relations, self._fingerprint = state
+        self._hash = None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rels = ", ".join(f"{name}:{len(ts)}" for name, ts in sorted(self._relations.items()))
         return f"Structure(|U|={len(self._universe)}, {rels})"
