@@ -83,7 +83,7 @@ class ExistsComponent:
     @cached_property
     def atom_scopes(self) -> tuple[tuple[str, tuple[Variable, ...]], ...]:
         """The component's atoms as repr-sorted ``(relation, scope)``
-        pairs -- the canonical order the semijoin sweep consumes."""
+        pairs -- the deterministic order the ∃-elimination reads."""
         return tuple(
             sorted(
                 (
@@ -203,7 +203,7 @@ class PPCountingPlan:
         filled from the data structure's relation.
     ``components``
         The ∃-components of the base, each eliminated at execution time
-        by a homomorphism search into the data structure.
+        into a boundary relation over the data structure.
     ``decomposition`` / ``width``
         A tree decomposition of the contract graph and its width.  The
         CSP built at execution time has the contract graph as its primal
@@ -280,8 +280,8 @@ def execute_pp_plan(
     context's memoized base tables (repeated scope variables collapse
     to equality-filtered distinct columns), each ∃-component is
     eliminated through the :class:`~repro.engine.context.
-    ExecutionContext` (memoized semijoin reduction when the component
-    is acyclic with a small boundary, backtracking otherwise) to a
+    ExecutionContext` (memoized variable elimination on the tables
+    when the boundary is small, backtracking otherwise) to a
     table of the same backend, and the count runs through the
     join-driven junction-tree DP :func:`count_solutions_tables` over
     the plan's precomputed schedule.  Because the encoding is a

@@ -11,7 +11,7 @@ once, cached, and run many times over many structures:
   path executes;
 * :mod:`repro.engine.context` -- :class:`ExecutionContext`: the
   per-structure execution state (lazy positional index, sorted domain,
-  memoized semijoin ∃-component boundary relations, cached shard
+  memoized ∃-component boundary relations, cached shard
   partitions);
 * :mod:`repro.engine.cache` -- the in-memory LRU plan cache keyed by
   canonical query form, the only compile cache (contexts live in

@@ -10,16 +10,16 @@ derived backend), and (for the sharded path) cached
 that every plan executed against the same structure shares the work
 instead of re-deriving it per call, per term, or per grid cell.
 
-Besides caching, the context owns the *semijoin* ∃-component
-elimination: when a component's boundary is small and its atom
-hypergraph is α-acyclic (checked by GYO ear removal), the boundary
-relation of the component is computed by a join-tree sweep of
-semijoin/project steps over the encoded columns instead of the
+Besides caching, the context owns ∃-component elimination.  A
+"semijoin" elimination is any elimination on the tables: the boundary
+relation of a component -- the projection of the join of its atoms
+onto its boundary -- is computed by variable elimination over the
+encoded columns, in an order chosen from the table sizes, never from
+variable names, and exact for cyclic and acyclic interiors alike.  The
 backtracking search of
-:func:`repro.structures.homomorphism.enumerate_extendable_assignments`.
-Both evaluators are exact; the semijoin path is asymptotically better
-on acyclic components because it never enumerates boundary assignments
-that die inside the component, and its results are memoized per
+:func:`repro.structures.homomorphism.enumerate_extendable_assignments`
+is only the fallback for a join past the row cap or a boundary wider
+than :data:`SEMIJOIN_MAX_BOUNDARY`.  Results are memoized per
 (component, structure), which is what makes repeated ``ep-plus``
 inclusion-exclusion terms (which share ∃-components across terms)
 cheap.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.structures.encoding import (
     EncodedStructure,
@@ -179,9 +179,9 @@ class ExecutionContext:
         :class:`~repro.engine.resident.ResidentContexts` store share
         its sink, so the engine can surface aggregate numbers.
     semijoin:
-        Enable the semijoin ∃-component evaluator (on by default; the
-        benchmark harness disables it to measure the backtracking
-        baseline).
+        Enable elimination on the tables (on by default; off, every
+        ∃-component is backtracked, the reference the tests compare
+        against).
     memoize:
         Enable the per-(component, structure) boundary-relation memo.
     """
@@ -425,21 +425,24 @@ class ExecutionContext:
         self, component: "ExistsComponent", boundary: tuple["Variable", ...]
     ) -> tuple:
         """Compute a boundary relation as a ``(boundary, rows)`` table
-        of the derived backend, semijoin-first with a backtracking
+        of the derived backend: variable elimination over the encoded
+        columns (:func:`_eliminate_variables`), with a backtracking
         fallback.
 
-        Base tables come from the columnar relations, joins hash
-        machine ints (or run vectorized when numpy imports), and the
-        fallback -- cyclic components, wide boundaries, join blowups --
-        searches the isomorphic int structure.
+        Backtracking over the isomorphic int structure serves only what
+        the tables cannot: a join past ``SEMIJOIN_ROW_CAP``, a boundary
+        wider than ``semijoin_max_boundary``, a boundary variable in no
+        atom, or a relation the data does not have.
         """
         ops = self.table_ops()
         if self.structure.is_empty():
             # No assignment of anything exists on the empty structure.
             return ops.table(boundary, ())
+        scopes = component.atom_scopes
         if (
             self.semijoin
             and len(boundary) <= self.semijoin_max_boundary
+            and set(boundary) <= {v for _, scope in scopes for v in scope}
             and component.structure.signature.is_subsignature_of(
                 self.structure.signature
             )
@@ -450,20 +453,13 @@ class ExecutionContext:
                 backend=resolve_backend(),
             ) as attempt:
                 try:
-                    relation = _semijoin_project(
-                        component.atom_scopes, boundary, ops
-                    )
+                    relation = _eliminate_variables(scopes, boundary, ops)
                 except TableOverflow:
-                    relation = None
                     attempt.set("outcome", "blowup")
                 else:
-                    attempt.set(
-                        "outcome",
-                        "cyclic" if relation is None else "eliminated",
-                    )
-            if relation is not None:
-                self.stats.bump("semijoin_eliminations")
-                return relation
+                    attempt.set("outcome", "eliminated")
+                    self.stats.bump("semijoin_eliminations")
+                    return relation
         self.stats.bump("backtracking_eliminations")
         allowed = set()
         for assignment in enumerate_extendable_assignments(
@@ -601,99 +597,70 @@ class ExecutionContext:
 
 
 # ----------------------------------------------------------------------
-# Semijoin evaluation of acyclic components
+# Variable elimination over the column tables
 # ----------------------------------------------------------------------
-def _gyo_join_tree(
-    hyperedges: Sequence[frozenset],
-) -> list[tuple[int, int]] | None:
-    """GYO ear removal: a join tree for an α-acyclic hypergraph.
-
-    Returns the removal sequence as ``(ear, parent)`` index pairs (ears
-    first, so every edge's children precede it), or ``None`` when the
-    hypergraph is cyclic.  The edge never removed is the root.
-    """
-    alive = dict(enumerate(hyperedges))
-    removed: list[tuple[int, int]] = []
-    while len(alive) > 1:
-        ear = None
-        for i, e in alive.items():
-            shared = {
-                v for v in e if any(v in alive[j] for j in alive if j != i)
-            }
-            parent = next(
-                (j for j in alive if j != i and shared <= alive[j]), None
-            )
-            if parent is not None:
-                ear = (i, parent)
-                break
-        if ear is None:
-            return None
-        removed.append(ear)
-        del alive[ear[0]]
-    return removed
+def _join_all(tables: list, ops) -> tuple:
+    """Join ``tables`` smallest-first, each step taking the smallest
+    table that shares a column with what is joined so far (a cross
+    product only when none does)."""
+    pending = sorted(tables, key=lambda table: len(table[1]))
+    joined = pending.pop(0)
+    while pending:
+        columns = set(joined[0])
+        shared = next(
+            (i for i, t in enumerate(pending) if columns.intersection(t[0])), 0
+        )
+        joined = ops.join(joined, pending.pop(shared))
+    return joined
 
 
-def _semijoin_project(scopes: tuple, boundary: tuple, ops) -> tuple | None:
+def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
     """The projection onto ``boundary`` of the join of a component's
-    atoms against the data, as a ``(boundary, rows)`` table of ``ops``,
-    or ``None`` when the atom hypergraph is cyclic (the caller falls
-    back to backtracking).
+    atoms against the data, as a ``(boundary, rows)`` table of ``ops``.
 
-    This is the Yannakakis-style evaluation specialized to small
-    projections: process the GYO join tree leaves-first, at each node
-    joining the already-reduced child tables into the node's base table
-    and projecting onto the boundary columns seen so far plus the
-    separator with the parent.  For an α-acyclic hypergraph this yields
-    exactly the set of boundary assignments that extend to a
-    homomorphism of the component into the data.  With an empty
-    boundary the result has the one row ``()`` or none: a
-    satisfiability bit.
+    Variable elimination in an order chosen from the data: repeatedly
+    take the quantified variable whose touching tables have the
+    smallest union scope (ties: fewest rows in total, then ``repr``),
+    join those tables and project the variable out; then join what is
+    left and project onto ``boundary``.  A projection of a join does
+    not depend on the join order, so the result is exact for any atom
+    hypergraph; on a bounded-arity α-acyclic one every intermediate
+    stays within input × output, as in Yannakakis.  An empty step
+    answers the empty table at once.  With an empty boundary the
+    result has the one row ``()`` or none: a satisfiability bit.
 
-    Variables of the component occurring in no atom are unconstrained
-    and do not affect the projection (the data universe is non-empty on
-    every path that reaches this function), matching the backtracking
-    semantics.
-
-    ``scopes`` is the component's cached
-    :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`
-    (its atoms in the canonical repr-sorted order); ``ops`` is the
-    table backend (:class:`~repro.structures.encoding._PyTableOps` or
+    Every boundary variable must occur in an atom (the caller checks).
+    Variables occurring in no atom are unconstrained and do not affect
+    the projection (the data universe is non-empty on every path that
+    reaches this function).  ``scopes`` is the component's
+    :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`;
+    ``ops`` is the table backend
+    (:class:`~repro.structures.encoding._PyTableOps` or
     :class:`~repro.structures.encoding.NumpyTableOps`).
     """
-    if not scopes:
-        return None
-    hyperedges = [frozenset(t) for _, t in scopes]
-    covered = frozenset().union(*hyperedges)
-    if not frozenset(boundary) <= covered:
-        # A boundary variable outside every atom never reaches the join
-        # tables; leave such (degenerate) components to backtracking.
-        return None
-    tree = _gyo_join_tree(hyperedges)
-    if tree is None:
-        return None
-    boundary_set = frozenset(boundary)
-    tables = {
-        i: ops.base_table(name, t) for i, (name, t) in enumerate(scopes)
-    }
-    pending: dict[int, list] = {}
-    root = len(scopes) - 1
-    if tree:
-        removed_ids = {i for i, _ in tree}
-        root = next(i for i in range(len(scopes)) if i not in removed_ids)
-    for ear, parent in tree:
-        table = tables.pop(ear)
-        for child in pending.pop(ear, ()):
-            table = ops.join(table, child)
-        keep = tuple(
-            c
-            for c in table[0]
-            if c in boundary_set or c in hyperedges[parent]
+    tables = [ops.base_table(name, scope) for name, scope in scopes]
+    kept = frozenset(boundary)
+
+    def cost(variable) -> tuple:
+        touching = [t for t in tables if variable in t[0]]
+        scope = frozenset().union(*(t[0] for t in touching))
+        return len(scope), sum(len(t[1]) for t in touching), repr(variable)
+
+    while candidates := {c for t in tables for c in t[0]} - kept:
+        variable = min(candidates, key=cost)
+        joined = _join_all([t for t in tables if variable in t[0]], ops)
+        reduced = ops.project(
+            joined, tuple(c for c in joined[0] if c != variable)
         )
-        reduced = ops.project(table, keep)
         if ops.is_empty(reduced):
             return ops.table(boundary, ())
-        pending.setdefault(parent, []).append(reduced)
-    table = tables.pop(root)
-    for child in pending.pop(root, ()):
-        table = ops.join(table, child)
-    return ops.project(table, boundary)
+        # A zero-column table left here is the non-empty unit {()}.
+        tables = [t for t in tables if variable not in t[0]]
+        if reduced[0]:
+            tables.append(reduced)
+    if not tables:
+        return ops.table(boundary, [()])
+    # Rows are unique already: only a column order differing from
+    # ``boundary`` costs a projection.
+    joined = _join_all(tables, ops)
+    return joined if joined[0] == boundary else ops.project(joined, boundary)

@@ -22,7 +22,7 @@ The one platform split is *derived*, never chosen:
 (:class:`NumpyTableOps`: packed-key vectorized joins) and ``"array"``
 otherwise (the int-tuple hash joins of :class:`_PyTableOps`).  Both
 kernels live here and serve both data-side evaluators: the plain
-``(columns, rows)`` tables of the semijoin sweep
+``(columns, rows)`` tables of the ∃-elimination
 (:mod:`repro.engine.context`) and the weighted tables of the
 junction-tree DP (:func:`repro.algorithms.csp.count_solutions_tables`).
 The probe goes through :func:`_import_numpy` so tests can monkeypatch
@@ -91,7 +91,7 @@ def resolve_backend() -> str:
     return "numpy" if numpy_available() else "array"
 
 
-#: Most rows a join step materializes at once.  The semijoin sweep
+#: Most rows a join step materializes at once.  The ∃-elimination
 #: aborts past it (:class:`TableOverflow`; backtracking takes over), the
 #: DP's weighted joins expand in pieces of at most this many rows.
 SEMIJOIN_ROW_CAP = 500_000
@@ -539,7 +539,7 @@ class _PyTableOps:
         self.index = index
         self.memo = {} if memo is None else memo
 
-    # -- plain tables (the semijoin sweep) --------------------------------
+    # -- plain tables (the ∃-elimination) ---------------------------------
     def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
         key = (name, scope)
         if key not in self.memo:
@@ -705,7 +705,7 @@ class NumpyTableOps:
     def iter_rows(table: tuple[tuple, object]) -> Iterable[list[int]]:
         return table[1].tolist()
 
-    # -- plain tables (the semijoin sweep) --------------------------------
+    # -- plain tables (the ∃-elimination) ---------------------------------
     def join(
         self, left: tuple[tuple, object], right: tuple[tuple, object]
     ) -> tuple[tuple, object]:

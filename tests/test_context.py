@@ -30,6 +30,12 @@ from repro.workloads.generators import (
 )
 
 
+#: An ∃-star with four liberal leaves: its one ∃-component has a
+#: boundary wider than ``SEMIJOIN_MAX_BOUNDARY``, so backtracking
+#: serves it.
+WIDE_STAR = "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))"
+
+
 # ----------------------------------------------------------------------
 # Semijoin vs backtracking
 # ----------------------------------------------------------------------
@@ -38,7 +44,7 @@ def component_cases():
         path_query(3, quantify_interior=True),
         path_query(5, quantify_interior=True),
         star_query(3, quantify_leaves=True),
-        hidden_clique_query(3),  # cyclic interior: semijoin must decline
+        hidden_clique_query(3),  # cyclic interior, eliminated on tables
     ]
     for seed in range(6):
         queries.append(random_conjunctive_query(5, 4, liberal_count=2, seed=seed))
@@ -67,12 +73,15 @@ def test_semijoin_is_actually_used_on_acyclic_components():
     assert context.stats.backtracking_eliminations == 0
 
 
-def test_cyclic_interior_falls_back_to_backtracking():
+def test_cyclic_interior_is_eliminated_on_tables():
     structure = random_graph(8, 0.4, seed=2)
     context = ExecutionContext(structure)
     (component,) = exists_components(hidden_clique_query(3))
-    context.boundary_relation(component)
-    assert context.stats.backtracking_eliminations == 1
+    relation = context.boundary_relation(component)
+    assert context.stats.semijoin_eliminations == 1
+    assert context.stats.backtracking_eliminations == 0
+    reference = ExecutionContext(structure, semijoin=False)
+    assert relation == reference.boundary_relation(component)
 
 
 def test_wide_boundary_falls_back_to_backtracking():
@@ -156,9 +165,9 @@ def test_count_many_builds_one_index_per_distinct_structure(backend, monkeypatch
     queries = [
         "exists z. (E(x, z) & E(z, y))",
         "exists z w. (E(x, z) & E(z, w) & E(w, y))",
-        # A cyclic interior: backtracking needs the index on every
-        # backend (the numpy semijoin sweep alone never builds one).
-        "exists z w. (E(x, z) & E(z, w) & E(w, x))",
+        # A boundary wider than SEMIJOIN_MAX_BOUNDARY: backtracking
+        # needs the index on every backend (numpy tables never build one).
+        WIDE_STAR,
         "E(x, y)",
     ]
     grid = count_many([compile_plan(q) for q in queries], structures)
@@ -183,9 +192,13 @@ def test_materialize_builds_what_the_backend_reads(backend):
     acyclic = compile_plan("exists z. (E(x, z) & E(z, y))")
     execute(acyclic, structure, context)
     assert context.stats.index_builds == (0 if backend == "numpy" else 1)
-    # Its two readers: a backtracking elimination (cyclic interior)...
+    # A cyclic interior is eliminated on the tables too.
     cyclic = compile_plan("exists z w. (E(x, z) & E(z, w) & E(w, x))")
     execute(cyclic, structure, context)
+    assert context.stats.backtracking_eliminations == 0
+    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
+    # Its two readers: a backtracking elimination (wide boundary)...
+    execute(compile_plan(WIDE_STAR), structure, context)
     assert context.stats.backtracking_eliminations == 1
     assert context.stats.index_builds == 1
     # ...and a sentence check, on a fresh context.

@@ -17,14 +17,17 @@ import pytest
 
 from repro.algorithms.brute_force import count_answers_naive
 from repro.algorithms.fpt_counting import exists_components
+from repro.budget import CostBudget, budget_scope
 from repro.engine import Engine
 from repro.engine.context import ExecutionContext, _PyTableOps
-from repro.engine.plan import as_ep
+from repro.engine.plan import as_ep, compile_plan
 from repro.exceptions import SignatureError
+from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
 from repro.structures.encoding import EncodedStructure, NumpyTableOps
 from repro.structures.homomorphism import enumerate_extendable_assignments
 from repro.structures.random_gen import random_cluster_graph, random_graph
+from repro.structures.structure import Structure
 from repro.workloads.generators import (
     cycle_query,
     example_4_1_query,
@@ -61,6 +64,10 @@ GENERATOR_QUERIES = {
         for seed in range(2)
     },
 }
+
+#: An ∃-star with four liberal leaves: a boundary wider than
+#: ``SEMIJOIN_MAX_BOUNDARY``, the one case backtracking serves here.
+WIDE_STAR = "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))"
 
 #: Two dense clusters, so ``shard_count=2`` really splits the data.
 STRUCTURE = random_cluster_graph(2, 4, 0.7, seed=3)
@@ -175,12 +182,10 @@ def test_every_route_agrees_with_brute_force(backend, name, route):
         assert ROUTES[route](engine, GENERATOR_QUERIES[name]) == brute_force(name)
 
 
-def alpha_renamed(query, renaming: str) -> EPFormula:
-    """``query`` with every variable renamed: ``"reversed"`` makes the
-    new names sort (by ``repr`` and by name) in the opposite order of
-    the old ones, a seed shuffles them.  Column positions, separators
-    and packed-key layouts all follow variable order; counts must not.
-    """
+def alpha_renaming(query, renaming: str) -> dict:
+    """A renaming of every variable of ``query``: ``"reversed"`` makes
+    the new names sort (by ``repr`` and by name) in the opposite order
+    of the old ones, a seed shuffles them."""
     disjuncts = as_ep(query).disjuncts()
     old = sorted({v for d in disjuncts for v in d.variables}, key=repr)
     new = [f"n{i:03d}" for i in range(len(old))]
@@ -188,9 +193,20 @@ def alpha_renamed(query, renaming: str) -> EPFormula:
         new.reverse()
     else:
         random.Random(renaming).shuffle(new)
-    mapping = dict(zip(old, new))
+    return dict(zip(old, new))
+
+
+def alpha_renamed(query, renaming: str) -> EPFormula:
+    """``query`` under :func:`alpha_renaming`.  Column positions,
+    separators and packed-key layouts all follow variable order;
+    counts must not.
+    """
+    mapping = alpha_renaming(query, renaming)
     return EPFormula.from_disjuncts(
-        [d.rename({v: mapping[v] for v in d.variables}) for d in disjuncts]
+        [
+            d.rename({v: mapping[v] for v in d.variables})
+            for d in as_ep(query).disjuncts()
+        ]
     )
 
 
@@ -201,6 +217,72 @@ def test_counts_are_invariant_under_alpha_renaming(backend, name, renaming):
     with Engine(processes=1) as engine:
         assert engine.count(renamed, STRUCTURE) == brute_force(name)
         assert engine.count(GENERATOR_QUERIES[name], STRUCTURE) == brute_force(name)
+
+
+def charged_elimination(component, structure) -> tuple[int, int]:
+    """``(steps, backtracked)``: what one uncached elimination of
+    ``component`` on ``structure`` charges, and whether it backtracked."""
+    context = ExecutionContext(structure)
+    budget = CostBudget()
+    with budget_scope(budget):
+        context.boundary_table(component)
+    return budget.steps, context.stats.backtracking_eliminations
+
+
+@pytest.mark.parametrize("renaming", ["reversed", "shuffle-1", "shuffle-2"])
+@pytest.mark.parametrize("name", GENERATOR_QUERIES)
+def test_elimination_work_is_invariant_under_alpha_renaming(
+    backend, name, renaming
+):
+    # Components are taken uncored, so each original component has
+    # exactly one renamed image and the two are charged side by side.
+    query = GENERATOR_QUERIES[name]
+    mapping = alpha_renaming(query, renaming)
+    for disjunct in as_ep(query).disjuncts():
+        renamed = {
+            frozenset(v.name for v in component.vertices): component
+            for component in exists_components(
+                disjunct.rename({v: mapping[v] for v in disjunct.variables}),
+                use_core=False,
+            )
+        }
+        for component in exists_components(disjunct, use_core=False):
+            image = renamed[frozenset(mapping[v] for v in component.vertices)]
+            steps, backtracked = charged_elimination(component, STRUCTURE)
+            renamed_steps, renamed_backtracked = charged_elimination(
+                image, STRUCTURE
+            )
+            if len(component.boundary) <= 3:
+                assert backtracked == renamed_backtracked == 0
+            assert renamed_steps <= 2 * steps and steps <= 2 * renamed_steps
+
+
+#: The ∃-3-path twice: its interior named in the order of the path, and
+#: α-renamed so the name order puts the middle atom first.
+THREE_PATHS = {
+    "well-named": "exists u. exists v. (E(x, u) & E(u, v) & E(v, y))",
+    "renamed": "exists z. exists w. (E(x, z) & E(z, w) & E(w, y))",
+}
+
+
+@pytest.fixture(scope="module")
+def clustered_graph():
+    """24 812 tuples in 100 dense clusters of 20."""
+    return random_cluster_graph(100, 20, 0.65, seed=7)
+
+
+@pytest.mark.parametrize("naming", THREE_PATHS)
+def test_three_path_counts_within_budget_under_either_naming(
+    backend, clustered_graph, naming
+):
+    # Each elimination step joins on the shared column and projects the
+    # variable out, so either naming charges about 10^6 steps; a join
+    # order read from the names materializes the whole path join.
+    with Engine(processes=1) as engine:
+        with budget_scope(CostBudget(max_steps=2_000_000)):
+            count = engine.count(THREE_PATHS[naming], clustered_graph)
+        assert engine.stats().backtracking_eliminations == 0
+    assert count == 40_000
 
 
 def test_count_many_grid_agrees_with_brute_force(backend):
@@ -215,19 +297,87 @@ def test_count_many_grid_agrees_with_brute_force(backend):
     assert grid == [[brute_force(name)] * 2 for name in names]
 
 
-@pytest.mark.parametrize("name", ["path", "star", "hidden_clique"])
+def quantified(query, liberal: list[str]):
+    """``query``'s atoms with only ``liberal`` left free."""
+    return pp_from_atom_specs(
+        [
+            (name, tuple(v.name for v in scope))
+            for name, scopes in query.structure.relations.items()
+            for scope in scopes
+        ],
+        liberal=liberal,
+    )
+
+
+def random_ucq_components():
+    """The ∃-components of the compiled pp-plans of seeded ad-hoc UCQs
+    (the ``warm-http-mix`` stream's generator)."""
+    for seed in range(6):
+        query = random_ucq(3, 5, 5, liberal_count=(2, 3)[seed % 2], seed=seed)
+        plan = compile_plan(query)
+        terms = [plan.pp] if plan.kind == "pp-fpt" else [t.plan for t in plan.terms]
+        for term in terms:
+            yield from term.components
+
+
+#: ∃-components by cell: the generator queries, a directed 4-cycle and
+#: a 2x3 grid with cyclic interiors, the pp-plan components of random
+#: UCQs, and a triangle interior (no image on a bipartite graph).
+AGREEMENT_COMPONENTS = {
+    **{
+        name: lambda name=name: exists_components(GENERATOR_QUERIES[name])
+        for name in ["path", "star", "hidden_clique"]
+    },
+    "cycle": lambda: exists_components(
+        quantified(cycle_query(4), ["x0"]), use_core=False
+    ),
+    "grid": lambda: exists_components(
+        quantified(grid_query(2, 3), ["x0_0", "x1_2"]), use_core=False
+    ),
+    "random_ucq": lambda: list(random_ucq_components()),
+    "triangle": lambda: exists_components(
+        pp_from_atom_specs(
+            [("E", ("x", "a")), ("E", ("a", "b")), ("E", ("b", "c")),
+             ("E", ("c", "a"))],
+            liberal=["x"],
+        )
+    ),
+}
+
+#: K_{3,4} with edges both ways: no triangle maps into it.
+BIPARTITE = Structure.from_relations(
+    {
+        "E": [
+            edge
+            for a in range(3)
+            for b in range(3, 7)
+            for edge in ((a, b), (b, a))
+        ]
+    }
+)
+
+
+@pytest.mark.parametrize("name", AGREEMENT_COMPONENTS)
 def test_boundary_relations_agree_with_homomorphism_search(backend, name):
     structure = random_graph(9, 0.35, seed=4)
-    context = ExecutionContext(structure)
-    for component in exists_components(GENERATOR_QUERIES[name]):
-        boundary = component.boundary_order
-        reference = frozenset(
-            tuple(assignment[v] for v in boundary)
-            for assignment in enumerate_extendable_assignments(
-                component.structure, structure, boundary
+    components = AGREEMENT_COMPONENTS[name]()
+    assert components
+    for target in (structure, BIPARTITE):
+        context = ExecutionContext(target)
+        for component in components:
+            boundary = component.boundary_order
+            reference = frozenset(
+                tuple(assignment[v] for v in boundary)
+                for assignment in enumerate_extendable_assignments(
+                    component.structure, target, boundary
+                )
             )
-        )
-        assert context.boundary_relation(component) == reference
+            assert context.boundary_relation(component) == reference
+        assert context.stats.backtracking_eliminations == 0
+    if name == "triangle":
+        # No triangle maps into a bipartite graph: the early empty exit.
+        (component,) = components
+        assert not ExecutionContext(BIPARTITE).boundary_relation(component)
 
 
 # ----------------------------------------------------------------------
@@ -237,14 +387,15 @@ def test_eliminations_are_attributed_to_exactly_one_evaluator(backend):
     structure = random_graph(10, 0.35, seed=6)
     queries = [
         path_query(4, quantify_interior=True),
-        hidden_clique_query(3),  # cyclic interior: backtracking fallback
+        hidden_clique_query(3),  # cyclic interior: eliminated on tables
+        WIDE_STAR,  # boundary past SEMIJOIN_MAX_BOUNDARY: backtracking
     ]
     with Engine(processes=1) as engine:
         for query in queries:
             engine.count(query, structure)
         stats = engine.stats()
-    assert stats.semijoin_eliminations > 0
-    assert stats.backtracking_eliminations > 0  # the clique interior
+    assert stats.semijoin_eliminations == 2
+    assert stats.backtracking_eliminations == 1  # the wide star
     assert (
         stats.semijoin_eliminations + stats.backtracking_eliminations
         == stats.boundary_memo_misses

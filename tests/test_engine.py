@@ -197,6 +197,11 @@ def moved_then_reset():
         engine.count(path, graph)
         engine.count("exists z. (E(x, z) & E(z, y)) & E(y, w)", graph)
         engine.count(hidden_clique_query(3), random_graph(7, 0.6, seed=2))
+        # An ∃-star with four liberal leaves: a boundary too wide for the
+        # tables, so backtracking (and the positional index) serves it.
+        engine.count(
+            "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))", graph
+        )
         engine.count_many([path], [graph], parallel=False)
         for _ in range(2):  # a worker-context miss, then a hit
             engine.count_sharded(path, graph, shard_count=4, parallel=True)
