@@ -280,9 +280,8 @@ def execute_pp_plan(
     context's memoized base tables (repeated scope variables collapse
     to equality-filtered distinct columns), each ∃-component is
     eliminated through the :class:`~repro.engine.context.
-    ExecutionContext` (memoized variable elimination on the tables
-    when the boundary is small, backtracking otherwise) to a
-    table of the same backend, and the count runs through the
+    ExecutionContext` (memoized variable elimination on the tables)
+    to a table of the same backend, and the count runs through the
     join-driven junction-tree DP :func:`count_solutions_tables` over
     the plan's precomputed schedule.  Because the encoding is a
     bijection between the universe and ``range(n)``, nothing is ever

@@ -10,7 +10,7 @@ once, cached, and run many times over many structures:
   :func:`component_pp_plans`, the query-component split the sharded
   path executes;
 * :mod:`repro.engine.context` -- :class:`ExecutionContext`: the
-  per-structure execution state (lazy positional index, sorted domain,
+  per-structure execution state (lazy dense-int encoding,
   memoized ∃-component boundary relations, cached shard
   partitions);
 * :mod:`repro.engine.cache` -- the in-memory LRU plan cache keyed by

@@ -77,15 +77,14 @@ class EngineStats:
     ``plan_hits`` / ``plan_misses`` count lookups of the in-memory plan
     cache (a miss compiles); ``context_hits`` / ``context_misses``
     count lookups of the engine's context store (a hit reuses built
-    state, as a worker context hit does; a miss builds lazily, the
-    positional index counted by ``index_builds``).
+    state, as a worker context hit does; a miss builds lazily).
     ``boundary_memo_hits`` / ``boundary_memo_misses`` count memoized
     ∃-component boundary-relation lookups, and ``semijoin_eliminations``
-    / ``backtracking_eliminations`` say which evaluator served each
-    miss.  ``worker_context_hits`` / ``worker_context_misses`` count
+    the eliminations on the column tables that served the misses.
+    ``worker_context_hits`` / ``worker_context_misses`` count
     lookups of the worker-resident context stores inside the engine's
-    long-lived pool (a hit means a pool job reused a built index and
-    boundary memo instead of rebuilding).
+    long-lived pool (a hit means a pool job reused a built encoding
+    and boundary memo instead of rebuilding).
     ``registry_hits`` / ``registry_misses`` count name resolutions
     against the structure registry (a miss raised
     :class:`~repro.engine.registry.UnknownStructureError`);
@@ -120,11 +119,9 @@ class EngineStats:
     plan_misses: int = 0
     context_hits: int = 0
     context_misses: int = 0
-    index_builds: int = 0
     boundary_memo_hits: int = 0
     boundary_memo_misses: int = 0
     semijoin_eliminations: int = 0
-    backtracking_eliminations: int = 0
     worker_context_hits: int = 0
     worker_context_misses: int = 0
     registry_hits: int = 0
@@ -773,11 +770,9 @@ class Engine:
             plan_misses=plan_misses,
             context_hits=contexts.context_hits,
             context_misses=contexts.context_misses,
-            index_builds=contexts.index_builds,
             boundary_memo_hits=contexts.boundary_hits,
             boundary_memo_misses=contexts.boundary_misses,
             semijoin_eliminations=contexts.semijoin_eliminations,
-            backtracking_eliminations=contexts.backtracking_eliminations,
             memo_evictions=contexts.memo_evictions,
             context_invalidations=contexts.context_invalidations,
             encoded_resident_bytes=self.contexts.encoded_bytes(),

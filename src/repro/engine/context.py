@@ -2,24 +2,24 @@
 
 An :class:`ExecutionContext` bundles everything the executor derives
 from one data structure -- its dense-int columnar encoding
-(:class:`~repro.structures.encoding.EncodedStructure`), the lazily
-built :class:`~repro.structures.indexes.EncodedPositionalIndex` over
-it, a memo of per-∃-component boundary relations (tables of the
-derived backend), and (for the sharded path) cached
+(:class:`~repro.structures.encoding.EncodedStructure`), a memo of
+per-∃-component boundary relations (tables of the derived backend),
+and (for the sharded path) cached
 :class:`~repro.structures.sharding.ShardedStructure` partitions -- so
 that every plan executed against the same structure shares the work
 instead of re-deriving it per call, per term, or per grid cell.
 
-Besides caching, the context owns ∃-component elimination.  A
-"semijoin" elimination is any elimination on the tables: the boundary
-relation of a component -- the projection of the join of its atoms
-onto its boundary -- is computed by variable elimination over the
-encoded columns, in an order chosen from the table sizes, never from
-variable names, and exact for cyclic and acyclic interiors alike.  The
-backtracking search of
-:func:`repro.structures.homomorphism.enumerate_extendable_assignments`
-is only the fallback for a join past the row cap or a boundary wider
-than :data:`SEMIJOIN_MAX_BOUNDARY`.  Results are memoized per
+Besides caching, the context owns ∃-component elimination, and the
+column tables are its only evaluator.  The boundary relation of a
+component -- the projection of the join of its atoms onto its
+boundary -- is computed by variable elimination over the encoded
+columns, in an order chosen from the table sizes, never from variable
+names, and exact for cyclic and acyclic interiors and any boundary
+width alike; a pp-sentence is the same elimination onto the empty
+boundary.  Every join is fused with its projection
+(``join_project``), and the row cap
+(:data:`~repro.structures.encoding.SEMIJOIN_ROW_CAP`) is only the size
+of the pieces a join expands in.  Results are memoized per
 (component, structure), which is what makes repeated ``ep-plus``
 inclusion-exclusion terms (which share ∃-components across terms)
 cheap.
@@ -34,17 +34,11 @@ from typing import TYPE_CHECKING
 from repro.structures.encoding import (
     EncodedStructure,
     NumpyTableOps,
-    TableOverflow,
     _PyTableOps,
     numpy_available,
     resolve_backend,
 )
-from repro.structures.homomorphism import (
-    enumerate_extendable_assignments,
-    has_homomorphism,
-)
 from repro.obs import trace as _trace
-from repro.structures.indexes import EncodedPositionalIndex
 from repro.structures.structure import Element, Structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpt_counting
@@ -60,23 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpt_counting
 # alike), never inside the first request that builds a context.
 numpy_available()
 
-#: Largest boundary for which the semijoin evaluator is attempted; wider
-#: boundaries fall back to backtracking (their relations are big enough
-#: that materializing join tables stops paying off).
-SEMIJOIN_MAX_BOUNDARY = 3
-
 
 @dataclass
 class ContextStats:
     """Counters accumulated by one or more execution contexts.
 
-    ``index_builds`` counts positional-index constructions (at most one
-    per distinct structure on the sequential paths; under numpy only a
-    backtracking elimination or a sentence check builds one).
     ``boundary_hits`` / ``boundary_misses`` count lookups of memoized
-    ∃-component boundary relations; ``semijoin_eliminations`` /
-    ``backtracking_eliminations`` count which evaluator served each
-    miss.  ``context_hits`` / ``context_misses`` count the lookups of
+    ∃-component boundary relations; ``semijoin_eliminations`` counts
+    the eliminations on the tables, one per miss.
+    ``backtracking_eliminations`` is never bumped (there is no other
+    evaluator); it stays only because the e2e benchmark reads it.
+    ``context_hits`` / ``context_misses`` count the lookups of
     a :class:`~repro.engine.resident.ResidentContexts` store (a hit
     reuses built state) and ``context_invalidations`` the contexts it
     dropped.
@@ -88,7 +76,6 @@ class ContextStats:
     coherent copy; :meth:`reset` zeroes everything under the same lock.
     """
 
-    index_builds: int = 0
     boundary_hits: int = 0
     boundary_misses: int = 0
     semijoin_eliminations: int = 0
@@ -164,11 +151,10 @@ class ExecutionContext:
     """The per-structure execution state shared across plan executions.
 
     Every evaluator runs over the structure's dense-int encoding
-    (:attr:`encoded`): the semijoin pipeline and the pp-plan DP join
-    tables of the derived backend (:meth:`table_ops`: vectorized
-    columns when numpy imports, int-tuple sets otherwise),
-    backtracking and sentence satisfiability search the isomorphic int
-    structure, and values are decoded only at :meth:`boundary_relation`.
+    (:attr:`encoded`): ∃-elimination, sentence checks and the pp-plan
+    DP join tables of the derived backend (:meth:`table_ops`:
+    vectorized columns when numpy imports, int-tuple sets otherwise),
+    and values are decoded only at :meth:`boundary_relation`.
 
     Parameters
     ----------
@@ -178,10 +164,6 @@ class ExecutionContext:
         Counter sink; the contexts of one
         :class:`~repro.engine.resident.ResidentContexts` store share
         its sink, so the engine can surface aggregate numbers.
-    semijoin:
-        Enable elimination on the tables (on by default; off, every
-        ∃-component is backtracked, the reference the tests compare
-        against).
     memoize:
         Enable the per-(component, structure) boundary-relation memo.
     """
@@ -189,11 +171,8 @@ class ExecutionContext:
     __slots__ = (
         "structure",
         "stats",
-        "semijoin",
         "memoize",
-        "semijoin_max_boundary",
         "_encoded",
-        "_encoded_index",
         "_boundary_memo",
         "_base_table_memo",
         "_satisfiable_memo",
@@ -206,17 +185,12 @@ class ExecutionContext:
         self,
         structure: Structure,
         stats: ContextStats | None = None,
-        semijoin: bool = True,
         memoize: bool = True,
-        semijoin_max_boundary: int = SEMIJOIN_MAX_BOUNDARY,
     ):
         self.structure = structure
         self.stats = stats if stats is not None else ContextStats()
-        self.semijoin = semijoin
         self.memoize = memoize
-        self.semijoin_max_boundary = semijoin_max_boundary
         self._encoded: EncodedStructure | None = None
-        self._encoded_index: EncodedPositionalIndex | None = None
         self._boundary_memo: dict["ExistsComponent", tuple] = {}
         self._base_table_memo: dict[tuple, tuple] = {}
         self._satisfiable_memo: dict["ExistsComponent", bool] = {}
@@ -248,17 +222,6 @@ class ExecutionContext:
         return self._encoded
 
     @property
-    def encoded_index(self) -> EncodedPositionalIndex:
-        """The int-keyed positional index over the encoding."""
-        if self._encoded_index is None:
-            with _trace.span(
-                "context.build", universe=len(self.structure)
-            ):
-                self._encoded_index = EncodedPositionalIndex(self.encoded)
-            self.stats.bump("index_builds")
-        return self._encoded_index
-
-    @property
     def built(self) -> bool:
         """Whether the encoding exists yet (a materialization or a first
         execution builds it), i.e. whether reusing this context saves
@@ -282,13 +245,11 @@ class ExecutionContext:
             return NumpyTableOps(
                 self.encoded.size, self.encoded, self._base_table_memo
             )
-        return _PyTableOps(self.encoded_index, self._base_table_memo)
+        return _PyTableOps(self.encoded, self._base_table_memo)
 
     def materialize(self) -> "ExecutionContext":
         """Build eagerly what the derived backend's request path reads:
-        the encoding, plus its zero-copy column views under numpy or
-        the positional index (the row source of the python base
-        tables) otherwise.
+        the encoding, plus its zero-copy column views under numpy.
 
         The lazy defaults are right for throwaway contexts, but a
         context being *pinned* (placed for a registered structure; see
@@ -298,16 +259,12 @@ class ExecutionContext:
         as every later one.  This is where
         the structure pays its one-time interning (``context.encode``
         span), so registered structures encode at registration, not on
-        the request path.  Under numpy the index stays lazy, as on
-        every post-delta context: only a backtracking elimination or a
-        sentence check reads it.  Idempotent; returns ``self`` for
-        chaining.
+        the request path.  Idempotent; returns ``self`` for chaining.
         """
+        encoded = self.encoded
         if numpy_available():
-            for name in self.encoded.relations:
-                self.encoded.np_columns(name)
-        else:
-            self.encoded_index  # noqa: B018 - property access builds both
+            for name in encoded.relations:
+                encoded.np_columns(name)
         return self
 
     # ------------------------------------------------------------------
@@ -380,13 +337,17 @@ class ExecutionContext:
         if self.structure.is_empty():
             holds = not sentence.variables
         else:
-            # Satisfiability is invariant under the encoding isomorphism;
-            # run the search over the int structure and int-keyed index.
-            holds = has_homomorphism(
-                sentence.structure,
-                self.encoded.int_structure(),
-                target_index=self.encoded_index,
+            # The elimination onto the empty boundary: {()} iff it holds.
+            scopes = sorted(
+                (
+                    (name, scope)
+                    for name, tuples in sentence.structure.relations.items()
+                    for scope in tuples
+                ),
+                key=repr,
             )
+            ops = self.table_ops()
+            holds = not ops.is_empty(_eliminate_variables(scopes, (), ops))
         if self.memoize:
             self._sentence_memo[sentence] = holds
         return holds
@@ -426,50 +387,20 @@ class ExecutionContext:
     ) -> tuple:
         """Compute a boundary relation as a ``(boundary, rows)`` table
         of the derived backend: variable elimination over the encoded
-        columns (:func:`_eliminate_variables`), with a backtracking
-        fallback.
-
-        Backtracking over the isomorphic int structure serves only what
-        the tables cannot: a join past ``SEMIJOIN_ROW_CAP``, a boundary
-        wider than ``semijoin_max_boundary``, a boundary variable in no
-        atom, or a relation the data does not have.
+        columns (:func:`_eliminate_variables`).  An atom over a relation
+        the data does not have raises
+        :class:`~repro.exceptions.SignatureError` from ``base_table``.
         """
         ops = self.table_ops()
         if self.structure.is_empty():
             # No assignment of anything exists on the empty structure.
             return ops.table(boundary, ())
-        scopes = component.atom_scopes
-        if (
-            self.semijoin
-            and len(boundary) <= self.semijoin_max_boundary
-            and set(boundary) <= {v for _, scope in scopes for v in scope}
-            and component.structure.signature.is_subsignature_of(
-                self.structure.signature
-            )
+        with _trace.span(
+            "context.semijoin", boundary=len(boundary), backend=resolve_backend()
         ):
-            with _trace.span(
-                "context.semijoin",
-                boundary=len(boundary),
-                backend=resolve_backend(),
-            ) as attempt:
-                try:
-                    relation = _eliminate_variables(scopes, boundary, ops)
-                except TableOverflow:
-                    attempt.set("outcome", "blowup")
-                else:
-                    attempt.set("outcome", "eliminated")
-                    self.stats.bump("semijoin_eliminations")
-                    return relation
-        self.stats.bump("backtracking_eliminations")
-        allowed = set()
-        for assignment in enumerate_extendable_assignments(
-            component.structure,
-            self.encoded.int_structure(),
-            boundary,
-            self.encoded_index,
-        ):
-            allowed.add(tuple(assignment[v] for v in boundary))
-        return ops.table(boundary, allowed)
+            relation = _eliminate_variables(component.atom_scopes, boundary, ops)
+        self.stats.bump("semijoin_eliminations")
+        return relation
 
     # ------------------------------------------------------------------
     # Sharding
@@ -510,21 +441,16 @@ class ExecutionContext:
         via :meth:`ShardedStructure.advance` -- which routes a delta
         once per plan, so a plan the caller already carried onto
         ``new_structure`` is shared, not advanced again (a component
-        merge re-shards).  The positional index rebuilds lazily.  The
-        pre-delta context is left untouched, so in-flight executions
-        against the old version stay coherent; eviction counts land in
-        ``stats.memo_evictions``.
+        merge re-shards).  The pre-delta context is left untouched, so
+        in-flight executions against the old version stay coherent;
+        eviction counts land in ``stats.memo_evictions``.
         """
         if new_structure is None:
             new_structure = self.structure.apply_delta(delta)
         if new_structure is self.structure:
             return self
         fresh = ExecutionContext(
-            new_structure,
-            stats=self.stats,
-            semijoin=self.semijoin,
-            memoize=self.memoize,
-            semijoin_max_boundary=self.semijoin_max_boundary,
+            new_structure, stats=self.stats, memoize=self.memoize
         )
         evicted = 0
         was_empty = self.structure.is_empty()
@@ -579,8 +505,8 @@ class ExecutionContext:
         return fresh
 
     def clear(self) -> None:
-        """Drop all memoized state (the index and the encoding stay,
-        they are immutable)."""
+        """Drop all memoized state (the encoding stays, it is
+        immutable)."""
         self._boundary_memo.clear()
         self._base_table_memo.clear()
         self._satisfiable_memo.clear()
@@ -591,7 +517,7 @@ class ExecutionContext:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ExecutionContext(|U|={len(self.structure)}, "
-            f"indexed={self._encoded_index is not None}, "
+            f"encoded={self._encoded is not None}, "
             f"boundaries={len(self._boundary_memo)})"
         )
 
@@ -599,19 +525,29 @@ class ExecutionContext:
 # ----------------------------------------------------------------------
 # Variable elimination over the column tables
 # ----------------------------------------------------------------------
-def _join_all(tables: list, ops) -> tuple:
-    """Join ``tables`` smallest-first, each step taking the smallest
-    table that shares a column with what is joined so far (a cross
-    product only when none does)."""
+def _join_all(tables: list, keep: tuple, ops) -> tuple:
+    """The join of ``tables`` projected onto ``keep``.
+
+    Tables join smallest-first, each step taking the smallest table
+    that shares a column with what is joined so far (a cross product
+    only when none does); the last join is fused with the projection.
+    """
     pending = sorted(tables, key=lambda table: len(table[1]))
     joined = pending.pop(0)
     while pending:
-        columns = set(joined[0])
+        columns = joined[0]
         shared = next(
-            (i for i, t in enumerate(pending) if columns.intersection(t[0])), 0
+            (i for i, t in enumerate(pending) if set(columns).intersection(t[0])),
+            0,
         )
-        joined = ops.join(joined, pending.pop(shared))
-    return joined
+        table = pending.pop(shared)
+        out = (
+            columns + tuple(c for c in table[0] if c not in columns)
+            if pending
+            else keep
+        )
+        joined = ops.join_project(joined, table, out)
+    return ops.project(joined, keep)
 
 
 def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
@@ -629,10 +565,12 @@ def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
     answers the empty table at once.  With an empty boundary the
     result has the one row ``()`` or none: a satisfiability bit.
 
-    Every boundary variable must occur in an atom (the caller checks).
-    Variables occurring in no atom are unconstrained and do not affect
-    the projection (the data universe is non-empty on every path that
-    reaches this function).  ``scopes`` is the component's
+    Every boundary variable occurs in an atom (an ∃-component's
+    boundary is read off the atoms touching its interior).  Variables
+    occurring in no atom are unconstrained and do not affect the
+    projection (the data universe is non-empty on every path that
+    reaches this function).  ``scopes`` are ``(relation, scope)``
+    pairs, e.g.
     :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`;
     ``ops`` is the table backend
     (:class:`~repro.structures.encoding._PyTableOps` or
@@ -648,9 +586,11 @@ def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
 
     while candidates := {c for t in tables for c in t[0]} - kept:
         variable = min(candidates, key=cost)
-        joined = _join_all([t for t in tables if variable in t[0]], ops)
-        reduced = ops.project(
-            joined, tuple(c for c in joined[0] if c != variable)
+        touching = [t for t in tables if variable in t[0]]
+        reduced = _join_all(
+            touching,
+            tuple(dict.fromkeys(c for t in touching for c in t[0] if c != variable)),
+            ops,
         )
         if ops.is_empty(reduced):
             return ops.table(boundary, ())
@@ -660,7 +600,4 @@ def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
             tables.append(reduced)
     if not tables:
         return ops.table(boundary, [()])
-    # Rows are unique already: only a column order differing from
-    # ``boundary`` costs a projection.
-    joined = _join_all(tables, ops)
-    return joined if joined[0] == boundary else ops.project(joined, boundary)
+    return _join_all(tables, boundary, ops)

@@ -117,7 +117,7 @@ def approximate_structure_bytes(structure: Structure) -> int:
     and every tuple (counting each tuple's element slots, not the
     elements themselves twice).  This is an *estimate* for capacity
     accounting, not an exact heap measurement -- shared elements and the
-    derived execution-context state (positional index, boundary memos,
+    derived execution-context state (encoding, boundary memos,
     shard plans) are outside it -- but it is stable across runs and
     monotone in the data size, which is what an eviction policy needs.
     """

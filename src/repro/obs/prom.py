@@ -41,11 +41,9 @@ ENGINE_COUNTERS = (
     "plan_misses",
     "context_hits",
     "context_misses",
-    "index_builds",
     "boundary_memo_hits",
     "boundary_memo_misses",
     "semijoin_eliminations",
-    "backtracking_eliminations",
     "worker_context_hits",
     "worker_context_misses",
     "registry_hits",

@@ -21,13 +21,12 @@ their attributes in ``docs/observability.md``):
 ``plan.compile``
     plan-cache lookup + compilation (attrs: ``cache`` hit/miss,
     ``kind``);
-``context.build``
-    positional-index construction for one structure;
 ``context.encode``
     one-time dense-int interning of an encoded execution context
     (attrs: ``universe``, ``tuples``, ``backend``);
 ``context.semijoin``
-    one semijoin ∃-component elimination attempt;
+    one ∃-component elimination on the column tables (attrs:
+    ``boundary``, ``backend``);
 ``shard.fanout``
     shipping a ``count_sharded`` or ``count_many`` call's jobs to the
     pool and collecting results;

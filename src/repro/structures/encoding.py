@@ -91,17 +91,13 @@ def resolve_backend() -> str:
     return "numpy" if numpy_available() else "array"
 
 
-#: Most rows a join step materializes at once.  The ∃-elimination
-#: aborts past it (:class:`TableOverflow`; backtracking takes over), the
-#: DP's weighted joins expand in pieces of at most this many rows.
+#: The piece size of the numpy joins: the most matched pairs a join
+#: expands at once.  The ∃-elimination projects and deduplicates each
+#: piece before the next, the DP's weighted joins concatenate them.
 SEMIJOIN_ROW_CAP = 500_000
 
 #: Weights stay in ``int64`` arrays only while their bound is below this.
 _INT64_LIMIT = 2**63
-
-
-class TableOverflow(Exception):
-    """Internal: an intermediate encoded join table exceeded the row cap."""
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +216,9 @@ class EncodedStructure:
     ``decode`` is the universe sorted by ``repr``, so ``decode[i]``
     inverts the encoding and counting over ``range(n)`` is exact by
     bijection.
-    Relations are stored as :class:`EncodedRelation` columns; derived
-    views (int-tuple frozensets, an all-integer :class:`Structure`,
-    numpy column views) are built lazily and excluded from pickling, so
-    a pinned encoded context ships to workers as compact machine arrays
+    Relations are stored as :class:`EncodedRelation` columns; the numpy
+    column views are built lazily and excluded from pickling, so a
+    pinned encoded context ships to workers as compact machine arrays
     rather than object-tuple frozensets.
     """
 
@@ -233,8 +228,6 @@ class EncodedStructure:
         "size",
         "relations",
         "_encode",
-        "_tuple_sets",
-        "_int_structure",
         "_np_columns",
     )
 
@@ -258,8 +251,6 @@ class EncodedStructure:
         self.size = len(decode)
         self.relations = relations
         self._encode: dict[Element, int] | None = None
-        self._tuple_sets: dict[str, frozenset[tuple[int, ...]]] = {}
-        self._int_structure: Structure | None = None
         self._np_columns: dict[str, tuple] = {}
 
     # -- encoding / decoding -------------------------------------------
@@ -342,29 +333,6 @@ class EncodedStructure:
         return new
 
     # -- derived views --------------------------------------------------
-    def relation_rows(self, name: str) -> frozenset[tuple[int, ...]]:
-        """The relation as a frozenset of int tuples (lazily built).
-
-        Raises :class:`SignatureError` for unknown names, mirroring
-        :meth:`Structure.relation`.
-        """
-        if name not in self.relations:
-            raise SignatureError(f"unknown relation {name!r}")
-        if name not in self._tuple_sets:
-            self._tuple_sets[name] = frozenset(self.relations[name].iter_rows())
-        return self._tuple_sets[name]
-
-    def int_structure(self) -> Structure:
-        """The isomorphic all-integer structure (for backtracking and
-        sentence satisfiability, which are element-agnostic)."""
-        if self._int_structure is None:
-            self._int_structure = Structure(
-                self.signature,
-                range(self.size),
-                {name: self.relation_rows(name) for name in self.relations},
-            )
-        return self._int_structure
-
     def check_atom(self, name: str, scope: tuple) -> None:
         """Raise :class:`SignatureError` unless ``name(scope)`` is an
         atom over this structure's signature."""
@@ -426,7 +394,7 @@ class EncodedStructure:
 # ----------------------------------------------------------------------
 # Python table operations (array backend, and the exact kernel)
 # ----------------------------------------------------------------------
-def _base_table(index, name: str, scope: tuple) -> tuple[tuple, set]:
+def _base_table(relation: EncodedRelation, scope: tuple) -> tuple[tuple, set]:
     """Materialize one atom as a (columns, rows) table.
 
     Repeated variables in the scope become equality filters; columns are
@@ -437,7 +405,7 @@ def _base_table(index, name: str, scope: tuple) -> tuple[tuple, set]:
         if variable not in columns:
             columns.append(variable)
     rows: set[tuple] = set()
-    for t in index.tuples(name):
+    for t in relation.iter_rows():
         values: dict = {}
         consistent = True
         for variable, value in zip(scope, t):
@@ -449,8 +417,12 @@ def _base_table(index, name: str, scope: tuple) -> tuple[tuple, set]:
     return tuple(columns), rows
 
 
-def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set]:
-    """Hash join of two tables on their shared columns."""
+def _join_project(
+    left: tuple[tuple, set], right: tuple[tuple, set], keep: tuple
+) -> tuple[tuple, set]:
+    """Hash join of two tables on their shared columns, projected onto
+    ``keep``: each joined row is projected as it is made, so only the
+    output set is held."""
     left_cols, left_rows = left
     right_cols, right_rows = right
     shared = [c for c in right_cols if c in left_cols]
@@ -459,7 +431,8 @@ def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set
     extra_positions = [
         i for i, c in enumerate(right_cols) if c not in left_cols
     ]
-    out_cols = left_cols + tuple(right_cols[i] for i in extra_positions)
+    joined_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra_positions)
+    positions = [joined_cols.index(c) for c in keep]
     buckets: dict[tuple, list[tuple]] = {}
     for row in right_rows:
         key = tuple(row[i] for i in right_positions)
@@ -472,14 +445,15 @@ def _join(left: tuple[tuple, set], right: tuple[tuple, set]) -> tuple[tuple, set
         if budget is not None:
             budget.charge(1 + len(matches))
         for extra in matches:
-            out_rows.add(row + extra)
-            if len(out_rows) > SEMIJOIN_ROW_CAP:
-                raise TableOverflow
-    return out_cols, out_rows
+            joined = row + extra
+            out_rows.add(tuple(joined[i] for i in positions))
+    return tuple(keep), out_rows
 
 
 def _project(table: tuple[tuple, set], keep: tuple) -> tuple[tuple, set]:
     columns, rows = table
+    if tuple(keep) == columns:
+        return table
     positions = [columns.index(c) for c in keep]
     return tuple(keep), {tuple(row[i] for i in positions) for row in rows}
 
@@ -528,23 +502,25 @@ class _PyTableOps:
     ``(columns, {row: weight})`` with python-int weights.  ``memo``
     caches base tables per ``(relation_name, scope)`` -- the relations
     are immutable and joins never mutate their inputs, so cached tables
-    are safe to share across components and calls.  ``index`` is the
+    are safe to share across components and calls.  ``encoded`` is the
     row source of :meth:`base_table`; a kernel over hand-made tables
     (:func:`table_ops`) has none.
     """
 
-    __slots__ = ("index", "memo")
+    __slots__ = ("encoded", "memo")
 
-    def __init__(self, index=None, memo: dict | None = None):
-        self.index = index
+    def __init__(
+        self, encoded: EncodedStructure | None = None, memo: dict | None = None
+    ):
+        self.encoded = encoded
         self.memo = {} if memo is None else memo
 
     # -- plain tables (the ∃-elimination) ---------------------------------
     def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
         key = (name, scope)
         if key not in self.memo:
-            self.index.encoded.check_atom(name, scope)
-            self.memo[key] = _base_table(self.index, name, scope)
+            self.encoded.check_atom(name, scope)
+            self.memo[key] = _base_table(self.encoded.relations[name], scope)
         return self.memo[key]
 
     @staticmethod
@@ -562,7 +538,7 @@ class _PyTableOps:
     def iter_rows(table) -> Iterable[tuple[int, ...]]:
         return table[1]
 
-    join = staticmethod(_join)
+    join_project = staticmethod(_join_project)
     project = staticmethod(_project)
 
     # -- weighted tables (the junction-tree DP) ---------------------------
@@ -706,33 +682,61 @@ class NumpyTableOps:
         return table[1].tolist()
 
     # -- plain tables (the ∃-elimination) ---------------------------------
-    def join(
-        self, left: tuple[tuple, object], right: tuple[tuple, object]
+    def join_project(
+        self, left: tuple[tuple, object], right: tuple[tuple, object], keep: tuple
     ) -> tuple[tuple, object]:
+        """The join of two tables on their shared columns, projected onto
+        ``keep``.  Matches expand in pieces of at most
+        :data:`SEMIJOIN_ROW_CAP` pairs; each piece gathers only the kept
+        columns and is deduplicated before the next, so beyond the
+        output only one piece is ever held."""
         np = self.np
         left_cols, left_rows = left
         right_cols, right_rows = right
-        extra = [i for i, c in enumerate(right_cols) if c not in left_cols]
-        out_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra)
+        keep = tuple(keep)
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
-            return out_cols, np.empty((0, len(out_cols)), dtype=np.int64)
+            return keep, np.empty((0, len(keep)), dtype=np.int64)
         matches = self._match(left_cols, left_rows, right_cols, right_rows)
-        if matches is None:
-            return self._join_tuples(left, right, extra, out_cols)
-        if matches[-1] > SEMIJOIN_ROW_CAP:
-            raise TableOverflow
-        ((left_idx, right_idx),) = self._pairs(*matches)
-        return out_cols, self._gather(left_rows, left_idx, right_rows, right_idx, extra)
+        if matches is None:  # shared columns too wide to pack: python rows
+            return self.table(
+                *_join_project(
+                    (left_cols, map(tuple, left_rows.tolist())),
+                    (right_cols, map(tuple, right_rows.tolist())),
+                    keep,
+                )
+            )
+        left_keep = [i for i, c in enumerate(left_cols) if c in keep]
+        extra = [
+            i for i, c in enumerate(right_cols) if c in keep and c not in left_cols
+        ]
+        gathered = tuple(left_cols[i] for i in left_keep) + tuple(
+            right_cols[i] for i in extra
+        )
+        # Distinct joined rows stay distinct unless a column is dropped.
+        drops = len(keep) < len(set(left_cols).union(right_cols))
+        narrow = left_rows[:, left_keep]
+        pieces = []
+        for left_idx, right_idx in self._pairs(*matches):
+            rows = self._gather(narrow, left_idx, right_rows, right_idx, extra)
+            pieces.append(self._dedup(rows) if drops else rows)
+        rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if len(pieces) > 1 and drops:
+            rows = self._dedup(rows)
+        return self.project((gathered, rows), keep)
 
     def project(
         self, table: tuple[tuple, object], keep: tuple
     ) -> tuple[tuple, object]:
         columns, rows = table
+        if tuple(keep) == columns:
+            return table  # rows are unique already
         positions = [columns.index(c) for c in keep]
         if not positions:
             # Zero columns: the projection is {()} iff any row survives.
             return tuple(keep), rows[:0, :0] if rows.shape[0] == 0 else rows[:1, :0]
-        return tuple(keep), self._dedup(rows[:, positions])
+        rows = rows[:, positions]
+        # A reordering of the columns keeps the rows unique.
+        return tuple(keep), rows if len(keep) == len(columns) else self._dedup(rows)
 
     # -- weighted tables (the junction-tree DP) ---------------------------
     def weighted(self, table: tuple[tuple, object]) -> WeightedRows:
@@ -906,32 +910,6 @@ class NumpyTableOps:
             key *= radix
             key += rows[:, position]
         return key
-
-    def _join_tuples(self, left, right, extra, out_cols):
-        """Python-tuple fallback join for unpackable key widths."""
-        np = self.np
-        left_cols, left_rows = left
-        right_cols, right_rows = right
-        shared = [c for c in right_cols if c in left_cols]
-        left_pos = [left_cols.index(c) for c in shared]
-        right_pos = [right_cols.index(c) for c in shared]
-        budget = current_budget()
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in map(tuple, right_rows.tolist()):
-            key = tuple(row[i] for i in right_pos)
-            buckets.setdefault(key, []).append(tuple(row[i] for i in extra))
-        out: list[tuple] = []
-        for row in map(tuple, left_rows.tolist()):
-            key = tuple(row[i] for i in left_pos)
-            if budget is not None:
-                budget.charge(1)
-            for extras in buckets.get(key, ()):
-                out.append(row + extras)
-                if len(out) > SEMIJOIN_ROW_CAP:
-                    raise TableOverflow
-        if not out:
-            return out_cols, np.empty((0, len(out_cols)), dtype=np.int64)
-        return out_cols, np.array(out, dtype=np.int64)
 
 
 def table_ops(size: int):

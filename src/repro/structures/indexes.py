@@ -2,17 +2,11 @@
 
 A :class:`PositionalIndex` stores, for every relation of a structure,
 the mapping ``(relation, position, value) -> tuples having value at
-position``.  Two consumers share it:
-
-* the homomorphism search (:mod:`repro.structures.homomorphism`) uses it
-  for forward checking: as soon as *some* entries of a source tuple are
-  assigned, the index tells whether any target tuple is still compatible,
-  pruning dead branches long before the tuple is fully assigned;
-* the counting engine's execution contexts
-  (:mod:`repro.engine.context`) keep one
-  :class:`EncodedPositionalIndex` per data structure -- the same lookup
-  over the dense-int encoding -- so repeated executions of compiled
-  plans against the same structure skip re-scanning the relations.
+position``.  The homomorphism search
+(:mod:`repro.structures.homomorphism`) uses it for forward checking:
+as soon as *some* entries of a source tuple are assigned, the index
+tells whether any target tuple is still compatible, pruning dead
+branches long before the tuple is fully assigned.
 
 Building the index is a single pass over the tuples; ``tuples`` and
 ``matching`` are O(1) dictionary accesses returning frozensets, and
@@ -22,38 +16,34 @@ sets of the pinned positions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.structures.structure import Element, Structure
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.structures.encoding import EncodedStructure
 
+class PositionalIndex:
+    """An immutable (relation, position, value) index of one structure."""
 
-class _PositionalLookup:
-    """The shared (relation, position, value) lookup machinery.
+    __slots__ = ("_structure", "_tuples", "_by_position")
 
-    Subclasses fill ``_tuples`` (relation name to frozenset of rows) and
-    ``_by_position`` (``(relation, position, value)`` to the rows
-    carrying ``value`` at ``position``); the lookup methods are
-    value-agnostic, so the same code serves object tuples
-    (:class:`PositionalIndex`, the query-side and reference searches)
-    and dense-int tuples (:class:`EncodedPositionalIndex`, the
-    engine's data side).
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _build_by_position(
-        tuples_by_relation: Mapping[str, frozenset],
-    ) -> dict[tuple[str, int, Element], frozenset]:
+    def __init__(self, structure: Structure):
+        self._structure = structure
+        self._tuples: dict[str, frozenset[tuple[Element, ...]]] = dict(
+            structure.relations
+        )
         by_position: dict[tuple[str, int, Element], set] = {}
-        for name, tuples in tuples_by_relation.items():
+        for name, tuples in self._tuples.items():
             for t in tuples:
                 for position, value in enumerate(t):
                     by_position.setdefault((name, position, value), set()).add(t)
-        return {key: frozenset(values) for key, values in by_position.items()}
+        self._by_position: dict[tuple[str, int, Element], frozenset] = {
+            key: frozenset(values) for key, values in by_position.items()
+        }
+
+    @property
+    def structure(self) -> Structure:
+        """The indexed structure."""
+        return self._structure
 
     def tuples(self, relation: str) -> frozenset[tuple[Element, ...]]:
         """All tuples of ``relation`` (empty frozenset if unknown)."""
@@ -94,57 +84,8 @@ class _PositionalLookup:
                 return False
         return True
 
-
-class PositionalIndex(_PositionalLookup):
-    """An immutable (relation, position, value) index of one structure."""
-
-    __slots__ = ("_structure", "_tuples", "_by_position")
-
-    def __init__(self, structure: Structure):
-        self._structure = structure
-        self._tuples: dict[str, frozenset[tuple[Element, ...]]] = dict(
-            structure.relations
-        )
-        self._by_position = self._build_by_position(self._tuples)
-
-    @property
-    def structure(self) -> Structure:
-        """The indexed structure."""
-        return self._structure
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PositionalIndex({len(self._tuples)} relations, "
-            f"{len(self._by_position)} keys)"
-        )
-
-
-class EncodedPositionalIndex(_PositionalLookup):
-    """The positional index over a dense-int encoded structure.
-
-    Same API as :class:`PositionalIndex` but keyed by the encoded
-    integer values, so forward checking
-    (:meth:`_PositionalLookup.has_compatible_tuple`) during
-    backtracking eliminations hashes machine ints instead of arbitrary
-    objects.
-    """
-
-    __slots__ = ("_encoded", "_tuples", "_by_position")
-
-    def __init__(self, encoded: "EncodedStructure"):
-        self._encoded = encoded
-        self._tuples: dict[str, frozenset[tuple[int, ...]]] = {
-            name: encoded.relation_rows(name) for name in encoded.relations
-        }
-        self._by_position = self._build_by_position(self._tuples)
-
-    @property
-    def encoded(self) -> "EncodedStructure":
-        """The indexed encoded structure."""
-        return self._encoded
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"EncodedPositionalIndex({len(self._tuples)} relations, "
             f"{len(self._by_position)} keys)"
         )

@@ -355,7 +355,7 @@ class Structure:
         across processes and runs, so it can key caches that outlive a
         single process -- in particular the worker-resident execution
         context caches of :mod:`repro.engine.pool`, which reuse a
-        structure's positional index and boundary memos across pool jobs
+        structure's encoding and boundary memos across pool jobs
         by shipping fingerprints instead of rebuilding.
 
         Equal structures always share a fingerprint; distinct structures

@@ -1,9 +1,10 @@
-"""ExecutionContext behavior: semijoin elimination, memoization, reuse.
+"""ExecutionContext behavior: table elimination, memoization, reuse.
 
-The semijoin evaluator must agree exactly with the backtracking search
-on every ∃-component; the boundary-relation memo must be shared across
-the inclusion-exclusion terms of an ``ep-plus`` plan; and the batch
-paths must build at most one positional index per distinct structure.
+Elimination on the column tables must agree exactly with the
+backtracking homomorphism search (the oracle) on every ∃-component;
+the boundary-relation memo must be shared across the
+inclusion-exclusion terms of an ``ep-plus`` plan; and the batch paths
+must encode each distinct structure once.
 """
 
 import pytest
@@ -19,7 +20,8 @@ from repro.core.counting import count_answers
 from repro.engine import Engine, compile_plan, count_many, execute
 from repro.engine.context import ExecutionContext
 from repro.exceptions import ReproError
-from repro.structures import indexes as indexes_module
+from repro.structures.encoding import EncodedStructure
+from repro.structures.homomorphism import enumerate_extendable_assignments
 from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.workloads.generators import (
     hidden_clique_query,
@@ -30,14 +32,24 @@ from repro.workloads.generators import (
 )
 
 
-#: An ∃-star with four liberal leaves: its one ∃-component has a
-#: boundary wider than ``SEMIJOIN_MAX_BOUNDARY``, so backtracking
-#: serves it.
+#: An ∃-star with four liberal leaves: one ∃-component with a boundary
+#: of four, eliminated on the tables like any other.
 WIDE_STAR = "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))"
 
 
+def oracle_relation(component, structure) -> frozenset:
+    """The component's boundary relation by backtracking search."""
+    boundary = component.boundary_order
+    return frozenset(
+        tuple(assignment[v] for v in boundary)
+        for assignment in enumerate_extendable_assignments(
+            component.structure, structure, boundary
+        )
+    )
+
+
 # ----------------------------------------------------------------------
-# Semijoin vs backtracking
+# Tables vs backtracking
 # ----------------------------------------------------------------------
 def component_cases():
     queries = [
@@ -57,11 +69,9 @@ def component_cases():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_semijoin_matches_backtracking_boundary_relations(component, seed):
     structure = random_graph(7, 0.35, seed=seed)
-    with_semijoin = ExecutionContext(structure, semijoin=True)
-    without = ExecutionContext(structure, semijoin=False)
-    assert with_semijoin.boundary_relation(component) == without.boundary_relation(
+    assert ExecutionContext(structure).boundary_relation(
         component
-    )
+    ) == oracle_relation(component, structure)
 
 
 def test_semijoin_is_actually_used_on_acyclic_components():
@@ -70,7 +80,6 @@ def test_semijoin_is_actually_used_on_acyclic_components():
     (component,) = exists_components(path_query(3, quantify_interior=True))
     context.boundary_relation(component)
     assert context.stats.semijoin_eliminations == 1
-    assert context.stats.backtracking_eliminations == 0
 
 
 def test_cyclic_interior_is_eliminated_on_tables():
@@ -79,18 +88,17 @@ def test_cyclic_interior_is_eliminated_on_tables():
     (component,) = exists_components(hidden_clique_query(3))
     relation = context.boundary_relation(component)
     assert context.stats.semijoin_eliminations == 1
-    assert context.stats.backtracking_eliminations == 0
-    reference = ExecutionContext(structure, semijoin=False)
-    assert relation == reference.boundary_relation(component)
+    assert relation == oracle_relation(component, structure)
 
 
-def test_wide_boundary_falls_back_to_backtracking():
+def test_wide_boundary_is_eliminated_on_tables():
     structure = random_graph(6, 0.4, seed=4)
-    context = ExecutionContext(structure, semijoin_max_boundary=0)
-    (component,) = exists_components(path_query(2, quantify_interior=True))
-    context.boundary_relation(component)
-    assert context.stats.semijoin_eliminations == 0
-    assert context.stats.backtracking_eliminations == 1
+    context = ExecutionContext(structure)
+    (component,) = exists_components(compile_plan(WIDE_STAR).pp.formula)
+    assert len(component.boundary) == 4
+    relation = context.boundary_relation(component)
+    assert context.stats.semijoin_eliminations == 1
+    assert relation == oracle_relation(component, structure)
 
 
 # ----------------------------------------------------------------------
@@ -146,66 +154,60 @@ def test_repeated_execution_hits_the_memo_via_engine():
 
 
 # ----------------------------------------------------------------------
-# Index-build regression (one context per distinct structure)
+# Encoding-build regression (one context per distinct structure)
 # ----------------------------------------------------------------------
-def test_count_many_builds_one_index_per_distinct_structure(backend, monkeypatch):
+def test_count_many_builds_one_encoding_per_distinct_structure(
+    backend, monkeypatch
+):
     builds = []
-    original = indexes_module.EncodedPositionalIndex.__init__
+    original = EncodedStructure.__init__
 
-    def counting_init(self, encoded):
-        builds.append(encoded)
-        original(self, encoded)
+    def counting_init(self, structure):
+        builds.append(structure)
+        original(self, structure)
 
-    monkeypatch.setattr(
-        indexes_module.EncodedPositionalIndex, "__init__", counting_init
-    )
+    monkeypatch.setattr(EncodedStructure, "__init__", counting_init)
     first = random_graph(6, 0.3, seed=0)
     second = random_graph(6, 0.3, seed=1)
     structures = [first, second, first, second, first]
     queries = [
         "exists z. (E(x, z) & E(z, y))",
         "exists z w. (E(x, z) & E(z, w) & E(w, y))",
-        # A boundary wider than SEMIJOIN_MAX_BOUNDARY: backtracking
-        # needs the index on every backend (numpy tables never build one).
         WIDE_STAR,
         "E(x, y)",
+        "exists x. E(x, x)",  # a sentence check reads the same encoding
     ]
     grid = count_many([compile_plan(q) for q in queries], structures)
-    assert len(builds) == 2
-    assert {e.decode_rows(e.relation_rows("E")) for e in builds} == {
-        first.relation("E"),
-        second.relation("E"),
-    }
-    engine = Engine()
-    assert engine.count_many(queries, structures, parallel=False) == grid
-    # The engine's own counter tracks the same builds.
-    assert engine.stats().index_builds == 2
+    assert builds == [first, second]
+    builds.clear()
+    with Engine(processes=1) as engine:
+        assert engine.count_many(queries, structures, parallel=False) == grid
+    assert builds == [first, second]
 
 
 def test_materialize_builds_what_the_backend_reads(backend):
     structure = random_graph(7, 0.4, seed=2)
     context = ExecutionContext(structure).materialize()
     assert context.built
-    # The python base tables read the positional index; the numpy ones
-    # read column views, and the index waits for a reader.
-    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
-    acyclic = compile_plan("exists z. (E(x, z) & E(z, y))")
-    execute(acyclic, structure, context)
-    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
-    # A cyclic interior is eliminated on the tables too.
-    cyclic = compile_plan("exists z w. (E(x, z) & E(z, w) & E(w, x))")
-    execute(cyclic, structure, context)
-    assert context.stats.backtracking_eliminations == 0
-    assert context.stats.index_builds == (0 if backend == "numpy" else 1)
-    # Its two readers: a backtracking elimination (wide boundary)...
-    execute(compile_plan(WIDE_STAR), structure, context)
-    assert context.stats.backtracking_eliminations == 1
-    assert context.stats.index_builds == 1
-    # ...and a sentence check, on a fresh context.
-    other = ExecutionContext(structure).materialize()
-    other.sentence_holds(compile_plan("exists x y. E(x, y)").pp.formula)
-    other.sentence_holds(compile_plan("exists x. E(x, x)").pp.formula)
-    assert other.stats.index_builds == 1
+    encoded = context.encoded
+    # The numpy base tables read zero-copy column views; the python
+    # ones read the columns themselves.
+    expected_views = set(encoded.relations) if backend == "numpy" else set()
+    assert set(encoded._np_columns) == expected_views
+    # Nothing else: no table, boundary relation or answer before a query.
+    assert not context._base_table_memo and not context._boundary_memo
+    assert not context._sentence_memo and not context._count_memo
+    # Every reader -- acyclic and cyclic interiors, a wide boundary, a
+    # sentence check -- runs on that one encoding.
+    for query in (
+        "exists z. (E(x, z) & E(z, y))",
+        "exists z w. (E(x, z) & E(z, w) & E(w, x))",
+        WIDE_STAR,
+        "exists x. E(x, x)",
+    ):
+        execute(compile_plan(query), structure, context)
+    assert context.encoded is encoded
+    assert set(encoded._np_columns) == expected_views
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +259,7 @@ def test_remembered_unit_values_are_recalled_without_building_anything():
     assert context.recall(units) == [None] * len(units)
     context.remember(units, values)
     assert context.recall(units) == values
-    assert not context.built  # no encoding, so no index either
+    assert not context.built  # no encoding
     assert context.run_units(units) == values and not context.built
 
     # A context that memoizes nothing remembers nothing.

@@ -169,6 +169,19 @@ def test_checker_detects_a_stale_class_attribute(tmp_path):
     assert "stale" in problems[0]
 
 
+def test_checker_detects_a_stale_data_side_attribute(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Tables read `EncodedStructure.relations` and `EncodedStructure.np_columns`;\n"
+        "`ContextStats.semijoin_eliminations` counts them, but the int view\n"
+        "`EncodedStructure.int_structure` and `ContextStats.index_builds` are gone.\n"
+    )
+    problems = check_docs_freshness.check_attributes([page])
+    assert len(problems) == 2, problems
+    assert any("`EncodedStructure.int_structure`" in p for p in problems)
+    assert any("`ContextStats.index_builds`" in p for p in problems)
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",

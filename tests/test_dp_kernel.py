@@ -87,7 +87,10 @@ def _reference(variables, atoms, encoded) -> int:
     instance = CSPInstance.build(
         variables,
         range(encoded.size),
-        [Constraint(tuple(scope), encoded.relation_rows(name)) for name, scope in atoms],
+        [
+            Constraint(tuple(scope), frozenset(encoded.relations[name].iter_rows()))
+            for name, scope in atoms
+        ],
     )
     return count_solutions_backtracking(instance)
 

@@ -24,8 +24,16 @@ from repro.engine.plan import as_ep, compile_plan
 from repro.exceptions import SignatureError
 from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
-from repro.structures.encoding import EncodedStructure, NumpyTableOps
-from repro.structures.homomorphism import enumerate_extendable_assignments
+from repro.structures import encoding
+from repro.structures.encoding import (
+    EncodedStructure,
+    NumpyTableOps,
+    numpy_available,
+)
+from repro.structures.homomorphism import (
+    enumerate_extendable_assignments,
+    has_homomorphism,
+)
 from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.structure import Structure
 from repro.workloads.generators import (
@@ -65,8 +73,7 @@ GENERATOR_QUERIES = {
     },
 }
 
-#: An ∃-star with four liberal leaves: a boundary wider than
-#: ``SEMIJOIN_MAX_BOUNDARY``, the one case backtracking serves here.
+#: An ∃-star with four liberal leaves: a boundary of four.
 WIDE_STAR = "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))"
 
 #: Two dense clusters, so ``shard_count=2`` really splits the data.
@@ -128,7 +135,7 @@ def test_encoded_structure_round_trips_relations():
     encoded = EncodedStructure(structure)
     assert encoded.size == len(structure.universe)
     assert encoded.decode == tuple(sorted(structure.universe, key=repr))
-    decoded = encoded.decode_rows(encoded.relation_rows("E"))
+    decoded = encoded.decode_rows(encoded.relations["E"].iter_rows())
     assert decoded == structure.relation("E")
     # Encoding is the inverse permutation of the decode table.
     assert all(encoded.decode[encoded.encode[e]] == e for e in structure.universe)
@@ -146,7 +153,7 @@ def test_encoded_relation_columns_are_row_sorted():
 def test_encoded_structure_unknown_relation_matches_structure_error():
     encoded = EncodedStructure(random_graph(4, 0.5, seed=0))
     with pytest.raises(SignatureError):
-        encoded.relation_rows("missing")
+        encoded.check_atom("missing", ("x", "y"))
 
 
 @pytest.mark.parametrize("query", ["F(x, y)", "E(x, y, z)", "E(x)"])
@@ -160,15 +167,17 @@ def test_an_atom_outside_the_signature_is_a_signature_error(backend, query):
 def test_encoded_structure_pickles_compactly_and_round_trips():
     structure = random_graph(10, 0.4, seed=3)
     encoded = EncodedStructure(structure)
-    encoded.relation_rows("E")  # populate a lazy view
-    encoded.int_structure()
+    if numpy_available():
+        encoded.np_columns("E")  # populate a lazy view
     clone = pickle.loads(pickle.dumps(encoded))
     assert clone.decode == encoded.decode
-    assert clone.relation_rows("E") == encoded.relation_rows("E")
+    assert list(clone.relations["E"].iter_rows()) == list(
+        encoded.relations["E"].iter_rows()
+    )
     assert clone.nbytes == encoded.nbytes
-    # The pickled payload ships columnar arrays, not the lazy frozenset
-    # views (they rebuild on demand post-unpickle).
-    assert clone._tuple_sets == {} or "E" in clone._tuple_sets
+    # The pickled payload ships columnar arrays, not the lazy views
+    # (they rebuild on demand post-unpickle).
+    assert clone._np_columns == {}
 
 
 # ----------------------------------------------------------------------
@@ -219,14 +228,14 @@ def test_counts_are_invariant_under_alpha_renaming(backend, name, renaming):
         assert engine.count(GENERATOR_QUERIES[name], STRUCTURE) == brute_force(name)
 
 
-def charged_elimination(component, structure) -> tuple[int, int]:
-    """``(steps, backtracked)``: what one uncached elimination of
-    ``component`` on ``structure`` charges, and whether it backtracked."""
+def charged_elimination(component, structure) -> int:
+    """The steps one uncached elimination of ``component`` on
+    ``structure`` charges."""
     context = ExecutionContext(structure)
     budget = CostBudget()
     with budget_scope(budget):
         context.boundary_table(component)
-    return budget.steps, context.stats.backtracking_eliminations
+    return budget.steps
 
 
 @pytest.mark.parametrize("renaming", ["reversed", "shuffle-1", "shuffle-2"])
@@ -248,12 +257,8 @@ def test_elimination_work_is_invariant_under_alpha_renaming(
         }
         for component in exists_components(disjunct, use_core=False):
             image = renamed[frozenset(mapping[v] for v in component.vertices)]
-            steps, backtracked = charged_elimination(component, STRUCTURE)
-            renamed_steps, renamed_backtracked = charged_elimination(
-                image, STRUCTURE
-            )
-            if len(component.boundary) <= 3:
-                assert backtracked == renamed_backtracked == 0
+            steps = charged_elimination(component, STRUCTURE)
+            renamed_steps = charged_elimination(image, STRUCTURE)
             assert renamed_steps <= 2 * steps and steps <= 2 * renamed_steps
 
 
@@ -281,8 +286,40 @@ def test_three_path_counts_within_budget_under_either_naming(
     with Engine(processes=1) as engine:
         with budget_scope(CostBudget(max_steps=2_000_000)):
             count = engine.count(THREE_PATHS[naming], clustered_graph)
-        assert engine.stats().backtracking_eliminations == 0
     assert count == 40_000
+
+
+def test_four_path_counts_within_budget(backend, clustered_graph):
+    # Each elimination step of the ∃-4-path joins about 10^6 rows and
+    # projects one variable out.
+    with Engine(processes=1) as engine:
+        with budget_scope(CostBudget(max_steps=2_000_000)):
+            count = engine.count(
+                GENERATOR_QUERIES["path"], clustered_graph
+            )
+    assert count == 40_000
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+def test_a_join_past_the_row_cap_is_projected_in_pieces(monkeypatch):
+    cap = 64
+    monkeypatch.setattr(encoding, "SEMIJOIN_ROW_CAP", cap)
+    pieces = []
+    real = NumpyTableOps._gather
+
+    def recording_gather(self, left_rows, left_idx, *rest):
+        pieces.append(len(left_idx))
+        return real(self, left_rows, left_idx, *rest)
+
+    monkeypatch.setattr(NumpyTableOps, "_gather", recording_gather)
+    graph = random_cluster_graph(2, 8, 0.9, seed=0)
+    query = path_query(2, quantify_interior=True)
+    with Engine(processes=1) as engine:
+        count = engine.count(query, graph)
+    assert count == count_answers_naive(as_ep(query), graph)
+    # The E ⋈ E join has hundreds of rows: it came in capped pieces.
+    assert sum(pieces) > 5 * cap
+    assert max(pieces) <= cap
 
 
 def test_count_many_grid_agrees_with_brute_force(backend):
@@ -342,6 +379,16 @@ AGREEMENT_COMPONENTS = {
             liberal=["x"],
         )
     ),
+    "wide_star": lambda: exists_components(compile_plan(WIDE_STAR).pp.formula),
+    # A cyclic interior with a boundary of four: a 4-cycle c0..c3 with
+    # a pendant liberal leaf on each vertex.
+    "cycle_pendants": lambda: exists_components(
+        pp_from_atom_specs(
+            [("E", (f"c{i}", f"c{(i + 1) % 4}")) for i in range(4)]
+            + [("E", (f"c{i}", f"l{i}")) for i in range(4)],
+            liberal=[f"l{i}" for i in range(4)],
+        )
+    ),
 }
 
 #: K_{3,4} with edges both ways: no triangle maps into it.
@@ -357,27 +404,112 @@ BIPARTITE = Structure.from_relations(
 )
 
 
-@pytest.mark.parametrize("name", AGREEMENT_COMPONENTS)
-def test_boundary_relations_agree_with_homomorphism_search(backend, name):
-    structure = random_graph(9, 0.35, seed=4)
+#: The piece sizes every agreement cell runs at: the default, and a cap
+#: of 3 rows that splits nearly every join into pieces.
+ROW_CAPS = (encoding.SEMIJOIN_ROW_CAP, 3)
+
+#: The data every agreement cell runs on.
+AGREEMENT_TARGETS = (random_graph(9, 0.35, seed=4), BIPARTITE)
+
+
+@functools.lru_cache(maxsize=None)
+def agreement_cell(name: str) -> tuple:
+    """``(components, references)``: a cell's ∃-components, and for each
+    target their boundary relations by backtracking search (computed
+    once, shared by both backends)."""
     components = AGREEMENT_COMPONENTS[name]()
-    assert components
-    for target in (structure, BIPARTITE):
-        context = ExecutionContext(target)
-        for component in components:
-            boundary = component.boundary_order
-            reference = frozenset(
-                tuple(assignment[v] for v in boundary)
+    references = [
+        [
+            frozenset(
+                tuple(assignment[v] for v in component.boundary_order)
                 for assignment in enumerate_extendable_assignments(
-                    component.structure, target, boundary
+                    component.structure, target, component.boundary_order
                 )
             )
-            assert context.boundary_relation(component) == reference
-        assert context.stats.backtracking_eliminations == 0
+            for component in components
+        ]
+        for target in AGREEMENT_TARGETS
+    ]
+    return components, references
+
+
+@pytest.mark.parametrize("name", AGREEMENT_COMPONENTS)
+def test_boundary_relations_agree_with_homomorphism_search(
+    backend, monkeypatch, name
+):
+    components, references = agreement_cell(name)
+    assert components
+    for cap in ROW_CAPS:
+        monkeypatch.setattr(encoding, "SEMIJOIN_ROW_CAP", cap)
+        for target, expected in zip(AGREEMENT_TARGETS, references):
+            context = ExecutionContext(target)
+            assert [context.boundary_relation(c) for c in components] == expected
     if name == "triangle":
         # No triangle maps into a bipartite graph: the early empty exit.
         (component,) = components
         assert not ExecutionContext(BIPARTITE).boundary_relation(component)
+
+
+@pytest.mark.parametrize("size", [8, 2**32], ids=["packed", "too-wide-to-pack"])
+def test_join_project_is_the_projection_of_the_join(backend, monkeypatch, size):
+    rng = random.Random(size)
+    left_rows = {(rng.randrange(4), rng.randrange(4)) for _ in range(12)}
+    right_rows = {
+        (rng.randrange(4), rng.randrange(4), rng.randrange(8)) for _ in range(40)
+    }
+    # Joined on two columns, so 2**32 values cannot pack into one key.
+    left, right = (("a", "b"), left_rows), (("b", "a", "c"), right_rows)
+    joined = [
+        {"a": a, "b": b, "c": c}
+        for a, b in left_rows
+        for b2, a2, c in right_rows
+        if (a, b) == (a2, b2)
+    ]
+    assert len(joined) > 3
+    for cap in ROW_CAPS:
+        monkeypatch.setattr(encoding, "SEMIJOIN_ROW_CAP", cap)
+        ops = encoding.table_ops(size)
+        for keep in [("a", "b", "c"), ("c", "a", "b"), ("c", "a"), ("c",), ()]:
+            columns, rows = ops.join_project(
+                ops.table(*left), ops.table(*right), keep
+            )
+            assert columns == keep
+            got = sorted(map(tuple, ops.iter_rows((columns, rows))))
+            # Exactly the distinct projected rows: no duplicates.
+            assert got == sorted({tuple(row[c] for c in keep) for row in joined})
+
+
+def random_ucq_sentences():
+    """The pp-sentence parts of seeded random UCQs."""
+    for seed in range(30):
+        query = random_ucq(3, 5, 5, liberal_count=(2, 3)[seed % 2], seed=seed)
+        for disjunct in as_ep(query).disjuncts():
+            for part in disjunct.components():
+                if not part.is_liberal() and part.atom_count > 0:
+                    yield part
+
+
+def test_sentence_checks_agree_with_homomorphism_search(backend, monkeypatch):
+    cycle = [("E", (f"c{i}", f"c{(i + 1) % 4}")) for i in range(4)]
+    triangle = [("E", ("a", "b")), ("E", ("b", "c")), ("E", ("c", "a"))]
+    sentences = [
+        pp_from_atom_specs(specs, liberal=[])
+        for specs in ([("E", ("x", "x"))], triangle, cycle)
+    ]
+    sentences += random_ucq_sentences()
+    assert len(sentences) > 5
+    for cap in ROW_CAPS:
+        monkeypatch.setattr(encoding, "SEMIJOIN_ROW_CAP", cap)
+        for target in AGREEMENT_TARGETS:
+            context = ExecutionContext(target)
+            for sentence in sentences:
+                assert context.sentence_holds(sentence) == has_homomorphism(
+                    sentence.structure, target
+                )
+    # The triangle has no image in a bipartite graph, the 4-cycle has.
+    bipartite = ExecutionContext(BIPARTITE)
+    assert not bipartite.sentence_holds(sentences[1])
+    assert bipartite.sentence_holds(sentences[2])
 
 
 # ----------------------------------------------------------------------
@@ -387,19 +519,16 @@ def test_eliminations_are_attributed_to_exactly_one_evaluator(backend):
     structure = random_graph(10, 0.35, seed=6)
     queries = [
         path_query(4, quantify_interior=True),
-        hidden_clique_query(3),  # cyclic interior: eliminated on tables
-        WIDE_STAR,  # boundary past SEMIJOIN_MAX_BOUNDARY: backtracking
+        hidden_clique_query(3),  # cyclic interior
+        WIDE_STAR,  # a boundary of four
     ]
     with Engine(processes=1) as engine:
         for query in queries:
             engine.count(query, structure)
         stats = engine.stats()
-    assert stats.semijoin_eliminations == 2
-    assert stats.backtracking_eliminations == 1  # the wide star
-    assert (
-        stats.semijoin_eliminations + stats.backtracking_eliminations
-        == stats.boundary_memo_misses
-    )
+    # Every boundary-memo miss is one elimination on the tables.
+    assert stats.semijoin_eliminations == 3
+    assert stats.semijoin_eliminations == stats.boundary_memo_misses
     assert stats.encoded_resident_bytes > 0
     # One representation: the counter that equalled the sum is gone.
     assert "encoded_eliminations" not in stats.as_dict()

@@ -151,8 +151,8 @@ def test_engine_stats_track_time_and_calls():
 ENGINE_STATS_KEYS = """
     count_calls batch_calls sharded_calls plan_hits plan_misses
     plan_hit_rate context_hits context_misses context_hit_rate
-    index_builds boundary_memo_hits boundary_memo_misses
-    semijoin_eliminations backtracking_eliminations worker_context_hits
+    boundary_memo_hits boundary_memo_misses
+    semijoin_eliminations worker_context_hits
     worker_context_misses registry_hits registry_misses
     registry_registrations
     registry_evictions encoded_resident_bytes delta_applies
@@ -197,11 +197,6 @@ def moved_then_reset():
         engine.count(path, graph)
         engine.count("exists z. (E(x, z) & E(z, y)) & E(y, w)", graph)
         engine.count(hidden_clique_query(3), random_graph(7, 0.6, seed=2))
-        # An ∃-star with four liberal leaves: a boundary too wide for the
-        # tables, so backtracking (and the positional index) serves it.
-        engine.count(
-            "exists c. (E(c, a) & E(c, b) & E(c, d) & E(c, e))", graph
-        )
         engine.count_many([path], [graph], parallel=False)
         for _ in range(2):  # a worker-context miss, then a hit
             engine.count_sharded(path, graph, shard_count=4, parallel=True)

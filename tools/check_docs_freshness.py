@@ -103,6 +103,8 @@ _ATTR_OWNERS = {
     "WorkerPool": "repro.engine.pool",
     "ResidentContexts": "repro.engine.resident",
     "ExecutionContext": "repro.engine.context",
+    "ContextStats": "repro.engine.context",
+    "EncodedStructure": "repro.structures.encoding",
     "StructureRegistry": "repro.engine.registry",
     "ClusterCoordinator": "repro.cluster.coordinator",
 }
@@ -412,7 +414,7 @@ def _owner_instance(name: str):
     import importlib
 
     cls = getattr(importlib.import_module(_ATTR_OWNERS[name]), name)
-    if name == "ExecutionContext":
+    if name in ("ExecutionContext", "EncodedStructure"):
         from repro.structures.structure import Structure
 
         return cls(Structure.from_relations({"E": [(1, 2)]}))
