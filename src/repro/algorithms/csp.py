@@ -1,4 +1,4 @@
-"""Counting solutions of constraint networks by dynamic programming.
+"""Counting solutions of constraint networks by variable elimination.
 
 The counting algorithms of the library all bottom out in the same
 primitive: count the assignments of a set of variables to a finite
@@ -7,27 +7,35 @@ homomorphisms, counting answers to quantifier-free pp-formulas and the
 final stage of the FPT algorithm for tractable query classes are all
 instances.
 
-* :func:`count_solutions_tables` -- the one junction-tree DP: weighted
-  joins over a tree decomposition of the constraint network's primal
-  graph, polynomial for classes of networks of bounded treewidth --
-  exactly the guarantee Theorem 2.11 of the paper needs.
-  :func:`dp_schedule` is its data-independent half.
+* :func:`eliminate` -- the one evaluator over the column tables of
+  :mod:`repro.structures.encoding`: variable elimination, one fused
+  join-project per variable.  On plain tables it projects (the
+  ∃-components of Theorem 2.11 and pp-sentences,
+  :mod:`repro.engine.context`); on weighted tables it sums (the count).
+  The sum-product form is InsideOut (Abo Khamis, Ngo and Rudra, *FAQ:
+  Questions Asked Frequently*, PODS 2016).
+* :func:`count_solutions_tables` -- the count: :func:`eliminate` on
+  weighted tables in the groups of a tree decomposition's elimination
+  order, so no intermediate table outgrows a bag -- polynomial for
+  classes of networks of bounded treewidth, exactly the guarantee
+  Theorem 2.11 of the paper needs.
 * :func:`count_solutions_backtracking` -- exhaustive backtracking over
   a :class:`CSPInstance`; always correct, exponential in the number of
-  variables.  The reference the DP is tested against.
+  variables.  The reference the elimination is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from repro.algorithms.decomposition import TreeDecomposition
-from repro.algorithms.treewidth import treewidth
 from repro.budget import current_budget
 from repro.exceptions import ReproError
 from repro.structures.encoding import table_ops
-from repro.structures.graphs import primal_graph_of_atoms
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.algorithms.decomposition import TreeDecomposition
 
 VariableName = Hashable
 Value = Hashable
@@ -125,88 +133,100 @@ def count_solutions_backtracking(instance: CSPInstance) -> int:
     return base * (len(instance.domain) ** len(unconstrained))
 
 
-class BagStep(NamedTuple):
-    """One bag of a :func:`dp_schedule`, in evaluation order.
+# ----------------------------------------------------------------------
+# Variable elimination over the column tables
+# ----------------------------------------------------------------------
+def _join_all(tables: list, keep: tuple, ops) -> tuple:
+    """The join of ``tables`` projected onto ``keep``.
 
-    ``local`` indexes the tables whose scope the bag covers,
-    ``children`` the bags whose messages it consumes, ``separator`` the
-    columns (``repr``-sorted) of the message it sends its ``parent``,
-    ``unjoined`` the separator variables no local table or child
-    message mentions (they range over the whole domain and are joined
-    in explicitly), and ``free`` counts the bag variables nothing here
-    constrains: a factor ``domain_size`` each.
+    Tables join smallest-first, each step taking the smallest table
+    that shares a column with what is joined so far (a cross product
+    only when none does); the last join is fused with the projection.
     """
+    pending = sorted(tables, key=lambda table: len(table[1]))
+    joined = pending.pop(0)
+    while pending:
+        columns = joined[0]
+        shared = next(
+            (i for i, t in enumerate(pending) if set(columns).intersection(t[0])),
+            0,
+        )
+        table = pending.pop(shared)
+        out = (
+            columns + tuple(c for c in table[0] if c not in columns)
+            if pending
+            else keep
+        )
+        joined = ops.join_project(joined, table, out)
+    return ops.project(joined, keep)
 
-    bag_id: int
-    parent: int | None
-    local: tuple[int, ...]
-    children: tuple[int, ...]
-    separator: tuple[VariableName, ...]
-    unjoined: tuple[VariableName, ...]
-    free: int
 
+def eliminate(
+    tables: Sequence[tuple],
+    keep: Sequence[VariableName],
+    ops,
+    groups: Iterable[Iterable[VariableName]] | None = None,
+) -> tuple:
+    """The projection onto ``keep`` of the join of ``tables``, as a
+    table of ``ops`` (:class:`~repro.structures.encoding._PyTableOps`
+    or :class:`~repro.structures.encoding.NumpyTableOps`).
 
-def dp_schedule(
-    variables: Sequence[VariableName],
-    scopes: Sequence[tuple[VariableName, ...]],
-    decomposition: TreeDecomposition | None = None,
-) -> tuple[BagStep, ...]:
-    """The data-independent half of :func:`count_solutions_tables`: a
-    tree decomposition lowered to per-bag join instructions, children
-    before parents, for tables with the given (distinct-column)
-    ``scopes``.
+    Variable elimination: each step takes the next variable, joins the
+    tables that mention it smallest-first and drops it in the fused last
+    join.  The tables decide what a drop means: plain ones are projected
+    (∃: an ∃-component's boundary relation, or with an empty ``keep``
+    a satisfiability bit, ``{()}`` or nothing), weighted ones
+    (``ops.weighted``) sum the weights of the rows that agree on the
+    rest (Σ: a count).  A projection of a join, and a sum of a product,
+    does not depend on the elimination order, so the result is exact
+    for any order; the order only bounds the intermediate tables.
 
-    Validates ``decomposition`` against the scopes' primal graph (one
-    is computed when none is given) and that every scope fits a bag.
-    Nothing here reads data, so a caller running the same tables'
-    shapes against many structures computes it once.
+    ``groups`` fixes the order group by group (a tree decomposition's
+    :meth:`~repro.algorithms.decomposition.TreeDecomposition.
+    elimination_order`, which keeps every intermediate within a bag);
+    variables outside ``keep`` and every group form one last group.
+    Inside a group the data picks: the variable whose touching tables
+    have the smallest union scope, then the fewest rows, then the
+    smallest ``repr``.  A group variable no table mentions is skipped,
+    and an empty step makes the result empty at once.  A zero-column
+    step result is the unit ``{()}`` on plain tables and is dropped; a
+    weighted one carries its weight, a factor of the result.
     """
-    primal = primal_graph_of_atoms(scopes, vertices=tuple(variables))
-    if decomposition is None:
-        _, decomposition = treewidth(primal)
-    else:
-        decomposition.validate(primal)
-    bags = {bag_id: decomposition.bag(bag_id) for bag_id in decomposition}
-    for scope in scopes:
-        if scope and not any(set(scope) <= bag for bag in bags.values()):
-            raise ReproError(
-                f"no bag covers constraint scope {scope!r}; "
-                "the decomposition does not decompose the primal graph"
+    kept = frozenset(keep)
+    live = dict(enumerate(tables))
+    ids = itertools.count(len(live))
+    holders: dict = {}  # column -> ids of the live tables that have it
+    for table_id, table in live.items():
+        for column in table[0]:
+            holders.setdefault(column, set()).add(table_id)
+
+    def cost(variable) -> tuple:
+        touching = [live[i] for i in holders[variable]]
+        scope = frozenset().union(*(t[0] for t in touching))
+        return len(scope), sum(len(t[1]) for t in touching), repr(variable)
+
+    for group in (*(groups or ()), None):
+        pending = set(holders if group is None else group) - kept
+        while candidates := {v for v in pending if holders.get(v)}:
+            variable = min(candidates, key=cost)
+            pending.discard(variable)
+            touched = sorted(holders.pop(variable))
+            touching = [live.pop(i) for i in touched]
+            rest = tuple(
+                dict.fromkeys(c for t in touching for c in t[0] if c != variable)
             )
-    children = decomposition.children()
-    separators: dict[int, tuple[VariableName, ...]] = {}
-    steps = []
-    for bag_id, parent in decomposition.rooted_order():
-        bag = bags[bag_id]
-        local = tuple(
-            i for i, scope in enumerate(scopes) if scope and set(scope) <= bag
-        )
-        separators[bag_id] = separator = (
-            tuple(sorted(bag & bags[parent], key=repr))
-            if parent is not None
-            else ()
-        )
-        joined: set[VariableName] = set()
-        for i in local:
-            joined.update(scopes[i])
-        for child in children[bag_id]:
-            joined.update(separators[child])
-        # Bag variables outside separator and joined columns are
-        # unconstrained here and in every neighbor (any constraint on
-        # them would be local to a bag containing them, and separators
-        # carry all sharing): multiplied out, never expanded.
-        steps.append(
-            BagStep(
-                bag_id,
-                parent,
-                local,
-                tuple(children[bag_id]),
-                separator,
-                tuple(v for v in separator if v not in joined),
-                len(bag - joined - set(separator)),
-            )
-        )
-    return tuple(steps)
+            reduced = _join_all(touching, rest, ops)
+            if ops.is_empty(reduced):
+                return ops.table(tuple(keep), ())
+            table_id = next(ids)
+            for column in rest:
+                holders[column].difference_update(touched)
+                holders[column].add(table_id)
+            if rest or ops.is_weighted(reduced):
+                live[table_id] = reduced
+    if not live:
+        return ops.table(tuple(keep), [()])
+    return _join_all(list(live.values()), tuple(keep), ops)
 
 
 def count_solutions_tables(
@@ -215,67 +235,45 @@ def count_solutions_tables(
     tables: Sequence[tuple[tuple[VariableName, ...], object]],
     decomposition: TreeDecomposition | None = None,
     *,
-    schedule: Sequence[BagStep] | None = None,
+    order: Sequence[Sequence[VariableName]] | None = None,
     ops=None,
 ) -> int:
     """Count assignments of ``variables`` into ``range(domain_size)``
-    satisfying every distinct-column table constraint, by join-driven
-    DP over a tree decomposition.
+    satisfying every distinct-column table constraint.
 
     Semantically identical to building a :class:`CSPInstance` over the
     domain ``0..domain_size-1`` and calling
     :func:`count_solutions_backtracking` (the reference the tests hold
-    it to), but the per-bag work is a chain of weighted joins of the
-    bag's constraint tables and child messages instead of a search over
-    ``domain^|bag|`` candidate assignments -- per bag it costs time
-    proportional to the joined table sizes, not to the domain size
-    raised to the bag width.
+    it to), but computed by :func:`eliminate` on weighted tables:
+    every variable is summed out of the join of the tables that
+    mention it, so the work is proportional to the joined table sizes,
+    not to the domain size raised to the number of variables.  The
+    variables no table mentions contribute ``domain_size`` each.
 
-    One loop, two kernels: every table operation goes through ``ops``,
-    the table backend of :mod:`repro.structures.encoding` (vectorized
-    ``int64`` columns under numpy, with python-int fallbacks wherever a
-    weight could pass 63 bits; dict-of-tuple hash joins otherwise), so
-    the result is an exact python int on either.  ``tables`` are
-    ``(columns, rows)`` pairs whose rows are that backend's tables or
-    any iterable of int tuples; ``ops`` defaults to a kernel with no
-    structure behind it.
-
-    ``decomposition`` is validated on every call.  A caller repeating
-    the same table shapes (:func:`repro.algorithms.fpt_counting.
-    execute_pp_plan`, once per structure) passes the ``schedule`` it
-    got from :func:`dp_schedule` instead.
+    ``order`` fixes the elimination groups (a compiled
+    :class:`~repro.algorithms.fpt_counting.PPCountingPlan` passes its
+    ``order``); ``decomposition`` derives them instead.  With neither,
+    the data picks the whole order.  Every table operation goes through
+    ``ops``, the table backend of :mod:`repro.structures.encoding`
+    (vectorized ``int64`` columns under numpy, with python-int
+    fallbacks wherever a weight could pass 63 bits; dict-of-tuple hash
+    joins otherwise), so the result is an exact python int on either.
+    ``tables`` are ``(columns, rows)`` pairs whose rows are that
+    backend's tables or any iterable of int tuples; ``ops`` defaults
+    to a kernel with no structure behind it.
     """
     if ops is None:
         ops = table_ops(domain_size)
     tables = [ops.table(columns, rows) for columns, rows in tables]
     if any(ops.is_empty(table) for table in tables):
         return 0
-    if not variables:
-        return 1
-    if domain_size == 0:
+    if order is None and decomposition is not None:
+        order = decomposition.elimination_order()
+    mentioned = {column for columns, _ in tables for column in columns}
+    free = sum(1 for variable in set(variables) if variable not in mentioned)
+    if not tables:
+        return domain_size**free
+    table = eliminate([ops.weighted(table) for table in tables], (), ops, order)
+    if ops.is_empty(table):
         return 0
-    if schedule is None:
-        schedule = dp_schedule(
-            variables, [columns for columns, _ in tables], decomposition
-        )
-
-    messages: dict[int, object] = {}
-    total = 0
-    for step in schedule:
-        inputs = [ops.weighted(tables[i]) for i in step.local]
-        inputs += [messages.pop(child) for child in step.children]
-        inputs += [ops.domain(v, domain_size) for v in step.unjoined]
-        table = inputs[0] if inputs else ops.weighted(ops.table((), [()]))
-        for other in inputs[1:]:
-            table = ops.weighted_join(table, other)
-            if ops.is_empty(table):
-                # An empty bag table empties every message on the path
-                # to the root, so the total is 0; bail out early.
-                return 0
-        factor = domain_size**step.free
-        if step.parent is None:
-            total = ops.total(table) * factor
-        else:
-            messages[step.bag_id] = ops.marginalize(table, step.separator, factor)
-    return total
-
+    return ops.total(table) * domain_size**free

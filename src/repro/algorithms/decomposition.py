@@ -20,6 +20,7 @@ the decomposition they are given.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -99,63 +100,46 @@ class TreeDecomposition:
         return iter(self._bags)
 
     # ------------------------------------------------------------------
-    def is_valid_for(self, graph: nx.Graph) -> bool:
-        """Check validity for ``graph`` (see :meth:`validate`)."""
-        try:
-            self.validate(graph)
-        except DecompositionError:
-            return False
-        return True
+    def elimination_order(self) -> tuple[tuple[Vertex, ...], ...]:
+        """The vertices in groups, in an order to eliminate them.
 
-    def validate(self, graph: nx.Graph) -> None:
-        """Raise :class:`DecompositionError` unless this decomposes ``graph``."""
-        covered = self.vertices()
-        missing = set(graph.nodes) - covered
-        if missing:
-            raise DecompositionError(f"vertices not covered by any bag: {sorted(map(repr, missing))}")
-        for left, right in graph.edges:
-            if not any(left in bag and right in bag for bag in self._bags.values()):
-                raise DecompositionError(f"edge ({left!r}, {right!r}) not covered by any bag")
-        for vertex in graph.nodes:
-            containing = [bag_id for bag_id, bag in self._bags.items() if vertex in bag]
-            subtree = self._tree.subgraph(containing)
-            if containing and not nx.is_connected(subtree):
-                raise DecompositionError(
-                    f"bags containing {vertex!r} do not form a connected subtree"
-                )
-
-    # ------------------------------------------------------------------
-    def rooted_order(self, root: BagId | None = None) -> list[tuple[BagId, BagId | None]]:
-        """A post-order listing of ``(bag_id, parent_id)`` pairs.
-
-        The root has parent ``None``.  Dynamic programs over the
-        decomposition iterate this list: every child appears before its
-        parent.
+        Repeatedly peels a leaf bag off the tree and emits, as one
+        group (``repr``-sorted), its vertices that its neighbor does
+        not hold; the last bag emits what is left.  By the
+        running-intersection property a group's vertices occur in no
+        bag still on the tree, so eliminating them -- in any order
+        inside the group -- only ever connects vertices of their bag:
+        the induced width is at most this decomposition's width.  A
+        leaf whose neighbor it contains passes its vertices on to the
+        neighbor instead, so groups are as large, and leave the data
+        as much choice, as the width allows.  Iterative, so a
+        decomposition of any depth is fine.
         """
-        if root is None:
-            root = next(iter(self._bags))
-        order: list[tuple[BagId, BagId | None]] = []
-        visited: set[BagId] = set()
-
-        def visit(node: BagId, parent: BagId | None) -> None:
-            visited.add(node)
-            for neighbor in self._tree.neighbors(node):
-                if neighbor not in visited:
-                    visit(neighbor, node)
-            order.append((node, parent))
-
-        visit(root, None)
-        if len(order) != len(self._bags):
-            raise DecompositionError("the decomposition tree is not connected")
-        return order
-
-    def children(self, root: BagId | None = None) -> dict[BagId, list[BagId]]:
-        """Child lists of every bag when the tree is rooted at ``root``."""
-        out: dict[BagId, list[BagId]] = {bag_id: [] for bag_id in self._bags}
-        for node, parent in self.rooted_order(root):
-            if parent is not None:
-                out[parent].append(node)
-        return out
+        bags = dict(self._bags)
+        degree = {bag_id: self._tree.degree(bag_id) for bag_id in bags}
+        leaves = deque(bag_id for bag_id, d in degree.items() if d <= 1)
+        peeled: set[BagId] = set()
+        groups = []
+        while leaves:
+            bag_id = leaves.popleft()
+            peeled.add(bag_id)
+            neighbor = next(
+                (n for n in self._tree.neighbors(bag_id) if n not in peeled), None
+            )
+            if neighbor is None:
+                held = frozenset()
+            elif bags[neighbor] < bags[bag_id]:
+                bags[neighbor] = held = bags[bag_id]
+            else:
+                held = bags[neighbor]
+            group = sorted(bags[bag_id] - held, key=repr)
+            if group:
+                groups.append(tuple(group))
+            if neighbor is not None:
+                degree[neighbor] -= 1
+                if degree[neighbor] == 1:
+                    leaves.append(neighbor)
+        return tuple(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TreeDecomposition(width={self.width}, bags={len(self._bags)})"

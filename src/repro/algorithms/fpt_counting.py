@@ -21,25 +21,27 @@ module implements both the structural notions and the algorithm:
      homomorphism of the component into the data structure;
   3. count the assignments of the liberal variables that satisfy the
      remaining quantifier-free atoms plus the new boundary relations,
-     by dynamic programming over a tree decomposition of the contract
-     graph.
+     by summing the liberal variables out in the groups of a tree
+     decomposition of the contract graph.
 
-  Step 2 costs ``|B|^(boundary)`` per component and step 3 costs
-  ``|B|^(width+1)`` per bag; since every boundary is a clique of the
-  contract graph, both are bounded by the contract graph's treewidth
-  plus one, giving the FPT (indeed polynomial, for a fixed class)
-  running time of Theorem 2.11.
+  Both passes are one kernel, :func:`repro.algorithms.csp.eliminate`:
+  step 2 projects quantified variables away, step 3 sums liberal ones
+  away.  Step 2 costs ``|B|^(boundary)`` per component and step 3
+  ``|B|^(width+1)`` per elimination; since every boundary is a clique
+  of the contract graph, both are bounded by the contract graph's
+  treewidth plus one, giving the FPT (indeed polynomial, for a fixed
+  class) running time of Theorem 2.11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
-from repro.algorithms.csp import BagStep, count_solutions_tables, dp_schedule
+from repro.algorithms.csp import count_solutions_tables
 from repro.algorithms.decomposition import TreeDecomposition
 from repro.algorithms.treewidth import treewidth
 from repro.logic.pp import PPFormula
@@ -204,11 +206,15 @@ class PPCountingPlan:
     ``components``
         The ∃-components of the base, each eliminated at execution time
         into a boundary relation over the data structure.
-    ``decomposition`` / ``width``
-        A tree decomposition of the contract graph and its width.  The
-        CSP built at execution time has the contract graph as its primal
-        graph (boundaries are cliques, liberal atoms are cliques), so
-        this decomposition drives the junction-tree count directly.
+    ``order`` / ``width``
+        The contract graph's tree decomposition as the groups of
+        liberal variables the count sums out, leaf bags first
+        (:meth:`~repro.algorithms.decomposition.TreeDecomposition.
+        elimination_order`), and its width.  The tables built at
+        execution time have the contract graph as their primal graph
+        (boundaries are cliques, liberal atoms are cliques), so
+        eliminating group by group keeps every intermediate table
+        within a bag; the data picks the order inside a group.
     """
 
     formula: PPFormula
@@ -216,29 +222,8 @@ class PPCountingPlan:
     liberal_order: tuple[Variable, ...]
     liberal_atom_scopes: tuple[tuple[str, tuple[Variable, ...]], ...]
     components: tuple[ExistsComponent, ...]
-    decomposition: TreeDecomposition
+    order: tuple[tuple[Variable, ...], ...]
     width: int
-
-    @cached_property
-    def dp_schedule(self) -> tuple[BagStep, ...]:
-        """The decomposition, validated and lowered to the per-bag join
-        instructions of :func:`count_solutions_tables` -- once per plan
-        object instead of once per execution.  The table shapes are
-        those :func:`execute_pp_plan` builds: one per liberal atom
-        (distinct scope variables, first occurrence first), then one
-        per ∃-component with a boundary."""
-        scopes = [
-            tuple(dict.fromkeys(scope)) for _, scope in self.liberal_atom_scopes
-        ]
-        scopes += [c.boundary_order for c in self.components if c.boundary_order]
-        return dp_schedule(self.liberal_order, scopes, self.decomposition)
-
-    def __getstate__(self) -> dict:
-        # Derived, and cheap next to a pickle round trip per request:
-        # pool and cluster jobs ship the compiled fields only.
-        state = dict(self.__dict__)
-        state.pop("dp_schedule", None)
-        return state
 
 
 def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan:
@@ -263,7 +248,8 @@ def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan
         liberal_order=liberal,
         liberal_atom_scopes=tuple(scopes),
         components=components,
-        decomposition=decomposition,
+        # A sentence's contract graph is empty: nothing to sum out.
+        order=decomposition.elimination_order() if liberal else (),
         width=width,
     )
 
@@ -281,9 +267,9 @@ def execute_pp_plan(
     to equality-filtered distinct columns), each ∃-component is
     eliminated through the :class:`~repro.engine.context.
     ExecutionContext` (memoized variable elimination on the tables)
-    to a table of the same backend, and the count runs through the
-    join-driven junction-tree DP :func:`count_solutions_tables` over
-    the plan's precomputed schedule.  Because the encoding is a
+    to a table of the same backend, and the count sums the liberal
+    variables out of them with the same elimination
+    (:func:`count_solutions_tables`), in the plan's groups.  Because the encoding is a
     bijection between the universe and ``range(n)``, nothing is ever
     decoded.  ``context`` shares the encoding and the memos across
     plans, terms, and calls; a throwaway context is created when none
@@ -311,7 +297,7 @@ def execute_pp_plan(
         plan.liberal_order,
         context.encoded.size,
         tables,
-        schedule=plan.dp_schedule,
+        order=plan.order,
         ops=ops,
     )
 
@@ -342,5 +328,9 @@ def count_pp_answers_fpt(
         # dataclasses.replace keeps the reconstruction honest as fields
         # are added to PPCountingPlan; the width is always taken from
         # the override so the plan never reports a stale width.
-        plan = replace(plan, decomposition=decomposition, width=decomposition.width)
+        plan = replace(
+            plan,
+            order=decomposition.elimination_order(),
+            width=decomposition.width,
+        )
     return execute_pp_plan(plan, structure)

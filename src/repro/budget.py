@@ -4,8 +4,8 @@ The service's request deadline used to be advisory: a timed-out count
 kept burning its executor thread (and a pool worker) until it finished
 naturally, surfacing only as an ``abandoned`` gauge.  A
 :class:`CostBudget` makes cancellation real by cooperation: the hot
-loops -- the table joins of the ∃-elimination and the junction-tree
-DP in :mod:`repro.structures.encoding`, the backtracking searches in
+loops -- the table joins of the variable elimination (∃ and Σ alike)
+in :mod:`repro.structures.encoding`, the backtracking searches in
 :mod:`repro.structures.homomorphism` and :mod:`repro.algorithms.csp`,
 and the exhaustive oracle in :mod:`repro.algorithms.brute_force` --
 charge their iteration counts against the ambient budget and raise

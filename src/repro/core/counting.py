@@ -6,7 +6,8 @@ structure, following the paper's pipeline; the query's shape picks the
 branch:
 
 * primitive positive queries are counted with the Theorem 2.11
-  algorithm (core + ∃-component elimination + junction-tree counting),
+  algorithm (core, then one variable elimination: ∃-components
+  projected away, liberal variables summed out),
   which is polynomial in the data for bounded-treewidth query classes;
 * general EP queries go through the Section 5.4 decomposition: if some
   sentence disjunct holds the answer is ``|B|^|V|``; otherwise the

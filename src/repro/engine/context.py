@@ -31,6 +31,7 @@ import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
+from repro.algorithms.csp import eliminate
 from repro.structures.encoding import (
     EncodedStructure,
     NumpyTableOps,
@@ -152,7 +153,7 @@ class ExecutionContext:
 
     Every evaluator runs over the structure's dense-int encoding
     (:attr:`encoded`): ∃-elimination, sentence checks and the pp-plan
-    DP join tables of the derived backend (:meth:`table_ops`:
+    count join tables of the derived backend (:meth:`table_ops`:
     vectorized columns when numpy imports, int-tuple sets otherwise),
     and values are decoded only at :meth:`boundary_relation`.
 
@@ -284,7 +285,7 @@ class ExecutionContext:
         """The boundary relation as a ``(columns, rows)`` table of the
         derived backend, over dense ints (no decoding).
 
-        The pp-plan DP consumes this directly; ``columns`` is
+        The pp-plan count consumes this directly; ``columns`` is
         :attr:`ExistsComponent.boundary_order`.  Memoized per component.
         """
         if self.memoize and component in self._boundary_memo:
@@ -315,7 +316,7 @@ class ExecutionContext:
         formula count identically by exactness), so on a long-lived
         context -- above all the worker-resident ones of
         :mod:`repro.engine.pool` -- a repeated (plan, shard) evaluation
-        is a dictionary lookup instead of a junction-tree run.  The
+        is a dictionary lookup instead of an elimination.  The
         memo lives until the context is dropped or migrated (a delta
         keeps the entries it cannot have changed), or :meth:`clear`.
         """
@@ -347,7 +348,8 @@ class ExecutionContext:
                 key=repr,
             )
             ops = self.table_ops()
-            holds = not ops.is_empty(_eliminate_variables(scopes, (), ops))
+            tables = [ops.base_table(name, scope) for name, scope in scopes]
+            holds = not ops.is_empty(eliminate(tables, (), ops))
         if self.memoize:
             self._sentence_memo[sentence] = holds
         return holds
@@ -387,8 +389,8 @@ class ExecutionContext:
     ) -> tuple:
         """Compute a boundary relation as a ``(boundary, rows)`` table
         of the derived backend: variable elimination over the encoded
-        columns (:func:`_eliminate_variables`).  An atom over a relation
-        the data does not have raises
+        columns (:func:`~repro.algorithms.csp.eliminate`).  An atom over
+        a relation the data does not have raises
         :class:`~repro.exceptions.SignatureError` from ``base_table``.
         """
         ops = self.table_ops()
@@ -398,7 +400,11 @@ class ExecutionContext:
         with _trace.span(
             "context.semijoin", boundary=len(boundary), backend=resolve_backend()
         ):
-            relation = _eliminate_variables(component.atom_scopes, boundary, ops)
+            tables = [
+                ops.base_table(name, scope)
+                for name, scope in component.atom_scopes
+            ]
+            relation = eliminate(tables, boundary, ops)
         self.stats.bump("semijoin_eliminations")
         return relation
 
@@ -520,84 +526,3 @@ class ExecutionContext:
             f"encoded={self._encoded is not None}, "
             f"boundaries={len(self._boundary_memo)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Variable elimination over the column tables
-# ----------------------------------------------------------------------
-def _join_all(tables: list, keep: tuple, ops) -> tuple:
-    """The join of ``tables`` projected onto ``keep``.
-
-    Tables join smallest-first, each step taking the smallest table
-    that shares a column with what is joined so far (a cross product
-    only when none does); the last join is fused with the projection.
-    """
-    pending = sorted(tables, key=lambda table: len(table[1]))
-    joined = pending.pop(0)
-    while pending:
-        columns = joined[0]
-        shared = next(
-            (i for i, t in enumerate(pending) if set(columns).intersection(t[0])),
-            0,
-        )
-        table = pending.pop(shared)
-        out = (
-            columns + tuple(c for c in table[0] if c not in columns)
-            if pending
-            else keep
-        )
-        joined = ops.join_project(joined, table, out)
-    return ops.project(joined, keep)
-
-
-def _eliminate_variables(scopes: tuple, boundary: tuple, ops) -> tuple:
-    """The projection onto ``boundary`` of the join of a component's
-    atoms against the data, as a ``(boundary, rows)`` table of ``ops``.
-
-    Variable elimination in an order chosen from the data: repeatedly
-    take the quantified variable whose touching tables have the
-    smallest union scope (ties: fewest rows in total, then ``repr``),
-    join those tables and project the variable out; then join what is
-    left and project onto ``boundary``.  A projection of a join does
-    not depend on the join order, so the result is exact for any atom
-    hypergraph; on a bounded-arity α-acyclic one every intermediate
-    stays within input × output, as in Yannakakis.  An empty step
-    answers the empty table at once.  With an empty boundary the
-    result has the one row ``()`` or none: a satisfiability bit.
-
-    Every boundary variable occurs in an atom (an ∃-component's
-    boundary is read off the atoms touching its interior).  Variables
-    occurring in no atom are unconstrained and do not affect the
-    projection (the data universe is non-empty on every path that
-    reaches this function).  ``scopes`` are ``(relation, scope)``
-    pairs, e.g.
-    :attr:`~repro.algorithms.fpt_counting.ExistsComponent.atom_scopes`;
-    ``ops`` is the table backend
-    (:class:`~repro.structures.encoding._PyTableOps` or
-    :class:`~repro.structures.encoding.NumpyTableOps`).
-    """
-    tables = [ops.base_table(name, scope) for name, scope in scopes]
-    kept = frozenset(boundary)
-
-    def cost(variable) -> tuple:
-        touching = [t for t in tables if variable in t[0]]
-        scope = frozenset().union(*(t[0] for t in touching))
-        return len(scope), sum(len(t[1]) for t in touching), repr(variable)
-
-    while candidates := {c for t in tables for c in t[0]} - kept:
-        variable = min(candidates, key=cost)
-        touching = [t for t in tables if variable in t[0]]
-        reduced = _join_all(
-            touching,
-            tuple(dict.fromkeys(c for t in touching for c in t[0] if c != variable)),
-            ops,
-        )
-        if ops.is_empty(reduced):
-            return ops.table(boundary, ())
-        # A zero-column table left here is the non-empty unit {()}.
-        tables = [t for t in tables if variable not in t[0]]
-        if reduced[0]:
-            tables.append(reduced)
-    if not tables:
-        return ops.table(boundary, [()])
-    return _join_all(tables, boundary, ops)

@@ -111,8 +111,9 @@ class PlanProfile:
     def estimated_cost(self, universe_size: int) -> float:
         """A structure-size-parameterized cost estimate.
 
-        The junction-tree DP over a width-``w`` decomposition costs
-        ``O(n ** (w + 1))`` per pp-formula; the estimate is that,
+        Summing the liberal variables out along a width-``w``
+        decomposition costs ``O(n ** (w + 1))`` per pp-formula; the
+        estimate is that,
         summed over the measured formulas:
         ``pp_formula_count * universe_size ** (contract_treewidth + 1)``.
         A relative measure for routing and budgeting, not a promise of

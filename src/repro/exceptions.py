@@ -119,8 +119,8 @@ class PolicyRejection(ReproError):
 class BudgetExceeded(ReproError):
     """A cooperative cost budget ran out mid-execution.
 
-    Raised from inside the hot loops (junction-tree DP, backtracking
-    search, encoded-table joins) when the ambient
+    Raised from inside the hot loops (encoded-table joins, backtracking
+    search) when the ambient
     :class:`repro.budget.CostBudget` exhausts its step count or
     deadline.  ``progress`` records how far execution got -- steps
     charged, elapsed seconds, and the limits -- so a serving layer can

@@ -40,7 +40,6 @@ from repro.structures.graphs import (
     connected_components,
     gaifman_graph,
     is_connected_formula,
-    primal_graph_of_atoms,
 )
 from repro.structures.random_gen import (
     clique_graph,
@@ -91,7 +90,6 @@ __all__ = [
     "connected_components",
     "gaifman_graph",
     "is_connected_formula",
-    "primal_graph_of_atoms",
     "clique_graph",
     "cycle_graph",
     "grid_graph",

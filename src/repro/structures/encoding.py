@@ -21,20 +21,23 @@ The one platform split is *derived*, never chosen:
 :func:`resolve_backend` is ``"numpy"`` when numpy imports
 (:class:`NumpyTableOps`: packed-key vectorized joins) and ``"array"``
 otherwise (the int-tuple hash joins of :class:`_PyTableOps`).  Both
-kernels live here and serve both data-side evaluators: the plain
-``(columns, rows)`` tables of the ∃-elimination
-(:mod:`repro.engine.context`) and the weighted tables of the
-junction-tree DP (:func:`repro.algorithms.csp.count_solutions_tables`).
+kernels live here and serve the one data-side evaluator,
+:func:`repro.algorithms.csp.eliminate`, through two operations,
+``join_project`` and ``project``.  The table decides what dropping a
+column means: plain ``(columns, rows)`` tables dedup what it merges
+(the ∃-elimination of :mod:`repro.engine.context`), weighted ones sum
+their weights (the count of
+:func:`repro.algorithms.csp.count_solutions_tables`).
 The probe goes through :func:`_import_numpy` so tests can monkeypatch
 the import to simulate a numpy-less interpreter.
 
 Two rules hold for every weighted operation of the numpy kernel:
 
 * **Exact integers.**  A weighted table carries a python-int upper
-  bound on its weights (product of the input bounds at a join; group
-  size x bound x factor at a marginalization; rows x bound at the final
-  sum).  A step whose bound would reach ``2**63`` -- like a join or
-  group key too wide to pack -- runs on :class:`_PyTableOps` (python
+  bound on its weights (product of the input bounds at a join; largest
+  group x bound where a dropped column merges rows, the final total
+  included).  A step whose bound would reach ``2**63`` -- like a join
+  or group key too wide to pack -- runs on :class:`_PyTableOps` (python
   ints) instead, so no ``int64`` ever wraps.
 * **Charge before allocate.**  A join counts its matches first, charges
   the ambient :class:`~repro.budget.CostBudget` with that count, and
@@ -92,8 +95,8 @@ def resolve_backend() -> str:
 
 
 #: The piece size of the numpy joins: the most matched pairs a join
-#: expands at once.  The ∃-elimination projects and deduplicates each
-#: piece before the next, the DP's weighted joins concatenate them.
+#: expands at once.  Each piece is projected and merged (deduplicated,
+#: or its weights summed) before the next.
 SEMIJOIN_ROW_CAP = 500_000
 
 #: Weights stay in ``int64`` arrays only while their bound is below this.
@@ -417,14 +420,15 @@ def _base_table(relation: EncodedRelation, scope: tuple) -> tuple[tuple, set]:
     return tuple(columns), rows
 
 
-def _join_project(
-    left: tuple[tuple, set], right: tuple[tuple, set], keep: tuple
-) -> tuple[tuple, set]:
+def _join_project(left: tuple, right: tuple, keep: tuple) -> tuple:
     """Hash join of two tables on their shared columns, projected onto
     ``keep``: each joined row is projected as it is made, so only the
-    output set is held."""
+    output is held.  Plain tables (row sets) dedup what the projection
+    merges; weighted ones (``{row: weight}``) sum it, a joined row
+    weighing the product of its two sources."""
     left_cols, left_rows = left
     right_cols, right_rows = right
+    weighted = isinstance(left_rows, dict)
     shared = [c for c in right_cols if c in left_cols]
     left_positions = [left_cols.index(c) for c in shared]
     right_positions = [right_cols.index(c) for c in shared]
@@ -436,62 +440,44 @@ def _join_project(
     buckets: dict[tuple, list[tuple]] = {}
     for row in right_rows:
         key = tuple(row[i] for i in right_positions)
-        buckets.setdefault(key, []).append(tuple(row[i] for i in extra_positions))
-    out_rows: set[tuple] = set()
+        weight = right_rows[row] if weighted else 1
+        buckets.setdefault(key, []).append(
+            (tuple(row[i] for i in extra_positions), weight)
+        )
+    out = {} if weighted else set()
     budget = current_budget()
     for row in left_rows:
         key = tuple(row[i] for i in left_positions)
         matches = buckets.get(key, ())
         if budget is not None:
             budget.charge(1 + len(matches))
-        for extra in matches:
-            joined = row + extra
-            out_rows.add(tuple(joined[i] for i in positions))
-    return tuple(keep), out_rows
+        if weighted:
+            weight = left_rows[row]
+            for extra, right_weight in matches:
+                joined = row + extra
+                projected = tuple(joined[i] for i in positions)
+                out[projected] = out.get(projected, 0) + weight * right_weight
+        else:
+            for extra, _ in matches:
+                joined = row + extra
+                out.add(tuple(joined[i] for i in positions))
+    return tuple(keep), out
 
 
-def _project(table: tuple[tuple, set], keep: tuple) -> tuple[tuple, set]:
+def _project(table: tuple, keep: tuple) -> tuple:
+    """``table`` projected onto ``keep``: a plain table dedups, a
+    weighted one sums the weights of the rows agreeing on ``keep``."""
     columns, rows = table
     if tuple(keep) == columns:
         return table
     positions = [columns.index(c) for c in keep]
-    return tuple(keep), {tuple(row[i] for i in positions) for row in rows}
-
-
-def _weighted_join(
-    left: tuple[tuple, dict], right: tuple[tuple, dict]
-) -> tuple[tuple, dict]:
-    """Hash join of two weighted tables on their shared columns.
-
-    Output weight of a joined row is the product of the input weights;
-    both inputs have unique rows per their column sets, so each output
-    row arises from exactly one (left, right) pair and the accumulation
-    below never actually merges.
-    """
-    left_cols, left_rows = left
-    right_cols, right_rows = right
-    shared = [c for c in right_cols if c in left_cols]
-    right_positions = [right_cols.index(c) for c in shared]
-    extra_positions = [i for i, c in enumerate(right_cols) if c not in left_cols]
-    out_cols = tuple(left_cols) + tuple(right_cols[i] for i in extra_positions)
-    buckets: dict[tuple, list[tuple[tuple, int]]] = {}
-    for row, weight in right_rows.items():
-        key = tuple(row[i] for i in right_positions)
-        buckets.setdefault(key, []).append(
-            (tuple(row[i] for i in extra_positions), weight)
-        )
-    left_positions = [left_cols.index(c) for c in shared]
+    if not isinstance(rows, dict):
+        return tuple(keep), {tuple(row[i] for i in positions) for row in rows}
     out: dict[tuple, int] = {}
-    budget = current_budget()
-    for row, weight in left_rows.items():
-        key = tuple(row[i] for i in left_positions)
-        matches = buckets.get(key, ())
-        if budget is not None:
-            budget.charge(1 + len(matches))
-        for extra, right_weight in matches:
-            joined = row + extra
-            out[joined] = out.get(joined, 0) + weight * right_weight
-    return out_cols, out
+    for row, weight in rows.items():
+        key = tuple(row[i] for i in positions)
+        out[key] = out.get(key, 0) + weight
+    return tuple(keep), out
 
 
 class _PyTableOps:
@@ -515,7 +501,7 @@ class _PyTableOps:
         self.encoded = encoded
         self.memo = {} if memo is None else memo
 
-    # -- plain tables (the ∃-elimination) ---------------------------------
+    # -- plain tables ------------------------------------------------------
     def base_table(self, name: str, scope: tuple) -> tuple[tuple, set]:
         key = (name, scope)
         if key not in self.memo:
@@ -541,32 +527,15 @@ class _PyTableOps:
     join_project = staticmethod(_join_project)
     project = staticmethod(_project)
 
-    # -- weighted tables (the junction-tree DP) ---------------------------
+    # -- weighted tables (the Σ pass) --------------------------------------
     @staticmethod
     def weighted(table: tuple[tuple, set]) -> tuple[tuple, dict]:
         columns, rows = table
         return columns, dict.fromkeys(rows, 1)
 
     @staticmethod
-    def domain(variable, size: int) -> tuple[tuple, dict]:
-        """The weighted one-column table of every value of ``variable``."""
-        return (variable,), {(value,): 1 for value in range(size)}
-
-    weighted_join = staticmethod(_weighted_join)
-
-    @staticmethod
-    def marginalize(
-        table: tuple[tuple, dict], keep: tuple, factor: int
-    ) -> tuple[tuple, dict]:
-        """Sum the weights of the rows agreeing on ``keep``, times
-        ``factor``."""
-        columns, rows = table
-        positions = [columns.index(c) for c in keep]
-        out: dict[tuple, int] = {}
-        for row, weight in rows.items():
-            key = tuple(row[i] for i in positions)
-            out[key] = out.get(key, 0) + weight * factor
-        return tuple(keep), out
+    def is_weighted(table) -> bool:
+        return isinstance(table[1], dict)
 
     @staticmethod
     def total(table: tuple[tuple, dict]) -> int:
@@ -598,12 +567,11 @@ class NumpyTableOps:
     run through ``unique``), so row counts equal set cardinalities and
     the row cap has the same meaning as for the python set tables.
 
-    The weighted operations of the junction-tree DP run over
-    :class:`WeightedRows` the same way (weights multiply through the
-    gathered indices, group sums are ``add.reduceat`` over sorted keys);
-    any table may instead be in :class:`_PyTableOps` weighted form,
-    which is what a step that fails the exactness guard produces and
-    every later step accepts.
+    The same operations run over :class:`WeightedRows` (weights
+    multiply through the gathered indices, group sums are
+    ``add.reduceat`` over sorted keys); a weighted table may instead be
+    in :class:`_PyTableOps` weighted form, which is what a step that
+    fails the exactness guard produces and every later step accepts.
 
     ``size`` bounds the values (and is the packing radix); ``encoded``
     is the column source of :meth:`base_table` -- a kernel over
@@ -681,23 +649,33 @@ class NumpyTableOps:
     def iter_rows(table: tuple[tuple, object]) -> Iterable[list[int]]:
         return table[1].tolist()
 
-    # -- plain tables (the ∃-elimination) ---------------------------------
-    def join_project(
-        self, left: tuple[tuple, object], right: tuple[tuple, object], keep: tuple
-    ) -> tuple[tuple, object]:
+    # -- the join-project kernel ------------------------------------------
+    def join_project(self, left, right, keep: tuple):
         """The join of two tables on their shared columns, projected onto
-        ``keep``.  Matches expand in pieces of at most
+        ``keep``: a plain table dedups what the projection merges, a
+        weighted one sums its weights (a joined row weighs the product
+        of its two sources).  Matches expand in pieces of at most
         :data:`SEMIJOIN_ROW_CAP` pairs; each piece gathers only the kept
-        columns and is deduplicated before the next, so beyond the
-        output only one piece is ever held."""
+        columns and is merged before the next, so beyond the output
+        only one piece is ever held."""
         np = self.np
-        left_cols, left_rows = left
-        right_cols, right_rows = right
         keep = tuple(keep)
+        weighted = self.is_weighted(left)
+        if weighted and not (
+            isinstance(left, WeightedRows)
+            and isinstance(right, WeightedRows)
+            and left.bound * right.bound < _INT64_LIMIT
+        ):
+            return _join_project(self._exact(left), self._exact(right), keep)
+        left_cols, left_rows = left[:2]
+        right_cols, right_rows = right[:2]
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
-            return keep, np.empty((0, len(keep)), dtype=np.int64)
+            empty = np.empty((0, len(keep)), dtype=np.int64)
+            return self.weighted((keep, empty)) if weighted else (keep, empty)
         matches = self._match(left_cols, left_rows, right_cols, right_rows)
         if matches is None:  # shared columns too wide to pack: python rows
+            if weighted:
+                return _join_project(self._exact(left), self._exact(right), keep)
             return self.table(
                 *_join_project(
                     (left_cols, map(tuple, left_rows.tolist())),
@@ -718,110 +696,115 @@ class NumpyTableOps:
         pieces = []
         for left_idx, right_idx in self._pairs(*matches):
             rows = self._gather(narrow, left_idx, right_rows, right_idx, extra)
-            pieces.append(self._dedup(rows) if drops else rows)
-        rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        if len(pieces) > 1 and drops:
-            rows = self._dedup(rows)
-        return self.project((gathered, rows), keep)
+            piece = (
+                WeightedRows(
+                    gathered,
+                    rows,
+                    left.weights[left_idx] * right.weights[right_idx],
+                    left.bound * right.bound,
+                )
+                if weighted
+                else (gathered, rows)
+            )
+            pieces.append(self._merge(piece) if drops else piece)
+        if len(pieces) > 1:
+            pieces = [self._stack(pieces, drops)]
+        return self.project(pieces[0], keep)
 
-    def project(
-        self, table: tuple[tuple, object], keep: tuple
-    ) -> tuple[tuple, object]:
-        columns, rows = table
-        if tuple(keep) == columns:
+    def project(self, table, keep: tuple):
+        """``table`` projected onto ``keep``: a plain table dedups, a
+        weighted one sums the weights of the rows agreeing on ``keep``."""
+        columns, rows = table[:2]
+        keep = tuple(keep)
+        if keep == columns:
             return table  # rows are unique already
+        if isinstance(rows, dict):
+            return _project(table, keep)
         positions = [columns.index(c) for c in keep]
+        if isinstance(table, WeightedRows):
+            picked = WeightedRows(
+                keep, rows[:, positions], table.weights, table.bound
+            )
+            return picked if len(keep) == len(columns) else self._merge(picked)
         if not positions:
             # Zero columns: the projection is {()} iff any row survives.
-            return tuple(keep), rows[:0, :0] if rows.shape[0] == 0 else rows[:1, :0]
+            return keep, rows[:1, :0]
         rows = rows[:, positions]
         # A reordering of the columns keeps the rows unique.
-        return tuple(keep), rows if len(keep) == len(columns) else self._dedup(rows)
+        return keep, rows if len(keep) == len(columns) else self._dedup(rows)
 
-    # -- weighted tables (the junction-tree DP) ---------------------------
+    # -- weighted tables (the Σ pass) --------------------------------------
     def weighted(self, table: tuple[tuple, object]) -> WeightedRows:
         columns, rows = table
         return WeightedRows(
             columns, rows, self.np.ones(rows.shape[0], dtype=self.np.int64), 1
         )
 
-    def domain(self, variable, size: int) -> WeightedRows:
-        """The weighted one-column table of every value of ``variable``."""
-        return self.weighted(
-            ((variable,), self.np.arange(size, dtype=self.np.int64)[:, None])
-        )
-
-    def weighted_join(self, left, right):
-        """Join on the shared columns; a joined row weighs the product
-        of its two sources."""
-        np = self.np
-        if (
-            isinstance(left, WeightedRows)
-            and isinstance(right, WeightedRows)
-            and left.bound * right.bound < _INT64_LIMIT
-        ):
-            matches = self._match(left.columns, left.rows, right.columns, right.rows)
-            if matches is not None:
-                extra = [
-                    i for i, c in enumerate(right.columns) if c not in left.columns
-                ]
-                rows, weights = [], []
-                for left_idx, right_idx in self._pairs(*matches):
-                    rows.append(
-                        self._gather(left.rows, left_idx, right.rows, right_idx, extra)
-                    )
-                    weights.append(left.weights[left_idx] * right.weights[right_idx])
-                if len(rows) > 1:  # only a join past the row cap comes in pieces
-                    rows, weights = [np.concatenate(rows)], [np.concatenate(weights)]
-                return WeightedRows(
-                    left.columns + tuple(right.columns[i] for i in extra),
-                    rows[0],
-                    weights[0],
-                    left.bound * right.bound,
-                )
-        return _weighted_join(self._exact(left), self._exact(right))
-
-    def marginalize(self, table, keep: tuple, factor: int):
-        """Sum the weights of the rows agreeing on ``keep``, times
-        ``factor`` (``table`` is non-empty)."""
-        np = self.np
-        if isinstance(table, WeightedRows):
-            columns, rows, weights, bound = table
-            positions = [columns.index(c) for c in keep]
-            key = self._pack(rows, positions)
-            if key is not None:
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                starts = np.concatenate(
-                    ([0], np.flatnonzero(key[1:] != key[:-1]) + 1)
-                )
-                largest = int(np.diff(starts, append=key.shape[0]).max())
-                out_bound = largest * bound * factor
-                if out_bound < _INT64_LIMIT:
-                    # Never bincount(weights=): it accumulates in floats.
-                    sums = np.add.reduceat(weights[order], starts)
-                    if factor != 1:
-                        sums *= factor
-                    return WeightedRows(
-                        tuple(keep), rows[order[starts]][:, positions], sums, out_bound
-                    )
-        return _PyTableOps.marginalize(self._exact(table), keep, factor)
+    @staticmethod
+    def is_weighted(table) -> bool:
+        return isinstance(table, WeightedRows) or isinstance(table[1], dict)
 
     def total(self, table) -> int:
         if isinstance(table, WeightedRows):
-            if table.rows.shape[0] * table.bound < _INT64_LIMIT:
-                return int(table.weights.sum())
             return sum(table.weights.tolist())
         return _PyTableOps.total(table)
 
     # -- helpers ---------------------------------------------------------
     def _exact(self, table) -> tuple[tuple, dict]:
-        """``table`` in :class:`_PyTableOps` weighted form."""
-        if isinstance(table, WeightedRows):
-            return table.columns, dict(
-                zip(map(tuple, table.rows.tolist()), table.weights.tolist())
+        """``table`` in :class:`_PyTableOps` weighted form, equal rows
+        summed."""
+        if not isinstance(table, WeightedRows):
+            return table
+        rows: dict[tuple, int] = {}
+        pairs = zip(map(tuple, table.rows.tolist()), table.weights.tolist())
+        for row, weight in pairs:
+            rows[row] = rows.get(row, 0) + weight
+        return table.columns, rows
+
+    def _merge(self, table):
+        """Collapse the equal rows of a table: dedup a plain one, sum the
+        weights of a weighted one -- in python ints when a group's bound
+        would reach ``2**63`` or the rows are too wide to pack."""
+        np = self.np
+        if not isinstance(table, WeightedRows):
+            return table[0], self._dedup(table[1])
+        columns, rows, weights, bound = table
+        if rows.shape[0] <= 1:
+            return table
+        key = self._pack(rows, list(range(len(columns))))
+        if key is not None:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+            out_bound = int(np.diff(starts, append=key.shape[0]).max()) * bound
+            if out_bound < _INT64_LIMIT:
+                # Never bincount(weights=): it accumulates in floats.
+                sums = np.add.reduceat(weights[order], starts)
+                return WeightedRows(columns, rows[order[starts]], sums, out_bound)
+        return self._exact(table)
+
+    def _stack(self, pieces: list, drops: bool):
+        """One table from the pieces of a join, merged across pieces
+        when the join drops a column."""
+        np = self.np
+        columns = pieces[0][0]
+        if not self.is_weighted(pieces[0]):
+            rows = np.concatenate([piece[1] for piece in pieces])
+            return columns, self._dedup(rows) if drops else rows
+        if all(isinstance(piece, WeightedRows) for piece in pieces):
+            stacked = WeightedRows(
+                columns,
+                np.concatenate([piece.rows for piece in pieces]),
+                np.concatenate([piece.weights for piece in pieces]),
+                max(piece.bound for piece in pieces),
             )
-        return table
+            return self._merge(stacked) if drops else stacked
+        # A piece was summed in python ints: so are the rest.
+        out: dict[tuple, int] = {}
+        for piece in pieces:
+            for row, weight in self._exact(piece)[1].items():
+                out[row] = out.get(row, 0) + weight
+        return columns, out
 
     def _match(self, left_cols, left_rows, right_cols, right_rows):
         """Count the matches of a join on the shared columns without

@@ -18,7 +18,7 @@ live in :mod:`repro.algorithms.treewidth`.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable
+from typing import Iterable
 
 import networkx as nx
 
@@ -71,25 +71,6 @@ def component_substructures(
         sub = structure.restrict(component & structure.universe)
         pieces.append((sub, liberal_set & component))
     return pieces
-
-
-def primal_graph_of_atoms(
-    atom_scopes: Iterable[tuple[Hashable, ...]], vertices: Iterable[Hashable] = ()
-) -> nx.Graph:
-    """The primal graph of a collection of atom scopes.
-
-    Each scope (a tuple of variables) becomes a clique.  This is the
-    same construction as :func:`gaifman_graph` but starting from scopes
-    rather than a structure, which is convenient for query objects.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(vertices)
-    for scope in atom_scopes:
-        distinct = sorted(set(scope), key=repr)
-        graph.add_nodes_from(distinct)
-        for left, right in combinations(distinct, 2):
-            graph.add_edge(left, right)
-    return graph
 
 
 def is_connected_formula(structure: Structure, liberal: Iterable[Element]) -> bool:

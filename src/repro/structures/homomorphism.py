@@ -239,7 +239,7 @@ def count_homomorphisms(
     """Count the homomorphisms from ``source`` to ``target``.
 
     This is a brute-force count, a reference for the treewidth-aware
-    junction-tree DP :func:`repro.algorithms.csp.count_solutions_tables`.
+    variable elimination :func:`repro.algorithms.csp.count_solutions_tables`.
     """
     return sum(1 for _ in enumerate_homomorphisms(source, target, fixed, target_index))
 

@@ -182,6 +182,19 @@ def test_checker_detects_a_stale_data_side_attribute(tmp_path):
     assert any("`ContextStats.index_builds`" in p for p in problems)
 
 
+def test_checker_detects_a_stale_plan_attribute(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "A plan keeps `PPCountingPlan.order` and `PPCountingPlan.width`, from\n"
+        "`TreeDecomposition.elimination_order`; `PPCountingPlan.dp_schedule`\n"
+        "and `TreeDecomposition.rooted_order` are gone.\n"
+    )
+    problems = check_docs_freshness.check_attributes([page])
+    assert len(problems) == 2, problems
+    assert any("`PPCountingPlan.dp_schedule`" in p for p in problems)
+    assert any("`TreeDecomposition.rooted_order`" in p for p in problems)
+
+
 def test_docs_pages_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     for page in ("architecture.md", "http_api.md", "operations.md",

@@ -1,11 +1,13 @@
-"""The junction-tree DP kernel: one loop, two table backends.
+"""The elimination kernel's Σ pass: one loop, two table backends.
 
-``count_solutions_tables`` runs the same bag loop over the numpy kernel
-(``int64`` columns with an exact-integer guard) and the python one
-(dict-of-tuple hash joins), picked by the ``backend`` fixture.  Both
-must return the exact python int the ``CSPInstance`` reference counts:
-on every shape of decomposition, past 64 bits, and under a budget --
-which the vectorized joins charge before they allocate.
+``count_solutions_tables`` sums every variable out of weighted tables
+with ``csp.eliminate`` over the numpy kernel (``int64`` columns with an
+exact-integer guard) or the python one (dict-of-tuple hash joins),
+picked by the ``backend`` fixture.  Both must return the exact python
+int the ``CSPInstance`` reference counts: for every shape of
+elimination order, past 64 bits, along a decomposition thousands of
+bags deep, and under a budget -- which the vectorized joins charge
+before they allocate.
 """
 
 import random
@@ -31,7 +33,7 @@ from repro.structures.structure import Structure
 # The agreement matrix: scenario x seed x backend vs the reference
 # ----------------------------------------------------------------------
 def _path_bags(*bags):
-    """A decomposition whose bags form a path, rooted at the first."""
+    """A decomposition whose bags form a path."""
     return TreeDecomposition(
         dict(enumerate(bags)), [(i, i + 1) for i in range(len(bags) - 1)]
     )
@@ -39,24 +41,25 @@ def _path_bags(*bags):
 
 #: Scenario -> ``(variables, atoms, decomposition)``.  Atoms are
 #: ``(relation, scope)`` over the random structure's ``E/2`` and ``U/1``;
-#: ``None`` lets the kernel decompose the primal graph itself.
+#: ``None`` lets the data pick the whole elimination order.
 SCENARIOS = {
     "multi-bag": (
         "wxyz",
         [("E", "wx"), ("E", "xy"), ("E", "yz"), ("U", "y")],
         _path_bags("wx", "xy", "yz"),
     ),
-    # Two components of the contract graph, linked into one tree: the
-    # message between them has no columns.
+    # Two components: each is summed down to a zero-column weighted
+    # table, and the count is the product of their weights.
     "empty-separator": ("wxyz", [("E", "wx"), ("E", "yz")], None),
     "repeated-scope-variable": ("xy", [("E", "xx"), ("E", "xy")], None),
-    # Bag xy covers no table and its child reports on x only, so its
-    # separator variable y is joined in as the whole domain.
+    # Variables in no group: w is in no bag, so it is summed out in the
+    # last group, after the decomposition's groups.
     "unjoined-separator-variable": (
         "wxyz",
         [("E", "wx"), ("E", "yz")],
-        _path_bags("yz", "xy", "wx"),
+        _path_bags("yz", "xy"),
     ),
+    # Variables in no table: y and z are a factor ``domain_size`` each.
     "free-bag-variables": ("wxyz", [("E", "wx")], _path_bags("wxy", "xz")),
     "zero-variables": ("", [], None),
 }
@@ -120,68 +123,85 @@ def test_an_empty_intermediate_table_ends_the_count_at_zero(backend):
 # ----------------------------------------------------------------------
 # Exactness past 64 bits
 # ----------------------------------------------------------------------
-#: A star: centre ``c`` in 0..9, eight leaves with 300 values each.
-CENTRES, LEAVES, DEGREE = 10, 8, 300
-STAR_VARIABLES = ("c",) + tuple(f"l{i}" for i in range(LEAVES))
-STAR_TABLES = [
-    (("c", leaf), {(c, v) for c in range(CENTRES) for v in range(DEGREE)})
-    for leaf in STAR_VARIABLES[1:]
-]
-STAR_COUNT = CENTRES * DEGREE**LEAVES
-assert STAR_COUNT > 2**63
+#: A star: centre ``c``, eight leaves with 300 values each.
+LEAVES, DEGREE = 8, 300
+LEAF_VARIABLES = tuple(f"l{i}" for i in range(LEAVES))
+STAR_VARIABLES = ("c",) + LEAF_VARIABLES
 
-_LEAF_BAGS = {i: ("c", f"l{i}") for i in range(LEAVES)}
+#: The leaves, each summed onto the centre (a weight of 300 per centre
+#: value), then the centre.
+LEAVES_FIRST = (LEAF_VARIABLES, ("c",))
+#: Seven leaves, the centre -- its 300**7 join is summed onto the last
+#: leaf, a group of one row per centre value -- then the last leaf.
+CENTRE_BEFORE_LAST_LEAF = (LEAF_VARIABLES[:-1], ("c",), LEAF_VARIABLES[-1:])
 
-#: Where a weight bound first reaches 2**63 -> the decomposition that
-#: puts it there (bag ids: leaf bags 0..7, the bare centre 8).
-STAR_DECOMPOSITIONS = {
-    # Eight messages of weight 300 meet in the bare centre bag.
-    "join": TreeDecomposition(
-        {8: ("c",), **_LEAF_BAGS}, [(8, i) for i in range(LEAVES)]
-    ),
-    # Seven meet in leaf bag 0 (300**7 fits); summing its 300 leaves
-    # onto the centre does not.
-    "marginalization": TreeDecomposition(
-        {8: ("c",), **_LEAF_BAGS},
-        [(8, 0)] + [(0, i) for i in range(1, LEAVES)],
-    ),
-    # The same seven meet in the root itself; only its sum overflows.
-    "root-sum": TreeDecomposition(
-        _LEAF_BAGS, [(0, i) for i in range(1, LEAVES)]
-    ),
+#: Where a weight bound first reaches 2**63 -> ``(centres, order, the
+#: first step the numpy kernel hands to python ints)``.
+STAR_CASES = {
+    # The eighth 300-weight table joined on the centre: 300**8.
+    "join": (10, LEAVES_FIRST, ("join", ())),
+    # 50 centre values x 300**7 in one group of the sum onto l7.
+    "marginalization": (50, CENTRE_BEFORE_LAST_LEAF, ("sum", ("l7",))),
+    # 10 x 300**7 fits; the final total over l7's 300 values does not.
+    "root-sum": (10, CENTRE_BEFORE_LAST_LEAF, ("sum", ())),
 }
 
 
-@pytest.mark.parametrize("overflow_in", STAR_DECOMPOSITIONS)
+@pytest.mark.parametrize("overflow_in", STAR_CASES)
 def test_star_counts_exactly_past_64_bits(backend, monkeypatch, overflow_in):
-    exact_steps = []
+    centres, order, first_handoff = STAR_CASES[overflow_in]
+    tables = [
+        (("c", leaf), {(c, v) for c in range(centres) for v in range(DEGREE)})
+        for leaf in LEAF_VARIABLES
+    ]
+    handoffs = []
+    real_join, real_merge = encoding._join_project, encoding.NumpyTableOps._merge
 
-    def spy_on(owner, name):
-        real = getattr(owner, name)
+    def join(left, right, keep):
+        handoffs.append(("join", tuple(keep)))
+        return real_join(left, right, keep)
 
-        def spy(*args):
-            exact_steps.append(name)
-            return real(*args)
+    def merge(self, table):
+        merged = real_merge(self, table)
+        if isinstance(table, encoding.WeightedRows) and not isinstance(
+            merged, encoding.WeightedRows
+        ):
+            handoffs.append(("sum", table.columns))
+        return merged
 
-        monkeypatch.setattr(
-            owner, name, spy if owner is encoding else staticmethod(spy)
-        )
-
-    # The two python-int steps the numpy kernel can hand a table to.
-    spy_on(encoding, "_weighted_join")
-    spy_on(encoding._PyTableOps, "marginalize")
-    count = count_solutions_tables(
-        STAR_VARIABLES, DEGREE, STAR_TABLES, STAR_DECOMPOSITIONS[overflow_in]
-    )
+    # The numpy kernel's two python-int steps: a join, and a merge of
+    # the rows a projection made equal.
+    monkeypatch.setattr(encoding, "_join_project", join)
+    monkeypatch.setattr(encoding.NumpyTableOps, "_merge", merge)
+    count = count_solutions_tables(STAR_VARIABLES, DEGREE, tables, order=order)
     assert type(count) is int
-    assert count == STAR_COUNT
+    assert count == centres * DEGREE**LEAVES > 2**63
     if backend == "numpy":
         # The guard hands over exactly where the bound says, not before.
-        assert exact_steps[:1] == {
-            "join": ["_weighted_join"],
-            "marginalization": ["marginalize"],
-            "root-sum": [],
-        }[overflow_in]
+        assert handoffs[:1] == [first_handoff]
+
+
+def test_a_path_thousands_of_bags_deep_counts_exactly(backend):
+    # Walks on 0 -> 1, 1 -> 0, 1 -> 1: the binary words without "00",
+    # F(k + 3) of them for k edges -- past 2**63 long before the end.
+    rows = {(0, 1), (1, 0), (1, 1)}
+    edges = 3000
+    variables = [f"v{i}" for i in range(edges + 1)]
+    decomposition = _path_bags(*zip(variables, variables[1:]))
+    tables = [(scope, rows) for scope in zip(variables, variables[1:])]
+    fibonacci = [0, 1]
+    while len(fibonacci) < edges + 4:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    count = count_solutions_tables(variables, 2, tables, decomposition)
+    assert count == fibonacci[edges + 3] > 2**63
+    # The same kernel on a path short enough for the reference.
+    short = variables[:13]
+    instance = CSPInstance.build(
+        short, range(2), [Constraint(s, frozenset(rows)) for s in zip(short, short[1:])]
+    )
+    assert count_solutions_tables(
+        short, 2, tables[:12], _path_bags(*zip(short, short[1:]))
+    ) == count_solutions_backtracking(instance) == fibonacci[15]
 
 
 # ----------------------------------------------------------------------
@@ -191,23 +211,31 @@ needs_numpy = pytest.mark.skipif(
     not encoding.numpy_available(), reason="numpy not importable"
 )
 
+#: The shared variable first: its join is the ``rows**2`` product.
+SHARED_FIRST = (("z",), ("x", "y"))
 
-def _cross_join_tables(rows: int):
-    """Two one-column tables whose join is their ``rows**2`` product."""
-    return [(("x",), {(v,) for v in range(rows)}), (("y",), {(v,) for v in range(rows)})]
+
+def _shared_join_tables(rows: int):
+    """``A(x, z)`` and ``B(z, y)`` meeting in one ``z`` value: every
+    ``(x, y)`` pair joins, ``rows**2`` of them."""
+    return [
+        (("x", "z"), {(v, 0) for v in range(rows)}),
+        (("z", "y"), {(0, v) for v in range(rows)}),
+    ]
 
 
 @needs_numpy
 def test_a_join_is_charged_before_its_output_is_allocated():
     rows = 1500
     output_bytes = rows * rows * 2 * 8  # int64 row matrix of the product
-    tables = _cross_join_tables(rows)
-    decomposition = TreeDecomposition({0: ("x", "y")})
+    tables = _shared_join_tables(rows)
     tracemalloc.start()
     try:
         with budget_scope(CostBudget(max_steps=rows * rows // 2)):
             with pytest.raises(BudgetExceeded) as excinfo:
-                count_solutions_tables(("x", "y"), rows, tables, decomposition)
+                count_solutions_tables(
+                    ("x", "y", "z"), rows, tables, order=SHARED_FIRST
+                )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -227,9 +255,9 @@ def test_a_join_past_the_row_cap_is_expanded_in_pieces(monkeypatch):
         return real(self, left_rows, left_idx, *rest)
 
     monkeypatch.setattr(encoding.NumpyTableOps, "_gather", recording_gather)
-    tables = _cross_join_tables(rows) + [(("x", "y"), {(1, 2), (3, 4)})]
+    tables = _shared_join_tables(rows) + [(("x", "y"), {(1, 2), (3, 4)})]
     count = count_solutions_tables(
-        ("x", "y"), rows, tables, TreeDecomposition({0: ("x", "y")})
+        ("x", "y", "z"), rows, tables, order=SHARED_FIRST
     )
     assert count == 2
     # The 90000-row product came in capped pieces, then the 2-row join.

@@ -107,6 +107,8 @@ _ATTR_OWNERS = {
     "EncodedStructure": "repro.structures.encoding",
     "StructureRegistry": "repro.engine.registry",
     "ClusterCoordinator": "repro.cluster.coordinator",
+    "PPCountingPlan": "repro.algorithms.fpt_counting",
+    "TreeDecomposition": "repro.algorithms.decomposition",
 }
 
 #: An inline code span, and a ``Class.attr`` mention inside one.
@@ -418,6 +420,13 @@ def _owner_instance(name: str):
         from repro.structures.structure import Structure
 
         return cls(Structure.from_relations({"E": [(1, 2)]}))
+    if name == "PPCountingPlan":
+        from repro.algorithms.fpt_counting import compile_pp_plan
+        from repro.workloads.generators import path_query
+
+        return compile_pp_plan(path_query(2))
+    if name == "TreeDecomposition":
+        return cls({0: ("x",)})
     return cls()
 
 
