@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import networkx as nx
 
@@ -132,7 +132,13 @@ def exists_components(formula: PPFormula, use_core: bool = True) -> list[ExistsC
         components.append(
             ExistsComponent(interior=interior, boundary=frozenset(boundary), structure=structure)
         )
-    return sorted(components, key=lambda c: min(repr(v) for v in c.vertices))
+    # Components may share their least vertex (a boundary variable);
+    # interiors are disjoint, so the least interior variable breaks the
+    # tie whatever order the hash-seeded sets above came in.
+    return sorted(
+        components,
+        key=lambda c: (min(repr(v) for v in c.vertices), min(repr(v) for v in c.interior)),
+    )
 
 
 def contract_graph(formula: PPFormula, use_core: bool = True) -> nx.Graph:
@@ -143,6 +149,11 @@ def contract_graph(formula: PPFormula, use_core: bool = True) -> nx.Graph:
     boundary of every ∃-component.
     """
     base = _core_or_self(formula, use_core)
+    return _contract_graph(base, exists_components(base, use_core=False))
+
+
+def _contract_graph(base: PPFormula, components: Iterable[ExistsComponent]) -> nx.Graph:
+    """The contract graph of ``base`` from its ∃-components."""
     graph = base.graph()
     liberal = base.liberal
     contract = nx.Graph()
@@ -150,7 +161,7 @@ def contract_graph(formula: PPFormula, use_core: bool = True) -> nx.Graph:
     for left, right in graph.edges:
         if left in liberal and right in liberal:
             contract.add_edge(left, right)
-    for component in exists_components(base, use_core=False):
+    for component in components:
         boundary = sorted(component.boundary, key=lambda v: v.name)
         for i, left in enumerate(boundary):
             for right in boundary[i + 1 :]:
@@ -235,13 +246,19 @@ def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan
     """
     base = _core_or_self(formula, use_core)
     liberal = tuple(sorted(base.liberal, key=lambda v: v.name))
-    scopes: list[tuple[str, tuple[Variable, ...]]] = []
-    for name, tuples in base.structure.relations.items():
-        for t in tuples:
-            if all(v in base.liberal for v in t):
-                scopes.append((name, tuple(t)))
+    # Repr-sorted, like ``ExistsComponent.atom_scopes``: the relations
+    # are frozensets, whose order varies with the hash seed.
+    scopes = sorted(
+        (
+            (name, tuple(t))
+            for name, tuples in base.structure.relations.items()
+            for t in tuples
+            if all(v in base.liberal for v in t)
+        ),
+        key=repr,
+    )
     components = tuple(exists_components(base, use_core=False))
-    width, decomposition = treewidth(contract_graph(base, use_core=False))
+    width, decomposition = treewidth(_contract_graph(base, components))
     return PPCountingPlan(
         formula=formula,
         base=base,

@@ -8,22 +8,29 @@ experiments on larger synthetic graphs and as a fast upper bound.
 
 Exact algorithm
 ---------------
-The dynamic program of Bodlaender et al. over subsets of vertices: for a
-subset ``S`` already eliminated, ``tw(S)`` is the minimum over the next
-vertex ``v`` of ``max(tw(S \\ {v}), q(S \\ {v}, v))`` where ``q(S', v)``
-counts the vertices outside ``S'`` adjacent to ``v`` *through* ``S'``
-(i.e. reachable from ``v`` via internal vertices in ``S'``).  Runs in
+One memoized dynamic program of Bodlaender, Fomin, Koster, Kratsch and
+Thilikos (*On exact algorithms for treewidth*, ESA 2006) over subsets
+of vertices, in :func:`_solve`.  For a subset ``S`` already
+eliminated, ``rest(S)`` is the least width that eliminates the rest:
+the minimum over the next vertex ``v`` of ``max(q(S, v), rest(S ∪
+{v}))``, where ``q(S, v)`` counts the vertices outside ``S`` adjacent
+to ``v`` *through* ``S`` (reachable from ``v`` via internal vertices in
+``S``), which is ``v``'s degree in the graph ``S``'s elimination
+leaves.  The treewidth is ``rest(∅)``, and an optimal ordering is read
+from the same memo by a walk that keeps ``rest`` at the width.  Runs in
 ``O*(2^n)`` and is used up to ``exact_threshold`` vertices.
 
 Heuristics
 ----------
 Min-degree and min-fill elimination orderings, returning both an upper
-bound and the corresponding tree decomposition.
+bound and the corresponding tree decomposition.  Each keeps its
+vertices' keys in a heap and recomputes, after an elimination, only
+the keys the elimination can change.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import heapq
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -44,44 +51,70 @@ DEFAULT_EXACT_THRESHOLD = 13
 # ----------------------------------------------------------------------
 # Elimination-ordering heuristics
 # ----------------------------------------------------------------------
+def _fill_in(neighbors: dict[Vertex, set[Vertex]], vertex: Vertex) -> int:
+    """The edges eliminating ``vertex`` would add between its neighbours."""
+    around = neighbors[vertex] - {vertex}
+    adjacent_twice = sum(
+        len(neighbors[other] & around) - (other in neighbors[other]) for other in around
+    )
+    return len(around) * (len(around) - 1) // 2 - adjacent_twice // 2
+
+
+def _greedy_ordering(graph: nx.Graph, fill: bool) -> list[Vertex]:
+    """Repeatedly eliminate the vertex of least ``(fill-in, degree, repr)``
+    (``fill``) or ``(degree, repr)``, ties in node order.
+
+    Each vertex's key sits in a heap (stale entries are skipped when
+    popped).  Eliminating ``v`` changes only the degrees of ``v``'s
+    neighbours and only the fill-ins of those neighbours and of their
+    neighbours, so only their keys are recomputed.
+    """
+    neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes}
+    by_rank = sorted(graph.nodes, key=repr)
+    rank = {v: i for i, v in enumerate(by_rank)}
+
+    def key(vertex: Vertex) -> tuple[int, ...]:
+        # A self-loop counts twice towards the degree, as in networkx.
+        degree = len(neighbors[vertex]) + (vertex in neighbors[vertex])
+        if fill:
+            return (_fill_in(neighbors, vertex), degree, rank[vertex])
+        return (degree, rank[vertex])
+
+    current = {v: key(v) for v in by_rank}
+    heap = list(current.values())
+    heapq.heapify(heap)
+    ordering: list[Vertex] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        vertex = by_rank[entry[-1]]
+        if current.get(vertex) != entry:
+            continue
+        del current[vertex]
+        ordering.append(vertex)
+        around = neighbors.pop(vertex) - {vertex}
+        for other in around:
+            neighbors[other].discard(vertex)
+            neighbors[other] |= around - {other}
+        touched = set(around)
+        if fill:
+            for other in around:
+                touched |= neighbors[other]
+        for other in touched:
+            updated = key(other)
+            if updated != current[other]:
+                current[other] = updated
+                heapq.heappush(heap, updated)
+    return ordering
+
+
 def min_degree_ordering(graph: nx.Graph) -> list[Vertex]:
     """The min-degree elimination ordering."""
-    working = graph.copy()
-    ordering: list[Vertex] = []
-    while working.nodes:
-        vertex = min(working.nodes, key=lambda v: (working.degree(v), repr(v)))
-        neighbors = list(working.neighbors(vertex))
-        for i, left in enumerate(neighbors):
-            for right in neighbors[i + 1 :]:
-                working.add_edge(left, right)
-        working.remove_node(vertex)
-        ordering.append(vertex)
-    return ordering
+    return _greedy_ordering(graph, fill=False)
 
 
 def min_fill_ordering(graph: nx.Graph) -> list[Vertex]:
     """The min-fill elimination ordering (minimize edges added per step)."""
-    working = graph.copy()
-    ordering: list[Vertex] = []
-
-    def fill_in(vertex: Vertex) -> int:
-        neighbors = list(working.neighbors(vertex))
-        missing = 0
-        for i, left in enumerate(neighbors):
-            for right in neighbors[i + 1 :]:
-                if not working.has_edge(left, right):
-                    missing += 1
-        return missing
-
-    while working.nodes:
-        vertex = min(working.nodes, key=lambda v: (fill_in(v), working.degree(v), repr(v)))
-        neighbors = list(working.neighbors(vertex))
-        for i, left in enumerate(neighbors):
-            for right in neighbors[i + 1 :]:
-                working.add_edge(left, right)
-        working.remove_node(vertex)
-        ordering.append(vertex)
-    return ordering
+    return _greedy_ordering(graph, fill=True)
 
 
 def width_of_ordering(graph: nx.Graph, ordering: Sequence[Vertex]) -> int:
@@ -118,20 +151,37 @@ def treewidth_upper_bound(graph: nx.Graph, heuristic: str = "min_fill") -> tuple
 # ----------------------------------------------------------------------
 # Exact treewidth
 # ----------------------------------------------------------------------
-def _exact_treewidth_value(graph: nx.Graph) -> int:
-    """Exact treewidth via subset dynamic programming."""
+def _adjacency(graph: nx.Graph) -> tuple[list[Vertex], tuple[int, ...]]:
+    """The vertices in ``repr`` order and each one's neighbours as a
+    bitmask over that order."""
     vertices = sorted(graph.nodes, key=repr)
-    n = len(vertices)
-    if n == 0:
-        return -1
     index_of = {v: i for i, v in enumerate(vertices)}
-    adjacency = [0] * n
+    adjacency = [0] * len(vertices)
     for left, right in graph.edges:
         adjacency[index_of[left]] |= 1 << index_of[right]
         adjacency[index_of[right]] |= 1 << index_of[left]
+    return vertices, tuple(adjacency)
+
+
+def _solve(adjacency: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(treewidth, optimal elimination ordering)`` of the graph whose
+    vertex ``i`` has the neighbour bitmask ``adjacency[i]``.
+
+    One memoized subset DP: ``rest(S)`` is the least width with which
+    the vertices outside ``S`` can be eliminated once those in ``S``
+    are, the treewidth is ``rest(∅)``.  The ordering is read from the
+    same memo: at every step, the first vertex by (degree in the
+    filled graph, index) whose degree is at most the width and after
+    which ``rest`` stays at most the width.
+    """
+    n = len(adjacency)
+    if n == 0:
+        return -1, ()
+    full = (1 << n) - 1
 
     def q(eliminated: int, vertex: int) -> int:
-        """Neighbors of ``vertex`` outside ``eliminated`` reachable through it."""
+        """Neighbours of ``vertex`` outside ``eliminated`` reachable
+        through it: ``vertex``'s degree once ``eliminated`` is."""
         seen = 1 << vertex
         frontier = adjacency[vertex]
         reachable_outside = 0
@@ -150,66 +200,57 @@ def _exact_treewidth_value(graph: nx.Graph) -> int:
             frontier = next_frontier
         return bin(reachable_outside).count("1")
 
-    from functools import lru_cache as _cache
+    memo = {full: -1}
 
-    @_cache(maxsize=None)
-    def tw(eliminated: int) -> int:
-        if eliminated == 0:
-            return -1
-        best = n
-        bits = eliminated
-        while bits:
-            low = bits & -bits
-            vertex = low.bit_length() - 1
-            bits ^= low
-            remaining = eliminated ^ low
-            candidate = max(tw(remaining), q(remaining, vertex))
-            if candidate < best:
-                best = candidate
+    def rest(eliminated: int) -> int:
+        best = memo.get(eliminated)
+        if best is None:
+            best = n
+            bits = full ^ eliminated
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                degree = q(eliminated, low.bit_length() - 1)
+                # max(degree, rest(...)) cannot beat ``best`` otherwise.
+                if degree < best:
+                    best = min(best, max(degree, rest(eliminated | low)))
+            memo[eliminated] = best
         return best
 
-    return tw((1 << n) - 1)
-
-
-def _optimal_ordering(graph: nx.Graph, target_width: int) -> list[Vertex]:
-    """Recover an elimination ordering of width ``target_width`` greedily.
-
-    Repeatedly pick a vertex whose elimination keeps the remaining
-    graph's exact treewidth at most ``target_width`` and whose current
-    degree is at most ``target_width``.
-    """
-    working = graph.copy()
-    ordering: list[Vertex] = []
-    while working.nodes:
-        placed = False
-        for vertex in sorted(working.nodes, key=lambda v: (working.degree(v), repr(v))):
-            if working.degree(vertex) > target_width:
-                continue
-            candidate = working.copy()
-            neighbors = list(candidate.neighbors(vertex))
-            for i, left in enumerate(neighbors):
-                for right in neighbors[i + 1 :]:
-                    candidate.add_edge(left, right)
-            candidate.remove_node(vertex)
-            if _exact_treewidth_value(candidate) <= target_width:
-                working = candidate
-                ordering.append(vertex)
-                placed = True
+    width = rest(0)
+    ordering: list[int] = []
+    eliminated = 0
+    while eliminated != full:
+        candidates = sorted(
+            (q(eliminated, v), v) for v in range(n) if not eliminated >> v & 1
+        )
+        for degree, vertex in candidates:
+            if degree > width:
                 break
-        if not placed:
+            if rest(eliminated | 1 << vertex) <= width:
+                ordering.append(vertex)
+                eliminated |= 1 << vertex
+                break
+        else:
             raise DecompositionError(
                 "failed to recover an optimal elimination ordering; "
                 "this indicates a bug in the exact treewidth computation"
             )
-    return ordering
+    return width, tuple(ordering)
+
+
+def _exact_treewidth_value(graph: nx.Graph) -> int:
+    """Exact treewidth via subset dynamic programming."""
+    return _solve(_adjacency(graph)[1])[0]
 
 
 def treewidth_exact(graph: nx.Graph) -> tuple[int, TreeDecomposition]:
     """The exact treewidth and an optimal tree decomposition."""
     if graph.number_of_nodes() == 0:
         return -1, trivial_decomposition(graph)
-    width = _exact_treewidth_value(graph)
-    ordering = _optimal_ordering(graph, width)
+    vertices, adjacency = _adjacency(graph)
+    width, indices = _solve(adjacency)
+    ordering = [vertices[i] for i in indices]
     decomposition = decomposition_from_elimination_ordering(graph, ordering)
     return width, decomposition
 

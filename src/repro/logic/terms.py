@@ -26,6 +26,11 @@ class Variable:
         if not self.name:
             raise FormulaError("variable name must be non-empty")
 
+    def __hash__(self) -> int:
+        # A str caches its hash; the generated hash would build a
+        # ``(name,)`` tuple on every call.
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

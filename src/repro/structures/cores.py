@@ -86,25 +86,46 @@ def is_core(structure: Structure) -> bool:
 def core(structure: Structure) -> Structure:
     """Compute a core of ``structure``.
 
-    Greedily removes elements while a homomorphism from the current
-    structure into the smaller induced substructure exists.  The result
-    is an induced substructure that is a core and is homomorphically
+    One pass over the elements in ``repr`` order: each element still
+    present is tried once, and when the current structure maps
+    homomorphically into its substructure without that element, the
+    current structure is retracted onto the image.  The result is an
+    induced substructure that is a core and is homomorphically
     equivalent to the input (cores are unique up to isomorphism).
+
+    One try per element suffices.  Suppose ``current`` has no
+    homomorphism to ``current - e``, and ``C'`` is a later retract of
+    it (so ``current -> C'`` and ``C' ⊆ current``).  Then ``C'`` has no
+    homomorphism to ``C' - e`` either, since ``current -> C' -> C' - e
+    ⊆ current - e`` would compose into one.  So an element that fails
+    once fails for good, and restarting the pass after every
+    retraction would retry only failures: this pass makes the same
+    retractions, with the same homomorphisms, in the same order, and
+    ends at the same core.
+
+    Elements of a relation's only tuple are never tried: without them
+    that relation is empty in the smaller structure, so no homomorphism
+    exists.  The singleton relation ``@lib_a = {(a,)}`` of an augmented
+    structure pins its liberal variable ``a`` this way, so the searches
+    number at most the quantified elements.
     """
+    pinned = {
+        element
+        for tuples in structure.relations.values()
+        if len(tuples) == 1
+        for t in tuples
+        for element in t
+    }
     current = structure
-    changed = True
-    while changed:
-        changed = False
-        for element in sorted(current.universe, key=repr):
-            smaller = current.restrict(current.universe - {element})
-            hom = find_homomorphism(current, smaller)
-            if hom is not None:
-                # Retract: the image of the current structure inside the
-                # smaller one is again hom-equivalent to the original.
-                image = {hom[e] for e in current.universe}
-                current = current.restrict(image)
-                changed = True
-                break
+    for element in sorted(structure.universe, key=repr):
+        if element in pinned or element not in current.universe:
+            continue
+        smaller = current.restrict(current.universe - {element})
+        hom = find_homomorphism(current, smaller)
+        if hom is not None:
+            # Retract: the image of the current structure inside the
+            # smaller one is again hom-equivalent to the original.
+            current = current.restrict({hom[e] for e in current.universe})
     return current
 
 

@@ -3,10 +3,13 @@
 Compiles the seeded ad-hoc stream the benchmark's ``warm-http-mix``
 draws from (``random_ucq(3, 5, 5)``, liberal count cycling 2, 3, 5) and
 counts calls instead of timing them: each inclusion-exclusion term is
-cored once, each compiled pp-plan runs the exact treewidth once, and
-cancellation runs the exact renaming-equivalence search only between
-terms whose cores share an invariant.  Counting the same stream, every
-∃-component is eliminated on the tables, never backtracked.
+cored once, with at most one homomorphism search per quantified
+variable, each compiled pp-plan runs the exact treewidth once, the
+subset DP runs once per measured graph (once on the contract graph and
+once on the core graph of a pp-plan), and cancellation runs the exact
+renaming-equivalence search only between terms whose cores share an
+invariant.  Counting the same stream, every ∃-component is eliminated
+on the tables, never backtracked.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import repro.engine.plan as plan_module
 import repro.logic.pp as pp
 import repro.structures.cores as cores
 from repro.engine import Engine
+from repro.structures.cores import AUGMENT_PREFIX
 from repro.structures.random_gen import random_cluster_graph
 from repro.workloads.generators import random_ucq
 
@@ -48,8 +52,39 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
         return wrapper
 
     core = counted("core", cores.core)
-    monkeypatch.setattr(cores, "core", core)
-    monkeypatch.setattr(pp, "core", core)
+    searches = 0
+    over_budget = []
+
+    def searched_core(structure):
+        # Liberal variables are pinned by their ``@lib_`` relations.
+        nonlocal searches
+        quantified = len(structure.universe) - sum(
+            name.startswith(AUGMENT_PREFIX) for name in structure.signature.names
+        )
+        before = searches
+        result = core(structure)
+        if searches - before > quantified:
+            over_budget.append((searches - before, quantified))
+        return result
+
+    def find_homomorphism(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return search(*args, **kwargs)
+
+    search = cores.find_homomorphism
+    monkeypatch.setattr(cores, "find_homomorphism", find_homomorphism)
+    monkeypatch.setattr(cores, "core", searched_core)
+    monkeypatch.setattr(pp, "core", searched_core)
+    dp_runs = 0
+    solve = treewidth_module._solve
+
+    def counted_solve(adjacency):
+        nonlocal dp_runs
+        dp_runs += 1
+        return solve(adjacency)
+
+    monkeypatch.setattr(treewidth_module, "_solve", counted_solve)
     monkeypatch.setattr(
         treewidth_module,
         "treewidth_exact",
@@ -85,6 +120,8 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
     assert calls["core"] <= raw_terms, calls
     assert calls["treewidth_exact"] <= pp_plans, calls
     assert calls["renaming_equivalent"] <= QUERY_COUNT, calls
+    assert searches > 0 and not over_budget, over_budget
+    assert 0 < dp_runs <= 2 * pp_plans, (dp_runs, pp_plans)
 
 
 def test_every_ad_hoc_component_is_eliminated_on_the_tables():

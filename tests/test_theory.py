@@ -13,14 +13,22 @@ backends, against the naive count.
 from __future__ import annotations
 
 import copy
+import importlib
+import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from repro.algorithms.brute_force import count_answers_naive
 from repro.algorithms.clique import answers_to_clique_count, clique_query, count_cliques
 from repro.algorithms.fpt_counting import contract_graph, count_pp_answers_fpt
-from repro.algorithms.treewidth import DEFAULT_EXACT_THRESHOLD, width_of_ordering
+from repro.algorithms.treewidth import (
+    DEFAULT_EXACT_THRESHOLD,
+    min_degree_ordering,
+    min_fill_ordering,
+    width_of_ordering,
+)
 from repro.core.classification import measure_pp_class, trichotomy_case
 from repro.core.equivalence import group_by_counting_equivalence, renaming_equivalent
 from repro.core.inclusion_exclusion import raw_inclusion_exclusion
@@ -30,6 +38,8 @@ from repro.engine.plan import PROFILE_EXACT_THRESHOLD, as_ep, compile_plan
 from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
+from repro.structures.cores import core, is_core
+from repro.structures.homomorphism import find_homomorphism, homomorphic_equivalent
 from repro.structures.random_gen import random_graph
 from repro.structures.structure import Structure
 from repro.workloads.generators import (
@@ -45,6 +55,10 @@ from repro.workloads.generators import (
     star_query,
     union_of_paths_query,
 )
+
+# ``repro.algorithms`` re-exports the function ``treewidth`` under the
+# module's name, so attribute access would reach the function.
+treewidth_module = importlib.import_module("repro.algorithms.treewidth")
 
 SEEDS = (0, 1, 2)
 CLIQUE_SIZES = (2, 3, 4)
@@ -314,3 +328,293 @@ def test_alpha_renamed_generator_queries_count_alike(backend, name, renaming):
         assert execute(compile_plan(renamed), graph) == execute(
             compile_plan(query), graph
         )
+
+
+# ----------------------------------------------------------------------
+# Query-side algorithms against their references
+# ----------------------------------------------------------------------
+QUERY_SEEDS = range(6)
+LIBERAL_COUNTS = range(6)
+QUERY_CELLS = [
+    pytest.param(seed, liberal, id=f"seed{seed}-liberal{liberal}")
+    for seed in QUERY_SEEDS
+    for liberal in LIBERAL_COUNTS
+]
+
+
+def _random_pp(seed: int, liberal: int) -> PPFormula:
+    """A random pp-formula on at most 7 variables, ``liberal`` of them
+    liberal: binary ``E``-atoms, a loop or a unary ``U``-atom now and
+    then."""
+    rng = random.Random(seed * 10 + liberal)
+    names = [f"v{i}" for i in range(rng.randint(max(liberal, 2), 7))]
+    atoms = [("E", tuple(rng.sample(names, 2))) for _ in range(rng.randint(2, 9))]
+    if rng.random() < 0.5:
+        atoms.append(("E", (rng.choice(names),) * 2))
+    if rng.random() < 0.5:
+        atoms.append(("U", (rng.choice(names),)))
+    return pp_from_atom_specs(atoms, liberal=rng.sample(names, liberal))
+
+
+def _restart_loop_core(structure: Structure) -> Structure:
+    """The reference core: after every retraction, retry every element
+    from the first."""
+    current = structure
+    changed = True
+    while changed:
+        changed = False
+        for element in sorted(current.universe, key=repr):
+            smaller = current.restrict(current.universe - {element})
+            hom = find_homomorphism(current, smaller)
+            if hom is not None:
+                current = current.restrict({hom[e] for e in current.universe})
+                changed = True
+                break
+    return current
+
+
+@pytest.mark.parametrize("seed,liberal", QUERY_CELLS)
+def test_the_one_pass_core_is_the_restart_loops_core(seed, liberal):
+    augmented = _random_pp(seed, liberal).augmented()
+    cored = core(augmented)
+    reference = _restart_loop_core(augmented)
+    assert cored.universe == reference.universe
+    assert cored.relations == reference.relations
+    assert is_core(cored)
+    assert homomorphic_equivalent(cored, augmented)
+
+
+def _adjacency_sets(graph: nx.Graph) -> dict:
+    return {v: set(graph.neighbors(v)) - {v} for v in graph.nodes}
+
+
+def _eliminated(adjacency: dict, vertex) -> dict:
+    around = adjacency[vertex]
+    return {
+        v: (neighbors | around) - {v, vertex} if v in around else neighbors
+        for v, neighbors in adjacency.items()
+        if v != vertex
+    }
+
+
+def _brute_width(adjacency: dict) -> int:
+    """The least width over every elimination ordering (a depth-first
+    walk of all permutations, sharing prefixes)."""
+    if not adjacency:
+        return -1
+    return min(
+        max(len(adjacency[v]), _brute_width(_eliminated(adjacency, v)))
+        for v in adjacency
+    )
+
+
+@pytest.mark.parametrize("seed,liberal", QUERY_CELLS)
+def test_the_subset_dp_finds_the_least_width_by_the_degree_rule(seed, liberal):
+    formula = _random_pp(seed, liberal)
+    for graph in (formula.graph(), contract_graph(formula)):
+        assert graph.number_of_nodes() <= 7
+        vertices, adjacency = treewidth_module._adjacency(graph)
+        width, indices = treewidth_module._solve(adjacency)
+        ordering = [vertices[i] for i in indices]
+        assert width == _brute_width(_adjacency_sets(graph))
+        assert sorted(ordering, key=repr) == vertices
+        if not ordering:
+            continue
+        assert width_of_ordering(graph, ordering) == width
+        # Each step takes the first vertex by (degree, repr) that keeps
+        # the rest within the width: every vertex before it fails.
+        remaining = _adjacency_sets(graph)
+        for chosen in ordering:
+            for vertex in sorted(remaining, key=lambda v: (len(remaining[v]), repr(v))):
+                if vertex == chosen:
+                    break
+                assert (
+                    len(remaining[vertex]) > width
+                    or _brute_width(_eliminated(remaining, vertex)) > width
+                )
+            remaining = _eliminated(remaining, chosen)
+
+
+def _naive_ordering(graph: nx.Graph, fill: bool) -> list:
+    """The reference heuristic: rescan every vertex at every step."""
+    working = graph.copy()
+    ordering = []
+
+    def fill_in(vertex) -> int:
+        neighbors = list(working.neighbors(vertex))
+        return sum(
+            not working.has_edge(left, right)
+            for i, left in enumerate(neighbors)
+            for right in neighbors[i + 1 :]
+        )
+
+    def key(vertex):
+        if fill:
+            return (fill_in(vertex), working.degree(vertex), repr(vertex))
+        return (working.degree(vertex), repr(vertex))
+
+    while working.nodes:
+        vertex = min(working.nodes, key=key)
+        neighbors = list(working.neighbors(vertex))
+        for i, left in enumerate(neighbors):
+            for right in neighbors[i + 1 :]:
+                working.add_edge(left, right)
+        working.remove_node(vertex)
+        ordering.append(vertex)
+    return ordering
+
+
+HEURISTIC_CELLS = [
+    pytest.param(seed, size, id=f"seed{seed}-n{size}")
+    for seed in range(4)
+    for size in (20, 50, 80)
+]
+
+
+@pytest.mark.parametrize("seed,size", HEURISTIC_CELLS)
+def test_the_heap_heuristics_order_like_the_rescanning_loop(seed, size):
+    rng = random.Random(seed)
+    graph = nx.gnm_random_graph(size, rng.randint(size, 2 * size), seed=seed)
+    # Integer labels sort differently by repr; loops count twice
+    # towards a degree.
+    graph.add_edges_from((v, v) for v in rng.sample(range(size), 3))
+    assert min_degree_ordering(graph) == _naive_ordering(graph, fill=False)
+    assert min_fill_ordering(graph) == _naive_ordering(graph, fill=True)
+
+
+def test_a_long_path_compiles_with_linear_fill_in_work(monkeypatch):
+    calls = 0
+    fill_in = treewidth_module._fill_in
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fill_in(*args)
+
+    monkeypatch.setattr(treewidth_module, "_fill_in", counted)
+    plan = compile_plan(path_query(1200))
+    # Two min-fill runs on 1201 vertices, the contract graph's and the
+    # core graph's; a rescan of every vertex at every step made ~1.4e6.
+    assert plan.pp.width == plan.profile.core_treewidth == 1
+    assert 0 < calls <= 2 * 4 * 1201
+
+
+#: Recorded from the compiler before the one-pass core and the shared
+#: subset DP: per query, the profile ``(case, core width, contract
+#: width, components, pp-formulas, arity, exact)`` and each pp-plan's
+#: ``(width, order)``, groups space-separated.
+HEAD_PLAN_MEASURES = {
+    'cycle': (
+        ('FPT', 2, 2, 0, 1, 4, True),
+        [(2, 'x0 x1,x2,x3')],
+    ),
+    'example_4_1': (
+        ('FPT', 1, 1, 0, 3, 4, True),
+        [(1, 'z w x,y'), (1, 'w x y,z'), (1, 'w x y,z')],
+    ),
+    'example_4_2': (
+        ('FPT', 1, 1, 0, 2, 4, True),
+        [(1, 'w x y,z'), (1, 'w x y,z')],
+    ),
+    'example_5_21': (
+        ('FPT', 1, 1, 0, 1, 4, True),
+        [(1, 'w x y,z')],
+    ),
+    'grid': (
+        ('FPT', 2, 2, 0, 1, 6, True),
+        [(2, 'x0_0 x0_2 x1_0 x0_1,x1_1,x1_2')],
+    ),
+    'hidden_clique': (
+        ('FPT', 2, 1, 1, 1, 2, True),
+        [(1, 'x,y')],
+    ),
+    'path': (
+        ('FPT', 1, 1, 1, 1, 2, True),
+        [(1, 'x0,x4')],
+    ),
+    'star': (
+        ('FPT', 1, 0, 1, 1, 1, True),
+        [(0, 'c')],
+    ),
+    'union_of_paths': (
+        ('FPT', 2, 1, 2, 3, 2, True),
+        [(1, 'x,y'), (1, 'x,y'), (1, 'x,y')],
+    ),
+    'random_cq_0': (
+        ('FPT', 1, 1, 1, 1, 2, True),
+        [(1, 'v2,v3')],
+    ),
+    'random_cq_1': (
+        ('FPT', 1, 1, 0, 1, 2, True),
+        [(1, 'v0,v1')],
+    ),
+    'random_cq_2': (
+        ('FPT', 1, 1, 1, 1, 2, True),
+        [(1, 'v0,v4')],
+    ),
+    'random_ucq_0': (
+        ('FPT', 1, 1, 0, 1, 2, True),
+        [(1, 'v0,v1')],
+    ),
+    'random_ucq_1': (
+        ('FPT', 2, 1, 2, 3, 2, True),
+        [(1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
+    ),
+    'ucq-seed0': (
+        ('FPT', 2, 1, 3, 7, 2, False),
+        [(1, 'v0,v1'), (0, 'v0 v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
+    ),
+    'ucq-seed1': (
+        ('FPT', 2, 2, 3, 7, 3, True),
+        [(1, 'v0 v1,v2'), (2, 'v0,v1,v2'), (1, 'v1 v0,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2')],
+    ),
+    'ucq-seed2': (
+        ('SHARP_CLIQUE_HARD', 3, 3, 0, 7, 5, True),
+        [(1, 'v2 v1 v3 v0,v4'), (2, 'v2 v4 v0,v1,v3'), (2, 'v0 v4 v1,v2,v3'), (2, 'v2 v3 v0,v1,v4'), (3, 'v2 v0,v1,v3,v4'), (2, 'v2 v1 v0,v3,v4'), (3, 'v2 v0,v1,v3,v4')],
+    ),
+    'ucq-seed3': (
+        ('FPT', 2, 1, 2, 7, 2, False),
+        [(1, 'v0,v1'), (1, 'v0,v1'), (0, 'v0 v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
+    ),
+    'ucq-seed4': (
+        ('CLIQUE_EQUIVALENT', 3, 2, 2, 7, 3, True),
+        [(2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (1, 'v0 v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2')],
+    ),
+    'ucq-seed5': (
+        ('FPT', 2, 2, 0, 7, 5, True),
+        [(1, 'v0 v2 v3 v1,v4'), (1, 'v2 v0 v1 v3,v4'), (1, 'v0 v3 v2 v1,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4')],
+    ),
+    'ucq-seed6': (
+        ('FPT', 2, 1, 3, 3, 2, True),
+        [(1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
+    ),
+    'ucq-seed7': (
+        ('CLIQUE_EQUIVALENT', 3, 2, 3, 7, 3, True),
+        [(1, 'v1 v0,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2'), (2, 'v0,v1,v2')],
+    ),
+}
+
+
+def _measure_queries():
+    queries = {**_generator_queries()}
+    queries.update({f"ucq-seed{seed}": _ucq(seed) for seed in UCQ_SEEDS})
+    return [pytest.param(name, q, id=name) for name, q in queries.items()]
+
+
+@pytest.mark.parametrize("name,query", _measure_queries())
+def test_plan_measures_are_the_recorded_ones(name, query):
+    plan = compile_plan(query)
+    profile = plan.profile
+    assert (
+        profile.case.name,
+        profile.core_treewidth,
+        profile.contract_treewidth,
+        profile.component_count,
+        profile.pp_formula_count,
+        profile.arity,
+        profile.exact,
+    ) == HEAD_PLAN_MEASURES[name][0]
+    assert [
+        (pp.width, " ".join(",".join(v.name for v in group) for group in pp.order))
+        for pp in _pp_plans(query)
+    ] == HEAD_PLAN_MEASURES[name][1]
