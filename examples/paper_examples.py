@@ -16,6 +16,8 @@ Reproduces, with the library's public API:
 
 from __future__ import annotations
 
+import sys
+
 from repro import Structure, count_answers, counting_equivalent, star_decomposition
 from repro.algorithms import count_pp_answers_brute_force
 from repro.core import (
@@ -63,7 +65,9 @@ def example_4_2() -> None:
     print()
 
 
-def example_4_3() -> None:
+def example_4_3() -> int:
+    """Print the recovered counts; return how many differ from the
+    direct counts."""
     print("=" * 72)
     print("Example 4.3: recovering pp-counts from an EP oracle (Vandermonde)")
     print("=" * 72)
@@ -71,12 +75,15 @@ def example_4_3() -> None:
     structure = Structure.from_relations({"E": [(1, 2), (2, 3), (3, 4), (4, 4)]})
     oracle = OracleCallCounter(make_brute_force_oracle(query))
     recovered = recover_star_counts(query, structure, oracle)
+    mismatches = 0
     for formula, value in recovered.items():
         direct = count_pp_answers_brute_force(formula, structure)
         status = "ok" if value == direct else "MISMATCH"
+        mismatches += value != direct
         print(f"  |{formula}| = {value} (direct {direct}) [{status}]")
     print(f"  oracle calls used: {oracle.calls}")
     print()
+    return mismatches
 
 
 def example_5_21() -> None:
@@ -100,12 +107,18 @@ def example_5_21() -> None:
     print()
 
 
-def main() -> None:
+def main() -> int:
+    """Run every example; the exit status is 1 if a recovered count is
+    wrong."""
     example_4_1()
     example_4_2()
-    example_4_3()
+    mismatches = example_4_3()
     example_5_21()
+    if mismatches:
+        print(f"{mismatches} recovered count(s) differ from the direct count")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

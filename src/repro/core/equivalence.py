@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from repro.logic.pp import PPFormula
-from repro.structures.homomorphism import find_surjective_renaming
+from repro.structures.cores import surjective_renaming
 from repro.structures.structure import Structure
 
 
@@ -31,13 +31,9 @@ def renaming_witness(first: PPFormula, second: PPFormula) -> dict | None:
     variables of ``first``, or ``None`` if no witness exists.  This is
     one half of renaming equivalence (Definition 5.3).
     """
-    common = first.signature | second.signature
-    return find_surjective_renaming(
-        first.with_signature(common).structure,
-        second.with_signature(common).structure,
-        first.liberal,
-        second.liberal,
-    )
+    # The union raises on a relation of two arities.
+    first.signature | second.signature
+    return surjective_renaming(first.form(), second.form())
 
 
 def renaming_equivalent(first: PPFormula, second: PPFormula) -> bool:
@@ -88,26 +84,15 @@ def core_invariant(core: PPFormula) -> Hashable:
 
     The liberal count, the variable count, the non-zero per-relation
     atom counts and the sorted multiset of ``(is liberal, Gaifman
-    degree)`` pairs.  Renaming-equivalent formulas have cores that are
-    isomorphic by a map sending liberal variables onto liberal
-    variables (the witnesses of Definition 5.3, restricted to the cores,
-    are mutually inverse up to an automorphism), so they always share
-    the invariant; formulas with different invariants are never
-    counting equivalent.
+    degree)`` pairs, read off the core's int form
+    (:meth:`~repro.structures.cores.IntForm.invariant`).
+    Renaming-equivalent formulas have cores that are isomorphic by a
+    map sending liberal variables onto liberal variables (the witnesses
+    of Definition 5.3, restricted to the cores, are mutually inverse up
+    to an automorphism), so they always share the invariant; formulas
+    with different invariants are never counting equivalent.
     """
-    graph = core.graph()
-    atom_counts = sorted(
-        (name, len(tuples))
-        for name, tuples in core.structure.relations.items()
-        if tuples
-    )
-    degrees = sorted((v in core.liberal, degree) for v, degree in graph.degree)
-    return (
-        len(core.liberal),
-        graph.number_of_nodes(),
-        tuple(atom_counts),
-        tuple(degrees),
-    )
+    return core.form().invariant()
 
 
 def group_by_counting_equivalence(

@@ -156,9 +156,14 @@ _CANONICAL_PREFIX = "\x00q"
 
 
 def _canonical_pp_form(formula: PPFormula) -> Hashable:
-    """The (structure, liberal) pair with quantified variables renamed
-    canonically, so alpha-equivalent pp-formulas (same bound-variable
-    order under name sorting) key identically."""
+    """The (structure, liberal) pair with the quantified variables
+    renamed to reserved names (``_CANONICAL_PREFIX`` and their rank) in
+    name order.
+
+    Two renamings of a formula key identically only when they keep the
+    quantified variables' name order: ``exists a b. (E(x, a) & E(a, b)
+    & E(b, y))`` and ``exists a b. (E(x, b) & E(b, a) & E(a, y))`` are
+    alpha-equivalent and key apart, so they compile twice (soundly)."""
     quantified = sorted(formula.quantified_variables, key=lambda v: v.name)
     if quantified:
         from repro.logic.terms import Variable

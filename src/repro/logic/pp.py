@@ -31,9 +31,8 @@ from repro.logic.formulas import (
 )
 from repro.logic.signatures import Signature
 from repro.logic.terms import Atom, Variable, VariableLike, as_variable, as_variables, atoms_variables
-from repro.structures.cores import augmented_structure, core, strip_augmentation
+from repro.structures.cores import IntForm, augmented_structure, maps_into
 from repro.structures.graphs import component_substructures, gaifman_graph
-from repro.structures.homomorphism import has_homomorphism
 from repro.structures.structure import Structure
 
 import networkx as nx
@@ -368,23 +367,35 @@ class PPFormula:
         """The augmented structure ``aug(A, S)``."""
         return augmented_structure(self._structure, self._liberal)
 
+    def form(self) -> IntForm:
+        """The formula's int form, what its core, entailment and
+        renaming-equivalence searches run on.  Built per call and not
+        kept: a cached plan holds its formulas, not their indexes."""
+        return IntForm(self._structure, self._liberal)
+
     def core(self) -> "PPFormula":
         """The core of the formula.
 
-        Computes the core of the augmented structure (so liberal
-        variables are never collapsed) and strips the augmentation.  The
-        result is a logically equivalent formula with a minimal set of
-        quantified variables.  Memoized on the formula: a compile cores
-        each inclusion-exclusion term once, for cancellation, and the
+        The core of the augmented structure (so liberal variables are
+        never collapsed), without the augmentation.  The result is a
+        logically equivalent formula with a minimal set of quantified
+        variables; its structure is built once, from the core's
+        elements.  Memoized on the formula: a compile cores each
+        inclusion-exclusion term once, for cancellation, and the
         pp-plan and the profile reuse it.  A core is its own core.
         """
         if self._core is None:
-            if self.quantified_variables:
-                cored = PPFormula(strip_augmentation(core(self.augmented())), self._liberal)
-                cored._core = cored
-            else:
-                # Augmentation pins every variable, so nothing retracts.
-                cored = self
+            cored = self
+            # The universe holds the liberal variables; anything more is
+            # quantified, and only quantified variables can retract.
+            if len(self._structure.universe) > len(self._liberal):
+                form = self.form()
+                alive = form.core()
+                if alive != form.full:
+                    cored = PPFormula(
+                        self._structure.restrict(form.members(alive)), self._liberal
+                    )
+                    cored._core = cored
             self._core = cored
         return self._core
 
@@ -398,11 +409,9 @@ class PPFormula:
             raise LiberalVariableError(
                 "entailment is defined for formulas with the same liberal variables"
             )
-        common = self.signature | other.signature
-        return has_homomorphism(
-            other.with_signature(common).augmented(),
-            self.with_signature(common).augmented(),
-        )
+        # The union raises on a relation of two arities.
+        self.signature | other.signature
+        return maps_into(other.form(), self.form())
 
     def logically_equivalent(self, other: "PPFormula") -> bool:
         """Logical equivalence (mutual entailment, Theorem 2.3)."""

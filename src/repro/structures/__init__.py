@@ -30,10 +30,7 @@ from repro.structures.indexes import PositionalIndex
 from repro.structures.cores import (
     augmented_structure,
     core,
-    core_of_pp_structure,
     is_core,
-    is_isomorphic,
-    strip_augmentation,
 )
 from repro.structures.graphs import (
     component_substructures,
@@ -82,10 +79,7 @@ __all__ = [
     "PositionalIndex",
     "augmented_structure",
     "core",
-    "core_of_pp_structure",
     "is_core",
-    "is_isomorphic",
-    "strip_augmentation",
     "component_substructures",
     "connected_components",
     "gaifman_graph",

@@ -4,7 +4,9 @@ Compiles the seeded ad-hoc stream the benchmark's ``warm-http-mix``
 draws from (``random_ucq(3, 5, 5)``, liberal count cycling 2, 3, 5) and
 counts calls instead of timing them: each inclusion-exclusion term is
 cored once, with at most one homomorphism search per quantified
-variable, each compiled pp-plan runs the exact treewidth once, the
+variable and at most one ``Structure`` built (the core's own), and no
+positional-index search runs anywhere in a compile; each compiled
+pp-plan runs the exact treewidth once, the
 subset DP runs once per measured graph (once on the contract graph and
 once on the core graph of a pp-plan), and cancellation runs the exact
 renaming-equivalence search only between terms whose cores share an
@@ -20,11 +22,12 @@ import repro.algorithms.fpt_counting as fpt_counting
 import repro.core.equivalence as equivalence
 import repro.core.inclusion_exclusion as inclusion_exclusion
 import repro.engine.plan as plan_module
-import repro.logic.pp as pp
 import repro.structures.cores as cores
+import repro.structures.homomorphism as homomorphism
 from repro.engine import Engine
-from repro.structures.cores import AUGMENT_PREFIX
+from repro.logic.pp import PPFormula
 from repro.structures.random_gen import random_cluster_graph
+from repro.structures.structure import Structure
 from repro.workloads.generators import random_ucq
 
 # ``repro.algorithms`` re-exports the function ``treewidth`` under the
@@ -51,31 +54,34 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
 
         return wrapper
 
-    core = counted("core", cores.core)
+    core = counted("core", cores.IntForm.core)
     searches = 0
     over_budget = []
+    coring = False
 
-    def searched_core(structure):
-        # Liberal variables are pinned by their ``@lib_`` relations.
-        nonlocal searches
-        quantified = len(structure.universe) - sum(
-            name.startswith(AUGMENT_PREFIX) for name in structure.signature.names
-        )
+    def searched_core(form):
+        # Liberal variables are pinned to themselves, never tried.
+        nonlocal searches, coring
+        quantified = len(form.elements) - len(form.liberal)
         before = searches
-        result = core(structure)
+        coring = True
+        try:
+            result = core(form)
+        finally:
+            coring = False
         if searches - before > quantified:
             over_budget.append((searches - before, quantified))
         return result
 
-    def find_homomorphism(*args, **kwargs):
+    def aimed(self, target_alive):
+        # One retraction test: the search aimed at ``current - e``.
         nonlocal searches
-        searches += 1
-        return search(*args, **kwargs)
+        searches += coring
+        return into(self, target_alive)
 
-    search = cores.find_homomorphism
-    monkeypatch.setattr(cores, "find_homomorphism", find_homomorphism)
-    monkeypatch.setattr(cores, "core", searched_core)
-    monkeypatch.setattr(pp, "core", searched_core)
+    into = cores._Search.into
+    monkeypatch.setattr(cores._Search, "into", aimed)
+    monkeypatch.setattr(cores.IntForm, "core", searched_core)
     dp_runs = 0
     solve = treewidth_module._solve
 
@@ -122,6 +128,47 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
     assert calls["renaming_equivalent"] <= QUERY_COUNT, calls
     assert searches > 0 and not over_budget, over_budget
     assert 0 < dp_runs <= 2 * pp_plans, (dp_runs, pp_plans)
+
+
+def test_a_core_builds_one_structure_and_no_search_index(monkeypatch):
+    computed = 0
+    built = {"in core": 0, "searches": 0}
+    coring = False
+
+    def counting_core(form):
+        nonlocal computed
+        computed += 1
+        return form_core(form)
+
+    def pp_core(formula):
+        nonlocal coring
+        outer, coring = coring, True
+        try:
+            return formula_core(formula)
+        finally:
+            coring = outer
+
+    def structure_init(self, *args, **kwargs):
+        built["in core"] += coring
+        init(self, *args, **kwargs)
+
+    def search_init(self, *args, **kwargs):
+        built["searches"] += 1
+        search(self, *args, **kwargs)
+
+    form_core, formula_core = cores.IntForm.core, PPFormula.core
+    init, search = Structure.__init__, homomorphism._HomomorphismSearch.__init__
+    monkeypatch.setattr(cores.IntForm, "core", counting_core)
+    monkeypatch.setattr(PPFormula, "core", pp_core)
+    monkeypatch.setattr(Structure, "__init__", structure_init)
+    monkeypatch.setattr(homomorphism._HomomorphismSearch, "__init__", search_init)
+
+    for query in ad_hoc_queries():
+        plan_module.compile_plan(query)
+
+    assert computed > 0
+    assert built["in core"] <= computed, (built, computed)
+    assert built["searches"] == 0, built
 
 
 def test_every_ad_hoc_component_is_eliminated_on_the_tables():

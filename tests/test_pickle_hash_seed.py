@@ -120,3 +120,29 @@ def test_a_compiled_plan_is_the_same_under_every_hash_seed(seed):
     assert len(first) == 14
     for line, other in zip(first, other_lines):
         assert line == other
+
+
+DESCRIBE_CORES = """
+from repro.core.equivalence import group_by_counting_equivalence
+from repro.core.inclusion_exclusion import raw_inclusion_exclusion
+from repro.logic.ep import EPFormula
+from test_compile_work import ad_hoc_queries
+
+for query in ad_hoc_queries():
+    free = [d for d in query.normalized_disjuncts() if d.is_free()]
+    terms = list(raw_inclusion_exclusion(EPFormula.from_disjuncts(free)).formulas())
+    print([str(term.core()) for term in terms])
+    groups = group_by_counting_equivalence(terms)
+    print([[terms.index(formula) for formula in group] for group in groups])
+"""
+
+
+# The cores number a formula's variables by ``repr`` rank and its atoms
+# in sorted order, so the retractions, hence the cores and the groups
+# of cancellation, cannot follow the set order a hash seed picks.
+@pytest.mark.parametrize("seed", [2, 4])
+def test_the_ad_hoc_cores_are_the_same_under_every_hash_seed(seed):
+    first = _python(DESCRIBE_CORES, seed=1).decode().splitlines()
+    other_lines = _python(DESCRIBE_CORES, seed=seed).decode().splitlines()
+    assert len(first) == 2 * 40
+    assert first == other_lines

@@ -30,7 +30,12 @@ from repro.algorithms.treewidth import (
     width_of_ordering,
 )
 from repro.core.classification import measure_pp_class, trichotomy_case
-from repro.core.equivalence import group_by_counting_equivalence, renaming_equivalent
+from repro.budget import CostBudget, budget_scope
+from repro.core.equivalence import (
+    group_by_counting_equivalence,
+    renaming_equivalent,
+    renaming_witness,
+)
 from repro.core.inclusion_exclusion import raw_inclusion_exclusion
 from repro.engine import Engine
 from repro.engine.executor import execute
@@ -38,8 +43,13 @@ from repro.engine.plan import PROFILE_EXACT_THRESHOLD, as_ep, compile_plan
 from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
-from repro.structures.cores import core, is_core
-from repro.structures.homomorphism import find_homomorphism, homomorphic_equivalent
+from repro.structures.cores import AUGMENT_PREFIX, core, is_core
+from repro.structures.homomorphism import (
+    find_homomorphism,
+    find_surjective_renaming,
+    has_homomorphism,
+    homomorphic_equivalent,
+)
 from repro.structures.random_gen import random_graph
 from repro.structures.structure import Structure
 from repro.workloads.generators import (
@@ -143,13 +153,13 @@ def _raw_terms(query) -> list[PPFormula]:
     return terms + copies
 
 
-def _pairwise_first_fit(formulas) -> list[list[PPFormula]]:
+def _pairwise_first_fit(formulas, equivalent=renaming_equivalent) -> list[list[PPFormula]]:
     """The reference grouping: each formula joins the first group whose
-    first member it is renaming equivalent to."""
+    first member it is ``equivalent`` to."""
     groups: list[list[PPFormula]] = []
     for formula in formulas:
         for group in groups:
-            if renaming_equivalent(formula, group[0]):
+            if equivalent(formula, group[0]):
                 group.append(formula)
                 break
         else:
@@ -382,6 +392,154 @@ def test_the_one_pass_core_is_the_restart_loops_core(seed, liberal):
     assert cored.relations == reference.relations
     assert is_core(cored)
     assert homomorphic_equivalent(cored, augmented)
+
+
+# ----------------------------------------------------------------------
+# The int form against the positional-index searches
+# ----------------------------------------------------------------------
+FORM_SEEDS = range(8)
+FORM_LIBERAL_COUNTS = range(5)
+FORM_CELLS = [
+    pytest.param(seed, liberal, id=f"seed{seed}-liberal{liberal}")
+    for seed in FORM_SEEDS
+    for liberal in FORM_LIBERAL_COUNTS
+]
+
+
+def _form_pps(seed: int, liberal: int) -> list[PPFormula]:
+    """Seeded pp-formulas over ``v0 .. v5`` with one liberal set: the
+    first ``liberal`` names (none: pp-sentences), plus, in odd seeds, a
+    liberal ``w`` in no atom.  Binary ``E``-atoms (loops ``E(x, x)``
+    among them), one or two ternary ``T``-atoms with repeats, a unary
+    ``U``-atom now and then; then one conjoined with another (so it
+    entails both) and a copy of the first with its liberal variables
+    permuted and its quantified ones renamed."""
+    rng = random.Random(seed * 10 + liberal)
+    names = [f"v{i}" for i in range(6)]
+    lib = names[:liberal] + ["w"] * (seed % 2)
+
+    def draw() -> PPFormula:
+        atoms = [
+            ("E", (rng.choice(names), rng.choice(names)))
+            for _ in range(rng.randint(2, 7))
+        ]
+        atoms += [
+            ("T", tuple(rng.choice(names) for _ in range(3)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        if rng.random() < 0.5:
+            atoms.append(("U", (rng.choice(names),)))
+        return pp_from_atom_specs(atoms, liberal=lib)
+
+    first, second = draw(), draw()
+    shuffled = rng.sample(sorted(first.liberal), len(first.liberal))
+    mapping = dict(zip(sorted(first.liberal), shuffled))
+    mapping.update({v: f"r_{v.name}" for v in first.quantified_variables})
+    return [first, second, first.conjoin(second), first.rename(mapping)]
+
+
+def _charged(function, *args):
+    """``function(*args)`` and the steps it charged to a fresh budget."""
+    budget = CostBudget()
+    with budget_scope(budget):
+        result = function(*args)
+    return result, budget.steps
+
+
+def _one_pass_core_reference(structure: Structure) -> Structure:
+    """The one-pass core on the positional-index search."""
+    pinned = {
+        e for tuples in structure.relations.values() if len(tuples) == 1
+        for t in tuples for e in t
+    }
+    current = structure
+    for element in sorted(structure.universe, key=repr):
+        if element in pinned or element not in current.universe:
+            continue
+        hom = find_homomorphism(current, current.restrict(current.universe - {element}))
+        if hom is not None:
+            current = current.restrict({hom[e] for e in current.universe})
+    return current
+
+
+def _common(first: PPFormula, second: PPFormula):
+    common = first.signature | second.signature
+    return first.with_signature(common), second.with_signature(common)
+
+
+def _reference_entails(first: PPFormula, second: PPFormula) -> bool:
+    first, second = _common(first, second)
+    return has_homomorphism(second.augmented(), first.augmented())
+
+
+def _reference_witness(first: PPFormula, second: PPFormula):
+    first, second = _common(first, second)
+    return find_surjective_renaming(
+        first.structure, second.structure, first.liberal, second.liberal
+    )
+
+
+def _reference_renaming_equivalent(first: PPFormula, second: PPFormula) -> bool:
+    return (
+        len(first.liberal) == len(second.liberal)
+        and _reference_witness(first, second) is not None
+        and _reference_witness(second, first) is not None
+    )
+
+
+@pytest.mark.parametrize("seed,liberal", FORM_CELLS)
+def test_the_int_form_core_is_the_restart_loops_core(seed, liberal):
+    for formula in _form_pps(seed, liberal):
+        augmented = formula.augmented()
+        cored, steps = _charged(copy.copy(formula).core)
+        reference = _restart_loop_core(augmented)
+        assert cored.structure.universe == reference.universe
+        assert cored.structure.relations == {
+            name: tuples
+            for name, tuples in reference.relations.items()
+            if not name.startswith(AUGMENT_PREFIX)
+        }
+        assert cored.liberal == formula.liberal
+        # The same searches, charged at the same nodes.
+        one_pass = _charged(_one_pass_core_reference, augmented)
+        assert _charged(core, augmented) == one_pass
+        assert steps == one_pass[1]
+
+
+@pytest.mark.parametrize("seed,liberal", FORM_CELLS)
+def test_entailment_on_the_int_form_is_the_augmented_homomorphism(seed, liberal):
+    formulas = _form_pps(seed, liberal)
+    outcomes = set()
+    for first, second in itertools.product(formulas, repeat=2):
+        if first.liberal != second.liberal:
+            continue
+        entails = _charged(first.entails, second)
+        assert entails == _charged(_reference_entails, first, second)
+        outcomes.add(entails[0])
+    # The conjunction entails its conjuncts.
+    assert formulas[2].entails(formulas[0]) and formulas[2].entails(formulas[1])
+    assert True in outcomes
+
+
+@pytest.mark.parametrize("seed,liberal", FORM_CELLS)
+def test_renaming_on_the_int_form_is_the_surjective_renaming(seed, liberal):
+    formulas = _form_pps(seed, liberal)
+    for first, second in itertools.product(formulas, repeat=2):
+        witness = _charged(renaming_witness, first, second)
+        assert witness == _charged(_reference_witness, first, second)
+        assert renaming_equivalent(first, second) == _reference_renaming_equivalent(
+            first, second
+        )
+    assert renaming_equivalent(formulas[0], formulas[3])
+
+
+@pytest.mark.parametrize("seed,liberal", FORM_CELLS)
+def test_grouping_on_the_int_form_is_the_pairwise_reference_grouping(seed, liberal):
+    formulas = _form_pps(seed, liberal)
+    formulas += [f.core() for f in formulas] + _form_pps(seed + 100, liberal)
+    reference = _pairwise_first_fit(formulas, _reference_renaming_equivalent)
+    grouped = group_by_counting_equivalence([copy.copy(f) for f in formulas])
+    assert grouped == reference
 
 
 def _adjacency_sets(graph: nx.Graph) -> dict:
