@@ -403,13 +403,16 @@ class Engine:
         """Make ``structure`` resident under ``name``.
 
         Registration is where the one-time costs are paid, off the
-        request path: the engine's execution context for the structure
-        is built and materialized, the shard plan is computed
-        (``shard_count`` defaults to one shard per CPU) with every
-        fingerprint precomputed, and -- with ``pin=True`` -- the
-        structure *and its shards* are placed in the engine's context
-        store, exempt from LRU eviction, and every pool generation
-        forked from then on inherits them.  Later
+        request path, and it interns the structure once: the
+        fingerprint digests the structure's dense-int encoding, the
+        engine's execution context adopts that encoding, and the shard
+        plan (``shard_count`` defaults to one shard per CPU) is cut out
+        of its int columns -- components, placement, and each shard's
+        encoding and fingerprint as a slice of them.  With ``pin=True``
+        the structure *and its shards* are placed in the engine's
+        context store, exempt from LRU eviction, each shard context
+        adopting its slice, and every pool generation forked from then
+        on inherits them.  Later
         calls may pass ``name`` wherever a structure is accepted;
         ``count_sharded`` on the name reuses the registration-time
         shard plan instead of re-partitioning.
@@ -436,7 +439,7 @@ class Engine:
             fingerprint = structure.fingerprint()
             held = fingerprint in self.contexts
             context = self.contexts.lookup(structure)[0].materialize()
-            sharded = context.sharded(shard_count).precompute_fingerprints()
+            sharded = context.sharded(shard_count)
         try:
             registration = self.registry.register(
                 name,
@@ -519,14 +522,14 @@ class Engine:
                 tuples=delta.tuple_count,
                 version=entry.version,
             ) as span:
+                # Born with its chained fingerprint, like every shard
+                # of the advanced plan (routed or re-sharded).
                 new_structure = entry.structure.apply_delta(delta)
-                new_structure.fingerprint()
                 sharded, resharded, updates, fresh, stale = None, False, [], (), ()
                 if entry.sharded is not None:
                     sharded, resharded, updates, fresh, stale = (
                         entry.sharded.advance(delta, new_structure)
                     )
-                    sharded.precompute_fingerprints()
                 span.set("resharded", resharded)
                 new_entry = self.registry.advance(
                     name,

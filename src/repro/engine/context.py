@@ -210,16 +210,14 @@ class ExecutionContext:
 
     @property
     def encoded(self) -> EncodedStructure:
-        """The dense-int columnar encoding of the structure (lazily
-        built under a ``context.encode`` span)."""
+        """The dense-int columnar encoding of the structure: the one the
+        structure holds for a context to adopt (the encoding its
+        fingerprint read, or a shard's slice), else built lazily."""
         if self._encoded is None:
-            with _trace.span(
-                "context.encode",
-                universe=len(self.structure),
-                tuples=self.structure.total_tuples,
-                backend=resolve_backend(),
-            ):
-                self._encoded = EncodedStructure(self.structure)
+            encoded = self.structure._take_encoding()
+            if encoded is None:
+                encoded = EncodedStructure(self.structure)
+            self._encoded = encoded
         return self._encoded
 
     @property
@@ -257,10 +255,12 @@ class ExecutionContext:
         :mod:`repro.engine.registry`) should pay its materialization
         off the request path -- at registration, or once in the parent
         before the pool forks -- so the first post-pin count is as warm
-        as every later one.  This is where
-        the structure pays its one-time interning (``context.encode``
-        span), so registered structures encode at registration, not on
-        the request path.  Idempotent; returns ``self`` for chaining.
+        as every later one.  A registered structure's context adopts
+        the encoding its fingerprint built, and a shard's context the
+        slice its shard was born with, so neither interns anything
+        here; an unregistered structure pays its one-time interning
+        (``context.encode`` span).  Idempotent; returns ``self`` for
+        chaining.
         """
         encoded = self.encoded
         if numpy_available():
@@ -415,10 +415,13 @@ class ExecutionContext:
         """A cached component-aligned partition of the structure."""
         key = (shard_count, strategy)
         if key not in self._sharded_memo:
-            from repro.structures.sharding import shard_structure
+            from repro.structures.sharding import _shard
 
-            self._sharded_memo[key] = shard_structure(
-                self.structure, shard_count, strategy=strategy
+            # Slice the shards out of this context's own columns when
+            # its codes are still repr ranks.
+            encoded = self.encoded if self.encoded.canonical else None
+            self._sharded_memo[key] = _shard(
+                self.structure, shard_count, strategy, encoded
             )
         return self._sharded_memo[key]
 

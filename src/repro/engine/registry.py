@@ -120,14 +120,18 @@ def approximate_structure_bytes(structure: Structure) -> int:
     derived execution-context state (encoding, boundary memos,
     shard plans) are outside it -- but it is stable across runs and
     monotone in the data size, which is what an eviction policy needs.
+
+    Every tuple of a relation is an exact ``tuple`` of the relation's
+    arity, and a tuple's size depends on its length alone, so a
+    relation's tuples weigh ``len(tuples)`` times one of them: the
+    relation terms cost ``O(relations)``, not a pass over the tuples.
     """
     total = sys.getsizeof(structure.universe)
-    for element in structure.universe:
-        total += sys.getsizeof(element)
+    total += sum(map(sys.getsizeof, structure.universe))
     for tuples in structure.relations.values():
         total += sys.getsizeof(tuples)
-        for t in tuples:
-            total += sys.getsizeof(t)
+        if tuples:
+            total += len(tuples) * sys.getsizeof(next(iter(tuples)))
     return total
 
 

@@ -22,8 +22,9 @@ their attributes in ``docs/observability.md``):
     plan-cache lookup + compilation (attrs: ``cache`` hit/miss,
     ``kind``);
 ``context.encode``
-    one-time dense-int interning of an encoded execution context
-    (attrs: ``universe``, ``tuples``, ``backend``);
+    one-time dense-int interning of a structure, at its first
+    fingerprint or its context's first use (attrs: ``universe``,
+    ``tuples``, ``backend``);
 ``context.semijoin``
     one ∃-component elimination on the column tables (attrs:
     ``boundary``, ``backend``);

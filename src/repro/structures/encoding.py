@@ -48,12 +48,15 @@ Two rules hold for every weighted operation of the numpy kernel:
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.budget import current_budget
 from repro.exceptions import DeltaError, ReproError, SignatureError
+from repro.obs import trace as _trace
 from repro.structures.structure import Element, Structure
 
 #: Sentinel meaning "the numpy probe has not run yet".
@@ -213,6 +216,81 @@ class EncodedRelation:
         return sum(col.itemsize * len(col) for col in self.columns)
 
 
+def _intern_matrix(np, name: str, arity: int, tuples, encode) -> EncodedRelation:
+    """A relation interned as one ``int64`` matrix, its rows in
+    lexicographic order: the columns of :meth:`EncodedRelation.from_rows`
+    without a python tuple per row.  Values are codes below
+    ``len(encode)``, so the rows sort as their mixed-radix packed keys
+    (:meth:`NumpyTableOps._pack`) do, or by one ``lexsort`` when a key
+    would not fit in ``int64``."""
+    count = len(tuples)
+    flat = np.fromiter(
+        map(encode.__getitem__, chain.from_iterable(tuples)),
+        dtype=np.int64,
+        count=count * arity,
+    )
+    matrix = flat.reshape(count, arity)
+    order = None
+    if count > 1 and arity:
+        key = NumpyTableOps(len(encode))._pack(matrix, range(arity))
+        # lexsort's last key is the primary one.
+        order = np.lexsort(matrix.T[::-1]) if key is None else np.argsort(key)
+    columns = tuple(_column(np, matrix[:, i], order) for i in range(arity))
+    return EncodedRelation(name, arity, columns, count)
+
+
+def _column(np, values, order=None) -> array:
+    """``values`` (taken at the indices ``order``) written straight into
+    a new ``q`` column.  No temporary copy: once a freed temporary this
+    large raises glibc's mmap threshold, later ones stay in the heap
+    (intermediate gathers put 2-3 MB on ``cold-cluster-25k``'s peak
+    RSS)."""
+    column = array("q", [0]) * len(values if order is None else order)
+    if column:
+        target = np.frombuffer(column, dtype=np.int64)
+        if order is None:
+            target[:] = values
+        else:
+            np.take(values, order, out=target)
+    return column
+
+
+def _little_endian(column: array) -> array:
+    """A ``q`` column whose bytes are little-endian ``int64``."""
+    if sys.byteorder == "big":  # pragma: no cover - no such host in CI
+        column = array("q", column)
+        column.byteswap()
+    return column
+
+
+def _split_rows(columns, owner, local, parts: int) -> list[tuple]:
+    """:meth:`EncodedStructure.split` of one relation on python ints:
+    ``(columns, row count)`` per part."""
+    rows: list[list[tuple[int, ...]]] = [[] for _ in range(parts)]
+    for row in zip(*columns):
+        rows[owner[row[0]]].append(tuple(map(local.__getitem__, row)))
+    return [
+        (
+            tuple(array("q", (row[i] for row in piece)) for i in range(len(columns))),
+            len(piece),
+        )
+        for piece in rows
+    ]
+
+
+def _split_columns(np, columns, owner, local, parts: int) -> list[tuple]:
+    """:func:`_split_rows` on ``int64`` column views: a stable sort of
+    the rows by part keeps each part's rows in order."""
+    row_owner = owner[columns[0]]
+    order = np.argsort(row_owner, kind="stable")
+    bounds = np.cumsum(np.bincount(row_owner, minlength=parts)).tolist()
+    grouped = [column[order] for column in columns]
+    return [
+        (tuple(_column(np, local, column[low:high]) for column in grouped), high - low)
+        for low, high in zip([0] + bounds, bounds)
+    ]
+
+
 class EncodedStructure:
     """A structure interned to the dense integer universe ``0..n-1``.
 
@@ -223,6 +301,14 @@ class EncodedStructure:
     column views are built lazily and excluded from pickling, so a
     pinned encoded context ships to workers as compact machine arrays
     rather than object-tuple frozensets.
+
+    Under numpy a relation is interned as one ``int64`` matrix
+    (``np.fromiter`` over the interned values) ordered by one sort of
+    its packed rows; without it, as sorted int tuples.  Both give the
+    same columns byte for byte.  ``canonical`` says the decode table is
+    globally ``repr``-sorted -- true for a fresh encoding and for the
+    slices of :meth:`split`, false once a delta appended elements --
+    which is what :meth:`fingerprint` and :meth:`split` need.
     """
 
     __slots__ = (
@@ -230,31 +316,121 @@ class EncodedStructure:
         "decode",
         "size",
         "relations",
+        "canonical",
         "_encode",
         "_np_columns",
     )
 
     def __init__(self, structure: Structure):
-        decode = tuple(sorted(structure.universe, key=repr))
-        arities = {symbol.name: symbol.arity for symbol in structure.signature}
-        encode = {element: i for i, element in enumerate(decode)}
-        relations = {
-            name: EncodedRelation.from_rows(
-                name,
-                arities[name],
-                (tuple(encode[v] for v in t) for t in tuples),
-            )
-            for name, tuples in structure.relations.items()
-        }
+        np = get_numpy()
+        with _trace.span(
+            "context.encode",
+            universe=len(structure),
+            tuples=structure.total_tuples,
+            backend="array" if np is None else "numpy",
+        ):
+            decode = tuple(sorted(structure.universe, key=repr))
+            arities = {symbol.name: symbol.arity for symbol in structure.signature}
+            encode = dict(zip(decode, range(len(decode))))
+            relations = {
+                name: (
+                    _intern_matrix(np, name, arities[name], tuples, encode)
+                    if np is not None
+                    else EncodedRelation.from_rows(
+                        name,
+                        arities[name],
+                        (tuple(map(encode.__getitem__, t)) for t in tuples),
+                    )
+                )
+                for name, tuples in structure.relations.items()
+            }
         self._init_from_parts(structure.signature, decode, relations)
 
-    def _init_from_parts(self, signature, decode, relations) -> None:
+    def _init_from_parts(self, signature, decode, relations, canonical=True) -> None:
         self.signature = signature
         self.decode = decode
         self.size = len(decode)
         self.relations = relations
+        self.canonical = canonical
         self._encode: dict[Element, int] | None = None
         self._np_columns: dict[str, tuple] = {}
+
+    @classmethod
+    def _from_parts(
+        cls, signature, decode, relations, canonical=True
+    ) -> "EncodedStructure":
+        new = object.__new__(cls)
+        new._init_from_parts(signature, decode, relations, canonical)
+        return new
+
+    # -- content fingerprint ----------------------------------------------
+    def fingerprint(self) -> tuple[int, tuple, str]:
+        """The content fingerprint of the structure this encodes:
+        ``(universe size, per-relation (name, arity, row count)s,
+        digest)``, the digest a 16-byte BLAKE2 over
+
+        * the ``repr`` of every decode-table entry, in code order,
+          joined by NUL (UTF-8, backslash-escaped);
+        * then, per relation in name order, ``\\x01name/arity/rows`` and
+          each column as little-endian ``int64``.
+
+        Only a canonical encoding (fresh, or a :meth:`split` slice)
+        fingerprints the content: its codes are ``repr`` ranks, so
+        equal structures encode, and digest, identically in every
+        process.
+        """
+        import hashlib
+
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(
+            "\x00".join(map(repr, self.decode)).encode("utf-8", "backslashreplace")
+        )
+        counts = []
+        for name in sorted(self.relations):
+            relation = self.relations[name]
+            counts.append((name, relation.arity, relation.row_count))
+            digest.update(
+                f"\x01{name}/{relation.arity}/{relation.row_count}".encode("utf-8")
+            )
+            for column in relation.columns:
+                digest.update(_little_endian(column))
+        return self.size, tuple(counts), digest.hexdigest()
+
+    # -- component-aligned slices ----------------------------------------
+    def split(self, owner: Sequence[int], parts: int) -> list["EncodedStructure"]:
+        """One encoding per part, ``owner[code]`` naming each code's
+        part, for an ``owner`` that never splits a row (every value of
+        a row has its first value's part).
+
+        A part's decode table is this one's, masked in code order; its
+        rows are the rows whose first value it owns, each value
+        renumbered by its rank among the part's codes.  The renumbering
+        is monotone, so the rows stay sorted, and a slice of a
+        canonical encoding equals the fresh encoding of the part's
+        substructure byte for byte.
+        """
+        local, decodes = [0] * self.size, [[] for _ in range(parts)]
+        for code, (part, element) in enumerate(zip(owner, self.decode)):
+            local[code] = len(decodes[part])
+            decodes[part].append(element)
+        np = get_numpy()
+        if np is not None:
+            owner, local = (np.asarray(v, dtype=np.int64) for v in (owner, local))
+        relations: list[dict[str, EncodedRelation]] = [{} for _ in range(parts)]
+        for name, relation in self.relations.items():
+            pieces = (
+                _split_rows(relation.columns, owner, local, parts)
+                if np is None
+                else _split_columns(np, self.np_columns(name), owner, local, parts)
+            )
+            for part, (columns, count) in enumerate(pieces):
+                relations[part][name] = EncodedRelation(
+                    name, relation.arity, columns, count
+                )
+        return [
+            EncodedStructure._from_parts(self.signature, tuple(decode), part)
+            for decode, part in zip(decodes, relations)
+        ]
 
     # -- encoding / decoding -------------------------------------------
     @property
@@ -330,8 +506,9 @@ class EncodedStructure:
                 ) from None
             added = [tuple(encode[v] for v in t) for t in inserts.get(name, ())]
             relations[name] = relations[name].splice(added, removed)
-        new = object.__new__(EncodedStructure)
-        new._init_from_parts(self.signature, decode, relations)
+        new = EncodedStructure._from_parts(
+            self.signature, decode, relations, self.canonical and not fresh
+        )
         new._encode = encode
         return new
 
@@ -385,6 +562,7 @@ class EncodedStructure:
                 name: EncodedRelation(*parts)
                 for name, parts in relations.items()
             },
+            canonical=False,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,20 +25,28 @@ The combination rules come straight from the paper's structure theory:
 execution path in :mod:`repro.engine.executor` produces its inputs.
 
 Two placement strategies are provided: ``"hash"`` assigns each data
-component to ``crc32(representative) % shard_count`` (stable across
-runs and processes, the right default for distributed settings), and
-``"balanced"`` greedily packs components onto the lightest shard by
-tuple count (better load balance for the multiprocessing pool when
-component sizes are skewed).
+component to ``crc32(repr(representative)) % shard_count``, the
+representative being its ``repr``-least element (stable across runs
+and processes, the right default for distributed settings), and
+``"balanced"`` greedily packs components, largest first, onto the
+lightest shard by element count (better load balance for the
+multiprocessing pool when component sizes are skewed).
+
+All of it runs on the structure's dense-int encoding
+(:class:`~repro.structures.encoding.EncodedStructure`), whose codes are
+``repr`` ranks: components hook roots on the int columns, and every
+shard's encoding is a slice of the whole one.
 """
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from repro.exceptions import StructureError
+from repro.structures.encoding import EncodedStructure, get_numpy
 from repro.structures.structure import Element, Structure
 
 #: The supported shard-placement strategies.
@@ -77,21 +85,6 @@ class ShardedStructure:
     def non_empty_shards(self) -> tuple[Structure, ...]:
         """The shards with a non-empty universe."""
         return tuple(s for s in self.shards if not s.is_empty())
-
-    def precompute_fingerprints(self) -> "ShardedStructure":
-        """Compute and cache every fingerprint (whole + per shard).
-
-        Fingerprints key the worker-resident context caches; computing
-        them once at registration time (they are cached on the
-        structures) means no later ``count_sharded`` call pays the
-        content hash on the request path, and the pickled shards
-        shipped to workers always carry their fingerprint along.
-        Returns ``self`` for chaining.
-        """
-        self.structure.fingerprint()
-        for shard in self.shards:
-            shard.fingerprint()
-        return self
 
     def placement(self) -> dict[Element, int]:
         """Element -> index of the shard owning it.
@@ -167,7 +160,7 @@ class ShardedStructure:
                 if owners:
                     owner = owners.pop()
                 else:
-                    owner = _stable_hash(frozenset(t)) % len(self.shards)
+                    owner = _stable_hash(min(t, key=repr)) % len(self.shards)
                 for element in t:
                     if element not in placement:
                         adopted[element] = owner
@@ -300,47 +293,125 @@ class PlanAdvance(NamedTuple):
 
 
 def data_components(structure: Structure) -> list[frozenset[Element]]:
-    """Connected components of the data's Gaifman graph, as element sets.
+    """Connected components of the data's Gaifman graph, as element sets
+    ordered by their ``repr``-least element.
 
-    Isolated universe elements form singleton components.  Computed with
-    a union-find pass over the tuples (structures playing the data role
-    can be large; building a NetworkX graph with a clique per tuple is
-    needlessly heavy there).
+    Isolated universe elements form singleton components.  Computed on
+    the structure's dense-int encoding (:func:`_component_roots`), never
+    on a graph of element objects.
     """
-    parent: dict[Element, Element] = {e: e for e in structure.universe}
+    encoded = _encoding_of(structure)
+    roots, _ = _component_roots(encoded)
+    groups: dict[int, list[Element]] = {}
+    for element, root in zip(encoded.decode, roots):
+        groups.setdefault(root, []).append(element)
+    return [frozenset(groups[root]) for root in sorted(groups)]
 
-    def find(e: Element) -> Element:
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
 
-    def union(a: Element, b: Element) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+def _encoding_of(structure: Structure) -> EncodedStructure:
+    """The encoding ``structure`` holds for a context to adopt, else a
+    fresh one; either is canonical, so codes are ``repr`` ranks."""
+    encoded = structure._encoding
+    return EncodedStructure(structure) if encoded is None else encoded
 
-    for tuples in structure.relations.values():
-        for t in tuples:
-            first = t[0]
-            for other in t[1:]:
-                union(first, other)
-    groups: dict[Element, set[Element]] = {}
-    for element in structure.universe:
-        groups.setdefault(find(element), set()).add(element)
-    return sorted(
-        (frozenset(g) for g in groups.values()),
-        key=lambda c: min(repr(e) for e in c),
+
+def _component_roots(encoded: EncodedStructure) -> tuple[list[int], int]:
+    """Each code's component representative, its least code, and the
+    number of hooking rounds it took (0 without numpy).
+
+    Codes are ``repr`` ranks, so the least code is the ``repr``-least
+    element.  Under numpy, roots are *hooked*: every round, each root
+    with an edge into a tree of a smaller root hangs under the
+    smallest such root, then pointers jump until every vertex points at
+    its root (Shiloach--Vishkin style; a shuffled 10^5-vertex path takes
+    about a dozen rounds, where propagating a least label per vertex
+    takes one round per vertex of the path).  Without numpy it is an
+    int-list union-find whose roots are least codes.  Either way only
+    the edges from a row's first value to its others are read: they
+    already connect the whole row.
+    """
+    np = get_numpy()
+    edges = []
+    for relation in encoded.relations.values():
+        columns = relation.columns
+        edges.extend((columns[0], column) for column in columns[1:])
+    if np is None:
+        return _union_find(encoded.size, edges), 0
+    parent = np.arange(encoded.size, dtype=np.int64)
+    if not edges:
+        return parent.tolist(), 0
+    sources, targets = (
+        np.concatenate([np.frombuffer(edge[end], dtype=np.int64) for edge in edges])
+        for end in (0, 1)
     )
+    rounds = 0
+    while sources.size:
+        left, right = parent[sources], parent[targets]
+        crossing = left != right
+        if not crossing.any():
+            break
+        sources, targets = sources[crossing], targets[crossing]
+        left, right = left[crossing], right[crossing]
+        # Both ends are roots (the forest is flat), so this hangs the
+        # larger root under the smaller: parents only ever decrease.
+        np.minimum.at(parent, np.maximum(left, right), np.minimum(left, right))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        rounds += 1
+    return parent.tolist(), rounds
 
 
-def _stable_hash(component: frozenset[Element]) -> int:
-    """A process- and run-stable hash of a component (via its smallest
-    representative's repr; ``hash(str)`` is randomized per process)."""
-    representative = min(component, key=repr)
+def _union_find(size: int, edges) -> list[int]:
+    """:func:`_component_roots` on python ints: union by least root,
+    finds with path halving."""
+    parent = list(range(size))
+
+    def find(code: int) -> int:
+        while parent[code] != code:
+            parent[code] = parent[parent[code]]
+            code = parent[code]
+        return code
+
+    for sources, targets in edges:
+        for source, target in zip(sources, targets):
+            left, right = find(source), find(target)
+            if left < right:
+                parent[right] = left
+            elif right < left:
+                parent[left] = right
+    return [find(code) for code in range(size)]
+
+
+def _stable_hash(representative: Element) -> int:
+    """A process- and run-stable hash of a component, via the ``repr``
+    of its representative (``hash(str)`` is randomized per process)."""
     return zlib.crc32(repr(representative).encode("utf-8"))
+
+
+def _place_components(
+    encoded: EncodedStructure, roots: list[int], shard_count: int, strategy: str
+) -> list[int]:
+    """The shard of every code: each component placed whole, by the
+    ``strategy`` (see the module docstring)."""
+    sizes: dict[int, int] = {}
+    for root in roots:
+        sizes[root] = sizes.get(root, 0) + 1
+    if strategy == "hash":
+        decode = encoded.decode
+        shard_of = {
+            root: _stable_hash(decode[root]) % shard_count for root in sizes
+        }
+    else:  # balanced: heaviest components first onto the lightest shard
+        lightest = [(0, shard) for shard in range(shard_count)]
+        shard_of = {}
+        for root in sorted(sizes, key=lambda root: (-sizes[root], root)):
+            weight, shard = heapq.heappop(lightest)
+            shard_of[root] = shard
+            heapq.heappush(lightest, (weight + sizes[root], shard))
+    return [shard_of[root] for root in roots]
 
 
 def shard_structure(
@@ -353,6 +424,24 @@ def shard_structure(
     every tuple lands in exactly one shard.  ``shard_count = 1`` returns
     the structure itself as the single shard.
     """
+    return _shard(structure, shard_count, strategy)
+
+
+def _shard(
+    structure: Structure,
+    shard_count: int,
+    strategy: str,
+    encoded: EncodedStructure | None = None,
+) -> ShardedStructure:
+    """:func:`shard_structure`, on ``encoded`` when given: a canonical
+    encoding of ``structure`` (an execution context passes its own).
+
+    Components, placement and the shard encodings are computed on the
+    int columns; every shard is born with its slice of the encoding
+    (which the first context built for it adopts) and the fingerprint
+    digested from that slice.  The shards' tuple sets share the
+    structure's tuple objects.
+    """
     if shard_count < 1:
         raise StructureError("shard_count must be at least 1")
     if strategy not in SHARD_STRATEGIES:
@@ -361,38 +450,28 @@ def shard_structure(
         )
     if shard_count == 1:
         return ShardedStructure(structure, (structure,), strategy)
-
-    components = data_components(structure)
-    placement: dict[Element, int] = {}
-    if strategy == "hash":
-        for component in components:
-            shard = _stable_hash(component) % shard_count
-            for element in component:
-                placement[element] = shard
-    else:  # balanced: heaviest components first onto the lightest shard
-        weights = [0] * shard_count
-        sized = sorted(
-            components, key=lambda c: (-len(c), min(repr(e) for e in c))
-        )
-        for component in sized:
-            shard = min(range(shard_count), key=lambda s: (weights[s], s))
-            weights[shard] += len(component)
-            for element in component:
-                placement[element] = shard
-
-    universes: list[set[Element]] = [set() for _ in range(shard_count)]
-    for element, shard in placement.items():
-        universes[shard].add(element)
-    relations: list[dict[str, list[tuple[Element, ...]]]] = [
-        {} for _ in range(shard_count)
-    ]
+    if encoded is None:
+        encoded = _encoding_of(structure)
+    roots, _ = _component_roots(encoded)
+    owner = _place_components(encoded, roots, shard_count, strategy)
+    slices = encoded.split(owner, shard_count)
+    placement = dict(zip(encoded.decode, owner))
+    relations: list[dict[str, frozenset]] = [{} for _ in range(shard_count)]
     for name, tuples in structure.relations.items():
+        buckets: list[list[tuple]] = [[] for _ in range(shard_count)]
         for t in tuples:
-            shard = placement[t[0]]
-            relations[shard].setdefault(name, []).append(t)
+            buckets[placement[t[0]]].append(t)
+        for shard, bucket in enumerate(buckets):
+            relations[shard][name] = frozenset(bucket)
     shards = tuple(
-        Structure(structure.signature, universes[s], relations[s])
-        for s in range(shard_count)
+        Structure._trusted(
+            structure.signature,
+            frozenset(piece.decode),
+            relations[shard],
+            fingerprint=piece.fingerprint(),
+            encoding=piece,
+        )
+        for shard, piece in enumerate(slices)
     )
     return ShardedStructure(structure, shards, strategy)
 

@@ -39,7 +39,14 @@ class Structure:
         in the universe.  Relations absent from the mapping are empty.
     """
 
-    __slots__ = ("_signature", "_universe", "_relations", "_hash", "_fingerprint")
+    __slots__ = (
+        "_signature",
+        "_universe",
+        "_relations",
+        "_hash",
+        "_fingerprint",
+        "_encoding",
+    )
 
     def __init__(
         self,
@@ -74,6 +81,31 @@ class Structure:
         self._relations = rels
         self._hash: int | None = None
         self._fingerprint: tuple | None = None
+        self._encoding = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        signature: Signature,
+        universe: frozenset[Element],
+        relations: dict[str, frozenset[tuple[Element, ...]]],
+        fingerprint: tuple | None = None,
+        encoding=None,
+    ) -> "Structure":
+        """A structure from parts already known to be valid: a frozenset
+        universe and one frozenset of tuples per signature symbol, each
+        of the symbol's arity and over the universe.  For structures
+        derived from a validated one, which :meth:`__init__` would only
+        re-check tuple by tuple.  ``fingerprint`` and ``encoding`` seed
+        the caches :meth:`fingerprint` fills."""
+        new = object.__new__(cls)
+        new._signature = signature
+        new._universe = universe
+        new._relations = relations
+        new._hash = None
+        new._fingerprint = fingerprint
+        new._encoding = encoding
+        return new
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -195,10 +227,10 @@ class Structure:
                 f"cannot restrict to elements not in the universe: {sorted(map(repr, unknown))}"
             )
         relations = {
-            name: [t for t in tuples if all(e in kept for e in t)]
+            name: frozenset(t for t in tuples if all(e in kept for e in t))
             for name, tuples in self._relations.items()
         }
-        return Structure(self._signature, kept, relations)
+        return Structure._trusted(self._signature, kept, relations)
 
     def rename(self, mapping: Mapping[Element, Element]) -> "Structure":
         """Apply an injective renaming to the universe.
@@ -228,7 +260,11 @@ class Structure:
             raise SignatureError(
                 "target signature must extend the structure's signature"
             )
-        return Structure(signature, self._universe, self._relations)
+        relations = {
+            symbol.name: self._relations.get(symbol.name, frozenset())
+            for symbol in signature
+        }
+        return Structure._trusted(signature, self._universe, relations)
 
     def add_relation(
         self, symbol: RelationSymbol, tuples: Iterable[tuple[Element, ...]]
@@ -254,7 +290,7 @@ class Structure:
                     f"cannot take reduct: {symbol} is not in the structure's signature"
                 )
         relations = {s.name: self._relations[s.name] for s in signature}
-        return Structure(signature, self._universe, relations)
+        return Structure._trusted(signature, self._universe, relations)
 
     # ------------------------------------------------------------------
     # Versioning: delta application
@@ -334,13 +370,12 @@ class Structure:
             (symbol.name, symbol.arity, len(relations[symbol.name]))
             for symbol in sorted(self._signature, key=lambda s: s.name)
         )
-        new = object.__new__(Structure)
-        new._signature = self._signature
-        new._universe = universe
-        new._relations = relations
-        new._hash = None
-        new._fingerprint = (len(universe), counts, digest.hexdigest())
-        return new
+        return Structure._trusted(
+            self._signature,
+            universe,
+            relations,
+            fingerprint=(len(universe), counts, digest.hexdigest()),
+        )
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -349,40 +384,44 @@ class Structure:
         """A cheap, process-stable fingerprint of the structure.
 
         ``(universe size, per-relation (name, arity, tuple count)s,
-        content digest)``, where the digest is a BLAKE2 hash over the
-        ``repr``-sorted universe and relation tuples.  Unlike ``hash()``
-        (salted per process for strings), the fingerprint is identical
-        across processes and runs, so it can key caches that outlive a
-        single process -- in particular the worker-resident execution
-        context caches of :mod:`repro.engine.pool`, which reuse a
-        structure's encoding and boundary memos across pool jobs
-        by shipping fingerprints instead of rebuilding.
+        content digest)``, where the digest is a BLAKE2 hash of the
+        structure's dense-int encoding
+        (:meth:`~repro.structures.encoding.EncodedStructure.fingerprint`):
+        the ``repr`` of every decode-table entry, then each relation's
+        name, arity, row count and sorted columns as little-endian
+        ``int64``.  Unlike ``hash()`` (salted per process for strings),
+        the fingerprint is identical across processes and runs, so it
+        can key caches that outlive a single process -- in particular
+        the worker-resident execution context caches of
+        :mod:`repro.engine.pool`, which reuse a structure's encoding and
+        boundary memos across pool jobs by shipping fingerprints
+        instead of rebuilding.
+
+        The encoding the digest reads is kept until an execution
+        context adopts it (:meth:`_take_encoding`), so fingerprinting
+        a structure and then counting on it interns it once.  A shard
+        of :func:`~repro.structures.sharding.shard_structure` carries
+        its fingerprint and encoding from birth, and a delta-applied
+        structure its chained fingerprint (:meth:`apply_delta`).
 
         Equal structures always share a fingerprint; distinct structures
         collide only if BLAKE2 collides (or two universe elements share
         a ``repr``), which consumers treat as negligible.
         """
         if self._fingerprint is None:
-            import hashlib
+            from repro.structures.encoding import EncodedStructure
 
-            digest = hashlib.blake2b(digest_size=16)
-            for element in sorted(map(repr, self._universe)):
-                digest.update(element.encode("utf-8", "backslashreplace"))
-                digest.update(b"\x00")
-            counts = []
-            for symbol in sorted(self._signature, key=lambda s: s.name):
-                tuples = self._relations[symbol.name]
-                counts.append((symbol.name, symbol.arity, len(tuples)))
-                digest.update(f"\x01{symbol.name}/{symbol.arity}".encode("utf-8"))
-                for t in sorted(map(repr, tuples)):
-                    digest.update(t.encode("utf-8", "backslashreplace"))
-                    digest.update(b"\x00")
-            self._fingerprint = (
-                len(self._universe),
-                tuple(counts),
-                digest.hexdigest(),
-            )
+            encoding = EncodedStructure(self)
+            self._fingerprint = encoding.fingerprint()
+            self._encoding = encoding
         return self._fingerprint
+
+    def _take_encoding(self):
+        """Hand the encoding :meth:`fingerprint` built (or a shard was
+        born with) to the one execution context that adopts it; ``None``
+        when there is none."""
+        encoding, self._encoding = self._encoding, None
+        return encoding
 
     # ------------------------------------------------------------------
     # Equality / hashing / display
@@ -415,6 +454,7 @@ class Structure:
     def __setstate__(self, state: tuple) -> None:
         self._signature, self._universe, self._relations, self._fingerprint = state
         self._hash = None
+        self._encoding = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rels = ", ".join(f"{name}:{len(ts)}" for name, ts in sorted(self._relations.items()))

@@ -390,9 +390,7 @@ def test_place_hits_drop_misses_delta_migrates_and_every_count_is_exact(
     transport, name
 ):
     plan = compile_plan(QUERIES[name])
-    sharded = shard_structure(
-        GRAPH, 4, strategy="balanced"
-    ).precompute_fingerprints()
+    sharded = shard_structure(GRAPH, 4, strategy="balanced")
     shards = sharded.non_empty_shards()
     assert len(shards) == 4
     expected = count_answers_naive(as_ep(QUERIES[name]), GRAPH)
@@ -425,7 +423,7 @@ def test_place_hits_drop_misses_delta_migrates_and_every_count_is_exact(
     transport.place(shards)
     check(sharded, expected)
     delta = StructureDelta(inserts={"E": [NEW_EDGE]})
-    advanced = sharded.apply_delta(delta).precompute_fingerprints()
+    advanced = sharded.apply_delta(delta)
     updates = [
         (old.fingerprint(), sub, new)
         for old, sub, new in zip(
@@ -446,9 +444,7 @@ def test_a_fingerprint_lost_behind_the_coordinators_back_is_a_routing_miss(
     strips the disproved holder, and with no other holder the caller is
     told to degrade -- never handed an error."""
     plan = compile_plan(QUERIES["path"])
-    sharded = shard_structure(
-        GRAPH, 4, strategy="balanced"
-    ).precompute_fingerprints()
+    sharded = shard_structure(GRAPH, 4, strategy="balanced")
     cluster.place(sharded.non_empty_shards())
     expected = cluster.count(plan, sharded)  # frames are in: all placed
     lost = sharded.non_empty_shards()[0].fingerprint()
