@@ -1,11 +1,7 @@
-"""Algorithms substrate: counting, decompositions, treewidth, cliques."""
+"""Algorithms substrate: counting, treewidth and elimination orderings, cliques."""
 
-from repro.algorithms.decomposition import (
-    TreeDecomposition,
-    decomposition_from_elimination_ordering,
-    trivial_decomposition,
-)
 from repro.algorithms.treewidth import (
+    elimination_groups,
     min_degree_ordering,
     min_fill_ordering,
     treewidth,
@@ -43,9 +39,7 @@ from repro.algorithms.clique import (
 )
 
 __all__ = [
-    "TreeDecomposition",
-    "decomposition_from_elimination_ordering",
-    "trivial_decomposition",
+    "elimination_groups",
     "min_degree_ordering",
     "min_fill_ordering",
     "treewidth",

@@ -15,8 +15,8 @@ instances.
   The sum-product form is InsideOut (Abo Khamis, Ngo and Rudra, *FAQ:
   Questions Asked Frequently*, PODS 2016).
 * :func:`count_solutions_tables` -- the count: :func:`eliminate` on
-  weighted tables in the groups of a tree decomposition's elimination
-  order, so no intermediate table outgrows a bag -- polynomial for
+  weighted tables in the groups of an elimination ordering's tree
+  decomposition, so no intermediate table outgrows a bag -- polynomial for
   classes of networks of bounded treewidth, exactly the guarantee
   Theorem 2.11 of the paper needs.
 * :func:`count_solutions_backtracking` -- exhaustive backtracking over
@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.budget import current_budget
 from repro.exceptions import ReproError
 from repro.structures.encoding import table_ops
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.algorithms.decomposition import TreeDecomposition
 
 VariableName = Hashable
 Value = Hashable
@@ -181,9 +178,9 @@ def eliminate(
     does not depend on the elimination order, so the result is exact
     for any order; the order only bounds the intermediate tables.
 
-    ``groups`` fixes the order group by group (a tree decomposition's
-    :meth:`~repro.algorithms.decomposition.TreeDecomposition.
-    elimination_order`, which keeps every intermediate within a bag);
+    ``groups`` fixes the order group by group
+    (:func:`~repro.algorithms.treewidth.elimination_groups`, which
+    keeps every intermediate within a bag);
     variables outside ``keep`` and every group form one last group.
     Inside a group the data picks: the variable whose touching tables
     have the smallest union scope, then the fewest rows, then the
@@ -233,7 +230,6 @@ def count_solutions_tables(
     variables: Sequence[VariableName],
     domain_size: int,
     tables: Sequence[tuple[tuple[VariableName, ...], object]],
-    decomposition: TreeDecomposition | None = None,
     *,
     order: Sequence[Sequence[VariableName]] | None = None,
     ops=None,
@@ -252,9 +248,9 @@ def count_solutions_tables(
 
     ``order`` fixes the elimination groups (a compiled
     :class:`~repro.algorithms.fpt_counting.PPCountingPlan` passes its
-    ``order``); ``decomposition`` derives them instead.  With neither,
-    the data picks the whole order.  Every table operation goes through
-    ``ops``, the table backend of :mod:`repro.structures.encoding`
+    ``order``); without it the data picks the whole order.  Every
+    table operation goes through ``ops``, the table backend of
+    :mod:`repro.structures.encoding`
     (vectorized ``int64`` columns under numpy, with python-int
     fallbacks wherever a weight could pass 63 bits; dict-of-tuple hash
     joins otherwise), so the result is an exact python int on either.
@@ -267,8 +263,6 @@ def count_solutions_tables(
     tables = [ops.table(columns, rows) for columns, rows in tables]
     if any(ops.is_empty(table) for table in tables):
         return 0
-    if order is None and decomposition is not None:
-        order = decomposition.elimination_order()
     mentioned = {column for columns, _ in tables for column in columns}
     free = sum(1 for variable in set(variables) if variable not in mentioned)
     if not tables:

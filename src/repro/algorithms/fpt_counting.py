@@ -21,8 +21,8 @@ module implements both the structural notions and the algorithm:
      homomorphism of the component into the data structure;
   3. count the assignments of the liberal variables that satisfy the
      remaining quantifier-free atoms plus the new boundary relations,
-     by summing the liberal variables out in the groups of a tree
-     decomposition of the contract graph.
+     by summing the liberal variables out in the groups peeled from an
+     elimination ordering of the contract graph.
 
   Both passes are one kernel, :func:`repro.algorithms.csp.eliminate`:
   step 2 projects quantified variables away, step 3 sums liberal ones
@@ -35,18 +35,15 @@ module implements both the structural notions and the algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
-
 from repro.algorithms.csp import count_solutions_tables
-from repro.algorithms.decomposition import TreeDecomposition
-from repro.algorithms.treewidth import treewidth
+from repro.algorithms.treewidth import elimination_groups, treewidth
 from repro.logic.pp import PPFormula
 from repro.logic.terms import Variable
-from repro.structures.structure import Element, Structure
+from repro.structures.graphs import Graph, graph_components
+from repro.structures.structure import Structure
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (the engine
     # imports this module; the runtime import below is deferred)
@@ -66,36 +63,17 @@ class ExistsComponent:
     interior: frozenset[Variable]
     boundary: frozenset[Variable]
     structure: Structure
+    # Derived at compile time from the fields above, so equality and
+    # the hash (boundary memo keys) leave them out.
+    #: The boundary in the fixed column order (sorted by name).
+    boundary_order: tuple[Variable, ...] = field(compare=False)
+    #: The component's atoms as repr-sorted ``(relation, scope)`` pairs
+    #: -- the deterministic order the ∃-elimination reads.
+    atom_scopes: tuple[tuple[str, tuple[Variable, ...]], ...] = field(compare=False)
 
     @property
     def vertices(self) -> frozenset[Variable]:
         return self.interior | self.boundary
-
-    # The two orderings below are recomputed on every elimination /
-    # plan execution on the hot path; caching them on the (immutable)
-    # component hoists the sorts to compile time.  cached_property
-    # writes into __dict__ directly, which bypasses the frozen
-    # dataclass __setattr__ -- safe because the derived values are
-    # pure functions of the frozen fields.
-    @cached_property
-    def boundary_order(self) -> tuple[Variable, ...]:
-        """The boundary in the fixed column order (sorted by name)."""
-        return tuple(sorted(self.boundary, key=lambda v: v.name))
-
-    @cached_property
-    def atom_scopes(self) -> tuple[tuple[str, tuple[Variable, ...]], ...]:
-        """The component's atoms as repr-sorted ``(relation, scope)``
-        pairs -- the deterministic order the ∃-elimination reads."""
-        return tuple(
-            sorted(
-                (
-                    (name, t)
-                    for name, tuples in self.structure.relations.items()
-                    for t in tuples
-                ),
-                key=repr,
-            )
-        )
 
 
 def _core_or_self(formula: PPFormula, use_core: bool) -> PPFormula:
@@ -112,25 +90,28 @@ def exists_components(formula: PPFormula, use_core: bool = True) -> list[ExistsC
     base = _core_or_self(formula, use_core)
     graph = base.graph()
     liberal = base.liberal
-    quantified_graph = graph.subgraph([v for v in graph.nodes if v not in liberal])
+    quantified_graph = {
+        v: neighbors - liberal for v, neighbors in graph.items() if v not in liberal
+    }
     components: list[ExistsComponent] = []
-    for component in nx.connected_components(quantified_graph):
-        interior = frozenset(component)
-        boundary: set[Variable] = set()
-        for vertex in interior:
-            for neighbor in graph.neighbors(vertex):
-                if neighbor in liberal:
-                    boundary.add(neighbor)
+    for interior in graph_components(quantified_graph):
+        boundary = frozenset().union(*(graph[v] & liberal for v in interior))
         # Atoms that touch the interior.
         relations = {
-            name: [t for t in tuples if set(t) & interior]
+            name: [t for t in tuples if not interior.isdisjoint(t)]
             for name, tuples in base.structure.relations.items()
         }
-        structure = Structure(
-            base.signature, interior | frozenset(boundary), relations
+        atoms = sorted(
+            ((name, t) for name, tuples in relations.items() for t in tuples), key=repr
         )
         components.append(
-            ExistsComponent(interior=interior, boundary=frozenset(boundary), structure=structure)
+            ExistsComponent(
+                interior=interior,
+                boundary=boundary,
+                structure=Structure(base.signature, interior | boundary, relations),
+                boundary_order=tuple(sorted(boundary, key=lambda v: v.name)),
+                atom_scopes=tuple(atoms),
+            )
         )
     # Components may share their least vertex (a boundary variable);
     # interiors are disjoint, so the least interior variable breaks the
@@ -141,7 +122,7 @@ def exists_components(formula: PPFormula, use_core: bool = True) -> list[ExistsC
     )
 
 
-def contract_graph(formula: PPFormula, use_core: bool = True) -> nx.Graph:
+def contract_graph(formula: PPFormula, use_core: bool = True) -> Graph:
     """The contract graph of ``formula`` (Definition in Section 2.4).
 
     Vertices are the liberal variables; edges are the edges of the
@@ -152,20 +133,13 @@ def contract_graph(formula: PPFormula, use_core: bool = True) -> nx.Graph:
     return _contract_graph(base, exists_components(base, use_core=False))
 
 
-def _contract_graph(base: PPFormula, components: Iterable[ExistsComponent]) -> nx.Graph:
+def _contract_graph(base: PPFormula, components: Iterable[ExistsComponent]) -> Graph:
     """The contract graph of ``base`` from its ∃-components."""
-    graph = base.graph()
     liberal = base.liberal
-    contract = nx.Graph()
-    contract.add_nodes_from(liberal)
-    for left, right in graph.edges:
-        if left in liberal and right in liberal:
-            contract.add_edge(left, right)
+    contract = {v: neighbors & liberal for v, neighbors in base.graph().items() if v in liberal}
     for component in components:
-        boundary = sorted(component.boundary, key=lambda v: v.name)
-        for i, left in enumerate(boundary):
-            for right in boundary[i + 1 :]:
-                contract.add_edge(left, right)
+        for v in component.boundary:
+            contract[v] |= component.boundary - {v}
     return contract
 
 
@@ -218,10 +192,11 @@ class PPCountingPlan:
         The ∃-components of the base, each eliminated at execution time
         into a boundary relation over the data structure.
     ``order`` / ``width``
-        The contract graph's tree decomposition as the groups of
-        liberal variables the count sums out, leaf bags first
-        (:meth:`~repro.algorithms.decomposition.TreeDecomposition.
-        elimination_order`), and its width.  The tables built at
+        The groups of liberal variables the count sums out, peeled
+        leaf bag first from the elimination forest of the contract
+        graph's treewidth ordering
+        (:func:`~repro.algorithms.treewidth.elimination_groups`), and
+        its width.  The tables built at
         execution time have the contract graph as their primal graph
         (boundaries are cliques, liberal atoms are cliques), so
         eliminating group by group keeps every intermediate table
@@ -242,7 +217,7 @@ def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan
 
     This is the query-side half of :func:`count_pp_answers_fpt`: core
     computation, ∃-component extraction, contract-graph construction and
-    tree decomposition.  None of it depends on the data structure.
+    its elimination ordering.  None of it depends on the data structure.
     """
     base = _core_or_self(formula, use_core)
     liberal = tuple(sorted(base.liberal, key=lambda v: v.name))
@@ -258,15 +233,15 @@ def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan
         key=repr,
     )
     components = tuple(exists_components(base, use_core=False))
-    width, decomposition = treewidth(_contract_graph(base, components))
+    contract = _contract_graph(base, components)
+    width, ordering = treewidth(contract)
     return PPCountingPlan(
         formula=formula,
         base=base,
         liberal_order=liberal,
         liberal_atom_scopes=tuple(scopes),
         components=components,
-        # A sentence's contract graph is empty: nothing to sum out.
-        order=decomposition.elimination_order() if liberal else (),
+        order=elimination_groups(contract, ordering),
         width=width,
     )
 
@@ -323,7 +298,6 @@ def count_pp_answers_fpt(
     formula: PPFormula,
     structure: Structure,
     use_core: bool = True,
-    decomposition: TreeDecomposition | None = None,
 ) -> int:
     """Count the answers of a pp-formula via the Theorem 2.11 algorithm.
 
@@ -340,14 +314,4 @@ def count_pp_answers_fpt(
     """
     if structure.is_empty():
         return 0 if formula.variables else 1
-    plan = compile_pp_plan(formula, use_core=use_core)
-    if decomposition is not None:
-        # dataclasses.replace keeps the reconstruction honest as fields
-        # are added to PPCountingPlan; the width is always taken from
-        # the override so the plan never reports a stale width.
-        plan = replace(
-            plan,
-            order=decomposition.elimination_order(),
-            width=decomposition.width,
-        )
-    return execute_pp_plan(plan, structure)
+    return execute_pp_plan(compile_pp_plan(formula, use_core=use_core), structure)

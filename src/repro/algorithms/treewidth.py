@@ -23,24 +23,23 @@ from the same memo by a walk that keeps ``rest`` at the width.  Runs in
 Heuristics
 ----------
 Min-degree and min-fill elimination orderings, returning both an upper
-bound and the corresponding tree decomposition.  Each keeps its
-vertices' keys in a heap and recomputes, after an elimination, only
-the keys the elimination can change.
+bound and the ordering that witnesses it.  Each keeps its vertices'
+keys in a heap and recomputes, after an elimination, only the keys the
+elimination can change.
+
+Graphs are :data:`repro.structures.graphs.Graph` adjacency dicts.  An
+ordering is turned into the groups the count sums out by
+:func:`elimination_groups`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Sequence
+from collections import deque
+from typing import Hashable, Iterator, Sequence
 
-import networkx as nx
-
-from repro.algorithms.decomposition import (
-    TreeDecomposition,
-    decomposition_from_elimination_ordering,
-    trivial_decomposition,
-)
 from repro.exceptions import DecompositionError
+from repro.structures.graphs import Graph
 
 Vertex = Hashable
 
@@ -60,7 +59,7 @@ def _fill_in(neighbors: dict[Vertex, set[Vertex]], vertex: Vertex) -> int:
     return len(around) * (len(around) - 1) // 2 - adjacent_twice // 2
 
 
-def _greedy_ordering(graph: nx.Graph, fill: bool) -> list[Vertex]:
+def _greedy_ordering(graph: Graph, fill: bool) -> list[Vertex]:
     """Repeatedly eliminate the vertex of least ``(fill-in, degree, repr)``
     (``fill``) or ``(degree, repr)``, ties in node order.
 
@@ -69,12 +68,12 @@ def _greedy_ordering(graph: nx.Graph, fill: bool) -> list[Vertex]:
     neighbours and only the fill-ins of those neighbours and of their
     neighbours, so only their keys are recomputed.
     """
-    neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes}
-    by_rank = sorted(graph.nodes, key=repr)
+    neighbors = {v: set(around) for v, around in graph.items()}
+    by_rank = sorted(graph, key=repr)
     rank = {v: i for i, v in enumerate(by_rank)}
 
     def key(vertex: Vertex) -> tuple[int, ...]:
-        # A self-loop counts twice towards the degree, as in networkx.
+        # A self-loop counts twice towards the degree.
         degree = len(neighbors[vertex]) + (vertex in neighbors[vertex])
         if fill:
             return (_fill_in(neighbors, vertex), degree, rank[vertex])
@@ -107,60 +106,124 @@ def _greedy_ordering(graph: nx.Graph, fill: bool) -> list[Vertex]:
     return ordering
 
 
-def min_degree_ordering(graph: nx.Graph) -> list[Vertex]:
+def min_degree_ordering(graph: Graph) -> list[Vertex]:
     """The min-degree elimination ordering."""
     return _greedy_ordering(graph, fill=False)
 
 
-def min_fill_ordering(graph: nx.Graph) -> list[Vertex]:
+def min_fill_ordering(graph: Graph) -> list[Vertex]:
     """The min-fill elimination ordering (minimize edges added per step)."""
     return _greedy_ordering(graph, fill=True)
 
 
-def width_of_ordering(graph: nx.Graph, ordering: Sequence[Vertex]) -> int:
-    """The width induced by an elimination ordering (max back-degree)."""
-    working = graph.copy()
-    width = 0
+def _eliminations(graph: Graph, ordering: Sequence[Vertex]) -> Iterator[set[Vertex]]:
+    """Each vertex's later neighbours in the graph ``ordering`` fills
+    in: eliminating a vertex joins its remaining neighbours into a
+    clique."""
+    if set(ordering) != set(graph) or len(ordering) != len(graph):
+        raise DecompositionError("ordering must list every vertex exactly once")
+    working = {v: set(around) - {v} for v, around in graph.items()}
     for vertex in ordering:
-        neighbors = list(working.neighbors(vertex))
-        width = max(width, len(neighbors))
-        for i, left in enumerate(neighbors):
-            for right in neighbors[i + 1 :]:
-                working.add_edge(left, right)
-        working.remove_node(vertex)
-    return width
+        later = working.pop(vertex)
+        for other in later:
+            working[other] |= later
+            working[other] -= {other, vertex}
+        yield later
 
 
-def treewidth_upper_bound(graph: nx.Graph, heuristic: str = "min_fill") -> tuple[int, TreeDecomposition]:
-    """A heuristic upper bound on treewidth plus a witnessing decomposition.
+def width_of_ordering(graph: Graph, ordering: Sequence[Vertex]) -> int:
+    """The width induced by an elimination ordering (max back-degree)."""
+    return max((len(later) for later in _eliminations(graph, ordering)), default=-1)
+
+
+def elimination_groups(
+    graph: Graph, ordering: Sequence[Vertex]
+) -> tuple[tuple[Vertex, ...], ...]:
+    """The vertices in groups, in an order to eliminate them.
+
+    Bag ``i`` is ``ordering[i]`` with its later neighbours, and its
+    parent is the bag of the earliest of them; this forest is linked
+    into a tree by joining bag 0 to the least bag of every other
+    component, a tree decomposition of width
+    :func:`width_of_ordering`.  The groups repeatedly peel a leaf bag
+    off it and emit, ``repr``-sorted, its vertices that its neighbour
+    does not hold; the last bag emits what is left.  By the
+    running-intersection property a group's vertices occur in no bag
+    still on the tree, so eliminating them -- in any order inside the
+    group -- only ever connects vertices of their bag.  A leaf whose
+    neighbour it contains passes its vertices on to the neighbour
+    instead, so groups are as large, and leave the data as much
+    choice, as the width allows.  Iterative, so any depth is fine.
+    """
+    position = {vertex: i for i, vertex in enumerate(ordering)}
+    bags, edges = [], []
+    least = list(range(len(ordering)))  # the least bag of each subtree
+    for i, (vertex, later) in enumerate(zip(ordering, _eliminations(graph, ordering))):
+        bags.append(frozenset(later | {vertex}))
+        if later:
+            parent = min(position[v] for v in later)
+            edges.append((i, parent))
+            least[parent] = min(least[parent], least[i])
+        elif least[i]:
+            # A root comes after every bag of its forest component.
+            edges.append((least[i], 0))
+    tree: list[set[int]] = [set() for _ in bags]
+    for left, right in edges:
+        tree[left].add(right)
+        tree[right].add(left)
+    degree = [len(neighbors) for neighbors in tree]
+    leaves = deque(i for i, d in enumerate(degree) if d <= 1)
+    peeled: set[int] = set()
+    groups = []
+    while leaves:
+        bag = leaves.popleft()
+        peeled.add(bag)
+        neighbor = next((n for n in tree[bag] if n not in peeled), None)
+        if neighbor is None:
+            held = frozenset()
+        elif bags[neighbor] < bags[bag]:
+            bags[neighbor] = held = bags[bag]
+        else:
+            held = bags[neighbor]
+        group = sorted(bags[bag] - held, key=repr)
+        if group:
+            groups.append(tuple(group))
+        if neighbor is not None:
+            degree[neighbor] -= 1
+            if degree[neighbor] == 1:
+                leaves.append(neighbor)
+    return tuple(groups)
+
+
+def treewidth_upper_bound(
+    graph: Graph, heuristic: str = "min_fill"
+) -> tuple[int, list[Vertex]]:
+    """A heuristic upper bound on treewidth plus the elimination
+    ordering that witnesses it.
 
     ``heuristic`` is ``"min_fill"`` (default) or ``"min_degree"``.
     """
-    if graph.number_of_nodes() == 0:
-        return -1, trivial_decomposition(graph)
     if heuristic == "min_fill":
         ordering = min_fill_ordering(graph)
     elif heuristic == "min_degree":
         ordering = min_degree_ordering(graph)
     else:
         raise DecompositionError(f"unknown heuristic {heuristic!r}")
-    decomposition = decomposition_from_elimination_ordering(graph, ordering)
-    return decomposition.width, decomposition
+    return width_of_ordering(graph, ordering), ordering
 
 
 # ----------------------------------------------------------------------
 # Exact treewidth
 # ----------------------------------------------------------------------
-def _adjacency(graph: nx.Graph) -> tuple[list[Vertex], tuple[int, ...]]:
+def _adjacency(graph: Graph) -> tuple[list[Vertex], tuple[int, ...]]:
     """The vertices in ``repr`` order and each one's neighbours as a
     bitmask over that order."""
-    vertices = sorted(graph.nodes, key=repr)
+    vertices = sorted(graph, key=repr)
     index_of = {v: i for i, v in enumerate(vertices)}
-    adjacency = [0] * len(vertices)
-    for left, right in graph.edges:
-        adjacency[index_of[left]] |= 1 << index_of[right]
-        adjacency[index_of[right]] |= 1 << index_of[left]
-    return vertices, tuple(adjacency)
+    adjacency = tuple(
+        sum(1 << index_of[n] for n in graph[v]) for v in vertices
+    )
+    return vertices, adjacency
 
 
 def _solve(adjacency: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -239,36 +302,33 @@ def _solve(adjacency: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return width, tuple(ordering)
 
 
-def _exact_treewidth_value(graph: nx.Graph) -> int:
+def _exact_treewidth_value(graph: Graph) -> int:
     """Exact treewidth via subset dynamic programming."""
     return _solve(_adjacency(graph)[1])[0]
 
 
-def treewidth_exact(graph: nx.Graph) -> tuple[int, TreeDecomposition]:
-    """The exact treewidth and an optimal tree decomposition."""
-    if graph.number_of_nodes() == 0:
-        return -1, trivial_decomposition(graph)
+def treewidth_exact(graph: Graph) -> tuple[int, list[Vertex]]:
+    """The exact treewidth and an optimal elimination ordering."""
     vertices, adjacency = _adjacency(graph)
     width, indices = _solve(adjacency)
-    ordering = [vertices[i] for i in indices]
-    decomposition = decomposition_from_elimination_ordering(graph, ordering)
-    return width, decomposition
+    return width, [vertices[i] for i in indices]
 
 
 def treewidth(
-    graph: nx.Graph,
+    graph: Graph,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-) -> tuple[int, TreeDecomposition]:
+) -> tuple[int, list[Vertex]]:
     """Treewidth of ``graph``: exact when small, best heuristic otherwise.
 
-    Returns ``(width, decomposition)``.  For graphs with at most
-    ``exact_threshold`` vertices the result is exact; otherwise it is the
-    better of the min-fill and min-degree upper bounds.
+    Returns ``(width, ordering)``, an elimination ordering of that
+    width (-1 and no vertex for the empty graph).  For graphs with at
+    most ``exact_threshold`` vertices the result is exact; otherwise it
+    is the better of the min-fill and min-degree upper bounds.
     """
-    if graph.number_of_nodes() <= exact_threshold:
+    if len(graph) <= exact_threshold:
         return treewidth_exact(graph)
-    fill_width, fill_decomposition = treewidth_upper_bound(graph, "min_fill")
-    degree_width, degree_decomposition = treewidth_upper_bound(graph, "min_degree")
+    fill_width, fill_ordering = treewidth_upper_bound(graph, "min_fill")
+    degree_width, degree_ordering = treewidth_upper_bound(graph, "min_degree")
     if fill_width <= degree_width:
-        return fill_width, fill_decomposition
-    return degree_width, degree_decomposition
+        return fill_width, fill_ordering
+    return degree_width, degree_ordering

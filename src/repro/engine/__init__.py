@@ -1,7 +1,7 @@
 """The compiled-plan counting engine.
 
 Separates the query-side work of the Chen--Mengel pipeline (parsing,
-cores, ∃-component elimination, tree decomposition, cancelled
+cores, ∃-component elimination, elimination orders, cancelled
 inclusion-exclusion) from per-structure execution, so plans are built
 once, cached, and run many times over many structures:
 

@@ -2,7 +2,7 @@
 
 A :class:`CountingPlan` captures *everything* the paper's pipeline
 derives from the query alone: the computed cores, the eliminated
-∃-components with their tree-decomposition schedules
+∃-components with their elimination groups
 (:class:`~repro.algorithms.fpt_counting.PPCountingPlan` per pp-formula),
 the sentence disjuncts, and the cancelled inclusion-exclusion terms with
 their coefficients.  Compiling is the expensive half of a
@@ -329,13 +329,13 @@ def _pp_plan_measures(pp: PPCountingPlan, exact_threshold: int) -> tuple[int, in
 
     The plan's base is the formula's core and its width the contract
     graph's treewidth under the default threshold, so only the core
-    treewidth is computed (by value: no decomposition is recovered).
+    treewidth is computed (by value: no ordering is recovered).
     The contract graph, whose vertices are the liberal variables, is
     measured again only when the two thresholds pick different
     algorithms for it.
     """
     core_graph = pp.base.graph()
-    if core_graph.number_of_nodes() <= exact_threshold:
+    if len(core_graph) <= exact_threshold:
         core_width = _exact_treewidth_value(core_graph)
     else:
         core_width, _ = treewidth(core_graph, exact_threshold)

@@ -117,8 +117,8 @@ def _find_cached_properties() -> None:
 
     Before Python 3.12 such a descriptor takes one lock, shared by all
     its instances, while it computes a value: a worker forked while a
-    parent thread computed one (networkx's ``Graph.edges`` in a plan
-    compile, say) would wait on that lock forever, so each worker gives
+    parent thread computed one (any library's, or the standard
+    library's) would wait on that lock forever, so each worker gives
     every one a fresh lock.  Found here, in the parent: walking every
     class in a freshly forked worker costs it tens of milliseconds of
     copy-on-write faults.

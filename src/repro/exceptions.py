@@ -74,7 +74,7 @@ class ArityBoundError(FormulaError):
 
 
 class DecompositionError(ReproError):
-    """A tree decomposition is invalid or could not be constructed."""
+    """An elimination ordering is invalid or could not be computed."""
 
 
 class ClassificationError(ReproError):

@@ -32,10 +32,8 @@ from repro.logic.formulas import (
 from repro.logic.signatures import Signature
 from repro.logic.terms import Atom, Variable, VariableLike, as_variable, as_variables, atoms_variables
 from repro.structures.cores import IntForm, augmented_structure, maps_into
-from repro.structures.graphs import component_substructures, gaifman_graph
+from repro.structures.graphs import Graph, component_substructures, gaifman_graph
 from repro.structures.structure import Structure
-
-import networkx as nx
 
 
 class PPFormula:
@@ -321,7 +319,7 @@ class PPFormula:
     # ------------------------------------------------------------------
     # Structural notions from the paper
     # ------------------------------------------------------------------
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         """The Gaifman graph of the formula (vertices ``A ∪ S``)."""
         return gaifman_graph(self._structure, extra_vertices=self._liberal)
 

@@ -36,7 +36,6 @@ from repro.structures.graphs import (
     component_substructures,
     connected_components,
     gaifman_graph,
-    is_connected_formula,
 )
 from repro.structures.random_gen import (
     clique_graph,
@@ -83,7 +82,6 @@ __all__ = [
     "component_substructures",
     "connected_components",
     "gaifman_graph",
-    "is_connected_formula",
     "clique_graph",
     "cycle_graph",
     "grid_graph",

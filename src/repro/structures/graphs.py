@@ -11,36 +11,58 @@ graph drives two notions used throughout:
 * **treewidth** of a pp-formula (treewidth of its graph) and of the
   *contract graph*, which together define the tractability frontier.
 
-This module provides the graph constructions; the treewidth algorithms
-live in :mod:`repro.algorithms.treewidth`.
+These graphs are formula-sized, so a graph is a plain adjacency dict
+(:data:`Graph`: each vertex to the set of its neighbours, no
+self-loops).  This module provides the graph constructions; the
+treewidth algorithms live in :mod:`repro.algorithms.treewidth`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable
-
-import networkx as nx
+from typing import Hashable, Iterable
 
 from repro.structures.structure import Element, Structure
 
+#: An undirected graph: every vertex to the set of its neighbours.
+Graph = dict[Hashable, set[Hashable]]
 
-def gaifman_graph(structure: Structure, extra_vertices: Iterable[Element] = ()) -> nx.Graph:
+
+def gaifman_graph(structure: Structure, extra_vertices: Iterable[Element] = ()) -> Graph:
     """The Gaifman graph of a structure.
 
     Vertices are the universe elements plus ``extra_vertices`` (used to
     include liberal variables that occur in no atom); two vertices are
     adjacent when they occur together in a tuple of some relation.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(structure.universe)
-    graph.add_nodes_from(extra_vertices)
+    graph: Graph = {v: set() for v in structure.universe}
+    for v in extra_vertices:
+        graph.setdefault(v, set())
     for tuples in structure.relations.values():
         for t in tuples:
-            distinct = sorted(set(t), key=repr)
-            for left, right in combinations(distinct, 2):
-                graph.add_edge(left, right)
+            for v in t:
+                graph[v].update(t)
+    for v, neighbors in graph.items():
+        neighbors.discard(v)
     return graph
+
+
+def graph_components(graph: Graph) -> list[frozenset]:
+    """The vertex sets of the connected components of ``graph``, in the
+    order of their first vertex in ``graph``."""
+    components, reached = [], set()
+    for start in graph:
+        if start in reached:
+            continue
+        reached.add(start)
+        component, stack = [start], [start]
+        while stack:
+            for neighbor in graph[stack.pop()]:
+                if neighbor not in reached:
+                    reached.add(neighbor)
+                    component.append(neighbor)
+                    stack.append(neighbor)
+        components.append(frozenset(component))
+    return components
 
 
 def connected_components(structure: Structure, extra_vertices: Iterable[Element] = ()) -> list[frozenset[Element]]:
@@ -49,8 +71,7 @@ def connected_components(structure: Structure, extra_vertices: Iterable[Element]
     Components are returned in a deterministic order (sorted by the
     representation of their smallest vertex).
     """
-    graph = gaifman_graph(structure, extra_vertices)
-    components = [frozenset(c) for c in nx.connected_components(graph)]
+    components = graph_components(gaifman_graph(structure, extra_vertices))
     return sorted(components, key=lambda c: min(repr(v) for v in c))
 
 
@@ -71,8 +92,3 @@ def component_substructures(
         sub = structure.restrict(component & structure.universe)
         pieces.append((sub, liberal_set & component))
     return pieces
-
-
-def is_connected_formula(structure: Structure, liberal: Iterable[Element]) -> bool:
-    """True if the pp-formula ``(structure, liberal)`` is connected."""
-    return len(component_substructures(structure, liberal)) <= 1

@@ -10,12 +10,8 @@ must encode each distinct structure once.
 import pytest
 
 from repro.algorithms.brute_force import count_pp_answers_brute_force
-from repro.algorithms.decomposition import TreeDecomposition
-from repro.algorithms.fpt_counting import (
-    compile_pp_plan,
-    count_pp_answers_fpt,
-    exists_components,
-)
+from repro.algorithms.csp import count_solutions_tables
+from repro.algorithms.fpt_counting import compile_pp_plan, exists_components
 from repro.core.counting import count_answers
 from repro.engine import Engine, compile_plan, count_many, execute
 from repro.engine.context import ExecutionContext
@@ -211,7 +207,7 @@ def test_materialize_builds_what_the_backend_reads(backend):
 
 
 # ----------------------------------------------------------------------
-# Context-aware count_answers and the decomposition-override fix
+# Context-aware count_answers and an elimination-order override
 # ----------------------------------------------------------------------
 def test_count_plan_memoizes_per_base_formula(monkeypatch):
     import repro.algorithms.fpt_counting as fpt_module
@@ -288,12 +284,18 @@ def test_count_answers_rejects_a_mismatched_context():
         count_answers("E(x, y)", random_graph(5, 0.3, seed=1), context=context)
 
 
-def test_count_pp_answers_fpt_decomposition_override_uses_replace():
+def test_count_solutions_tables_order_override_matches_brute_force():
     formula = path_query(3)  # all-liberal path: contract graph is the path
     structure = random_graph(5, 0.4, seed=3)
-    expected = count_pp_answers_brute_force(formula, structure)
-    # A valid single-bag decomposition of different width than the
-    # compiled plan's: the override (and its width) must be honored.
-    override = TreeDecomposition({0: list(formula.liberal)})
-    assert override.width != compile_pp_plan(formula).width
-    assert count_pp_answers_fpt(formula, structure, decomposition=override) == expected
+    plan = compile_pp_plan(formula)
+    context = ExecutionContext(structure)
+    ops = context.table_ops()
+    tables = [ops.base_table(name, scope) for name, scope in plan.liberal_atom_scopes]
+    # One group of every liberal variable, not the plan's groups: the
+    # override must be honored and the count stay exact.
+    override = (plan.liberal_order,)
+    assert override != plan.order
+    count = count_solutions_tables(
+        plan.liberal_order, context.encoded.size, tables, order=override, ops=ops
+    )
+    assert count == count_pp_answers_brute_force(formula, structure)

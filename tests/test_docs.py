@@ -185,14 +185,14 @@ def test_checker_detects_a_stale_data_side_attribute(tmp_path):
 def test_checker_detects_a_stale_plan_attribute(tmp_path):
     page = tmp_path / "page.md"
     page.write_text(
-        "A plan keeps `PPCountingPlan.order` and `PPCountingPlan.width`, from\n"
-        "`TreeDecomposition.elimination_order`; `PPCountingPlan.dp_schedule`\n"
-        "and `TreeDecomposition.rooted_order` are gone.\n"
+        "A plan keeps `PPCountingPlan.order` and `PPCountingPlan.width`;\n"
+        "`PPCountingPlan.dp_schedule` and `PPCountingPlan.decomposition`\n"
+        "are gone.\n"
     )
     problems = check_docs_freshness.check_attributes([page])
     assert len(problems) == 2, problems
     assert any("`PPCountingPlan.dp_schedule`" in p for p in problems)
-    assert any("`TreeDecomposition.rooted_order`" in p for p in problems)
+    assert any("`PPCountingPlan.decomposition`" in p for p in problems)
 
 
 def test_docs_pages_exist_and_crosslink():

@@ -5,8 +5,8 @@ with ``csp.eliminate`` over the numpy kernel (``int64`` columns with an
 exact-integer guard) or the python one (dict-of-tuple hash joins),
 picked by the ``backend`` fixture.  Both must return the exact python
 int the ``CSPInstance`` reference counts: for every shape of
-elimination order, past 64 bits, along a decomposition thousands of
-bags deep, and under a budget -- which the vectorized joins charge
+elimination order, past 64 bits, along a path thousands of groups
+deep, and under a budget -- which the vectorized joins charge
 before they allocate.
 """
 
@@ -21,7 +21,6 @@ from repro.algorithms.csp import (
     count_solutions_backtracking,
     count_solutions_tables,
 )
-from repro.algorithms.decomposition import TreeDecomposition
 from repro.budget import CostBudget, budget_scope
 from repro.engine.context import ExecutionContext
 from repro.exceptions import BudgetExceeded
@@ -32,35 +31,45 @@ from repro.structures.structure import Structure
 # ----------------------------------------------------------------------
 # The agreement matrix: scenario x seed x backend vs the reference
 # ----------------------------------------------------------------------
-def _path_bags(*bags):
-    """A decomposition whose bags form a path."""
-    return TreeDecomposition(
-        dict(enumerate(bags)), [(i, i + 1) for i in range(len(bags) - 1)]
-    )
+def _path_groups(variables):
+    """The groups peeled from a path of bags, one bag per edge of
+    ``variables``: a leaf from either end in turn, then the last bag."""
+    groups, lo, hi = [], 0, len(variables) - 1
+    for step in range(len(variables) - 2):
+        if step % 2:
+            groups.append((variables[hi],))
+            hi -= 1
+        else:
+            groups.append((variables[lo],))
+            lo += 1
+    return (*groups, tuple(sorted({variables[lo], variables[hi]}, key=repr)))
 
 
-#: Scenario -> ``(variables, atoms, decomposition)``.  Atoms are
-#: ``(relation, scope)`` over the random structure's ``E/2`` and ``U/1``;
-#: ``None`` lets the data pick the whole elimination order.
+#: Scenario -> ``(variables, atoms, order)``.  Atoms are ``(relation,
+#: scope)`` over the random structure's ``E/2`` and ``U/1``; the order
+#: is the groups peeled from a path of bags, and ``None`` lets the data
+#: pick the whole elimination order.
 SCENARIOS = {
+    # Bags wx - xy - yz.
     "multi-bag": (
         "wxyz",
         [("E", "wx"), ("E", "xy"), ("E", "yz"), ("U", "y")],
-        _path_bags("wx", "xy", "yz"),
+        (("w",), ("z",), ("x", "y")),
     ),
     # Two components: each is summed down to a zero-column weighted
     # table, and the count is the product of their weights.
     "empty-separator": ("wxyz", [("E", "wx"), ("E", "yz")], None),
     "repeated-scope-variable": ("xy", [("E", "xx"), ("E", "xy")], None),
-    # Variables in no group: w is in no bag, so it is summed out in the
-    # last group, after the decomposition's groups.
+    # Variables in no group: w is in no bag (yz - xy), so it is summed
+    # out in the last group, after the plan's groups.
     "unjoined-separator-variable": (
         "wxyz",
         [("E", "wx"), ("E", "yz")],
-        _path_bags("yz", "xy"),
+        (("z",), ("x", "y")),
     ),
-    # Variables in no table: y and z are a factor ``domain_size`` each.
-    "free-bag-variables": ("wxyz", [("E", "wx")], _path_bags("wxy", "xz")),
+    # Variables in no table: y and z are a factor ``domain_size`` each
+    # (bags wxy - xz).
+    "free-bag-variables": ("wxyz", [("E", "wx")], (("w", "y"), ("x", "z"))),
     "zero-variables": ("", [], None),
 }
 
@@ -101,12 +110,12 @@ def _reference(variables, atoms, encoded) -> int:
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_kernel_agrees_with_the_csp_reference(backend, scenario, seed):
-    variables, atoms, decomposition = SCENARIOS[scenario]
+    variables, atoms, order = SCENARIOS[scenario]
     context = ExecutionContext(_random_structure(seed))
     ops = context.table_ops()
     tables = [ops.base_table(name, tuple(scope)) for name, scope in atoms]
     count = count_solutions_tables(
-        tuple(variables), context.encoded.size, tables, decomposition, ops=ops
+        tuple(variables), context.encoded.size, tables, order=order, ops=ops
     )
     assert type(count) is int
     assert count == _reference(tuple(variables), atoms, context.encoded)
@@ -187,12 +196,12 @@ def test_a_path_thousands_of_bags_deep_counts_exactly(backend):
     rows = {(0, 1), (1, 0), (1, 1)}
     edges = 3000
     variables = [f"v{i}" for i in range(edges + 1)]
-    decomposition = _path_bags(*zip(variables, variables[1:]))
+    order = _path_groups(variables)
     tables = [(scope, rows) for scope in zip(variables, variables[1:])]
     fibonacci = [0, 1]
     while len(fibonacci) < edges + 4:
         fibonacci.append(fibonacci[-1] + fibonacci[-2])
-    count = count_solutions_tables(variables, 2, tables, decomposition)
+    count = count_solutions_tables(variables, 2, tables, order=order)
     assert count == fibonacci[edges + 3] > 2**63
     # The same kernel on a path short enough for the reference.
     short = variables[:13]
@@ -200,7 +209,7 @@ def test_a_path_thousands_of_bags_deep_counts_exactly(backend):
         short, range(2), [Constraint(s, frozenset(rows)) for s in zip(short, short[1:])]
     )
     assert count_solutions_tables(
-        short, 2, tables[:12], _path_bags(*zip(short, short[1:]))
+        short, 2, tables[:12], order=_path_groups(short)
     ) == count_solutions_backtracking(instance) == fibonacci[15]
 
 

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PACKAGES = (
     "repro",
@@ -137,3 +143,50 @@ def test_the_dropped_root_exports_are_gone(name):
 
     assert name not in repro.__all__
     assert not hasattr(repro, name), name
+
+
+#: Compile and count one pp query and one EP query, each checked
+#: against the brute force, then report whether networkx was loaded.
+WITHOUT_NETWORKX = """
+import sys
+import repro
+from repro.algorithms.brute_force import count_answers_naive
+from repro.engine import compile_plan, execute
+from repro.engine.plan import as_ep
+from repro.structures.random_gen import random_graph
+graph = random_graph(6, 0.5, 0)
+for text, kind in (
+    ("exists z. (E(x, z) & E(z, y))", "pp-fpt"),
+    ("Q(x, y) = E(x, y) | exists z. (E(x, z) & E(z, y))", "ep-plus"),
+):
+    plan = compile_plan(text)
+    assert plan.kind == kind, plan.kind
+    assert execute(plan, graph) == count_answers_naive(as_ep(text), graph)
+print("networkx" in sys.modules)
+"""
+
+
+def test_the_package_compiles_and_counts_without_networkx(tmp_path):
+    (tmp_path / "networkx.py").write_text('raise ImportError("networkx hidden")\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NETWORKX],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+
+
+def test_importing_the_package_loads_no_networkx():
+    # Other tests import networkx into this process, so look at what
+    # the package's own modules hold instead of at ``sys.modules``.
+    import repro  # noqa: F401
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for value in vars(module).values():
+                origin = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+                assert not str(origin).startswith("networkx"), (name, value)

@@ -16,17 +16,23 @@ import copy
 import importlib
 import itertools
 import random
+from collections import deque
 
-import networkx as nx
 import pytest
 
 from repro.algorithms.brute_force import count_answers_naive
 from repro.algorithms.clique import answers_to_clique_count, clique_query, count_cliques
-from repro.algorithms.fpt_counting import contract_graph, count_pp_answers_fpt
+from repro.algorithms.fpt_counting import (
+    contract_graph,
+    count_pp_answers_fpt,
+    exists_components,
+)
 from repro.algorithms.treewidth import (
     DEFAULT_EXACT_THRESHOLD,
+    elimination_groups,
     min_degree_ordering,
     min_fill_ordering,
+    treewidth,
     width_of_ordering,
 )
 from repro.core.classification import measure_pp_class, trichotomy_case
@@ -44,6 +50,7 @@ from repro.logic.builder import pp_from_atom_specs
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
 from repro.structures.cores import AUGMENT_PREFIX, core, is_core
+from repro.structures.graphs import connected_components, graph_components
 from repro.structures.homomorphism import (
     find_homomorphism,
     find_surjective_renaming,
@@ -310,7 +317,7 @@ def test_the_elimination_order_keeps_the_contract_width(query):
         graph = contract_graph(pp.base, use_core=False)
         ordering = [v for group in pp.order for v in group]
         # Every liberal variable, each once.
-        assert sorted(ordering, key=repr) == sorted(graph.nodes, key=repr)
+        assert sorted(ordering, key=repr) == sorted(graph, key=repr)
         if not ordering:
             continue
         # The data may pick any order inside a group: try two.
@@ -320,7 +327,7 @@ def test_the_elimination_order_keeps_the_contract_width(query):
             ]
             induced = width_of_ordering(graph, ordering)
             assert induced <= pp.width
-            if graph.number_of_nodes() <= DEFAULT_EXACT_THRESHOLD:
+            if len(graph) <= DEFAULT_EXACT_THRESHOLD:
                 assert induced == pp.width  # the width is the treewidth
 
 
@@ -542,10 +549,6 @@ def test_grouping_on_the_int_form_is_the_pairwise_reference_grouping(seed, liber
     assert grouped == reference
 
 
-def _adjacency_sets(graph: nx.Graph) -> dict:
-    return {v: set(graph.neighbors(v)) - {v} for v in graph.nodes}
-
-
 def _eliminated(adjacency: dict, vertex) -> dict:
     around = adjacency[vertex]
     return {
@@ -570,18 +573,18 @@ def _brute_width(adjacency: dict) -> int:
 def test_the_subset_dp_finds_the_least_width_by_the_degree_rule(seed, liberal):
     formula = _random_pp(seed, liberal)
     for graph in (formula.graph(), contract_graph(formula)):
-        assert graph.number_of_nodes() <= 7
+        assert len(graph) <= 7
         vertices, adjacency = treewidth_module._adjacency(graph)
         width, indices = treewidth_module._solve(adjacency)
         ordering = [vertices[i] for i in indices]
-        assert width == _brute_width(_adjacency_sets(graph))
+        assert width == _brute_width(graph)
         assert sorted(ordering, key=repr) == vertices
         if not ordering:
             continue
         assert width_of_ordering(graph, ordering) == width
         # Each step takes the first vertex by (degree, repr) that keeps
         # the rest within the width: every vertex before it fails.
-        remaining = _adjacency_sets(graph)
+        remaining = graph
         for chosen in ordering:
             for vertex in sorted(remaining, key=lambda v: (len(remaining[v]), repr(v))):
                 if vertex == chosen:
@@ -593,7 +596,24 @@ def test_the_subset_dp_finds_the_least_width_by_the_degree_rule(seed, liberal):
             remaining = _eliminated(remaining, chosen)
 
 
-def _naive_ordering(graph: nx.Graph, fill: bool) -> list:
+def _networkx():
+    """networkx, the independent graph reference, or a skip: the
+    package itself never imports it.  ``pytest.importorskip`` would do,
+    but it deprecates skipping on a module that raises ``ImportError``,
+    which is how a run hides an installed networkx."""
+    try:
+        import networkx
+    except ImportError:
+        pytest.skip("networkx is not importable")
+    return networkx
+
+
+def _as_dict(graph) -> dict:
+    """A networkx graph as the package's adjacency dict."""
+    return {v: set(graph[v]) for v in graph}
+
+
+def _naive_ordering(graph, fill: bool) -> list:
     """The reference heuristic: rescan every vertex at every step."""
     working = graph.copy()
     ordering = []
@@ -631,13 +651,186 @@ HEURISTIC_CELLS = [
 
 @pytest.mark.parametrize("seed,size", HEURISTIC_CELLS)
 def test_the_heap_heuristics_order_like_the_rescanning_loop(seed, size):
+    nx = _networkx()
     rng = random.Random(seed)
     graph = nx.gnm_random_graph(size, rng.randint(size, 2 * size), seed=seed)
     # Integer labels sort differently by repr; loops count twice
     # towards a degree.
     graph.add_edges_from((v, v) for v in rng.sample(range(size), 3))
-    assert min_degree_ordering(graph) == _naive_ordering(graph, fill=False)
-    assert min_fill_ordering(graph) == _naive_ordering(graph, fill=True)
+    assert min_degree_ordering(_as_dict(graph)) == _naive_ordering(graph, fill=False)
+    assert min_fill_ordering(_as_dict(graph)) == _naive_ordering(graph, fill=True)
+
+
+# ----------------------------------------------------------------------
+# Query graphs against networkx references
+# ----------------------------------------------------------------------
+def _nx_gaifman(nx, formula: PPFormula):
+    """The formula's Gaifman graph, built by networkx."""
+    graph = nx.Graph()
+    graph.add_nodes_from(formula.structure.universe)
+    graph.add_nodes_from(formula.liberal)
+    for tuples in formula.structure.relations.values():
+        for t in tuples:
+            graph.add_edges_from(itertools.combinations(sorted(set(t), key=repr), 2))
+    return graph
+
+
+def _nx_exists_components(nx, formula: PPFormula) -> list:
+    """``(interior, boundary, atoms)`` of each ∃-component, from
+    ``nx.connected_components`` of the quantified part, in the
+    package's order."""
+    graph, liberal = _nx_gaifman(nx, formula), formula.liberal
+    quantified = graph.subgraph([v for v in graph if v not in liberal])
+    components = []
+    for component in nx.connected_components(quantified):
+        interior = frozenset(component)
+        boundary = frozenset(n for v in interior for n in graph[v] if n in liberal)
+        atoms = sorted(
+            (
+                (name, t)
+                for name, tuples in formula.structure.relations.items()
+                for t in tuples
+                if set(t) & interior
+            ),
+            key=repr,
+        )
+        components.append((interior, boundary, tuple(atoms)))
+    return sorted(
+        components,
+        key=lambda c: (min(repr(v) for v in c[0] | c[1]), min(repr(v) for v in c[0])),
+    )
+
+
+def _nx_contract_graph(nx, formula: PPFormula):
+    graph, liberal = _nx_gaifman(nx, formula), formula.liberal
+    contract = nx.Graph()
+    contract.add_nodes_from(liberal)
+    contract.add_edges_from(
+        (left, right) for left, right in graph.edges if {left, right} <= liberal
+    )
+    for _, boundary, _ in _nx_exists_components(nx, formula):
+        contract.add_edges_from(itertools.combinations(boundary, 2))
+    return contract
+
+
+def _reference_groups(nx, graph, ordering) -> tuple:
+    """The groups of a tree decomposition built from ``ordering`` and
+    peeled leaf bag by leaf bag, as networkx graphs: bag ``i`` is
+    ``ordering[i]`` and its neighbours at elimination, linked to the
+    bag of its earliest later neighbour; the forest's first component
+    is linked to the least bag of every other one."""
+    if not ordering:
+        return ()
+    working = graph.copy()
+    position = {vertex: index for index, vertex in enumerate(ordering)}
+    bags, edges = {}, []
+    for index, vertex in enumerate(ordering):
+        neighbors = set(working.neighbors(vertex))
+        bags[index] = frozenset({vertex} | neighbors)
+        if neighbors:
+            edges.append((index, position[min(neighbors, key=position.get)]))
+        working.add_edges_from(itertools.combinations(neighbors, 2))
+        working.remove_node(vertex)
+    tree = nx.Graph()
+    tree.add_nodes_from(bags)
+    tree.add_edges_from(edges)
+    components = list(nx.connected_components(tree))
+    tree.add_edges_from((min(components[0]), min(c)) for c in components[1:])
+    assert nx.is_tree(tree)
+    degree = {bag: tree.degree(bag) for bag in bags}
+    leaves = deque(bag for bag, d in degree.items() if d <= 1)
+    peeled, groups = set(), []
+    while leaves:
+        bag = leaves.popleft()
+        peeled.add(bag)
+        neighbor = next((n for n in tree.neighbors(bag) if n not in peeled), None)
+        if neighbor is None:
+            held = frozenset()
+        elif bags[neighbor] < bags[bag]:
+            bags[neighbor] = held = bags[bag]
+        else:
+            held = bags[neighbor]
+        group = sorted(bags[bag] - held, key=repr)
+        if group:
+            groups.append(tuple(group))
+        if neighbor is not None:
+            degree[neighbor] -= 1
+            if degree[neighbor] == 1:
+                leaves.append(neighbor)
+    return tuple(groups)
+
+
+def _edge_set(graph) -> set:
+    return {frozenset((v, n)) for v in graph for n in graph[v]}
+
+
+def _graph_queries():
+    cells = [pytest.param(q, id=name) for name, q in _generator_queries().items()]
+    cells += [
+        pytest.param(random_ucq(3, 5, 5, liberal_count=liberal, seed=seed), id=f"ucq-{seed}-{liberal}")
+        for seed in range(10)
+        for liberal in (1, 2, 3, 5)
+    ]
+    cells += [pytest.param(path_query(n), id=f"path{n}") for n in (20, 60, 200)]
+    cells += [pytest.param(cycle_query(n), id=f"cycle{n}") for n in (20, 60, 200)]
+    return cells
+
+
+@pytest.mark.parametrize("query", _graph_queries())
+def test_query_graphs_agree_with_the_networkx_references(query):
+    nx = _networkx()
+    for pp in _pp_plans(query):
+        formula = pp.base
+        for candidate in (formula, pp.formula):
+            reference = _nx_gaifman(nx, candidate)
+            assert candidate.graph() == _as_dict(reference)
+            assert connected_components(
+                candidate.structure, candidate.liberal
+            ) == sorted(
+                map(frozenset, nx.connected_components(reference)),
+                key=lambda c: min(repr(v) for v in c),
+            )
+        components = exists_components(formula, use_core=False)
+        assert [
+            (c.interior, c.boundary, c.atom_scopes) for c in components
+        ] == _nx_exists_components(nx, formula)
+        for c in components:
+            assert c.boundary_order == tuple(sorted(c.boundary, key=lambda v: v.name))
+        contract = contract_graph(formula, use_core=False)
+        nx_contract = _nx_contract_graph(nx, formula)
+        assert set(contract) == set(nx_contract)
+        assert _edge_set(contract) == {frozenset(e) for e in nx_contract.edges}
+        _, ordering = treewidth(contract)
+        assert pp.order == _reference_groups(nx, nx_contract, ordering)
+        # The core graph's groups, through whichever branch it takes.
+        core_graph = formula.graph()
+        _, ordering = treewidth(core_graph)
+        assert elimination_groups(core_graph, ordering) == _reference_groups(
+            nx, _nx_gaifman(nx, formula), ordering
+        )
+
+
+GNM_CELLS = [
+    pytest.param(seed, size, edges, id=f"seed{seed}-n{size}-m{edges}")
+    for seed in range(6)
+    for size, edges in ((12, 14), (40, 70), (60, 50))
+]
+
+
+@pytest.mark.parametrize("seed,size,edges", GNM_CELLS)
+def test_random_graph_groups_agree_with_the_networkx_reference(seed, size, edges):
+    nx = _networkx()
+    reference = nx.gnm_random_graph(size, edges, seed=seed)
+    graph = _as_dict(reference)
+    assert graph_components(graph) == list(map(frozenset, nx.connected_components(reference)))
+    for ordering in (
+        min_fill_ordering(graph),
+        min_degree_ordering(graph),
+        treewidth(graph)[1],
+    ):
+        groups = elimination_groups(graph, ordering)
+        assert groups == _reference_groups(nx, reference, ordering)
+        assert sorted(v for group in groups for v in group) == sorted(graph)
 
 
 def test_a_long_path_compiles_with_linear_fill_in_work(monkeypatch):

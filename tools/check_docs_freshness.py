@@ -108,7 +108,6 @@ _ATTR_OWNERS = {
     "StructureRegistry": "repro.engine.registry",
     "ClusterCoordinator": "repro.cluster.coordinator",
     "PPCountingPlan": "repro.algorithms.fpt_counting",
-    "TreeDecomposition": "repro.algorithms.decomposition",
 }
 
 #: An inline code span, and a ``Class.attr`` mention inside one.
@@ -425,8 +424,6 @@ def _owner_instance(name: str):
         from repro.workloads.generators import path_query
 
         return compile_pp_plan(path_query(2))
-    if name == "TreeDecomposition":
-        return cls({0: ("x",)})
     return cls()
 
 
