@@ -53,8 +53,8 @@ def example_4_2() -> None:
     print("=" * 72)
     query = example_4_2_query()
     print("phi:", query)
-    raw = raw_inclusion_exclusion(query)
-    cancelled = star_decomposition(query)
+    raw = raw_inclusion_exclusion(query.disjuncts())
+    cancelled = star_decomposition(query.disjuncts())
     print(f"  raw expansion: {len(raw)} terms, max treewidth {raw.max_treewidth()}")
     print(f"  after cancellation: {len(cancelled)} terms, max treewidth {cancelled.max_treewidth()}")
     for term in cancelled.terms:
@@ -91,7 +91,7 @@ def example_5_21() -> None:
     print("Example 5.21: the general construction with a sentence disjunct")
     print("=" * 72)
     query = example_5_21_query()
-    decomposition = plus_decomposition(query)
+    decomposition = plus_decomposition(query.disjuncts())
     print("  sentence disjuncts:", len(decomposition.sentence_disjuncts))
     print("  phi*_af:", [str(f) for f in decomposition.star.formulas()])
     print("  phi-_af:", [str(f) for f in decomposition.minus])

@@ -23,11 +23,9 @@ from repro.algorithms.brute_force import (
 )
 from repro.algorithms.fpt_counting import (
     ExistsComponent,
-    StructuralReport,
     contract_graph,
     count_pp_answers_fpt,
     exists_components,
-    structural_report,
 )
 from repro.algorithms.clique import (
     answers_to_clique_count,
@@ -55,11 +53,9 @@ __all__ = [
     "enumerate_answers_naive",
     "satisfies",
     "ExistsComponent",
-    "StructuralReport",
     "contract_graph",
     "count_pp_answers_fpt",
     "exists_components",
-    "structural_report",
     "answers_to_clique_count",
     "clique_query",
     "clique_query_family",

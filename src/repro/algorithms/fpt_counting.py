@@ -88,7 +88,11 @@ def exists_components(formula: PPFormula, use_core: bool = True) -> list[ExistsC
     set of liberal variables with an edge into that component.
     """
     base = _core_or_self(formula, use_core)
-    graph = base.graph()
+    return _exists_components(base, base.graph())
+
+
+def _exists_components(base: PPFormula, graph: Graph) -> list[ExistsComponent]:
+    """The ∃-components of ``base``, whose Gaifman graph is ``graph``."""
     liberal = base.liberal
     quantified_graph = {
         v: neighbors - liberal for v, neighbors in graph.items() if v not in liberal
@@ -130,42 +134,21 @@ def contract_graph(formula: PPFormula, use_core: bool = True) -> Graph:
     boundary of every ∃-component.
     """
     base = _core_or_self(formula, use_core)
-    return _contract_graph(base, exists_components(base, use_core=False))
+    graph = base.graph()
+    return _contract_graph(base, graph, _exists_components(base, graph))
 
 
-def _contract_graph(base: PPFormula, components: Iterable[ExistsComponent]) -> Graph:
-    """The contract graph of ``base`` from its ∃-components."""
+def _contract_graph(
+    base: PPFormula, graph: Graph, components: Iterable[ExistsComponent]
+) -> Graph:
+    """The contract graph of ``base`` from its Gaifman graph ``graph``
+    and its ∃-components."""
     liberal = base.liberal
-    contract = {v: neighbors & liberal for v, neighbors in base.graph().items() if v in liberal}
+    contract = {v: neighbors & liberal for v, neighbors in graph.items() if v in liberal}
     for component in components:
         for v in component.boundary:
             contract[v] |= component.boundary - {v}
     return contract
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    """Structural parameters of a pp-formula relevant to the trichotomy."""
-
-    core_treewidth: int
-    contract_treewidth: int
-    liberal_count: int
-    quantified_count: int
-    max_arity: int
-
-
-def structural_report(formula: PPFormula) -> StructuralReport:
-    """Compute the structural parameters that the classification inspects."""
-    core = formula.core()
-    core_width, _ = treewidth(core.graph())
-    contract_width, _ = treewidth(contract_graph(core, use_core=False))
-    return StructuralReport(
-        core_treewidth=core_width,
-        contract_treewidth=contract_width,
-        liberal_count=len(formula.liberal),
-        quantified_count=len(core.quantified_variables),
-        max_arity=formula.max_arity(),
-    )
 
 
 @dataclass(frozen=True)
@@ -232,8 +215,9 @@ def compile_pp_plan(formula: PPFormula, use_core: bool = True) -> PPCountingPlan
         ),
         key=repr,
     )
-    components = tuple(exists_components(base, use_core=False))
-    contract = _contract_graph(base, components)
+    graph = base.graph()
+    components = tuple(_exists_components(base, graph))
+    contract = _contract_graph(base, graph, components)
     width, ordering = treewidth(contract)
     return PPCountingPlan(
         formula=formula,

@@ -23,17 +23,14 @@ from repro.core.inclusion_exclusion import (
     LinearCombination,
     Term,
     cancel,
-    count_by_inclusion_exclusion,
     raw_inclusion_exclusion,
     star_decomposition,
-    star_set,
 )
 from repro.core.ep_to_pp import (
     PlusDecomposition,
     count_ep_answers_via_plus,
     plus_decomposition,
     plus_set,
-    plus_set_for_class,
     sentence_holds,
 )
 from repro.core.oracle_reduction import (
@@ -72,15 +69,12 @@ __all__ = [
     "LinearCombination",
     "Term",
     "cancel",
-    "count_by_inclusion_exclusion",
     "raw_inclusion_exclusion",
     "star_decomposition",
-    "star_set",
     "PlusDecomposition",
     "count_ep_answers_via_plus",
     "plus_decomposition",
     "plus_set",
-    "plus_set_for_class",
     "sentence_holds",
     "OracleCallCounter",
     "StarCountRecovery",

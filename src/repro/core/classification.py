@@ -25,12 +25,16 @@ about how they grow along a family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.algorithms.fpt_counting import contract_graph
-from repro.algorithms.treewidth import treewidth
+from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan, contract_graph
+from repro.algorithms.treewidth import (
+    DEFAULT_EXACT_THRESHOLD,
+    _exact_treewidth_value,
+    treewidth,
+)
 from repro.core.ep_to_pp import plus_set
 from repro.exceptions import ArityBoundError, ClassificationError
 from repro.logic.ep import EPFormula
@@ -58,27 +62,43 @@ class FormulaMeasures:
 
     @classmethod
     def of(
-        cls, formula: PPFormula, exact_threshold: int | None = None
+        cls, plan: PPCountingPlan, exact_threshold: int | None = None
     ) -> "FormulaMeasures":
-        """Measure ``formula``.
+        """Measure the formula of a compiled pp-plan.
 
-        ``exact_threshold`` overrides the exact-treewidth size cutoff
-        (see :func:`repro.algorithms.treewidth.treewidth`): graphs
-        larger than it get a greedy elimination-ordering *upper bound*
-        instead of the exponential exact algorithm.  Plan profiling
-        passes a small cutoff so classification never costs more than
-        the execution it gates.
+        The one measurer: the classifier (through
+        :func:`measure_pp_class`) and the plan profile
+        (:func:`repro.engine.plan.profile_plan`) both measure through
+        it.  ``exact_threshold`` overrides the exact-treewidth size
+        cutoff (see :func:`repro.algorithms.treewidth.treewidth`):
+        graphs larger than it get a greedy elimination-ordering *upper
+        bound* instead of the exponential exact algorithm.  Plan
+        profiling passes a small cutoff so classification never costs
+        more than the execution it gates.
+
+        A compiled plan's base is the formula's core and its width the
+        contract graph's treewidth under the default cutoff, so only
+        the core treewidth is computed (by value: no ordering is
+        recovered); the contract graph, whose vertices are the liberal
+        variables, is measured again only when the two cutoffs pick
+        different algorithms for it.
         """
-        core = formula.core()
-        kwargs = (
-            {} if exact_threshold is None
-            else {"exact_threshold": exact_threshold}
+        threshold = DEFAULT_EXACT_THRESHOLD if exact_threshold is None else exact_threshold
+        core_graph = plan.base.graph()
+        if len(core_graph) <= threshold:
+            core_width = _exact_treewidth_value(core_graph)
+        else:
+            core_width, _ = treewidth(core_graph, threshold)
+        liberal = len(plan.base.liberal)
+        if (liberal <= threshold) == (liberal <= DEFAULT_EXACT_THRESHOLD):
+            contract_width = plan.width
+        else:
+            contract_width, _ = treewidth(contract_graph(plan.base, use_core=False), threshold)
+        return cls(
+            formula=plan.formula,
+            core_treewidth=core_width,
+            contract_treewidth=contract_width,
         )
-        core_width, _ = treewidth(core.graph(), **kwargs)
-        contract_width, _ = treewidth(
-            contract_graph(core, use_core=False), **kwargs
-        )
-        return cls(formula=formula, core_treewidth=core_width, contract_treewidth=contract_width)
 
 
 @dataclass(frozen=True)
@@ -155,9 +175,11 @@ def check_bounded_arity(formulas: Iterable[PPFormula], bound: int) -> None:
 def measure_pp_class(
     formulas: Sequence[PPFormula], exact_threshold: int | None = None
 ) -> list[FormulaMeasures]:
-    """Compute core and contract treewidths for a collection of pp-formulas."""
+    """Compute core and contract treewidths for a collection of
+    pp-formulas: each is compiled (:func:`compile_pp_plan`) and its plan
+    measured (:meth:`FormulaMeasures.of`)."""
     return [
-        FormulaMeasures.of(formula, exact_threshold=exact_threshold)
+        FormulaMeasures.of(compile_pp_plan(formula), exact_threshold=exact_threshold)
         for formula in formulas
     ]
 

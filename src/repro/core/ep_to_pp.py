@@ -15,27 +15,52 @@ construction, for a normalized EP formula ``phi`` with liberal variables
 Theorem 3.1 states that counting answers to ``phi`` and counting answers
 to the formulas of ``phi+`` are interreducible; the reductions
 themselves live in :mod:`repro.core.oracle_reduction`.  This module
-computes the sets and the forward counting algorithm (the direction
-used by :func:`repro.core.counting.count_answers`).
+computes the sets from the formula's prenex pp-disjuncts and states the
+forward counting algorithm (:func:`count_ep_answers_via_plus`).
+:func:`repro.core.counting.count_answers` runs the same algorithm on a
+compiled plan through the engine's executor
+(:mod:`repro.engine.executor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.inclusion_exclusion import (
     DEFAULT_MAX_DISJUNCTS,
     LinearCombination,
     PPCounter,
-    Term,
     star_decomposition,
 )
 from repro.exceptions import FormulaError
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
+from repro.logic.terms import Variable
 from repro.structures.homomorphism import has_homomorphism
 from repro.structures.structure import Structure
+
+
+def normalize(disjuncts: Sequence[PPFormula]) -> tuple[PPFormula, ...]:
+    """A normalized, logically equivalent tuple of disjuncts.
+
+    Normalization (Section 2.1) removes every disjunct that logically
+    entails some *other* sentence disjunct: whenever that sentence
+    disjunct is true the entailing disjunct adds nothing, and the
+    result satisfies the paper's normalization condition (no
+    homomorphism from a sentence disjunct's augmented structure into
+    any other disjunct's).  Duplicate logically-equivalent sentence
+    disjuncts collapse to one, equal copies included: membership is
+    tested by identity, so a dropped copy never drops the copy that is
+    kept.  One pass suffices: entailment is transitive, so a disjunct
+    entailing a sentence that was itself dropped entails the sentence
+    that dropped it.
+    """
+    kept = list(disjuncts)
+    for sentence in [d for d in disjuncts if d.is_sentence()]:
+        if any(d is sentence for d in kept):
+            kept = [d for d in kept if d is sentence or not d.entails(sentence)]
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -44,8 +69,8 @@ class PlusDecomposition:
 
     Attributes
     ----------
-    query:
-        The (normalized) EP formula the decomposition was computed for.
+    liberal:
+        The liberal variables ``V`` the count is taken over.
     sentence_disjuncts:
         The pp-sentence disjuncts of the normalized formula.
     star:
@@ -57,71 +82,51 @@ class PlusDecomposition:
         ``phi+ = phi-_af ∪ sentence_disjuncts``.
     """
 
-    query: EPFormula
+    liberal: frozenset[Variable]
     sentence_disjuncts: tuple[PPFormula, ...]
     star: LinearCombination
     minus: tuple[PPFormula, ...]
     plus: tuple[PPFormula, ...]
 
 
-def entails_some_sentence(formula: PPFormula, sentences: Sequence[PPFormula]) -> bool:
-    """True if ``formula`` logically entails at least one of ``sentences``."""
-    return any(formula.entails(sentence) for sentence in sentences)
-
-
 def plus_decomposition(
-    query: EPFormula, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
+    disjuncts: Sequence[PPFormula], max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
 ) -> PlusDecomposition:
     """Compute ``phi+`` and the associated bookkeeping (Section 5.4).
 
-    The query is normalized first (Section 2.1): disjuncts that entail a
-    sentence disjunct are dropped, which both matches the paper's
-    assumption and keeps the inclusion-exclusion expansion small.
+    ``disjuncts`` are the prenex pp-disjuncts of ``phi``
+    (:meth:`~repro.logic.ep.EPFormula.disjuncts`), all over one liberal
+    set.  They are normalized first (Section 2.1): disjuncts that
+    entail a sentence disjunct are dropped, which both matches the
+    paper's assumption and keeps the inclusion-exclusion expansion
+    small.
     """
-    normalized_disjuncts = query.normalized_disjuncts()
-    normalized = EPFormula.from_disjuncts(list(normalized_disjuncts))
-    sentences = tuple(d for d in normalized.disjuncts() if d.is_sentence())
-    free = tuple(d for d in normalized.disjuncts() if d.is_free())
+    if not disjuncts:
+        raise FormulaError("an EP formula needs at least one disjunct")
+    normalized = normalize(disjuncts)
+    sentences = tuple(d for d in normalized if d.is_sentence())
+    free = tuple(d for d in normalized if d.is_free())
     if free:
-        all_free = EPFormula.from_disjuncts(list(free))
-        star = star_decomposition(all_free, max_disjuncts=max_disjuncts)
+        star = star_decomposition(free, max_disjuncts=max_disjuncts)
     else:
         star = LinearCombination(())
     minus = tuple(
         formula
         for formula in star.formulas()
-        if not entails_some_sentence(formula, sentences)
+        if not any(formula.entails(sentence) for sentence in sentences)
     )
-    plus = minus + sentences
     return PlusDecomposition(
-        query=normalized,
+        liberal=disjuncts[0].liberal,
         sentence_disjuncts=sentences,
         star=star,
         minus=minus,
-        plus=plus,
+        plus=minus + sentences,
     )
 
 
 def plus_set(query: EPFormula, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> tuple[PPFormula, ...]:
     """The set ``phi+`` of prenex pp-formulas from Theorem 3.1."""
-    return plus_decomposition(query, max_disjuncts=max_disjuncts).plus
-
-
-def plus_set_for_class(
-    queries: Sequence[EPFormula], max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
-) -> list[PPFormula]:
-    """``Phi+``: the union of ``phi+`` over a class of EP formulas.
-
-    Deduplicates syntactically equal formulas while preserving order.
-    """
-    seen: set[PPFormula] = set()
-    out: list[PPFormula] = []
-    for query in queries:
-        for formula in plus_set(query, max_disjuncts=max_disjuncts):
-            if formula not in seen:
-                seen.add(formula)
-                out.append(formula)
-    return out
+    return plus_decomposition(query.disjuncts(), max_disjuncts=max_disjuncts).plus
 
 
 def sentence_holds(sentence: PPFormula, structure: Structure) -> bool:
@@ -159,8 +164,8 @@ def count_ep_answers_via_plus(
     formulas.
     """
     if decomposition is None:
-        decomposition = plus_decomposition(query, max_disjuncts=max_disjuncts)
-    liberal = decomposition.query.liberal
+        decomposition = plus_decomposition(query.disjuncts(), max_disjuncts=max_disjuncts)
+    liberal = decomposition.liberal
     for sentence in decomposition.sentence_disjuncts:
         if sentence_holds(sentence, structure):
             return len(structure.universe) ** len(liberal)

@@ -1,7 +1,8 @@
 """Inclusion-exclusion with cancellation (Section 5.3, Proposition 5.16).
 
 For an all-free EP formula ``phi = phi_1 | ... | phi_s`` (each disjunct a
-free pp-formula over the same liberal variables) and any structure
+free pp-formula over the same liberal variables), given as the tuple of
+its disjuncts, and any structure
 ``B``::
 
     |phi(B)| = sum over non-empty J of (-1)^(|J|+1) * |phi_J(B)|
@@ -12,21 +13,20 @@ merges counting-equivalent terms (summing their coefficients) and drops
 zero coefficients, which can cancel precisely the high-treewidth terms
 (Example 4.2 / 5.15).  The surviving formulas form the set ``phi*``.
 
-The module exposes both the raw expansion and the cancelled form, plus a
-:class:`LinearCombination` value object that can evaluate itself against
-any pp-counting backend.
+The module exposes both the raw expansion and the cancelled form, as
+:class:`LinearCombination` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.equivalence import group_by_counting_equivalence
 from repro.exceptions import FormulaError
-from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula, conjoin_all
+from repro.logic.terms import Variable
 from repro.structures.structure import Structure
 
 #: A callable that counts answers to a pp-formula on a structure.
@@ -59,22 +59,14 @@ class LinearCombination:
         """The distinct pp-formulas appearing in the combination."""
         return tuple(term.formula for term in self.terms)
 
-    def coefficients(self) -> tuple[int, ...]:
-        """The coefficients, aligned with :meth:`formulas`."""
-        return tuple(term.coefficient for term in self.terms)
-
-    def evaluate(self, structure: Structure, counter: PPCounter) -> int:
-        """Evaluate ``sum(c_i * counter(phi_i, structure))``."""
-        return sum(term.coefficient * counter(term.formula, structure) for term in self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
     def max_treewidth(self) -> int:
         """The largest (heuristic/exact) treewidth among the term formulas.
 
-        Used by the ablation experiments to show that cancellation can
-        remove all high-treewidth terms (Example 4.2).
+        Shows that cancellation can remove all high-treewidth terms
+        (Example 4.2).
         """
         from repro.algorithms.treewidth import treewidth
 
@@ -85,39 +77,42 @@ class LinearCombination:
         return width
 
 
-def _check_all_free(query: EPFormula) -> tuple[PPFormula, ...]:
-    disjuncts = query.free_disjuncts()
-    if len(disjuncts) != len(query.disjuncts()):
+def raw_inclusion_exclusion(
+    disjuncts: Sequence[PPFormula], max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
+) -> LinearCombination:
+    """The uncancelled inclusion-exclusion expansion of an all-free
+    disjunction.
+
+    ``disjuncts`` are free pp-formulas over one liberal set; their
+    quantified variables are standardized apart before any two are
+    conjoined.  Produces one term per non-empty subset of disjuncts,
+    with coefficient ``(-1)^(|J|+1)``.  Raises if there are more than
+    ``max_disjuncts`` disjuncts (the expansion is exponential).
+    """
+    if not disjuncts:
+        raise FormulaError("the formula has no disjuncts")
+    if not all(d.is_free() for d in disjuncts):
         raise FormulaError(
             "inclusion-exclusion expansion requires an all-free EP formula; "
             "use repro.core.ep_to_pp for the general construction"
         )
-    if not disjuncts:
-        raise FormulaError("the formula has no disjuncts")
-    return disjuncts
-
-
-def raw_inclusion_exclusion(
-    query: EPFormula, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
-) -> LinearCombination:
-    """The uncancelled inclusion-exclusion expansion of an all-free EP formula.
-
-    Produces one term per non-empty subset of disjuncts, with coefficient
-    ``(-1)^(|J|+1)``.  Raises if the formula has more than
-    ``max_disjuncts`` disjuncts (the expansion is exponential).
-    """
-    disjuncts = _check_all_free(query)
     if len(disjuncts) > max_disjuncts:
         raise FormulaError(
             f"refusing to expand {len(disjuncts)} disjuncts "
             f"(limit {max_disjuncts}); raise max_disjuncts explicitly if intended"
         )
+    taken: set[Variable] = set()
+    apart: list[PPFormula] = []
+    for index, formula in enumerate(disjuncts):
+        formula = formula.standardize_apart(taken, prefix=f"q{index}_")
+        taken |= formula.variables
+        apart.append(formula)
     terms: list[Term] = []
-    indices = range(len(disjuncts))
-    for size in range(1, len(disjuncts) + 1):
+    indices = range(len(apart))
+    for size in range(1, len(apart) + 1):
         sign = 1 if size % 2 == 1 else -1
         for subset in combinations(indices, size):
-            conjunction = conjoin_all([disjuncts[i] for i in subset])
+            conjunction = conjoin_all([apart[i] for i in subset])
             terms.append(Term(sign, conjunction))
     return LinearCombination(tuple(terms))
 
@@ -151,7 +146,7 @@ def cancel(combination: LinearCombination) -> LinearCombination:
 
 
 def star_decomposition(
-    query: EPFormula, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
+    disjuncts: Sequence[PPFormula], max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
 ) -> LinearCombination:
     """The cancelled decomposition ``|phi(B)| = sum c_i |phi*_i(B)|``.
 
@@ -159,29 +154,5 @@ def star_decomposition(
     pairwise not counting equivalent free pp-formulas with non-zero
     integer coefficients.
     """
-    return cancel(raw_inclusion_exclusion(query, max_disjuncts=max_disjuncts))
+    return cancel(raw_inclusion_exclusion(disjuncts, max_disjuncts=max_disjuncts))
 
-
-def star_set(query: EPFormula, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> tuple[PPFormula, ...]:
-    """The set ``phi*`` of pp-formulas from Proposition 5.16."""
-    return star_decomposition(query, max_disjuncts=max_disjuncts).formulas()
-
-
-def count_by_inclusion_exclusion(
-    query: EPFormula,
-    structure: Structure,
-    counter: PPCounter,
-    cancelled: bool = True,
-    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-) -> int:
-    """Count answers to an all-free EP formula through its pp-decomposition.
-
-    ``counter`` is the pp-counting backend (brute force, FPT, ...).
-    ``cancelled=False`` uses the raw expansion -- exposed for the
-    ablation benchmark that measures what cancellation buys.
-    """
-    if cancelled:
-        combination = star_decomposition(query, max_disjuncts=max_disjuncts)
-    else:
-        combination = raw_inclusion_exclusion(query, max_disjuncts=max_disjuncts)
-    return combination.evaluate(structure, counter)

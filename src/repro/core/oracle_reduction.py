@@ -129,24 +129,24 @@ class OracleCallCounter:
 class StarCountRecovery:
     """Recovers ``|psi(B)|`` for every ``psi in phi*`` from a ``phi`` oracle.
 
-    ``query`` must be an all-free EP formula; ``oracle`` answers
-    ``|query(D)|`` for structures ``D`` of the reduction's choice.  The
-    distinguishing structure and the semi-counting-equivalence classes
-    only depend on the query, so they are computed once per instance and
-    shared across calls to :meth:`recover` -- exactly the
-    "preprocessing of the parameter" that fixed-parameter tractability
-    allows.
+    ``star`` is the cancelled decomposition of an all-free EP formula
+    ``phi`` (:func:`~repro.core.inclusion_exclusion.star_decomposition`
+    of its disjuncts); ``oracle`` answers ``|phi(D)|`` for structures
+    ``D`` of the reduction's choice.  The distinguishing structure and
+    the semi-counting-equivalence classes only depend on the query, so
+    they are computed once per instance and shared across calls to
+    :meth:`recover` -- exactly the "preprocessing of the parameter" that
+    fixed-parameter tractability allows.
     """
 
     def __init__(
         self,
-        query: EPFormula,
+        star: LinearCombination,
         oracle: StructureOracle,
         seed: int = 0,
     ):
-        self.query = query
         self.oracle = oracle
-        self.star = star_decomposition(query)
+        self.star = star
         formulas = list(self.star.formulas())
         self.coefficient_of: dict[PPFormula, int] = {
             term.formula: term.coefficient for term in self.star.terms
@@ -262,8 +262,10 @@ def recover_star_counts(
     oracle: StructureOracle,
     seed: int = 0,
 ) -> dict[PPFormula, int]:
-    """One-shot convenience wrapper around :class:`StarCountRecovery`."""
-    return StarCountRecovery(query, oracle, seed=seed).recover(structure)
+    """One-shot convenience wrapper around :class:`StarCountRecovery`
+    for an all-free EP formula."""
+    star = star_decomposition(query.disjuncts())
+    return StarCountRecovery(star, oracle, seed=seed).recover(structure)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +327,8 @@ def count_pp_via_ep_oracle(
     are recovered through the maximum-count trick of Appendix A.
     """
     if decomposition is None:
-        decomposition = plus_decomposition(query)
-    liberal = decomposition.query.liberal
+        decomposition = plus_decomposition(query.disjuncts())
+    liberal = decomposition.liberal
 
     if target in decomposition.minus:
         # Appendix A: run the all-free recovery on B x C, where C is a
@@ -335,10 +337,7 @@ def count_pp_via_ep_oracle(
         # so the query agrees with its all-free part there and the oracle
         # answers are the all-free counts the recovery expects.
         factor = _free_part_factor(decomposition, seed)
-        all_free = EPFormula.from_disjuncts(
-            [d for d in decomposition.query.disjuncts() if d.is_free()]
-        )
-        recovery = StarCountRecovery(all_free, oracle, seed=seed)
+        recovery = StarCountRecovery(decomposition.star, oracle, seed=seed)
         product = relabel_to_integers(direct_product(structure, factor))
         target_on_product = recovery.recover_one(target, product)
         target_on_factor = count_pp_answers_brute_force(target, factor)

@@ -22,14 +22,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
-from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan, contract_graph
-from repro.algorithms.treewidth import (
-    DEFAULT_EXACT_THRESHOLD,
-    _exact_treewidth_value,
-    treewidth,
-)
+from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan
 from repro.obs import trace as _trace
-from repro.core.ep_to_pp import PlusDecomposition, plus_decomposition
+from repro.core.ep_to_pp import plus_decomposition
 from repro.core.inclusion_exclusion import DEFAULT_MAX_DISJUNCTS
 from repro.exceptions import ReproError
 from repro.logic.ep import EPFormula
@@ -63,7 +58,8 @@ class PlanProfile:
     ----------
     case:
         The trichotomy verdict (:class:`repro.core.classification.Case`)
-        of the plan's pp-formulas against ``treewidth_bound``.
+        of the measured pp-formulas (the query's ``phi+``) against
+        ``treewidth_bound``.
     treewidth_bound:
         The bound the verdict was taken against.
     contract_treewidth / core_treewidth:
@@ -72,8 +68,9 @@ class PlanProfile:
     component_count:
         The largest number of ∃-components among the compiled pp-plans.
     pp_formula_count:
-        How many pp-formulas were measured (one for ``pp-fpt``, the
-        surviving inclusion-exclusion terms for ``ep-plus``).
+        How many pp-formulas were measured: ``|phi+|``, one for
+        ``pp-fpt``, the surviving inclusion-exclusion terms plus the
+        sentence disjuncts for ``ep-plus``.
     arity:
         The number of liberal variables -- the answer arity.
     exact:
@@ -176,8 +173,6 @@ class CountingPlan:
 
     Attributes
     ----------
-    query:
-        The query as an EP formula (exactly as the caller posed it).
     kind:
         The execution kind, one of :data:`PLAN_KINDS`:
 
@@ -186,8 +181,6 @@ class CountingPlan:
           inclusion-exclusion combination of compiled pp-plans.
     pp:
         The compiled pp-plan (``kind == "pp-fpt"``).
-    decomposition:
-        The Section 5.4 ``phi+`` decomposition (``kind == "ep-plus"``).
     sentence_disjuncts:
         The pp-sentence disjuncts checked before the combination
         (``kind == "ep-plus"``).
@@ -205,10 +198,8 @@ class CountingPlan:
         Wall-clock time spent compiling the plan (profiling included).
     """
 
-    query: EPFormula
     kind: str
     pp: PPCountingPlan | None = None
-    decomposition: PlusDecomposition | None = None
     sentence_disjuncts: tuple[PPFormula, ...] = ()
     terms: tuple[WeightedPPPlan, ...] = ()
     liberal_count: int = 0
@@ -280,25 +271,23 @@ def compile_plan(
     ``max_disjuncts`` bounds.
     """
     started = time.perf_counter()
-    ep = as_ep(query)
     if isinstance(query, PPFormula):
         pp = query
-    elif ep.is_primitive_positive():
-        pp = ep.to_pp()
     else:
-        pp = None
+        query = as_ep(query)
+        pp = query.to_pp() if query.is_primitive_positive() else None
 
     if pp is not None:
         plan = CountingPlan(
-            query=ep,
             kind="pp-fpt",
             pp=compile_pp_plan(pp),
-            liberal_count=len(ep.liberal),
+            liberal_count=len(pp.liberal),
         )
     else:
-        # General EP query: the Section 5.4 construction, with every
-        # surviving term compiled down to a Theorem 2.11 plan.
-        decomposition = plus_decomposition(ep, max_disjuncts=max_disjuncts)
+        # General EP query: the Section 5.4 construction over the
+        # query's own disjuncts, with every surviving term compiled
+        # down to a Theorem 2.11 plan.
+        decomposition = plus_decomposition(query.disjuncts(), max_disjuncts=max_disjuncts)
         minus = set(decomposition.minus)
         terms = tuple(
             WeightedPPPlan(term.coefficient, compile_pp_plan(term.formula))
@@ -306,12 +295,10 @@ def compile_plan(
             if term.formula in minus
         )
         plan = CountingPlan(
-            query=ep,
             kind="ep-plus",
-            decomposition=decomposition,
             sentence_disjuncts=decomposition.sentence_disjuncts,
             terms=terms,
-            liberal_count=len(decomposition.query.liberal),
+            liberal_count=len(decomposition.liberal),
         )
 
     profile = profile_plan(plan)
@@ -322,30 +309,6 @@ def compile_plan(
     )
 
 
-def _pp_plan_measures(pp: PPCountingPlan, exact_threshold: int) -> tuple[int, int]:
-    """``(core treewidth, contract treewidth)`` of a compiled pp-plan's
-    formula, as :func:`~repro.core.classification.FormulaMeasures.of`
-    measures it under ``exact_threshold``.
-
-    The plan's base is the formula's core and its width the contract
-    graph's treewidth under the default threshold, so only the core
-    treewidth is computed (by value: no ordering is recovered).
-    The contract graph, whose vertices are the liberal variables, is
-    measured again only when the two thresholds pick different
-    algorithms for it.
-    """
-    core_graph = pp.base.graph()
-    if len(core_graph) <= exact_threshold:
-        core_width = _exact_treewidth_value(core_graph)
-    else:
-        core_width, _ = treewidth(core_graph, exact_threshold)
-    liberal = len(pp.base.liberal)
-    if (liberal <= exact_threshold) == (liberal <= DEFAULT_EXACT_THRESHOLD):
-        return core_width, pp.width
-    contract_width, _ = treewidth(contract_graph(pp.base, use_core=False), exact_threshold)
-    return core_width, contract_width
-
-
 def profile_plan(
     plan: CountingPlan,
     treewidth_bound: int = DEFAULT_TREEWIDTH_BOUND,
@@ -353,58 +316,42 @@ def profile_plan(
 ) -> PlanProfile:
     """Compute the :class:`PlanProfile` of a compiled plan.
 
-    The measured pp-formulas are the ones the plan will actually
-    execute: the single pp-formula of a ``pp-fpt`` plan and the
-    surviving inclusion-exclusion terms of an ``ep-plus`` plan.  Graphs
+    The measured pp-formulas are the query's ``phi+`` (Theorem 3.2):
+    the single pp-formula of a ``pp-fpt`` plan; the surviving
+    inclusion-exclusion terms *and* the sentence disjuncts of an
+    ``ep-plus`` plan.  They are measured by the classifier's own
+    measurer (:meth:`~repro.core.classification.FormulaMeasures.of`),
+    which reads each term's core and contract width off its compiled
+    pp-plan; a sentence disjunct is compiled to be measured.  Graphs
     with more than ``exact_threshold`` vertices are measured with the
     greedy elimination-ordering upper bound instead of the exact
     exponential algorithm, so profiling stays cheap on adversarially
-    large queries.  The measures equal those of
-    :func:`~repro.core.classification.measure_pp_class` on the same
-    formulas; they are read from the compiled pp-plans
-    (:func:`_pp_plan_measures`), which already hold each core and its
-    contract width.
+    large queries.
     """
-    from repro.core.classification import Case, trichotomy_case
+    from repro.core.classification import FormulaMeasures, trichotomy_case
 
     started = time.perf_counter()
     with _trace.span("plan.classify", kind=plan.kind) as span:
         pp_plans = [plan.pp] if plan.pp is not None else [t.plan for t in plan.terms]
-        formulas = [pp.formula for pp in pp_plans]
-        component_counts = [len(pp.components) for pp in pp_plans]
-
-        if not formulas:
-            # Degenerate (e.g. every term cancelled): trivially FPT.
-            profile = PlanProfile(
-                case=Case.FPT,
-                treewidth_bound=treewidth_bound,
-                contract_treewidth=-1,
-                core_treewidth=-1,
-                component_count=max(component_counts, default=0),
-                pp_formula_count=0,
-                arity=plan.liberal_count,
-                exact=True,
-                classify_seconds=time.perf_counter() - started,
-            )
-            span.set("verdict", profile.case.name)
-            return profile
-
-        measures = [_pp_plan_measures(pp, exact_threshold) for pp in pp_plans]
-        max_core = max(core for core, _ in measures)
-        max_contract = max(contract for _, contract in measures)
-        case = trichotomy_case(max_core, max_contract, treewidth_bound)
-        exact = all(
-            len(formula.variables) <= exact_threshold for formula in formulas
-        )
+        sentences = [compile_pp_plan(s) for s in plan.sentence_disjuncts]
+        measures = [
+            FormulaMeasures.of(pp, exact_threshold=exact_threshold)
+            for pp in pp_plans + sentences
+        ]
+        # No measured formula (every term cancelled) reads -1: FPT.
+        max_core = max((m.core_treewidth for m in measures), default=-1)
+        max_contract = max((m.contract_treewidth for m in measures), default=-1)
         profile = PlanProfile(
-            case=case,
+            case=trichotomy_case(max_core, max_contract, treewidth_bound),
             treewidth_bound=treewidth_bound,
             contract_treewidth=max_contract,
             core_treewidth=max_core,
-            component_count=max(component_counts, default=0),
-            pp_formula_count=len(formulas),
+            component_count=max((len(pp.components) for pp in pp_plans), default=0),
+            pp_formula_count=len(measures),
             arity=plan.liberal_count,
-            exact=exact,
+            exact=all(
+                len(m.formula.variables) <= exact_threshold for m in measures
+            ),
             classify_seconds=time.perf_counter() - started,
         )
         span.set("verdict", profile.case.name)

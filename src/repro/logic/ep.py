@@ -2,17 +2,11 @@
 
 :class:`EPFormula` pairs an EP formula AST with a set of liberal
 variables (a superset of its free variables) and exposes the syntactic
-transformations the paper relies on:
-
-* the **disjunctive form**: a list of prenex pp-formulas (all sharing
-  the liberal set) whose disjunction is logically equivalent to the
-  formula;
-* the **normalized form**: the disjunctive form with every disjunct
-  removed that logically entails some *sentence* disjunct (this is the
-  normalization of Section 2.1);
-* the **all-free part** ``φ_af``: the disjunction of the free disjuncts
-  (those with at least one free variable), used by the general
-  construction of Section 5.4.
+transformation the paper relies on: the **disjunctive form**, a tuple
+of prenex pp-formulas (all sharing the liberal set) whose disjunction
+is logically equivalent to the formula.  Everything Section 5.4 derives
+(normalization, the all-free part, ``φ+``) is computed from that tuple
+by :mod:`repro.core.ep_to_pp`.
 
 An EP formula is semantically a union of conjunctive queries, and it is
 the library's one query type: :func:`repro.logic.parser.parse_query`
@@ -177,61 +171,6 @@ class EPFormula:
                 out.append(formula.with_signature(formula.signature | self._signature))
             self._disjuncts_cache = tuple(out)
         return self._disjuncts_cache
-
-    def free_disjuncts(self) -> tuple[PPFormula, ...]:
-        """The disjuncts that have at least one free variable."""
-        return tuple(d for d in self.disjuncts() if d.is_free())
-
-    def sentence_disjuncts(self) -> tuple[PPFormula, ...]:
-        """The disjuncts with no free variables (pp-sentences)."""
-        return tuple(d for d in self.disjuncts() if d.is_sentence())
-
-    def is_all_free(self) -> bool:
-        """True if every disjunct is free (Section 5.3's special case)."""
-        return all(d.is_free() for d in self.disjuncts())
-
-    def normalized_disjuncts(self) -> tuple[PPFormula, ...]:
-        """A normalized, logically equivalent list of disjuncts.
-
-        Normalization (Section 2.1) removes every disjunct that logically
-        entails some *other* sentence disjunct: whenever that sentence
-        disjunct is true the entailing disjunct adds nothing, and the
-        result satisfies the paper's normalization condition (no
-        homomorphism from a sentence disjunct's augmented structure into
-        any other disjunct's).  Duplicate logically-equivalent sentence
-        disjuncts collapse to one.
-        """
-        disjuncts = list(self.disjuncts())
-        kept = list(disjuncts)
-        changed = True
-        while changed:
-            changed = False
-            sentences = [d for d in kept if d.is_sentence()]
-            for sentence in sentences:
-                if sentence not in kept:
-                    continue
-                for other in list(kept):
-                    if other is sentence:
-                        continue
-                    if other.entails(sentence):
-                        kept.remove(other)
-                        changed = True
-        return tuple(kept)
-
-    def normalized(self) -> "EPFormula":
-        """A logically equivalent normalized EP formula."""
-        return EPFormula.from_disjuncts(list(self.normalized_disjuncts()))
-
-    def all_free_part(self) -> "EPFormula | None":
-        """The all-free part ``φ_af``: the disjunction of the free disjuncts.
-
-        Returns ``None`` when the formula has no free disjunct (then the
-        formula is a disjunction of sentences).
-        """
-        free = self.free_disjuncts()
-        if not free:
-            return None
-        return EPFormula.from_disjuncts(list(free))
 
     def to_pp(self) -> PPFormula:
         """Convert to a single pp-formula; requires a disjunction-free formula."""

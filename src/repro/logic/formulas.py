@@ -365,7 +365,11 @@ def to_prenex_disjuncts(formula: Formula) -> list[PrenexDisjunct]:
     is logically equivalent to the disjunction of the disjuncts.  Bound
     variables are standardized apart (each quantifier introduction gets a
     fresh name per disjunct), so no variable is both free and quantified
-    and no two quantifiers share a variable.
+    and no two quantifiers of one disjunct share a variable.  Disjuncts
+    that distributing ``&`` over ``|`` copies one conjunct into share
+    that conjunct's quantified variables (``(exists a. E(a, x)) & (E(x,
+    y) | E(y, x))`` quantifies ``a#0`` in both), so conjoining two
+    disjuncts standardizes them apart first.
     """
     fresh = _FreshNames(formula.all_variables())
 

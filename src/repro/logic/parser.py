@@ -3,7 +3,7 @@
 The grammar (whitespace-insensitive)::
 
     query       :=  [ header '=' ] formula
-    header      :=  IDENT '(' varlist ')'          -- declares the liberal variables
+    header      :=  IDENT '(' [ varlist ] ')'      -- declares the liberal variables
     formula     :=  conjunct ( '|' conjunct )*
     conjunct    :=  unary ( '&' unary )*
     unary       :=  atom | 'T' | '(' formula ')'
@@ -16,6 +16,10 @@ Examples::
     E(x, y) & (E(w, x) | (E(y, z) & E(z, z)))
     phi(w, x, y, z) = (E(x,y) & E(y,z)) | (E(z,w) & E(w,x)) | (E(w,x) & E(x,y))
     exists z. E(x, z) & E(z, y)
+    phi() = exists a b. E(a, b) & E(b, a)
+
+An empty header declares no liberal variable (a sentence), which is how
+an :class:`EPFormula` prints one, so ``parse_query(str(q)) == q``.
 
 Relation names start with an upper-case letter, variable names with a
 lower-case letter or underscore; this mirrors the usual datalog
@@ -122,7 +126,7 @@ class _Parser:
         if self._accept("LPAREN") is None:
             self._index = start
             return None
-        variables = self._varlist()
+        variables = () if self._peek().kind == "RPAREN" else self._varlist()
         if self._accept("RPAREN") is None or self._accept("EQUALS") is None:
             self._index = start
             return None

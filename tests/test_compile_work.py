@@ -6,12 +6,16 @@ counts calls instead of timing them: each inclusion-exclusion term is
 cored once, with at most one homomorphism search per quantified
 variable and at most one ``Structure`` built (the core's own), and no
 positional-index search runs anywhere in a compile; each compiled
-pp-plan runs the exact treewidth once, the
+pp-plan (a sentence disjunct's too, which the profile compiles to
+measure it) runs the exact treewidth once, the
 subset DP runs once per measured graph (once on the contract graph and
 once on the core graph of a pp-plan), and cancellation runs the exact
 renaming-equivalence search only between terms whose cores share an
-invariant.  Counting the same stream, every ∃-component is eliminated
-on the tables, never backtracked.
+invariant.  The Section 5.4 pipeline derives each query's disjuncts
+once and builds no further EP formula, and each pp-plan builds its
+core's Gaifman graph at most twice (compile, profile).  Counting the
+same stream, every ∃-component is eliminated on the tables, never
+backtracked.
 """
 
 from __future__ import annotations
@@ -22,9 +26,14 @@ import repro.algorithms.fpt_counting as fpt_counting
 import repro.core.equivalence as equivalence
 import repro.core.inclusion_exclusion as inclusion_exclusion
 import repro.engine.plan as plan_module
+import repro.logic.ep as ep_module
+import repro.logic.pp as pp_module
 import repro.structures.cores as cores
+import repro.structures.graphs as graphs
 import repro.structures.homomorphism as homomorphism
 from repro.engine import Engine
+from repro.logic.ep import EPFormula
+from repro.logic.parser import parse_query
 from repro.logic.pp import PPFormula
 from repro.structures.random_gen import random_cluster_graph
 from repro.structures.structure import Structure
@@ -120,7 +129,8 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
             raw_terms += 1
             pp_plans += 1
         else:
-            pp_plans += len(plan.terms)
+            # The profile compiles each sentence disjunct to measure it.
+            pp_plans += len(plan.terms) + len(plan.sentence_disjuncts)
 
     assert raw_terms > QUERY_COUNT
     assert calls["core"] <= raw_terms, calls
@@ -179,3 +189,47 @@ def test_every_ad_hoc_component_is_eliminated_on_the_tables():
         stats = engine.stats()
     assert stats.boundary_memo_misses > 0
     assert stats.semijoin_eliminations == stats.boundary_memo_misses
+
+
+def test_a_compile_derives_the_disjuncts_once_and_builds_no_ep_formula(monkeypatch):
+    # The Section 5.4 pipeline runs on the parsed query's own
+    # pp-disjuncts: no normalized or all-free EPFormula is built, so
+    # nothing re-derives the disjuncts from an AST.
+    queries = [parse_query(str(query)) for query in ad_hoc_queries()]
+    calls = {"to_prenex_disjuncts": 0, "EPFormula.__init__": 0}
+    prenex, init = ep_module.to_prenex_disjuncts, EPFormula.__init__
+
+    def counted_prenex(*args, **kwargs):
+        calls["to_prenex_disjuncts"] += 1
+        return prenex(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["EPFormula.__init__"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ep_module, "to_prenex_disjuncts", counted_prenex)
+    monkeypatch.setattr(EPFormula, "__init__", counted_init)
+    for query in queries:
+        assert plan_module.compile_plan(query).kind == "ep-plus"
+    assert calls == {"to_prenex_disjuncts": QUERY_COUNT, "EPFormula.__init__": 0}
+
+
+def test_a_pp_plan_builds_its_core_graph_at_most_twice(monkeypatch):
+    # Once for the ∃-components and the contract graph together, once
+    # for the profile's core treewidth.
+    calls = 0
+    build = graphs.gaifman_graph
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "gaifman_graph", counted)
+    monkeypatch.setattr(pp_module, "gaifman_graph", counted)
+    pp_plans = 0
+    for query in ad_hoc_queries():
+        plan = plan_module.compile_plan(query)
+        pp_plans += len(plan.terms) + len(plan.sentence_disjuncts)
+    assert pp_plans > QUERY_COUNT
+    assert 0 < calls <= 2 * pp_plans, (calls, pp_plans)

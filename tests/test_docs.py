@@ -187,12 +187,15 @@ def test_checker_detects_a_stale_plan_attribute(tmp_path):
     page.write_text(
         "A plan keeps `PPCountingPlan.order` and `PPCountingPlan.width`;\n"
         "`PPCountingPlan.dp_schedule` and `PPCountingPlan.decomposition`\n"
-        "are gone.\n"
+        "are gone.  `CountingPlan.terms` and `EPFormula.disjuncts` stay, but\n"
+        "`CountingPlan.decomposition` and `EPFormula.normalized` are gone.\n"
     )
     problems = check_docs_freshness.check_attributes([page])
-    assert len(problems) == 2, problems
+    assert len(problems) == 4, problems
     assert any("`PPCountingPlan.dp_schedule`" in p for p in problems)
     assert any("`PPCountingPlan.decomposition`" in p for p in problems)
+    assert any("`CountingPlan.decomposition`" in p for p in problems)
+    assert any("`EPFormula.normalized`" in p for p in problems)
 
 
 def test_docs_pages_exist_and_crosslink():

@@ -123,14 +123,14 @@ def test_a_compiled_plan_is_the_same_under_every_hash_seed(seed):
 
 
 DESCRIBE_CORES = """
+from repro.core.ep_to_pp import normalize
 from repro.core.equivalence import group_by_counting_equivalence
 from repro.core.inclusion_exclusion import raw_inclusion_exclusion
-from repro.logic.ep import EPFormula
 from test_compile_work import ad_hoc_queries
 
 for query in ad_hoc_queries():
-    free = [d for d in query.normalized_disjuncts() if d.is_free()]
-    terms = list(raw_inclusion_exclusion(EPFormula.from_disjuncts(free)).formulas())
+    free = [d for d in normalize(query.disjuncts()) if d.is_free()]
+    terms = list(raw_inclusion_exclusion(free).formulas())
     print([str(term.core()) for term in terms])
     groups = group_by_counting_equivalence(terms)
     print([[terms.index(formula) for formula in group] for group in groups])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.engine.cache import LRUCache, PlanCache, canonical_query_form
+from repro.engine.plan import as_ep
 from repro.exceptions import ReproError
 from repro.logic.ep import EPFormula
 from repro.logic.parser import parse_query
@@ -91,6 +92,23 @@ def test_canonical_form_unifies_call_styles():
     as_text = "exists x1. (E(x0, x1) & E(x1, x2))"
     assert canonical_query_form(pp) == canonical_query_form(EPFormula.from_pp(pp))
     assert canonical_query_form(pp) == canonical_query_form(parse_query(as_text))
+
+
+def _printed_queries():
+    from test_encoding import GENERATOR_QUERIES
+    from test_theory import K4_SENTENCE_QUERY
+
+    cells = [pytest.param(q, id=name) for name, q in GENERATOR_QUERIES.items()]
+    cells.append(pytest.param(parse_query("exists a b. (E(a, b) & E(b, a))"), id="sentence"))
+    cells.append(pytest.param(K4_SENTENCE_QUERY, id="k4_sentence"))
+    return cells
+
+
+@pytest.mark.parametrize("query", _printed_queries())
+def test_a_printed_query_parses_back_to_itself(query):
+    # A sentence prints an empty header, ``phi() = ...``.
+    query = as_ep(query)
+    assert parse_query(str(query)) == query
 
 
 def test_plan_cache_hits_across_call_styles():

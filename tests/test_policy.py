@@ -31,7 +31,7 @@ from repro import (
 from repro.budget import budget_scope
 from repro.core.classification import Case
 from repro.engine.api import Engine
-from repro.engine.plan import as_ep, compile_plan, profile_plan
+from repro.engine.plan import compile_plan, profile_plan
 from repro.engine.policy import ALLOW, ExecutionPolicy
 from repro.exceptions import WorkloadError
 from repro.serve import (
@@ -113,23 +113,36 @@ def test_workloads_reexport_the_one_clique_query():
         assert not clique_query(k, liberal=False).liberal
 
 
-def _generator_pp_queries():
+def _verdict_queries():
     from test_encoding import GENERATOR_QUERIES
+    from test_theory import K4_SENTENCE_QUERY
 
     for name, query in GENERATOR_QUERIES.items():
-        ep = as_ep(query)
-        if ep.is_primitive_positive() and len(ep.to_pp().variables) <= 10:
-            yield pytest.param(query, id=name)
+        yield pytest.param(query, id=name)
+    yield pytest.param(K4_SENTENCE_QUERY, id="k4_sentence")
 
 
-@pytest.mark.parametrize("query", _generator_pp_queries())
+@pytest.mark.parametrize("query", _verdict_queries())
 def test_a_profile_re_derives_the_classifiers_verdict_at_every_bound(query):
     # Both sides measure exactly at <= 10 variables, so the memoized
-    # measures must reproduce the classifier's verdict at any bound.
+    # measures of phi+ (sentence disjuncts included) must reproduce the
+    # classifier's verdict at any bound.
     profile = compile_plan(query).profile
     assert profile.exact
     for bound in range(4):
         assert profile.case_for(bound) is classify(query, bound).case
+
+
+def test_a_sentence_disjunct_counts_toward_the_verdict():
+    from test_theory import K4_SENTENCE_QUERY
+
+    engine = Engine(
+        policy=ExecutionPolicy(mode="reject", reject_cases=("CLIQUE_EQUIVALENT",))
+    )
+    with pytest.raises(PolicyRejection) as excinfo:
+        engine.count(K4_SENTENCE_QUERY, graph(8, 0.5, seed=2))
+    assert excinfo.value.verdict == "CLIQUE_EQUIVALENT"
+    assert excinfo.value.measures["core_treewidth"] == 3
 
 
 def test_frontier_pairs_straddle_the_trichotomy():

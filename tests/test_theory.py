@@ -36,6 +36,7 @@ from repro.algorithms.treewidth import (
     width_of_ordering,
 )
 from repro.core.classification import measure_pp_class, trichotomy_case
+from repro.core.ep_to_pp import normalize, plus_set
 from repro.budget import CostBudget, budget_scope
 from repro.core.equivalence import (
     group_by_counting_equivalence,
@@ -47,7 +48,7 @@ from repro.engine import Engine
 from repro.engine.executor import execute
 from repro.engine.plan import PROFILE_EXACT_THRESHOLD, as_ep, compile_plan
 from repro.logic.builder import pp_from_atom_specs
-from repro.logic.ep import EPFormula
+from repro.logic.parser import parse_query
 from repro.logic.pp import PPFormula
 from repro.structures.cores import AUGMENT_PREFIX, core, is_core
 from repro.structures.graphs import connected_components, graph_components
@@ -130,6 +131,26 @@ PAPER_EXAMPLES = {
 }
 UCQ_SEEDS = range(8)
 
+#: An edge or a 4-clique anywhere: the sentence disjunct's core has
+#: treewidth 3, so ``phi+`` is clique-equivalent at bound 2.
+K4_SENTENCE_QUERY = parse_query(
+    "Q(x, y) = E(x, y) | exists a b c d. (E(a, b) & E(a, c) & E(a, d)"
+    " & E(b, c) & E(b, d) & E(c, d))"
+)
+
+#: Thirteen liberal variables whose Gaifman graph has treewidth 4 while
+#: min-fill and min-degree both give 5: between the profile's cutoff
+#: and the default one, so the two cutoffs measure it differently.
+GREEDY_GAP_EDGES = (
+    (0, 4), (0, 9), (1, 2), (1, 5), (1, 9), (2, 6), (2, 8), (2, 9),
+    (2, 11), (3, 7), (3, 8), (3, 10), (4, 5), (4, 6), (4, 11), (5, 8),
+    (6, 9), (6, 12), (7, 9), (7, 12), (9, 11), (11, 12),
+)
+GREEDY_GAP_QUERY = parse_query(
+    "Q(" + ", ".join(f"x{i}" for i in range(13)) + ") = "
+    + " & ".join(f"E(x{u}, x{v})" for u, v in GREEDY_GAP_EDGES)
+)
+
 
 def _ucq(seed: int):
     """A seeded ``random_ucq(3, 5, 5)``, liberal count cycling 2, 3, 5."""
@@ -147,8 +168,8 @@ def _raw_terms(query) -> list[PPFormula]:
     each followed by a copy with its liberal variables permuted and its
     quantified variables renamed -- renaming equivalent to it, so every
     group has at least two members."""
-    free = [d for d in query.normalized_disjuncts() if d.is_free()]
-    terms = list(raw_inclusion_exclusion(EPFormula.from_disjuncts(free)).formulas())
+    free = [d for d in normalize(query.disjuncts()) if d.is_free()]
+    terms = list(raw_inclusion_exclusion(free).formulas())
     rng = random.Random(len(terms))
     copies = []
     for term in terms:
@@ -196,6 +217,8 @@ def _profile_queries():
         "union_of_paths": union_of_paths_query([2, 3, 4, 5]),
         "frontier_tractable": frontier_query_pair(4)[0],
         "frontier_hard": frontier_query_pair(4)[1],
+        "k4_sentence": K4_SENTENCE_QUERY,
+        "greedy_gap_13": GREEDY_GAP_QUERY,
         **{name: build() for name, build in PAPER_EXAMPLES.items()},
     }
     cells = [pytest.param(q, id=name) for name, q in generators.items()]
@@ -203,16 +226,73 @@ def _profile_queries():
     return cells
 
 
+#: A sentence disjunct that distributing ``&`` over ``|`` copies into
+#: two disjuncts: the copies are equal but distinct objects.
+DUPLICATED_SENTENCE_QUERIES = {
+    "sentence-twice": "Q(x) = (exists a. E(a, a)) & (T | T)",
+    "sentence-twice-or-loop": "Q(x) = ((exists a. E(a, a)) & (T | T)) | E(x, x)",
+}
+#: With a loop (the sentence holds) and without (it fails).
+LOOP_GRAPHS = {
+    "loop": Structure.from_relations({"E": [(1, 1), (1, 2), (2, 3)]}),
+    "no-loop": Structure.from_relations({"E": [(1, 2), (2, 3), (3, 1)]}),
+}
+
+
+def test_normalize_keeps_one_of_two_equal_sentences():
+    free, sentence = parse_query(
+        "Q(x) = E(x, x) | exists a b. (E(a, b) & E(b, a))"
+    ).disjuncts()
+    twin = copy.copy(sentence)
+    assert twin == sentence and twin is not sentence
+    assert normalize([sentence, twin]) == (sentence,)
+    # E(x, x) entails the 2-cycle sentence, so it goes too.
+    assert normalize([free, twin, sentence]) == (twin,)
+
+
+@pytest.mark.parametrize("graph", sorted(LOOP_GRAPHS))
+@pytest.mark.parametrize("name", sorted(DUPLICATED_SENTENCE_QUERIES))
+def test_a_duplicated_sentence_disjunct_counts_like_the_brute_force(name, graph):
+    query = parse_query(DUPLICATED_SENTENCE_QUERIES[name])
+    structure = LOOP_GRAPHS[graph]
+    expected = count_answers_naive(as_ep(query), structure)
+    assert execute(compile_plan(query), structure) == expected
+    assert Engine().count_sharded(
+        query, structure, shard_count=2, parallel=False
+    ) == expected
+
+
+def _direct_measures(formula: PPFormula, threshold: int | None) -> tuple[int, int]:
+    """The reference measure: ``(core, contract)`` treewidths taken
+    straight from the formula's core and its contract graph under
+    ``threshold``, with none of the compiled plan's width reused."""
+    kwargs = {} if threshold is None else {"exact_threshold": threshold}
+    core = formula.core()
+    core_width, _ = treewidth(core.graph(), **kwargs)
+    contract_width, _ = treewidth(contract_graph(core, use_core=False), **kwargs)
+    return core_width, contract_width
+
+
 @pytest.mark.parametrize("query", _profile_queries())
 def test_the_profile_equals_the_classifier_measures(query):
-    plan = compile_plan(query)
-    pp_plans = [plan.pp] if plan.pp is not None else [t.plan for t in plan.terms]
-    # Copies drop the memoized cores, so the classifier cores afresh.
-    formulas = [copy.copy(pp.formula) for pp in pp_plans]
-    measures = measure_pp_class(formulas, exact_threshold=PROFILE_EXACT_THRESHOLD)
-    core = max((m.core_treewidth for m in measures), default=-1)
-    contract = max((m.contract_treewidth for m in measures), default=-1)
-    profile = plan.profile
+    # The profile measures the query's phi+ -- the surviving terms and
+    # the sentence disjuncts -- which is what the classifier measures;
+    # both read widths off compiled plans, checked here against the
+    # direct measure of each formula under either cutoff.
+    formulas = plus_set(as_ep(query))
+    # Copies drop the memoized cores, so each side cores afresh.
+    reference = {
+        threshold: [_direct_measures(copy.copy(f), threshold) for f in formulas]
+        for threshold in (PROFILE_EXACT_THRESHOLD, None)
+    }
+    for threshold, expected in reference.items():
+        measures = measure_pp_class(
+            [copy.copy(f) for f in formulas], exact_threshold=threshold
+        )
+        assert [(m.core_treewidth, m.contract_treewidth) for m in measures] == expected
+    core = max((c for c, _ in reference[PROFILE_EXACT_THRESHOLD]), default=-1)
+    contract = max((w for _, w in reference[PROFILE_EXACT_THRESHOLD]), default=-1)
+    profile = compile_plan(query).profile
     assert profile.core_treewidth == core
     assert profile.contract_treewidth == contract
     assert profile.case == trichotomy_case(core, contract, profile.treewidth_bound)
@@ -853,7 +933,9 @@ def test_a_long_path_compiles_with_linear_fill_in_work(monkeypatch):
 #: Recorded from the compiler before the one-pass core and the shared
 #: subset DP: per query, the profile ``(case, core width, contract
 #: width, components, pp-formulas, arity, exact)`` and each pp-plan's
-#: ``(width, order)``, groups space-separated.
+#: ``(width, order)``, groups space-separated.  Since the profile
+#: measures all of ``phi+``, a query with a sentence disjunct counts it
+#: among its pp-formulas (``example_5_21``, ``ucq-seed6``).
 HEAD_PLAN_MEASURES = {
     'cycle': (
         ('FPT', 2, 2, 0, 1, 4, True),
@@ -868,7 +950,8 @@ HEAD_PLAN_MEASURES = {
         [(1, 'w x y,z'), (1, 'w x y,z')],
     ),
     'example_5_21': (
-        ('FPT', 1, 1, 0, 1, 4, True),
+        # One surviving term and the sentence disjunct: |phi+| = 2.
+        ('FPT', 1, 1, 0, 2, 4, True),
         [(1, 'w x y,z')],
     ),
     'grid': (
@@ -936,7 +1019,8 @@ HEAD_PLAN_MEASURES = {
         [(1, 'v0 v2 v3 v1,v4'), (1, 'v2 v0 v1 v3,v4'), (1, 'v0 v3 v2 v1,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4'), (2, 'v0 v2 v1,v3,v4')],
     ),
     'ucq-seed6': (
-        ('FPT', 2, 1, 3, 3, 2, True),
+        # Three surviving terms and one sentence disjunct.
+        ('FPT', 2, 1, 3, 4, 2, True),
         [(1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
     ),
     'ucq-seed7': (

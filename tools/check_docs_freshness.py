@@ -108,7 +108,13 @@ _ATTR_OWNERS = {
     "StructureRegistry": "repro.engine.registry",
     "ClusterCoordinator": "repro.cluster.coordinator",
     "PPCountingPlan": "repro.algorithms.fpt_counting",
+    "CountingPlan": "repro.engine.plan",
+    "EPFormula": "repro.logic.ep",
 }
+
+#: The small EP query whose compiled plan and parsed formula stand in
+#: for ``CountingPlan`` and ``EPFormula``.
+_OWNER_QUERY = "Q(x, y) = E(x, y) | exists z. (E(x, z) & E(z, y))"
 
 #: An inline code span, and a ``Class.attr`` mention inside one.
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
@@ -424,6 +430,14 @@ def _owner_instance(name: str):
         from repro.workloads.generators import path_query
 
         return compile_pp_plan(path_query(2))
+    if name == "CountingPlan":
+        from repro.engine.plan import compile_plan
+
+        return compile_plan(_OWNER_QUERY)
+    if name == "EPFormula":
+        from repro.logic.parser import parse_query
+
+        return parse_query(_OWNER_QUERY)
     return cls()
 
 
