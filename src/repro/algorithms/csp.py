@@ -10,8 +10,8 @@ instances.
 * :func:`eliminate` -- the one evaluator over the column tables of
   :mod:`repro.structures.encoding`: variable elimination, one fused
   join-project per variable.  On plain tables it projects (the
-  ∃-components of Theorem 2.11 and pp-sentences,
-  :mod:`repro.engine.context`); on weighted tables it sums (the count).
+  ∃-components of Theorem 2.11, boundary-free ones -- pp-sentence
+  parts -- included, :mod:`repro.engine.context`); on weighted tables it sums (the count).
   The sum-product form is InsideOut (Abo Khamis, Ngo and Rudra, *FAQ:
   Questions Asked Frequently*, PODS 2016).
 * :func:`count_solutions_tables` -- the count: :func:`eliminate` on

@@ -262,13 +262,14 @@ def execute_pp_plan(
     # Structure.relation.
     tables = [ops.base_table(name, scope) for name, scope in plan.liberal_atom_scopes]
     for component in plan.components:
+        table = context.boundary_table(component)
         if not component.boundary_order:
-            # A pp-sentence part: it contributes a factor 1 if satisfiable
-            # on the structure and 0 otherwise.
-            if not context.component_satisfiable(component):
+            # A pp-sentence part: a zero-column table, one row iff it
+            # maps into the structure -- a factor 1, else the count is 0.
+            if ops.is_empty(table):
                 return 0
             continue
-        tables.append(context.boundary_table(component))
+        tables.append(table)
     return count_solutions_tables(
         plan.liberal_order,
         context.encoded.size,

@@ -18,7 +18,7 @@ to ``v`` *through* ``S`` (reachable from ``v`` via internal vertices in
 ``S``), which is ``v``'s degree in the graph ``S``'s elimination
 leaves.  The treewidth is ``rest(∅)``, and an optimal ordering is read
 from the same memo by a walk that keeps ``rest`` at the width.  Runs in
-``O*(2^n)`` and is used up to ``exact_threshold`` vertices.
+``O*(2^n)`` and is used up to :data:`DEFAULT_EXACT_THRESHOLD` vertices.
 
 Heuristics
 ----------
@@ -43,7 +43,8 @@ from repro.structures.graphs import Graph
 
 Vertex = Hashable
 
-#: Default number of vertices up to which the exact algorithm is used.
+#: The number of vertices up to which the exact algorithm is used: the
+#: one cutoff of every compiled width and every profile measure.
 DEFAULT_EXACT_THRESHOLD = 13
 
 
@@ -314,18 +315,16 @@ def treewidth_exact(graph: Graph) -> tuple[int, list[Vertex]]:
     return width, [vertices[i] for i in indices]
 
 
-def treewidth(
-    graph: Graph,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-) -> tuple[int, list[Vertex]]:
+def treewidth(graph: Graph) -> tuple[int, list[Vertex]]:
     """Treewidth of ``graph``: exact when small, best heuristic otherwise.
 
     Returns ``(width, ordering)``, an elimination ordering of that
     width (-1 and no vertex for the empty graph).  For graphs with at
-    most ``exact_threshold`` vertices the result is exact; otherwise it
-    is the better of the min-fill and min-degree upper bounds.
+    most :data:`DEFAULT_EXACT_THRESHOLD` vertices the result is exact;
+    otherwise it is the better of the min-fill and min-degree upper
+    bounds.
     """
-    if len(graph) <= exact_threshold:
+    if len(graph) <= DEFAULT_EXACT_THRESHOLD:
         return treewidth_exact(graph)
     fill_width, fill_ordering = treewidth_upper_bound(graph, "min_fill")
     degree_width, degree_ordering = treewidth_upper_bound(graph, "min_degree")

@@ -5,7 +5,7 @@ execution contexts, the component-aligned shard partition with exact
 recombination -- already express a ``count_sharded`` call as a bag of
 independent, picklable ``(units, shard)`` jobs whose results combine
 placement-independently (shard counts sum, query components multiply,
-sentence bits OR).  This package runs those jobs across *processes that
+a sentence component's 0/1 counts OR).  This package runs those jobs across *processes that
 do not share a parent*: a TCP coordinator/worker protocol over stdlib
 ``asyncio`` with length-prefixed JSON+pickle frames.
 

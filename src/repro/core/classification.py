@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan, contract_graph
+from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan
 from repro.algorithms.treewidth import (
     DEFAULT_EXACT_THRESHOLD,
     _exact_treewidth_value,
@@ -54,50 +54,43 @@ class Case(Enum):
 
 @dataclass(frozen=True)
 class FormulaMeasures:
-    """Structural measures of a single pp-formula."""
+    """Structural measures of a single pp-formula.
+
+    ``exact`` says both treewidths are exact: the core graph had at
+    most :data:`~repro.algorithms.treewidth.DEFAULT_EXACT_THRESHOLD`
+    vertices, and so had the contract graph, whose vertices are a
+    subset of the core's.  Otherwise they are greedy upper bounds.
+    """
 
     formula: PPFormula
     core_treewidth: int
     contract_treewidth: int
+    exact: bool
 
     @classmethod
-    def of(
-        cls, plan: PPCountingPlan, exact_threshold: int | None = None
-    ) -> "FormulaMeasures":
+    def of(cls, plan: PPCountingPlan) -> "FormulaMeasures":
         """Measure the formula of a compiled pp-plan.
 
         The one measurer: the classifier (through
         :func:`measure_pp_class`) and the plan profile
         (:func:`repro.engine.plan.profile_plan`) both measure through
-        it.  ``exact_threshold`` overrides the exact-treewidth size
-        cutoff (see :func:`repro.algorithms.treewidth.treewidth`):
-        graphs larger than it get a greedy elimination-ordering *upper
-        bound* instead of the exponential exact algorithm.  Plan
-        profiling passes a small cutoff so classification never costs
-        more than the execution it gates.
-
-        A compiled plan's base is the formula's core and its width the
-        contract graph's treewidth under the default cutoff, so only
-        the core treewidth is computed (by value: no ordering is
-        recovered); the contract graph, whose vertices are the liberal
-        variables, is measured again only when the two cutoffs pick
-        different algorithms for it.
+        it.  A compiled plan's base is the formula's core and its width
+        the contract graph's treewidth, so only the core treewidth is
+        computed, by value (no ordering is recovered), under the same
+        exact-search cutoff as the plan's width
+        (:func:`repro.algorithms.treewidth.treewidth`).
         """
-        threshold = DEFAULT_EXACT_THRESHOLD if exact_threshold is None else exact_threshold
         core_graph = plan.base.graph()
-        if len(core_graph) <= threshold:
+        exact = len(core_graph) <= DEFAULT_EXACT_THRESHOLD
+        if exact:
             core_width = _exact_treewidth_value(core_graph)
         else:
-            core_width, _ = treewidth(core_graph, threshold)
-        liberal = len(plan.base.liberal)
-        if (liberal <= threshold) == (liberal <= DEFAULT_EXACT_THRESHOLD):
-            contract_width = plan.width
-        else:
-            contract_width, _ = treewidth(contract_graph(plan.base, use_core=False), threshold)
+            core_width, _ = treewidth(core_graph)
         return cls(
             formula=plan.formula,
             core_treewidth=core_width,
-            contract_treewidth=contract_width,
+            contract_treewidth=plan.width,
+            exact=exact,
         )
 
 
@@ -172,16 +165,11 @@ def check_bounded_arity(formulas: Iterable[PPFormula], bound: int) -> None:
             )
 
 
-def measure_pp_class(
-    formulas: Sequence[PPFormula], exact_threshold: int | None = None
-) -> list[FormulaMeasures]:
+def measure_pp_class(formulas: Sequence[PPFormula]) -> list[FormulaMeasures]:
     """Compute core and contract treewidths for a collection of
     pp-formulas: each is compiled (:func:`compile_pp_plan`) and its plan
     measured (:meth:`FormulaMeasures.of`)."""
-    return [
-        FormulaMeasures.of(compile_pp_plan(formula), exact_threshold=exact_threshold)
-        for formula in formulas
-    ]
+    return [FormulaMeasures.of(compile_pp_plan(formula)) for formula in formulas]
 
 
 def classify_pp_class(

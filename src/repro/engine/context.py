@@ -15,8 +15,10 @@ component -- the projection of the join of its atoms onto its
 boundary -- is computed by variable elimination over the encoded
 columns, in an order chosen from the table sizes, never from variable
 names, and exact for cyclic and acyclic interiors and any boundary
-width alike; a pp-sentence is the same elimination onto the empty
-boundary.  Every join is fused with its projection
+width alike; a boundary-free component (a pp-sentence part) is the
+same elimination onto the empty boundary, and a compiled pp-sentence
+counts 1 where it holds and 0 otherwise, so sentences need no memo or
+evaluator of their own.  Every join is fused with its projection
 (``join_project``), and the row cap
 (:data:`~repro.structures.encoding.SEMIJOIN_ROW_CAP`) is only the size
 of the pieces a join expands in.  Results are memoized per
@@ -129,33 +131,21 @@ def _component_reads(
     return names, sensitive
 
 
-def _structure_reads(structure: Structure) -> tuple[frozenset[str], bool]:
-    """The read-set of a memo keyed by a query structure (pp-formula).
-
-    Same contract as :func:`_component_reads`, derived from the formula's
-    canonical structure: the relation names with at least one atom, and
-    whether any variable occurs in no atom (making the memoized value
-    sensitive to the data universe's size).
-    """
-    names = []
-    covered: set = set()
-    for name, tuples in structure.relations.items():
-        if tuples:
-            names.append(name)
-            for t in tuples:
-                covered.update(t)
-    sensitive = not set(structure.universe) <= covered
-    return frozenset(names), sensitive
+def _structure_reads(structure: Structure) -> frozenset[str]:
+    """The relation names a memo keyed by a query structure (a
+    pp-plan's base formula) reads: those with at least one atom."""
+    return frozenset(name for name, tuples in structure.relations.items() if tuples)
 
 
 class ExecutionContext:
     """The per-structure execution state shared across plan executions.
 
     Every evaluator runs over the structure's dense-int encoding
-    (:attr:`encoded`): ∃-elimination, sentence checks and the pp-plan
-    count join tables of the derived backend (:meth:`table_ops`:
-    vectorized columns when numpy imports, int-tuple sets otherwise),
-    and values are decoded only at :meth:`boundary_relation`.
+    (:attr:`encoded`): ∃-elimination and the pp-plan count (a
+    pp-sentence's included) join tables of the derived backend
+    (:meth:`table_ops`: vectorized columns when numpy imports,
+    int-tuple sets otherwise), and values are decoded only at
+    :meth:`boundary_relation`.
 
     Parameters
     ----------
@@ -176,8 +166,6 @@ class ExecutionContext:
         "_encoded",
         "_boundary_memo",
         "_base_table_memo",
-        "_satisfiable_memo",
-        "_sentence_memo",
         "_sharded_memo",
         "_count_memo",
     )
@@ -194,8 +182,6 @@ class ExecutionContext:
         self._encoded: EncodedStructure | None = None
         self._boundary_memo: dict["ExistsComponent", tuple] = {}
         self._base_table_memo: dict[tuple, tuple] = {}
-        self._satisfiable_memo: dict["ExistsComponent", bool] = {}
-        self._sentence_memo: dict["PPFormula", bool] = {}
         self._sharded_memo: dict[tuple[int, str], "ShardedStructure"] = {}
         self._count_memo: dict["PPFormula", int] = {}
 
@@ -297,18 +283,6 @@ class ExecutionContext:
             self._boundary_memo[component] = relation
         return relation
 
-    def component_satisfiable(self, component: "ExistsComponent") -> bool:
-        """Does the (boundary-free) component map into the structure?"""
-        if self.memoize and component in self._satisfiable_memo:
-            self.stats.bump("boundary_hits")
-            return self._satisfiable_memo[component]
-        self.stats.bump("boundary_misses")
-        # A zero-column table: one row () iff the component maps in.
-        satisfiable = len(self._eliminate(component, ())[1]) > 0
-        if self.memoize:
-            self._satisfiable_memo[component] = satisfiable
-        return satisfiable
-
     def count_plan(self, plan) -> int:
         """The count of a compiled pp-plan on this structure, memoized.
 
@@ -331,58 +305,21 @@ class ExecutionContext:
         self._count_memo[key] = result
         return result
 
-    def sentence_holds(self, sentence: "PPFormula") -> bool:
-        """Does the pp-sentence hold on the structure?  Memoized."""
-        if self.memoize and sentence in self._sentence_memo:
-            return self._sentence_memo[sentence]
-        if self.structure.is_empty():
-            holds = not sentence.variables
-        else:
-            # The elimination onto the empty boundary: {()} iff it holds.
-            scopes = sorted(
-                (
-                    (name, scope)
-                    for name, tuples in sentence.structure.relations.items()
-                    for scope in tuples
-                ),
-                key=repr,
-            )
-            ops = self.table_ops()
-            tables = [ops.base_table(name, scope) for name, scope in scopes]
-            holds = not ops.is_empty(eliminate(tables, (), ops))
-        if self.memoize:
-            self._sentence_memo[sentence] = holds
-        return holds
-
     def run_units(self, units) -> list:
-        """Evaluate shard units in order: a count unit to its int count,
-        a sat unit to whether its sentence holds on this structure."""
-        out: list = []
-        for unit in units:
-            if unit.kind == "count":
-                out.append(self.count_plan(unit.plan))
-            else:
-                out.append(self.sentence_holds(unit.sentence))
-        return out
+        """Count each unit -- a compiled pp-plan -- in order; a
+        pp-sentence's count is 1 where it holds and 0 otherwise."""
+        return [self.count_plan(plan) for plan in units]
 
     def recall(self, units) -> list:
-        """:meth:`run_units` from the memos alone (``None``: a miss)."""
-        return [
-            self._count_memo.get(unit.plan.base)
-            if unit.kind == "count"
-            else self._sentence_memo.get(unit.sentence)
-            for unit in units
-        ]
+        """:meth:`run_units` from the memo alone (``None``: a miss)."""
+        return [self._count_memo.get(plan.base) for plan in units]
 
     def remember(self, units, values) -> None:
         """Memoize unit values a worker computed; builds nothing."""
         if not self.memoize:
             return
-        for unit, value in zip(units, values):
-            if unit.kind == "count":
-                self._count_memo[unit.plan.base] = value
-            else:
-                self._sentence_memo[unit.sentence] = value
+        for plan, value in zip(units, values):
+            self._count_memo[plan.base] = value
 
     def _eliminate(
         self, component: "ExistsComponent", boundary: tuple["Variable", ...]
@@ -436,8 +373,8 @@ class ExecutionContext:
 
         This replaces the all-or-nothing cache drop of re-registration:
         each memo class knows which data it read -- base tables read one
-        relation, ∃-boundary and sentence memos read their component's
-        atom relations, count memos read their plan's atom relations --
+        relation, ∃-boundary memos read their component's atom
+        relations, count memos read their plan's atom relations --
         and only the entries whose read-set intersects the delta's
         touched relations (or that are sensitive to universe growth,
         for deltas introducing new elements) are evicted.  By the
@@ -473,25 +410,16 @@ class ExecutionContext:
                     evicted += 1
                 else:
                     fresh._base_table_memo[key] = table
-            for name in ("_boundary_memo", "_satisfiable_memo"):
-                source, target = getattr(self, name), getattr(fresh, name)
-                for component, value in tuple(source.items()):
-                    reads, sensitive = _component_reads(component)
-                    if reads & touched or (grew and sensitive):
-                        evicted += 1
-                    else:
-                        target[component] = value
-            for formula, holds in tuple(self._sentence_memo.items()):
-                reads, sensitive = _structure_reads(formula.structure)
+            for component, value in tuple(self._boundary_memo.items()):
+                reads, sensitive = _component_reads(component)
                 if reads & touched or (grew and sensitive):
                     evicted += 1
                 else:
-                    fresh._sentence_memo[formula] = holds
+                    fresh._boundary_memo[component] = value
             for base, count in tuple(self._count_memo.items()):
-                reads, _ = _structure_reads(base.structure)
                 # Counts scale with the domain through unconstrained
                 # liberal variables, so any universe growth evicts.
-                if reads & touched or grew:
+                if _structure_reads(base.structure) & touched or grew:
                     evicted += 1
                 else:
                     fresh._count_memo[base] = count
@@ -499,8 +427,6 @@ class ExecutionContext:
             evicted += (
                 len(self._base_table_memo)
                 + len(self._boundary_memo)
-                + len(self._satisfiable_memo)
-                + len(self._sentence_memo)
                 + len(self._count_memo)
             )
         for key, sharded in tuple(self._sharded_memo.items()):
@@ -518,8 +444,6 @@ class ExecutionContext:
         immutable)."""
         self._boundary_memo.clear()
         self._base_table_memo.clear()
-        self._satisfiable_memo.clear()
-        self._sentence_memo.clear()
         self._sharded_memo.clear()
         self._count_memo.clear()
 

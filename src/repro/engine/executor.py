@@ -1,13 +1,13 @@
 """Executing compiled counting plans against data structures.
 
 Every count is one program (:func:`_lower_plan`): the plans' evaluation
-*units* -- a compiled pp-plan counted to an int, a pp-sentence checked
-to a bool -- deduplicated across the plans, plus one recombination
-recipe per plan (sentence checks plus the signed sum of pp-counts of
-Theorem 3.1).  One runner (:func:`_run_units`) evaluates the units on
-a list of structures, one
-:class:`~repro.engine.context.ExecutionContext` per structure, and the
-recipes turn the values into counts:
+*units* -- compiled pp-plans, each counted to an int (a pp-sentence
+counts 1 where it holds and 0 otherwise) -- deduplicated across the
+plans, plus one recombination recipe per plan (the sentence
+disjuncts, then the signed sum of pp-counts of Theorem 3.1).  One
+runner (:func:`_run_units`) evaluates the units on a list of
+structures, one :class:`~repro.engine.context.ExecutionContext` per
+structure, and the recipes turn the values into counts:
 
 * :func:`count_many` -- the batch grid, and ``Engine.count`` as its
   one-cell case -- runs the units on the batch's structures and
@@ -18,7 +18,8 @@ recipes turn the values into counts:
   :class:`~repro.structures.sharding.ShardedStructure` partition, and
   combines with
   :func:`~repro.structures.sharding.combine_shard_counts`: shard counts
-  sum, query components multiply, sentence components OR.
+  sum, query components multiply, and a sentence component's 0/1
+  shard counts OR.
 
 :func:`execute` is the one-structure reference over a given context.
 
@@ -57,7 +58,6 @@ from repro.engine.resident import ResidentContexts
 from repro.exceptions import ReproError
 from repro.logic.pp import PPFormula
 from repro.obs import trace as _trace
-from repro.structures.graphs import component_substructures
 from repro.structures.sharding import ShardedStructure, combine_shard_counts
 from repro.structures.structure import Structure
 
@@ -82,34 +82,21 @@ _POOL_FALLBACK_ERRORS = (
 # Lowering: plans to units plus recombination recipes
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _ShardUnit:
-    """One per-structure evaluation unit of a program.
-
-    ``kind == "count"``: a compiled pp-plan, evaluated to an int per
-    structure (per-shard counts sum).  ``kind == "sat"``: a pp-sentence,
-    evaluated to a bool per structure (per-shard bits OR).
-    """
-
-    kind: str
-    plan: PPCountingPlan | None = None
-    sentence: PPFormula | None = None
-
-
-@dataclass(frozen=True)
 class _Recipe:
     """How one plan's count is recombined from unit values."""
 
-    # Per pp-part: (coefficient, count-unit indices, sat-unit indices).
+    # Per pp-part: (coefficient, liberal-unit indices, sentence-unit
+    # indices).
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-    # Per ep sentence disjunct: the sat-unit indices of its components.
+    # Per ep sentence disjunct: the unit indices of its pieces.
     sentence_disjuncts: tuple[tuple[int, ...], ...]
     liberal_count: int
 
     def count(self, rows: dict[int, list], universe_size: int) -> int:
         for disjunct in self.sentence_disjuncts:
             # A sentence holds on the whole structure iff each of its
-            # connected components maps into some shard (components are
-            # independent, so the shards may differ).
+            # connected components counts 1 on some shard (components
+            # are independent, so the shards may differ).
             if all(any(rows[i]) for i in disjunct):
                 return universe_size ** self.liberal_count
         return sum(
@@ -125,7 +112,7 @@ class _Recipe:
 class _ShardedProgram:
     """Plans lowered to deduplicated units plus one recipe per plan."""
 
-    units: tuple[_ShardUnit, ...]
+    units: tuple[PPCountingPlan, ...]
     recipes: tuple[_Recipe, ...]
 
     def combine(
@@ -133,7 +120,7 @@ class _ShardedProgram:
     ) -> list[int]:
         """Every plan's count on one structure, from the unit values of
         its shards (a whole structure is its own single shard; empty
-        shards are left out: they contribute count 0 / sat False)."""
+        shards are left out: every unit counts 0 on them)."""
         rows = {
             i: [values[i] for values in values_by_shard]
             for i in range(len(self.units))
@@ -144,45 +131,43 @@ class _ShardedProgram:
 def _lower_plan(plans: Sequence[CountingPlan], split: bool) -> _ShardedProgram:
     """Lower compiled plans to one program of deduplicated units.
 
-    ``split`` (a sharded run) splits every pp-term and sentence
-    disjunct into its query components, the pieces whose per-shard
-    values recombine exactly; the expensive part, component
+    Every unit is a compiled pp-plan, evaluated to its count on each
+    structure; a sentence disjunct or component holds where its count
+    is non-zero.  ``split`` (a sharded run) splits every pp-term and
+    sentence disjunct into its query components, the pieces whose
+    per-shard values recombine exactly; the expensive part, component
     compilation, is memoized by :func:`component_pp_plans`.  Without it
-    (a run on whole structures) each term keeps its compiled pp-plan
-    and each sentence stays whole -- no extra compile.  Units shared
-    between plans or inclusion-exclusion terms (the common case: the
-    terms of an ``ep-plus`` plan are conjunctions of the same
-    disjuncts) are evaluated once per structure.
+    (a run on whole structures) each term and sentence disjunct keeps
+    its compiled pp-plan -- no extra compile.  Units are keyed by base
+    formula, so units shared between plans or inclusion-exclusion
+    terms (the common case: the terms of an ``ep-plus`` plan are
+    conjunctions of the same disjuncts) are evaluated once per
+    structure.
     """
-    units: list[_ShardUnit] = []
-    unit_index: dict = {}
+    units: list[PPCountingPlan] = []
+    unit_index: dict[PPFormula, int] = {}
 
-    def unit(key, **fields) -> int:
-        if key not in unit_index:
-            unit_index[key] = len(units)
-            units.append(_ShardUnit(kind=key[0], **fields))
-        return unit_index[key]
+    def unit(pp: PPCountingPlan) -> int:
+        if pp.base not in unit_index:
+            unit_index[pp.base] = len(units)
+            units.append(pp)
+        return unit_index[pp.base]
 
-    def count_unit(pp: PPCountingPlan) -> int:
-        return unit(("count", pp.base), plan=pp)
-
-    def sat_unit(sentence: PPFormula) -> int:
-        return unit(("sat", sentence.structure), sentence=sentence)
-
-    def pp_term(pp: PPCountingPlan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def pieces(pp: PPCountingPlan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(liberal units, sentence units)`` of one pp-plan."""
         if not split:
-            return (count_unit(pp),), ()
-        liberal_plans, sentences = component_pp_plans(pp)
-        return (
-            tuple(count_unit(p) for p in liberal_plans),
-            tuple(sat_unit(s) for s in sentences),
-        )
+            return (unit(pp),), ()
+        liberal_plans, sentence_plans = component_pp_plans(pp)
+        return tuple(map(unit, liberal_plans)), tuple(map(unit, sentence_plans))
 
-    def sentence_units(sentence: PPFormula) -> tuple[int, ...]:
+    def sentence_pieces(pp: PPCountingPlan) -> tuple[int, ...]:
+        """The units of a sentence disjunct: it holds iff each counts
+        non-zero (on some shard).  Whole, it counts ``|B| ** |V|`` or
+        0 (its liberal variables occur in no atom); split, only its
+        sentence components count, 1 or 0 each."""
         if not split:
-            return (sat_unit(sentence),)
-        pieces = component_substructures(sentence.structure, ())
-        return tuple(sat_unit(PPFormula(piece, ())) for piece, _ in pieces)
+            return (unit(pp),)
+        return tuple(map(unit, component_pp_plans(pp)[1]))
 
     recipes = []
     for plan in plans:
@@ -194,9 +179,9 @@ def _lower_plan(plans: Sequence[CountingPlan], split: bool) -> _ShardedProgram:
             parts = [(term.coefficient, term.plan) for term in plan.terms]
         recipes.append(
             _Recipe(
-                terms=tuple((c, *pp_term(pp)) for c, pp in parts),
+                terms=tuple((c, *pieces(pp)) for c, pp in parts),
                 sentence_disjuncts=tuple(
-                    sentence_units(s) for s in plan.sentence_disjuncts
+                    sentence_pieces(s) for s in plan.sentence_disjuncts
                 ),
                 liberal_count=plan.liberal_count,
             )
@@ -208,7 +193,7 @@ def _lower_plan(plans: Sequence[CountingPlan], split: bool) -> _ShardedProgram:
 # The runner: units on a list of structures
 # ----------------------------------------------------------------------
 def _run_units(
-    units: tuple[_ShardUnit, ...],
+    units: tuple[PPCountingPlan, ...],
     structures: Sequence[Structure],
     *,
     pool: WorkerPool | None = None,
@@ -288,7 +273,7 @@ def _run_units(
 
 
 def _run_sequential(
-    units_by: list[tuple[_ShardUnit, ...]],
+    units_by: list[tuple[PPCountingPlan, ...]],
     structures: Sequence[Structure],
     contexts: ResidentContexts,
     keep: bool,
@@ -305,7 +290,7 @@ def _run_sequential(
 
 
 def _run_pool(
-    units_by: list[tuple[_ShardUnit, ...]],
+    units_by: list[tuple[PPCountingPlan, ...]],
     structures: Sequence[Structure],
     pool: WorkerPool,
     blocks: int,
@@ -350,7 +335,7 @@ def _run_pool(
 
 
 def _run_cluster(
-    units_by: list[tuple[_ShardUnit, ...]],
+    units_by: list[tuple[PPCountingPlan, ...]],
     structures: Sequence[Structure],
     cluster,
 ) -> list[list]:

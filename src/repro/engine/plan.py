@@ -3,9 +3,9 @@
 A :class:`CountingPlan` captures *everything* the paper's pipeline
 derives from the query alone: the computed cores, the eliminated
 ∃-components with their elimination groups
-(:class:`~repro.algorithms.fpt_counting.PPCountingPlan` per pp-formula),
-the sentence disjuncts, and the cancelled inclusion-exclusion terms with
-their coefficients.  Compiling is the expensive half of a
+(:class:`~repro.algorithms.fpt_counting.PPCountingPlan` per pp-formula,
+the sentence disjuncts' included), and the cancelled inclusion-exclusion
+terms with their coefficients.  Compiling is the expensive half of a
 ``count_answers`` call; executing a compiled plan against a structure
 (:mod:`repro.engine.executor`) touches only the data-dependent half.
 
@@ -35,11 +35,6 @@ Query = Union[EPFormula, PPFormula, str]
 
 #: The kinds of compiled plans, one per branch of the pipeline.
 PLAN_KINDS = ("pp-fpt", "ep-plus")
-
-#: Vertex-count cutoff above which plan profiling uses the greedy
-#: elimination-ordering treewidth upper bound instead of the exact
-#: exponential algorithm, so profiling never costs more than it saves.
-PROFILE_EXACT_THRESHOLD = 10
 
 #: The treewidth bound the trichotomy verdict is taken against when the
 #: caller does not supply one (paths/trees are in, cliques are out).
@@ -74,10 +69,11 @@ class PlanProfile:
     arity:
         The number of liberal variables -- the answer arity.
     exact:
-        True when every measured graph was small enough for the exact
-        treewidth algorithm; false when the greedy upper bound stood in
-        (measures are then upper bounds, still sound for routing since
-        the verdict can only harden).
+        True when every measured core graph was small enough for the
+        exact treewidth algorithm (a contract graph's vertices are a
+        subset of its core's); false when the greedy upper bound stood
+        in (measures are then upper bounds, still sound for routing
+        since the verdict can only harden).
     classify_seconds:
         Wall-clock time profiling cost (included in the plan's
         ``compile_seconds``).
@@ -177,13 +173,16 @@ class CountingPlan:
         The execution kind, one of :data:`PLAN_KINDS`:
 
         * ``"pp-fpt"`` -- a single compiled Theorem 2.11 plan;
-        * ``"ep-plus"`` -- sentence checks plus the cancelled
-          inclusion-exclusion combination of compiled pp-plans.
+        * ``"ep-plus"`` -- compiled sentence disjuncts plus the
+          cancelled inclusion-exclusion combination of compiled
+          pp-plans.
     pp:
         The compiled pp-plan (``kind == "pp-fpt"``).
     sentence_disjuncts:
-        The pp-sentence disjuncts checked before the combination
-        (``kind == "ep-plus"``).
+        The compiled pp-sentence disjuncts (``kind == "ep-plus"``).
+        Their liberal variables occur in no atom, so each counts
+        ``|B| ** |V|`` on a structure it holds on and 0 elsewhere; one
+        that holds makes that the plan's count.
     terms:
         The surviving (``phi-_af``) inclusion-exclusion terms, each with
         its coefficient and compiled pp-plan (``kind == "ep-plus"``).
@@ -200,7 +199,7 @@ class CountingPlan:
 
     kind: str
     pp: PPCountingPlan | None = None
-    sentence_disjuncts: tuple[PPFormula, ...] = ()
+    sentence_disjuncts: tuple[PPCountingPlan, ...] = ()
     terms: tuple[WeightedPPPlan, ...] = ()
     liberal_count: int = 0
     profile: PlanProfile | None = field(default=None, compare=False)
@@ -228,28 +227,27 @@ class CountingPlan:
 
 @lru_cache(maxsize=256)
 def _component_plans_for(base: PPFormula) -> tuple[
-    tuple[PPCountingPlan, ...], tuple[PPFormula, ...]
+    tuple[PPCountingPlan, ...], tuple[PPCountingPlan, ...]
 ]:
     liberal_plans: list[PPCountingPlan] = []
-    sentences: list[PPFormula] = []
+    sentence_plans: list[PPCountingPlan] = []
     for component in base.components():
-        if component.is_liberal():
-            # The base is already cored; recomputing cores per component
-            # would only repeat work, so compile the piece as-is.
-            liberal_plans.append(compile_pp_plan(component, use_core=False))
-        else:
-            sentences.append(component)
-    return tuple(liberal_plans), tuple(sentences)
+        # The base is already cored; recomputing cores per component
+        # would only repeat work, so compile the piece as-is.
+        piece = compile_pp_plan(component, use_core=False)
+        (liberal_plans if component.is_liberal() else sentence_plans).append(piece)
+    return tuple(liberal_plans), tuple(sentence_plans)
 
 
 def component_pp_plans(
     plan: PPCountingPlan,
-) -> tuple[tuple[PPCountingPlan, ...], tuple[PPFormula, ...]]:
+) -> tuple[tuple[PPCountingPlan, ...], tuple[PPCountingPlan, ...]]:
     """Split a compiled pp-plan along the query's connected components.
 
-    Returns ``(liberal_plans, sentence_components)``: one compiled
-    sub-plan per connected component of the plan's base formula that
-    contains a liberal variable, plus the pp-sentence components.  Answer
+    Returns ``(liberal_plans, sentence_plans)``: one compiled sub-plan
+    per connected component of the plan's base formula, those with a
+    liberal variable first, then the pp-sentence components (each
+    counting 1 where it holds and 0 elsewhere).  Answer
     counts multiply over query components (Section 2.1), which is what
     lets the sharded executor sum each connected piece over
     disjoint-universe shards independently.  Memoized on the base
@@ -296,7 +294,9 @@ def compile_plan(
         )
         plan = CountingPlan(
             kind="ep-plus",
-            sentence_disjuncts=decomposition.sentence_disjuncts,
+            sentence_disjuncts=tuple(
+                compile_pp_plan(s) for s in decomposition.sentence_disjuncts
+            ),
             terms=terms,
             liberal_count=len(decomposition.liberal),
         )
@@ -312,31 +312,24 @@ def compile_plan(
 def profile_plan(
     plan: CountingPlan,
     treewidth_bound: int = DEFAULT_TREEWIDTH_BOUND,
-    exact_threshold: int = PROFILE_EXACT_THRESHOLD,
 ) -> PlanProfile:
     """Compute the :class:`PlanProfile` of a compiled plan.
 
     The measured pp-formulas are the query's ``phi+`` (Theorem 3.2):
     the single pp-formula of a ``pp-fpt`` plan; the surviving
     inclusion-exclusion terms *and* the sentence disjuncts of an
-    ``ep-plus`` plan.  They are measured by the classifier's own
-    measurer (:meth:`~repro.core.classification.FormulaMeasures.of`),
-    which reads each term's core and contract width off its compiled
-    pp-plan; a sentence disjunct is compiled to be measured.  Graphs
-    with more than ``exact_threshold`` vertices are measured with the
-    greedy elimination-ordering upper bound instead of the exact
-    exponential algorithm, so profiling stays cheap on adversarially
-    large queries.
+    ``ep-plus`` plan.  Each is measured off its compiled pp-plan by
+    the classifier's own measurer
+    (:meth:`~repro.core.classification.FormulaMeasures.of`), so
+    profiling compiles nothing.
     """
     from repro.core.classification import FormulaMeasures, trichotomy_case
 
     started = time.perf_counter()
     with _trace.span("plan.classify", kind=plan.kind) as span:
         pp_plans = [plan.pp] if plan.pp is not None else [t.plan for t in plan.terms]
-        sentences = [compile_pp_plan(s) for s in plan.sentence_disjuncts]
         measures = [
-            FormulaMeasures.of(pp, exact_threshold=exact_threshold)
-            for pp in pp_plans + sentences
+            FormulaMeasures.of(pp) for pp in pp_plans + list(plan.sentence_disjuncts)
         ]
         # No measured formula (every term cancelled) reads -1: FPT.
         max_core = max((m.core_treewidth for m in measures), default=-1)
@@ -349,9 +342,7 @@ def profile_plan(
             component_count=max((len(pp.components) for pp in pp_plans), default=0),
             pp_formula_count=len(measures),
             arity=plan.liberal_count,
-            exact=all(
-                len(m.formula.variables) <= exact_threshold for m in measures
-            ),
+            exact=all(m.exact for m in measures),
             classify_seconds=time.perf_counter() - started,
         )
         span.set("verdict", profile.case.name)

@@ -328,13 +328,3 @@ def homomorphic_equivalent(first: Structure, second: Structure) -> bool:
     """True if the structures are homomorphically equivalent."""
     return has_homomorphism(first, second) and has_homomorphism(second, first)
 
-
-def hom_profile(
-    structure: Structure, probes: Iterable[Structure]
-) -> tuple[int, ...]:
-    """The vector of homomorphism counts from ``structure`` to each probe.
-
-    Provided as a convenience for experiments exploring the classical
-    result that homomorphism-count vectors characterize isomorphism.
-    """
-    return tuple(count_homomorphisms(structure, probe) for probe in probes)

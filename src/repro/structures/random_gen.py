@@ -8,7 +8,6 @@ tests and benchmark harness.  All generators take an explicit
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
 
 from repro.exceptions import WorkloadError
 from repro.logic.signatures import Signature
@@ -172,21 +171,3 @@ def grid_graph(rows: int, cols: int, relation: str = "E") -> Structure:
             if r + 1 < rows:
                 edges.append(((r, c), (r + 1, c)))
     return Structure(Signature.graph(relation), vertices, {relation: edges})
-
-
-def random_bipartite_relation(
-    left: Sequence[object],
-    right: Sequence[object],
-    probability: float,
-    relation: str,
-    seed: int | random.Random | None = None,
-) -> Structure:
-    """A random binary relation between two disjoint element sets."""
-    if not 0.0 <= probability <= 1.0:
-        raise WorkloadError("probability must be in [0, 1]")
-    rng = _rng(seed)
-    tuples = {
-        (l, r) for l in left for r in right if rng.random() < probability
-    }
-    signature = Signature.from_arities({relation: 2})
-    return Structure(signature, list(left) + list(right), {relation: tuples})

@@ -478,13 +478,14 @@ def _shard(
 
 def combine_shard_counts(
     liberal_rows: Sequence[Sequence[int]],
-    sentence_rows: Sequence[Sequence[bool]] = (),
+    sentence_rows: Sequence[Sequence[int]] = (),
 ) -> int:
     """Combine per-shard results into the whole-structure count.
 
     ``liberal_rows[c][s]`` is the count of the ``c``-th liberal query
-    component on shard ``s``; ``sentence_rows[c][s]`` says whether the
-    ``c``-th pp-sentence component maps into shard ``s``.  The result is
+    component on shard ``s``; ``sentence_rows[c][s]`` is the count of
+    the ``c``-th pp-sentence component on shard ``s``: 1 if it maps
+    into the shard, 0 otherwise (a bool reads the same).  The result is
     ``0`` if some sentence component holds on no shard, and otherwise
     the product over liberal components of the sum over shards --
     exactly the factorization described in the module docstring.

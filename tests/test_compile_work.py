@@ -6,14 +6,14 @@ counts calls instead of timing them: each inclusion-exclusion term is
 cored once, with at most one homomorphism search per quantified
 variable and at most one ``Structure`` built (the core's own), and no
 positional-index search runs anywhere in a compile; each compiled
-pp-plan (a sentence disjunct's too, which the profile compiles to
-measure it) runs the exact treewidth once, the
+pp-plan (a sentence disjunct's too) runs the exact treewidth once, the
 subset DP runs once per measured graph (once on the contract graph and
 once on the core graph of a pp-plan), and cancellation runs the exact
 renaming-equivalence search only between terms whose cores share an
 invariant.  The Section 5.4 pipeline derives each query's disjuncts
-once and builds no further EP formula, and each pp-plan builds its
-core's Gaifman graph at most twice (compile, profile).  Counting the
+once and builds no further EP formula, each sentence disjunct is
+compiled once and the profile compiles nothing, and each pp-plan builds
+its core's Gaifman graph at most twice (compile, profile).  Counting the
 same stream, every ∃-component is eliminated on the tables, never
 backtracked.
 """
@@ -37,7 +37,7 @@ from repro.logic.parser import parse_query
 from repro.logic.pp import PPFormula
 from repro.structures.random_gen import random_cluster_graph
 from repro.structures.structure import Structure
-from repro.workloads.generators import random_ucq
+from repro.workloads.generators import example_5_21_query, random_ucq
 
 # ``repro.algorithms`` re-exports the function ``treewidth`` under the
 # module's name, so attribute access would reach the function.
@@ -129,7 +129,7 @@ def test_a_compile_cores_each_term_once_and_measures_each_plan_once(monkeypatch)
             raw_terms += 1
             pp_plans += 1
         else:
-            # The profile compiles each sentence disjunct to measure it.
+            # Each sentence disjunct is compiled to a pp-plan too.
             pp_plans += len(plan.terms) + len(plan.sentence_disjuncts)
 
     assert raw_terms > QUERY_COUNT
@@ -233,3 +233,38 @@ def test_a_pp_plan_builds_its_core_graph_at_most_twice(monkeypatch):
         pp_plans += len(plan.terms) + len(plan.sentence_disjuncts)
     assert pp_plans > QUERY_COUNT
     assert 0 < calls <= 2 * pp_plans, (calls, pp_plans)
+
+
+#: Example 5.21 (a 3-edge path sentence disjunct) and an edge or a
+#: 4-clique anywhere.
+SENTENCE_QUERIES = (
+    example_5_21_query(),
+    parse_query(
+        "Q(x, y) = E(x, y) | exists a b c d. (E(a, b) & E(a, c) & E(a, d)"
+        " & E(b, c) & E(b, d) & E(c, d))"
+    ),
+)
+
+
+def test_a_sentence_disjunct_is_compiled_once_and_the_profile_compiles_nothing(
+    monkeypatch,
+):
+    compiled: list[PPFormula] = []
+    compile_pp_plan = fpt_counting.compile_pp_plan
+
+    def counted(formula, *args, **kwargs):
+        compiled.append(formula)
+        return compile_pp_plan(formula, *args, **kwargs)
+
+    monkeypatch.setattr(fpt_counting, "compile_pp_plan", counted)
+    monkeypatch.setattr(plan_module, "compile_pp_plan", counted)
+    for query in SENTENCE_QUERIES:
+        compiled.clear()
+        plan = plan_module.compile_plan(query)
+        sentences = [f for f in compiled if f.is_sentence()]
+        assert plan.sentence_disjuncts
+        assert len(sentences) == len(plan.sentence_disjuncts)
+        assert [p.formula for p in plan.sentence_disjuncts] == sentences
+        compiled.clear()
+        plan_module.profile_plan(plan)
+        assert compiled == []

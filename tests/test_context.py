@@ -11,7 +11,7 @@ import pytest
 
 from repro.algorithms.brute_force import count_pp_answers_brute_force
 from repro.algorithms.csp import count_solutions_tables
-from repro.algorithms.fpt_counting import compile_pp_plan, exists_components
+from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan, exists_components
 from repro.core.counting import count_answers
 from repro.engine import Engine, compile_plan, count_many, execute
 from repro.engine.context import ExecutionContext
@@ -192,7 +192,7 @@ def test_materialize_builds_what_the_backend_reads(backend):
     assert set(encoded._np_columns) == expected_views
     # Nothing else: no table, boundary relation or answer before a query.
     assert not context._base_table_memo and not context._boundary_memo
-    assert not context._sentence_memo and not context._count_memo
+    assert not context._count_memo
     # Every reader -- acyclic and cyclic interiors, a wide boundary, a
     # sentence check -- runs on that one encoding.
     for query in (
@@ -248,8 +248,13 @@ def test_remembered_unit_values_are_recalled_without_building_anything():
     plans = [compile_plan(path_query(2, quantify_interior=True))]
     plans.append(compile_plan("exists x. exists y. E(x, y)"))
     units = _lower_plan(plans, split=True).units
-    assert {unit.kind for unit in units} == {"count", "sat"}
+    # Units are compiled pp-plans, sentence pieces included: those
+    # count 0 or 1.
+    assert all(isinstance(unit, PPCountingPlan) for unit in units)
+    sentences = [unit for unit in units if not unit.base.liberal]
+    assert sentences and len(sentences) < len(units)
     values = ExecutionContext(structure).run_units(units)
+    assert all(values[units.index(s)] in (0, 1) for s in sentences)
 
     context = ExecutionContext(structure)
     assert context.recall(units) == [None] * len(units)

@@ -231,3 +231,16 @@ def test_package_version_is_single_sourced():
         warnings.simplefilter("ignore")  # setuptools' beta-config notice
         resolved = config.read_configuration(str(pyproject), expand=True)
     assert resolved["project"]["version"] == repro.__version__
+
+
+def test_checker_detects_a_stale_profile_attribute(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "A profile keeps `PlanProfile.exact` and `PlanProfile.case_for`, its\n"
+        "measures `FormulaMeasures.of` and `FormulaMeasures.exact`; the\n"
+        "`PlanProfile.exact_threshold` and `FormulaMeasures.remeasure` are gone.\n"
+    )
+    problems = check_docs_freshness.check_attributes([page])
+    assert len(problems) == 2, problems
+    assert any("`PlanProfile.exact_threshold`" in p for p in problems)
+    assert any("`FormulaMeasures.remeasure`" in p for p in problems)

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.algorithms.brute_force import count_answers_naive
-from repro.algorithms.fpt_counting import exists_components
+from repro.algorithms.fpt_counting import compile_pp_plan, exists_components
 from repro.budget import CostBudget, budget_scope
 from repro.engine import Engine
 from repro.engine.context import ExecutionContext, _PyTableOps
@@ -498,18 +498,20 @@ def test_sentence_checks_agree_with_homomorphism_search(backend, monkeypatch):
     ]
     sentences += random_ucq_sentences()
     assert len(sentences) > 5
+    # A compiled pp-sentence counts 1 where it holds and 0 otherwise.
+    plans = [compile_pp_plan(sentence) for sentence in sentences]
     for cap in ROW_CAPS:
         monkeypatch.setattr(encoding, "SEMIJOIN_ROW_CAP", cap)
         for target in AGREEMENT_TARGETS:
             context = ExecutionContext(target)
-            for sentence in sentences:
-                assert context.sentence_holds(sentence) == has_homomorphism(
-                    sentence.structure, target
-                )
+            for sentence, plan in zip(sentences, plans):
+                count = context.count_plan(plan)
+                assert count in (0, 1)
+                assert (count > 0) == has_homomorphism(sentence.structure, target)
     # The triangle has no image in a bipartite graph, the 4-cycle has.
     bipartite = ExecutionContext(BIPARTITE)
-    assert not bipartite.sentence_holds(sentences[1])
-    assert bipartite.sentence_holds(sentences[2])
+    assert bipartite.count_plan(plans[1]) == 0
+    assert bipartite.count_plan(plans[2]) == 1
 
 
 # ----------------------------------------------------------------------

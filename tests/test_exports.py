@@ -131,6 +131,17 @@ DELETED_NAMES = (
     "repro.logic.ep.EPFormula.sentence_disjuncts",
     "repro.engine.plan.CountingPlan.query",
     "repro.engine.plan.CountingPlan.decomposition",
+    # A sentence is one more compiled pp-plan: one unit kind, one
+    # evaluator, one memo, and one exact-treewidth cutoff.
+    "repro.engine.executor._ShardUnit",
+    "repro.engine.context.ExecutionContext.sentence_holds",
+    "repro.engine.context.ExecutionContext.component_satisfiable",
+    "repro.engine.context.ExecutionContext._sentence_memo",
+    "repro.engine.context.ExecutionContext._satisfiable_memo",
+    "repro.engine.plan.PROFILE_EXACT_THRESHOLD",
+    # No caller anywhere.
+    "repro.structures.homomorphism.hom_profile",
+    "repro.structures.random_gen.random_bipartite_relation",
 )
 
 

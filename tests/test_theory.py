@@ -13,6 +13,7 @@ backends, against the naive count.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib
 import itertools
 import random
@@ -46,7 +47,7 @@ from repro.core.equivalence import (
 from repro.core.inclusion_exclusion import raw_inclusion_exclusion
 from repro.engine import Engine
 from repro.engine.executor import execute
-from repro.engine.plan import PROFILE_EXACT_THRESHOLD, as_ep, compile_plan
+from repro.engine.plan import as_ep, compile_plan
 from repro.logic.builder import pp_from_atom_specs
 from repro.logic.parser import parse_query
 from repro.logic.pp import PPFormula
@@ -58,7 +59,7 @@ from repro.structures.homomorphism import (
     has_homomorphism,
     homomorphic_equivalent,
 )
-from repro.structures.random_gen import random_graph
+from repro.structures.random_gen import random_cluster_graph, random_graph
 from repro.structures.structure import Structure
 from repro.workloads.generators import (
     cycle_query,
@@ -139,8 +140,8 @@ K4_SENTENCE_QUERY = parse_query(
 )
 
 #: Thirteen liberal variables whose Gaifman graph has treewidth 4 while
-#: min-fill and min-degree both give 5: between the profile's cutoff
-#: and the default one, so the two cutoffs measure it differently.
+#: min-fill and min-degree both give 5: at the exact-search cutoff, so
+#: a measure that fell back to the greedy bound would read 5.
 GREEDY_GAP_EDGES = (
     (0, 4), (0, 9), (1, 2), (1, 5), (1, 9), (2, 6), (2, 8), (2, 9),
     (2, 11), (3, 7), (3, 8), (3, 10), (4, 5), (4, 6), (4, 11), (5, 8),
@@ -262,15 +263,74 @@ def test_a_duplicated_sentence_disjunct_counts_like_the_brute_force(name, graph)
     ) == expected
 
 
-def _direct_measures(formula: PPFormula, threshold: int | None) -> tuple[int, int]:
-    """The reference measure: ``(core, contract)`` treewidths taken
-    straight from the formula's core and its contract graph under
-    ``threshold``, with none of the compiled plan's width reused."""
-    kwargs = {} if threshold is None else {"exact_threshold": threshold}
+#: Queries whose phi+ has a pp-sentence: a sentence disjunct, the
+#: duplicated copies of one, or a sentence component of a pp-formula.
+SENTENCE_QUERIES = {
+    "example_5_21": example_5_21_query(),
+    "k4_sentence": K4_SENTENCE_QUERY,
+    **{name: parse_query(text) for name, text in DUPLICATED_SENTENCE_QUERIES.items()},
+    "pp-sentence-component": parse_query(
+        "Q(x, y) = E(x, y) & exists a b. (E(a, b) & E(b, a))"
+    ),
+}
+#: The loop graphs; data components where a sentence maps into one
+#: shard only (the loop) or into none (no 3-edge walk); random graphs
+#: sparse, dense (it holds a 4-clique) and clustered.
+SENTENCE_STRUCTURES = {
+    **LOOP_GRAPHS,
+    "split-loop": Structure.from_relations(
+        {"E": [(1, 1), (2, 3), (3, 4), (5, 6), (6, 5)]}
+    ),
+    "short-paths": Structure.from_relations({"E": [(1, 2), (2, 3), (4, 5)]}),
+    "random-sparse": random_graph(6, 0.2, seed=1),
+    "random-dense": random_graph(6, 0.9, seed=2, loops=True),
+    "clustered": random_cluster_graph(4, 2, 0.6, seed=3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_sentence_count(name: str, label: str) -> int:
+    """The brute-force count of one cell, shared by both backends."""
+    return count_answers_naive(
+        as_ep(SENTENCE_QUERIES[name]), SENTENCE_STRUCTURES[label]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SENTENCE_QUERIES))
+def test_sentences_count_like_the_brute_force_on_every_route(name, backend):
+    # A sentence is one more compiled pp-plan, its count non-zero
+    # exactly where it holds: counted whole, split into shards one at
+    # a time, and fanned out over a pool.
+    from repro.engine.executor import execute_sharded
+    from repro.engine.pool import WorkerPool
+    from repro.structures.sharding import shard_structure
+
+    query = SENTENCE_QUERIES[name]
+    plan = compile_plan(query)
+    with WorkerPool(processes=2) as pool:
+        for label, structure in SENTENCE_STRUCTURES.items():
+            expected = _naive_sentence_count(name, label)
+            assert execute(plan, structure) == expected, label
+            for shard_count in (1, 2, 7):
+                sharded = shard_structure(structure, shard_count)
+                got = [
+                    execute_sharded(plan, sharded),
+                    execute_sharded(plan, sharded, pool=pool),
+                ]
+                assert got == [expected, expected], (label, shard_count)
+
+
+def _direct_measures(formula: PPFormula) -> tuple[int, int, bool]:
+    """The reference measure: ``(core, contract, exact)`` taken straight
+    from the formula's core and its contract graph, with none of the
+    compiled plan's width reused; ``exact`` is whether the core graph
+    (and so the contract graph, on a subset of its vertices) is within
+    the exact-search cutoff."""
     core = formula.core()
-    core_width, _ = treewidth(core.graph(), **kwargs)
-    contract_width, _ = treewidth(contract_graph(core, use_core=False), **kwargs)
-    return core_width, contract_width
+    graph = core.graph()
+    core_width, _ = treewidth(graph)
+    contract_width, _ = treewidth(contract_graph(core, use_core=False))
+    return core_width, contract_width, len(graph) <= DEFAULT_EXACT_THRESHOLD
 
 
 @pytest.mark.parametrize("query", _profile_queries())
@@ -278,28 +338,30 @@ def test_the_profile_equals_the_classifier_measures(query):
     # The profile measures the query's phi+ -- the surviving terms and
     # the sentence disjuncts -- which is what the classifier measures;
     # both read widths off compiled plans, checked here against the
-    # direct measure of each formula under either cutoff.
+    # direct measure of each formula under the one cutoff.
     formulas = plus_set(as_ep(query))
     # Copies drop the memoized cores, so each side cores afresh.
-    reference = {
-        threshold: [_direct_measures(copy.copy(f), threshold) for f in formulas]
-        for threshold in (PROFILE_EXACT_THRESHOLD, None)
-    }
-    for threshold, expected in reference.items():
-        measures = measure_pp_class(
-            [copy.copy(f) for f in formulas], exact_threshold=threshold
-        )
-        assert [(m.core_treewidth, m.contract_treewidth) for m in measures] == expected
-    core = max((c for c, _ in reference[PROFILE_EXACT_THRESHOLD]), default=-1)
-    contract = max((w for _, w in reference[PROFILE_EXACT_THRESHOLD]), default=-1)
+    expected = [_direct_measures(copy.copy(f)) for f in formulas]
+    measures = measure_pp_class([copy.copy(f) for f in formulas])
+    assert [
+        (m.core_treewidth, m.contract_treewidth, m.exact) for m in measures
+    ] == expected
+    core = max((c for c, _, _ in expected), default=-1)
+    contract = max((w for _, w, _ in expected), default=-1)
     profile = compile_plan(query).profile
     assert profile.core_treewidth == core
     assert profile.contract_treewidth == contract
     assert profile.case == trichotomy_case(core, contract, profile.treewidth_bound)
     assert profile.pp_formula_count == len(formulas)
-    assert profile.exact == all(
-        len(f.variables) <= PROFILE_EXACT_THRESHOLD for f in formulas
-    )
+    assert profile.exact == all(exact for _, _, exact in expected)
+
+
+def test_the_greedy_gap_query_profiles_its_exact_width():
+    # Thirteen vertices are within the one cutoff: the exact width 4,
+    # not the greedy orderings' 5.
+    profile = compile_plan(GREEDY_GAP_QUERY).profile
+    assert profile.exact
+    assert profile.core_treewidth == profile.contract_treewidth == 4
 
 
 @pytest.mark.parametrize("query", _cancellation_queries())
@@ -935,7 +997,9 @@ def test_a_long_path_compiles_with_linear_fill_in_work(monkeypatch):
 #: width, components, pp-formulas, arity, exact)`` and each pp-plan's
 #: ``(width, order)``, groups space-separated.  Since the profile
 #: measures all of ``phi+``, a query with a sentence disjunct counts it
-#: among its pp-formulas (``example_5_21``, ``ucq-seed6``).
+#: among its pp-formulas (``example_5_21``, ``ucq-seed6``).  ``exact``
+#: is read off the measured core graphs, not the formulas: ``ucq-seed0``
+#: and ``ucq-seed3`` have an 11-variable term whose core is far smaller.
 HEAD_PLAN_MEASURES = {
     'cycle': (
         ('FPT', 2, 2, 0, 1, 4, True),
@@ -995,7 +1059,7 @@ HEAD_PLAN_MEASURES = {
         [(1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
     ),
     'ucq-seed0': (
-        ('FPT', 2, 1, 3, 7, 2, False),
+        ('FPT', 2, 1, 3, 7, 2, True),
         [(1, 'v0,v1'), (0, 'v0 v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
     ),
     'ucq-seed1': (
@@ -1007,7 +1071,7 @@ HEAD_PLAN_MEASURES = {
         [(1, 'v2 v1 v3 v0,v4'), (2, 'v2 v4 v0,v1,v3'), (2, 'v0 v4 v1,v2,v3'), (2, 'v2 v3 v0,v1,v4'), (3, 'v2 v0,v1,v3,v4'), (2, 'v2 v1 v0,v3,v4'), (3, 'v2 v0,v1,v3,v4')],
     ),
     'ucq-seed3': (
-        ('FPT', 2, 1, 2, 7, 2, False),
+        ('FPT', 2, 1, 2, 7, 2, True),
         [(1, 'v0,v1'), (1, 'v0,v1'), (0, 'v0 v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1'), (1, 'v0,v1')],
     ),
     'ucq-seed4': (

@@ -109,11 +109,15 @@ _ATTR_OWNERS = {
     "ClusterCoordinator": "repro.cluster.coordinator",
     "PPCountingPlan": "repro.algorithms.fpt_counting",
     "CountingPlan": "repro.engine.plan",
+    "PlanProfile": "repro.engine.plan",
+    "FormulaMeasures": "repro.core.classification",
     "EPFormula": "repro.logic.ep",
 }
 
-#: The small EP query whose compiled plan and parsed formula stand in
-#: for ``CountingPlan`` and ``EPFormula``.
+#: The small EP query whose compiled plan, its profile, the measures of
+#: one of its terms and the parsed formula stand in for
+#: ``CountingPlan``, ``PlanProfile``, ``FormulaMeasures`` and
+#: ``EPFormula``.
 _OWNER_QUERY = "Q(x, y) = E(x, y) | exists z. (E(x, z) & E(z, y))"
 
 #: An inline code span, and a ``Class.attr`` mention inside one.
@@ -430,10 +434,15 @@ def _owner_instance(name: str):
         from repro.workloads.generators import path_query
 
         return compile_pp_plan(path_query(2))
-    if name == "CountingPlan":
+    if name in ("CountingPlan", "PlanProfile", "FormulaMeasures"):
         from repro.engine.plan import compile_plan
 
-        return compile_plan(_OWNER_QUERY)
+        plan = compile_plan(_OWNER_QUERY)
+        if name == "PlanProfile":
+            return plan.profile
+        if name == "FormulaMeasures":
+            return cls.of(plan.terms[0].plan)
+        return plan
     if name == "EPFormula":
         from repro.logic.parser import parse_query
 
