@@ -33,7 +33,6 @@ from repro.algorithms.clique import (
     clique_query_family,
     count_cliques,
     enumerate_cliques,
-    has_clique,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "clique_query_family",
     "count_cliques",
     "enumerate_cliques",
-    "has_clique",
 ]

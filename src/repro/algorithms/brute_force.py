@@ -21,7 +21,6 @@ from repro.logic.pp import PPFormula
 from repro.logic.terms import Variable
 from repro.structures.homomorphism import (
     count_extendable_assignments,
-    find_homomorphism,
     has_homomorphism,
 )
 from repro.structures.structure import Element, Structure

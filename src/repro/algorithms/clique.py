@@ -17,8 +17,7 @@ which therefore fall outside every bounded-treewidth class.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.exceptions import WorkloadError
 from repro.logic.builder import pp_from_atom_specs
@@ -75,11 +74,6 @@ def enumerate_cliques(
 def count_cliques(graph: Structure, k: int, relation: str = "E") -> int:
     """Count the ``k``-cliques of a graph structure (the #Clique baseline)."""
     return sum(1 for _ in enumerate_cliques(graph, k, relation))
-
-
-def has_clique(graph: Structure, k: int, relation: str = "E") -> bool:
-    """Decide whether a graph structure contains a ``k``-clique."""
-    return next(enumerate_cliques(graph, k, relation), None) is not None
 
 
 def clique_query(k: int, relation: str = "E", liberal: bool = True) -> PPFormula:

@@ -74,9 +74,6 @@ class PlacementMap:
     def is_placed(self, fingerprint) -> bool:
         return bool(self._holders.get(fingerprint))
 
-    def placed_fingerprints(self) -> tuple:
-        return tuple(self._holders)
-
     def rekey(self, old_fingerprint, new_fingerprint) -> tuple:
         """Move a placement across a delta's fingerprint advance."""
         holders = self._holders.pop(old_fingerprint, ())

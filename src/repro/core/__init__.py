@@ -3,7 +3,6 @@
 from repro.core.counting import count_answers
 from repro.core.equivalence import (
     counting_equivalent,
-    counting_equivalent_on,
     group_by_counting_equivalence,
     renaming_equivalent,
     renaming_witness,
@@ -11,11 +10,9 @@ from repro.core.equivalence import (
 from repro.core.semi_equivalence import (
     group_by_semi_counting_equivalence,
     semi_counting_equivalent,
-    semi_counting_equivalent_on,
 )
 from repro.core.distinguishing import (
     find_distinguishing_structure,
-    find_distinguishing_structure_for_classes,
     separating_structure,
     uniquely_satisfied_structure,
 )
@@ -55,15 +52,12 @@ from repro.core.classification import (
 __all__ = [
     "count_answers",
     "counting_equivalent",
-    "counting_equivalent_on",
     "group_by_counting_equivalence",
     "renaming_equivalent",
     "renaming_witness",
     "group_by_semi_counting_equivalence",
     "semi_counting_equivalent",
-    "semi_counting_equivalent_on",
     "find_distinguishing_structure",
-    "find_distinguishing_structure_for_classes",
     "separating_structure",
     "uniquely_satisfied_structure",
     "LinearCombination",

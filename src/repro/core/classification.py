@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.algorithms.fpt_counting import PPCountingPlan, compile_pp_plan
 from repro.algorithms.treewidth import (
@@ -36,7 +36,7 @@ from repro.algorithms.treewidth import (
     treewidth,
 )
 from repro.core.ep_to_pp import plus_set
-from repro.exceptions import ArityBoundError, ClassificationError
+from repro.exceptions import ClassificationError
 from repro.logic.ep import EPFormula
 from repro.logic.pp import PPFormula
 
@@ -105,34 +105,6 @@ class Classification:
     measures: tuple[FormulaMeasures, ...]
     pp_formulas: tuple[PPFormula, ...]
 
-    @property
-    def satisfies_contraction_condition(self) -> bool:
-        """Contract graphs within the bound."""
-        return self.max_contract_treewidth <= self.treewidth_bound
-
-    @property
-    def satisfies_tractability_condition(self) -> bool:
-        """Contract graphs and cores within the bound."""
-        return (
-            self.satisfies_contraction_condition
-            and self.max_core_treewidth <= self.treewidth_bound
-        )
-
-    def witnesses(self, condition: str = "tractability") -> tuple[FormulaMeasures, ...]:
-        """The formulas violating the given condition (``"tractability"`` or ``"contraction"``)."""
-        if condition == "contraction":
-            return tuple(
-                m for m in self.measures if m.contract_treewidth > self.treewidth_bound
-            )
-        if condition == "tractability":
-            return tuple(
-                m
-                for m in self.measures
-                if m.contract_treewidth > self.treewidth_bound
-                or m.core_treewidth > self.treewidth_bound
-            )
-        raise ClassificationError(f"unknown condition {condition!r}")
-
     def summary(self) -> str:
         """A one-paragraph human-readable summary."""
         return (
@@ -156,15 +128,6 @@ def trichotomy_case(
     return Case.FPT
 
 
-def check_bounded_arity(formulas: Iterable[PPFormula], bound: int) -> None:
-    """Raise :class:`ArityBoundError` unless every relation arity is <= bound."""
-    for formula in formulas:
-        if formula.max_arity() > bound:
-            raise ArityBoundError(
-                f"formula {formula} uses arity {formula.max_arity()}, exceeding the bound {bound}"
-            )
-
-
 def measure_pp_class(formulas: Sequence[PPFormula]) -> list[FormulaMeasures]:
     """Compute core and contract treewidths for a collection of
     pp-formulas: each is compiled (:func:`compile_pp_plan`) and its plan
@@ -175,19 +138,15 @@ def measure_pp_class(formulas: Sequence[PPFormula]) -> list[FormulaMeasures]:
 def classify_pp_class(
     formulas: Sequence[PPFormula],
     treewidth_bound: int,
-    arity_bound: int | None = None,
 ) -> Classification:
     """Classify a class of prenex pp-formulas (Theorems 2.11 / 2.12).
 
     ``formulas`` is the class (or a representative finite sample of it),
     ``treewidth_bound`` the bound defining "bounded treewidth" for this
-    class.  ``arity_bound`` optionally enforces the bounded-arity
-    hypothesis of the hardness results.
+    class.
     """
     if not formulas:
         raise ClassificationError("cannot classify an empty class of formulas")
-    if arity_bound is not None:
-        check_bounded_arity(formulas, arity_bound)
     measures = measure_pp_class(formulas)
     max_core = max(m.core_treewidth for m in measures)
     max_contract = max(m.contract_treewidth for m in measures)
@@ -204,7 +163,6 @@ def classify_pp_class(
 def classify_ep_class(
     queries: Sequence[EPFormula],
     treewidth_bound: int,
-    arity_bound: int | None = None,
 ) -> Classification:
     """Classify a class of EP formulas via the equivalence theorem (Theorem 3.2).
 
@@ -232,7 +190,7 @@ def classify_ep_class(
             measures=(),
             pp_formulas=(),
         )
-    return classify_pp_class(pp_formulas, treewidth_bound, arity_bound=arity_bound)
+    return classify_pp_class(pp_formulas, treewidth_bound)
 
 
 def classify_query(

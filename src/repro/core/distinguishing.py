@@ -31,10 +31,9 @@ whose structure is minimal in the homomorphism order.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.algorithms.brute_force import count_pp_answers_brute_force
-from repro.core.semi_equivalence import group_by_semi_counting_equivalence
 from repro.exceptions import DistinguishingStructureError
 from repro.logic.pp import PPFormula
 from repro.logic.signatures import Signature
@@ -209,24 +208,6 @@ def _first_collision(counts: Sequence[int]) -> tuple[int, int] | None:
             return seen[value], index
         seen[value] = index
     return None
-
-
-def find_distinguishing_structure_for_classes(
-    formulas: Sequence[PPFormula],
-    seed: int = 0,
-    **kwargs,
-) -> tuple[Structure, list[list[PPFormula]]]:
-    """Group formulas by semi-counting equivalence and separate the classes.
-
-    Returns ``(structure, classes)`` where ``structure`` is positive for
-    every pp-formula, gives the *same* count to formulas of the same
-    class (automatic, by definition of semi-counting equivalence and
-    positivity), and different counts to different classes.
-    """
-    classes = group_by_semi_counting_equivalence(list(formulas))
-    representatives = [group[0] for group in classes]
-    structure = find_distinguishing_structure(representatives, seed=seed, **kwargs)
-    return structure, classes
 
 
 def uniquely_satisfied_structure(formulas: Sequence[PPFormula]) -> tuple[int, Structure]:

@@ -133,7 +133,9 @@ def sentence_holds(sentence: PPFormula, structure: Structure) -> bool:
     """Does the pp-sentence hold on the structure?
 
     Equivalent to the existence of a homomorphism from the sentence's
-    structure view into the data structure.
+    structure view into the data structure.  A reference, by the
+    homomorphism search: the engine evaluates a sentence as a compiled
+    pp-plan counting 0 or 1.
     """
     if structure.is_empty():
         return not sentence.variables
@@ -161,7 +163,9 @@ def count_ep_answers_via_plus(
        are answered ``0`` without consulting the backend.
 
     ``counter`` is the pp-counting backend used for the ``phi-_af``
-    formulas.
+    formulas.  A reference for the proof's algorithm: the engine runs
+    the same recombination from a compiled plan
+    (:func:`repro.engine.plan.compile_plan`).
     """
     if decomposition is None:
         decomposition = plus_decomposition(query.disjuncts(), max_disjuncts=max_disjuncts)

@@ -17,11 +17,10 @@ grouping formulas into counting-equivalence classes.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.logic.pp import PPFormula
 from repro.structures.cores import surjective_renaming
-from repro.structures.structure import Structure
 
 
 def renaming_witness(first: PPFormula, second: PPFormula) -> dict | None:
@@ -59,24 +58,6 @@ def counting_equivalent(first: PPFormula, second: PPFormula) -> bool:
     structure is ever evaluated.
     """
     return renaming_equivalent(first, second)
-
-
-def counting_equivalent_on(
-    first: PPFormula, second: PPFormula, structures: Iterable[Structure]
-) -> bool:
-    """Empirically compare answer counts on a collection of structures.
-
-    This does *not* decide counting equivalence (no finite collection
-    can); it is the semantic test used in the test-suite to cross-check
-    the syntactic decision procedure.
-    """
-    from repro.algorithms.brute_force import count_pp_answers_brute_force
-
-    return all(
-        count_pp_answers_brute_force(first, structure)
-        == count_pp_answers_brute_force(second, structure)
-        for structure in structures
-    )
 
 
 def core_invariant(core: PPFormula) -> Hashable:

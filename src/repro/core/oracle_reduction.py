@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.algorithms.brute_force import count_pp_answers_brute_force
 from repro.core.distinguishing import (
@@ -99,9 +99,9 @@ def _as_int(value: Fraction, context: str) -> int:
 def make_brute_force_oracle(query: EPFormula) -> StructureOracle:
     """An oracle that answers ``|query(.)|`` by brute-force enumeration.
 
-    Used by tests and benchmarks to *simulate* the oracle the reductions
-    assume; in the paper the oracle is the hypothetical algorithm whose
-    existence the reduction transfers.
+    Used by the tests and ``examples/paper_examples.py`` to *simulate*
+    the oracle the reductions assume; in the paper the oracle is the
+    hypothetical algorithm whose existence the reduction transfers.
     """
     from repro.algorithms.brute_force import count_ep_answers_by_disjuncts
 
@@ -271,7 +271,7 @@ def recover_star_counts(
 # ----------------------------------------------------------------------
 # The general backward reduction (Section 5.4 / Appendix A)
 # ----------------------------------------------------------------------
-def _free_part_factor(decomposition: PlusDecomposition, seed: int) -> Structure:
+def _free_part_factor(decomposition: PlusDecomposition) -> Structure:
     """The structure ``C`` used to neutralize sentence disjuncts.
 
     The appendix takes the disjoint union of the structures of the
@@ -336,7 +336,7 @@ def count_pp_via_ep_oracle(
         # the recovery passes to the oracle then has C as a direct factor,
         # so the query agrees with its all-free part there and the oracle
         # answers are the all-free counts the recovery expects.
-        factor = _free_part_factor(decomposition, seed)
+        factor = _free_part_factor(decomposition)
         recovery = StarCountRecovery(decomposition.star, oracle, seed=seed)
         product = relabel_to_integers(direct_product(structure, factor))
         target_on_product = recovery.recover_one(target, product)

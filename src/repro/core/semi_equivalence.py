@@ -16,11 +16,10 @@ removes every atom belonging to a non-liberal component of ``phi``
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.equivalence import counting_equivalent
 from repro.logic.pp import PPFormula
-from repro.structures.structure import Structure
 
 
 def semi_counting_equivalent(first: PPFormula, second: PPFormula) -> bool:
@@ -32,25 +31,6 @@ def semi_counting_equivalent(first: PPFormula, second: PPFormula) -> bool:
     is the behaviour the reductions of Section 5.3 rely on.
     """
     return counting_equivalent(first.hat(), second.hat())
-
-
-def semi_counting_equivalent_on(
-    first: PPFormula, second: PPFormula, structures: Iterable[Structure]
-) -> bool:
-    """Empirical check of the defining property on a collection of structures.
-
-    Used by the test-suite to cross-check the syntactic characterization;
-    a finite collection can of course only refute, never prove,
-    semi-counting equivalence.
-    """
-    from repro.algorithms.brute_force import count_pp_answers_brute_force
-
-    for structure in structures:
-        first_count = count_pp_answers_brute_force(first, structure)
-        second_count = count_pp_answers_brute_force(second, structure)
-        if first_count > 0 and second_count > 0 and first_count != second_count:
-            return False
-    return True
 
 
 def group_by_semi_counting_equivalence(

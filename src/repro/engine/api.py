@@ -836,8 +836,7 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Engine(plans={len(self.plans)}, contexts={len(self.contexts)}, "
-            f"plan_hit_rate={self.plans.hit_rate:.2f})"
+            f"Engine(plans={len(self.plans)}, contexts={len(self.contexts)})"
         )
 
 

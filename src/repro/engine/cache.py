@@ -119,12 +119,6 @@ class LRUCache(Generic[Key, Value]):
         with self._lock:
             return len(self._data)
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits / lookups, or 0.0 before the first lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats_snapshot(self) -> tuple[int, int]:
         """``(hits, misses)`` read together under the cache lock.
 
@@ -238,10 +232,6 @@ class PlanCache:
     @property
     def misses(self) -> int:
         return self._cache.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self._cache.hit_rate
 
     def stats_snapshot(self) -> tuple[int, int]:
         """``(hits, misses)`` of the plan cache, read coherently."""

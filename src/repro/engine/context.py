@@ -42,7 +42,7 @@ from repro.structures.encoding import (
     resolve_backend,
 )
 from repro.obs import trace as _trace
-from repro.structures.structure import Element, Structure
+from repro.structures.structure import Structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpt_counting
     # lazily imports this module from execute_pp_plan)
@@ -218,11 +218,6 @@ class ExecutionContext:
         """Approximate resident bytes of the encoding (0 when unbuilt)."""
         return self._encoded.nbytes if self._encoded is not None else 0
 
-    @property
-    def domain(self) -> tuple[Element, ...]:
-        """The universe in code order: ``domain[i]`` decodes code ``i``."""
-        return self.encoded.decode
-
     def table_ops(self):
         """The table backend this interpreter runs, over this context's
         columns and base-table memo."""
@@ -377,10 +372,11 @@ class ExecutionContext:
         relations, count memos read their plan's atom relations --
         and only the entries whose read-set intersects the delta's
         touched relations (or that are sensitive to universe growth,
-        for deltas introducing new elements) are evicted.  By the
-        paper's component factorization, a tuple update touches one data
-        component, so the surviving entries are exactly the factors of
-        untouched components and stay valid.
+        for deltas introducing new elements: a component with a
+        variable in no atom, a count with a liberal one) are evicted.
+        By the paper's component factorization, a tuple update touches
+        one data component, so the surviving entries are exactly the
+        factors of untouched components and stay valid.
 
         The encoding (when built) migrates incrementally via
         :meth:`EncodedStructure.apply_delta`, and cached shard plans
@@ -417,9 +413,11 @@ class ExecutionContext:
                 else:
                     fresh._boundary_memo[component] = value
             for base, count in tuple(self._count_memo.items()):
-                # Counts scale with the domain through unconstrained
-                # liberal variables, so any universe growth evicts.
-                if _structure_reads(base.structure) & touched or grew:
+                # A count reads the universe only through a liberal
+                # variable in no atom (|B| choices each).
+                if _structure_reads(base.structure) & touched or (
+                    grew and base.unconstrained_liberal_variables
+                ):
                     evicted += 1
                 else:
                     fresh._count_memo[base] = count

@@ -101,21 +101,6 @@ class PlanProfile:
             self.core_treewidth, self.contract_treewidth, treewidth_bound
         )
 
-    def estimated_cost(self, universe_size: int) -> float:
-        """A structure-size-parameterized cost estimate.
-
-        Summing the liberal variables out along a width-``w``
-        decomposition costs ``O(n ** (w + 1))`` per pp-formula; the
-        estimate is that,
-        summed over the measured formulas:
-        ``pp_formula_count * universe_size ** (contract_treewidth + 1)``.
-        A relative measure for routing and budgeting, not a promise of
-        wall-clock seconds.
-        """
-        n = max(2, int(universe_size))
-        width = max(0, self.contract_treewidth)
-        return float(max(1, self.pp_formula_count)) * float(n) ** (width + 1)
-
     def estimate_count(self, universe_size: int) -> int:
         """The degraded-path estimator: ``universe_size ** arity``.
 
@@ -190,7 +175,7 @@ class CountingPlan:
         ``|V|``: the exponent of the ``|B| ** |V|`` shortcut.
     profile:
         The memoized :class:`PlanProfile` -- trichotomy verdict,
-        structural measures, cost estimate.  :func:`compile_plan`
+        structural measures, count estimate.  :func:`compile_plan`
         always attaches it; only the bare plan :func:`profile_plan`
         measures has none.
     compile_seconds:

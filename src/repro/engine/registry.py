@@ -484,11 +484,6 @@ class StructureRegistry:
         with self._lock:
             return tuple(self._entries)
 
-    def entries(self) -> list[RegistryEntry]:
-        """A snapshot of the entries, least recently used first."""
-        with self._lock:
-            return list(self._entries.values())
-
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._entries

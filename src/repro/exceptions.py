@@ -65,14 +65,6 @@ class LiberalVariableError(FormulaError):
     """
 
 
-class NotPrenexError(FormulaError):
-    """An operation required a prenex primitive positive formula."""
-
-
-class ArityBoundError(FormulaError):
-    """A bounded-arity requirement was violated."""
-
-
 class DecompositionError(ReproError):
     """An elimination ordering is invalid or could not be computed."""
 

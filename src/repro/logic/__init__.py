@@ -10,14 +10,12 @@ from repro.logic.formulas import (
     Or,
     PrenexDisjunct,
     Truth,
-    atom,
     conjunction,
-    disjunction,
     to_prenex_disjuncts,
 )
 from repro.logic.pp import PPFormula, conjoin_all
 from repro.logic.ep import EPFormula
-from repro.logic.parser import parse_formula, parse_query
+from repro.logic.parser import parse_query
 from repro.logic.builder import pp_from_atom_specs
 
 __all__ = [
@@ -34,14 +32,11 @@ __all__ = [
     "Or",
     "PrenexDisjunct",
     "Truth",
-    "atom",
     "conjunction",
-    "disjunction",
     "to_prenex_disjuncts",
     "PPFormula",
     "conjoin_all",
     "EPFormula",
-    "parse_formula",
     "parse_query",
     "pp_from_atom_specs",
 ]

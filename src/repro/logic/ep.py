@@ -131,11 +131,6 @@ class EPFormula:
         return self._liberal
 
     @property
-    def free_variables(self) -> frozenset[Variable]:
-        """The free variables of the formula."""
-        return self._ast.free_variables()
-
-    @property
     def signature(self) -> Signature:
         """The signature of the formula."""
         return self._signature
@@ -143,14 +138,6 @@ class EPFormula:
     def is_primitive_positive(self) -> bool:
         """True if the formula contains no disjunction."""
         return self._ast.is_primitive_positive()
-
-    def is_sentence(self) -> bool:
-        """True if the formula has no free variables."""
-        return self._ast.is_sentence()
-
-    def max_arity(self) -> int:
-        """The largest relation arity used by the formula."""
-        return self._signature.max_arity
 
     # ------------------------------------------------------------------
     # Disjunctive forms

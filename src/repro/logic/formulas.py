@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import FormulaError
 from repro.logic.signatures import Signature
-from repro.logic.terms import Atom, Variable, VariableLike, as_variable, as_variables, atoms_signature
+from repro.logic.terms import Atom, Variable, VariableLike, as_variables, atoms_signature
 
 
 class Formula(ABC):
@@ -51,11 +51,6 @@ class Formula(ABC):
         """All atoms occurring anywhere in the formula."""
 
     @abstractmethod
-    def rename_free(self, mapping: dict[Variable, Variable]) -> "Formula":
-        """Rename free variables according to ``mapping`` (capture-avoiding
-        only in the sense that bound occurrences are never renamed)."""
-
-    @abstractmethod
     def _pretty(self, parent_precedence: int) -> str:
         """Render with minimal parentheses; internal helper for ``__str__``."""
 
@@ -64,17 +59,9 @@ class Formula(ABC):
         """The smallest signature over which the formula is well-formed."""
         return atoms_signature(self.atoms())
 
-    def is_quantifier_free(self) -> bool:
-        """True if no existential quantifier occurs in the formula."""
-        return not any(isinstance(node, Exists) for node in self.walk())
-
     def is_primitive_positive(self) -> bool:
         """True if no disjunction occurs in the formula."""
         return not any(isinstance(node, Or) for node in self.walk())
-
-    def is_sentence(self) -> bool:
-        """True if the formula has no free variables."""
-        return not self.free_variables()
 
     def walk(self) -> Iterator["Formula"]:
         """Pre-order traversal of the AST."""
@@ -88,16 +75,6 @@ class Formula(ABC):
         return ()
 
     # -- operator sugar --------------------------------------------------------
-    def __and__(self, other: "Formula") -> "Formula":
-        return And.of(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or.of(self, other)
-
-    def exists(self, *variables: VariableLike) -> "Formula":
-        """Existentially quantify the given variables over this formula."""
-        return Exists(as_variables(variables), self)
-
     def __str__(self) -> str:
         return self._pretty(0)
 
@@ -120,9 +97,6 @@ class AtomicFormula(Formula):
     def atoms(self) -> tuple[Atom, ...]:
         return (self.atom,)
 
-    def rename_free(self, mapping: dict[Variable, Variable]) -> "Formula":
-        return AtomicFormula(self.atom.rename(mapping))
-
     def _pretty(self, parent_precedence: int) -> str:
         return str(self.atom)
 
@@ -139,9 +113,6 @@ class Truth(Formula):
 
     def atoms(self) -> tuple[Atom, ...]:
         return ()
-
-    def rename_free(self, mapping: dict[Variable, Variable]) -> "Formula":
-        return self
 
     def _pretty(self, parent_precedence: int) -> str:
         return "T"
@@ -201,9 +172,6 @@ class _NaryFormula(Formula):
 
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(itertools.chain.from_iterable(c.atoms() for c in self._children_tuple))
-
-    def rename_free(self, mapping: dict[Variable, Variable]) -> "Formula":
-        return type(self)(child.rename_free(mapping) for child in self._children_tuple)
 
     def _pretty(self, parent_precedence: int) -> str:
         inner = f" {self._symbol} ".join(
@@ -273,16 +241,6 @@ class Exists(Formula):
     def atoms(self) -> tuple[Atom, ...]:
         return self._body.atoms()
 
-    def rename_free(self, mapping: dict[Variable, Variable]) -> "Formula":
-        bound = set(self._variables)
-        filtered = {k: v for k, v in mapping.items() if k not in bound}
-        clashes = bound & set(filtered.values())
-        if clashes:
-            raise FormulaError(
-                f"renaming would capture variables {sorted(v.name for v in clashes)}"
-            )
-        return Exists(self._variables, self._body.rename_free(filtered))
-
     def _pretty(self, parent_precedence: int) -> str:
         names = " ".join(v.name for v in self._variables)
         inner = f"exists {names}. {self._body._pretty(0)}"
@@ -302,23 +260,11 @@ class Exists(Formula):
 # ----------------------------------------------------------------------
 # Convenience constructors
 # ----------------------------------------------------------------------
-def atom(relation: str, *arguments: VariableLike) -> AtomicFormula:
-    """Build an atomic formula: ``atom("E", "x", "y")``."""
-    return AtomicFormula(Atom(relation, arguments))
-
-
 def conjunction(formulas: Sequence[Formula]) -> Formula:
     """Conjunction of a sequence; the empty conjunction is :class:`Truth`."""
     if not formulas:
         return Truth()
     return And.of(*formulas)
-
-
-def disjunction(formulas: Sequence[Formula]) -> Formula:
-    """Disjunction of a non-empty sequence of formulas."""
-    if not formulas:
-        raise FormulaError("disjunction of zero formulas is not representable")
-    return Or.of(*formulas)
 
 
 # ----------------------------------------------------------------------
@@ -335,13 +281,6 @@ class PrenexDisjunct:
 
     atoms: tuple[Atom, ...]
     quantified: frozenset[Variable]
-
-    def free_variables(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for a in self.atoms:
-            out |= a.variables
-        return frozenset(out) - self.quantified
-
 
 class _FreshNames:
     """Generates quantified-variable names that cannot clash with user names."""

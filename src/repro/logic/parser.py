@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.exceptions import ParseError
 from repro.logic.ep import EPFormula
@@ -205,12 +204,6 @@ class _Parser:
                 token.position,
             )
         return Variable(token.text)
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse an EP formula from text, ignoring any liberal-variable header."""
-    formula, _ = _Parser(_tokenize(text)).parse_query()
-    return formula
 
 
 def parse_query(text: str, liberal: list[str] | None = None) -> EPFormula:

@@ -18,9 +18,9 @@ formulas.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.exceptions import FormulaError, LiberalVariableError, SignatureError
+from repro.exceptions import FormulaError, LiberalVariableError
 from repro.logic.formulas import (
     AtomicFormula,
     Exists,
@@ -30,7 +30,7 @@ from repro.logic.formulas import (
     conjunction,
 )
 from repro.logic.signatures import Signature
-from repro.logic.terms import Atom, Variable, VariableLike, as_variable, as_variables, atoms_variables
+from repro.logic.terms import Atom, Variable, VariableLike, as_variable, as_variables, atoms_signature, atoms_variables
 from repro.structures.cores import IntForm, augmented_structure, maps_into
 from repro.structures.graphs import Graph, component_substructures, gaifman_graph
 from repro.structures.structure import Structure
@@ -88,7 +88,6 @@ class PPFormula:
         atoms: Iterable[Atom],
         liberal: Iterable[VariableLike] | None = None,
         quantified: Iterable[VariableLike] | None = None,
-        signature: Signature | None = None,
     ) -> "PPFormula":
         """Build a pp-formula from a collection of atoms.
 
@@ -118,20 +117,13 @@ class PPFormula:
             liberal_set = variables
             quantified_set = frozenset()
         universe = variables | liberal_set | quantified_set
-        inferred_signature = signature
-        if inferred_signature is None:
-            from repro.logic.terms import atoms_signature
-
-            inferred_signature = atoms_signature(atom_list)
-        else:
-            for a in atom_list:
-                a.check_against(inferred_signature)
+        signature = atoms_signature(atom_list)
         relations: dict[str, list[tuple[Variable, ...]]] = {
-            name: [] for name in inferred_signature.names
+            name: [] for name in signature.names
         }
         for a in atom_list:
             relations[a.relation].append(a.arguments)
-        structure = Structure(inferred_signature, universe, relations)
+        structure = Structure(signature, universe, relations)
         return cls(structure, liberal_set)
 
     @classmethod
@@ -139,7 +131,6 @@ class PPFormula:
         cls,
         disjunct: PrenexDisjunct,
         liberal: Iterable[VariableLike],
-        signature: Signature | None = None,
     ) -> "PPFormula":
         """Build a pp-formula from one disjunct of a prenex rewriting."""
         liberal_set = frozenset(as_variables(liberal))
@@ -148,17 +139,8 @@ class PPFormula:
             raise LiberalVariableError(
                 f"variables {sorted(v.name for v in clash)} are both liberal and quantified"
             )
-        formula = cls.from_atoms(
-            disjunct.atoms, quantified=disjunct.quantified, signature=signature
-        )
+        formula = cls.from_atoms(disjunct.atoms, quantified=disjunct.quantified)
         return formula.with_liberal(liberal_set | formula.free_variables)
-
-    @classmethod
-    def truth(cls, liberal: Iterable[VariableLike] = (), signature: Signature | None = None) -> "PPFormula":
-        """The pp-formula with no atoms (the empty conjunction)."""
-        sig = signature or Signature()
-        liberal_set = frozenset(as_variables(liberal))
-        return cls(Structure(sig, liberal_set, {}), liberal_set)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -221,14 +203,6 @@ class PPFormula:
     def is_liberal(self) -> bool:
         """True if the liberal-variable set is non-empty."""
         return bool(self._liberal)
-
-    def is_quantifier_free(self) -> bool:
-        """True if the formula has no quantified variables."""
-        return not self.quantified_variables
-
-    def max_arity(self) -> int:
-        """The largest relation arity used by the formula."""
-        return self.signature.max_arity
 
     # ------------------------------------------------------------------
     # Derived formulas
@@ -333,14 +307,6 @@ class PPFormula:
         pieces = component_substructures(self._structure, self._liberal)
         return [PPFormula(sub, lib) for sub, lib in pieces]
 
-    def liberal_components(self) -> list["PPFormula"]:
-        """Components that contain at least one liberal variable."""
-        return [c for c in self.components() if c.is_liberal()]
-
-    def non_liberal_components(self) -> list["PPFormula"]:
-        """Components with no liberal variable (pp-sentences)."""
-        return [c for c in self.components() if not c.is_liberal()]
-
     def hat(self) -> "PPFormula":
         """The formula ``φ̂``: drop every atom of a non-liberal component.
 
@@ -410,10 +376,6 @@ class PPFormula:
         # The union raises on a relation of two arities.
         self.signature | other.signature
         return maps_into(other.form(), self.form())
-
-    def logically_equivalent(self, other: "PPFormula") -> bool:
-        """Logical equivalence (mutual entailment, Theorem 2.3)."""
-        return self.entails(other) and other.entails(self)
 
     # ------------------------------------------------------------------
     # Conversion

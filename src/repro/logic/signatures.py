@@ -15,7 +15,7 @@ The two classes here are deliberately small value objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.exceptions import SignatureError
 
@@ -74,11 +74,6 @@ class Signature:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_arities(cls, arities: Mapping[str, int]) -> "Signature":
-        """Build a signature from a ``{name: arity}`` mapping."""
-        return cls(RelationSymbol(name, arity) for name, arity in arities.items())
-
-    @classmethod
     def graph(cls, name: str = "E") -> "Signature":
         """The signature of directed graphs: a single binary relation."""
         return cls([RelationSymbol(name, 2)])
@@ -89,36 +84,14 @@ class Signature:
     def __contains__(self, name: object) -> bool:
         return name in self._symbols
 
-    def __getitem__(self, name: str) -> RelationSymbol:
-        try:
-            return self._symbols[name]
-        except KeyError:
-            raise SignatureError(f"unknown relation symbol {name!r}") from None
-
     def get(self, name: str) -> RelationSymbol | None:
         """Return the symbol named ``name`` or ``None`` if absent."""
         return self._symbols.get(name)
-
-    def arity(self, name: str) -> int:
-        """Return the arity of the relation named ``name``."""
-        return self[name].arity
 
     @property
     def names(self) -> tuple[str, ...]:
         """The relation names in this signature, sorted."""
         return tuple(self._symbols)
-
-    @property
-    def symbols(self) -> tuple[RelationSymbol, ...]:
-        """The relation symbols in this signature, sorted by name."""
-        return tuple(self._symbols.values())
-
-    @property
-    def max_arity(self) -> int:
-        """The largest arity among the symbols (0 for an empty signature)."""
-        if not self._symbols:
-            return 0
-        return max(symbol.arity for symbol in self._symbols.values())
 
     def __iter__(self) -> Iterator[RelationSymbol]:
         return iter(self._symbols.values())

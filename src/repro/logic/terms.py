@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from repro.exceptions import FormulaError, SignatureError
+from repro.exceptions import FormulaError
 from repro.logic.signatures import RelationSymbol, Signature
 
 
@@ -99,21 +99,6 @@ class Atom:
         Variables absent from ``mapping`` are left unchanged.
         """
         return Atom(self.relation, tuple(mapping.get(v, v) for v in self.arguments))
-
-    def check_against(self, signature: Signature) -> None:
-        """Validate this atom against a signature.
-
-        Raises :class:`SignatureError` if the relation is unknown or the
-        arity does not match.
-        """
-        symbol = signature.get(self.relation)
-        if symbol is None:
-            raise SignatureError(f"atom uses unknown relation {self.relation!r}")
-        if symbol.arity != self.arity:
-            raise SignatureError(
-                f"atom {self} has arity {self.arity}, but relation "
-                f"{self.relation!r} has arity {symbol.arity}"
-            )
 
     def __str__(self) -> str:
         args = ", ".join(str(v) for v in self.arguments)

@@ -54,7 +54,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 #: How many finished traces the ring buffer retains by default.
 DEFAULT_TRACE_CAPACITY = 256
@@ -153,9 +153,6 @@ class _NoopSpan:
     error = None
 
     def set(self, key: str, value) -> None:
-        pass
-
-    def finish(self, error: str | None = None) -> None:
         pass
 
 
@@ -356,13 +353,7 @@ class _NoopTrace:
     def set(self, key: str, value) -> None:
         pass
 
-    def finish(self, error: str | None = None) -> None:
-        pass
-
     def stage_breakdown(self) -> dict:
-        return {}
-
-    def summary(self) -> dict:
         return {}
 
     def as_dict(self) -> dict:
@@ -596,14 +587,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # The ambient context
     # ------------------------------------------------------------------
-    def current_trace(self) -> Trace | None:
-        current = self._var.get()
-        return current[0] if current is not None else None
-
-    def current_span(self) -> Span | None:
-        current = self._var.get()
-        return current[1] if current is not None else None
-
     def attach_foreign(
         self, spans: Sequence[Mapping] | None, suffix: str = ""
     ) -> bool:
@@ -648,9 +631,6 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._buffer)
-
-    def __iter__(self) -> Iterator[Trace]:
-        return iter(self.finished_traces())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

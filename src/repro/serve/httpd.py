@@ -420,13 +420,6 @@ class CountingServer:
             self._server = None
         await self.service.aclose()
 
-    async def __aenter__(self) -> "CountingServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------

@@ -182,11 +182,6 @@ class LatencyHistogram:
         return self._percentile_from(counts, total, maximum, quantile)
 
     @property
-    def count(self) -> int:
-        with self._lock:
-            return self._total
-
-    @property
     def sum_seconds(self) -> float:
         """The summed observed seconds (the Prometheus ``_sum`` series)."""
         with self._lock:
@@ -658,10 +653,6 @@ class CountingService:
             return {"attached": False}
         return cluster.status()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -686,16 +677,6 @@ class CountingService:
         # Anything still executing past the drain deadline (abandoned
         # or not) must not block the event loop; its done-callback
         # releases the slot whenever the thread finally returns.
-        self._executor.shutdown(
-            wait=self._executing == 0 and self._abandoned == 0,
-            cancel_futures=True,
-        )
-        if self._owns_engine:
-            self.engine.close()
-
-    def close(self) -> None:
-        """Synchronous shutdown for non-async callers (no draining)."""
-        self._closed = True
         self._executor.shutdown(
             wait=self._executing == 0 and self._abandoned == 0,
             cancel_futures=True,

@@ -9,10 +9,8 @@ from repro.structures.operations import (
     add_idempotent_copies,
     direct_product,
     disjoint_union,
-    idempotent_structure,
     power,
     relabel_to_integers,
-    union_relations,
 )
 from repro.structures.homomorphism import (
     count_extendable_assignments,
@@ -38,10 +36,6 @@ from repro.structures.graphs import (
     gaifman_graph,
 )
 from repro.structures.random_gen import (
-    clique_graph,
-    cycle_graph,
-    grid_graph,
-    path_graph,
     random_cluster_graph,
     random_graph,
     random_structure,
@@ -62,10 +56,8 @@ __all__ = [
     "add_idempotent_copies",
     "direct_product",
     "disjoint_union",
-    "idempotent_structure",
     "power",
     "relabel_to_integers",
-    "union_relations",
     "count_extendable_assignments",
     "count_homomorphisms",
     "enumerate_extendable_assignments",
@@ -82,10 +74,6 @@ __all__ = [
     "component_substructures",
     "connected_components",
     "gaifman_graph",
-    "clique_graph",
-    "cycle_graph",
-    "grid_graph",
-    "path_graph",
     "random_cluster_graph",
     "random_graph",
     "random_structure",

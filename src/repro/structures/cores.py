@@ -348,6 +348,9 @@ def is_core(structure: Structure) -> bool:
     dropping one element at a time, which suffices: if a retraction to a
     smaller substructure exists, one exists to a substructure missing
     some particular element.
+
+    A reference oracle by the homomorphism search: the tests check
+    :func:`core` and :meth:`PPFormula.core` against it.
     """
     for element in structure.universe:
         smaller = structure.restrict(structure.universe - {element})

@@ -18,11 +18,19 @@ formula-sized structures that appear as parameters.  Structures that
 play the role of data can be large; they only ever appear on the
 right-hand side, where they contribute to candidate sets, not to the
 branching factor.
+
+This module is a reference oracle, not part of the serving path: the
+engine counts on column tables (:mod:`repro.algorithms.csp`) and
+searches cores on the formula's int form (:mod:`repro.structures.cores`).
+The brute-force counters (:mod:`repro.algorithms.brute_force`), the
+backward reduction's machinery (:mod:`repro.core.distinguishing`,
+:func:`repro.core.ep_to_pp.sentence_holds`) and the tests check the
+engine against it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.budget import current_budget
 from repro.exceptions import SignatureError, StructureError

@@ -12,6 +12,9 @@ Building the index is a single pass over the tuples; ``tuples`` and
 ``matching`` are O(1) dictionary accesses returning frozensets, and
 ``has_compatible_tuple`` intersects the (pre-sorted-by-size) candidate
 sets of the pinned positions.
+
+Like the search it serves, the index is a reference: no count of the
+engine builds one.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ class PositionalIndex:
         self._by_position: dict[tuple[str, int, Element], frozenset] = {
             key: frozenset(values) for key, values in by_position.items()
         }
-
-    @property
-    def structure(self) -> Structure:
-        """The indexed structure."""
-        return self._structure
 
     def tuples(self, relation: str) -> frozenset[tuple[Element, ...]]:
         """All tuples of ``relation`` (empty frozenset if unknown)."""

@@ -19,7 +19,7 @@ hashable and printable.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 from repro.exceptions import SignatureError, StructureError
 from repro.logic.signatures import Signature
@@ -115,11 +115,6 @@ def add_idempotent_copies(structure: Structure, count: int) -> Structure:
     return disjoint_union(structure, *copies)
 
 
-def idempotent_structure(signature: Signature, element: Hashable = "a") -> Structure:
-    """The structure ``I_tau``: one element, every relation reflexive."""
-    return single_loop_structure(signature, element=element)
-
-
 def relabel_to_integers(structure: Structure) -> Structure:
     """Return an isomorphic copy whose universe is ``0 .. n-1``.
 
@@ -136,27 +131,3 @@ def relabel_to_integers(structure: Structure) -> Structure:
     return Structure(structure.signature, range(len(ordered)), relations)
 
 
-def union_relations(*structures: Structure) -> Structure:
-    """The structure on the union of universes with union of relations.
-
-    Unlike :func:`disjoint_union`, shared elements are identified; this
-    is the operation used to take the conjunction of two pp-formulas
-    viewed as structures over a common set of variables.
-    """
-    if not structures:
-        raise StructureError("need at least one structure")
-    signature = structures[0].signature
-    for other in structures[1:]:
-        signature = signature | other.signature
-    universe: set[Element] = set()
-    relations: dict[str, set[tuple[Element, ...]]] = {s.name: set() for s in signature}
-    for structure in structures:
-        universe |= structure.universe
-        for name, tuples in structure.relations.items():
-            relations[name] |= tuples
-    return Structure(signature, universe, relations)
-
-
-def induced_substructure(structure: Structure, elements: Iterable[Element]) -> Structure:
-    """Alias for :meth:`Structure.restrict`, provided for discoverability."""
-    return structure.restrict(elements)

@@ -132,42 +132,3 @@ def random_structure(
     return Structure(signature, universe, relations)
 
 
-def path_graph(length: int, relation: str = "E") -> Structure:
-    """A directed path with ``length`` edges (``length + 1`` vertices)."""
-    if length < 0:
-        raise WorkloadError("length must be non-negative")
-    edges = [(i, i + 1) for i in range(length)]
-    return Structure(Signature.graph(relation), range(length + 1), {relation: edges})
-
-
-def cycle_graph(length: int, relation: str = "E") -> Structure:
-    """A directed cycle on ``length`` vertices."""
-    if length < 1:
-        raise WorkloadError("length must be at least 1")
-    edges = [(i, (i + 1) % length) for i in range(length)]
-    return Structure(Signature.graph(relation), range(length), {relation: edges})
-
-
-def clique_graph(size: int, relation: str = "E", loops: bool = False) -> Structure:
-    """The complete directed graph on ``size`` vertices."""
-    if size < 0:
-        raise WorkloadError("size must be non-negative")
-    edges = [
-        (i, j) for i in range(size) for j in range(size) if loops or i != j
-    ]
-    return Structure(Signature.graph(relation), range(size), {relation: edges})
-
-
-def grid_graph(rows: int, cols: int, relation: str = "E") -> Structure:
-    """A directed grid graph; vertices are ``(row, col)`` pairs."""
-    if rows < 1 or cols < 1:
-        raise WorkloadError("rows and cols must be positive")
-    vertices = [(r, c) for r in range(rows) for c in range(cols)]
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append(((r, c), (r, c + 1)))
-            if r + 1 < rows:
-                edges.append(((r, c), (r + 1, c)))
-    return Structure(Signature.graph(relation), vertices, {relation: edges})

@@ -170,9 +170,6 @@ class Structure:
         """A copy of the relation-name to tuple-set mapping."""
         return dict(self._relations)
 
-    def __contains__(self, element: object) -> bool:
-        return element in self._universe
-
     def __len__(self) -> int:
         return len(self._universe)
 
@@ -191,10 +188,6 @@ class Structure:
         for name in sorted(self._relations):
             for t in sorted(self._relations[name], key=repr):
                 yield name, t
-
-    def has_tuple(self, name: str, t: tuple[Element, ...]) -> bool:
-        """True if ``t`` belongs to the relation named ``name``."""
-        return tuple(t) in self.relation(name)
 
     def is_empty(self) -> bool:
         """True if the universe is empty."""

@@ -11,6 +11,7 @@ its ``409`` optimistic-concurrency contract.
 from __future__ import annotations
 
 import json
+import random
 import urllib.error
 import urllib.request
 
@@ -239,6 +240,98 @@ def test_context_apply_delta_keeps_memos_for_untouched_relations():
     evictions_before = context.stats.snapshot().memo_evictions
     migrated.apply_delta(StructureDelta(inserts={"E": [(4, 5)]}))
     assert context.stats.snapshot().memo_evictions > evictions_before
+
+
+#: Memoized counts for the eviction matrix.  The sentence disjunct of
+#: ``with-sentence`` is a unit of its own, counting ``|B|^2`` or 0
+#: (its liberal variables occur in no atom), like ``E(x, x)`` with a
+#: liberal ``y`` in no atom; the others read only their atoms.
+EVICTION_QUERIES = (
+    "exists a. E(a, a)",
+    "E(x, y)",
+    "R(x, x)",
+    PATH_QUERY,
+    "Q(x, y) = E(x, x)",
+    "Q(x, y) = E(x, y) | exists a. (R(a, a))",
+    "Q(x, y) = R(x, y) | E(y, x)",
+)
+
+
+def _eviction_base() -> Structure:
+    return Structure.from_relations(
+        {"E": [(1, 1), (1, 2)], "R": [(3, 3)]}
+    )
+
+
+def _eviction_delta(seed: int) -> StructureDelta:
+    """A seeded delta on the eviction base: inserts into E and/or R
+    over old and new elements (new ones grow the universe), deletes of
+    present tuples, or both."""
+    rng = random.Random(seed)
+    base = _eviction_base()
+    elements = sorted(base.universe) + [4, 5]
+    inserts, deletes = {}, {}
+    for name in rng.sample(["E", "R"], rng.randint(1, 2)):
+        present = sorted(base.relations[name])
+        if present and rng.random() < 0.3:
+            deletes[name] = [rng.choice(present)]
+        else:
+            candidate = (rng.choice(elements), rng.choice(elements))
+            while candidate in base.relations[name]:
+                candidate = (rng.choice(elements), rng.choice(elements))
+            inserts[name] = [candidate]
+    return StructureDelta(inserts=inserts, deletes=deletes)
+
+
+def _eviction_units():
+    from repro.engine.executor import _lower_plan
+
+    plans = [compile_plan(text) for text in EVICTION_QUERIES]
+    units = {}
+    for split in (False, True):
+        for unit in _lower_plan(plans, split=split).units:
+            units.setdefault(unit.base, unit)
+    return list(units.values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_delta_keeps_exactly_the_counts_it_cannot_change(seed):
+    """Soundness: every count a delta keeps is the fresh recount and
+    the brute force.  Precision: every count whose read relations the
+    delta misses, and whose liberal variables all occur in atoms, is
+    kept -- universe growth alone changes only a count with a liberal
+    variable in no atom (``|B|`` choices each)."""
+    from repro.algorithms.brute_force import count_pp_answers_brute_force
+
+    base = _eviction_base()
+    delta = _eviction_delta(seed)
+    units = _eviction_units()
+    context = ExecutionContext(base)
+    context.run_units(units)
+    migrated = context.apply_delta(delta)
+    after = migrated.structure
+    grew = len(after.universe) > len(base.universe)
+    fresh = ExecutionContext(after, memoize=False).run_units(units)
+    for unit, kept, recount in zip(units, migrated.recall(units), fresh):
+        assert recount == count_pp_answers_brute_force(unit.base, after)
+        if kept is not None:
+            assert kept == recount, (str(unit.base), delta)
+        reads = {name for name, tuples in unit.base.structure.relations.items() if tuples}
+        sensitive = grew and unit.base.unconstrained_liberal_variables
+        if not (reads & delta.relations) and not sensitive:
+            assert kept is not None, (str(unit.base), delta)
+
+
+def test_universe_growth_in_another_relation_keeps_the_counts():
+    # R(4, 4) adds an element but leaves E alone: neither count of an
+    # E-only formula can change.
+    units = [compile_plan(text).pp for text in ("exists a. E(a, a)", "E(x, y)")]
+    context = ExecutionContext(_eviction_base())
+    values = context.run_units(units)
+    evictions = context.stats.snapshot().memo_evictions
+    migrated = context.apply_delta(StructureDelta(inserts={"R": [(4, 4)]}))
+    assert migrated.recall(units) == values
+    assert context.stats.snapshot().memo_evictions == evictions
 
 
 # ----------------------------------------------------------------------

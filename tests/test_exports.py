@@ -142,6 +142,89 @@ DELETED_NAMES = (
     # No caller anywhere.
     "repro.structures.homomorphism.hom_profile",
     "repro.structures.random_gen.random_bipartite_relation",
+    # Reached by nothing: no cell, tool, example or process entered them.
+    "repro.engine.plan.PlanProfile.estimated_cost",
+    "repro.core.classification.Classification.satisfies_contraction_condition",
+    "repro.core.classification.Classification.satisfies_tractability_condition",
+    "repro.core.classification.Classification.witnesses",
+    "repro.exceptions.NotPrenexError",
+    "repro.logic.pp.PPFormula.liberal_components",
+    "repro.logic.pp.PPFormula.non_liberal_components",
+    "repro.logic.pp.PPFormula.logically_equivalent",
+    "repro.logic.signatures.Signature.from_arities",
+    "repro.obs.trace.Tracer.current_trace",
+    "repro.obs.trace.Tracer.current_span",
+    "repro.structures.induced_substructure",
+    "repro.structures.union_relations",
+    "repro.structures.idempotent_structure",
+    "repro.structures.operations.induced_substructure",
+    "repro.structures.operations.union_relations",
+    "repro.structures.operations.idempotent_structure",
+    "repro.structures.structure.Structure.has_tuple",
+    "repro.core.find_distinguishing_structure_for_classes",
+    "repro.core.distinguishing.find_distinguishing_structure_for_classes",
+    "repro.core.semi_counting_equivalent_on",
+    "repro.core.semi_equivalence.semi_counting_equivalent_on",
+    "repro.core.counting_equivalent_on",
+    "repro.core.equivalence.counting_equivalent_on",
+    "repro.structures.path_graph",
+    "repro.structures.cycle_graph",
+    "repro.structures.clique_graph",
+    "repro.structures.grid_graph",
+    "repro.structures.random_gen.path_graph",
+    "repro.structures.random_gen.cycle_graph",
+    "repro.structures.random_gen.clique_graph",
+    "repro.structures.random_gen.grid_graph",
+    "repro.algorithms.has_clique",
+    "repro.algorithms.clique.has_clique",
+    "repro.logic.formulas.Formula.rename_free",
+    "repro.logic.formulas.AtomicFormula.rename_free",
+    "repro.logic.formulas.Truth.rename_free",
+    "repro.logic.formulas.And.rename_free",
+    "repro.logic.formulas.Or.rename_free",
+    "repro.logic.formulas.Exists.rename_free",
+    # Never entered in any process of tier-1, the examples or the serve
+    # smoke (tools/reach_audit.py), and named by nothing that stays.
+    "repro.core.classification.check_bounded_arity",
+    "repro.exceptions.ArityBoundError",
+    "repro.logic.pp.PPFormula.max_arity",
+    "repro.logic.pp.PPFormula.is_quantifier_free",
+    "repro.logic.pp.PPFormula.truth",
+    "repro.logic.ep.EPFormula.free_variables",
+    "repro.logic.ep.EPFormula.is_sentence",
+    "repro.logic.ep.EPFormula.max_arity",
+    "repro.logic.signatures.Signature.__getitem__",
+    "repro.logic.signatures.Signature.arity",
+    "repro.logic.signatures.Signature.max_arity",
+    "repro.logic.signatures.Signature.symbols",
+    "repro.logic.terms.Atom.check_against",
+    "repro.logic.atom",
+    "repro.logic.disjunction",
+    "repro.logic.parse_formula",
+    "repro.logic.formulas.atom",
+    "repro.logic.formulas.disjunction",
+    "repro.logic.parser.parse_formula",
+    "repro.logic.formulas.Formula.__and__",
+    "repro.logic.formulas.Formula.exists",
+    "repro.logic.formulas.Formula.is_quantifier_free",
+    "repro.logic.formulas.Formula.is_sentence",
+    "repro.logic.formulas.PrenexDisjunct.free_variables",
+    "repro.engine.cache.LRUCache.hit_rate",
+    "repro.engine.cache.PlanCache.hit_rate",
+    "repro.engine.context.ExecutionContext.domain",
+    "repro.engine.registry.StructureRegistry.entries",
+    "repro.cluster.placement.PlacementMap.placed_fingerprints",
+    "repro.obs.trace.Tracer.__iter__",
+    "repro.obs.trace._NoopSpan.finish",
+    "repro.obs.trace._NoopTrace.finish",
+    "repro.obs.trace._NoopTrace.summary",
+    "repro.serve.httpd.CountingServer.__aenter__",
+    "repro.serve.httpd.CountingServer.__aexit__",
+    "repro.serve.service.CountingService.close",
+    "repro.serve.service.CountingService.closed",
+    "repro.serve.service.LatencyHistogram.count",
+    "repro.structures.indexes.PositionalIndex.structure",
+    "repro.structures.structure.Structure.__contains__",
 )
 
 

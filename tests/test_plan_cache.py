@@ -101,6 +101,9 @@ def _printed_queries():
     cells = [pytest.param(q, id=name) for name, q in GENERATOR_QUERIES.items()]
     cells.append(pytest.param(parse_query("exists a b. (E(a, b) & E(b, a))"), id="sentence"))
     cells.append(pytest.param(K4_SENTENCE_QUERY, id="k4_sentence"))
+    cells.append(
+        pytest.param(parse_query("Q(x) = E(x, x) | exists y. (E(x, y) & T)"), id="truth")
+    )
     return cells
 
 

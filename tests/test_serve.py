@@ -23,6 +23,7 @@ import pytest
 from repro.algorithms.brute_force import count_answers_naive
 from repro.engine.api import Engine
 from repro.engine.plan import as_ep
+from repro.obs.trace import get_tracer
 from repro.serve import (
     BackgroundServer,
     CountingServer,
@@ -382,6 +383,23 @@ def test_http_elements_must_be_ints_or_strings(
         {"query": "E(x, y)", "structure": {"ref": "tri"}},
     )
     assert (status, view) == (200, {"count": 3})
+
+
+def test_an_untraced_server_counts_and_retains_no_trace(served_triangle):
+    # With tracing off, each request is handled and logged against the
+    # shared no-op trace.
+    tracer = get_tracer()
+    last = tracer.finished_traces()[-1:]
+    tracer.set_enabled(False)
+    try:
+        status, body = _send(
+            served_triangle, "POST", "/count",
+            {"query": PATH_QUERY, "structure": {"ref": "tri"}},
+        )
+    finally:
+        tracer.set_enabled(None)
+    assert (status, body) == (200, {"count": 3})
+    assert tracer.finished_traces()[-1:] == last
 
 
 @pytest.mark.parametrize("value", ["false", 1, []], ids=["string", "int", "list"])

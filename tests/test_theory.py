@@ -21,7 +21,7 @@ from collections import deque
 
 import pytest
 
-from repro.algorithms.brute_force import count_answers_naive
+from repro.algorithms.brute_force import count_answers_naive, count_pp_answers_brute_force
 from repro.algorithms.clique import answers_to_clique_count, clique_query, count_cliques
 from repro.algorithms.fpt_counting import (
     contract_graph,
@@ -36,19 +36,36 @@ from repro.algorithms.treewidth import (
     treewidth,
     width_of_ordering,
 )
-from repro.core.classification import measure_pp_class, trichotomy_case
-from repro.core.ep_to_pp import normalize, plus_set
+from repro.core import distinguishing
+from repro.core.classification import classify, measure_pp_class, trichotomy_case
+from repro.core.distinguishing import (
+    find_distinguishing_structure,
+    separating_structure,
+    uniquely_satisfied_structure,
+)
+from repro.core.ep_to_pp import normalize, plus_decomposition, plus_set
 from repro.budget import CostBudget, budget_scope
 from repro.core.equivalence import (
+    counting_equivalent,
     group_by_counting_equivalence,
     renaming_equivalent,
     renaming_witness,
 )
-from repro.core.inclusion_exclusion import raw_inclusion_exclusion
+from repro.core.inclusion_exclusion import raw_inclusion_exclusion, star_decomposition
+from repro.core.oracle_reduction import (
+    OracleCallCounter,
+    StarCountRecovery,
+    count_pp_via_ep_oracle,
+    make_brute_force_oracle,
+    solve_vandermonde_system,
+)
+from repro.core.semi_equivalence import semi_counting_equivalent
 from repro.engine import Engine
 from repro.engine.executor import execute
 from repro.engine.plan import as_ep, compile_plan
+from repro.exceptions import OracleError
 from repro.logic.builder import pp_from_atom_specs
+from repro.logic.ep import EPFormula
 from repro.logic.parser import parse_query
 from repro.logic.pp import PPFormula
 from repro.structures.cores import AUGMENT_PREFIX, core, is_core
@@ -1117,3 +1134,293 @@ def test_plan_measures_are_the_recorded_ones(name, query):
         (pp.width, " ".join(",".join(v.name for v in group) for group in pp.order))
         for pp in _pp_plans(query)
     ] == HEAD_PLAN_MEASURES[name][1]
+
+
+# ----------------------------------------------------------------------
+# The equivalence theorem (Theorem 3.1) against the brute force
+# ----------------------------------------------------------------------
+THEOREM_NAMES = ("x", "y", "z")
+#: 3-element data graphs, loops allowed (a loop makes every count
+#: positive): the semantic side of every identity below.
+THEOREM_GRAPHS = tuple(
+    random_graph(3, density, seed, loops=True)
+    for density in (0.3, 0.6, 0.9)
+    for seed in range(3)
+)
+#: How the second formula of a pair is made from the first: drawn
+#: independently; renamed (liberal variables permuted, quantified ones
+#: renamed); padded with an atom ``E(u, p)`` that ``E(u, v)`` already
+#: implies; or conjoined with a pp-sentence (so the hats agree).
+PAIR_KINDS = ("drawn", "renamed", "padded", "with-sentence")
+PAIR_SEEDS = range(32)
+PAIR_CELLS = [
+    pytest.param(seed, id=f"seed{seed}-{PAIR_KINDS[seed % 4]}") for seed in PAIR_SEEDS
+]
+LOOP_SENTENCE = (("E", ("s", "s")),)
+TWO_CYCLE_SENTENCE = (("E", ("s", "t")), ("E", ("t", "s")))
+
+
+def _theorem_pp(rng: random.Random, liberal: list) -> PPFormula:
+    atoms = [
+        ("E", (rng.choice(THEOREM_NAMES), rng.choice(THEOREM_NAMES)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return pp_from_atom_specs(atoms, liberal=liberal)
+
+
+def _pp_pair(seed: int) -> tuple[PPFormula, PPFormula]:
+    """A seeded pair of pp-formulas over ``x, y, z`` (0-2 liberal)."""
+    rng = random.Random(seed)
+    kind = PAIR_KINDS[seed % 4]
+    liberal = list(THEOREM_NAMES[: rng.randint(0, 2)])
+    first = _theorem_pp(rng, liberal)
+    if kind == "drawn":
+        second = _theorem_pp(rng, list(THEOREM_NAMES[: rng.randint(0, 2)]))
+    elif kind == "renamed":
+        names = sorted(first.liberal, key=repr)
+        mapping = dict(zip(names, rng.sample(names, len(names))))
+        mapping.update({v: f"r_{v.name}" for v in first.quantified_variables})
+        second = first.rename(mapping)
+    elif kind == "padded":
+        u, _ = rng.choice(first.atoms()).arguments
+        second = first.conjoin(pp_from_atom_specs([("E", (u.name, "p"))], liberal=liberal))
+    else:
+        sentence = rng.choice((LOOP_SENTENCE, TWO_CYCLE_SENTENCE))
+        second = first.conjoin(pp_from_atom_specs(sentence, liberal=liberal))
+    return first, second
+
+
+def _brute_counts(formula: PPFormula, structures) -> list[int]:
+    return [count_pp_answers_brute_force(formula, s) for s in structures]
+
+
+def _pair_branch(first: PPFormula, second: PPFormula) -> str:
+    if counting_equivalent(first, second):
+        return "counting-equivalent"
+    if semi_counting_equivalent(first, second):
+        return "semi-counting-equivalent"
+    return "neither"
+
+
+def test_the_pair_matrix_reaches_every_branch():
+    branches = {_pair_branch(*_pp_pair(seed)) for seed in PAIR_SEEDS}
+    assert branches == {"counting-equivalent", "semi-counting-equivalent", "neither"}
+
+
+@pytest.mark.parametrize("seed", PAIR_CELLS)
+def test_counting_equivalence_is_equal_counts_and_a_separated_pair_has_a_witness(seed):
+    """Theorem 5.4: an accepted pair counts alike on every graph; a
+    separated one counts differently on a witness -- the Lemma 5.12
+    distinguishing structure when the hats differ, else the
+    Proposition 5.19 structure satisfying exactly one of the two."""
+    first, second = _pp_pair(seed)
+    branch = _pair_branch(first, second)
+    if branch == "counting-equivalent":
+        assert _brute_counts(first, THEOREM_GRAPHS) == _brute_counts(second, THEOREM_GRAPHS)
+    elif branch == "semi-counting-equivalent":
+        index, witness = uniquely_satisfied_structure([first, second])
+        counts = _brute_counts(first, [witness]) + _brute_counts(second, [witness])
+        assert counts[index] > 0 and counts[1 - index] == 0
+    else:
+        witness = find_distinguishing_structure([first, second], seed=seed)
+        a, b = _brute_counts(first, [witness]) + _brute_counts(second, [witness])
+        assert a > 0 and b > 0 and a != b
+
+
+@pytest.mark.parametrize("seed", PAIR_CELLS)
+def test_semi_counting_equivalence_is_equal_positive_counts(seed):
+    """Theorem 5.9: an accepted pair counts alike wherever both counts
+    are positive; a rejected one is told apart, both positive, on the
+    Lemma 5.13 separating structure."""
+    first, second = _pp_pair(seed)
+    if semi_counting_equivalent(first, second):
+        for a, b in zip(_brute_counts(first, THEOREM_GRAPHS), _brute_counts(second, THEOREM_GRAPHS)):
+            assert a == b or a == 0 or b == 0
+    else:
+        witness = separating_structure(first, second, seed=seed)
+        a, b = _brute_counts(first, [witness]) + _brute_counts(second, [witness])
+        assert a > 0 and b > 0 and a != b
+
+
+#: All-free UCQ families of two disjuncts over ``x``/``y`` plus one
+#: quantified variable each: drawn; the first conjoined with a
+#: pp-sentence; or the first with a pp-sentence, or with ``x`` and ``y``
+#: swapped (two semi-counting-equivalent terms: a Lemma 5.18 split).
+#: Two disjuncts give at most three star terms: the reduction queries
+#: ``B x C^l`` for ``l < s``, whose universe grows as ``|C|^(s - 1)``.
+FAMILY_KINDS = ("drawn", "with-sentence", "swapped")
+FAMILY_CELLS = [
+    pytest.param(seed, id=f"seed{seed}-{FAMILY_KINDS[seed % 3]}") for seed in range(24)
+]
+
+
+def _ucq_family(seed: int) -> EPFormula:
+    rng = random.Random(seed)
+    kind = FAMILY_KINDS[seed % 3]
+    liberal = ["x", "y"] if kind == "swapped" else ["x", "y"][: rng.randint(1, 2)]
+
+    def draw(index: int) -> PPFormula:
+        names = liberal + [f"a{index}"]
+        edge = (rng.choice(liberal), rng.choice(names))
+        atoms = [("E", edge[:: rng.choice((1, -1))])]
+        atoms += [
+            ("E", (rng.choice(names), rng.choice(names)))
+            for _ in range(rng.randint(0, 2))
+        ]
+        return pp_from_atom_specs(atoms, liberal=liberal)
+
+    first = draw(0)
+    if kind == "drawn":
+        return EPFormula.from_disjuncts([first, draw(1)])
+    sentence = pp_from_atom_specs(
+        rng.choice((LOOP_SENTENCE, TWO_CYCLE_SENTENCE)), liberal=liberal
+    )
+    if kind == "with-sentence":
+        return EPFormula.from_disjuncts([first.conjoin(sentence), draw(1)])
+    swap = {"x": "y", "y": "x"}
+    swap.update({v.name: f"b_{v.name}" for v in first.quantified_variables})
+    return EPFormula.from_disjuncts([first.conjoin(sentence), first.rename(swap)])
+
+
+def _engine_oracle(query: EPFormula):
+    """``|query(D)|`` by the engine's own count: the brute-force oracle
+    is too slow on the products ``B x C^l`` the reduction builds."""
+    plan = compile_plan(query)
+    return lambda structure: execute(plan, structure)
+
+
+def _oracle_calls(classes) -> int:
+    """Theorem 5.20's call count: ``s`` class sums per Vandermonde
+    solve, one solve for ``B``, and ``2^k - 1`` more per class of ``k
+    >= 2`` formulas (Lemma 5.18 peels one formula per level, and each
+    level doubles the class-sum calls of the level below)."""
+    s = len(classes)
+    return s + s * sum(2 ** len(group) - 1 for group in classes if len(group) >= 2)
+
+
+def _recovery(query: EPFormula, make_oracle, structures, seed: int = 0):
+    """Recover every φ* count on each structure from oracle calls alone
+    and check each against the brute force, and the call count."""
+    star = star_decomposition(query.disjuncts())
+    oracle = OracleCallCounter(make_oracle(query))
+    recovery = StarCountRecovery(star, oracle, seed=seed)
+    for structure in structures:
+        oracle.calls = 0
+        recovered = recovery.recover(structure)
+        assert recovered == {
+            formula: count_pp_answers_brute_force(formula, structure)
+            for formula in star.formulas()
+        }
+        assert oracle.calls == _oracle_calls(recovery.classes)
+    return recovery
+
+
+@pytest.mark.parametrize("seed", FAMILY_CELLS)
+def test_star_counts_are_recovered_from_ep_counts_alone(seed):
+    _recovery(_ucq_family(seed), _engine_oracle, THEOREM_GRAPHS[::4], seed=seed)
+
+
+def test_a_semi_counting_class_is_split_by_lemma_5_18():
+    query = parse_query("Q(x, y) = (E(x, y) & exists a. E(a, a)) | E(y, x)")
+    recovery = _recovery(query, make_brute_force_oracle, THEOREM_GRAPHS[::3])
+    assert sorted(map(len, recovery.classes), reverse=True) == [2, 1]
+    assert _oracle_calls(recovery.classes) == 8
+
+
+def test_the_lemma_5_12_product_repair_separates_in_and_out_edges(monkeypatch):
+    # No cheap candidate gives ``exists a. E(a, x)`` and
+    # ``exists b. E(x, b)`` different counts, so the search multiplies
+    # in a pairwise separating structure.
+    repairs = []
+    separate = distinguishing.separating_structure
+
+    def spy(*args, **kwargs):
+        repairs.append(args)
+        return separate(*args, **kwargs)
+
+    monkeypatch.setattr(distinguishing, "separating_structure", spy)
+    query = parse_query("Q(x) = (exists a. E(a, x)) | (exists b. E(x, b))")
+    _recovery(query, _engine_oracle, THEOREM_GRAPHS[::4], seed=108)
+    assert repairs
+
+
+#: The 2-path (no walk of three edges: the sentence disjunct fails)
+#: and the 3-cycle (it holds).
+PLUS_STRUCTURES = {
+    "2-path": Structure.from_relations({"E": [(0, 1), (1, 2)]}),
+    "3-cycle": Structure.from_relations({"E": [(0, 1), (1, 2), (2, 0)]}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PLUS_STRUCTURES))
+def test_every_plus_member_is_counted_from_ep_counts_alone(label):
+    """Section 5.4 / Appendix A: each member of φ⁺, the sentence
+    disjunct included, from a brute-force oracle for the whole query."""
+    query = example_5_21_query()
+    structure = PLUS_STRUCTURES[label]
+    decomposition = plus_decomposition(query.disjuncts())
+    assert any(f.is_sentence() for f in decomposition.plus)
+    for target in decomposition.plus:
+        oracle = make_brute_force_oracle(query)
+        assert count_pp_via_ep_oracle(
+            target, query, structure, oracle, decomposition=decomposition
+        ) == count_pp_answers_brute_force(target, structure)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_vandermonde_solve_is_exact(seed):
+    rng = random.Random(seed)
+    nodes = rng.sample(range(1, 60), rng.randint(1, 7))
+    solution = [rng.randint(-10**6, 10**6) for _ in nodes]
+    rhs = [
+        sum(x * node**level for x, node in zip(solution, nodes))
+        for level in range(len(nodes))
+    ]
+    assert solve_vandermonde_system(nodes, rhs) == solution
+    with pytest.raises(OracleError):
+        solve_vandermonde_system(nodes + nodes[:1], rhs + [0])
+
+
+def _renamed_copy(query, seed: int):
+    """A counting-equivalent copy: liberal variables permuted, every
+    quantified variable renamed, disjuncts reordered."""
+    rng = random.Random(seed)
+    disjuncts = query.disjuncts() if isinstance(query, EPFormula) else (query,)
+    names = sorted(disjuncts[0].liberal, key=repr)
+    permutation = dict(zip(names, rng.sample(names, len(names))))
+    renamed = [
+        d.rename({**permutation, **{v: f"r{i}_{v.name}" for v in d.quantified_variables}})
+        for i, d in enumerate(disjuncts)
+    ]
+    if isinstance(query, PPFormula):
+        return renamed[0]
+    return EPFormula.from_disjuncts(rng.sample(renamed, len(renamed)))
+
+
+def _classified_queries():
+    queries = {
+        "clique-4": clique_query(4),
+        "hidden-clique-4": hidden_clique_query(4),
+        "grid-2x3": grid_query(2, 3),
+        "example_5_21": example_5_21_query(),
+        "lemma-5-18": parse_query("Q(x, y) = (E(x, y) & exists a. E(a, a)) | E(y, x)"),
+    }
+    queries.update({f"ucq-seed{seed}": _ucq(seed) for seed in range(4)})
+    return [pytest.param(name, q, id=name) for name, q in queries.items()]
+
+
+@pytest.mark.parametrize("name,query", _classified_queries())
+def test_the_verdict_is_invariant_under_counting_equivalence(name, query):
+    verdicts = []
+    for copy_seed in (None, 0, 1):
+        q = query if copy_seed is None else _renamed_copy(query, copy_seed)
+        result = classify(q)
+        verdicts.append(
+            (
+                result.case,
+                result.max_core_treewidth,
+                result.max_contract_treewidth,
+                len(result.pp_formulas),
+            )
+        )
+    assert verdicts[0] == verdicts[1] == verdicts[2]
