@@ -48,9 +48,6 @@ class Case(Enum):
     CLIQUE_EQUIVALENT = "equivalent to p-Clique"
     SHARP_CLIQUE_HARD = "at least as hard as p-#Clique"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class FormulaMeasures:

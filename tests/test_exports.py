@@ -205,6 +205,7 @@ DELETED_NAMES = (
     "repro.logic.formulas.disjunction",
     "repro.logic.parser.parse_formula",
     "repro.logic.formulas.Formula.__and__",
+    "repro.logic.formulas.Formula.__or__",
     "repro.logic.formulas.Formula.exists",
     "repro.logic.formulas.Formula.is_quantifier_free",
     "repro.logic.formulas.Formula.is_sentence",
@@ -225,6 +226,7 @@ DELETED_NAMES = (
     "repro.serve.service.LatencyHistogram.count",
     "repro.structures.indexes.PositionalIndex.structure",
     "repro.structures.structure.Structure.__contains__",
+    "repro.core.classification.Case.__str__",
 )
 
 
@@ -246,7 +248,14 @@ def _owner(path: str):
 def test_the_deleted_names_are_gone(qualified):
     owner_path, name = qualified.rsplit(".", 1)
     owner = _owner(owner_path)
-    assert not hasattr(owner, name), qualified
+    if isinstance(owner, type) and name.startswith("__"):
+        # ``object``, ``Enum`` or the metaclass answers a dunder such as
+        # ``__str__`` or ``__or__`` on every class: the member is gone
+        # when no class of the package defines it.
+        definers = [k for k in owner.__mro__ if name in vars(k)]
+        assert not any(k.__module__.startswith("repro.") for k in definers), qualified
+    else:
+        assert not hasattr(owner, name), qualified
     assert name not in getattr(owner, "__all__", ())
     # A dataclass field without a default is no class attribute.
     assert name not in getattr(owner, "__dataclass_fields__", {}), qualified

@@ -389,7 +389,7 @@ def test_an_untraced_server_counts_and_retains_no_trace(served_triangle):
     # With tracing off, each request is handled and logged against the
     # shared no-op trace.
     tracer = get_tracer()
-    last = tracer.finished_traces()[-1:]
+    newest = tracer.finished_traces()[:1]
     tracer.set_enabled(False)
     try:
         status, body = _send(
@@ -399,7 +399,7 @@ def test_an_untraced_server_counts_and_retains_no_trace(served_triangle):
     finally:
         tracer.set_enabled(None)
     assert (status, body) == (200, {"count": 3})
-    assert tracer.finished_traces()[-1:] == last
+    assert tracer.finished_traces()[:1] == newest
 
 
 @pytest.mark.parametrize("value", ["false", 1, []], ids=["string", "int", "list"])

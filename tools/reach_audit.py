@@ -26,8 +26,7 @@ by the ``REACH_AUDIT_OUT`` variable, which only the generated
 
 Usage (repo root)::
 
-    python tools/reach_audit.py             # everything; about 4 min on 2 CPUs
-    python tools/reach_audit.py --skip-tests  # examples and smoke only
+    python tools/reach_audit.py    # about 4 min on 2 CPUs
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ PACKAGE = SRC / "repro"
 
 #: ``module:qualified.name`` -> why nothing is expected to enter it.
 ALLOW: dict[str, str] = {
-    "repro.core.classification:Case.__str__": (
-        "cosmetic: ``str(case)`` at a prompt; the package prints ``case.value``"
-    ),
     "repro.logic.ep:EPFormula.__hash__": (
         "keeps an ``__eq__``-defining value object hashable; nothing hashes one"
     ),
@@ -174,13 +170,9 @@ def allowance(name: str, abstract: set[str]) -> str | None:
     return ALLOW.get(name) or ALLOW_METHODS.get(method)
 
 
-def runs(skip_tests: bool) -> list[list[str]]:
+def runs() -> list[list[str]]:
     """The commands whose processes are audited."""
-    commands = []
-    if not skip_tests:
-        commands.append(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        )
+    commands = [[sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]]
     for script in sorted((REPO_ROOT / "examples").glob("*.py")):
         commands.append([sys.executable, str(script.relative_to(REPO_ROOT))])
     commands.append([sys.executable, "-m", "repro.serve", "--smoke"])
@@ -188,13 +180,7 @@ def runs(skip_tests: bool) -> list[list[str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--skip-tests",
-        action="store_true",
-        help="run only the examples and the serve smoke (a partial audit)",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     started = time.perf_counter()
     failed = []
     with tempfile.TemporaryDirectory(prefix="reach-audit-") as scratch:
@@ -212,7 +198,7 @@ def main() -> int:
         env["REACH_AUDIT_OUT"] = str(out_dir)
         # Profiled tests run slower than the watchdog's default allows.
         env.setdefault("REPRO_TEST_TIMEOUT", "600")
-        for command in runs(args.skip_tests):
+        for command in runs():
             begun = time.perf_counter()
             done = subprocess.run(command, cwd=REPO_ROOT, env=env)
             took = time.perf_counter() - begun
